@@ -69,7 +69,6 @@ class RunConfig:
     residual_levels: int = 3
     snapshot_stride: int = 1
     out_dir: str = "out"
-    formats: tuple = ("csv", "json")
     seed: int = 0
 
     def validate(self) -> None:
@@ -124,7 +123,7 @@ _SCHEMA = {
     "norms": {"rho": float, "rho_tilde": float, "rho0": float, "sigma": float,
               "ell": float, "mmax": int},
     "verify": {"checks": "list", "residual_levels": int, "snapshot_stride": int},
-    "output": {"dir": str, "formats": "list", "seed": int},
+    "output": {"dir": str, "seed": int},
 }
 _KEY_MAP = {("output", "dir"): "out_dir"}
 

@@ -28,17 +28,15 @@ quotient is actually used.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bump import window, window_d1, window_d2
-from .grid import Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j
+from .grid import Field, Grid2D, clean_spectrum, dx_m_spec, dy_j
 from .shear import ShearState
 
-__all__ = ["CutoffSet", "AuxBundle", "build_cutoffs", "AuxWorkspace", "aux_bundle",
-           "aux_f", "aux_h", "aux_g", "aux_g_hat", "DenominatorFloorError"]
+__all__ = ["CutoffSet", "build_cutoffs", "AuxWorkspace", "DenominatorFloorError"]
 
 
 class DenominatorFloorError(ValueError):
@@ -88,25 +86,6 @@ def build_cutoffs(grid: Grid2D, y0: float, delta: float) -> CutoffSet:
                      psi=psi, dpsi=dpsi, d2psi=d2psi)
 
 
-@dataclass
-class AuxBundle:
-    m: int
-    f_m: Field
-    ftilde_m: Field
-    h_m: Field
-    g_m: Field
-    gtilde_m: Field
-    ghat_m: Field
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["name", "max_abs", "shape"])
-            for name in ("f_m", "ftilde_m", "h_m", "g_m", "gtilde_m", "ghat_m"):
-                fld = getattr(self, name)
-                w.writerow([f"{name}{self.m}", np.max(np.abs(fld.values)), fld.values.shape])
-
-
 def _masked_quotient(num: np.ndarray, den: np.ndarray, support: np.ndarray,
                      floor: float, what: str, grid: Grid2D) -> np.ndarray:
     """num/den, zeroed where |den| is below a hair floor; rejects when the
@@ -128,32 +107,36 @@ def _masked_quotient(num: np.ndarray, den: np.ndarray, support: np.ndarray,
 
 
 class AuxWorkspace:
-    """Precomputed derivative fields and quotient coefficients for one
-    (u, shear state, cut-off) triple; all aux functions read from here."""
+    """Derivative bundle of one (u, shear state) pair: omega and its first two
+    y-derivatives, the cleaned x-spectra of u, omega and d_y omega, omega_tot
+    with its first two y-derivatives, and g1.  Given a cut-off set it also
+    holds the masked quotients a, b behind the cancellation functions.
 
-    def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None,
-                 floor_f: float = 1e-8, floor_h: float = 1e-8):
+    npts selects the y-stencils (None: the standard ones of Grid2D)."""
+
+    def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
+                 npts: int | None = None, floor_f: float = 1e-8, floor_h: float = 1e-8):
         g = u.grid
         self.grid = g
         self.u = u
         self.state = state
         self.cut = cut
-        self.omega = dy_j(u, 1)
-        self.dyomega = dy_j(self.omega, 1)
-        self.d2yomega = dy_j(self.omega, 2)
+        self.omega = dy_j(u, 1, npts)
+        self.dyom = dy_j(self.omega, 1, npts)
+        self.d2yom = dy_j(self.omega, 2, npts)
         self.om_tot = state.omegas[None, :] + self.omega.values
-        self.dyom_tot = state.dj_omegas[0][None, :] + self.dyomega.values
-        self.d2yom_tot = state.dj_omegas[1][None, :] + self.d2yomega.values
+        self.dyom_tot = state.dj_omegas[0][None, :] + self.dyom.values
+        self.d2yom_tot = state.dj_omegas[1][None, :] + self.d2yom.values
         self.spec_u = clean_spectrum(np.fft.rfft(u.values, axis=0))
         self.spec_om = clean_spectrum(np.fft.rfft(self.omega.values, axis=0))
-        self.spec_dyom = clean_spectrum(np.fft.rfft(self.dyomega.values, axis=0))
+        self.spec_dyom = clean_spectrum(np.fft.rfft(self.dyom.values, axis=0))
         if cut is not None:
             self.a = _masked_quotient(self.dyom_tot, self.om_tot, cut.chi1 > 0.0,
-                                      floor_f, "aux_f coefficient (omega^s+omega)", g)
+                                      floor_f, "f_m coefficient (omega^s+omega)", g)
             self.b = _masked_quotient(self.d2yom_tot, self.dyom_tot, cut.chi2 > 0.0,
-                                      floor_h, "aux_h coefficient (d_y omega^s + d_y omega)", g)
-        g1 = self.om_tot * dx_m(self.omega, 1).values - self.dyom_tot * dx_m(u, 1).values
-        self.spec_g1 = clean_spectrum(np.fft.rfft(g1, axis=0))
+                                      floor_h, "h_m coefficient (d_y omega^s + d_y omega)", g)
+        self.g1 = self.om_tot * self.dxom(1).values - self.dyom_tot * self.dxu(1).values
+        self.spec_g1 = clean_spectrum(np.fft.rfft(self.g1, axis=0))
 
     def dxu(self, m: int) -> Field:
         return dx_m_spec(self.grid, self.spec_u, m)
@@ -207,41 +190,3 @@ class AuxWorkspace:
     def chi2_dyom(self, m: int) -> Field:
         return Field(self.grid, self.cut.chi2[None, :] * self.dxdyom(m).values)
 
-
-def aux_bundle(m: int, u: Field, state: ShearState, cut: CutoffSet) -> AuxBundle:
-    """All six cancellation functions of one tangential order."""
-    ws = AuxWorkspace(u, state, cut)
-    return AuxBundle(m=m, f_m=ws.f(m), ftilde_m=ws.ftilde(m), h_m=ws.h(m),
-                     g_m=ws.g(m), gtilde_m=ws.gtilde(m), ghat_m=ws.ghat(m))
-
-
-def aux_f(m: int, u: Field, state: ShearState, cut: CutoffSet,
-          floor: float = 1e-8) -> tuple[Field, Field]:
-    """(f_m, ftilde_m) from the difference form; rejects on denominator floor."""
-    if m < 1:
-        raise ValueError("aux functions require m >= 1")
-    ws = AuxWorkspace(u, state, cut, floor_f=floor)
-    return ws.f(m), ws.ftilde(m)
-
-
-def aux_h(m: int, u: Field, state: ShearState, cut: CutoffSet,
-          floor: float = 1e-8) -> Field:
-    if m < 1:
-        raise ValueError("aux functions require m >= 1")
-    ws = AuxWorkspace(u, state, cut, floor_h=floor)
-    return ws.h(m)
-
-
-def aux_g(m: int, u: Field, state: ShearState) -> tuple[Field, Field]:
-    if m < 1:
-        raise ValueError("aux functions require m >= 1")
-    ws = AuxWorkspace(u, state, None)
-    return ws.g(m), ws.gtilde(m)
-
-
-def aux_g_hat(m: int, u: Field, state: ShearState, cut: CutoffSet,
-              floor: float = 1e-8) -> Field:
-    if m < 1:
-        raise ValueError("aux functions require m >= 1")
-    ws = AuxWorkspace(u, state, cut)
-    return ws.ghat(m, floor=floor)

@@ -84,7 +84,7 @@ class Grid2D:
             raise ValueError("Lx and Ymax must be positive")
         self.x_nodes = self.Lx * np.arange(self.Nx) / self.Nx
         self.y_nodes = np.linspace(0.0, self.Ymax, self.Ny)
-        self._dy_mats: dict[int, np.ndarray] = {}
+        self._dy_mats: dict[tuple, np.ndarray] = {}
         self._k = 2.0 * np.pi * np.fft.rfftfreq(self.Nx, d=self.Lx / self.Nx)
 
     @property
@@ -101,26 +101,31 @@ class Grid2D:
         w[0] = w[-1] = 0.5 * self.dy
         return w
 
-    def deriv_matrix_y(self, j: int) -> np.ndarray:
-        """Dense Ny x Ny matrix applying the j-th y-derivative to a y-row."""
+    def deriv_matrix_y(self, j: int, npts: int | None = None) -> np.ndarray:
+        """Dense Ny x Ny matrix applying the j-th y-derivative to a y-row.
+
+        npts=None takes the interior and boundary widths of _STENCIL_PTS;
+        an integer uses npts-point stencils on every row.
+        """
         if j not in _STENCIL_PTS:
             raise ValueError(f"y-derivative order must be 1..5, got {j}")
-        if j in self._dy_mats:
-            return self._dy_mats[j]
+        key = (j, npts)
+        if key in self._dy_mats:
+            return self._dy_mats[key]
         if self.Ny < j + 6:
             raise ValueError(f"Ny={self.Ny} too small for derivative order {j}")
-        n_int, n_bnd = _STENCIL_PTS[j]
+        n_int, n_bnd = _STENCIL_PTS[j] if npts is None else (npts, npts)
         half = (n_int - 1) // 2
         y = self.y_nodes
         D = np.zeros((self.Ny, self.Ny))
         for i in range(self.Ny):
-            if half <= i <= self.Ny - 1 - half:
+            if half <= i <= self.Ny - n_int + half:
                 lo = i - half
                 D[i, lo:lo + n_int] = fd_weights(y[lo:lo + n_int], y[i], j)
             else:
                 lo = min(max(i - (n_bnd - 1) // 2, 0), self.Ny - n_bnd)
                 D[i, lo:lo + n_bnd] = fd_weights(y[lo:lo + n_bnd], y[i], j)
-        self._dy_mats[j] = D
+        self._dy_mats[key] = D
         return D
 
     def same_as(self, other: "Grid2D") -> bool:
@@ -216,14 +221,15 @@ def dx_m_spec(grid: Grid2D, spec: np.ndarray, m: int) -> Field:
     return Field(grid, np.fft.irfft(spec * mult, n=grid.Nx, axis=0))
 
 
-def dy_j(f: Field, j: int) -> Field:
+def dy_j(f: Field, j: int, npts: int | None = None) -> Field:
     """Finite-difference j-th y-derivative, j in 1..5.
 
-    Order 4 in the interior; one-sided closures of order 4 (j<=3) or 3
-    (j in {4,5}) at the boundaries.  Exact on polynomials up to the stencil
-    degree, which the tests rely on.
+    With the default stencils: order 4 in the interior; one-sided closures of
+    order 4 (j<=3) or 3 (j in {4,5}) at the boundaries; wider npts-point
+    stencils (Grid2D.deriv_matrix_y) raise both.  Exact on polynomials up to
+    the stencil degree, which the tests rely on.
     """
-    D = f.grid.deriv_matrix_y(j)
+    D = f.grid.deriv_matrix_y(j, npts)
     return Field(f.grid, f.values @ D.T)
 
 
@@ -233,15 +239,6 @@ def weighted_l2(f: Field, ellw: float) -> float:
     wy = g.trapz_weights() * (1.0 + g.y_nodes) ** (2.0 * ellw)
     colsq = np.einsum("ij,ij->j", f.values, f.values) * (g.Lx / g.Nx)
     return float(np.sqrt(np.dot(colsq, wy)))
-
-
-def integrate_y_from_zero(f: Field) -> Field:
-    """Cumulative trapezoid antiderivative in y, vanishing at y=0."""
-    g = f.grid
-    out = np.empty_like(f.values)
-    out[:, 0] = 0.0
-    np.cumsum(0.5 * g.dy * (f.values[:, 1:] + f.values[:, :-1]), axis=1, out=out[:, 1:])
-    return Field(g, out)
 
 
 def linf(f: Field) -> float:

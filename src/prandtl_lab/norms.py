@@ -235,12 +235,9 @@ def lifespan_norm(traj, lam: float, T: float, p: GevreyParams, rho0: float,
 
 def _traj_raw_cache(traj, cut: CutoffSet, p: GevreyParams):
     """Per-trajectory memo of rho-independent raw seminorms by time index."""
-    key = (id(cut), p.ell, p.alpha, p.Mmax)
-    store = getattr(traj, "_raw_cache", None)
-    if store is None:
-        store = {}
-        object.__setattr__(traj, "_raw_cache", store)
-    sub = store.setdefault(key, {})
+    # by value: the trajectory fixes the grid, so (y0, delta) fix the cut-offs
+    key = (cut.y0, cut.delta, p.ell, p.alpha, p.Mmax)
+    sub = traj.raw_cache.setdefault(key, {})
 
     def get(i: int) -> GevreyRaw:
         if i not in sub:

@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dst, idst
 
-from .grid import (Field, Grid2D, dx_m, dy_j, integrate_y_from_zero, linf,
-                   truncation_check, weighted_l2)
+from .grid import Field, Grid2D, dx_m, dy_j, linf, truncation_check, weighted_l2
 from .profiles import ShearProfile
 from .shear import ShearState, evolve_shear
 
@@ -63,7 +62,7 @@ class SolverConfig:
         if self.T > self.eps / 4.0:
             warnings.warn(
                 f"T={self.T} exceeds eps/4={self.eps / 4.0}: the Picard horizon must "
-                "scale with eps; divergence detection is the backstop", stacklevel=2)
+                "scale with eps; divergence detection is the backstop", stacklevel=3)
 
 
 def _to_modal(grid: Grid2D, values: np.ndarray) -> np.ndarray:
@@ -127,9 +126,8 @@ def duhamel(forcing: list[Field], t_index: int, eps: float, times: np.ndarray) -
 def _cumint_y4(grid: Grid2D, vals: np.ndarray) -> np.ndarray:
     """Cumulative y-antiderivative, 4th order (cubic panels), zero at y=0.
 
-    The trapezoid version keeps the integrate_y_from_zero contract; the
-    solver needs the extra orders so the identity-residual ladders are not
-    floored by the quadrature error of v."""
+    Exact on cubics; the order matters because the identity-residual ladders
+    would otherwise be floored by the quadrature error of v."""
     h = grid.dy
     n = grid.Ny
     inc = np.empty_like(vals)
@@ -159,6 +157,10 @@ class Trajectory:
     scheme: str
     eps: float
     contraction: list = dc_field(default_factory=list)
+    # derived-data memos filled by the checks: verify.Snapshot per time index,
+    # and norms.GevreyRaw per (cut-off, norm parameters) and time index
+    snapshots: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    raw_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dt(self) -> float:

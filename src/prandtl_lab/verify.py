@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
-from .grid import (Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, fd_weights,
-                   linf, weighted_l2)
+from .grid import (Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, linf,
+                   weighted_l2)
 from .norms import GevreyParams, _report_from_raw, _traj_raw_cache, gevrey_norm
 from .profiles import AssumptionReport
 from .solver import Trajectory
@@ -92,70 +92,43 @@ def _jsonable(x):
     return x
 
 
-class Snapshot:
+class Snapshot(AuxWorkspace):
     """Derivative bundle of one stored trajectory time, shared by checks.
 
     The y-derivative ladder uses wide (9-point) stencils so the spatial
     floor of the residual studies sits well below their dt signal; the
     production operators elsewhere keep the standard order-4 stencils.
+    On top of the shared bundle it keeps what only the residual identities
+    read: v, d_y^3 omega_tot and the spectra of v and d_y^2 omega.
     """
 
     def __init__(self, traj: Trajectory, i: int):
-        g = traj.grid
-        self.grid = g
-        self.i = i
-        self.u = traj.u[i]
+        super().__init__(traj.u[i], traj.shear[i], npts=9)
         self.v = traj.v[i]
-        self.state = traj.shear[i]
-        d1h = _dy_matrix_wide(g, 1)
-        self.omega = Field(g, self.u.values @ d1h.T)
-        self.dyom = Field(g, self.omega.values @ d1h.T)
-        self.d2yom = Field(g, self.omega.values @ _dy_matrix_wide(g, 2).T)
-        self.d3yom = Field(g, self.omega.values @ _dy_matrix_wide(g, 3).T)
-        self.spec_u = clean_spectrum(np.fft.rfft(self.u.values, axis=0))
         self.spec_v = clean_spectrum(np.fft.rfft(self.v.values, axis=0))
-        self.spec_om = clean_spectrum(np.fft.rfft(self.omega.values, axis=0))
-        self.spec_dyom = clean_spectrum(np.fft.rfft(self.dyom.values, axis=0))
         self.spec_d2yom = clean_spectrum(np.fft.rfft(self.d2yom.values, axis=0))
-        st = self.state
-        self.om_tot = st.omegas[None, :] + self.omega.values
-        self.P = st.dj_omegas[0][None, :] + self.dyom.values      # d_y omega_tot
-        self.N = st.dj_omegas[1][None, :] + self.d2yom.values     # d_y^2 omega_tot
-        self.Ny3 = st.dj_omegas[2][None, :] + self.d3yom.values   # d_y^3 omega_tot
-        self.g1 = self.om_tot * self.dxom(1).values - self.P * self.dxu(1).values
-        self.spec_g1 = clean_spectrum(np.fft.rfft(self.g1, axis=0))
-
-    def dxu(self, k):
-        return dx_m_spec(self.grid, self.spec_u, k)
+        self.d3yom_tot = (self.state.dj_omegas[2][None, :]
+                          + dy_j(self.omega, 3, npts=9).values)
 
     def dxv(self, k):
         return dx_m_spec(self.grid, self.spec_v, k)
 
-    def dxom(self, k):
-        return dx_m_spec(self.grid, self.spec_om, k)
-
-    def dxdyom(self, k):
-        return dx_m_spec(self.grid, self.spec_dyom, k)
-
     def dxd2yom(self, k):
         return dx_m_spec(self.grid, self.spec_d2yom, k)
 
-    def gm(self, m):
-        return dx_m_spec(self.grid, self.spec_g1, m - 1)
-
     def quotient_pack_f(self, support: np.ndarray):
         """a = P/Q with analytic d_y a and d_x a, masked off the safe set."""
-        Q = self.om_tot
+        Q, P, N = self.om_tot, self.dyom_tot, self.d2yom_tot
         hair = max(1e-9 * float(np.max(np.abs(Q))), 1e-300)
         safe = np.abs(Q) > hair
         inv = np.zeros_like(Q)
         np.divide(1.0, Q, out=inv, where=safe)
-        a = self.P * inv
-        dya = self.N * inv - a * self.P * inv
+        a = P * inv
+        dya = N * inv - a * P * inv
         dxom1 = self.dxom(1).values
         dxdyom1 = self.dxdyom(1).values
         dxa = dxdyom1 * inv - a * dxom1 * inv
-        d2ya = self.Ny3 * inv - 3.0 * self.N * self.P * inv**2 + 2.0 * self.P**3 * inv**3
+        d2ya = self.d3yom_tot * inv - 3.0 * N * P * inv**2 + 2.0 * P**3 * inv**3
         return a, dya, dxa, d2ya, inv
 
     def quotient_pack_h(self):
@@ -163,12 +136,12 @@ class Snapshot:
         (smooth, safe) b field itself: the analytic form would put pointwise
         d_y^3 omega values into the residual, which the sine-represented
         solution resolves too roughly during the initial transient."""
-        D = self.P
+        D = self.dyom_tot
         hair = max(1e-9 * float(np.max(np.abs(D))), 1e-300)
         safe = np.abs(D) > hair
         inv = np.zeros_like(D)
         np.divide(1.0, D, out=inv, where=safe)
-        b = self.N * inv
+        b = self.d2yom_tot * inv
         dyb = dy_j(Field(self.grid, b), 1).values
         dxdyom1 = self.dxdyom(1).values
         dxd2yom1 = self.dxd2yom(1).values
@@ -177,10 +150,7 @@ class Snapshot:
 
 
 def _snapshots(traj: Trajectory, i: int) -> Snapshot:
-    store = getattr(traj, "_packs", None)
-    if store is None:
-        store = {}
-        object.__setattr__(traj, "_packs", store)
+    store = traj.snapshots
     if i not in store:
         store[i] = Snapshot(traj, i)
     return store[i]
@@ -196,20 +166,6 @@ def _eval_indices(traj: Trajectory, fracs=_EVAL_FRACS) -> list:
     n = len(traj.times) - 1
     idx = sorted({min(max(int(round(f * n)), 1), n - 1) for f in fracs})
     return idx
-
-
-def _dy_matrix_wide(grid: Grid2D, j: int, npts: int = 9) -> np.ndarray:
-    key = ("wide", j, npts)
-    cache = grid._dy_mats
-    if key not in cache:
-        n, y = grid.Ny, grid.y_nodes
-        D = np.zeros((n, n))
-        half = (npts - 1) // 2
-        for i in range(n):
-            lo = min(max(i - half, 0), n - npts)
-            D[i, lo:lo + npts] = fd_weights(y[lo:lo + npts], y[i], j)
-        cache[key] = D
-    return cache[key]
 
 
 def _material_derivative_expanded(snap: Snapshot, q_prev: np.ndarray,
@@ -234,8 +190,8 @@ def _material_derivative(snap: Snapshot, q_prev: np.ndarray, q_next: np.ndarray,
     qf = Field(g, q)
     return ((q_next - q_prev) / dt2
             + (snap.state.us[None, :] + snap.u.values) * dx_m(qf, 1).values
-            + snap.v.values * (q @ _dy_matrix_wide(g, 1).T)
-            - q @ _dy_matrix_wide(g, 2).T
+            + snap.v.values * (q @ g.deriv_matrix_y(1, 9).T)
+            - q @ g.deriv_matrix_y(2, 9).T
             - eps * dx_m(qf, 2).values)
 
 
@@ -341,8 +297,8 @@ def residual_h_single(traj: Trajectory, m: int, cut: CutoffSet, i: int,
     # -2 b d_y b - 2 eps r d_y r with r = (d_x d_y omega)/D, which keeps every
     # pointwise value at the two-derivative level
     r_quot = dxdyom1 * invD
-    p_blk = (2.0 * (s0.om_tot * dxdyom1 - dxu1 * s0.N) * invD
-             - s0.g1 * s0.N * invD**2
+    p_blk = (2.0 * (s0.om_tot * dxdyom1 - dxu1 * s0.d2yom_tot) * invD
+             - s0.g1 * s0.d2yom_tot * invD**2
              - 2.0 * b0 * dyb
              - 2.0 * eps * r_quot * dy_j(Field(g, r_quot), 1).values) * s0.dxom(m).values
 
@@ -358,7 +314,7 @@ def residual_h_single(traj: Trajectory, m: int, cut: CutoffSet, i: int,
         rhs += b0 * c * s0.dxv(k).values * s0.dxdyom(m - k).values
         rhs -= c * s0.dxv(k).values * s0.dxd2yom(m - k).values
     if not drop_g_term:
-        rhs -= s0.gm(m + 1).values
+        rhs -= s0.g(m + 1).values
 
     diff = chi * (lhs - rhs)
     res = _interior_l2(g, diff)
@@ -371,20 +327,19 @@ def residual_g_single(traj: Trajectory, m: int, i: int) -> tuple:
     eps = traj.eps
     sm, sp, s0 = _snapshots(traj, i - 1), _snapshots(traj, i + 1), _snapshots(traj, i)
     dt2 = traj.times[i + 1] - traj.times[i - 1]
-    q0 = s0.gm(m).values
-    lhs = _material_derivative(s0, sm.gm(m).values, sp.gm(m).values, q0, dt2, eps)
+    q0 = s0.g(m).values
+    lhs = _material_derivative(s0, sm.g(m).values, sp.g(m).values, q0, dt2, eps)
 
-    st = s0.state
     rhs = np.zeros_like(q0)
     for j in range(1, m):
         c = _binom(m - 1, j)
-        rhs -= c * s0.dxu(j).values * s0.gm(m - j + 1).values
-        rhs -= c * s0.dxv(j).values * dy_j(s0.gm(m - j), 1).values
+        rhs -= c * s0.dxu(j).values * s0.g(m - j + 1).values
+        rhs -= c * s0.dxv(j).values * dy_j(s0.g(m - j), 1).values
     for j in range(0, m):
         c = _binom(m - 1, j)
         if j == 0:
-            d2 = st.dj_omegas[1][None, :] + s0.d2yom.values
-            d1 = st.dj_omegas[0][None, :] + s0.dyom.values
+            d2 = s0.d2yom_tot
+            d1 = s0.dyom_tot
         else:
             d2 = s0.dxd2yom(j).values
             d1 = s0.dxdyom(j).values
@@ -494,24 +449,24 @@ def boundary_checks(trajs, rep: AssumptionReport, ms=(1, 2, 3)) -> CheckReport:
             dt2 = traj.times[i + 1] - traj.times[i - 1]
             a0 = s0.quotient_pack_f(cut.chi1 > 0.0)[0]
             for m in ms:
-                gm = s0.gm(m)
+                gm = s0.g(m)
                 r_g = max(r_g, float(np.max(np.abs(dy_j(gm, 1).values[:, 0]))))
                 s_g = max(s_g, linf(Field(g, dy_j(gm, 1).values)))
                 fm = Field(g, cut.chi1[None, :] * _q_f(s0, m, a0))
                 r_f = max(r_f, float(np.max(np.abs(dy_j(fm, 1).values[:, 0]))))
                 s_f = max(s_f, linf(Field(g, dy_j(fm, 1).values)))
-            om0 = s0.omega.values[:, 0]
+            om_tot0 = s0.om_tot[:, 0]
             dxom0 = s0.dxom(1).values[:, 0]
             # d_y^2 omega represented through the evolution equation
             eqrhs = Field(g, (sp.omega.values - sm.omega.values) / dt2
                           + (s0.state.us[None, :] + s0.u.values) * s0.dxom(1).values
-                          + s0.v.values * s0.P
+                          + s0.v.values * s0.dyom_tot
                           - eps * s0.dxom(2).values)
-            third = dy_j(eqrhs, 1).values[:, 0] - (s0.state.omegas[0] + om0) * dxom0
+            third = dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0
             r_3 = max(r_3, float(np.max(np.abs(third))))
-            s_3 = max(s_3, float(np.max(np.abs((s0.state.omegas[0] + om0) * dxom0))))
-            rhs5 = (-(s0.state.dj_omegas[1][0] + s0.d2yom.values[:, 0]) * dxom0
-                    + 4.0 * (s0.state.omegas[0] + om0) * s0.dxd2yom(1).values[:, 0]
+            s_3 = max(s_3, float(np.max(np.abs(om_tot0 * dxom0))))
+            rhs5 = (-s0.d2yom_tot[:, 0] * dxom0
+                    + 4.0 * om_tot0 * s0.dxd2yom(1).values[:, 0]
                     - 2.0 * eps * dxom0 * s0.dxom(2).values[:, 0])
             fifth = dy_j(eqrhs, 3).values[:, 0] - rhs5
             r_5 = max(r_5, float(np.max(np.abs(fifth))))
@@ -559,7 +514,7 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport,
     """
     g = u.grid
     ws = AuxWorkspace(u, state, cut)
-    D = _dy_matrix_wide(g, 1)
+    D = g.deriv_matrix_y(1, 9)
     evidence = {}
     worst = 0.0
     for m in ms:
@@ -664,11 +619,11 @@ def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> C
     for i, t in enumerate(traj.times):
         s0 = _snapshots(traj, i)
         cl = {}
-        cl["1"] = bool(np.all(np.abs(s0.P[:, strip]) >= rep.c0 / 4.0 - _SLACK))
+        cl["1"] = bool(np.all(np.abs(s0.dyom_tot[:, strip]) >= rep.c0 / 4.0 - _SLACK))
         mag = np.abs(s0.om_tot[:, off])
         cl["2"] = bool(np.all(mag >= 0.25 * rep.c1 * wy_a[None, off] - _SLACK)
                        and np.all(mag <= 4.0 / rep.c1 * wy_a[None, off] + _SLACK))
-        cl["3"] = bool(np.all(np.abs(s0.P) <= 4.0 / rep.c1 * wy_a1[None, :] + _SLACK))
+        cl["3"] = bool(np.all(np.abs(s0.dyom_tot) <= 4.0 / rep.c1 * wy_a1[None, :] + _SLACK))
         total = 0.0
         for j in (1, 2):
             total += linf(Field(g, w_lm1[None, :] * s0.dxu(j).values))
@@ -698,7 +653,6 @@ def energy_monitor(traj: Trajectory, p: GevreyParams, rho_pair: tuple,
     cache = _traj_raw_cache(traj, cut, p)
     n = len(traj.times)
     lhs = np.empty(n)
-    nr2 = np.empty(n)
     nr4 = np.empty(n)
     nt2 = np.empty(n)
     for i in range(n):
@@ -706,7 +660,6 @@ def energy_monitor(traj: Trajectory, p: GevreyParams, rho_pair: tuple,
         v_rho = _report_from_raw(raw, p.with_rho(rho), with_aux=True).total
         v_rt = _report_from_raw(raw, p.with_rho(rho_t), with_aux=True).total
         lhs[i] = v_rho ** 2
-        nr2[i] = v_rho ** 2
         nr4[i] = v_rho ** 4
         nt2[i] = v_rt ** 2 / (rho_t - rho)
     if np.all(lhs == 0.0):
@@ -714,7 +667,7 @@ def energy_monitor(traj: Trajectory, p: GevreyParams, rho_pair: tuple,
                            evidence={"vacuous": True, "C_max": None})
     dt = np.diff(traj.times)
     cum = lambda f: np.concatenate(([0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))))
-    int_r = cum(nr2 + nr4)
+    int_r = cum(lhs + nr4)
     int_t = cum(nt2)
     cs = lhs / (lhs[0] + int_r + int_t)
     return CheckReport(name="energy_monitor", passed=bool(np.isfinite(cs).all()),

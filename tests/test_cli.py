@@ -26,6 +26,9 @@ def test_unknown_key_rejected(tmp_path):
     p = _write(tmp_path, "[grid]\nnx = 128\nwobble = 3\n")
     with pytest.raises(ConfigError, match="wobble"):
         load_config(p)
+    p = _write(tmp_path, "[output]\nformats = csv json\n")   # removed key
+    with pytest.raises(ConfigError, match="formats"):
+        load_config(p)
 
 
 def test_sigma_range_named(tmp_path):

@@ -3,8 +3,7 @@ import pytest
 import sympy as sp
 
 from prandtl_lab.bump import ramp, ramp_d1, ramp_d2
-from prandtl_lab.cutoffs import (AuxWorkspace, DenominatorFloorError, aux_f, aux_g,
-                                 aux_g_hat, aux_h, build_cutoffs)
+from prandtl_lab.cutoffs import AuxWorkspace, DenominatorFloorError, build_cutoffs
 from prandtl_lab.grid import Field, dy_j
 from prandtl_lab.shear import evolve_shear
 
@@ -58,28 +57,28 @@ def shear_state(profile):
 
 def test_shear_only_aux_vanish(grid, shear_state, cutoffs):
     z = Field.zeros(grid)
+    ws = AuxWorkspace(z, shear_state, cutoffs)
     for m in (1, 2):
-        f, ft = aux_f(m, z, shear_state, cutoffs)
-        assert np.max(np.abs(f.values)) == 0.0
-        assert np.max(np.abs(ft.values)) == 0.0
-        h = aux_h(m, z, shear_state, cutoffs)
-        assert np.max(np.abs(h.values)) == 0.0
-        gm, gt = aux_g(m, z, shear_state)
-        assert np.max(np.abs(gm.values)) == 0.0
-        assert np.max(np.abs(aux_g_hat(m, z, shear_state, cutoffs).values)) == 0.0
+        assert np.max(np.abs(ws.f(m).values)) == 0.0
+        assert np.max(np.abs(ws.ftilde(m).values)) == 0.0
+        assert np.max(np.abs(ws.h(m).values)) == 0.0
+        assert np.max(np.abs(AuxWorkspace(z, shear_state).g(m).values)) == 0.0
+        assert np.max(np.abs(ws.ghat(m).values)) == 0.0
 
 
 def test_f_supports(grid, assumption, shear_state, cutoffs, u0):
-    f1, _ = aux_f(1, u0, shear_state, cutoffs)
+    ws = AuxWorkspace(u0, shear_state, cutoffs)
+    f1 = ws.f(1)
     strip = np.abs(grid.y_nodes - assumption.y0) <= 1.25 * assumption.delta
     assert np.max(np.abs(f1.values[:, strip])) == 0.0
-    h1 = aux_h(1, u0, shear_state, cutoffs)
+    h1 = ws.h(1)
     off = np.abs(grid.y_nodes - assumption.y0) >= 1.75 * assumption.delta + 1e-12
     assert np.max(np.abs(h1.values[:, off])) == 0.0
 
 
 def test_g1_equals_gtilde1(grid, shear_state, u0):
-    g1, gt1 = aux_g(1, u0, shear_state)
+    ws = AuxWorkspace(u0, shear_state)
+    g1, gt1 = ws.g(1), ws.gtilde(1)
     assert np.max(np.abs(g1.values - gt1.values)) <= 1e-15
 
 
@@ -126,7 +125,7 @@ def test_f1_symbolic_probe(grid, profile, cutoffs):
 
     state = evolve_shear(profile, 0.0)
     u = Field.from_function(grid, sp.lambdify((sp_x, sp_y), u_sym, "numpy"))
-    f1, _ = aux_f(1, u, state, cutoffs)
+    f1 = AuxWorkspace(u, state, cutoffs).f(1)
 
     dxom_sym = sp.lambdify((sp_x, sp_y), sp.diff(om_sym, sp_x), "numpy")
     dxu_sym = sp.lambdify((sp_x, sp_y), sp.diff(u_sym, sp_x), "numpy")
@@ -149,7 +148,7 @@ def test_h1_symbolic_probe(grid, profile, cutoffs, assumption):
     om_sym = sp.diff(u_sym, sp_y)
     state = evolve_shear(profile, 0.0)
     u = Field.from_function(grid, sp.lambdify((sp_x, sp_y), u_sym, "numpy"))
-    h1 = aux_h(1, u, state, cutoffs)
+    h1 = AuxWorkspace(u, state, cutoffs).h(1)
 
     fdxdyom = sp.lambdify((sp_x, sp_y), sp.diff(om_sym, sp_x, sp_y), "numpy")
     fdxom = sp.lambdify((sp_x, sp_y), sp.diff(om_sym, sp_x), "numpy")
@@ -187,9 +186,9 @@ def test_ghat_off_plateau_formula(grid, assumption, shear_state, cutoffs, u0):
 
 def test_denominator_floor_rejection(grid, shear_state, cutoffs, u0):
     with pytest.raises(DenominatorFloorError, match="floor"):
-        aux_f(1, u0, shear_state, cutoffs, floor=10.0)
+        AuxWorkspace(u0, shear_state, cutoffs, floor_f=10.0)
     with pytest.raises(DenominatorFloorError, match="floor"):
-        aux_h(1, u0, shear_state, cutoffs, floor=10.0)
+        AuxWorkspace(u0, shear_state, cutoffs, floor_h=10.0)
 
 
 def test_frozen_coefficient_linearity(grid, shear_state, cutoffs, u0):
@@ -207,11 +206,3 @@ def test_frozen_coefficient_linearity(grid, shear_state, cutoffs, u0):
     rhs = frozen_f(u0) + frozen_f(w)
     assert np.max(np.abs(lhs - rhs)) <= 1e-11 * max(np.max(np.abs(rhs)), 1e-30) + 1e-15
 
-
-def test_aux_bundle_csv(tmp_path, grid, shear_state, cutoffs, u0):
-    from prandtl_lab.cutoffs import aux_bundle
-    b = aux_bundle(2, u0, shear_state, cutoffs)
-    path = tmp_path / "aux2.csv"
-    b.to_csv(path)
-    text = path.read_text()
-    assert "f_m2" in text and "ghat_m2" in text

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prandtl_lab.grid import (Field, Grid2D, dx_m, dy_j, fd_weights,
-                              integrate_y_from_zero, linf, weighted_l2)
+from prandtl_lab.grid import Field, Grid2D, dx_m, dy_j, fd_weights, linf, weighted_l2
+from prandtl_lab.solver import _cumint_y4
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +129,13 @@ def test_parseval_consistency(g):
 
 
 def test_integrate_y(g):
-    one = Field(g, np.ones((g.Nx, g.Ny)))
-    out = integrate_y_from_zero(one)
-    assert np.allclose(out.values, g.y_nodes[None, :], atol=1e-12)
+    """The solver's cumulative y-antiderivative (the one recover_v uses)."""
+    out = _cumint_y4(g, np.ones((g.Nx, g.Ny)))
+    assert np.allclose(out, g.y_nodes[None, :], atol=1e-12)
     cosf = Field.from_function(g, lambda X, Y: np.cos(Y))
-    out = integrate_y_from_zero(cosf)
-    assert np.max(np.abs(out.values - np.sin(g.y_nodes)[None, :])) < 5e-3  # O(dy^2)
-    assert linf(integrate_y_from_zero(Field.zeros(g))) == 0.0
+    out = _cumint_y4(g, cosf.values)
+    assert np.max(np.abs(out - np.sin(g.y_nodes)[None, :])) < 1e-5  # O(dy^4)
+    assert np.max(np.abs(_cumint_y4(g, np.zeros((g.Nx, g.Ny))))) == 0.0
 
 
 def test_linf(g):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from prandtl_lab.cutoffs import build_cutoffs
 from prandtl_lab.grid import Field, weighted_l2
-from prandtl_lab.norms import GevreyParams, full_norm, gevrey_norm, lifespan_norm
+from prandtl_lab.norms import (GevreyParams, _traj_raw_cache, full_norm, gevrey_norm,
+                               lifespan_norm)
 from prandtl_lab.shear import evolve_shear
+from prandtl_lab.solver import Trajectory, recover_v
 
 
 def test_params_validation():
@@ -100,9 +103,9 @@ def test_mmax_guard(u0):
 
 
 def test_lifespan_zero_and_t0(grid, params, profile, cutoffs, u0, traj_imex):
-    import copy
-    zero_traj = copy.copy(traj_imex)
-    zero_traj.u = [Field.zeros(grid) for _ in traj_imex.times]
+    import dataclasses
+    # replace() gives the copy its own memo caches; a shallow copy would share them
+    zero_traj = dataclasses.replace(traj_imex, u=[Field.zeros(grid) for _ in traj_imex.times])
     assert lifespan_norm(zero_traj, 1.0, 0.0, params, 0.5, cutoffs) == 0.0
 
     # at T=0 the sup over rho reduces to the largest admissible grid radius
@@ -168,3 +171,19 @@ def test_sigma_range_endpoints(grid, profile, cutoffs, u0, sigma):
     # stronger factorial damping (larger sigma) cannot increase the total
     softer = full_norm(u0, st, cutoffs, GevreyParams(rho=0.3, sigma=1.5)).total
     assert rep.total <= softer + 1e-12
+
+
+def test_raw_cache_keyed_by_value(grid, assumption, profile, u0, params):
+    """Equal-valued cut-off sets share the cached seminorms, and a set with
+    another delta never gets theirs (object ids are reused after collection,
+    so they cannot serve as the key)."""
+    st = evolve_shear(profile, 0.0)
+    traj = Trajectory(grid=grid, times=np.array([0.0]), u=[u0], v=[recover_v(u0)],
+                      shear=[st], scheme="imex", eps=0.1)
+    y0, d = assumption.y0, assumption.delta
+    cut_a, cut_b = build_cutoffs(grid, y0, d), build_cutoffs(grid, y0, d)
+    first = _traj_raw_cache(traj, cut_a, params)(0)
+    assert _traj_raw_cache(traj, cut_b, params)(0) is first
+    other = _traj_raw_cache(traj, build_cutoffs(grid, y0, 0.8 * d), params)(0)
+    assert other is not first
+    assert other.aux[1] != first.aux[1]

@@ -22,6 +22,14 @@ def test_config_validation():
         SolverConfig(eps=0.1, T=0.1, Nt=8)
 
 
+def test_horizon_warning_names_caller():
+    """The Picard-horizon warning points at the line that built the config,
+    not at the dataclass-generated __init__."""
+    with pytest.warns(UserWarning, match="eps/4") as rec:
+        SolverConfig(eps=0.1, T=0.1, Nt=8)
+    assert rec[0].filename == __file__
+
+
 def test_heat_propagate_identity(grid):
     f = Field.from_function(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
     out = heat_propagate(f, 0.0, 0.1)

@@ -44,7 +44,7 @@ def test_residual_h_ablation(traj_imex, cutoffs):
     r_full, scale, d_full = V.residual_h_single(traj_imex, m, cutoffs, i)
     r_ablate, _, d_ablate = V.residual_h_single(traj_imex, m, cutoffs, i, drop_g_term=True)
     s0 = V._snapshots(traj_imex, i)
-    g_term = cutoffs.chi2[None, :] * s0.gm(m + 1).values
+    g_term = cutoffs.chi2[None, :] * s0.g(m + 1).values
     gnorm = V._interior_l2(traj_imex.grid, g_term)
     moved = V._interior_l2(traj_imex.grid, d_ablate - d_full)
     assert np.isclose(moved, gnorm, rtol=1e-10)
