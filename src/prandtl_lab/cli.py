@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .cutoffs import build_cutoffs
 from .grid import Grid2D
-from .norms import GevreyParams, full_norm, gevrey_norm
+from .norms import GevreyParams, _report_from_raw, _traj_raw_cache, full_norm
 from .profiles import build_perturbation, build_shear_profile, check_compatibility, validate_assumption
 from .shear import check_proposition_shear, evolve_shear
 from .solver import SolverConfig, SolverDivergence, imex_solve, picard_solve
@@ -233,10 +233,12 @@ def run_norms(lab: Lab, outdir: Path) -> list:
     rows = ["t,gevrey_norm,full_norm,lifespan_running"]
     running = 0.0
     lam = 1.0   # display convention: unit radius-shrink rate for the series
+    raw_at = _traj_raw_cache(traj, lab.cut, lab.params)
     for i, t in enumerate(traj.times[::cfg.snapshot_stride]):
         idx = i * cfg.snapshot_stride
-        base = gevrey_norm(traj.u[idx], lab.params).total
-        ext = full_norm(traj.u[idx], traj.shear[idx], lab.cut, lab.params).total
+        raw = raw_at(idx)
+        base = _report_from_raw(raw, lab.params, with_aux=False).total
+        ext = full_norm(traj.u[idx], traj.shear[idx], lab.cut, lab.params, raw=raw).total
         if cfg.rho0 - lam * t > 0:
             w = np.sqrt((cfg.rho0 - cfg.rho - lam * t) / (cfg.rho0 - cfg.rho)) \
                 if cfg.rho0 - cfg.rho - lam * t > 0 else 0.0

@@ -118,13 +118,17 @@ class Grid2D:
         half = (n_int - 1) // 2
         y = self.y_nodes
         D = np.zeros((self.Ny, self.Ny))
+        # the grid is uniform: rows with one offset pattern share their weights
+        weights = {}
         for i in range(self.Ny):
             if half <= i <= self.Ny - n_int + half:
-                lo = i - half
-                D[i, lo:lo + n_int] = fd_weights(y[lo:lo + n_int], y[i], j)
+                lo, n = i - half, n_int
             else:
-                lo = min(max(i - (n_bnd - 1) // 2, 0), self.Ny - n_bnd)
-                D[i, lo:lo + n_bnd] = fd_weights(y[lo:lo + n_bnd], y[i], j)
+                n = n_bnd
+                lo = min(max(i - (n - 1) // 2, 0), self.Ny - n)
+            if (lo - i, n) not in weights:
+                weights[lo - i, n] = fd_weights(y[lo:lo + n], y[i], j)
+            D[i, lo:lo + n] = weights[lo - i, n]
         self._dy_mats[key] = D
         return D
 

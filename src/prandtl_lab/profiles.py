@@ -63,6 +63,8 @@ class ShearProfile:
     derivs: np.ndarray            # shape (6, Ny)
     y_fine: np.ndarray = field(repr=False, default=None)
     u0s_fine: np.ndarray = field(repr=False, default=None)
+    # shear.evolve_shear's states by time; lives as long as the profile
+    state_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def omega0s(self) -> np.ndarray:

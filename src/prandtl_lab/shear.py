@@ -11,6 +11,15 @@ limit is exact because the profile normalization makes w0 vanish at Ymax.
 Derivatives up to order 6 come from differentiating the kernel and the lift
 analytically (Hermite polynomials), never from finite differences, so shear
 coefficients entering the verification identities carry quadrature accuracy.
+
+The quadrature nodes s_k = h*k (h = dy/r, r = profiles._FINE_REFINE) refine
+the grid, y_i = h*r*i, so both kernel arguments are integer multiples of h:
+y_i - s_k = h*(r*i - k) and y_i + s_k = h*(r*i + k).  Each time therefore
+evaluates the kernel derivatives once, on the 1-D table of offsets
+h*m, m = -(Nf-1) .. r*(Ny-1) + Nf-1, and reads the direct (Toeplitz) and
+image (Hankel) Ny x Nf matrices from it as strided views.  When h*m is exact
+(dy a binary fraction, as on the reference grids) every entry is bitwise the
+one the dense double sum y_i -/+ s_k would give.
 """
 
 from __future__ import annotations
@@ -20,9 +29,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, eval_hermite
 
-from .profiles import AssumptionReport, ShearProfile
+from .profiles import _FINE_REFINE, AssumptionReport, ShearProfile
 
 __all__ = ["ShearState", "PropositionReport", "evolve_shear",
            "proposition_clauses", "check_proposition_shear"]
@@ -80,10 +90,7 @@ def evolve_shear(p: ShearProfile, t: float) -> ShearState:
     """Shear state at time t >= 0; t=0 returns the profile samples exactly."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    cache = getattr(p, "_state_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(p, "_state_cache", cache)
+    cache = p.state_cache
     if t in cache:
         return cache[t]
     grid = p.grid
@@ -97,18 +104,27 @@ def evolve_shear(p: ShearProfile, t: float) -> ShearState:
             f"heat kernel width 4*sqrt(t)={4 * np.sqrt(t):.2f} exceeds Ymax/4; "
             "y-truncation unsafe at this time", stacklevel=2)
 
+    r, ny = _FINE_REFINE, grid.Ny
     yq = p.y_fine
+    nf = len(yq)
+    if nf <= r * (ny - 1) or not np.allclose(
+            yq, (grid.dy / r) * np.arange(nf), rtol=0.0, atol=1e-9 * grid.dy):
+        raise ValueError(f"y_fine must be a {r}-fold refinement of the grid's y-nodes")
+    h = yq[1] - yq[0]
     w0 = p.u0s_fine - _lift(yq, 0.0, 0)
-    wq = np.full(yq.shape, yq[1] - yq[0])
-    wq[0] = wq[-1] = 0.5 * (yq[1] - yq[0])
+    wq = np.full(yq.shape, h)
+    wq[0] = wq[-1] = 0.5 * h
     w0w = w0 * wq
 
+    # tab[j][m + nf - 1] = d^j kernel at h*m
+    tab = _kernel_derivs_upto(h * np.arange(-(nf - 1), r * (ny - 1) + nf), t, 6)
     y = grid.y_nodes
-    kd = _kernel_derivs_upto(y[:, None] - yq[None, :], t, 6)
-    ks = _kernel_derivs_upto(y[:, None] + yq[None, :], t, 6)
-    out = np.empty((7, grid.Ny))
+    out = np.empty((7, ny))
     for j in range(7):
-        out[j] = (kd[j] - ks[j]) @ w0w + _lift(y, t, j)
+        win = sliding_window_view(tab[j], nf)
+        direct = win[:r * (ny - 1) + 1:r, ::-1]     # [i, k] -> h*(r*i - k)
+        image = win[nf - 1::r][:ny]                  # [i, k] -> h*(r*i + k)
+        out[j] = (direct - image) @ w0w + _lift(y, t, j)
     state = ShearState(t=t, us=out[0], omegas=out[1], dj_omegas=out[2:7])
     cache[t] = state
     return state

@@ -617,7 +617,7 @@ def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> C
     w_l = (1.0 + y) ** p.ell
     w_lp1 = (1.0 + y) ** (p.ell + 1.0)
     for i, t in enumerate(traj.times):
-        s0 = _snapshots(traj, i)
+        s0 = Snapshot(traj, i)    # read once: not memoised in traj.snapshots
         cl = {}
         cl["1"] = bool(np.all(np.abs(s0.dyom_tot[:, strip]) >= rep.c0 / 4.0 - _SLACK))
         mag = np.abs(s0.om_tot[:, off])

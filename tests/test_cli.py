@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from prandtl_lab.cli import ConfigError, load_config, main, run
+import prandtl_lab.norms as N
+import prandtl_lab.verify as V
+from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
 
@@ -72,6 +74,22 @@ def test_solve_and_norms_artifacts(tmp_path):
     rows = (tmp_path / "norms.csv").read_text().strip().splitlines()
     assert rows[0].startswith("t,gevrey_norm,full_norm")
     assert len(rows) == 1 + 9
+
+
+def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
+    """run_norms fills the trajectory's raw cache that energy_monitor reads:
+    one full_raw per stored time."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    cfg.scheme = "imex"
+    lab = Lab(cfg)
+    traj = lab.trajectory()
+    calls = []
+    full_raw = N.full_raw
+    monkeypatch.setattr(N, "full_raw", lambda *a, **k: calls.append(1) or full_raw(*a, **k))
+    run_norms(lab, tmp_path)
+    V.energy_monitor(traj, lab.params, (cfg.rho, cfg.rho_tilde), lab.cut)
+    assert len(calls) == len(traj.times)
 
 
 def test_verify_subset_and_failure_exit(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prandtl_lab.grid import Field, Grid2D, dx_m, dy_j, fd_weights, linf, weighted_l2
+from prandtl_lab.grid import (_STENCIL_PTS, Field, Grid2D, dx_m, dy_j, fd_weights, linf,
+                              weighted_l2)
 from prandtl_lab.solver import _cumint_y4
 
 
@@ -26,6 +27,24 @@ def test_fd_weights_match_classic():
     # 5-point centered first derivative on a unit grid
     w = fd_weights(np.arange(5.0), 2.0, 1)
     assert np.allclose(w, [1 / 12, -2 / 3, 0, 2 / 3, -1 / 12])
+
+
+def test_deriv_matrices_match_row_by_row():
+    """Weights shared per offset pattern equal one Fornberg call per row."""
+    g = Grid2D(128, 257)
+    y = g.y_nodes
+    for j, npts in [(j, None) for j in range(1, 6)] + [(j, 9) for j in (1, 2, 3)]:
+        n_int, n_bnd = _STENCIL_PTS[j] if npts is None else (npts, npts)
+        half = (n_int - 1) // 2
+        D = np.zeros((g.Ny, g.Ny))
+        for i in range(g.Ny):
+            if half <= i <= g.Ny - n_int + half:
+                lo, n = i - half, n_int
+            else:
+                n = n_bnd
+                lo = min(max(i - (n - 1) // 2, 0), g.Ny - n)
+            D[i, lo:lo + n] = fd_weights(y[lo:lo + n], y[i], j)
+        assert np.array_equal(g.deriv_matrix_y(j, npts), D)
 
 
 def test_dx_of_constant_is_zero(g):

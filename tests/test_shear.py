@@ -1,15 +1,68 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from prandtl_lab.profiles import ShearProfile
-from prandtl_lab.shear import check_proposition_shear, evolve_shear, proposition_clauses
+from prandtl_lab.grid import Grid2D
+from prandtl_lab.profiles import ShearProfile, build_shear_profile
+from prandtl_lab.shear import (_kernel_derivs_upto, _lift, check_proposition_shear,
+                               evolve_shear, proposition_clauses)
+
+from conftest import REF
+
+
+def _dense_quadrature(p, t):
+    """Rows d_y^j u^s, j = 0..6, from the kernel evaluated on the full
+    Ny x Nf arrays y_i - s_k and y_i + s_k."""
+    y, yq = p.grid.y_nodes, p.y_fine
+    h = yq[1] - yq[0]
+    wq = np.full(yq.shape, h)
+    wq[0] = wq[-1] = 0.5 * h
+    w0w = (p.u0s_fine - _lift(yq, 0.0, 0)) * wq
+    kd = _kernel_derivs_upto(y[:, None] - yq[None, :], t, 6)
+    ks = _kernel_derivs_upto(y[:, None] + yq[None, :], t, 6)
+    return np.array([(kd[j] - ks[j]) @ w0w + _lift(y, t, j) for j in range(7)])
+
+
+def _rows(s):
+    return np.vstack([s.us, s.omegas, s.dj_omegas])
 
 
 def test_t0_returns_profile_exactly(profile):
     s = evolve_shear(profile, 0.0)
     assert np.array_equal(s.us, profile.u0s)
     assert np.array_equal(s.omegas, profile.derivs[0])
+    assert profile.state_cache[0.0] is s
+
+
+def test_kernel_table_equals_dense_sum(profile):
+    """dy = 30/256 makes every offset h*m exact, so reading the kernel from
+    the 1-D table is bitwise the dense double sum, orders 0..6."""
+    T = REF["T"]
+    for t in (T / 128, T / 32, T, 0.5):
+        s = evolve_shear(profile, t)
+        assert np.array_equal(_rows(s), _dense_quadrature(profile, t))
+        assert s.us[0] == 0.0
+
+
+def test_kernel_table_off_binary_grid():
+    """On Ny = 200 dy is not a binary fraction: offsets round differently
+    from y_i -/+ s_k, and the two forms agree to rounding."""
+    p = build_shear_profile(Grid2D(REF["Nx"], 200, REF["Lx"], REF["Ymax"]),
+                            REF["y0"], REF["alpha"])
+    for t in (0.01, 0.05, 0.5):
+        got, ref = _rows(evolve_shear(p, t)), _dense_quadrature(p, t)
+        for j in range(7):
+            assert np.max(np.abs(got[j] - ref[j])) <= 1e-12 * np.max(np.abs(ref[j]))
+
+
+def test_misaligned_fine_grid_rejected(profile):
+    h = profile.y_fine[1] - profile.y_fine[0]
+    for y_fine in (profile.y_fine + 0.5 * h, 0.5 * profile.y_fine):
+        bad = dataclasses.replace(profile, y_fine=y_fine)
+        with pytest.raises(ValueError, match="refinement"):
+            evolve_shear(bad, 0.05)
 
 
 def test_erf_datum_is_self_similar(grid):
@@ -80,7 +133,6 @@ def test_proposition_scan(profile, assumption):
 
 
 def test_proposition_detects_inflated_c0(profile, assumption):
-    import dataclasses
     inflated = dataclasses.replace(assumption, c0=10.0 * assumption.c0)
     s0 = evolve_shear(profile, 0.0)
     clauses = proposition_clauses(s0, inflated, profile.grid.y_nodes)

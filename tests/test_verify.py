@@ -140,7 +140,9 @@ def test_inequality_suite():
 # ----------------------------------------------------------------- monitors
 
 def test_condi_passes_at_reference(traj_picard, assumption, params):
+    memo = dict(traj_picard.snapshots)
     rep = V.condi_monitor(traj_picard, assumption, params)
+    assert traj_picard.snapshots == memo     # snapshots read once, not memoised
     assert rep.passed
     assert rep.evidence["first_failure_time"] is None
     assert rep.evidence["clause4_max"] <= 1.0
