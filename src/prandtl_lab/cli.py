@@ -166,7 +166,10 @@ class Lab:
         cfg.validate()
         self.cfg = cfg
         self.grid = Grid2D(cfg.nx, cfg.ny, cfg.lx, cfg.ymax)
-        self.profile = build_shear_profile(self.grid, cfg.y0, cfg.alpha)
+        try:
+            self.profile = build_shear_profile(self.grid, cfg.y0, cfg.alpha)
+        except ValueError as exc:
+            raise ConfigError(f"profile: {exc}") from exc
         self.report = validate_assumption(self.profile)
         self.params = GevreyParams(rho=cfg.rho, sigma=cfg.sigma, ell=cfg.ell,
                                    alpha=cfg.alpha, Mmax=cfg.mmax)
@@ -277,6 +280,12 @@ def run_verify(lab: Lab, outdir: Path) -> list:
         nts = [cfg.nt * 2**k for k in range(cfg.residual_levels)]
         trajs = [lab.trajectory("imex", nt) for nt in nts]
         cutf = V.wide_f_cutoffs(lab.grid, lab.report)
+        jobs = [job for m in (1, 2, 3)
+                for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
+                            V.ResidualJob("h", m, lab.cut))
+                if f"residual_{job.kind}" in enabled]
+        for traj in trajs:
+            V.evaluate_residuals(traj, jobs)
         for m in (1, 2, 3):
             if "residual_f" in enabled:
                 add(V.residual_f(trajs, m, cutf))
@@ -333,6 +342,9 @@ def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
                 reports = run_shear_check(lab, outdir) + reports
         else:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except SolverDivergence as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return 3

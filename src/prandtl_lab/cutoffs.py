@@ -112,7 +112,9 @@ class AuxWorkspace:
     with its first two y-derivatives, and g1.  Given a cut-off set it also
     holds the masked quotients a, b behind the cancellation functions.
 
-    npts selects the y-stencils (None: the standard ones of Grid2D)."""
+    npts selects the y-stencils (None: the standard ones of Grid2D).  Each
+    x-derivative of a cached spectrum is computed once per bundle and served
+    read-only afterwards."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None, floor_f: float = 1e-8, floor_h: float = 1e-8):
@@ -121,6 +123,7 @@ class AuxWorkspace:
         self.u = u
         self.state = state
         self.cut = cut
+        self._dx_memo: dict[tuple[str, int], Field] = {}
         self.omega = dy_j(u, 1, npts)
         self.dyom = dy_j(self.omega, 1, npts)
         self.d2yom = dy_j(self.omega, 2, npts)
@@ -138,14 +141,24 @@ class AuxWorkspace:
         self.g1 = self.om_tot * self.dxom(1).values - self.dyom_tot * self.dxu(1).values
         self.spec_g1 = clean_spectrum(np.fft.rfft(self.g1, axis=0))
 
+    def _dx(self, spec_name: str, m: int) -> Field:
+        """dx^m of the spectrum held in attribute spec_name, memoised."""
+        key = (spec_name, m)
+        out = self._dx_memo.get(key)
+        if out is None:
+            out = dx_m_spec(self.grid, getattr(self, spec_name), m)
+            out.values.flags.writeable = False
+            self._dx_memo[key] = out
+        return out
+
     def dxu(self, m: int) -> Field:
-        return dx_m_spec(self.grid, self.spec_u, m)
+        return self._dx("spec_u", m)
 
     def dxom(self, m: int) -> Field:
-        return dx_m_spec(self.grid, self.spec_om, m)
+        return self._dx("spec_om", m)
 
     def dxdyom(self, m: int) -> Field:
-        return dx_m_spec(self.grid, self.spec_dyom, m)
+        return self._dx("spec_dyom", m)
 
     def f(self, m: int) -> Field:
         q = self.dxom(m).values - self.a * self.dxu(m).values
@@ -162,7 +175,7 @@ class AuxWorkspace:
     def g(self, m: int) -> Field:
         if m < 1:
             raise ValueError("g_m requires m >= 1")
-        return dx_m_spec(self.grid, self.spec_g1, m - 1)
+        return self._dx("spec_g1", m - 1)
 
     def gtilde(self, m: int) -> Field:
         vals = self.om_tot * self.dxom(m).values - self.dyom_tot * self.dxu(m).values

@@ -189,11 +189,12 @@ SPEC_FLOOR = 1e-12
 
 
 def clean_spectrum(spec: np.ndarray) -> np.ndarray:
-    peak = np.max(np.abs(spec))
+    mag = np.abs(spec)
+    peak = np.max(mag)
     if peak == 0.0:
         return spec
     out = spec.copy()
-    out[np.abs(out) < SPEC_FLOOR * peak] = 0.0
+    out[mag < SPEC_FLOOR * peak] = 0.0
     return out
 
 

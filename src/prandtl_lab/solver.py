@@ -19,6 +19,7 @@ tolerance.  Both boundary values are imposed exactly by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -142,9 +143,14 @@ def _cumint_y4(grid: Grid2D, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def recover_v(u: Field) -> Field:
-    """Normal velocity slaved to u by incompressibility: -int_0^y d_x u."""
-    return Field(u.grid, _cumint_y4(u.grid, -dx_m(u, 1).values))
+def recover_v(u: Field, dxu: Field | None = None) -> Field:
+    """Normal velocity slaved to u by incompressibility: -int_0^y d_x u.
+
+    dxu is d_x u when the caller already holds it (it also needs it for the
+    transport forcing); otherwise it is computed here."""
+    if dxu is None:
+        dxu = dx_m(u, 1)
+    return Field(u.grid, _cumint_y4(u.grid, -dxu.values))
 
 
 @dataclass
@@ -157,10 +163,15 @@ class Trajectory:
     scheme: str
     eps: float
     contraction: list = dc_field(default_factory=list)
-    # derived-data memos filled by the checks: verify.Snapshot per time index,
-    # and norms.GevreyRaw per (cut-off, norm parameters) and time index
-    snapshots: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # derived-data memos filled by the checks: norms.GevreyRaw per (cut-off,
+    # norm parameters) and time index, and verify's residual (res, scale,
+    # diff) per (kind, m, cut.y0, cut.delta, drop_g_term, time index)
     raw_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    residuals: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __copy__(self) -> "Trajectory":
+        # a copy may get other fields, so it must not share the memos above
+        return dataclasses.replace(self)
 
     @property
     def dt(self) -> float:
@@ -183,10 +194,10 @@ class Trajectory:
         (outdir / "trajectory.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
-def _forcing(u: Field, v: Field, state: ShearState) -> Field:
+def _forcing(u: Field, v: Field, dxu: Field, state: ShearState) -> Field:
     g = u.grid
     total_dy = state.omegas[None, :] + dy_j(u, 1).values
-    vals = (state.us[None, :] + u.values) * dx_m(u, 1).values + v.values * total_dy
+    vals = (state.us[None, :] + u.values) * dxu.values + v.values * total_dy
     return Field(g, vals)
 
 
@@ -220,9 +231,10 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
     contraction: list[float] = []
     grow = 0
     for _ in range(cfg.jmax):
-        v_prev = [recover_v(ui) for ui in u_prev]
-        f_modal = [_to_modal(g, _forcing(u_prev[s], v_prev[s], states[s]).values)
-                   for s in range(len(times))]
+        f_modal = []
+        for ui, st in zip(u_prev, states):
+            dxu = dx_m(ui, 1)
+            f_modal.append(_to_modal(g, _forcing(ui, recover_v(ui, dxu), dxu, st).values))
         dt = times[1] - times[0]
         u_next = [u_prev[0].copy()]
         acc = np.zeros_like(u0_modal)
@@ -258,10 +270,12 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
     e_dt = np.exp(-rates * dt)
 
     us = [u0.copy()]
+    vs = []
     u_cur = u0
     for n in range(cfg.Nt):
-        v_cur = recover_v(u_cur)
-        f_cur = _forcing(u_cur, v_cur, states[n])
+        dxu = dx_m(u_cur, 1)
+        vs.append(recover_v(u_cur, dxu))
+        f_cur = _forcing(u_cur, vs[-1], dxu, states[n])
         stage = u_cur.values - dt * f_cur.values
         nxt = _from_modal(g, e_dt * _to_modal(g, stage))
         peak_prev = max(linf(u_cur), 1e-14)
@@ -271,7 +285,7 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
                 f"({np.max(np.abs(nxt)):.3e} vs {peak_prev:.3e}); CFL-style blowup")
         u_cur = Field(g, nxt)
         us.append(u_cur)
-    vs = [recover_v(ui) for ui in us]
+    vs.append(recover_v(u_cur))
     truncation_check(us[-1], name="imex final state")
     return Trajectory(grid=g, times=times, u=us, v=vs, shear=states,
                       scheme="imex", eps=cfg.eps)

@@ -20,18 +20,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
-from .grid import (Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, linf,
-                   weighted_l2)
+from .grid import Field, Grid2D, clean_spectrum, dx_m, dy_j, linf, weighted_l2
 from .norms import GevreyParams, _report_from_raw, _traj_raw_cache, gevrey_norm
 from .profiles import AssumptionReport
 from .solver import Trajectory
 
 __all__ = [
-    "ResidualReport", "CheckReport", "residual_f", "residual_h", "residual_g",
+    "ResidualReport", "CheckReport", "ResidualJob", "evaluate_residuals",
+    "residual_at", "residual_f", "residual_h", "residual_g",
     "boundary_checks", "cancellation_check", "sobolev_check", "inequality_suite",
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
@@ -99,7 +101,8 @@ class Snapshot(AuxWorkspace):
     floor of the residual studies sits well below their dt signal; the
     production operators elsewhere keep the standard order-4 stencils.
     On top of the shared bundle it keeps what only the residual identities
-    read: v, d_y^3 omega_tot and the spectra of v and d_y^2 omega.
+    read: v, d_y^3 omega_tot, the spectra of v and d_y^2 omega, and the two
+    quotient packs (each computed once, read-only).
     """
 
     def __init__(self, traj: Trajectory, i: int):
@@ -111,12 +114,13 @@ class Snapshot(AuxWorkspace):
                           + dy_j(self.omega, 3, npts=9).values)
 
     def dxv(self, k):
-        return dx_m_spec(self.grid, self.spec_v, k)
+        return self._dx("spec_v", k)
 
     def dxd2yom(self, k):
-        return dx_m_spec(self.grid, self.spec_d2yom, k)
+        return self._dx("spec_d2yom", k)
 
-    def quotient_pack_f(self, support: np.ndarray):
+    @cached_property
+    def quotient_pack_f(self) -> tuple:
         """a = P/Q with analytic d_y a and d_x a, masked off the safe set."""
         Q, P, N = self.om_tot, self.dyom_tot, self.d2yom_tot
         hair = max(1e-9 * float(np.max(np.abs(Q))), 1e-300)
@@ -129,9 +133,10 @@ class Snapshot(AuxWorkspace):
         dxdyom1 = self.dxdyom(1).values
         dxa = dxdyom1 * inv - a * dxom1 * inv
         d2ya = self.d3yom_tot * inv - 3.0 * N * P * inv**2 + 2.0 * P**3 * inv**3
-        return a, dya, dxa, d2ya, inv
+        return _read_only(a, dya, dxa, d2ya, inv)
 
-    def quotient_pack_h(self):
+    @cached_property
+    def quotient_pack_h(self) -> tuple:
         """b = N/D with d_x b analytic and d_y b by a narrow stencil on the
         (smooth, safe) b field itself: the analytic form would put pointwise
         d_y^3 omega values into the residual, which the sine-represented
@@ -146,14 +151,18 @@ class Snapshot(AuxWorkspace):
         dxdyom1 = self.dxdyom(1).values
         dxd2yom1 = self.dxd2yom(1).values
         dxb = dxd2yom1 * inv - b * dxdyom1 * inv
-        return b, dyb, dxb, inv
+        return _read_only(b, dyb, dxb, inv)
 
 
-def _snapshots(traj: Trajectory, i: int) -> Snapshot:
-    store = traj.snapshots
-    if i not in store:
-        store[i] = Snapshot(traj, i)
-    return store[i]
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _triple(traj: Trajectory, i: int) -> tuple:
+    """Snapshots at time indices i - 1, i, i + 1 (the centered d_t stencil)."""
+    return Snapshot(traj, i - 1), Snapshot(traj, i), Snapshot(traj, i + 1)
 
 
 # evaluation times are exact eighths of the horizon so that every time
@@ -221,8 +230,9 @@ def _binom(n, k):
     return math.comb(n, k)
 
 
-def residual_f_single(traj: Trajectory, m: int, cut: CutoffSet, i: int) -> tuple:
-    """(residual L2 norm, f_m scale) of the f_m evolution identity at node i.
+def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) -> tuple:
+    """(residual L2 norm, f_m scale, residual field) of the f_m evolution
+    identity at node i, from the snapshot triple at i - 1, i, i + 1.
 
     The cut-off bookkeeping (all chi', chi'' terms) cancels algebraically
     between the two sides, so the check evaluates the surviving interior
@@ -231,12 +241,11 @@ def residual_f_single(traj: Trajectory, m: int, cut: CutoffSet, i: int) -> tuple
     """
     g = traj.grid
     eps = traj.eps
-    sm, sp, s0 = _snapshots(traj, i - 1), _snapshots(traj, i + 1), _snapshots(traj, i)
+    sm, s0, sp = snaps
     dt2 = traj.times[i + 1] - traj.times[i - 1]
-    support = cut.chi1 > 0.0
-    a0, dya, dxa, d2ya, inv = s0.quotient_pack_f(support)
-    am = sm.quotient_pack_f(support)[0]
-    ap = sp.quotient_pack_f(support)[0]
+    a0, dya, dxa, d2ya, inv = s0.quotient_pack_f
+    am = sm.quotient_pack_f[0]
+    ap = sp.quotient_pack_f[0]
 
     chi = cut.chi1[None, :]
     q0 = _q_f(s0, m, a0)
@@ -267,18 +276,18 @@ def residual_f_single(traj: Trajectory, m: int, cut: CutoffSet, i: int) -> tuple
     return res, scale, diff
 
 
-def residual_h_single(traj: Trajectory, m: int, cut: CutoffSet, i: int,
-                      drop_g_term: bool = False) -> tuple:
+def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet,
+                drop_g_term: bool) -> tuple:
     """Interior form of the h_m evolution identity (cut-off terms cancel
     algebraically as in the f-check); the coefficient block uses the
     g1-corrected quotient calculus."""
     g = traj.grid
     eps = traj.eps
-    sm, sp, s0 = _snapshots(traj, i - 1), _snapshots(traj, i + 1), _snapshots(traj, i)
+    sm, s0, sp = snaps
     dt2 = traj.times[i + 1] - traj.times[i - 1]
-    b0, dyb, dxb, invD = s0.quotient_pack_h()
-    bm = sm.quotient_pack_h()[0]
-    bp = sp.quotient_pack_h()[0]
+    b0, dyb, dxb, invD = s0.quotient_pack_h
+    bm = sm.quotient_pack_h[0]
+    bp = sp.quotient_pack_h[0]
 
     chi = cut.chi2[None, :]
     q0 = _q_h(s0, m, b0)
@@ -322,10 +331,10 @@ def residual_h_single(traj: Trajectory, m: int, cut: CutoffSet, i: int,
     return res, scale, diff
 
 
-def residual_g_single(traj: Trajectory, m: int, i: int) -> tuple:
+def _g_identity(traj: Trajectory, i: int, snaps: tuple, m: int) -> tuple:
     g = traj.grid
     eps = traj.eps
-    sm, sp, s0 = _snapshots(traj, i - 1), _snapshots(traj, i + 1), _snapshots(traj, i)
+    sm, s0, sp = snaps
     dt2 = traj.times[i + 1] - traj.times[i - 1]
     q0 = s0.g(m).values
     lhs = _material_derivative(s0, sm.g(m).values, sp.g(m).values, q0, dt2, eps)
@@ -354,7 +363,54 @@ def residual_g_single(traj: Trajectory, m: int, i: int) -> tuple:
     return res, scale, diff
 
 
-def _residual_study(name: str, trajs, worker) -> ResidualReport:
+class ResidualJob(NamedTuple):
+    """One residual identity: kind "f", "g" or "h" at tangential order m."""
+    kind: str
+    m: int
+    cut: CutoffSet | None = None          # f and h only
+    drop_g_term: bool = False             # h only: the ablation
+
+    def key(self, i: int) -> tuple:
+        # by value: the trajectory fixes the grid, so (y0, delta) fix the cut-offs
+        y0, delta = (None, None) if self.cut is None else (self.cut.y0, self.cut.delta)
+        return (self.kind, self.m, y0, delta, self.drop_g_term, i)
+
+
+def _evaluate_at(traj: Trajectory, jobs, i: int) -> None:
+    """Evaluate the jobs missing at node i from one snapshot triple, store
+    each (res, scale, diff) in traj.residuals and drop the triple."""
+    todo = [job for job in jobs if job.key(i) not in traj.residuals]
+    if not todo:
+        return
+    snaps = _triple(traj, i)
+    for job in todo:
+        if job.kind == "f":
+            out = _f_identity(traj, i, snaps, job.m, job.cut)
+        elif job.kind == "h":
+            out = _h_identity(traj, i, snaps, job.m, job.cut, job.drop_g_term)
+        else:
+            out = _g_identity(traj, i, snaps, job.m)
+        traj.residuals[job.key(i)] = out
+
+
+def evaluate_residuals(traj: Trajectory, jobs) -> None:
+    """Evaluate every job at every evaluation node of traj, one time triple
+    at a time, so that at most three snapshots are alive at once; the
+    residual_f/g/h studies then read their entries from traj.residuals."""
+    for i in _eval_indices(traj):
+        _evaluate_at(traj, jobs, i)
+
+
+def residual_at(traj: Trajectory, job: ResidualJob, i: int) -> tuple:
+    """(residual L2 norm, scale, residual field) of one identity at node i,
+    read from traj.residuals or evaluated there on a miss."""
+    key = job.key(i)
+    if key not in traj.residuals:
+        _evaluate_at(traj, [job], i)
+    return traj.residuals[key]
+
+
+def _residual_study(name: str, trajs, job: ResidualJob) -> ResidualReport:
     """Residual norms per time-resolution level plus the dt-order.
 
     The raw residual carries a dt-independent spatial floor, so the
@@ -370,7 +426,7 @@ def _residual_study(name: str, trajs, worker) -> ResidualReport:
         n = len(traj.times) - 1
         for f in fracs:
             i = min(max(int(round(f * n)), 1), n - 1)
-            r, s, d = worker(traj, i)
+            r, s, d = residual_at(traj, job, i)
             vals.append(r)
             sc.append(s)
             flds.append(d)
@@ -396,21 +452,16 @@ def _residual_study(name: str, trajs, worker) -> ResidualReport:
 
 def residual_f(trajs, m: int, cut: CutoffSet) -> ResidualReport:
     """Residual ladder for the f_m evolution identity (one entry per trajectory)."""
-    trajs = _as_list(trajs)
-    return _residual_study(f"residual_f[m={m}]", trajs,
-                           lambda t, i: residual_f_single(t, m, cut, i))
+    return _residual_study(f"residual_f[m={m}]", _as_list(trajs), ResidualJob("f", m, cut))
 
 
 def residual_h(trajs, m: int, cut: CutoffSet, drop_g_term: bool = False) -> ResidualReport:
-    trajs = _as_list(trajs)
-    return _residual_study(f"residual_h[m={m}]", trajs,
-                           lambda t, i: residual_h_single(t, m, cut, i, drop_g_term))
+    return _residual_study(f"residual_h[m={m}]", _as_list(trajs),
+                           ResidualJob("h", m, cut, drop_g_term))
 
 
 def residual_g(trajs, m: int) -> ResidualReport:
-    trajs = _as_list(trajs)
-    return _residual_study(f"residual_g[m={m}]", trajs,
-                           lambda t, i: residual_g_single(t, m, i))
+    return _residual_study(f"residual_g[m={m}]", _as_list(trajs), ResidualJob("g", m))
 
 
 def _as_list(trajs):
@@ -444,10 +495,9 @@ def boundary_checks(trajs, rep: AssumptionReport, ms=(1, 2, 3)) -> CheckReport:
         r_g, r_f, r_3, r_5, r_5raw = 0.0, 0.0, 0.0, 0.0, 0.0
         s_g, s_f, s_3, s_5 = 1e-300, 1e-300, 1e-300, 1e-300
         for i in _eval_indices(traj):
-            s0 = _snapshots(traj, i)
-            sm, sp = _snapshots(traj, i - 1), _snapshots(traj, i + 1)
+            sm, s0, sp = _triple(traj, i)
             dt2 = traj.times[i + 1] - traj.times[i - 1]
-            a0 = s0.quotient_pack_f(cut.chi1 > 0.0)[0]
+            a0 = s0.quotient_pack_f[0]
             for m in ms:
                 gm = s0.g(m)
                 r_g = max(r_g, float(np.max(np.abs(dy_j(gm, 1).values[:, 0]))))
@@ -617,7 +667,7 @@ def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> C
     w_l = (1.0 + y) ** p.ell
     w_lp1 = (1.0 + y) ** (p.ell + 1.0)
     for i, t in enumerate(traj.times):
-        s0 = Snapshot(traj, i)    # read once: not memoised in traj.snapshots
+        s0 = Snapshot(traj, i)
         cl = {}
         cl["1"] = bool(np.all(np.abs(s0.dyom_tot[:, strip]) >= rep.c0 / 4.0 - _SLACK))
         mag = np.abs(s0.om_tot[:, off])

@@ -1,7 +1,9 @@
 """Shared fixtures: the reference configuration artifacts are expensive
 (solves, kernel quadrature), so everything heavy is session-scoped."""
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -97,3 +99,23 @@ def eps_family(u0, profile):
     """imex runs at eps = 0.2, 0.1, 0.05 (the 0.1 member reuses the ladder)."""
     return {0.2: _solve(u0, profile, "imex", REF["Nt"], eps=0.2),
             0.05: _solve(u0, profile, "imex", REF["Nt"], eps=0.05)}
+
+
+@pytest.fixture
+def snapshot_refs(monkeypatch):
+    """Weak references to every verify.Snapshot built during the test."""
+    import prandtl_lab.verify as V
+    refs = []
+
+    class Tracked(V.Snapshot):
+        def __init__(self, traj, i):
+            super().__init__(traj, i)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(V, "Snapshot", Tracked)
+    return refs
+
+
+def alive(refs) -> list:
+    gc.collect()
+    return [r for r in refs if r() is not None]

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import pytest
 
 import prandtl_lab.norms as N
 import prandtl_lab.verify as V
-from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms
+from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
+
+from conftest import alive
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
 
@@ -127,3 +130,34 @@ def test_console_entry_point(tmp_path):
                           cwd=str(Path(__file__).resolve().parent.parent))
     assert proc.returncode == 0
     assert "shear-check" in proc.stdout
+
+
+def test_profile_error_is_config_error(tmp_path, capsys):
+    """y0 = 0.3 passes validate() but has no admissible profile
+    normalization: exit 2 with a configuration error, no traceback."""
+    cfg = load_config(CONFIG)
+    cfg.y0 = 0.3
+    cfg.validate()
+    assert run(cfg, "shear-check", out_dir=tmp_path) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
+    """run_verify evaluates the residual ladders one time triple at a time and
+    drops each triple; its reports equal the standalone studies bitwise."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    cfg.checks = ("residual_f", "residual_g", "residual_h")
+    lab = Lab(cfg)
+    reports = run_verify(lab, tmp_path)
+    assert len(snapshot_refs) == 3 * 3 * cfg.residual_levels
+    assert alive(snapshot_refs) == []
+    trajs = [copy.copy(lab.trajectory("imex", cfg.nt * 2**k))
+             for k in range(cfg.residual_levels)]
+    assert all(not t.residuals for t in trajs)
+    cutf = V.wide_f_cutoffs(lab.grid, lab.report)
+    alone = []
+    for m in (1, 2, 3):
+        alone += [V.residual_f(trajs, m, cutf), V.residual_g(trajs, m),
+                  V.residual_h(trajs, m, lab.cut)]
+    assert json.dumps(reports) == json.dumps([r.to_dict() for r in alone])

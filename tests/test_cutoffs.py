@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -6,6 +8,7 @@ from prandtl_lab.bump import ramp, ramp_d1, ramp_d2
 from prandtl_lab.cutoffs import AuxWorkspace, DenominatorFloorError, build_cutoffs
 from prandtl_lab.grid import Field, dy_j
 from prandtl_lab.shear import evolve_shear
+import prandtl_lab.verify as V
 
 
 def test_ramp_derivatives_match_numerics():
@@ -206,3 +209,47 @@ def test_frozen_coefficient_linearity(grid, shear_state, cutoffs, u0):
     rhs = frozen_f(u0) + frozen_f(w)
     assert np.max(np.abs(lhs - rhs)) <= 1e-11 * max(np.max(np.abs(rhs)), 1e-30) + 1e-15
 
+
+def _count_dx_calls(monkeypatch):
+    """Counts dx_m_spec calls per (spectrum object, order)."""
+    import prandtl_lab.cutoffs as C
+    calls = Counter()
+    real = C.dx_m_spec
+
+    def counting(grid, spec, m):
+        calls[id(spec), m] += 1
+        return real(grid, spec, m)
+
+    monkeypatch.setattr(C, "dx_m_spec", counting)
+    return calls
+
+
+def test_bundle_computes_each_x_derivative_once(grid, shear_state, cutoffs, u0, monkeypatch):
+    """f, h, g and chi2 d_y omega share their x-derivatives: each (spectrum,
+    order) pair reaches dx_m_spec once per bundle, and is read-only."""
+    calls = _count_dx_calls(monkeypatch)
+    ws = AuxWorkspace(u0, shear_state, cutoffs)
+    for _ in range(2):
+        for m in (1, 2, 3):
+            ws.f(m), ws.h(m), ws.g(m), ws.chi2_dyom(m), ws.ftilde(m), ws.ghat(m)
+    assert max(calls.values()) == 1
+    assert len(calls) == 3 * 3 + 3       # u, omega, d_y omega at m = 1..3; g1 at 0..2
+    assert ws.dxom(2) is ws.dxom(2)
+    with pytest.raises(ValueError, match="read-only"):
+        ws.dxu(1).values[0, 0] = 1.0
+
+
+def test_snapshot_memo_and_read_only_packs(traj_imex, monkeypatch):
+    calls = _count_dx_calls(monkeypatch)
+    s = V.Snapshot(traj_imex, 4)
+    for _ in range(2):
+        for m in range(4):
+            s.dxu(m), s.dxom(m), s.dxdyom(m), s.dxd2yom(m), s.dxv(m), s.g(m + 1)
+        s.quotient_pack_f, s.quotient_pack_h
+    assert max(calls.values()) == 1
+    assert len(calls) == 6 * 4
+    assert s.quotient_pack_f is s.quotient_pack_f
+    for arr in s.quotient_pack_f + s.quotient_pack_h:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s.g(2).values[0, 0] = 1.0

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -187,3 +188,20 @@ def test_raw_cache_keyed_by_value(grid, assumption, profile, u0, params):
     other = _traj_raw_cache(traj, build_cutoffs(grid, y0, 0.8 * d), params)(0)
     assert other is not first
     assert other.aux[1] != first.aux[1]
+
+
+def test_trajectory_copy_gets_fresh_memos(grid, profile, u0, cutoffs, params):
+    """A copy whose u is replaced must not be served the original's cached
+    seminorms (a shallow copy would share the memo dicts)."""
+    st = evolve_shear(profile, 0.0)
+    traj = Trajectory(grid=grid, times=np.array([0.0]), u=[u0], v=[recover_v(u0)],
+                      shear=[st], scheme="imex", eps=0.1)
+    real = _traj_raw_cache(traj, cutoffs, params)(0)
+    zero = copy.copy(traj)
+    zero.u = [Field.zeros(grid)]
+    assert zero.raw_cache is not traj.raw_cache
+    assert zero.residuals is not traj.residuals
+    raw = _traj_raw_cache(zero, cutoffs, params)(0)
+    assert raw is not real
+    assert np.all(raw.tang_u == 0.0)
+    assert _traj_raw_cache(traj, cutoffs, params)(0) is real

@@ -160,7 +160,7 @@ def test_imex_reduces_to_heat_propagate(grid, profile, monkeypatch):
     """With the transport forcing switched off the march is exactly the
     semigroup step applied repeatedly."""
     import prandtl_lab.solver as S
-    monkeypatch.setattr(S, "_forcing", lambda u, v, st: Field.zeros(u.grid))
+    monkeypatch.setattr(S, "_forcing", lambda u, v, dxu, st: Field.zeros(u.grid))
     u0 = Field.from_function(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

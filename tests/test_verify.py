@@ -7,7 +7,7 @@ from prandtl_lab.grid import Field, weighted_l2
 from prandtl_lab.shear import evolve_shear
 import prandtl_lab.verify as V
 
-from conftest import REF, _solve
+from conftest import REF, _solve, alive
 
 
 # ---------------------------------------------------------------- residuals
@@ -20,11 +20,11 @@ def zero_traj(grid, profile):
 def test_residuals_vanish_on_shear_only(zero_traj, cutoffs, assumption):
     cutf = V.wide_f_cutoffs(zero_traj.grid, assumption)
     for m in (1, 2):
-        r, s, d = V.residual_g_single(zero_traj, m, 4)
+        r, s, d = V.residual_at(zero_traj, V.ResidualJob("g", m), 4)
         assert r <= 1e-14
-        r, s, d = V.residual_f_single(zero_traj, m, cutf, 4)
+        r, s, d = V.residual_at(zero_traj, V.ResidualJob("f", m, cutf), 4)
         assert r <= 1e-12
-        r, s, d = V.residual_h_single(zero_traj, m, cutoffs, 4)
+        r, s, d = V.residual_at(zero_traj, V.ResidualJob("h", m, cutoffs), 4)
         assert r <= 1e-11
 
 
@@ -41,9 +41,10 @@ def test_residual_h_ablation(traj_imex, cutoffs):
     every right-hand-side term is wired in."""
     m = 1
     i = V._eval_indices(traj_imex)[1]
-    r_full, scale, d_full = V.residual_h_single(traj_imex, m, cutoffs, i)
-    r_ablate, _, d_ablate = V.residual_h_single(traj_imex, m, cutoffs, i, drop_g_term=True)
-    s0 = V._snapshots(traj_imex, i)
+    r_full, scale, d_full = V.residual_at(traj_imex, V.ResidualJob("h", m, cutoffs), i)
+    r_ablate, _, d_ablate = V.residual_at(
+        traj_imex, V.ResidualJob("h", m, cutoffs, drop_g_term=True), i)
+    s0 = V.Snapshot(traj_imex, i)
     g_term = cutoffs.chi2[None, :] * s0.g(m + 1).values
     gnorm = V._interior_l2(traj_imex.grid, g_term)
     moved = V._interior_l2(traj_imex.grid, d_ablate - d_full)
@@ -55,7 +56,7 @@ def test_residual_g_eps_wiring(u0, profile):
     """Doubling eps and re-solving changes the eps-labelled right-hand side
     groups by about a factor two."""
     def eps_terms(traj, i):
-        s0 = V._snapshots(traj, i)
+        s0 = V.Snapshot(traj, i)
         m = 2
         total = np.zeros((traj.grid.Nx, traj.grid.Ny))
         from math import comb
@@ -81,6 +82,12 @@ def test_boundary_zero_perturbation(zero_traj, assumption):
     assert lv["dy_f_wall"] <= 1e-13
     assert lv["third_trace"] <= 1e-10
     assert lv["fifth_trace"] <= 1e-8
+
+
+def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshot_refs):
+    V.boundary_checks([zero_traj], assumption)
+    assert len(snapshot_refs) == 3 * len(V._eval_indices(zero_traj))
+    assert alive(snapshot_refs) == []
 
 
 def test_boundary_orders(traj_imex, fine_setup, assumption):
@@ -139,10 +146,10 @@ def test_inequality_suite():
 
 # ----------------------------------------------------------------- monitors
 
-def test_condi_passes_at_reference(traj_picard, assumption, params):
-    memo = dict(traj_picard.snapshots)
+def test_condi_passes_at_reference(traj_picard, assumption, params, snapshot_refs):
     rep = V.condi_monitor(traj_picard, assumption, params)
-    assert traj_picard.snapshots == memo     # snapshots read once, not memoised
+    assert len(snapshot_refs) == len(traj_picard.times)
+    assert alive(snapshot_refs) == []      # each snapshot read once, then dropped
     assert rep.passed
     assert rep.evidence["first_failure_time"] is None
     assert rep.evidence["clause4_max"] <= 1.0
