@@ -321,8 +321,16 @@ def run_verify(lab: Lab, outdir: Path) -> list:
 
 
 def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code.
+
+    Every exit writes manifest.json; exits 2 and 3 record no reports and
+    an error object instead."""
     outdir = Path(out_dir if out_dir is not None else cfg.out_dir)
+    manifest = {
+        "config": {k: (list(v) if isinstance(v, tuple) else v)
+                   for k, v in vars(cfg).items()},
+        "versions": {"prandtl_lab": __version__, "numpy": np.__version__},
+    }
     try:
         lab = Lab(cfg)
         if subcommand == "shear-check":
@@ -342,20 +350,18 @@ def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
                 reports = run_shear_check(lab, outdir) + reports
         else:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except SolverDivergence as exc:
-        print(f"solver divergence: {exc}", file=sys.stderr)
-        return 3
+    except (ConfigError, SolverDivergence) as exc:
+        code, label = ((2, "configuration error") if isinstance(exc, ConfigError)
+                       else (3, "solver divergence"))
+        print(f"{label}: {exc}", file=sys.stderr)
+        manifest["reports"] = []
+        manifest["error"] = {"exit_code": code, "kind": type(exc).__name__,
+                             "message": str(exc)}
+        _write_json(outdir / "manifest.json", manifest)
+        return code
 
-    manifest = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in vars(cfg).items()},
-        "versions": {"prandtl_lab": __version__, "numpy": np.__version__},
-        "reports": [{"name": r["name"], "pass": bool(r["pass"]),
-                     "evidence": r.get("evidence", {})} for r in reports],
-    }
+    manifest["reports"] = [{"name": r["name"], "pass": bool(r["pass"]),
+                            "evidence": r.get("evidence", {})} for r in reports]
     _write_json(outdir / "manifest.json", manifest)
     ok = all(r["pass"] for r in reports)
     for r in reports:

@@ -20,7 +20,6 @@ to rounding and costs one FFT per underlying field.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -78,10 +77,6 @@ class NormReport:
         return {"total": self.total, "groups": dict(self.groups),
                 "entries": dict(self.entries), "argmax": self.argmax,
                 "truncation_tail": self.truncation_tail}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
 
 @dataclass

@@ -23,7 +23,6 @@ than to stencil accuracy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +69,6 @@ class ShearProfile:
     def omega0s(self) -> np.ndarray:
         """Shear vorticity d u0s/dy at t=0."""
         return self.derivs[0]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["y", "u0s"] + [f"d{j}" for j in range(1, 7)])
-            for i, y in enumerate(self.grid.y_nodes):
-                w.writerow([repr(y), repr(self.u0s[i])]
-                           + [repr(self.derivs[j][i]) for j in range(6)])
 
 
 @dataclass

@@ -24,7 +24,6 @@ one the dense double sum y_i -/+ s_k would give.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -46,15 +45,6 @@ class ShearState:
     us: np.ndarray
     omegas: np.ndarray
     dj_omegas: np.ndarray     # shape (5, Ny); row j-1 holds d_y^j omega^s
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["y", "us", "omegas"] + [f"d{j}" for j in range(1, 6)])
-            n = len(self.us)
-            for i in range(n):
-                w.writerow([i, repr(self.us[i]), repr(self.omegas[i])]
-                           + [repr(self.dj_omegas[j][i]) for j in range(5)])
 
 
 def _lift(y: np.ndarray, t: float, j: int) -> np.ndarray:

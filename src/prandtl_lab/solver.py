@@ -6,10 +6,11 @@
 Two routes solve the same equation and cross-validate each other:
 
   * picard_solve iterates the fixed-point map u_j = M1 u0 - M2 F(u_{j-1})
-    on the whole time grid, where M1 is the Dirichlet heat semigroup of
-    d_y^2 + eps d_x^2 and M2 its Duhamel convolution (trapezoid in time);
-  * imex_solve marches u^{n+1} = M1(dt) (u^n - dt F(u^n)), diffusion exact
-    per step, transport explicit.
+    on the whole time grid (mild_solution), where M1 is the Dirichlet heat
+    semigroup of d_y^2 + eps d_x^2 (heat_propagate) and M2 its Duhamel
+    convolution (trapezoid in time);
+  * imex_solve marches u^{n+1} = M1(dt) (u^n - dt F(u^n)) with
+    heat_propagate, diffusion exact per step, transport explicit.
 
 The semigroup is diagonal in (Fourier in x) x (sine series in y); a sine
 expansion on [0, Ymax] replaces the exact half-line image kernel, which is
@@ -33,7 +34,7 @@ from .profiles import ShearProfile
 from .shear import ShearState, evolve_shear
 
 __all__ = ["SolverConfig", "Trajectory", "SolverDivergence", "heat_propagate",
-           "duhamel", "picard_solve", "imex_solve", "recover_v", "pde_residual"]
+           "mild_solution", "picard_solve", "imex_solve", "recover_v"]
 
 
 class SolverDivergence(RuntimeError):
@@ -103,25 +104,30 @@ def heat_propagate(f: Field, t: float, eps: float) -> Field:
     return Field(g, _from_modal(g, modal))
 
 
-def duhamel(forcing: list[Field], t_index: int, eps: float, times: np.ndarray) -> Field:
-    """Trapezoid quadrature of int_0^{t_i} M1(t_i - s) f(s) ds.
+def mild_solution(u0: Field, forcing, eps: float, times: np.ndarray) -> list[Field]:
+    """M1(t_i) u0 - int_0^{t_i} M1(t_i - s) f(s) ds at every node of the
+    uniform time grid, the integral by the trapezoid rule.
 
-    ``forcing`` holds f at the trajectory time nodes up to at least t_index.
+    ``forcing`` yields f at the nodes in order; each is reduced to its modal
+    amplitudes on arrival, and the integral advances by the recursion
+    I_i = e^{-L dt} I_{i-1} + dt/2 (e^{-L dt} f_{i-1} + f_i).  The value at
+    t_0 is u0 itself.
     """
-    if t_index < 0 or t_index >= len(times):
-        raise ValueError("t_index outside the time grid")
-    if len(forcing) <= t_index:
-        raise ValueError("forcing not defined up to t_index")
-    g = forcing[0].grid
+    g = u0.grid
     rates = _modal_rates(g, eps)
-    t_i = times[t_index]
-    acc = np.zeros((g.Nx // 2 + 1, g.Ny - 2), dtype=complex)
-    if t_index == 0:
-        return Field.zeros(g)
-    for s in range(t_index + 1):
-        w = times[min(s + 1, t_index)] - times[max(s - 1, 0)]
-        acc += 0.5 * w * np.exp(-rates * (t_i - times[s])) * _to_modal(g, forcing[s].values)
-    return Field(g, _from_modal(g, acc))
+    dt = times[1] - times[0]
+    e_dt = np.exp(-rates * dt)
+    u0_modal = _to_modal(g, u0.values)
+    out = [u0]
+    acc = np.zeros_like(u0_modal)
+    f_prev = None
+    for t, f in zip(times, forcing):
+        f_modal = _to_modal(g, f.values)
+        if f_prev is not None:
+            acc = e_dt * acc + 0.5 * dt * (e_dt * f_prev + f_modal)
+            out.append(Field(g, _from_modal(g, np.exp(-rates * t) * u0_modal - acc)))
+        f_prev = f_modal
+    return out
 
 
 def _cumint_y4(grid: Grid2D, vals: np.ndarray) -> np.ndarray:
@@ -222,25 +228,17 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
             stacklevel=2)
     times = np.linspace(0.0, cfg.T, cfg.Nt + 1)
     states = _shear_states(profile, times)
-    rates = _modal_rates(g, cfg.eps)
-    e_dt = np.exp(-rates * (times[1] - times[0]))
-    u0_modal = _to_modal(g, u0.values)
-    sg = [np.exp(-rates * t) * u0_modal for t in times]
+
+    def forcing_of(us):
+        for ui, st in zip(us, states):
+            dxu = dx_m(ui, 1)
+            yield _forcing(ui, recover_v(ui, dxu), dxu, st)
 
     u_prev = [u0.copy() for _ in times]
     contraction: list[float] = []
     grow = 0
     for _ in range(cfg.jmax):
-        f_modal = []
-        for ui, st in zip(u_prev, states):
-            dxu = dx_m(ui, 1)
-            f_modal.append(_to_modal(g, _forcing(ui, recover_v(ui, dxu), dxu, st).values))
-        dt = times[1] - times[0]
-        u_next = [u_prev[0].copy()]
-        acc = np.zeros_like(u0_modal)
-        for i in range(1, len(times)):
-            acc = e_dt * acc + 0.5 * dt * (e_dt * f_modal[i - 1] + f_modal[i])
-            u_next.append(Field(g, _from_modal(g, sg[i] - acc)))
+        u_next = mild_solution(u0, forcing_of(u_prev), cfg.eps, times)
         xi = max(weighted_l2(u_next[i] - u_prev[i], 0.0) for i in range(len(times)))
         contraction.append(xi)
         if len(contraction) >= 2 and xi > contraction[-2]:
@@ -265,9 +263,7 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
     g = u0.grid
     times = np.linspace(0.0, cfg.T, cfg.Nt + 1)
     states = _shear_states(profile, times)
-    rates = _modal_rates(g, cfg.eps)
     dt = times[1] - times[0]
-    e_dt = np.exp(-rates * dt)
 
     us = [u0.copy()]
     vs = []
@@ -276,32 +272,17 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
         dxu = dx_m(u_cur, 1)
         vs.append(recover_v(u_cur, dxu))
         f_cur = _forcing(u_cur, vs[-1], dxu, states[n])
-        stage = u_cur.values - dt * f_cur.values
-        nxt = _from_modal(g, e_dt * _to_modal(g, stage))
+        nxt = heat_propagate(Field(g, u_cur.values - dt * f_cur.values), dt, cfg.eps)
         peak_prev = max(linf(u_cur), 1e-14)
-        if np.max(np.abs(nxt)) > 2.0 * peak_prev and np.max(np.abs(nxt)) > 1e-10:
+        peak = linf(nxt)
+        if peak > 2.0 * peak_prev and peak > 1e-10:
             raise SolverDivergence(
                 f"imex step {n}: field max doubled in one step "
-                f"({np.max(np.abs(nxt)):.3e} vs {peak_prev:.3e}); CFL-style blowup")
-        u_cur = Field(g, nxt)
+                f"({peak:.3e} vs {peak_prev:.3e}); CFL-style blowup")
+        u_cur = nxt
         us.append(u_cur)
     vs.append(recover_v(u_cur))
     truncation_check(us[-1], name="imex final state")
     return Trajectory(grid=g, times=times, u=us, v=vs, shear=states,
                       scheme="imex", eps=cfg.eps)
 
-
-def pde_residual(traj: Trajectory, i: int) -> Field:
-    """Residual of the perturbation equation at interior time node i,
-    with d_t by centered differences on the stored snapshots."""
-    if i <= 0 or i >= len(traj.times) - 1:
-        raise ValueError("need an interior time node")
-    dt2 = traj.times[i + 1] - traj.times[i - 1]
-    u, v, st = traj.u[i], traj.v[i], traj.shear[i]
-    dudt = (traj.u[i + 1].values - traj.u[i - 1].values) / dt2
-    vals = (dudt
-            + (st.us[None, :] + u.values) * dx_m(u, 1).values
-            + v.values * (st.omegas[None, :] + dy_j(u, 1).values)
-            - dy_j(u, 2).values
-            - traj.eps * dx_m(u, 2).values)
-    return Field(traj.grid, vals)

@@ -17,7 +17,6 @@ delta certified by the assumption scan.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -26,8 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
-from .grid import Field, Grid2D, clean_spectrum, dx_m, dy_j, linf, weighted_l2
-from .norms import GevreyParams, _report_from_raw, _traj_raw_cache, gevrey_norm
+from .grid import Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, linf, weighted_l2
+from .norms import (GevreyParams, _report_from_raw, _traj_raw_cache, full_norm, gevrey_norm,
+                    lifespan_norm)
 from .profiles import AssumptionReport
 from .solver import Trajectory
 
@@ -60,12 +60,6 @@ class ResidualReport:
                 "observed_order": self.observed_order,
                 "pairwise_orders": list(self.pairwise_orders), "pass": self.ok}
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("dt,dy,Nx,residual_norm,scale\n")
-            for (dt, dyv, nx), r, s in zip(self.grid_levels, self.residual_norms, self.scales):
-                fh.write(f"{dt!r},{dyv!r},{nx},{r!r},{s!r}\n")
-
 
 @dataclass
 class CheckReport:
@@ -76,10 +70,6 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {"name": self.name, "pass": bool(self.passed),
                 "evidence": _jsonable(self.evidence)}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
 
 def _jsonable(x):
@@ -177,31 +167,21 @@ def _eval_indices(traj: Trajectory, fracs=_EVAL_FRACS) -> list:
     return idx
 
 
-def _material_derivative_expanded(snap: Snapshot, q_prev: np.ndarray,
-                                  q_next: np.ndarray, q: np.ndarray,
-                                  dyq: np.ndarray, d2yq: np.ndarray,
-                                  dt2: float, eps: float) -> np.ndarray:
-    """Material derivative with caller-supplied (analytic) y-derivatives, so
-    no stencil is applied across the quotient fields' unsafe regions."""
+def _material_derivative(snap: Snapshot, q_prev: np.ndarray, q_next: np.ndarray,
+                         q: np.ndarray, dyq: np.ndarray, d2yq: np.ndarray,
+                         dt2: float, eps: float) -> np.ndarray:
+    """(d_t + (u^s+u) d_x + v d_y - d_y^2 - eps d_x^2) q, d_t centered.
+
+    The caller supplies d_y q and d_y^2 q (analytic for the quotient fields,
+    so no stencil crosses their unsafe regions); both x-derivatives come from
+    one cleaned spectrum of q."""
     g = snap.grid
-    qf = Field(g, q)
+    spec = clean_spectrum(np.fft.rfft(q, axis=0))
     return ((q_next - q_prev) / dt2
-            + (snap.state.us[None, :] + snap.u.values) * dx_m(qf, 1).values
+            + (snap.state.us[None, :] + snap.u.values) * dx_m_spec(g, spec, 1).values
             + snap.v.values * dyq
             - d2yq
-            - eps * dx_m(qf, 2).values)
-
-
-def _material_derivative(snap: Snapshot, q_prev: np.ndarray, q_next: np.ndarray,
-                         q: np.ndarray, dt2: float, eps: float) -> np.ndarray:
-    """(d_t + (u^s+u) d_x + v d_y - d_y^2 - eps d_x^2) q, d_t centered."""
-    g = snap.grid
-    qf = Field(g, q)
-    return ((q_next - q_prev) / dt2
-            + (snap.state.us[None, :] + snap.u.values) * dx_m(qf, 1).values
-            + snap.v.values * (q @ g.deriv_matrix_y(1, 9).T)
-            - q @ g.deriv_matrix_y(2, 9).T
-            - eps * dx_m(qf, 2).values)
+            - eps * dx_m_spec(g, spec, 2).values)
 
 
 # Residual norms are taken over interior rows: the evolution identities are
@@ -226,10 +206,6 @@ def _q_h(snap: Snapshot, m: int, b: np.ndarray) -> np.ndarray:
     return snap.dxdyom(m).values - b * snap.dxom(m).values
 
 
-def _binom(n, k):
-    return math.comb(n, k)
-
-
 def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) -> tuple:
     """(residual L2 norm, f_m scale, residual field) of the f_m evolution
     identity at node i, from the snapshot triple at i - 1, i, i + 1.
@@ -252,16 +228,16 @@ def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
     dxm_u, dxm_om, dxm_dyom = s0.dxu(m).values, s0.dxom(m).values, s0.dxdyom(m).values
     dyq = dxm_dyom - dya * dxm_u - a0 * dxm_om
     d2yq = s0.dxd2yom(m).values - d2ya * dxm_u - 2.0 * dya * dxm_om - a0 * dxm_dyom
-    lhs = _material_derivative_expanded(
+    lhs = _material_derivative(
         s0, _q_f(sm, m, am), _q_f(sp, m, ap), q0, dyq, d2yq, dt2, eps)
 
     rhs = np.zeros_like(q0)
     for k in range(1, m + 1):
-        c = _binom(m, k)
+        c = math.comb(m, k)
         rhs -= c * s0.dxu(k).values * s0.dxom(m - k + 1).values
         rhs += a0 * c * s0.dxu(k).values * s0.dxu(m - k + 1).values
     for k in range(1, m):
-        c = _binom(m, k)
+        c = math.comb(m, k)
         rhs -= c * s0.dxv(k).values * s0.dxdyom(m - k).values
         rhs += a0 * c * s0.dxv(k).values * s0.dxom(m - k).values
     dxu1 = s0.dxu(1).values
@@ -297,7 +273,7 @@ def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet,
     # pointwise d_y^3(omega)-level roughness and wide stencils crossing the
     # denominator's thin safe margin
     d2yq = dy_j(Field(g, dyq), 1).values
-    lhs = _material_derivative_expanded(
+    lhs = _material_derivative(
         s0, _q_h(sm, m, bm), _q_h(sp, m, bp), q0, dyq, d2yq, dt2, eps)
 
     dxdyom1 = s0.dxdyom(1).values
@@ -315,11 +291,11 @@ def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet,
     rhs += 2.0 * dyb * dxm_dyom
     rhs += 2.0 * eps * dxb * s0.dxom(m + 1).values
     for k in range(1, m + 1):
-        c = _binom(m, k)
+        c = math.comb(m, k)
         rhs += b0 * c * s0.dxu(k).values * s0.dxom(m - k + 1).values
         rhs -= c * s0.dxu(k).values * s0.dxdyom(m - k + 1).values
     for k in range(1, m):
-        c = _binom(m, k)
+        c = math.comb(m, k)
         rhs += b0 * c * s0.dxv(k).values * s0.dxdyom(m - k).values
         rhs -= c * s0.dxv(k).values * s0.dxd2yom(m - k).values
     if not drop_g_term:
@@ -337,15 +313,17 @@ def _g_identity(traj: Trajectory, i: int, snaps: tuple, m: int) -> tuple:
     sm, s0, sp = snaps
     dt2 = traj.times[i + 1] - traj.times[i - 1]
     q0 = s0.g(m).values
-    lhs = _material_derivative(s0, sm.g(m).values, sp.g(m).values, q0, dt2, eps)
+    dyq = q0 @ g.deriv_matrix_y(1, 9).T
+    d2yq = q0 @ g.deriv_matrix_y(2, 9).T
+    lhs = _material_derivative(s0, sm.g(m).values, sp.g(m).values, q0, dyq, d2yq, dt2, eps)
 
     rhs = np.zeros_like(q0)
     for j in range(1, m):
-        c = _binom(m - 1, j)
+        c = math.comb(m - 1, j)
         rhs -= c * s0.dxu(j).values * s0.g(m - j + 1).values
         rhs -= c * s0.dxv(j).values * dy_j(s0.g(m - j), 1).values
     for j in range(0, m):
-        c = _binom(m - 1, j)
+        c = math.comb(m - 1, j)
         if j == 0:
             d2 = s0.d2yom_tot
             d1 = s0.dyom_tot
@@ -729,8 +707,6 @@ def radius_decay_check(traj: Trajectory, p: GevreyParams, rho0: float,
                        cut: CutoffSet, c_star: float, u0: Field) -> CheckReport:
     """Shrinking-radius bound: with R and lambda built from the fitted
     constants, the lifespan norm stays below R on [0, rho0/(4 lambda)]."""
-    from .norms import full_norm, lifespan_norm
-
     base0 = gevrey_norm(u0, p.with_rho(2.0 * rho0)).total
     ext0 = full_norm(u0, traj.shear[0], cut, p.with_rho(rho0)).total
     denom = base0 + base0 ** 2

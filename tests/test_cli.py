@@ -142,6 +142,30 @@ def test_profile_error_is_config_error(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+def test_error_exits_write_manifest(tmp_path):
+    """Exits 2 and 3 still end with a manifest: no reports, and an error
+    object naming the exit code, the exception kind and its message."""
+    cfg = load_config(CONFIG)
+    cfg.y0 = 0.3
+    assert run(cfg, "shear-check", out_dir=tmp_path / "config") == 2
+    manifest = json.loads((tmp_path / "config" / "manifest.json").read_text())
+    assert manifest["reports"] == []
+    assert manifest["config"]["y0"] == 0.3
+    err = manifest["error"]
+    assert err["exit_code"] == 2 and err["kind"] == "ConfigError"
+    assert err["message"].startswith("profile:")
+
+    cfg = load_config(CONFIG)
+    cfg.eps, cfg.t_final, cfg.nt, cfg.scheme = 0.001, 5.0, 8, "picard"
+    with pytest.warns(UserWarning):
+        assert run(cfg, "solve", out_dir=tmp_path / "diverge") == 3
+    manifest = json.loads((tmp_path / "diverge" / "manifest.json").read_text())
+    assert manifest["reports"] == []
+    err = manifest["error"]
+    assert err["exit_code"] == 3 and err["kind"] == "SolverDivergence"
+    assert "Picard update grew" in err["message"]
+
+
 def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
     """run_verify evaluates the residual ladders one time triple at a time and
     drops each triple; its reports equal the standalone studies bitwise."""

@@ -122,16 +122,6 @@ def test_lifespan_guard(params, cutoffs, traj_imex):
         lifespan_norm(traj_imex, 100.0, 1.0, params, 0.5, cutoffs)
 
 
-def test_report_serialization(tmp_path, params, u0):
-    rep = gevrey_norm(u0, params)
-    path = tmp_path / "norm.json"
-    rep.to_json(path)
-    import json
-    data = json.loads(path.read_text())
-    assert np.isclose(data["total"], rep.total)
-    assert data["argmax"] == rep.argmax
-
-
 def test_full_norm_zero_field(grid, profile, cutoffs, params):
     st = evolve_shear(profile, 0.0)
     rep = full_norm(Field.zeros(grid), st, cutoffs, params)

@@ -139,11 +139,3 @@ def test_third_condition_hand_oracle(grid, profile):
     x = grid.x_nodes
     expect = np.max(np.abs((profile.omega0s[0] + np.sin(x)) * np.cos(x)))
     assert np.isclose(cr.res_third, expect, rtol=1e-10)
-
-
-def test_profile_csv_roundtrip(tmp_path, profile):
-    path = tmp_path / "profile.csv"
-    profile.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "y,u0s,d1,d2,d3,d4,d5,d6"
-    assert len(rows) == 1 + profile.grid.Ny

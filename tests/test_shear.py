@@ -137,11 +137,3 @@ def test_proposition_detects_inflated_c0(profile, assumption):
     s0 = evolve_shear(profile, 0.0)
     clauses = proposition_clauses(s0, inflated, profile.grid.y_nodes)
     assert not clauses["i"]
-
-
-def test_state_csv(tmp_path, profile):
-    s = evolve_shear(profile, 0.05)
-    path = tmp_path / "state.csv"
-    s.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("y,us,omegas")

@@ -3,10 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+import prandtl_lab.solver as S
+import prandtl_lab.verify as V
 from prandtl_lab.grid import Field, dx_m, dy_j, linf, weighted_l2
 from prandtl_lab.profiles import build_perturbation
-from prandtl_lab.solver import (SolverConfig, SolverDivergence, duhamel, heat_propagate,
-                                imex_solve, pde_residual, picard_solve, recover_v)
+from prandtl_lab.solver import (SolverConfig, SolverDivergence, heat_propagate, imex_solve,
+                                mild_solution, picard_solve, recover_v)
 
 from conftest import REF, _solve
 
@@ -57,7 +59,7 @@ def test_heat_propagate_semigroup(grid):
 def test_duhamel_zero_forcing(grid):
     times = np.linspace(0, 0.1, 9)
     forcing = [Field.zeros(grid) for _ in times]
-    out = duhamel(forcing, 8, 0.1, times)
+    out = -mild_solution(Field.zeros(grid), forcing, 0.1, times)[8]
     assert linf(out) == 0.0
 
 
@@ -72,7 +74,7 @@ def test_duhamel_constant_eigenforcing(grid):
     for nt in (16, 32):
         times = np.linspace(0, 0.5, nt + 1)
         forcing = [f for _ in times]
-        out = duhamel(forcing, nt, eps, times)
+        out = -mild_solution(Field.zeros(grid), forcing, eps, times)[nt]
         expect = (1.0 - np.exp(-lam * 0.5)) / lam
         errs.append(linf(Field(grid, out.values - expect * f.values)))
     assert errs[0] <= 1e-4
@@ -80,7 +82,7 @@ def test_duhamel_constant_eigenforcing(grid):
 
 
 def test_duhamel_forcing_consistency(grid):
-    """d_t(duhamel) - L(duhamel) - forcing -> 0 at first order under dt refinement."""
+    """d_t(D) - L(D) - forcing -> 0, D the Duhamel term, at first order under dt refinement."""
     eps = 0.1
     f = Field.from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / grid.Lx)
                             * np.sin(2 * np.pi * Y / grid.Ymax) * np.exp(-Y / 5))
@@ -90,13 +92,35 @@ def test_duhamel_forcing_consistency(grid):
         times = np.linspace(0, 0.2, nt + 1)
         forcing = [Field(grid, np.cos(3 * t) * f.values) for t in times]
         k = nt // 2
-        dm = duhamel(forcing, k - 1, eps, times)
-        d0 = duhamel(forcing, k, eps, times)
-        dp = duhamel(forcing, k + 1, eps, times)
+        duh = mild_solution(Field.zeros(grid), forcing, eps, times)
+        dm, d0, dp = -duh[k - 1], -duh[k], -duh[k + 1]
         dt = times[1] - times[0]
         resid = (dp.values - dm.values) / (2 * dt) - lam_op(d0) - forcing[k].values
         errs.append(np.max(np.abs(resid[:, 5:-5])))
     assert np.log2(errs[0] / errs[1]) >= 0.9
+
+
+def test_mild_solution_matches_direct_sum(grid):
+    """The recursion equals the weighted trapezoid sum
+    M1(t_i) u0 - sum_s w_s/2 M1(t_i - t_s) f(t_s) at every node, and with
+    zero forcing it is the semigroup applied to u0."""
+    eps = 0.1
+    rng = np.random.default_rng(3)
+    sine = np.sin(np.pi * grid.y_nodes / grid.Ymax)[None, :]
+    u0 = Field(grid, rng.normal(size=(grid.Nx, grid.Ny)) * sine)
+    times = np.linspace(0, 0.2, 13)
+    forcing = [Field(grid, rng.normal(size=(grid.Nx, grid.Ny)) * sine) for _ in times]
+    out = mild_solution(u0, forcing, eps, times)
+    assert len(out) == len(times)
+    for i in range(1, len(times)):
+        expect = heat_propagate(u0, times[i], eps).values
+        for s in range(i + 1):
+            w = times[min(s + 1, i)] - times[max(s - 1, 0)]
+            expect -= 0.5 * w * heat_propagate(forcing[s], times[i] - times[s], eps).values
+        assert linf(Field(grid, out[i].values - expect)) <= 1e-13 * np.max(np.abs(expect))
+    free = mild_solution(u0, [Field.zeros(grid) for _ in times], eps, times)
+    for i, t in enumerate(times):
+        assert linf(free[i] - heat_propagate(u0, t, eps)) <= 1e-13 * linf(u0)
 
 
 def test_recover_v(grid):
@@ -159,11 +183,11 @@ def test_near_linear_regime(grid, profile):
 def test_imex_reduces_to_heat_propagate(grid, profile, monkeypatch):
     """With the transport forcing switched off the march is exactly the
     semigroup step applied repeatedly."""
-    import prandtl_lab.solver as S
     monkeypatch.setattr(S, "_forcing", lambda u, v, dxu, st: Field.zeros(u.grid))
     u0 = Field.from_function(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message=r".*exceeds eps/4", category=UserWarning)
         traj = imex_solve(u0, profile, SolverConfig(eps=0.1, T=0.04, Nt=8, scheme="imex"))
     direct = heat_propagate(u0, 0.04, 0.1)
     assert linf(traj.final() - direct) <= 1e-11
@@ -177,12 +201,26 @@ def test_pde_residual_refines(traj_ladder):
     fields = []
     for traj in traj_ladder:
         i = int(0.875 * (len(traj.times) - 1))
-        r = pde_residual(traj, i).values.copy()
+        u, st = traj.u[i], traj.shear[i]
+        dt2 = traj.times[i + 1] - traj.times[i - 1]
+        r = V._material_derivative(V.Snapshot(traj, i), traj.u[i - 1].values,
+                                   traj.u[i + 1].values, u.values, dy_j(u, 1).values,
+                                   dy_j(u, 2).values, dt2, traj.eps)
+        r += traj.v[i].values * st.omegas[None, :]
         r[:, :4] = r[:, -4:] = 0.0
         fields.append(r)
     d1 = weighted_l2(Field(g, fields[0] - fields[1]), 0.0)
     d2 = weighted_l2(Field(g, fields[1] - fields[2]), 0.0)
     assert np.log2(d1 / d2) >= 1.0
+
+
+def test_picard_is_fixed_point_of_mild_solution(traj_picard):
+    """Mapping the converged iterate once more moves it by less than 10 tol."""
+    traj = traj_picard
+    forcing = [S._forcing(u, v, dx_m(u, 1), st) for u, v, st in zip(traj.u, traj.v, traj.shear)]
+    mapped = mild_solution(traj.u[0], forcing, traj.eps, traj.times)
+    xi = max(weighted_l2(a - b, 0.0) for a, b in zip(mapped, traj.u))
+    assert xi <= 10 * 1e-12          # conftest._solve runs Picard with tol = 1e-12
 
 
 def test_divergence_detector(grid, profile):

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from prandtl_lab.cutoffs import AuxWorkspace
 from prandtl_lab.grid import Field, weighted_l2
 from prandtl_lab.shear import evolve_shear
 import prandtl_lab.verify as V
@@ -115,6 +116,16 @@ def test_cancellation_refines(fine_setup, grid, profile, cutoffs, assumption, u0
     assert np.log2(coarse / fine) >= 3.0
 
 
+def test_cancellation_detects_dropped_term(profile, cutoffs, assumption, u0, monkeypatch):
+    """Negative control: f_m without its a dx^m u term no longer matches the
+    quotient form, and the check fails."""
+    monkeypatch.setattr(AuxWorkspace, "f", lambda self, m: Field(
+        self.grid, self.cut.chi1[None, :] * self.dxom(m).values))
+    rep = V.cancellation_check(u0, evolve_shear(profile, 0.0), cutoffs, assumption)
+    assert not rep.passed
+    assert rep.evidence["worst_rel"] > 1e-4
+
+
 # ------------------------------------------------------- pointwise analysis
 
 def test_sobolev_hundred_fields(grid):
@@ -214,6 +225,16 @@ def test_contraction_check(traj_picard):
     assert rep.passed
     assert rep.evidence["geometric_rate"] <= 0.75
     assert not rep.evidence["inconclusive"]
+
+
+def test_contraction_detects_slow_decay(traj_picard):
+    """Negative control: update norms shrinking by 0.8 per sweep fail the
+    0.75 tail-ratio bound."""
+    slow = copy.copy(traj_picard)
+    slow.contraction = [traj_picard.contraction[0] * 0.8 ** k for k in range(5)]
+    rep = V.picard_contraction_check(slow)
+    assert not rep.passed
+    assert min(rep.evidence["ratios"][1:]) > 0.75
 
 
 def test_contraction_inconclusive(traj_picard):
