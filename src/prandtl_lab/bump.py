@@ -1,54 +1,26 @@
-"""C-infinity ramp used by every cut-off and envelope in the package.
+"""Smooth ramps: the C-infinity ramp of the cut-offs and the C^7 smoothstep
+of the perturbation envelopes.
 
 sigma(s) = e^{-1/s} / (e^{-1/s} + e^{-1/(1-s)}) rises from 0 at s<=0 to 1 at
-s>=1 with all derivatives vanishing at both ends.  First and second
-derivatives are coded analytically; nothing in the package differentiates a
-ramp numerically.
+s>=1 with all derivatives vanishing at both ends.  No derivative of a ramp
+is formed: the identity checks cancel the cut-off terms algebraically.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ramp", "ramp_d1", "ramp_d2", "window", "window_d1", "window_d2",
-           "poly_ramp", "poly_window"]
-
-
-def _pieces(s: np.ndarray):
-    s = np.asarray(s, dtype=float)
-    inside = (s > 0.0) & (s < 1.0)
-    sc = np.where(inside, s, 0.5)  # dummy value outside, masked later
-    a = np.exp(-1.0 / sc)
-    b = np.exp(-1.0 / (1.0 - sc))
-    return s, inside, sc, a, b
+__all__ = ["ramp", "window", "poly_ramp", "poly_window"]
 
 
 def ramp(s):
-    s, inside, sc, a, b = _pieces(s)
+    s = np.asarray(s, dtype=float)
+    inside = (s > 0.0) & (s < 1.0)
+    sc = np.where(inside, s, 0.5)  # dummy value outside, masked below
+    a = np.exp(-1.0 / sc)
+    b = np.exp(-1.0 / (1.0 - sc))
     out = np.where(s >= 1.0, 1.0, 0.0)
     out = np.where(inside, a / (a + b), out)
-    return out if out.ndim else float(out)
-
-
-def ramp_d1(s):
-    s, inside, sc, a, b = _pieces(s)
-    ap = a / sc**2
-    bp = -b / (1.0 - sc) ** 2
-    d = a + b
-    out = np.where(inside, (ap * b - a * bp) / d**2, 0.0)
-    return out if out.ndim else float(out)
-
-
-def ramp_d2(s):
-    s, inside, sc, a, b = _pieces(s)
-    ap = a / sc**2
-    bp = -b / (1.0 - sc) ** 2
-    app = a / sc**4 - 2.0 * a / sc**3
-    bpp = b / (1.0 - sc) ** 4 - 2.0 * b / (1.0 - sc) ** 3
-    d = a + b
-    n = ap * b - a * bp
-    npr = app * b - a * bpp
-    out = np.where(inside, npr / d**2 - 2.0 * n * (ap + bp) / d**3, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -63,30 +35,6 @@ def window(y, lo_out, lo_in, hi_in, hi_out):
         out = out * ramp((y - lo_out) / (lo_in - lo_out))
     if hi_out > hi_in:
         out = out * ramp((hi_out - y) / (hi_out - hi_in))
-    return out
-
-
-def window_d1(y, lo_out, lo_in, hi_in, hi_out):
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    if lo_in > lo_out:
-        w = lo_in - lo_out
-        out = out + ramp_d1((y - lo_out) / w) / w
-    if hi_out > hi_in:
-        w = hi_out - hi_in
-        out = out - ramp_d1((hi_out - y) / w) / w
-    return out
-
-
-def window_d2(y, lo_out, lo_in, hi_in, hi_out):
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    if lo_in > lo_out:
-        w = lo_in - lo_out
-        out = out + ramp_d2((y - lo_out) / w) / w**2
-    if hi_out > hi_in:
-        w = hi_out - hi_in
-        out = out + ramp_d2((hi_out - y) / w) / w**2
     return out
 
 

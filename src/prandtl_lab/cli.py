@@ -301,7 +301,7 @@ def run_verify(lab: Lab, outdir: Path) -> list:
         add(V.boundary_checks([lab.trajectory("imex", cfg.nt),
                                lab_fine.trajectory("imex", cfg.nt)], lab.report))
     if "sobolev" in enabled:
-        add(V.sobolev_check(lab.grid, count=100, seed=cfg.seed))
+        add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:
         add(V.inequality_suite())
     traj = lab.trajectory() if {"conditions", "energy", "radius", "contraction"} & enabled else None

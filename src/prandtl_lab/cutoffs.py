@@ -3,14 +3,11 @@ and the cancellation (auxiliary) functions built on them.
 
 chi1 kills the critical strip (it vanishes on [y0-5d/4, y0+5d/4] and is 1
 outside [y0-3d/2, y0+3d/2]); chi2 covers it (1 on [y0-3d/2, y0+3d/2],
-supported in [y0-7d/4, y0+7d/4]); psi is 1 on [0, y0+2d] and tapers over one
-extra delta.  The interlocking support identities
-
-    chi1' = chi1' chi2,   chi2' = chi2' chi1,   (1 - chi2) = (1 - chi2) chi1
-
-hold exactly at the nodes because each plateau is evaluated on its own
-branch.  All cut-off derivatives are analytic; nothing differentiates a
-cut-off numerically.
+supported in [y0-7d/4, y0+7d/4]).  Each plateau is evaluated on its own
+branch, so the support identities hold exactly at the nodes: wherever
+0 < chi1 < 1, chi2 == 1, and wherever 0 < chi2 < 1, chi1 == 1.  No cut-off
+derivative is formed: the identity checks cancel the cut-off terms
+algebraically and evaluate the interior form.
 
 For tangential order m the cancellation functions are
 
@@ -19,8 +16,7 @@ For tangential order m the cancellation functions are
                                 b = (d_y^2 omega_tot)/(d_y omega_tot)
     g_m = dx^(m-1) [ omega_tot dx omega - (d_y omega_tot) dx u ]
 
-with omega_tot = omega^s + omega; gtilde_m keeps the top derivative outside
-the bracket, fhat/ghat variants as coded.  Quotients are evaluated from the
+with omega_tot = omega^s + omega.  Quotients are evaluated from the
 difference forms only where their denominators are safely bounded away from
 zero; the supports of the cut-offs guarantee that on every node where the
 quotient is actually used.
@@ -32,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bump import window, window_d1, window_d2
+from .bump import window
 from .grid import Field, Grid2D, clean_spectrum, dx_m_spec, dy_j
 from .shear import ShearState
 
@@ -48,42 +44,20 @@ class CutoffSet:
     y0: float
     delta: float
     chi1: np.ndarray
-    dchi1: np.ndarray
-    d2chi1: np.ndarray
     chi2: np.ndarray
-    dchi2: np.ndarray
-    d2chi2: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
-    d2psi: np.ndarray
 
 
 def build_cutoffs(grid: Grid2D, y0: float, delta: float) -> CutoffSet:
     if not (0.0 < delta < y0 / 2.0):
         raise ValueError(f"delta must lie in (0, y0/2), got {delta}")
     if y0 + 3.0 * delta >= grid.Ymax:
-        raise ValueError("outer psi band [y0+2d, y0+3d] does not fit below Ymax")
+        # the bound of validate_assumption's delta scan
+        raise ValueError(f"y0 + 3*delta = {y0 + 3.0 * delta} must lie below Ymax = {grid.Ymax}")
     y = grid.y_nodes
     d = delta
-
-    w_args = (y0 - 1.5 * d, y0 - 1.25 * d, y0 + 1.25 * d, y0 + 1.5 * d)
-    chi1 = 1.0 - window(y, *w_args)
-    dchi1 = -window_d1(y, *w_args)
-    d2chi1 = -window_d2(y, *w_args)
-
-    c2_args = (y0 - 1.75 * d, y0 - 1.5 * d, y0 + 1.5 * d, y0 + 1.75 * d)
-    chi2 = window(y, *c2_args)
-    dchi2 = window_d1(y, *c2_args)
-    d2chi2 = window_d2(y, *c2_args)
-
-    p_args = (0.0, 0.0, y0 + 2.0 * d, y0 + 3.0 * d)
-    psi = window(y, *p_args)
-    dpsi = window_d1(y, *p_args)
-    d2psi = window_d2(y, *p_args)
-
-    return CutoffSet(y0=y0, delta=delta, chi1=chi1, dchi1=dchi1, d2chi1=d2chi1,
-                     chi2=chi2, dchi2=dchi2, d2chi2=d2chi2,
-                     psi=psi, dpsi=dpsi, d2psi=d2psi)
+    chi1 = 1.0 - window(y, y0 - 1.5 * d, y0 - 1.25 * d, y0 + 1.25 * d, y0 + 1.5 * d)
+    chi2 = window(y, y0 - 1.75 * d, y0 - 1.5 * d, y0 + 1.5 * d, y0 + 1.75 * d)
+    return CutoffSet(y0=y0, delta=delta, chi1=chi1, chi2=chi2)
 
 
 def _masked_quotient(num: np.ndarray, den: np.ndarray, support: np.ndarray,
@@ -164,10 +138,6 @@ class AuxWorkspace:
         q = self.dxom(m).values - self.a * self.dxu(m).values
         return Field(self.grid, self.cut.chi1[None, :] * q)
 
-    def ftilde(self, m: int) -> Field:
-        q = self.dxom(m).values - self.a * self.dxu(m).values
-        return Field(self.grid, self.cut.dchi1[None, :] * q)
-
     def h(self, m: int) -> Field:
         q = self.dxdyom(m).values - self.b * self.dxom(m).values
         return Field(self.grid, self.cut.chi2[None, :] * q)
@@ -176,29 +146,6 @@ class AuxWorkspace:
         if m < 1:
             raise ValueError("g_m requires m >= 1")
         return self._dx("spec_g1", m - 1)
-
-    def gtilde(self, m: int) -> Field:
-        vals = self.om_tot * self.dxom(m).values - self.dyom_tot * self.dxu(m).values
-        return Field(self.grid, vals)
-
-    def ghat(self, m: int, floor: float = 1e-8) -> Field:
-        cut = self.cut
-        gt = self.gtilde(m)
-        plateau = cut.psi >= 1.0
-        off = ~plateau
-        if off.any():
-            worst = float(np.min(np.abs(self.om_tot[:, off])))
-            if worst < floor:
-                raise DenominatorFloorError(
-                    f"ghat: |omega^s+omega| = {worst:.3e} < floor {floor:.3e} "
-                    "outside the psi plateau")
-        quot = np.zeros_like(self.om_tot)
-        np.divide(self.dyom_tot, self.om_tot, out=quot,
-                  where=np.abs(self.om_tot) > 0.5 * floor)
-        pref = cut.psi[None, :] * self.om_tot + (1.0 - cut.psi)[None, :]
-        raw = pref * (self.dxom(m).values - quot * self.dxu(m).values)
-        vals = np.where(plateau[None, :], gt.values, raw)
-        return Field(self.grid, vals)
 
     def chi2_dyom(self, m: int) -> Field:
         return Field(self.grid, self.cut.chi2[None, :] * self.dxdyom(m).values)

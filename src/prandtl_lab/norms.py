@@ -135,10 +135,9 @@ def gevrey_raw(u: Field, p: GevreyParams) -> GevreyRaw:
     return GevreyRaw(Mmax=p.Mmax, kmax=kmax, tang_u=tang_u, tang_om=tang_om, mixed=mixed)
 
 
-def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams,
-             floor_f: float = 1e-8, floor_h: float = 1e-8) -> GevreyRaw:
+def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> GevreyRaw:
     raw = gevrey_raw(u, p)
-    ws = AuxWorkspace(u, state, cut, floor_f=floor_f, floor_h=floor_h)
+    ws = AuxWorkspace(u, state, cut)
     for m in range(1, p.Mmax + 1):
         raw.aux[m] = (
             weighted_l2(ws.g(m), 0.0),
@@ -207,13 +206,16 @@ def full_norm(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams,
     return _report_from_raw(raw, p, with_aux=True)
 
 
+_N_RHO = 16     # radii sampled in (0, rho0) by the lifespan supremum
+
+
 def lifespan_norm(traj, lam: float, T: float, p: GevreyParams, rho0: float,
-                  cut: CutoffSet, n_rho: int = 16) -> float:
+                  cut: CutoffSet) -> float:
     """sup over (rho, t) with rho + lam*t < rho0, t <= T of
     sqrt((rho0-rho-lam t)/(rho0-rho)) * |u(t)|_{rho,sigma}."""
     if T > rho0 / lam + 1e-12:
         raise ValueError(f"T={T} exceeds rho0/lambda={rho0 / lam}")
-    rhos = rho0 * (np.arange(n_rho) + 1.0) / (n_rho + 1.0)
+    rhos = rho0 * (np.arange(_N_RHO) + 1.0) / (_N_RHO + 1.0)
     best = 0.0
     cache = _traj_raw_cache(traj, cut, p)
     for i, t in enumerate(traj.times):

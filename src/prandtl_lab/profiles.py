@@ -23,6 +23,7 @@ than to stencil accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,18 +111,23 @@ class CompatibilityReport:
                 "res_third": self.res_third}
 
 
-def _ansatz_callables(y0: float, alpha: float, c: float):
-    """Lambdified u0s' and its first five derivatives (sympy, done once)."""
-    import sympy as sp
+def _ansatz_derivs(y, y0: float, alpha: float, c: float, n: int) -> list:
+    """d^k/dy^k of (y0 - y) Q for k < n, where Q = P E with
+    P = (1+y)^(-alpha-1) and E = 1 + c y e^(-y), by the general Leibniz rule:
 
-    y = sp.symbols("y")
-    expr = (y0 - y) * (1 + y) ** (-alpha - 1) * (1 + c * y * sp.exp(-y))
-    fns = []
-    d = expr
-    for _ in range(6):
-        fns.append(sp.lambdify(y, d, modules="numpy"))
-        d = sp.diff(d, y)
-    return fns
+        P^(j) = (-alpha-1)...(-alpha-j) (1+y)^(-alpha-1-j),
+        E^(l) = c (-1)^l (y - l) e^(-y)           (l >= 1),
+        d^k[(y0 - y) Q] = (y0 - y) Q^(k) - k Q^(k-1).
+    """
+    y = np.asarray(y, dtype=float)
+    ey = np.exp(-y)
+    P, coef = [], 1.0
+    for j in range(n):
+        P.append(coef * (1.0 + y) ** (-alpha - 1.0 - j))
+        coef *= -alpha - 1.0 - j
+    E = [1.0 + c * y * ey] + [c * (-1.0) ** l * (y - l) * ey for l in range(1, n)]
+    Q = [sum(math.comb(k, j) * P[j] * E[k - j] for j in range(k + 1)) for k in range(n)]
+    return [(y0 - y) * Q[k] - k * Q[k - 1] if k else (y0 - y) * Q[0] for k in range(n)]
 
 
 def build_shear_profile(grid: Grid2D, y0: float, alpha: float) -> ShearProfile:
@@ -139,24 +145,22 @@ def build_shear_profile(grid: Grid2D, y0: float, alpha: float) -> ShearProfile:
         return _profile_cache[key]
 
     c = (1.0 + (alpha + 1.0) * y0) / y0
-    fns = _ansatz_callables(y0, alpha, c)
-    bare, _ = quad(fns[0], 0.0, grid.Ymax, limit=200)
+    bare, _ = quad(lambda s: float(_ansatz_derivs(s, y0, alpha, c, 1)[0]),
+                   0.0, grid.Ymax, limit=200)
     if bare <= 0.0:
         raise ValueError(
             f"normalization integral {bare:.3e} is non-positive: y0={y0} too small for alpha={alpha}")
     A = 1.0 / bare
 
     ny = grid.Ny
-    derivs = np.empty((6, ny))
-    for j in range(6):
-        derivs[j] = A * np.asarray(fns[j](grid.y_nodes), dtype=float)
+    derivs = A * np.array(_ansatz_derivs(grid.y_nodes, y0, alpha, c, 6))
 
     # fine quadrature grid continues past Ymax with the (un-renormalized)
     # ansatz so the heat-kernel integrand stays smooth at the truncation edge
     h_fine = grid.dy / _FINE_REFINE
     n_fine = _FINE_REFINE * (ny - 1) + int(np.ceil(8.0 / h_fine))
     y_fine = h_fine * np.arange(n_fine + 1)
-    du_fine = A * np.asarray(fns[0](y_fine), dtype=float)
+    du_fine = A * _ansatz_derivs(y_fine, y0, alpha, c, 1)[0]
     u0s_fine = np.concatenate(
         ([0.0], np.cumsum(0.5 * np.diff(y_fine) * (du_fine[1:] + du_fine[:-1]))))
     u0s = u0s_fine[:_FINE_REFINE * (ny - 1) + 1:_FINE_REFINE].copy()

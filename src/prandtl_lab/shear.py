@@ -160,13 +160,16 @@ def proposition_clauses(state: ShearState, rep: AssumptionReport,
     return {"i": cl1, "ii": cl2, "iii": cl3}
 
 
-def check_proposition_shear(p: ShearProfile, rep: AssumptionReport,
-                            T_scan: float = 0.5, step: float = 1e-2) -> PropositionReport:
-    """Largest T_s <= T_scan up to which all persistence clauses hold."""
+_T_SCAN = 0.5       # horizon of the persistence scan
+_SCAN_STEP = 1e-2   # time step of the persistence scan
+
+
+def check_proposition_shear(p: ShearProfile, rep: AssumptionReport) -> PropositionReport:
+    """Largest T_s <= _T_SCAN up to which all persistence clauses hold."""
     if not rep.all_pass:
         raise ValueError("assumption report must pass before persistence is scanned")
     y = p.grid.y_nodes
-    ts = np.arange(0.0, T_scan + 0.5 * step, step)
+    ts = np.arange(0.0, _T_SCAN + 0.5 * _SCAN_STEP, _SCAN_STEP)
     T_s = 0.0
     checked = []
     for t in ts:

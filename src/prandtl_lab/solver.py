@@ -183,9 +183,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def final(self) -> Field:
-        return self.u[-1]
-
     def save(self, outdir) -> None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -3,11 +3,13 @@ inequality structure that the well-posedness argument rests on.
 
 Residual checks evaluate both sides of the evolution equations satisfied by
 the cancellation functions f_m, h_m, g_m along a computed trajectory; time
-derivatives use centered differences on stored snapshots, every derivative
-of a cut-off is analytic, and quotient coefficients and their derivatives
-are evaluated from closed quotient-rule formulas (never by differentiating
-a masked ratio through its unsafe region).  Each residual is reported over a
-ladder of time resolutions together with the observed convergence order.
+derivatives use centered differences on stored snapshots, no derivative of
+a cut-off is formed (the cut-off terms cancel algebraically, so the checks
+evaluate the interior form of each identity), and quotient coefficients and
+their derivatives are evaluated from closed quotient-rule formulas (never by
+differentiating a masked ratio through its unsafe region).  Each residual is
+reported over a ladder of time resolutions together with the observed
+convergence order.
 
 The f-identity is checked with its own wider-delta chi1 so that no finite
 difference stencil reaches the zero set of omega^s + omega; the identity
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _SLACK = 1e-12
+_ORDERS = (1, 2, 3)         # tangential orders of the boundary and cancellation checks
 
 
 @dataclass
@@ -433,9 +436,8 @@ def residual_f(trajs, m: int, cut: CutoffSet) -> ResidualReport:
     return _residual_study(f"residual_f[m={m}]", _as_list(trajs), ResidualJob("f", m, cut))
 
 
-def residual_h(trajs, m: int, cut: CutoffSet, drop_g_term: bool = False) -> ResidualReport:
-    return _residual_study(f"residual_h[m={m}]", _as_list(trajs),
-                           ResidualJob("h", m, cut, drop_g_term))
+def residual_h(trajs, m: int, cut: CutoffSet) -> ResidualReport:
+    return _residual_study(f"residual_h[m={m}]", _as_list(trajs), ResidualJob("h", m, cut))
 
 
 def residual_g(trajs, m: int) -> ResidualReport:
@@ -446,14 +448,17 @@ def _as_list(trajs):
     return [trajs] if isinstance(trajs, Trajectory) else list(trajs)
 
 
-def wide_f_cutoffs(grid: Grid2D, rep: AssumptionReport, delta_f: float = 0.5) -> CutoffSet:
-    """chi1 with a wider hole for the f-identity checks, so that no stencil
-    reaches the zero set of omega^s + omega."""
-    delta_f = min(delta_f, 0.499 * rep.y0)
-    return build_cutoffs(grid, rep.y0, delta_f)
+_DELTA_F = 0.5
 
 
-def boundary_checks(trajs, rep: AssumptionReport, ms=(1, 2, 3)) -> CheckReport:
+def wide_f_cutoffs(grid: Grid2D, rep: AssumptionReport) -> CutoffSet:
+    """chi1 with a wider hole (delta = _DELTA_F, capped below y0/2) for the
+    f-identity checks, so that no stencil reaches the zero set of
+    omega^s + omega."""
+    return build_cutoffs(grid, rep.y0, min(_DELTA_F, 0.499 * rep.y0))
+
+
+def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
     """Wall identities: d_y g_m = 0, d_y f_m = 0, and the third- and
     fifth-derivative trace formulas at y = 0.
 
@@ -476,7 +481,7 @@ def boundary_checks(trajs, rep: AssumptionReport, ms=(1, 2, 3)) -> CheckReport:
             sm, s0, sp = _triple(traj, i)
             dt2 = traj.times[i + 1] - traj.times[i - 1]
             a0 = s0.quotient_pack_f[0]
-            for m in ms:
+            for m in _ORDERS:
                 gm = s0.g(m)
                 r_g = max(r_g, float(np.max(np.abs(dy_j(gm, 1).values[:, 0]))))
                 s_g = max(s_g, linf(Field(g, dy_j(gm, 1).values)))
@@ -529,31 +534,38 @@ def boundary_checks(trajs, rep: AssumptionReport, ms=(1, 2, 3)) -> CheckReport:
     return CheckReport(name="boundary_checks", passed=passed, evidence=ev)
 
 
-def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport,
-                       ms=(1, 2, 3), margin: float = 1.2, floor_frac: float = 0.02) -> CheckReport:
+# cancellation_check: comparison rows lie at least _CANCEL_MARGIN from the
+# critical point and carry at least _CANCEL_FLOOR_FRAC of the sup of f_m; the
+# check passes when the worst relative L2 gap is at most _CANCEL_TOL
+_CANCEL_MARGIN = 1.2
+_CANCEL_FLOOR_FRAC = 0.02
+_CANCEL_TOL = 1e-4
+
+
+def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -> CheckReport:
     """Two-form agreement of the f_m definition.
 
     Form one is the difference form; form two finite-differences the raw
     quotient dx^m u / (omega^s + omega) with a high-order stencil.  The
-    comparison region keeps interior rows at least `margin` away from the
-    critical point where f_m carries at least floor_frac of its sup; the
-    quotient has a genuine pole on the critical curve and boundary rows use
-    one-sided stencils of a different accuracy class.
+    comparison region keeps interior rows away from the critical point,
+    where the quotient has a genuine pole on the critical curve, and away
+    from the boundary rows, whose one-sided stencils are of a different
+    accuracy class.
     """
     g = u.grid
     ws = AuxWorkspace(u, state, cut)
     D = g.deriv_matrix_y(1, 9)
     evidence = {}
     worst = 0.0
-    for m in ms:
+    for m in _ORDERS:
         fm = ws.f(m).values
         quot = np.zeros_like(ws.om_tot)
         np.divide(ws.dxu(m).values, ws.om_tot, out=quot,
                   where=np.abs(ws.om_tot) > 1e-12)
         form2 = cut.chi1[None, :] * ws.om_tot * (quot @ D.T)
         rowmax = np.max(np.abs(fm), axis=0)
-        mask = (np.abs(g.y_nodes - rep.y0) >= margin) \
-            & (rowmax >= floor_frac * rowmax.max())
+        mask = (np.abs(g.y_nodes - rep.y0) >= _CANCEL_MARGIN) \
+            & (rowmax >= _CANCEL_FLOOR_FRAC * rowmax.max())
         mask[:2] = False
         mask[-4:] = False
         num = np.linalg.norm((fm - form2)[:, mask])
@@ -562,20 +574,21 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport,
         evidence[f"m={m}"] = {"rel_l2": rel, "rows": int(mask.sum())}
         worst = max(worst, rel)
     evidence["worst_rel"] = worst
-    return CheckReport(name="cancellation_identity", passed=worst <= 1e-4,
+    return CheckReport(name="cancellation_identity", passed=worst <= _CANCEL_TOL,
                        evidence=evidence)
 
 
-def sobolev_check(grid: Grid2D, count: int = 100, seed: int = 0) -> CheckReport:
-    """linf(h) <= sqrt(2)(|h| + |d_x h| + |d_y h| + |d_x d_y h|) on random
-    band-limited fields with y-decay."""
-    if count < 1:
-        raise ValueError("count must be positive")
+_SOBOLEV_COUNT = 100
+
+
+def sobolev_check(grid: Grid2D, seed: int = 0) -> CheckReport:
+    """linf(h) <= sqrt(2)(|h| + |d_x h| + |d_y h| + |d_x d_y h|) on
+    _SOBOLEV_COUNT random band-limited fields with y-decay."""
     rng = np.random.default_rng(seed)
     kmax = max(grid.Nx // 8, 2)
     violations = 0
     max_ratio = 0.0
-    for _ in range(count):
+    for _ in range(_SOBOLEV_COUNT):
         vals = np.zeros((grid.Nx, grid.Ny))
         X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
         for _ in range(rng.integers(1, 4)):
@@ -599,7 +612,7 @@ def sobolev_check(grid: Grid2D, count: int = 100, seed: int = 0) -> CheckReport:
             violations += 1
     return CheckReport(name="sobolev_inequality",
                        passed=violations == 0,
-                       evidence={"count": count, "violations": violations,
+                       evidence={"count": _SOBOLEV_COUNT, "violations": violations,
                                  "max_ratio": max_ratio})
 
 

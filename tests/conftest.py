@@ -61,9 +61,9 @@ def params():
 
 
 def _solve(u0_field, profile, scheme, nt, eps=REF["eps"], T=REF["T"]):
-    cfg = SolverConfig(eps=eps, T=T, Nt=nt, jmax=12, tol=1e-12, scheme=scheme)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        cfg = SolverConfig(eps=eps, T=T, Nt=nt, jmax=12, tol=1e-12, scheme=scheme)
         fn = picard_solve if scheme == "picard" else imex_solve
         return fn(u0_field, profile, cfg)
 

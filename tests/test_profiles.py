@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 
 from prandtl_lab.grid import Field, Grid2D, dx_m, dy_j
-from prandtl_lab.profiles import (ShearProfile, build_perturbation, build_shear_profile,
-                                  check_compatibility, validate_assumption)
+from prandtl_lab.profiles import (ShearProfile, _ansatz_derivs, build_perturbation,
+                                  build_shear_profile, check_compatibility, validate_assumption)
 
 from conftest import REF
 
@@ -35,6 +41,32 @@ def test_profile_rejects_bad_inputs(grid):
         build_shear_profile(grid, -1.0, 2.0)
     with pytest.raises(ValueError):
         build_shear_profile(grid, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("y0,alpha", [(2.0, 2.0), (3.0, 3.0), (1.0, 1.5)])
+def test_ansatz_derivatives_match_sympy(grid, y0, alpha):
+    """The closed-form Leibniz derivatives of the ansatz against sp.diff, on
+    the y-grid (y = 0 included) and past Ymax, where the fine grid runs."""
+    c = (1.0 + (alpha + 1.0) * y0) / y0
+    y = np.concatenate((grid.y_nodes, np.linspace(grid.Ymax, grid.Ymax + 8.0, 33)))
+    s = sp.symbols("y")
+    expr = (y0 - s) * (1 + s) ** (-alpha - 1) * (1 + c * s * sp.exp(-s))
+    ours = _ansatz_derivs(y, y0, alpha, c, 6)
+    for k in range(6):
+        ref = sp.lambdify(s, sp.diff(expr, s, k), "numpy")(y)
+        assert np.max(np.abs(ours[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_profile_build_does_not_import_sympy():
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; from prandtl_lab.cli import Lab, RunConfig; Lab(RunConfig()); "
+            "print('sympy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=str(root), env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validate_assumption_reference(assumption):

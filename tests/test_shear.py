@@ -126,7 +126,7 @@ def test_proposition_clauses_at_zero(profile, assumption):
 
 
 def test_proposition_scan(profile, assumption):
-    rep = check_proposition_shear(profile, assumption, T_scan=0.5, step=1e-2)
+    rep = check_proposition_shear(profile, assumption)
     assert rep.ok
     assert rep.T_s >= 0.1
     assert not rep.inconsistent_at_zero

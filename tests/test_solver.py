@@ -159,8 +159,8 @@ def test_trajectory_boundary_values(traj_picard, traj_imex):
 
 
 def test_cross_solver_agreement(traj_picard, traj_imex):
-    d = weighted_l2(traj_picard.final() - traj_imex.final(), 0.0)
-    sup = linf(traj_picard.final())
+    d = weighted_l2(traj_picard.u[-1] - traj_imex.u[-1], 0.0)
+    sup = linf(traj_picard.u[-1])
     tol = max(5.0 * (REF["T"] / REF["Nt"]) * sup, 1e-6)
     assert d <= tol
 
@@ -174,8 +174,8 @@ def test_near_linear_regime(grid, profile):
         u0 = build_perturbation(grid, amp, 1, profile)
         tp = _solve(u0, profile, "picard", REF["Nt"])
         ti = _solve(u0, profile, "imex", REF["Nt"])
-        gaps.append(weighted_l2(tp.final() - ti.final(), 0.0)
-                    / max(weighted_l2(tp.final(), 0.0), 1e-300))
+        gaps.append(weighted_l2(tp.u[-1] - ti.u[-1], 0.0)
+                    / max(weighted_l2(tp.u[-1], 0.0), 1e-300))
     assert gaps[0] <= 5.0 * REF["T"] / REF["Nt"]
     assert 0.5 <= gaps[0] / gaps[1] <= 2.0
 
@@ -190,7 +190,7 @@ def test_imex_reduces_to_heat_propagate(grid, profile, monkeypatch):
         warnings.filterwarnings("ignore", message=r".*exceeds eps/4", category=UserWarning)
         traj = imex_solve(u0, profile, SolverConfig(eps=0.1, T=0.04, Nt=8, scheme="imex"))
     direct = heat_propagate(u0, 0.04, 0.1)
-    assert linf(traj.final() - direct) <= 1e-11
+    assert linf(traj.u[-1] - direct) <= 1e-11
 
 
 def test_pde_residual_refines(traj_ladder):

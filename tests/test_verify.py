@@ -129,7 +129,7 @@ def test_cancellation_detects_dropped_term(profile, cutoffs, assumption, u0, mon
 # ------------------------------------------------------- pointwise analysis
 
 def test_sobolev_hundred_fields(grid):
-    rep = V.sobolev_check(grid, count=100, seed=12)
+    rep = V.sobolev_check(grid, seed=12)
     assert rep.passed
     assert rep.evidence["violations"] == 0
     assert rep.evidence["max_ratio"] < 1.0
