@@ -5,7 +5,7 @@ cross-field constraint is re-validated at load time with the responsible
 bound named in the error.  Subcommands:
 
     shear-check   assumption scan + persistence certification
-    solve         one trajectory, saved as CSV per time + JSON manifest
+    solve         one trajectory, saved as trajectory/trajectory.npz
     norms         norm time series CSV for a trajectory
     verify        the enabled certification checks
     full          all of the above
@@ -21,6 +21,7 @@ import configparser
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .cutoffs import build_cutoffs
 from .grid import Grid2D
-from .norms import GevreyParams, _report_from_raw, _traj_raw_cache, full_norm
+from .norms import GevreyParams, _report_from_raw, trajectory_raws
 from .profiles import build_perturbation, build_shear_profile, check_compatibility, validate_assumption
 from .shear import check_proposition_shear, evolve_shear
 from .solver import SolverConfig, SolverDivergence, imex_solve, picard_solve
@@ -112,6 +113,9 @@ class RunConfig:
             raise ConfigError("verify.snapshot_stride must be positive")
         if self.residual_levels < 1:
             raise ConfigError("verify.residual_levels must be positive")
+        if {"residual_f", "residual_g", "residual_h"} & set(self.checks) and self.nt % 8:
+            raise ConfigError("solver.nt must be a multiple of 8 when a residual check is "
+                              "enabled (every ladder level is evaluated at 3T/8, 5T/8, 7T/8)")
 
 
 _SCHEMA = {
@@ -173,21 +177,15 @@ class Lab:
         self.report = validate_assumption(self.profile)
         self.params = GevreyParams(rho=cfg.rho, sigma=cfg.sigma, ell=cfg.ell,
                                    alpha=cfg.alpha, Mmax=cfg.mmax)
-        self._u0 = None
-        self._cut = None
         self._trajs = {}
 
-    @property
+    @cached_property
     def u0(self):
-        if self._u0 is None:
-            self._u0 = build_perturbation(self.grid, self.cfg.amp, self.cfg.kx, self.profile)
-        return self._u0
+        return build_perturbation(self.grid, self.cfg.amp, self.cfg.kx, self.profile)
 
-    @property
+    @cached_property
     def cut(self):
-        if self._cut is None:
-            self._cut = build_cutoffs(self.grid, self.report.y0, self.report.delta)
-        return self._cut
+        return build_cutoffs(self.grid, self.report.y0, self.report.delta)
 
     def trajectory(self, scheme=None, nt=None):
         scheme = scheme or self.cfg.scheme
@@ -199,6 +197,12 @@ class Lab:
             solve = picard_solve if scheme == "picard" else imex_solve
             self._trajs[key] = solve(self.u0, self.profile, sc)
         return self._trajs[key]
+
+    @cached_property
+    def raws(self):
+        """norms.trajectory_raws of trajectory(): the seminorms that
+        run_norms and the energy and radius checks read."""
+        return trajectory_raws(self.trajectory(), self.cut, self.params)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -236,12 +240,9 @@ def run_norms(lab: Lab, outdir: Path) -> list:
     rows = ["t,gevrey_norm,full_norm,lifespan_running"]
     running = 0.0
     lam = 1.0   # display convention: unit radius-shrink rate for the series
-    raw_at = _traj_raw_cache(traj, lab.cut, lab.params)
-    for i, t in enumerate(traj.times[::cfg.snapshot_stride]):
-        idx = i * cfg.snapshot_stride
-        raw = raw_at(idx)
+    for t, raw in zip(traj.times[::cfg.snapshot_stride], lab.raws[::cfg.snapshot_stride]):
         base = _report_from_raw(raw, lab.params, with_aux=False).total
-        ext = full_norm(traj.u[idx], traj.shear[idx], lab.cut, lab.params, raw=raw).total
+        ext = _report_from_raw(raw, lab.params, with_aux=True).total
         if cfg.rho0 - lam * t > 0:
             w = np.sqrt((cfg.rho0 - cfg.rho - lam * t) / (cfg.rho0 - cfg.rho)) \
                 if cfg.rho0 - cfg.rho - lam * t > 0 else 0.0
@@ -284,15 +285,11 @@ def run_verify(lab: Lab, outdir: Path) -> list:
                 for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
                             V.ResidualJob("h", m, lab.cut))
                 if f"residual_{job.kind}" in enabled]
-        for traj in trajs:
-            V.evaluate_residuals(traj, jobs)
-        for m in (1, 2, 3):
-            if "residual_f" in enabled:
-                add(V.residual_f(trajs, m, cutf))
-            if "residual_g" in enabled:
-                add(V.residual_g(trajs, m))
-            if "residual_h" in enabled:
-                add(V.residual_h(trajs, m, lab.cut))
+        rows = V.evaluate_residuals(trajs, jobs)
+        study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
+        for job, job_rows in zip(jobs, rows):
+            add(study[job.kind](trajs, job.m, job_rows))
+        del rows, job_rows     # free the residual fields before the boundary companion
     if "boundary" in enabled:
         # wall-trace orders need a dy-refinement companion
         fine = RunConfig(**{**vars(cfg), "ny": 2 * cfg.ny - 1,
@@ -309,11 +306,11 @@ def run_verify(lab: Lab, outdir: Path) -> list:
         add(V.condi_monitor(traj, lab.report, lab.params))
     c_star = 1.0
     if "energy" in enabled:
-        em = V.energy_monitor(traj, lab.params, (cfg.rho, cfg.rho_tilde), lab.cut)
+        em = V.energy_monitor(lab.raws, traj.times, lab.params, (cfg.rho, cfg.rho_tilde))
         c_star = max(1.0, em.evidence.get("C_max") or 1.0)
         add(em)
     if "radius" in enabled:
-        add(V.radius_decay_check(traj, lab.params, cfg.rho0, lab.cut, c_star, lab.u0))
+        add(V.radius_decay_check(lab.raws, traj.times, lab.params, cfg.rho0, c_star))
     if "contraction" in enabled:
         ptraj = lab.trajectory("picard", cfg.nt)
         add(V.picard_contraction_check(ptraj))

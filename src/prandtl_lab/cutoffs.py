@@ -39,6 +39,11 @@ class DenominatorFloorError(ValueError):
     """A cancellation-function denominator dipped below its floor."""
 
 
+# least |denominator| allowed on the support of chi1 (f_m) and chi2 (h_m)
+_FLOOR_F = 1e-8
+_FLOOR_H = 1e-8
+
+
 @dataclass
 class CutoffSet:
     y0: float
@@ -91,7 +96,7 @@ class AuxWorkspace:
     read-only afterwards."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
-                 npts: int | None = None, floor_f: float = 1e-8, floor_h: float = 1e-8):
+                 npts: int | None = None):
         g = u.grid
         self.grid = g
         self.u = u
@@ -109,9 +114,9 @@ class AuxWorkspace:
         self.spec_dyom = clean_spectrum(np.fft.rfft(self.dyom.values, axis=0))
         if cut is not None:
             self.a = _masked_quotient(self.dyom_tot, self.om_tot, cut.chi1 > 0.0,
-                                      floor_f, "f_m coefficient (omega^s+omega)", g)
+                                      _FLOOR_F, "f_m coefficient (omega^s+omega)", g)
             self.b = _masked_quotient(self.d2yom_tot, self.dyom_tot, cut.chi2 > 0.0,
-                                      floor_h, "h_m coefficient (d_y omega^s + d_y omega)", g)
+                                      _FLOOR_H, "h_m coefficient (d_y omega^s + d_y omega)", g)
         self.g1 = self.om_tot * self.dxom(1).values - self.dyom_tot * self.dxu(1).values
         self.spec_g1 = clean_spectrum(np.fft.rfft(self.g1, axis=0))
 

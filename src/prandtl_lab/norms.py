@@ -30,7 +30,7 @@ from .grid import Field, Grid2D, dy_j, weighted_l2
 from .shear import ShearState
 
 __all__ = ["GevreyParams", "NormReport", "GevreyRaw", "gevrey_raw", "full_raw",
-           "gevrey_norm", "full_norm", "lifespan_norm"]
+           "trajectory_raws", "gevrey_norm", "full_norm", "lifespan_norm"]
 
 
 @dataclass
@@ -148,6 +148,12 @@ def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> Ge
     return raw
 
 
+def trajectory_raws(traj, cut: CutoffSet, p: GevreyParams) -> list:
+    """full_raw of the trajectory at every stored time.  The seminorms do
+    not depend on rho, so one list serves every radius a reader asks for."""
+    return [full_raw(u, st, cut, p) for u, st in zip(traj.u, traj.shear)]
+
+
 def _tail_estimate(p: GevreyParams, top_value: float, kmax: float) -> float:
     """Geometric bound on the dropped m > Mmax supremands, assuming each
     extra dx multiplies the L2 norm by at most kmax (band-limited data)."""
@@ -198,47 +204,29 @@ def gevrey_norm(u: Field, p: GevreyParams) -> NormReport:
     return _report_from_raw(gevrey_raw(u, p), p, with_aux=False)
 
 
-def full_norm(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams,
-              raw: GevreyRaw | None = None) -> NormReport:
+def full_norm(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> NormReport:
     """Extended norm: base groups plus the cancellation-function groups."""
-    if raw is None or not raw.aux:
-        raw = full_raw(u, state, cut, p)
-    return _report_from_raw(raw, p, with_aux=True)
+    return _report_from_raw(full_raw(u, state, cut, p), p, with_aux=True)
 
 
 _N_RHO = 16     # radii sampled in (0, rho0) by the lifespan supremum
 
 
-def lifespan_norm(traj, lam: float, T: float, p: GevreyParams, rho0: float,
-                  cut: CutoffSet) -> float:
+def lifespan_norm(raws: list, times: np.ndarray, lam: float, T: float, p: GevreyParams,
+                  rho0: float) -> float:
     """sup over (rho, t) with rho + lam*t < rho0, t <= T of
-    sqrt((rho0-rho-lam t)/(rho0-rho)) * |u(t)|_{rho,sigma}."""
+    sqrt((rho0-rho-lam t)/(rho0-rho)) * |u(t)|_{rho,sigma}, from the
+    trajectory_raws of u at the stored times."""
     if T > rho0 / lam + 1e-12:
         raise ValueError(f"T={T} exceeds rho0/lambda={rho0 / lam}")
     rhos = rho0 * (np.arange(_N_RHO) + 1.0) / (_N_RHO + 1.0)
     best = 0.0
-    cache = _traj_raw_cache(traj, cut, p)
-    for i, t in enumerate(traj.times):
+    for raw, t in zip(raws, times):
         if t > T + 1e-14:
             break
-        raw = cache(i)
         for rho in rhos:
             if rho + lam * t >= rho0:
                 continue
             val = _report_from_raw(raw, p.with_rho(float(rho)), with_aux=True).total
             best = max(best, np.sqrt((rho0 - rho - lam * t) / (rho0 - rho)) * val)
     return float(best)
-
-
-def _traj_raw_cache(traj, cut: CutoffSet, p: GevreyParams):
-    """Per-trajectory memo of rho-independent raw seminorms by time index."""
-    # by value: the trajectory fixes the grid, so (y0, delta) fix the cut-offs
-    key = (cut.y0, cut.delta, p.ell, p.alpha, p.Mmax)
-    sub = traj.raw_cache.setdefault(key, {})
-
-    def get(i: int) -> GevreyRaw:
-        if i not in sub:
-            sub[i] = full_raw(traj.u[i], traj.shear[i], cut, p)
-        return sub[i]
-
-    return get

@@ -20,8 +20,6 @@ tolerance.  Both boundary values are imposed exactly by construction.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -61,10 +59,6 @@ class SolverConfig:
             raise ValueError(f"jmax must be at least 2, got {self.jmax}")
         if self.scheme not in ("picard", "imex"):
             raise ValueError(f"scheme must be 'picard' or 'imex', got {self.scheme!r}")
-        if self.T > self.eps / 4.0:
-            warnings.warn(
-                f"T={self.T} exceeds eps/4={self.eps / 4.0}: the Picard horizon must "
-                "scale with eps; divergence detection is the backstop", stacklevel=3)
 
 
 def _to_modal(grid: Grid2D, values: np.ndarray) -> np.ndarray:
@@ -169,32 +163,20 @@ class Trajectory:
     scheme: str
     eps: float
     contraction: list = dc_field(default_factory=list)
-    # derived-data memos filled by the checks: norms.GevreyRaw per (cut-off,
-    # norm parameters) and time index, and verify's residual (res, scale,
-    # diff) per (kind, m, cut.y0, cut.delta, drop_g_term, time index)
-    raw_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    residuals: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __copy__(self) -> "Trajectory":
-        # a copy may get other fields, so it must not share the memos above
-        return dataclasses.replace(self)
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
     def save(self, outdir) -> None:
+        """Write outdir/trajectory.npz: times, u stacked to (N, Nx, Ny),
+        contraction, scheme and eps, all exact."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, t in enumerate(self.times):
-            np.savetxt(outdir / f"u_{i:04d}.csv", self.u[i].values, delimiter=",")
-        manifest = {
-            "times": [float(t) for t in self.times],
-            "scheme": self.scheme,
-            "eps": self.eps,
-            "contraction": [float(c) for c in self.contraction],
-        }
-        (outdir / "trajectory.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        np.savez(outdir / "trajectory.npz", times=self.times,
+                 u=np.stack([f.values for f in self.u]),
+                 contraction=np.asarray(self.contraction, dtype=float),
+                 scheme=self.scheme, eps=self.eps)
 
 
 def _forcing(u: Field, v: Field, dxu: Field, state: ShearState) -> Field:
@@ -212,8 +194,9 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
     """Fixed-point iteration of the heat-kernel formulation on [0, T].
 
     Stops when the sup-in-time L2 norm of the update xi_j falls below
-    cfg.tol or after cfg.jmax sweeps; raises SolverDivergence when the
-    update norm grows three sweeps in a row (horizon too long for eps).
+    cfg.tol, or after cfg.jmax sweeps with a warning that the iteration has
+    not converged; raises SolverDivergence when the update norm grows three
+    sweeps in a row (horizon too long for eps).
     """
     g = u0.grid
     from .profiles import check_compatibility
@@ -249,6 +232,10 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
         u_prev = u_next
         if xi < cfg.tol:
             break
+    else:
+        warnings.warn(
+            f"Picard iteration stopped at jmax={cfg.jmax} sweeps with the update "
+            f"{xi:.3e} above tol={cfg.tol:.1e}", stacklevel=2)
     v_final = [recover_v(ui) for ui in u_prev]
     truncation_check(u_prev[-1], name="picard final state")
     return Trajectory(grid=g, times=times, u=u_prev, v=v_final, shear=states,

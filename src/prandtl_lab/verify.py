@@ -28,14 +28,13 @@ import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
 from .grid import Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, linf, weighted_l2
-from .norms import (GevreyParams, _report_from_raw, _traj_raw_cache, full_norm, gevrey_norm,
-                    lifespan_norm)
+from .norms import GevreyParams, _report_from_raw, lifespan_norm
 from .profiles import AssumptionReport
 from .solver import Trajectory
 
 __all__ = [
     "ResidualReport", "CheckReport", "ResidualJob", "evaluate_residuals",
-    "residual_at", "residual_f", "residual_h", "residual_g",
+    "residual_f", "residual_h", "residual_g",
     "boundary_checks", "cancellation_check", "sobolev_check", "inequality_suite",
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
@@ -159,15 +158,15 @@ def _triple(traj: Trajectory, i: int) -> tuple:
 
 
 # evaluation times are exact eighths of the horizon so that every time
-# ladder (Nt divisible by 8) lands on identical physical times and the
-# Richardson differences never compare shifted snapshots
+# ladder (Nt divisible by 8, which RunConfig.validate requires of the
+# residual checks) lands on identical physical times and the Richardson
+# differences never compare shifted snapshots
 _EVAL_FRACS = (0.375, 0.625, 0.875)
 
 
-def _eval_indices(traj: Trajectory, fracs=_EVAL_FRACS) -> list:
+def _eval_indices(traj: Trajectory) -> list:
     n = len(traj.times) - 1
-    idx = sorted({min(max(int(round(f * n)), 1), n - 1) for f in fracs})
-    return idx
+    return sorted({min(max(int(round(f * n)), 1), n - 1) for f in _EVAL_FRACS})
 
 
 def _material_derivative(snap: Snapshot, q_prev: np.ndarray, q_next: np.ndarray,
@@ -255,8 +254,7 @@ def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
     return res, scale, diff
 
 
-def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet,
-                drop_g_term: bool) -> tuple:
+def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) -> tuple:
     """Interior form of the h_m evolution identity (cut-off terms cancel
     algebraically as in the f-check); the coefficient block uses the
     g1-corrected quotient calculus."""
@@ -301,8 +299,7 @@ def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet,
         c = math.comb(m, k)
         rhs += b0 * c * s0.dxv(k).values * s0.dxdyom(m - k).values
         rhs -= c * s0.dxv(k).values * s0.dxd2yom(m - k).values
-    if not drop_g_term:
-        rhs -= s0.g(m + 1).values
+    rhs -= s0.g(m + 1).values
 
     diff = chi * (lhs - rhs)
     res = _interior_l2(g, diff)
@@ -349,49 +346,36 @@ class ResidualJob(NamedTuple):
     kind: str
     m: int
     cut: CutoffSet | None = None          # f and h only
-    drop_g_term: bool = False             # h only: the ablation
-
-    def key(self, i: int) -> tuple:
-        # by value: the trajectory fixes the grid, so (y0, delta) fix the cut-offs
-        y0, delta = (None, None) if self.cut is None else (self.cut.y0, self.cut.delta)
-        return (self.kind, self.m, y0, delta, self.drop_g_term, i)
 
 
-def _evaluate_at(traj: Trajectory, jobs, i: int) -> None:
-    """Evaluate the jobs missing at node i from one snapshot triple, store
-    each (res, scale, diff) in traj.residuals and drop the triple."""
-    todo = [job for job in jobs if job.key(i) not in traj.residuals]
-    if not todo:
-        return
+def _evaluate_at(traj: Trajectory, jobs, i: int) -> list:
+    """(res, scale, diff) of each job at node i, from one snapshot triple
+    that is dropped on return."""
     snaps = _triple(traj, i)
-    for job in todo:
+    out = []
+    for job in jobs:
         if job.kind == "f":
-            out = _f_identity(traj, i, snaps, job.m, job.cut)
+            out.append(_f_identity(traj, i, snaps, job.m, job.cut))
         elif job.kind == "h":
-            out = _h_identity(traj, i, snaps, job.m, job.cut, job.drop_g_term)
+            out.append(_h_identity(traj, i, snaps, job.m, job.cut))
         else:
-            out = _g_identity(traj, i, snaps, job.m)
-        traj.residuals[job.key(i)] = out
+            out.append(_g_identity(traj, i, snaps, job.m))
+    return out
 
 
-def evaluate_residuals(traj: Trajectory, jobs) -> None:
-    """Evaluate every job at every evaluation node of traj, one time triple
-    at a time, so that at most three snapshots are alive at once; the
-    residual_f/g/h studies then read their entries from traj.residuals."""
-    for i in _eval_indices(traj):
-        _evaluate_at(traj, jobs, i)
+def evaluate_residuals(trajs, jobs) -> list:
+    """For each job, its (res, scale, diff) rows: one list per trajectory,
+    one row per evaluation node.  Each node's snapshot triple is built once
+    for all jobs, so at most three snapshots are alive at once."""
+    rows = [[] for _ in jobs]
+    for traj in trajs:
+        nodes = [_evaluate_at(traj, jobs, i) for i in _eval_indices(traj)]
+        for k, job_rows in enumerate(rows):
+            job_rows.append([node[k] for node in nodes])
+    return rows
 
 
-def residual_at(traj: Trajectory, job: ResidualJob, i: int) -> tuple:
-    """(residual L2 norm, scale, residual field) of one identity at node i,
-    read from traj.residuals or evaluated there on a miss."""
-    key = job.key(i)
-    if key not in traj.residuals:
-        _evaluate_at(traj, [job], i)
-    return traj.residuals[key]
-
-
-def _residual_study(name: str, trajs, job: ResidualJob) -> ResidualReport:
+def _residual_study(name: str, trajs, rows) -> ResidualReport:
     """Residual norms per time-resolution level plus the dt-order.
 
     The raw residual carries a dt-independent spatial floor, so the
@@ -399,18 +383,10 @@ def _residual_study(name: str, trajs, job: ResidualJob) -> ResidualReport:
     fields between consecutive levels at matching physical times: the floor
     cancels exactly on the shared space grid and the dt component remains.
     """
-    fracs = _EVAL_FRACS
     norms, scales, levels = [], [], []
     fields = []
-    for traj in trajs:
-        vals, sc, flds = [], [], []
-        n = len(traj.times) - 1
-        for f in fracs:
-            i = min(max(int(round(f * n)), 1), n - 1)
-            r, s, d = residual_at(traj, job, i)
-            vals.append(r)
-            sc.append(s)
-            flds.append(d)
+    for traj, level_rows in zip(trajs, rows):
+        vals, sc, flds = zip(*level_rows)
         norms.append(max(vals))
         scales.append(max(sc))
         fields.append(flds)
@@ -420,8 +396,7 @@ def _residual_study(name: str, trajs, job: ResidualJob) -> ResidualReport:
         g = trajs[0].grid
         diffs = []
         for k in range(len(trajs) - 1):
-            diffs.append(max(_interior_l2(g, fields[k][j] - fields[k + 1][j])
-                             for j in range(len(fracs))))
+            diffs.append(max(_interior_l2(g, a - b) for a, b in zip(fields[k], fields[k + 1])))
         for k in range(len(diffs) - 1):
             h1, h2 = levels[k][0], levels[k + 1][0]
             if diffs[k + 1] > 0:
@@ -431,21 +406,18 @@ def _residual_study(name: str, trajs, job: ResidualJob) -> ResidualReport:
                           scales=scales, observed_order=observed, pairwise_orders=orders)
 
 
-def residual_f(trajs, m: int, cut: CutoffSet) -> ResidualReport:
-    """Residual ladder for the f_m evolution identity (one entry per trajectory)."""
-    return _residual_study(f"residual_f[m={m}]", _as_list(trajs), ResidualJob("f", m, cut))
+def residual_f(trajs, m: int, rows) -> ResidualReport:
+    """Residual ladder for the f_m evolution identity from its
+    evaluate_residuals rows (one level per trajectory)."""
+    return _residual_study(f"residual_f[m={m}]", trajs, rows)
 
 
-def residual_h(trajs, m: int, cut: CutoffSet) -> ResidualReport:
-    return _residual_study(f"residual_h[m={m}]", _as_list(trajs), ResidualJob("h", m, cut))
+def residual_h(trajs, m: int, rows) -> ResidualReport:
+    return _residual_study(f"residual_h[m={m}]", trajs, rows)
 
 
-def residual_g(trajs, m: int) -> ResidualReport:
-    return _residual_study(f"residual_g[m={m}]", _as_list(trajs), ResidualJob("g", m))
-
-
-def _as_list(trajs):
-    return [trajs] if isinstance(trajs, Trajectory) else list(trajs)
+def residual_g(trajs, m: int, rows) -> ResidualReport:
+    return _residual_study(f"residual_g[m={m}]", trajs, rows)
 
 
 _DELTA_F = 0.5
@@ -469,7 +441,6 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
     spot of the sine representation.  The raw direct evaluation is reported
     as unchecked evidence.
     """
-    trajs = _as_list(trajs)
     levels = {}
     for traj in trajs:
         g = traj.grid
@@ -684,20 +655,19 @@ def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> C
                   "clause4_max": max(margins), "horizon": float(traj.times[-1])})
 
 
-def energy_monitor(traj: Trajectory, p: GevreyParams, rho_pair: tuple,
-                   cut: CutoffSet) -> CheckReport:
+def energy_monitor(raws: list, times: np.ndarray, p: GevreyParams,
+                   rho_pair: tuple) -> CheckReport:
     """Minimal constant making the radius-pair energy inequality hold at each
-    stored time; reports its maximum over the horizon."""
+    stored time; reports its maximum over the horizon.  raws are the
+    trajectory's norms.trajectory_raws."""
     rho, rho_t = rho_pair
     if not (0.0 < rho < rho_t):
         raise ValueError("need 0 < rho < rho_tilde")
-    cache = _traj_raw_cache(traj, cut, p)
-    n = len(traj.times)
+    n = len(times)
     lhs = np.empty(n)
     nr4 = np.empty(n)
     nt2 = np.empty(n)
-    for i in range(n):
-        raw = cache(i)
+    for i, raw in enumerate(raws):
         v_rho = _report_from_raw(raw, p.with_rho(rho), with_aux=True).total
         v_rt = _report_from_raw(raw, p.with_rho(rho_t), with_aux=True).total
         lhs[i] = v_rho ** 2
@@ -706,7 +676,7 @@ def energy_monitor(traj: Trajectory, p: GevreyParams, rho_pair: tuple,
     if np.all(lhs == 0.0):
         return CheckReport(name="energy_monitor", passed=True,
                            evidence={"vacuous": True, "C_max": None})
-    dt = np.diff(traj.times)
+    dt = np.diff(times)
     cum = lambda f: np.concatenate(([0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))))
     int_r = cum(lhs + nr4)
     int_t = cum(nt2)
@@ -716,20 +686,22 @@ def energy_monitor(traj: Trajectory, p: GevreyParams, rho_pair: tuple,
                                  "C_at_T": float(cs[-1]), "rho": rho, "rho_tilde": rho_t})
 
 
-def radius_decay_check(traj: Trajectory, p: GevreyParams, rho0: float,
-                       cut: CutoffSet, c_star: float, u0: Field) -> CheckReport:
+def radius_decay_check(raws: list, times: np.ndarray, p: GevreyParams, rho0: float,
+                       c_star: float) -> CheckReport:
     """Shrinking-radius bound: with R and lambda built from the fitted
-    constants, the lifespan norm stays below R on [0, rho0/(4 lambda)]."""
-    base0 = gevrey_norm(u0, p.with_rho(2.0 * rho0)).total
-    ext0 = full_norm(u0, traj.shear[0], cut, p.with_rho(rho0)).total
+    constants, the lifespan norm stays below R on [0, rho0/(4 lambda)].
+    raws are the trajectory's norms.trajectory_raws; raws[0] gives u0's
+    base and extended norms."""
+    base0 = _report_from_raw(raws[0], p.with_rho(2.0 * rho0), with_aux=False).total
+    ext0 = _report_from_raw(raws[0], p.with_rho(rho0), with_aux=True).total
     denom = base0 + base0 ** 2
     c_hat = ext0 / denom if denom > 0 else 1.0
     R = 4.0 * c_star * c_hat * denom
     lam = 4.0 * (5.0 * c_star + c_star * R ** 2)
     horizon = rho0 / (4.0 * lam)
-    restricted = horizon > traj.times[-1] + 1e-14
-    T_eff = min(horizon, float(traj.times[-1]))
-    value = lifespan_norm(traj, lam, T_eff, p, rho0, cut)
+    restricted = horizon > times[-1] + 1e-14
+    T_eff = min(horizon, float(times[-1]))
+    value = lifespan_norm(raws, times, lam, T_eff, p, rho0)
     return CheckReport(
         name="radius_decay", passed=bool(value <= R + _SLACK),
         evidence={"R": R, "lambda": lam, "C_star": c_star, "C_hat": c_hat,

@@ -2,14 +2,13 @@
 (solves, kernel quadrature), so everything heavy is session-scoped."""
 
 import gc
-import warnings
 import weakref
 
 import pytest
 
 from prandtl_lab.cutoffs import build_cutoffs
 from prandtl_lab.grid import Grid2D
-from prandtl_lab.norms import GevreyParams
+from prandtl_lab.norms import GevreyParams, trajectory_raws
 from prandtl_lab.profiles import build_perturbation, build_shear_profile, validate_assumption
 from prandtl_lab.solver import SolverConfig, imex_solve, picard_solve
 
@@ -61,11 +60,9 @@ def params():
 
 
 def _solve(u0_field, profile, scheme, nt, eps=REF["eps"], T=REF["T"]):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = SolverConfig(eps=eps, T=T, Nt=nt, jmax=12, tol=1e-12, scheme=scheme)
-        fn = picard_solve if scheme == "picard" else imex_solve
-        return fn(u0_field, profile, cfg)
+    cfg = SolverConfig(eps=eps, T=T, Nt=nt, jmax=12, tol=1e-12, scheme=scheme)
+    fn = picard_solve if scheme == "picard" else imex_solve
+    return fn(u0_field, profile, cfg)
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +79,12 @@ def traj_imex(traj_ladder):
 @pytest.fixture(scope="session")
 def traj_picard(u0, profile):
     return _solve(u0, profile, "picard", REF["Nt"])
+
+
+@pytest.fixture(scope="session")
+def picard_raws(traj_picard, cutoffs, params):
+    """norms.trajectory_raws of traj_picard, computed once per test run."""
+    return trajectory_raws(traj_picard, cutoffs, params)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ ell=2.25, sigma=1.75, amp=1e-3, kx=1, eps=0.1, T=0.05, Nt=32, Mmax=10.
 import numpy as np
 
 from prandtl_lab.grid import linf, weighted_l2
-from prandtl_lab.norms import full_norm, gevrey_norm
+from prandtl_lab.norms import full_norm, gevrey_norm, trajectory_raws
 from prandtl_lab.profiles import build_perturbation, check_compatibility
 from prandtl_lab.shear import check_proposition_shear, evolve_shear
 import prandtl_lab.verify as V
@@ -58,12 +58,13 @@ def test_criterion_04_appendix_residual_orders(traj_ladder, cutoffs, assumption)
     cutf = V.wide_f_cutoffs(traj_ladder[0].grid, assumption)
     details = []
     ok = True
-    for m in (1, 2, 3):
-        for name, rep in (("f", V.residual_f(traj_ladder, m, cutf)),
-                          ("g", V.residual_g(traj_ladder, m)),
-                          ("h", V.residual_h(traj_ladder, m, cutoffs))):
-            ok &= rep.observed_order >= 1.0
-            details.append(f"{name}{m}:{rep.observed_order:.2f}")
+    jobs = [job for m in (1, 2, 3) for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
+                                               V.ResidualJob("h", m, cutoffs))]
+    study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
+    for job, rows in zip(jobs, V.evaluate_residuals(traj_ladder, jobs)):
+        rep = study[job.kind](traj_ladder, job.m, rows)
+        ok &= rep.observed_order >= 1.0
+        details.append(f"{job.kind}{job.m}:{rep.observed_order:.2f}")
     _criterion(4, "f/h/g evolution-identity residual orders >= 1 in dt",
                ok, " ".join(details))
 
@@ -127,24 +128,27 @@ def test_criterion_09_norm_sandwich(traj_picard, cutoffs, params, fine_setup):
                f"C={c_coarse:.3f} refined C={c_fine:.3f} ratio={ratio:.2f}")
 
 
-def test_criterion_10_energy_monitor(traj_picard, params, cutoffs, fine_setup, eps_family):
-    base = V.energy_monitor(traj_picard, params, (0.3, 0.4), cutoffs)
+def test_criterion_10_energy_monitor(traj_picard, picard_raws, params, cutoffs, fine_setup,
+                                    eps_family):
+    base = V.energy_monitor(picard_raws, traj_picard.times, params, (0.3, 0.4))
     c_base = base.evidence["C_max"]
     fs = fine_setup
-    fine = V.energy_monitor(fs["traj"], params, (0.3, 0.4), fs["cut"])
+    fine = V.energy_monitor(trajectory_raws(fs["traj"], fs["cut"], params), fs["traj"].times,
+                            params, (0.3, 0.4))
     ratios = [c_base / fine.evidence["C_max"]]
     for eps, traj in eps_family.items():
-        other = V.energy_monitor(traj, params, (0.3, 0.4), cutoffs)
+        other = V.energy_monitor(trajectory_raws(traj, cutoffs, params), traj.times, params,
+                                 (0.3, 0.4))
         ratios.append(c_base / other.evidence["C_max"])
     ok = np.isfinite(c_base) and all(0.5 <= r <= 2.0 for r in ratios)
     _criterion(10, "energy-inequality constant finite, stable across grid and eps",
                ok, f"C_max={c_base:.3f} ratios={[f'{r:.2f}' for r in ratios]}")
 
 
-def test_criterion_11_radius_decay(traj_picard, params, cutoffs, u0):
-    em = V.energy_monitor(traj_picard, params, (0.3, 0.4), cutoffs)
-    rep = V.radius_decay_check(traj_picard, params, 0.5, cutoffs,
-                               max(1.0, em.evidence["C_max"]), u0)
+def test_criterion_11_radius_decay(traj_picard, picard_raws, params):
+    em = V.energy_monitor(picard_raws, traj_picard.times, params, (0.3, 0.4))
+    rep = V.radius_decay_check(picard_raws, traj_picard.times, params, 0.5,
+                               max(1.0, em.evidence["C_max"]))
     ok = rep.passed and rep.evidence["margin"] > 0
     _criterion(11, "lifespan norm below R on the shrinking-radius horizon", ok,
                f"value={rep.evidence['lifespan_norm']:.2f} R={rep.evidence['R']:.2f} "

@@ -1,9 +1,9 @@
-import copy
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prandtl_lab.norms as N
@@ -72,7 +72,10 @@ def test_solve_and_norms_artifacts(tmp_path):
     cfg.nt = 8
     cfg.scheme = "imex"
     assert run(cfg, "solve", out_dir=tmp_path) == 0
-    assert (tmp_path / "trajectory" / "trajectory.json").exists()
+    with np.load(tmp_path / "trajectory" / "trajectory.npz") as z:
+        assert np.array_equal(z["times"], np.linspace(0.0, cfg.t_final, cfg.nt + 1))
+        assert z["u"].shape == (cfg.nt + 1, cfg.nx, cfg.ny)
+        assert z["scheme"] == "imex" and z["eps"] == cfg.eps
     assert run(cfg, "norms", out_dir=tmp_path) == 0
     rows = (tmp_path / "norms.csv").read_text().strip().splitlines()
     assert rows[0].startswith("t,gevrey_norm,full_norm")
@@ -80,19 +83,32 @@ def test_solve_and_norms_artifacts(tmp_path):
 
 
 def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
-    """run_norms fills the trajectory's raw cache that energy_monitor reads:
-    one full_raw per stored time."""
+    """run_norms and the energy and radius checks read the Lab's one
+    seminorm table: one full_raw per stored time, u0's included."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.scheme = "imex"
+    cfg.checks = ("energy", "radius")
     lab = Lab(cfg)
     traj = lab.trajectory()
     calls = []
     full_raw = N.full_raw
     monkeypatch.setattr(N, "full_raw", lambda *a, **k: calls.append(1) or full_raw(*a, **k))
     run_norms(lab, tmp_path)
-    V.energy_monitor(traj, lab.params, (cfg.rho, cfg.rho_tilde), lab.cut)
+    reports = run_verify(lab, tmp_path)
+    assert [r["name"] for r in reports] == ["energy_monitor", "radius_decay"]
     assert len(calls) == len(traj.times)
+
+
+def test_residual_ladder_needs_eighths(tmp_path):
+    """With a residual check on, nt = 12 would evaluate level 0 at T/3, 2T/3
+    and 5T/6 against 3T/8, 5T/8 and 7T/8 on the finer levels: rejected."""
+    p = _write(tmp_path, "[solver]\nnt = 12\n")
+    with pytest.raises(ConfigError, match="multiple of 8"):
+        load_config(p)
+    assert main(["verify", "--config", str(p)]) == 2
+    p = _write(tmp_path, "[solver]\nnt = 12\n[verify]\nchecks = conditions\n")
+    assert load_config(p).nt == 12
 
 
 def test_verify_subset_and_failure_exit(tmp_path):
@@ -167,8 +183,9 @@ def test_error_exits_write_manifest(tmp_path):
 
 
 def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
-    """run_verify evaluates the residual ladders one time triple at a time and
-    drops each triple; its reports equal the standalone studies bitwise."""
+    """run_verify evaluates the residual ladders one time triple at a time,
+    for all jobs at once, and drops each triple; its reports equal those of
+    each job evaluated alone bitwise."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.checks = ("residual_f", "residual_g", "residual_h")
@@ -176,12 +193,13 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
     reports = run_verify(lab, tmp_path)
     assert len(snapshot_refs) == 3 * 3 * cfg.residual_levels
     assert alive(snapshot_refs) == []
-    trajs = [copy.copy(lab.trajectory("imex", cfg.nt * 2**k))
-             for k in range(cfg.residual_levels)]
-    assert all(not t.residuals for t in trajs)
+    trajs = [lab.trajectory("imex", cfg.nt * 2**k) for k in range(cfg.residual_levels)]
     cutf = V.wide_f_cutoffs(lab.grid, lab.report)
+    study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
     alone = []
     for m in (1, 2, 3):
-        alone += [V.residual_f(trajs, m, cutf), V.residual_g(trajs, m),
-                  V.residual_h(trajs, m, lab.cut)]
+        for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
+                    V.ResidualJob("h", m, lab.cut)):
+            [rows] = V.evaluate_residuals(trajs, [job])
+            alone.append(study[job.kind](trajs, m, rows))
     assert json.dumps(reports) == json.dumps([r.to_dict() for r in alone])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import prandtl_lab.cutoffs as C
 from prandtl_lab.cutoffs import AuxWorkspace, DenominatorFloorError, build_cutoffs
 from prandtl_lab.grid import Field, dy_j
 from prandtl_lab.shear import evolve_shear
@@ -163,11 +164,12 @@ def test_h1_symbolic_probe(grid, profile, cutoffs, assumption):
         assert abs(h1.values[ix, iy] - expect) <= 2e-4 * max(abs(expect), a_amp)
 
 
-def test_denominator_floor_rejection(grid, shear_state, cutoffs, u0):
-    with pytest.raises(DenominatorFloorError, match="floor"):
-        AuxWorkspace(u0, shear_state, cutoffs, floor_f=10.0)
-    with pytest.raises(DenominatorFloorError, match="floor"):
-        AuxWorkspace(u0, shear_state, cutoffs, floor_h=10.0)
+def test_denominator_floor_rejection(shear_state, cutoffs, u0, monkeypatch):
+    for name, what in (("_FLOOR_F", "f_m coefficient"), ("_FLOOR_H", "h_m coefficient")):
+        with monkeypatch.context() as mp:
+            mp.setattr(C, name, 10.0)
+            with pytest.raises(DenominatorFloorError, match=f"{what}.*floor"):
+                AuxWorkspace(u0, shear_state, cutoffs)
 
 
 def test_frozen_coefficient_linearity(grid, shear_state, cutoffs, u0):
@@ -188,7 +190,6 @@ def test_frozen_coefficient_linearity(grid, shear_state, cutoffs, u0):
 
 def _count_dx_calls(monkeypatch):
     """Counts dx_m_spec calls per (spectrum object, order)."""
-    import prandtl_lab.cutoffs as C
     calls = Counter()
     real = C.dx_m_spec
 

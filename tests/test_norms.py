@@ -1,15 +1,11 @@
-import copy
 import math
 
 import numpy as np
 import pytest
 
-from prandtl_lab.cutoffs import build_cutoffs
 from prandtl_lab.grid import Field, weighted_l2
-from prandtl_lab.norms import (GevreyParams, _traj_raw_cache, full_norm, gevrey_norm,
-                               lifespan_norm)
+from prandtl_lab.norms import GevreyParams, full_norm, full_raw, gevrey_norm, lifespan_norm
 from prandtl_lab.shear import evolve_shear
-from prandtl_lab.solver import Trajectory, recover_v
 
 
 def test_params_validation():
@@ -104,22 +100,23 @@ def test_mmax_guard(u0):
 
 
 def test_lifespan_zero_and_t0(grid, params, profile, cutoffs, u0, traj_imex):
-    import dataclasses
-    # replace() gives the copy its own memo caches; a shallow copy would share them
-    zero_traj = dataclasses.replace(traj_imex, u=[Field.zeros(grid) for _ in traj_imex.times])
-    assert lifespan_norm(zero_traj, 1.0, 0.0, params, 0.5, cutoffs) == 0.0
+    # two stored times: the second lies past T = 0 and is never read
+    times, states = traj_imex.times[:2], traj_imex.shear[:2]
+    zero_raws = [full_raw(Field.zeros(grid), st, cutoffs, params) for st in states]
+    assert lifespan_norm(zero_raws, times, 1.0, 0.0, params, 0.5) == 0.0
 
     # at T=0 the sup over rho reduces to the largest admissible grid radius
-    val = lifespan_norm(traj_imex, 1.0, 0.0, params, 0.5, cutoffs)
+    raws = [full_raw(u, st, cutoffs, params) for u, st in zip(traj_imex.u, states)]
+    val = lifespan_norm(raws, times, 1.0, 0.0, params, 0.5)
     rhos = 0.5 * (np.arange(16) + 1.0) / 17.0
     st = traj_imex.shear[0]
     expect = full_norm(traj_imex.u[0], st, cutoffs, params.with_rho(float(rhos[-1]))).total
     assert np.isclose(val, expect, rtol=1e-9)
 
 
-def test_lifespan_guard(params, cutoffs, traj_imex):
+def test_lifespan_guard(params, traj_imex):
     with pytest.raises(ValueError, match="rho0/lambda"):
-        lifespan_norm(traj_imex, 100.0, 1.0, params, 0.5, cutoffs)
+        lifespan_norm([], traj_imex.times, 100.0, 1.0, params, 0.5)
 
 
 def test_full_norm_zero_field(grid, profile, cutoffs, params):
@@ -162,36 +159,3 @@ def test_sigma_range_endpoints(grid, profile, cutoffs, u0, sigma):
     # stronger factorial damping (larger sigma) cannot increase the total
     softer = full_norm(u0, st, cutoffs, GevreyParams(rho=0.3, sigma=1.5)).total
     assert rep.total <= softer + 1e-12
-
-
-def test_raw_cache_keyed_by_value(grid, assumption, profile, u0, params):
-    """Equal-valued cut-off sets share the cached seminorms, and a set with
-    another delta never gets theirs (object ids are reused after collection,
-    so they cannot serve as the key)."""
-    st = evolve_shear(profile, 0.0)
-    traj = Trajectory(grid=grid, times=np.array([0.0]), u=[u0], v=[recover_v(u0)],
-                      shear=[st], scheme="imex", eps=0.1)
-    y0, d = assumption.y0, assumption.delta
-    cut_a, cut_b = build_cutoffs(grid, y0, d), build_cutoffs(grid, y0, d)
-    first = _traj_raw_cache(traj, cut_a, params)(0)
-    assert _traj_raw_cache(traj, cut_b, params)(0) is first
-    other = _traj_raw_cache(traj, build_cutoffs(grid, y0, 0.8 * d), params)(0)
-    assert other is not first
-    assert other.aux[1] != first.aux[1]
-
-
-def test_trajectory_copy_gets_fresh_memos(grid, profile, u0, cutoffs, params):
-    """A copy whose u is replaced must not be served the original's cached
-    seminorms (a shallow copy would share the memo dicts)."""
-    st = evolve_shear(profile, 0.0)
-    traj = Trajectory(grid=grid, times=np.array([0.0]), u=[u0], v=[recover_v(u0)],
-                      shear=[st], scheme="imex", eps=0.1)
-    real = _traj_raw_cache(traj, cutoffs, params)(0)
-    zero = copy.copy(traj)
-    zero.u = [Field.zeros(grid)]
-    assert zero.raw_cache is not traj.raw_cache
-    assert zero.residuals is not traj.residuals
-    raw = _traj_raw_cache(zero, cutoffs, params)(0)
-    assert raw is not real
-    assert np.all(raw.tang_u == 0.0)
-    assert _traj_raw_cache(traj, cutoffs, params)(0) is real

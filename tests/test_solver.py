@@ -20,15 +20,15 @@ def test_config_validation():
         SolverConfig(eps=0.1, T=0.1, Nt=2)
     with pytest.raises(ValueError):
         SolverConfig(eps=0.1, T=0.1, Nt=8, scheme="rk4")
-    with pytest.warns(UserWarning, match="eps/4"):
-        SolverConfig(eps=0.1, T=0.1, Nt=8)
 
 
-def test_horizon_warning_names_caller():
-    """The Picard-horizon warning points at the line that built the config,
-    not at the dataclass-generated __init__."""
-    with pytest.warns(UserWarning, match="eps/4") as rec:
-        SolverConfig(eps=0.1, T=0.1, Nt=8)
+def test_horizon_warning_names_caller(u0, profile):
+    """A Picard run that stops at jmax with its update still above tol warns,
+    and the warning points at the line that called picard_solve."""
+    cfg = SolverConfig(eps=REF["eps"], T=REF["T"], Nt=8, jmax=2, tol=1e-12)
+    with pytest.warns(UserWarning, match="jmax=2") as rec:
+        traj = picard_solve(u0, profile, cfg)
+    assert len(traj.contraction) == 2 and traj.contraction[-1] > cfg.tol
     assert rec[0].filename == __file__
 
 
@@ -187,7 +187,6 @@ def test_imex_reduces_to_heat_propagate(grid, profile, monkeypatch):
     u0 = Field.from_function(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", message=r".*exceeds eps/4", category=UserWarning)
         traj = imex_solve(u0, profile, SolverConfig(eps=0.1, T=0.04, Nt=8, scheme="imex"))
     direct = heat_propagate(u0, 0.04, 0.1)
     assert linf(traj.u[-1] - direct) <= 1e-11
@@ -232,7 +231,12 @@ def test_divergence_detector(grid, profile):
                                                    jmax=12, scheme="picard"))
 
 
-def test_trajectory_save(tmp_path, traj_imex):
-    traj_imex.save(tmp_path / "tr")
-    assert (tmp_path / "tr" / "trajectory.json").exists()
-    assert (tmp_path / "tr" / "u_0000.csv").exists()
+def test_trajectory_save(tmp_path, traj_picard):
+    """trajectory.npz holds the solution exactly and is the only file."""
+    traj_picard.save(tmp_path / "tr")
+    assert [f.name for f in (tmp_path / "tr").iterdir()] == ["trajectory.npz"]
+    with np.load(tmp_path / "tr" / "trajectory.npz") as z:
+        assert np.array_equal(z["times"], traj_picard.times)
+        assert np.array_equal(z["u"], np.stack([f.values for f in traj_picard.u]))
+        assert z["contraction"].tolist() == traj_picard.contraction
+        assert z["scheme"] == "picard" and z["eps"] == traj_picard.eps

@@ -5,6 +5,7 @@ import pytest
 
 from prandtl_lab.cutoffs import AuxWorkspace
 from prandtl_lab.grid import Field, weighted_l2
+from prandtl_lab.norms import _report_from_raw, trajectory_raws
 from prandtl_lab.shear import evolve_shear
 import prandtl_lab.verify as V
 
@@ -20,33 +21,34 @@ def zero_traj(grid, profile):
 
 def test_residuals_vanish_on_shear_only(zero_traj, cutoffs, assumption):
     cutf = V.wide_f_cutoffs(zero_traj.grid, assumption)
-    for m in (1, 2):
-        r, s, d = V.residual_at(zero_traj, V.ResidualJob("g", m), 4)
-        assert r <= 1e-14
-        r, s, d = V.residual_at(zero_traj, V.ResidualJob("f", m, cutf), 4)
-        assert r <= 1e-12
-        r, s, d = V.residual_at(zero_traj, V.ResidualJob("h", m, cutoffs), 4)
-        assert r <= 1e-11
+    jobs = [job for m in (1, 2) for job in (V.ResidualJob("g", m), V.ResidualJob("f", m, cutf),
+                                            V.ResidualJob("h", m, cutoffs))]
+    bound = {"g": 1e-14, "f": 1e-12, "h": 1e-11}
+    for job, (r, s, d) in zip(jobs, V._evaluate_at(zero_traj, jobs, 4)):
+        assert r <= bound[job.kind]
 
 
 def test_residual_orders(traj_ladder, cutoffs, assumption):
     cutf = V.wide_f_cutoffs(traj_ladder[0].grid, assumption)
-    for m in (1, 2):
-        assert V.residual_g(traj_ladder, m).observed_order >= 1.0
-        assert V.residual_f(traj_ladder, m, cutf).observed_order >= 1.0
-        assert V.residual_h(traj_ladder, m, cutoffs).observed_order >= 1.0
+    jobs = [job for m in (1, 2) for job in (V.ResidualJob("g", m), V.ResidualJob("f", m, cutf),
+                                            V.ResidualJob("h", m, cutoffs))]
+    study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
+    for job, rows in zip(jobs, V.evaluate_residuals(traj_ladder, jobs)):
+        assert study[job.kind](traj_ladder, job.m, rows).observed_order >= 1.0
 
 
-def test_residual_h_ablation(traj_imex, cutoffs):
+def test_residual_h_ablation(traj_imex, cutoffs, monkeypatch):
     """Zeroing the g_{m+1} input must move the residual by about its norm:
     every right-hand-side term is wired in."""
     m = 1
     i = V._eval_indices(traj_imex)[1]
-    r_full, scale, d_full = V.residual_at(traj_imex, V.ResidualJob("h", m, cutoffs), i)
-    r_ablate, _, d_ablate = V.residual_at(
-        traj_imex, V.ResidualJob("h", m, cutoffs, drop_g_term=True), i)
-    s0 = V.Snapshot(traj_imex, i)
-    g_term = cutoffs.chi2[None, :] * s0.g(m + 1).values
+    job = V.ResidualJob("h", m, cutoffs)
+    [(r_full, scale, d_full)] = V._evaluate_at(traj_imex, [job], i)
+    g_term = cutoffs.chi2[None, :] * V.Snapshot(traj_imex, i).g(m + 1).values
+    real_g = V.Snapshot.g
+    monkeypatch.setattr(V.Snapshot, "g", lambda self, k: Field.zeros(self.grid) if k == m + 1
+                        else real_g(self, k))
+    [(r_ablate, _, d_ablate)] = V._evaluate_at(traj_imex, [job], i)
     gnorm = V._interior_l2(traj_imex.grid, g_term)
     moved = V._interior_l2(traj_imex.grid, d_ablate - d_full)
     assert np.isclose(moved, gnorm, rtol=1e-10)
@@ -176,39 +178,36 @@ def test_condi_detects_large_amplitude(grid, profile, assumption, params):
     assert rep.evidence["first_failure_time"] < REF["T"]
 
 
-def test_energy_monitor(traj_picard, params, cutoffs):
-    rep = V.energy_monitor(traj_picard, params, (0.3, 0.4), cutoffs)
+def test_energy_monitor(traj_picard, picard_raws, params):
+    rep = V.energy_monitor(picard_raws, traj_picard.times, params, (0.3, 0.4))
     assert rep.passed
     assert np.isfinite(rep.evidence["C_max"])
 
 
 def test_energy_monitor_vacuous(zero_traj, params, cutoffs):
-    rep = V.energy_monitor(zero_traj, params, (0.3, 0.4), cutoffs)
+    raws = trajectory_raws(zero_traj, cutoffs, params)
+    rep = V.energy_monitor(raws, zero_traj.times, params, (0.3, 0.4))
     assert rep.passed
     assert rep.evidence["vacuous"] is True
 
 
-def test_energy_rho_gap_wiring(traj_picard, params, cutoffs):
+def test_energy_rho_gap_wiring(picard_raws, params):
     """Halving rho_tilde - rho roughly doubles the final 1/(gap) integral when
     the norm is insensitive to rho_tilde in that range."""
-    cache = V._traj_raw_cache(traj_picard, cutoffs, params)
-    from prandtl_lab.norms import _report_from_raw
-    t_idx = len(traj_picard.times) - 1
     vals = {}
     for gap in (0.1, 0.05):
         tot = 0.0
-        for i in (0, t_idx):
-            raw = cache(i)
+        for raw in (picard_raws[0], picard_raws[-1]):
             v = _report_from_raw(raw, params.with_rho(0.3 + gap), with_aux=True).total
             tot += v**2 / gap
         vals[gap] = tot
     assert 1.5 <= vals[0.05] / vals[0.1] <= 2.5
 
 
-def test_radius_decay(traj_picard, params, cutoffs, u0):
-    em = V.energy_monitor(traj_picard, params, (0.3, 0.4), cutoffs)
-    rep = V.radius_decay_check(traj_picard, params, 0.5, cutoffs,
-                               max(1.0, em.evidence["C_max"]), u0)
+def test_radius_decay(traj_picard, picard_raws, params):
+    em = V.energy_monitor(picard_raws, traj_picard.times, params, (0.3, 0.4))
+    rep = V.radius_decay_check(picard_raws, traj_picard.times, params, 0.5,
+                               max(1.0, em.evidence["C_max"]))
     assert rep.passed
     assert rep.evidence["margin"] > 0
 
@@ -253,9 +252,9 @@ def test_condi_zero_perturbation(zero_traj, assumption, params):
     assert rep.evidence["clause4_max"] == 0.0
 
 
-def test_radius_zero_trajectory(zero_traj, params, cutoffs, grid):
-    rep = V.radius_decay_check(zero_traj, params, 0.5, cutoffs, 1.0,
-                               Field.zeros(grid))
+def test_radius_zero_trajectory(zero_traj, params, cutoffs):
+    raws = trajectory_raws(zero_traj, cutoffs, params)
+    rep = V.radius_decay_check(raws, zero_traj.times, params, 0.5, 1.0)
     assert rep.evidence["lifespan_norm"] == 0.0
     assert rep.passed
 
