@@ -164,7 +164,10 @@ def load_config(path) -> RunConfig:
 
 
 class Lab:
-    """Shared artifacts for one configuration (built lazily, cached)."""
+    """Shared artifacts for one configuration, built lazily.  The profile,
+    u0, cut-offs, seminorm table and each scheme's solve at cfg.nt live as
+    long as the Lab, since several stages read them; a solve at any other Nt
+    (a finer residual ladder level) is not kept: only its caller holds it."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
@@ -177,7 +180,7 @@ class Lab:
         self.report = validate_assumption(self.profile)
         self.params = GevreyParams(rho=cfg.rho, sigma=cfg.sigma, ell=cfg.ell,
                                    alpha=cfg.alpha, Mmax=cfg.mmax)
-        self._trajs = {}
+        self._trajs = {}          # scheme -> solve at cfg.nt
 
     @cached_property
     def u0(self):
@@ -190,13 +193,14 @@ class Lab:
     def trajectory(self, scheme=None, nt=None):
         scheme = scheme or self.cfg.scheme
         nt = nt or self.cfg.nt
-        key = (scheme, nt)
-        if key not in self._trajs:
-            sc = SolverConfig(eps=self.cfg.eps, T=self.cfg.t_final, Nt=nt,
-                              jmax=self.cfg.jmax, tol=self.cfg.tol, scheme=scheme)
-            solve = picard_solve if scheme == "picard" else imex_solve
-            self._trajs[key] = solve(self.u0, self.profile, sc)
-        return self._trajs[key]
+        if nt == self.cfg.nt and scheme in self._trajs:
+            return self._trajs[scheme]
+        sc = SolverConfig(eps=self.cfg.eps, T=self.cfg.t_final, Nt=nt,
+                          jmax=self.cfg.jmax, tol=self.cfg.tol, scheme=scheme)
+        traj = (picard_solve if scheme == "picard" else imex_solve)(self.u0, self.profile, sc)
+        if nt == self.cfg.nt:
+            self._trajs[scheme] = traj
+        return traj
 
     @cached_property
     def raws(self):
@@ -279,16 +283,16 @@ def run_verify(lab: Lab, outdir: Path) -> list:
         add(V.cancellation_check(lab.u0, evolve_shear(lab.profile, 0.0), lab.cut, lab.report))
     if {"residual_f", "residual_g", "residual_h"} & enabled:
         nts = [cfg.nt * 2**k for k in range(cfg.residual_levels)]
-        trajs = [lab.trajectory("imex", nt) for nt in nts]
         cutf = V.wide_f_cutoffs(lab.grid, lab.report)
         jobs = [job for m in (1, 2, 3)
                 for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
                             V.ResidualJob("h", m, lab.cut))
                 if f"residual_{job.kind}" in enabled]
-        rows = V.evaluate_residuals(trajs, jobs)
+        # a generator: each finer level is solved, evaluated and dropped in turn
+        rows = V.evaluate_residuals((lab.trajectory("imex", nt) for nt in nts), jobs)
         study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
         for job, job_rows in zip(jobs, rows):
-            add(study[job.kind](trajs, job.m, job_rows))
+            add(study[job.kind](job.m, job_rows))
         del rows, job_rows     # free the residual fields before the boundary companion
     if "boundary" in enabled:
         # wall-trace orders need a dy-refinement companion

@@ -157,8 +157,7 @@ def recover_v(u: Field, dxu: Field | None = None) -> Field:
 class Trajectory:
     grid: Grid2D
     times: np.ndarray
-    u: list                      # Field per time node
-    v: list                      # Field per time node
+    u: list                      # Field per time node; v = recover_v(u) where read
     shear: list                  # ShearState per time node
     scheme: str
     eps: float
@@ -236,9 +235,8 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
         warnings.warn(
             f"Picard iteration stopped at jmax={cfg.jmax} sweeps with the update "
             f"{xi:.3e} above tol={cfg.tol:.1e}", stacklevel=2)
-    v_final = [recover_v(ui) for ui in u_prev]
     truncation_check(u_prev[-1], name="picard final state")
-    return Trajectory(grid=g, times=times, u=u_prev, v=v_final, shear=states,
+    return Trajectory(grid=g, times=times, u=u_prev, shear=states,
                       scheme="picard", eps=cfg.eps, contraction=contraction)
 
 
@@ -250,12 +248,10 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
     dt = times[1] - times[0]
 
     us = [u0.copy()]
-    vs = []
     u_cur = u0
     for n in range(cfg.Nt):
         dxu = dx_m(u_cur, 1)
-        vs.append(recover_v(u_cur, dxu))
-        f_cur = _forcing(u_cur, vs[-1], dxu, states[n])
+        f_cur = _forcing(u_cur, recover_v(u_cur, dxu), dxu, states[n])
         nxt = heat_propagate(Field(g, u_cur.values - dt * f_cur.values), dt, cfg.eps)
         peak_prev = max(linf(u_cur), 1e-14)
         peak = linf(nxt)
@@ -265,8 +261,7 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
                 f"({peak:.3e} vs {peak_prev:.3e}); CFL-style blowup")
         u_cur = nxt
         us.append(u_cur)
-    vs.append(recover_v(u_cur))
     truncation_check(us[-1], name="imex final state")
-    return Trajectory(grid=g, times=times, u=us, v=vs, shear=states,
+    return Trajectory(grid=g, times=times, u=us, shear=states,
                       scheme="imex", eps=cfg.eps)
 

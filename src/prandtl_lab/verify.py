@@ -30,7 +30,7 @@ from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
 from .grid import Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, linf, weighted_l2
 from .norms import GevreyParams, _report_from_raw, lifespan_norm
 from .profiles import AssumptionReport
-from .solver import Trajectory
+from .solver import Trajectory, recover_v
 
 __all__ = [
     "ResidualReport", "CheckReport", "ResidualJob", "evaluate_residuals",
@@ -93,13 +93,14 @@ class Snapshot(AuxWorkspace):
     floor of the residual studies sits well below their dt signal; the
     production operators elsewhere keep the standard order-4 stencils.
     On top of the shared bundle it keeps what only the residual identities
-    read: v, d_y^3 omega_tot, the spectra of v and d_y^2 omega, and the two
-    quotient packs (each computed once, read-only).
+    read: v (recovered from u here; trajectories store u alone), d_y^3
+    omega_tot, the spectra of v and d_y^2 omega, and the two quotient packs
+    (each computed once, read-only).
     """
 
     def __init__(self, traj: Trajectory, i: int):
         super().__init__(traj.u[i], traj.shear[i], npts=9)
-        self.v = traj.v[i]
+        self.v = recover_v(self.u)
         self.spec_v = clean_spectrum(np.fft.rfft(self.v.values, axis=0))
         self.spec_d2yom = clean_spectrum(np.fft.rfft(self.d2yom.values, axis=0))
         self.d3yom_tot = (self.state.dj_omegas[2][None, :]
@@ -364,18 +365,20 @@ def _evaluate_at(traj: Trajectory, jobs, i: int) -> list:
 
 
 def evaluate_residuals(trajs, jobs) -> list:
-    """For each job, its (res, scale, diff) rows: one list per trajectory,
-    one row per evaluation node.  Each node's snapshot triple is built once
-    for all jobs, so at most three snapshots are alive at once."""
+    """For each job, one (dt, grid, node rows) entry per trajectory, with a
+    (res, scale, diff) row per evaluation node.  Each node's snapshot triple
+    is built once for all jobs, so at most three snapshots are alive at once;
+    trajs may be a generator, whose levels are then released one by one."""
     rows = [[] for _ in jobs]
     for traj in trajs:
         nodes = [_evaluate_at(traj, jobs, i) for i in _eval_indices(traj)]
         for k, job_rows in enumerate(rows):
-            job_rows.append([node[k] for node in nodes])
+            job_rows.append((traj.dt, traj.grid, [node[k] for node in nodes]))
+        del traj        # before the generator solves the next level
     return rows
 
 
-def _residual_study(name: str, trajs, rows) -> ResidualReport:
+def _residual_study(name: str, rows) -> ResidualReport:
     """Residual norms per time-resolution level plus the dt-order.
 
     The raw residual carries a dt-independent spatial floor, so the
@@ -385,17 +388,17 @@ def _residual_study(name: str, trajs, rows) -> ResidualReport:
     """
     norms, scales, levels = [], [], []
     fields = []
-    for traj, level_rows in zip(trajs, rows):
+    for dt, grid, level_rows in rows:
         vals, sc, flds = zip(*level_rows)
         norms.append(max(vals))
         scales.append(max(sc))
         fields.append(flds)
-        levels.append((traj.dt, traj.grid.dy, traj.grid.Nx))
+        levels.append((dt, grid.dy, grid.Nx))
     orders = []
-    if len(trajs) >= 3 and all(t.grid.same_as(trajs[0].grid) for t in trajs):
-        g = trajs[0].grid
+    g = rows[0][1]
+    if len(rows) >= 3 and all(grid.same_as(g) for _, grid, _ in rows):
         diffs = []
-        for k in range(len(trajs) - 1):
+        for k in range(len(rows) - 1):
             diffs.append(max(_interior_l2(g, a - b) for a, b in zip(fields[k], fields[k + 1])))
         for k in range(len(diffs) - 1):
             h1, h2 = levels[k][0], levels[k + 1][0]
@@ -406,18 +409,18 @@ def _residual_study(name: str, trajs, rows) -> ResidualReport:
                           scales=scales, observed_order=observed, pairwise_orders=orders)
 
 
-def residual_f(trajs, m: int, rows) -> ResidualReport:
+def residual_f(m: int, rows) -> ResidualReport:
     """Residual ladder for the f_m evolution identity from its
     evaluate_residuals rows (one level per trajectory)."""
-    return _residual_study(f"residual_f[m={m}]", trajs, rows)
+    return _residual_study(f"residual_f[m={m}]", rows)
 
 
-def residual_h(trajs, m: int, rows) -> ResidualReport:
-    return _residual_study(f"residual_h[m={m}]", trajs, rows)
+def residual_h(m: int, rows) -> ResidualReport:
+    return _residual_study(f"residual_h[m={m}]", rows)
 
 
-def residual_g(trajs, m: int, rows) -> ResidualReport:
-    return _residual_study(f"residual_g[m={m}]", trajs, rows)
+def residual_g(m: int, rows) -> ResidualReport:
+    return _residual_study(f"residual_g[m={m}]", rows)
 
 
 _DELTA_F = 0.5
@@ -449,7 +452,9 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
         r_g, r_f, r_3, r_5, r_5raw = 0.0, 0.0, 0.0, 0.0, 0.0
         s_g, s_f, s_3, s_5 = 1e-300, 1e-300, 1e-300, 1e-300
         for i in _eval_indices(traj):
-            sm, s0, sp = _triple(traj, i)
+            s0 = Snapshot(traj, i)
+            # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
+            om_m, om_p = (dy_j(traj.u[j], 1, npts=9).values for j in (i - 1, i + 1))
             dt2 = traj.times[i + 1] - traj.times[i - 1]
             a0 = s0.quotient_pack_f[0]
             for m in _ORDERS:
@@ -462,7 +467,7 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
             om_tot0 = s0.om_tot[:, 0]
             dxom0 = s0.dxom(1).values[:, 0]
             # d_y^2 omega represented through the evolution equation
-            eqrhs = Field(g, (sp.omega.values - sm.omega.values) / dt2
+            eqrhs = Field(g, (om_p - om_m) / dt2
                           + (s0.state.us[None, :] + s0.u.values) * s0.dxom(1).values
                           + s0.v.values * s0.dyom_tot
                           - eps * s0.dxom(2).values)
@@ -552,26 +557,32 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -
 _SOBOLEV_COUNT = 100
 
 
+def _sobolev_field(grid: Grid2D, rng) -> Field:
+    """Sum of 1 to 3 terms amp cos(2 pi k x / Lx + phase) y^p exp(-q (y-c)^2),
+    each the product of its x and y factors (bitwise as on a meshgrid)."""
+    kmax = max(grid.Nx // 8, 2)
+    y = grid.y_nodes
+    vals = np.zeros((grid.Nx, grid.Ny))
+    for _ in range(rng.integers(1, 4)):
+        k = int(rng.integers(0, kmax + 1))
+        phase = rng.uniform(0, 2 * np.pi)
+        c = rng.uniform(0.2, 3.0)
+        q = rng.uniform(0.1, 1.5)
+        p = int(rng.integers(0, 3))
+        amp = rng.uniform(0.1, 2.0)
+        x_fac = amp * np.cos(2 * np.pi * k * grid.x_nodes / grid.Lx + phase)
+        vals += x_fac[:, None] * (y ** p)[None, :] * np.exp(-q * (y - c) ** 2)[None, :]
+    return Field(grid, vals)
+
+
 def sobolev_check(grid: Grid2D, seed: int = 0) -> CheckReport:
     """linf(h) <= sqrt(2)(|h| + |d_x h| + |d_y h| + |d_x d_y h|) on
     _SOBOLEV_COUNT random band-limited fields with y-decay."""
     rng = np.random.default_rng(seed)
-    kmax = max(grid.Nx // 8, 2)
     violations = 0
     max_ratio = 0.0
     for _ in range(_SOBOLEV_COUNT):
-        vals = np.zeros((grid.Nx, grid.Ny))
-        X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
-        for _ in range(rng.integers(1, 4)):
-            k = int(rng.integers(0, kmax + 1))
-            phase = rng.uniform(0, 2 * np.pi)
-            c = rng.uniform(0.2, 3.0)
-            q = rng.uniform(0.1, 1.5)
-            p = int(rng.integers(0, 3))
-            amp = rng.uniform(0.1, 2.0)
-            vals += amp * np.cos(2 * np.pi * k * X / grid.Lx + phase) \
-                * (Y ** p) * np.exp(-q * (Y - c) ** 2)
-        h = Field(grid, vals)
+        h = _sobolev_field(grid, rng)
         hx = dx_m(h, 1)
         hy = dy_j(h, 1)
         hxy = dy_j(hx, 1)

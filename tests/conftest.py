@@ -11,6 +11,7 @@ from prandtl_lab.grid import Grid2D
 from prandtl_lab.norms import GevreyParams, trajectory_raws
 from prandtl_lab.profiles import build_perturbation, build_shear_profile, validate_assumption
 from prandtl_lab.solver import SolverConfig, imex_solve, picard_solve
+import prandtl_lab.verify as V
 
 REF = dict(Nx=128, Ny=257, Lx=6.283185307179586, Ymax=30.0,
            y0=2.0, alpha=2.0, amp=1e-3, kx=1,
@@ -69,6 +70,17 @@ def _solve(u0_field, profile, scheme, nt, eps=REF["eps"], T=REF["T"]):
 def traj_ladder(u0, profile):
     """imex trajectories at Nt = 32, 64, 128 on the reference grid."""
     return [_solve(u0, profile, "imex", nt) for nt in (32, 64, 128)]
+
+
+@pytest.fixture(scope="session")
+def ladder_rows(traj_ladder, cutoffs, assumption):
+    """verify.evaluate_residuals rows of the f, g and h jobs at m = 1, 2, 3
+    on traj_ladder, keyed by (kind, m) in that order."""
+    cutf = V.wide_f_cutoffs(traj_ladder[0].grid, assumption)
+    jobs = [job for m in (1, 2, 3) for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
+                                               V.ResidualJob("h", m, cutoffs))]
+    return {(job.kind, job.m): rows
+            for job, rows in zip(jobs, V.evaluate_residuals(traj_ladder, jobs))}
 
 
 @pytest.fixture(scope="session")

@@ -54,17 +54,14 @@ def test_criterion_03_cancellation(grid, profile, cutoffs, assumption, u0, fine_
                f"rel={c:.2e} order={order:.2f}")
 
 
-def test_criterion_04_appendix_residual_orders(traj_ladder, cutoffs, assumption):
-    cutf = V.wide_f_cutoffs(traj_ladder[0].grid, assumption)
+def test_criterion_04_appendix_residual_orders(ladder_rows):
     details = []
     ok = True
-    jobs = [job for m in (1, 2, 3) for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
-                                               V.ResidualJob("h", m, cutoffs))]
     study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
-    for job, rows in zip(jobs, V.evaluate_residuals(traj_ladder, jobs)):
-        rep = study[job.kind](traj_ladder, job.m, rows)
+    for (kind, m), rows in ladder_rows.items():
+        rep = study[kind](m, rows)
         ok &= rep.observed_order >= 1.0
-        details.append(f"{job.kind}{job.m}:{rep.observed_order:.2f}")
+        details.append(f"{kind}{m}:{rep.observed_order:.2f}")
     _criterion(4, "f/h/g evolution-identity residual orders >= 1 in dt",
                ok, " ".join(details))
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prandtl_lab.cli as C
 import prandtl_lab.norms as N
 import prandtl_lab.verify as V
 from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
@@ -201,5 +203,34 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
         for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
                     V.ResidualJob("h", m, lab.cut)):
             [rows] = V.evaluate_residuals(trajs, [job])
-            alone.append(study[job.kind](trajs, m, rows))
+            alone.append(study[job.kind](m, rows))
     assert json.dumps(reports) == json.dumps([r.to_dict() for r in alone])
+
+
+def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
+    """run_verify solves, evaluates and drops the finer residual ladder
+    levels one at a time: none is alive when the next solve starts (the
+    boundary companion's and Picard's included), and afterwards the Lab
+    holds only trajectories at cfg.nt."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary", "contraction")
+    finer, solved = [], []
+
+    def tracked(solve):
+        def wrapper(u0, profile, sc):
+            assert alive(finer) == [], "a finer ladder level outlived its evaluation"
+            traj = solve(u0, profile, sc)
+            solved.append(sc.Nt)
+            if sc.Nt > cfg.nt:
+                finer.append(weakref.ref(traj))
+            return traj
+        return wrapper
+
+    monkeypatch.setattr(C, "imex_solve", tracked(C.imex_solve))
+    monkeypatch.setattr(C, "picard_solve", tracked(C.picard_solve))
+    lab = Lab(cfg)
+    run_verify(lab, tmp_path)
+    assert solved == [8, 16, 32, 8, 8]       # ladder, boundary companion, Picard
+    assert len(finer) == cfg.residual_levels - 1 and alive(finer) == []
+    assert {len(t.times) - 1 for t in lab._trajs.values()} == {cfg.nt}

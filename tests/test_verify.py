@@ -1,12 +1,14 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from prandtl_lab.cutoffs import AuxWorkspace
-from prandtl_lab.grid import Field, weighted_l2
+from prandtl_lab.grid import Field, dx_m, weighted_l2
 from prandtl_lab.norms import _report_from_raw, trajectory_raws
 from prandtl_lab.shear import evolve_shear
+from prandtl_lab.solver import Trajectory, recover_v
 import prandtl_lab.verify as V
 
 from conftest import REF, _solve, alive
@@ -28,13 +30,21 @@ def test_residuals_vanish_on_shear_only(zero_traj, cutoffs, assumption):
         assert r <= bound[job.kind]
 
 
-def test_residual_orders(traj_ladder, cutoffs, assumption):
-    cutf = V.wide_f_cutoffs(traj_ladder[0].grid, assumption)
-    jobs = [job for m in (1, 2) for job in (V.ResidualJob("g", m), V.ResidualJob("f", m, cutf),
-                                            V.ResidualJob("h", m, cutoffs))]
+def test_residual_orders(ladder_rows):
     study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
-    for job, rows in zip(jobs, V.evaluate_residuals(traj_ladder, jobs)):
-        assert study[job.kind](traj_ladder, job.m, rows).observed_order >= 1.0
+    for m in (1, 2):
+        for kind in ("g", "f", "h"):
+            assert study[kind](m, ladder_rows[kind, m]).observed_order >= 1.0
+
+
+def test_snapshot_v_is_recovered_from_u(traj_imex, traj_picard):
+    """A trajectory stores u alone; the snapshot's v is bitwise the value the
+    solvers form, recover_v(u, dx_m(u, 1))."""
+    assert "v" not in {f.name for f in dataclasses.fields(Trajectory)}
+    for traj in (traj_imex, traj_picard):
+        for i, u in enumerate(traj.u):
+            assert np.array_equal(V.Snapshot(traj, i).v.values,
+                                  recover_v(u, dx_m(u, 1)).values)
 
 
 def test_residual_h_ablation(traj_imex, cutoffs, monkeypatch):
@@ -88,8 +98,9 @@ def test_boundary_zero_perturbation(zero_traj, assumption):
 
 
 def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshot_refs):
+    """One snapshot per node: the centered d_t reads only omega at i -/+ 1."""
     V.boundary_checks([zero_traj], assumption)
-    assert len(snapshot_refs) == 3 * len(V._eval_indices(zero_traj))
+    assert len(snapshot_refs) == len(V._eval_indices(zero_traj))
     assert alive(snapshot_refs) == []
 
 
@@ -135,6 +146,26 @@ def test_sobolev_hundred_fields(grid):
     assert rep.passed
     assert rep.evidence["violations"] == 0
     assert rep.evidence["max_ratio"] < 1.0
+
+
+def test_sobolev_fields_match_meshgrid_form(grid, grid_fine):
+    """Each random field, built from 1-D factors, is bitwise the meshgrid
+    formula on the same draws, and the draw order is unchanged."""
+    for g in (grid, grid_fine):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        X, Y = np.meshgrid(g.x_nodes, g.y_nodes, indexing="ij")
+        for _ in range(50):
+            vals = np.zeros((g.Nx, g.Ny))
+            for _ in range(ref_rng.integers(1, 4)):
+                k = int(ref_rng.integers(0, max(g.Nx // 8, 2) + 1))
+                phase = ref_rng.uniform(0, 2 * np.pi)
+                c = ref_rng.uniform(0.2, 3.0)
+                q = ref_rng.uniform(0.1, 1.5)
+                p = int(ref_rng.integers(0, 3))
+                amp = ref_rng.uniform(0.1, 2.0)
+                vals += amp * np.cos(2 * np.pi * k * X / g.Lx + phase) \
+                    * (Y ** p) * np.exp(-q * (Y - c) ** 2)
+            assert np.array_equal(V._sobolev_field(g, rng).values, vals)
 
 
 def test_sobolev_single_example(grid):
