@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .cutoffs import build_cutoffs
 from .grid import Grid2D
-from .norms import GevreyParams, _report_from_raw, trajectory_raws
+from .norms import GevreyParams, gevrey_norm, trajectory_raws
 from .profiles import build_perturbation, build_shear_profile, check_compatibility, validate_assumption
 from .shear import check_proposition_shear, evolve_shear
 from .solver import SolverConfig, SolverDivergence, imex_solve, picard_solve
@@ -113,9 +113,14 @@ class RunConfig:
             raise ConfigError("verify.snapshot_stride must be positive")
         if self.residual_levels < 1:
             raise ConfigError("verify.residual_levels must be positive")
-        if {"residual_f", "residual_g", "residual_h"} & set(self.checks) and self.nt % 8:
-            raise ConfigError("solver.nt must be a multiple of 8 when a residual check is "
-                              "enabled (every ladder level is evaluated at 3T/8, 5T/8, 7T/8)")
+        if {"residual_f", "residual_g", "residual_h"} & set(self.checks):
+            if self.nt % 8:
+                raise ConfigError("solver.nt must be a multiple of 8 when a residual check is "
+                                  "enabled (every ladder level is evaluated at 3T/8, 5T/8, 7T/8)")
+            if self.residual_levels < 3:
+                raise ConfigError("verify.residual_levels must be at least 3 when a residual "
+                                  "check is enabled (the dt-order needs two Richardson "
+                                  "differences)")
 
 
 _SCHEMA = {
@@ -245,8 +250,8 @@ def run_norms(lab: Lab, outdir: Path) -> list:
     running = 0.0
     lam = 1.0   # display convention: unit radius-shrink rate for the series
     for t, raw in zip(traj.times[::cfg.snapshot_stride], lab.raws[::cfg.snapshot_stride]):
-        base = _report_from_raw(raw, lab.params, with_aux=False).total
-        ext = _report_from_raw(raw, lab.params, with_aux=True).total
+        base = gevrey_norm(raw, lab.params)
+        ext = gevrey_norm(raw, lab.params, with_aux=True)
         if cfg.rho0 - lam * t > 0:
             w = np.sqrt((cfg.rho0 - cfg.rho - lam * t) / (cfg.rho0 - cfg.rho)) \
                 if cfg.rho0 - cfg.rho - lam * t > 0 else 0.0

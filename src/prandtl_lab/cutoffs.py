@@ -16,10 +16,11 @@ For tangential order m the cancellation functions are
                                 b = (d_y^2 omega_tot)/(d_y omega_tot)
     g_m = dx^(m-1) [ omega_tot dx omega - (d_y omega_tot) dx u ]
 
-with omega_tot = omega^s + omega.  Quotients are evaluated from the
-difference forms only where their denominators are safely bounded away from
-zero; the supports of the cut-offs guarantee that on every node where the
-quotient is actually used.
+with omega_tot = omega^s + omega.  Each denominator has one masked
+reciprocal, zero where it is within a hair (1e-9 of its peak) of zero; the
+quotients a, b are formed from it.  Given a cut-off set, the bundle rejects
+a denominator that dips under its floor on the cut-off's support, so the
+mask never acts where a quotient is used.
 """
 
 from __future__ import annotations
@@ -65,31 +66,36 @@ def build_cutoffs(grid: Grid2D, y0: float, delta: float) -> CutoffSet:
     return CutoffSet(y0=y0, delta=delta, chi1=chi1, chi2=chi2)
 
 
-def _masked_quotient(num: np.ndarray, den: np.ndarray, support: np.ndarray,
-                     floor: float, what: str, grid: Grid2D) -> np.ndarray:
-    """num/den, zeroed where |den| is below a hair floor; rejects when the
-    denominator dips under `floor` on the nodes where the quotient is used."""
-    used = np.abs(den[:, support]).min(axis=0) if support.any() else np.array([np.inf])
-    if support.any():
-        worst = float(used.min())
-        if worst < floor:
-            jrel = int(np.argmin(used))
-            jy = np.where(support)[0][jrel]
-            raise DenominatorFloorError(
-                f"{what}: |denominator| = {worst:.3e} < floor {floor:.3e} "
-                f"at y = {grid.y_nodes[jy]:.4f} (node {jy})")
+def _check_floor(den: np.ndarray, support: np.ndarray, floor: float, what: str,
+                 grid: Grid2D) -> None:
+    """Rejects when |den| dips under `floor` on the nodes where the quotient
+    is used."""
+    if not support.any():
+        return
+    used = np.abs(den[:, support]).min(axis=0)
+    worst = float(used.min())
+    if worst < floor:
+        jy = np.where(support)[0][int(np.argmin(used))]
+        raise DenominatorFloorError(
+            f"{what}: |denominator| = {worst:.3e} < floor {floor:.3e} "
+            f"at y = {grid.y_nodes[jy]:.4f} (node {jy})")
+
+
+def _masked_reciprocal(den: np.ndarray) -> np.ndarray:
+    """1/den, zeroed where |den| is below a hair of 1e-9 times its peak."""
     hair = 1e-9 * max(float(np.max(np.abs(den))), 1e-30)
-    safe = np.abs(den) > hair
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=safe)
-    return out
+    inv = np.zeros_like(den)
+    np.divide(1.0, den, out=inv, where=np.abs(den) > hair)
+    return inv
 
 
 class AuxWorkspace:
     """Derivative bundle of one (u, shear state) pair: omega and its first two
     y-derivatives, the cleaned x-spectra of u, omega and d_y omega, omega_tot
-    with its first two y-derivatives, and g1.  Given a cut-off set it also
-    holds the masked quotients a, b behind the cancellation functions.
+    with its first two y-derivatives, g1, and the masked reciprocals
+    inv_om = 1/omega_tot and inv_dyom = 1/d_y omega_tot with the quotients
+    a, b of the cancellation functions (all read-only).  Given a cut-off set
+    it also checks their denominators' floors and forms f_m and h_m.
 
     npts selects the y-stencils (None: the standard ones of Grid2D).  Each
     x-derivative of a cached spectrum is computed once per bundle and served
@@ -113,10 +119,16 @@ class AuxWorkspace:
         self.spec_om = clean_spectrum(np.fft.rfft(self.omega.values, axis=0))
         self.spec_dyom = clean_spectrum(np.fft.rfft(self.dyom.values, axis=0))
         if cut is not None:
-            self.a = _masked_quotient(self.dyom_tot, self.om_tot, cut.chi1 > 0.0,
-                                      _FLOOR_F, "f_m coefficient (omega^s+omega)", g)
-            self.b = _masked_quotient(self.d2yom_tot, self.dyom_tot, cut.chi2 > 0.0,
-                                      _FLOOR_H, "h_m coefficient (d_y omega^s + d_y omega)", g)
+            _check_floor(self.om_tot, cut.chi1 > 0.0, _FLOOR_F,
+                         "f_m coefficient (omega^s+omega)", g)
+            _check_floor(self.dyom_tot, cut.chi2 > 0.0, _FLOOR_H,
+                         "h_m coefficient (d_y omega^s + d_y omega)", g)
+        self.inv_om = _masked_reciprocal(self.om_tot)
+        self.inv_dyom = _masked_reciprocal(self.dyom_tot)
+        self.a = self.dyom_tot * self.inv_om
+        self.b = self.d2yom_tot * self.inv_dyom
+        for arr in (self.inv_om, self.inv_dyom, self.a, self.b):
+            arr.flags.writeable = False
         self.g1 = self.om_tot * self.dxom(1).values - self.dyom_tot * self.dxu(1).values
         self.spec_g1 = clean_spectrum(np.fft.rfft(self.g1, axis=0))
 
@@ -139,13 +151,19 @@ class AuxWorkspace:
     def dxdyom(self, m: int) -> Field:
         return self._dx("spec_dyom", m)
 
+    def q_f(self, m: int) -> np.ndarray:
+        """f_m before its cut-off: dx^m omega - a dx^m u."""
+        return self.dxom(m).values - self.a * self.dxu(m).values
+
+    def q_h(self, m: int) -> np.ndarray:
+        """h_m before its cut-off: dx^m d_y omega - b dx^m omega."""
+        return self.dxdyom(m).values - self.b * self.dxom(m).values
+
     def f(self, m: int) -> Field:
-        q = self.dxom(m).values - self.a * self.dxu(m).values
-        return Field(self.grid, self.cut.chi1[None, :] * q)
+        return Field(self.grid, self.cut.chi1[None, :] * self.q_f(m))
 
     def h(self, m: int) -> Field:
-        q = self.dxdyom(m).values - self.b * self.dxom(m).values
-        return Field(self.grid, self.cut.chi2[None, :] * q)
+        return Field(self.grid, self.cut.chi2[None, :] * self.q_h(m))
 
     def g(self, m: int) -> Field:
         if m < 1:

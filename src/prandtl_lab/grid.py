@@ -199,26 +199,16 @@ def clean_spectrum(spec: np.ndarray) -> np.ndarray:
 
 
 def dx_m(f: Field, m: int) -> Field:
-    """Spectral m-th x-derivative: mode k is multiplied by (ik)^m.
-
-    m = 0 returns a copy.  m is capped at Nx/4, the anti-aliasing guard that
-    also bounds the Gevrey-norm truncation order Mmax.
-    """
-    g = f.grid
-    if m < 0:
-        raise ValueError("derivative order must be non-negative")
-    if m > g.Nx // 4:
-        raise ValueError(
-            f"x-derivative order m={m} exceeds the anti-aliasing guard Nx/4={g.Nx // 4}")
-    if m == 0:
-        return f.copy()
-    spec = clean_spectrum(np.fft.rfft(f.values, axis=0))
-    spec *= (1j * g.wavenumbers[:, None]) ** m
-    return Field(g, np.fft.irfft(spec, n=g.Nx, axis=0))
+    """Spectral m-th x-derivative of f: dx_m_spec of its cleaned spectrum."""
+    return dx_m_spec(f.grid, clean_spectrum(np.fft.rfft(f.values, axis=0)), m)
 
 
 def dx_m_spec(grid: Grid2D, spec: np.ndarray, m: int) -> Field:
-    """Same as dx_m but starting from a cached (pre-cleaned) rfft spectrum."""
+    """Spectral m-th x-derivative from a (cleaned) rfft spectrum: mode k is
+    multiplied by (ik)^m.  m is capped at Nx/4, the anti-aliasing guard that
+    also bounds the Gevrey-norm truncation order Mmax."""
+    if m < 0:
+        raise ValueError("derivative order must be non-negative")
     if m > grid.Nx // 4:
         raise ValueError(
             f"x-derivative order m={m} exceeds the anti-aliasing guard Nx/4={grid.Nx // 4}")

@@ -10,8 +10,7 @@ factor m on the g-term).  Each norm value is the sum of its group suprema.
 
 The supremum over all m is truncated at Mmax: on band-limited-in-x discrete
 fields the summand decays factorially once m - 5 exceeds roughly
-rho_*k_max^(1/sigma), and the report carries a geometric tail estimate so
-the truncation is auditable.
+rho_*k_max^(1/sigma).
 
 L2 norms in x are evaluated per Fourier mode (Parseval, modal multiplier
 k^m) and weighted y-quadrature, which matches the physical-space evaluation
@@ -26,11 +25,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet
-from .grid import Field, Grid2D, dy_j, weighted_l2
+from .grid import Field, Grid2D, clean_spectrum, dy_j, weighted_l2
 from .shear import ShearState
 
-__all__ = ["GevreyParams", "NormReport", "GevreyRaw", "gevrey_raw", "full_raw",
-           "trajectory_raws", "gevrey_norm", "full_norm", "lifespan_norm"]
+__all__ = ["GevreyParams", "GevreyRaw", "gevrey_raw", "full_raw",
+           "trajectory_raws", "gevrey_norm", "lifespan_norm"]
 
 
 @dataclass
@@ -66,25 +65,9 @@ class GevreyParams:
 
 
 @dataclass
-class NormReport:
-    total: float
-    groups: dict
-    entries: dict
-    argmax: str
-    truncation_tail: float
-
-    def to_dict(self) -> dict:
-        return {"total": self.total, "groups": dict(self.groups),
-                "entries": dict(self.entries), "argmax": self.argmax,
-                "truncation_tail": self.truncation_tail}
-
-
-@dataclass
 class GevreyRaw:
     """rho-independent seminorms of one field (and optionally its aux set)."""
 
-    Mmax: int
-    kmax: float
     tang_u: np.ndarray                   # m = 0..Mmax : |<y>^(ell-1) dx^m u|
     tang_om: np.ndarray                  # m = 0..Mmax : |<y>^ell dx^m omega|
     mixed: dict                          # (i, j) -> |<y>^(ell+1) dx^i dy^j omega|
@@ -94,7 +77,6 @@ class GevreyRaw:
 def _parseval_rows(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """Row energy c_k |F(k, y)|^2 * Lx / Nx^2; summing over k gives the exact
     x-integral of f^2 at each y."""
-    from .grid import clean_spectrum
     spec = clean_spectrum(np.fft.rfft(values, axis=0))
     c = np.full(grid.Nx // 2 + 1, 2.0)
     c[0] = 1.0
@@ -131,8 +113,7 @@ def gevrey_raw(u: Field, p: GevreyParams) -> GevreyRaw:
         vals = _weighted_norms_all_m(g, dj_om.values, p.ell + 1.0, i_list)
         for i, v in zip(i_list, vals):
             mixed[(i, j)] = float(v)
-    kmax = float(np.max(g.wavenumbers))
-    return GevreyRaw(Mmax=p.Mmax, kmax=kmax, tang_u=tang_u, tang_om=tang_om, mixed=mixed)
+    return GevreyRaw(tang_u=tang_u, tang_om=tang_om, mixed=mixed)
 
 
 def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> GevreyRaw:
@@ -154,59 +135,23 @@ def trajectory_raws(traj, cut: CutoffSet, p: GevreyParams) -> list:
     return [full_raw(u, st, cut, p) for u, st in zip(traj.u, traj.shear)]
 
 
-def _tail_estimate(p: GevreyParams, top_value: float, kmax: float) -> float:
-    """Geometric bound on the dropped m > Mmax supremands, assuming each
-    extra dx multiplies the L2 norm by at most kmax (band-limited data)."""
-    m = p.Mmax + 1
-    ratio = p.rho * kmax / max(m - 5, 1) ** p.sigma
-    first = top_value * p.rho * kmax / (m - 6 if m - 6 > 0 else 1) ** p.sigma
-    if ratio >= 1.0:
-        return float("inf") if first > 0 else 0.0
-    return first / (1.0 - ratio)
-
-
-def _report_from_raw(raw: GevreyRaw, p: GevreyParams, with_aux: bool) -> NormReport:
-    entries = {}
-    groups = {}
-
+def gevrey_norm(raw: GevreyRaw, p: GevreyParams, with_aux: bool = False) -> float:
+    """The Gevrey norm at radius p.rho from the seminorms of one field: the
+    sum of the suprema of the five base groups and, with_aux, of the two
+    cancellation-function groups."""
     hi = range(6, p.Mmax + 1)
-    g1 = {f"u:m={m}": p.weight(m) * raw.tang_u[m] for m in hi}
-    g2 = {f"om:m={m}": p.weight(m) * raw.tang_om[m] for m in hi}
-    g3 = {f"low:m={m}": raw.tang_u[m] + raw.tang_om[m] for m in range(6)}
-    g4 = {f"mixed:i={i},j={j}": p.weight(i + j) * v
-          for (i, j), v in raw.mixed.items() if i + j >= 6}
-    g5 = {f"mixed-low:i={i},j={j}": v
-          for (i, j), v in raw.mixed.items() if i + j <= 5}
-    named = [("tangential-u", g1), ("tangential-omega", g2), ("low-order", g3),
-             ("mixed", g4), ("mixed-low", g5)]
+    groups = [
+        [p.weight(m) * raw.tang_u[m] for m in hi],
+        [p.weight(m) * raw.tang_om[m] for m in hi],
+        [raw.tang_u[m] + raw.tang_om[m] for m in range(6)],
+        [p.weight(i + j) * v for (i, j), v in raw.mixed.items() if i + j >= 6],
+        [v for (i, j), v in raw.mixed.items() if i + j <= 5],
+    ]
     if with_aux:
-        g6 = {f"aux:m={m}": m * raw.aux[m][0] + raw.aux[m][1] + raw.aux[m][2] + raw.aux[m][3]
-              for m in range(1, min(5, p.Mmax) + 1)}
-        g7 = {f"aux-hi:m={m}": p.weight(m) * (m * raw.aux[m][0] + raw.aux[m][1]
-                                              + raw.aux[m][2] + raw.aux[m][3])
-              for m in range(6, p.Mmax + 1)}
-        named += [("aux-low", g6), ("aux-hi", g7)]
-
-    total = 0.0
-    for name, d in named:
-        entries.update(d)
-        groups[name] = max(d.values()) if d else 0.0
-        total += groups[name]
-    argmax = max(entries, key=entries.get) if entries else ""
-    top = max(raw.tang_u[p.Mmax], raw.tang_om[p.Mmax])
-    tail = _tail_estimate(p, p.weight(p.Mmax) * top, raw.kmax)
-    return NormReport(total=float(total), groups=groups, entries=entries,
-                      argmax=argmax, truncation_tail=float(tail))
-
-
-def gevrey_norm(u: Field, p: GevreyParams) -> NormReport:
-    """Base Gevrey norm of a field (five supremum groups, summed)."""
-    return _report_from_raw(gevrey_raw(u, p), p, with_aux=False)
-
-
-def full_norm(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> NormReport:
-    """Extended norm: base groups plus the cancellation-function groups."""
-    return _report_from_raw(full_raw(u, state, cut, p), p, with_aux=True)
+        aux = {m: m * g + f + h + c for m, (g, f, h, c) in raw.aux.items()}
+        groups += [[aux[m] for m in range(1, min(5, p.Mmax) + 1)],
+                   [p.weight(m) * aux[m] for m in hi]]
+    return float(sum(max(vals) for vals in groups))
 
 
 _N_RHO = 16     # radii sampled in (0, rho0) by the lifespan supremum
@@ -227,6 +172,6 @@ def lifespan_norm(raws: list, times: np.ndarray, lam: float, T: float, p: Gevrey
         for rho in rhos:
             if rho + lam * t >= rho0:
                 continue
-            val = _report_from_raw(raw, p.with_rho(float(rho)), with_aux=True).total
+            val = gevrey_norm(raw, p.with_rho(float(rho)), with_aux=True)
             best = max(best, np.sqrt((rho0 - rho - lam * t) / (rho0 - rho)) * val)
     return float(best)

@@ -143,13 +143,9 @@ def _cumint_y4(grid: Grid2D, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def recover_v(u: Field, dxu: Field | None = None) -> Field:
-    """Normal velocity slaved to u by incompressibility: -int_0^y d_x u.
-
-    dxu is d_x u when the caller already holds it (it also needs it for the
-    transport forcing); otherwise it is computed here."""
-    if dxu is None:
-        dxu = dx_m(u, 1)
+def recover_v(u: Field, dxu: Field) -> Field:
+    """Normal velocity slaved to u by incompressibility: -int_0^y d_x u,
+    from the caller's d_x u (every caller also reads it elsewhere)."""
     return Field(u.grid, _cumint_y4(u.grid, -dxu.values))
 
 

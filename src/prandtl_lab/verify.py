@@ -28,7 +28,7 @@ import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
 from .grid import Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, linf, weighted_l2
-from .norms import GevreyParams, _report_from_raw, lifespan_norm
+from .norms import GevreyParams, gevrey_norm, lifespan_norm
 from .profiles import AssumptionReport
 from .solver import Trajectory, recover_v
 
@@ -93,14 +93,15 @@ class Snapshot(AuxWorkspace):
     floor of the residual studies sits well below their dt signal; the
     production operators elsewhere keep the standard order-4 stencils.
     On top of the shared bundle it keeps what only the residual identities
-    read: v (recovered from u here; trajectories store u alone), d_y^3
-    omega_tot, the spectra of v and d_y^2 omega, and the two quotient packs
-    (each computed once, read-only).
+    read: v (recovered from u and the bundle's d_x u; trajectories store u
+    alone), d_y^3 omega_tot, the spectra of v and d_y^2 omega, and the two
+    quotient packs, the derivatives of the bundle's a and b (each computed
+    once, read-only).
     """
 
     def __init__(self, traj: Trajectory, i: int):
         super().__init__(traj.u[i], traj.shear[i], npts=9)
-        self.v = recover_v(self.u)
+        self.v = recover_v(self.u, self.dxu(1))
         self.spec_v = clean_spectrum(np.fft.rfft(self.v.values, axis=0))
         self.spec_d2yom = clean_spectrum(np.fft.rfft(self.d2yom.values, axis=0))
         self.d3yom_tot = (self.state.dj_omegas[2][None, :]
@@ -114,37 +115,29 @@ class Snapshot(AuxWorkspace):
 
     @cached_property
     def quotient_pack_f(self) -> tuple:
-        """a = P/Q with analytic d_y a and d_x a, masked off the safe set."""
-        Q, P, N = self.om_tot, self.dyom_tot, self.d2yom_tot
-        hair = max(1e-9 * float(np.max(np.abs(Q))), 1e-300)
-        safe = np.abs(Q) > hair
-        inv = np.zeros_like(Q)
-        np.divide(1.0, Q, out=inv, where=safe)
-        a = P * inv
+        """(d_y a, d_x a, d_y^2 a) of the bundle's a = P/Q, analytic in its
+        masked reciprocal inv = 1/Q."""
+        P, N, a, inv = self.dyom_tot, self.d2yom_tot, self.a, self.inv_om
         dya = N * inv - a * P * inv
         dxom1 = self.dxom(1).values
         dxdyom1 = self.dxdyom(1).values
         dxa = dxdyom1 * inv - a * dxom1 * inv
         d2ya = self.d3yom_tot * inv - 3.0 * N * P * inv**2 + 2.0 * P**3 * inv**3
-        return _read_only(a, dya, dxa, d2ya, inv)
+        return _read_only(dya, dxa, d2ya)
 
     @cached_property
     def quotient_pack_h(self) -> tuple:
-        """b = N/D with d_x b analytic and d_y b by a narrow stencil on the
-        (smooth, safe) b field itself: the analytic form would put pointwise
-        d_y^3 omega values into the residual, which the sine-represented
-        solution resolves too roughly during the initial transient."""
-        D = self.dyom_tot
-        hair = max(1e-9 * float(np.max(np.abs(D))), 1e-300)
-        safe = np.abs(D) > hair
-        inv = np.zeros_like(D)
-        np.divide(1.0, D, out=inv, where=safe)
-        b = self.d2yom_tot * inv
+        """(d_y b, d_x b) of the bundle's b = N/D: d_x b analytic, d_y b by a
+        narrow stencil on the (smooth, safe) b field itself: the analytic
+        form would put pointwise d_y^3 omega values into the residual, which
+        the sine-represented solution resolves too roughly during the initial
+        transient."""
+        b, inv = self.b, self.inv_dyom
         dyb = dy_j(Field(self.grid, b), 1).values
         dxdyom1 = self.dxdyom(1).values
         dxd2yom1 = self.dxd2yom(1).values
         dxb = dxd2yom1 * inv - b * dxdyom1 * inv
-        return _read_only(b, dyb, dxb, inv)
+        return _read_only(dyb, dxb)
 
 
 def _read_only(*arrays) -> tuple:
@@ -201,14 +194,6 @@ def _interior_l2(grid: Grid2D, values: np.ndarray) -> float:
     return weighted_l2(Field(grid, masked), 0.0)
 
 
-def _q_f(snap: Snapshot, m: int, a: np.ndarray) -> np.ndarray:
-    return snap.dxom(m).values - a * snap.dxu(m).values
-
-
-def _q_h(snap: Snapshot, m: int, b: np.ndarray) -> np.ndarray:
-    return snap.dxdyom(m).values - b * snap.dxom(m).values
-
-
 def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) -> tuple:
     """(residual L2 norm, f_m scale, residual field) of the f_m evolution
     identity at node i, from the snapshot triple at i - 1, i, i + 1.
@@ -222,17 +207,16 @@ def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
     eps = traj.eps
     sm, s0, sp = snaps
     dt2 = traj.times[i + 1] - traj.times[i - 1]
-    a0, dya, dxa, d2ya, inv = s0.quotient_pack_f
-    am = sm.quotient_pack_f[0]
-    ap = sp.quotient_pack_f[0]
+    a0, inv = s0.a, s0.inv_om
+    dya, dxa, d2ya = s0.quotient_pack_f
 
     chi = cut.chi1[None, :]
-    q0 = _q_f(s0, m, a0)
+    q0 = s0.q_f(m)
     dxm_u, dxm_om, dxm_dyom = s0.dxu(m).values, s0.dxom(m).values, s0.dxdyom(m).values
     dyq = dxm_dyom - dya * dxm_u - a0 * dxm_om
     d2yq = s0.dxd2yom(m).values - d2ya * dxm_u - 2.0 * dya * dxm_om - a0 * dxm_dyom
     lhs = _material_derivative(
-        s0, _q_f(sm, m, am), _q_f(sp, m, ap), q0, dyq, d2yq, dt2, eps)
+        s0, sm.q_f(m), sp.q_f(m), q0, dyq, d2yq, dt2, eps)
 
     rhs = np.zeros_like(q0)
     for k in range(1, m + 1):
@@ -263,12 +247,11 @@ def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
     eps = traj.eps
     sm, s0, sp = snaps
     dt2 = traj.times[i + 1] - traj.times[i - 1]
-    b0, dyb, dxb, invD = s0.quotient_pack_h
-    bm = sm.quotient_pack_h[0]
-    bp = sp.quotient_pack_h[0]
+    b0, invD = s0.b, s0.inv_dyom
+    dyb, dxb = s0.quotient_pack_h
 
     chi = cut.chi2[None, :]
-    q0 = _q_h(s0, m, b0)
+    q0 = s0.q_h(m)
     dxm_om, dxm_dyom, dxm_d2yom = s0.dxom(m).values, s0.dxdyom(m).values, s0.dxd2yom(m).values
     dyq = dxm_d2yom - dyb * dxm_om - b0 * dxm_dyom
     # one narrow FD derivative of the analytic first derivative: avoids both
@@ -276,7 +259,7 @@ def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
     # denominator's thin safe margin
     d2yq = dy_j(Field(g, dyq), 1).values
     lhs = _material_derivative(
-        s0, _q_h(sm, m, bm), _q_h(sp, m, bp), q0, dyq, d2yq, dt2, eps)
+        s0, sm.q_h(m), sp.q_h(m), q0, dyq, d2yq, dt2, eps)
 
     dxdyom1 = s0.dxdyom(1).values
     dxu1 = s0.dxu(1).values
@@ -456,12 +439,11 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
             # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
             om_m, om_p = (dy_j(traj.u[j], 1, npts=9).values for j in (i - 1, i + 1))
             dt2 = traj.times[i + 1] - traj.times[i - 1]
-            a0 = s0.quotient_pack_f[0]
             for m in _ORDERS:
                 gm = s0.g(m)
                 r_g = max(r_g, float(np.max(np.abs(dy_j(gm, 1).values[:, 0]))))
                 s_g = max(s_g, linf(Field(g, dy_j(gm, 1).values)))
-                fm = Field(g, cut.chi1[None, :] * _q_f(s0, m, a0))
+                fm = Field(g, cut.chi1[None, :] * s0.q_f(m))
                 r_f = max(r_f, float(np.max(np.abs(dy_j(fm, 1).values[:, 0]))))
                 s_f = max(s_f, linf(Field(g, dy_j(fm, 1).values)))
             om_tot0 = s0.om_tot[:, 0]
@@ -679,8 +661,8 @@ def energy_monitor(raws: list, times: np.ndarray, p: GevreyParams,
     nr4 = np.empty(n)
     nt2 = np.empty(n)
     for i, raw in enumerate(raws):
-        v_rho = _report_from_raw(raw, p.with_rho(rho), with_aux=True).total
-        v_rt = _report_from_raw(raw, p.with_rho(rho_t), with_aux=True).total
+        v_rho = gevrey_norm(raw, p.with_rho(rho), with_aux=True)
+        v_rt = gevrey_norm(raw, p.with_rho(rho_t), with_aux=True)
         lhs[i] = v_rho ** 2
         nr4[i] = v_rho ** 4
         nt2[i] = v_rt ** 2 / (rho_t - rho)
@@ -703,8 +685,8 @@ def radius_decay_check(raws: list, times: np.ndarray, p: GevreyParams, rho0: flo
     constants, the lifespan norm stays below R on [0, rho0/(4 lambda)].
     raws are the trajectory's norms.trajectory_raws; raws[0] gives u0's
     base and extended norms."""
-    base0 = _report_from_raw(raws[0], p.with_rho(2.0 * rho0), with_aux=False).total
-    ext0 = _report_from_raw(raws[0], p.with_rho(rho0), with_aux=True).total
+    base0 = gevrey_norm(raws[0], p.with_rho(2.0 * rho0))
+    ext0 = gevrey_norm(raws[0], p.with_rho(rho0), with_aux=True)
     denom = base0 + base0 ** 2
     c_hat = ext0 / denom if denom > 0 else 1.0
     R = 4.0 * c_star * c_hat * denom

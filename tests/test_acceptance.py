@@ -8,7 +8,7 @@ ell=2.25, sigma=1.75, amp=1e-3, kx=1, eps=0.1, T=0.05, Nt=32, Mmax=10.
 import numpy as np
 
 from prandtl_lab.grid import linf, weighted_l2
-from prandtl_lab.norms import full_norm, gevrey_norm, trajectory_raws
+from prandtl_lab.norms import full_raw, gevrey_norm, trajectory_raws
 from prandtl_lab.profiles import build_perturbation, check_compatibility
 from prandtl_lab.shear import check_proposition_shear, evolve_shear
 import prandtl_lab.verify as V
@@ -100,9 +100,10 @@ def _sandwich_fit(u_fields, states, cut, params):
     lo, hi = params.with_rho(0.3), params.with_rho(0.5)
     ordered = True
     for u, st in zip(u_fields, states):
-        base_lo = gevrey_norm(u, lo).total
-        ext_lo = full_norm(u, st, cut, lo).total
-        base_hi = gevrey_norm(u, hi).total
+        raw = full_raw(u, st, cut, lo)
+        base_lo = gevrey_norm(raw, lo)
+        ext_lo = gevrey_norm(raw, lo, with_aux=True)
+        base_hi = gevrey_norm(raw, hi)     # the seminorms do not depend on rho
         ordered &= base_lo <= ext_lo + 1e-12
         denom = base_hi + base_hi**2
         if denom > 0:

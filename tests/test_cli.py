@@ -113,6 +113,17 @@ def test_residual_ladder_needs_eighths(tmp_path):
     assert load_config(p).nt == 12
 
 
+def test_residual_ladder_needs_three_levels(tmp_path):
+    """Two levels give one Richardson difference and no dt-order (nan), so
+    every residual report would fail: rejected while a residual check is on."""
+    p = _write(tmp_path, "[verify]\nresidual_levels = 2\n")
+    with pytest.raises(ConfigError, match="residual_levels must be at least 3"):
+        load_config(p)
+    assert main(["verify", "--config", str(p)]) == 2
+    p = _write(tmp_path, "[verify]\nresidual_levels = 2\nchecks = conditions\n")
+    assert load_config(p).residual_levels == 2
+
+
 def test_verify_subset_and_failure_exit(tmp_path):
     cfg = load_config(CONFIG)
     cfg.checks = ("conditions",)

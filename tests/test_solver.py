@@ -125,9 +125,9 @@ def test_mild_solution_matches_direct_sum(grid):
 
 def test_recover_v(grid):
     u = Field.from_function(grid, lambda X, Y: np.sin(Y) * 0 + 1.0)
-    assert linf(recover_v(u)) <= 1e-13          # x-independent -> v = 0
+    assert linf(recover_v(u, dx_m(u, 1))) <= 1e-13      # x-independent -> v = 0
     u = Field.from_function(grid, lambda X, Y: np.sin(X) * Y)
-    v = recover_v(u)
+    v = recover_v(u, dx_m(u, 1))
     expect = -np.cos(grid.x_nodes)[:, None] * grid.y_nodes[None, :] ** 2 / 2.0
     assert np.max(np.abs(v.values - expect)) <= 1e-9
     # divergence-free pairing
@@ -205,7 +205,7 @@ def test_pde_residual_refines(traj_ladder):
         r = V._material_derivative(V.Snapshot(traj, i), traj.u[i - 1].values,
                                    traj.u[i + 1].values, u.values, dy_j(u, 1).values,
                                    dy_j(u, 2).values, dt2, traj.eps)
-        r += recover_v(traj.u[i]).values * st.omegas[None, :]
+        r += recover_v(u, dx_m(u, 1)).values * st.omegas[None, :]
         r[:, :4] = r[:, -4:] = 0.0
         fields.append(r)
     d1 = weighted_l2(Field(g, fields[0] - fields[1]), 0.0)
@@ -216,7 +216,8 @@ def test_pde_residual_refines(traj_ladder):
 def test_picard_is_fixed_point_of_mild_solution(traj_picard):
     """Mapping the converged iterate once more moves it by less than 10 tol."""
     traj = traj_picard
-    forcing = [S._forcing(u, recover_v(u), dx_m(u, 1), st) for u, st in zip(traj.u, traj.shear)]
+    forcing = [S._forcing(u, recover_v(u, dx_m(u, 1)), dx_m(u, 1), st)
+               for u, st in zip(traj.u, traj.shear)]
     mapped = mild_solution(traj.u[0], forcing, traj.eps, traj.times)
     xi = max(weighted_l2(a - b, 0.0) for a, b in zip(mapped, traj.u))
     assert xi <= 10 * 1e-12          # conftest._solve runs Picard with tol = 1e-12

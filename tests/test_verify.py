@@ -6,7 +6,7 @@ import pytest
 
 from prandtl_lab.cutoffs import AuxWorkspace
 from prandtl_lab.grid import Field, dx_m, weighted_l2
-from prandtl_lab.norms import _report_from_raw, trajectory_raws
+from prandtl_lab.norms import gevrey_norm, trajectory_raws
 from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import Trajectory, recover_v
 import prandtl_lab.verify as V
@@ -97,6 +97,18 @@ def test_boundary_zero_perturbation(zero_traj, assumption):
     assert lv["fifth_trace"] <= 1e-8
 
 
+def test_boundary_detects_wall_slope_of_g(zero_traj, assumption, monkeypatch):
+    """Negative control: a g_m with a nonzero wall slope fails d_y g_m = 0."""
+    assert V.boundary_checks([zero_traj], assumption).passed
+    y = zero_traj.grid.y_nodes
+    monkeypatch.setattr(V.Snapshot, "g", lambda self, m: Field(
+        self.grid, np.outer(np.sin(self.grid.x_nodes), y * np.exp(-y))))
+    rep = V.boundary_checks([zero_traj], assumption)
+    assert not rep.passed
+    lv = next(iter(rep.evidence["levels"].values()))
+    assert lv["dy_g_wall"] > 5e-2 * lv["dy_g_scale"]
+
+
 def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshot_refs):
     """One snapshot per node: the centered d_t reads only omega at i -/+ 1."""
     V.boundary_checks([zero_traj], assumption)
@@ -146,6 +158,19 @@ def test_sobolev_hundred_fields(grid):
     assert rep.passed
     assert rep.evidence["violations"] == 0
     assert rep.evidence["max_ratio"] < 1.0
+
+
+def test_sobolev_detects_dropped_bound_terms(grid, monkeypatch):
+    """Negative control: with every term of the bound dropped, each field
+    violates it and the check fails.  (Dropping only the derivative terms
+    keeps every ratio below 0.54 on these fields: the check cannot flip.)"""
+    assert V.sobolev_check(grid, seed=12).passed
+    monkeypatch.setattr(V, "weighted_l2", lambda f, ellw: 0.0)
+    with np.errstate(divide="ignore"):       # linf(h) / 0: the ratio is inf
+        rep = V.sobolev_check(grid, seed=12)
+    assert not rep.passed
+    assert rep.evidence["violations"] == rep.evidence["count"]
+    assert rep.evidence["max_ratio"] == np.inf
 
 
 def test_sobolev_fields_match_meshgrid_form(grid, grid_fine):
@@ -229,7 +254,7 @@ def test_energy_rho_gap_wiring(picard_raws, params):
     for gap in (0.1, 0.05):
         tot = 0.0
         for raw in (picard_raws[0], picard_raws[-1]):
-            v = _report_from_raw(raw, params.with_rho(0.3 + gap), with_aux=True).total
+            v = gevrey_norm(raw, params.with_rho(0.3 + gap), with_aux=True)
             tot += v**2 / gap
         vals[gap] = tot
     assert 1.5 <= vals[0.05] / vals[0.1] <= 2.5
