@@ -12,6 +12,14 @@ Derivatives up to order 6 come from differentiating the kernel and the lift
 analytically (Hermite polynomials), never from finite differences, so shear
 coefficients entering the verification identities carry quadrature accuracy.
 
+Each order is formed only where it is read.  evolve_shear forms u^s and
+omega^s, all that the perturbation equation (the solvers' forcing) reads.
+Orders 2..6 (ShearState.dj_omegas, d_y^j omega^s for j = 1..5) are formed
+once, as one block, on the state's first read of them, and kept: the
+derivative bundle (cutoffs.AuxWorkspace, orders 2-3), the residual snapshot
+(verify.Snapshot, order 4) and the persistence clauses (proposition_clauses,
+all five) are their readers.  At t = 0 they are the profile's derivatives.
+
 The quadrature nodes s_k = h*k (h = dy/r, r = profiles._FINE_REFINE) refine
 the grid, y_i = h*r*i, so both kernel arguments are integer multiples of h:
 y_i - s_k = h*(r*i - k) and y_i + s_k = h*(r*i + k).  Each time therefore
@@ -25,7 +33,8 @@ one the dense double sum y_i -/+ s_k would give.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,12 +48,22 @@ __all__ = ["ShearState", "PropositionReport", "evolve_shear",
 
 @dataclass
 class ShearState:
-    """Shear flow at one time: u^s, omega^s = d_y u^s, and d_y^j omega^s."""
+    """Shear flow at one time: u^s, omega^s = d_y u^s, and d_y^j omega^s.
+
+    The state keeps its profile so that dj_omegas can be formed when first
+    read; the profile's state cache keeps both alive together."""
 
     t: float
     us: np.ndarray
     omegas: np.ndarray
-    dj_omegas: np.ndarray     # shape (5, Ny); row j-1 holds d_y^j omega^s
+    profile: ShearProfile = field(repr=False, compare=False)
+
+    @cached_property
+    def dj_omegas(self) -> np.ndarray:
+        """Shape (5, Ny); row j-1 holds d_y^j omega^s."""
+        if self.t == 0.0:
+            return self.profile.derivs[1:6].copy()
+        return _quadrature_rows(self.profile, self.t, 2, 7)
 
 
 def _lift(y: np.ndarray, t: float, j: int) -> np.ndarray:
@@ -76,24 +95,13 @@ def _kernel_derivs_upto(z: np.ndarray, t: float, jmax: int) -> list[np.ndarray]:
     return out
 
 
-def evolve_shear(p: ShearProfile, t: float) -> ShearState:
-    """Shear state at time t >= 0; t=0 returns the profile samples exactly."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    cache = p.state_cache
-    if t in cache:
-        return cache[t]
-    grid = p.grid
-    if t == 0.0:
-        state = ShearState(t=0.0, us=p.u0s.copy(), omegas=p.derivs[0].copy(),
-                           dj_omegas=p.derivs[1:6].copy())
-        cache[t] = state
-        return state
-    if 4.0 * np.sqrt(t) > grid.Ymax / 4.0:
-        warnings.warn(
-            f"heat kernel width 4*sqrt(t)={4 * np.sqrt(t):.2f} exceeds Ymax/4; "
-            "y-truncation unsafe at this time", stacklevel=2)
+def _quadrature_rows(p: ShearProfile, t: float, j0: int, j1: int) -> np.ndarray:
+    """Rows d_y^j u^s(t) for j = j0 .. j1-1 (t > 0), shape (j1-j0, Ny).
 
+    Each row is its own product of the materialised kernel difference with
+    the weighted datum, so it is bitwise the same whichever block it is
+    formed in."""
+    grid = p.grid
     r, ny = _FINE_REFINE, grid.Ny
     yq = p.y_fine
     nf = len(yq)
@@ -107,15 +115,37 @@ def evolve_shear(p: ShearProfile, t: float) -> ShearState:
     w0w = w0 * wq
 
     # tab[j][m + nf - 1] = d^j kernel at h*m
-    tab = _kernel_derivs_upto(h * np.arange(-(nf - 1), r * (ny - 1) + nf), t, 6)
+    tab = _kernel_derivs_upto(h * np.arange(-(nf - 1), r * (ny - 1) + nf), t, j1 - 1)
     y = grid.y_nodes
-    out = np.empty((7, ny))
-    for j in range(7):
+    out = np.empty((j1 - j0, ny))
+    for j in range(j0, j1):
         win = sliding_window_view(tab[j], nf)
         direct = win[:r * (ny - 1) + 1:r, ::-1]     # [i, k] -> h*(r*i - k)
         image = win[nf - 1::r][:ny]                  # [i, k] -> h*(r*i + k)
-        out[j] = (direct - image) @ w0w + _lift(y, t, j)
-    state = ShearState(t=t, us=out[0], omegas=out[1], dj_omegas=out[2:7])
+        out[j - j0] = (direct - image) @ w0w + _lift(y, t, j)
+    return out
+
+
+def evolve_shear(p: ShearProfile, t: float) -> ShearState:
+    """Shear state at time t >= 0; t=0 returns the profile samples exactly.
+
+    Only u^s and omega^s are formed here; d_y^j omega^s follows on first read
+    of the state's dj_omegas."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    cache = p.state_cache
+    if t in cache:
+        return cache[t]
+    if t == 0.0:
+        state = ShearState(t=0.0, us=p.u0s.copy(), omegas=p.derivs[0].copy(), profile=p)
+        cache[t] = state
+        return state
+    if 4.0 * np.sqrt(t) > p.grid.Ymax / 4.0:
+        warnings.warn(
+            f"heat kernel width 4*sqrt(t)={4 * np.sqrt(t):.2f} exceeds Ymax/4; "
+            "y-truncation unsafe at this time", stacklevel=2)
+    us, omegas = _quadrature_rows(p, t, 0, 2)
+    state = ShearState(t=t, us=us, omegas=omegas, profile=p)
     cache[t] = state
     return state
 

@@ -347,49 +347,59 @@ def _evaluate_at(traj: Trajectory, jobs, i: int) -> list:
     return out
 
 
+class ResidualLevel(NamedTuple):
+    """One ladder level of one residual job.  richardson is the largest
+    interior L2 norm, over the evaluation nodes, of the residual field's
+    change from the previous level; it is None on the first level and on
+    any level whose grid differs from the first level's."""
+    dt: float
+    grid: Grid2D
+    norms: tuple                  # residual L2 norm per evaluation node
+    scales: tuple                 # identity scale per evaluation node
+    richardson: float | None
+
+
 def evaluate_residuals(trajs, jobs) -> list:
-    """For each job, one (dt, grid, node rows) entry per trajectory, with a
-    (res, scale, diff) row per evaluation node.  Each node's snapshot triple
-    is built once for all jobs, so at most three snapshots are alive at once;
-    trajs may be a generator, whose levels are then released one by one."""
+    """For each job, one ResidualLevel per trajectory.  Each node's snapshot
+    triple is built once for all jobs, so at most three snapshots are alive
+    at once; trajs may be a generator, whose levels are then released one by
+    one.  A level's residual fields are folded into its Richardson difference
+    against the previous level as the level arrives, so only the previous
+    level's fields are kept: the dt-independent spatial floor cancels in the
+    difference on a shared space grid and the dt component remains."""
     rows = [[] for _ in jobs]
+    prev = [None] * len(jobs)       # previous level's residual fields per job
+    g0 = None
     for traj in trajs:
+        g0 = traj.grid if g0 is None else g0
+        same = traj.grid.same_as(g0)
         nodes = [_evaluate_at(traj, jobs, i) for i in _eval_indices(traj)]
         for k, job_rows in enumerate(rows):
-            job_rows.append((traj.dt, traj.grid, [node[k] for node in nodes]))
-        del traj        # before the generator solves the next level
+            norms, scales, fields = zip(*(node[k] for node in nodes))
+            richardson = (max(_interior_l2(g0, a - b) for a, b in zip(prev[k], fields))
+                          if same and prev[k] is not None else None)
+            prev[k] = fields if same else None
+            job_rows.append(ResidualLevel(traj.dt, traj.grid, norms, scales, richardson))
+        del traj, nodes     # before the generator solves the next level
     return rows
 
 
-def _residual_study(name: str, rows) -> ResidualReport:
-    """Residual norms per time-resolution level plus the dt-order.
-
-    The raw residual carries a dt-independent spatial floor, so the
-    convergence order is measured on Richardson differences of the residual
-    fields between consecutive levels at matching physical times: the floor
-    cancels exactly on the shared space grid and the dt component remains.
-    """
-    norms, scales, levels = [], [], []
-    fields = []
-    for dt, grid, level_rows in rows:
-        vals, sc, flds = zip(*level_rows)
-        norms.append(max(vals))
-        scales.append(max(sc))
-        fields.append(flds)
-        levels.append((dt, grid.dy, grid.Nx))
+def _residual_study(name: str, levels) -> ResidualReport:
+    """Residual norms per time-resolution level plus the dt-order, measured
+    on the levels' Richardson differences when all levels share one grid."""
+    grid_levels = [(lvl.dt, lvl.grid.dy, lvl.grid.Nx) for lvl in levels]
+    diffs = [lvl.richardson for lvl in levels[1:]]
     orders = []
-    g = rows[0][1]
-    if len(rows) >= 3 and all(grid.same_as(g) for _, grid, _ in rows):
-        diffs = []
-        for k in range(len(rows) - 1):
-            diffs.append(max(_interior_l2(g, a - b) for a, b in zip(fields[k], fields[k + 1])))
+    if len(levels) >= 3 and None not in diffs:
         for k in range(len(diffs) - 1):
-            h1, h2 = levels[k][0], levels[k + 1][0]
+            h1, h2 = grid_levels[k][0], grid_levels[k + 1][0]
             if diffs[k + 1] > 0:
                 orders.append(math.log(diffs[k] / diffs[k + 1]) / math.log(h1 / h2))
     observed = float(np.mean(orders)) if orders else float("nan")
-    return ResidualReport(name=name, grid_levels=levels, residual_norms=norms,
-                          scales=scales, observed_order=observed, pairwise_orders=orders)
+    return ResidualReport(name=name, grid_levels=grid_levels,
+                          residual_norms=[max(lvl.norms) for lvl in levels],
+                          scales=[max(lvl.scales) for lvl in levels],
+                          observed_order=observed, pairwise_orders=orders)
 
 
 def residual_f(m: int, rows) -> ResidualReport:

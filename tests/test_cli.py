@@ -9,6 +9,7 @@ import pytest
 
 import prandtl_lab.cli as C
 import prandtl_lab.norms as N
+import prandtl_lab.shear as S
 import prandtl_lab.verify as V
 from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
 
@@ -100,6 +101,31 @@ def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
     reports = run_verify(lab, tmp_path)
     assert [r["name"] for r in reports] == ["energy_monitor", "radius_decay"]
     assert len(calls) == len(traj.times)
+
+
+def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
+    """Labs on one profile share its shear states, orders 2-6 included: after
+    a first member has read them, a second member with another amp forms no
+    quadrature row in its shear check or its seminorm table."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    cfg.scheme = "imex"
+    first = Lab(cfg)
+    monkeypatch.setattr(first.profile, "state_cache", {})
+    calls = []
+    real = S._quadrature_rows
+    monkeypatch.setattr(S, "_quadrature_rows",
+                        lambda p, t, j0, j1: calls.append((t, j0, j1)) or real(p, t, j0, j1))
+    C.run_shear_check(first, tmp_path / "first")
+    assert len(first.raws) == cfg.nt + 1
+    assert (first.trajectory().times[-1], 2, 7) in calls
+    calls.clear()
+    cfg.amp = 2e-3
+    second = Lab(cfg)
+    assert second.profile is first.profile
+    C.run_shear_check(second, tmp_path / "second")
+    assert len(second.raws) == cfg.nt + 1
+    assert calls == []
 
 
 def test_residual_ladder_needs_eighths(tmp_path):

@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from prandtl_lab.grid import Grid2D
 from prandtl_lab.profiles import ShearProfile, build_shear_profile
+import prandtl_lab.shear as S
 from prandtl_lab.shear import (_kernel_derivs_upto, _lift, check_proposition_shear,
                                evolve_shear, proposition_clauses)
 
@@ -33,7 +34,32 @@ def test_t0_returns_profile_exactly(profile):
     s = evolve_shear(profile, 0.0)
     assert np.array_equal(s.us, profile.u0s)
     assert np.array_equal(s.omegas, profile.derivs[0])
+    assert np.array_equal(s.dj_omegas, profile.derivs[1:6])
     assert profile.state_cache[0.0] is s
+
+
+def test_orders_above_one_formed_once_on_first_read(profile, monkeypatch):
+    """evolve_shear forms rows 0-1 only; the first dj_omegas read forms rows
+    2-6 as one block, which the state keeps."""
+    fresh = dataclasses.replace(profile)          # an empty state cache
+    calls = []
+    real = S._quadrature_rows
+
+    def counting(p, t, j0, j1):
+        calls.append((t, j0, j1))
+        return real(p, t, j0, j1)
+
+    monkeypatch.setattr(S, "_quadrature_rows", counting)
+    t = REF["T"] / 4
+    s = evolve_shear(fresh, t)
+    assert calls == [(t, 0, 2)]
+    d = s.dj_omegas
+    assert calls == [(t, 0, 2), (t, 2, 7)]
+    assert d.shape == (5, profile.grid.Ny)
+    assert s.dj_omegas is d
+    assert evolve_shear(fresh, t).dj_omegas is d
+    assert evolve_shear(fresh, 0.0).dj_omegas.shape == (5, profile.grid.Ny)
+    assert len(calls) == 2
 
 
 def test_kernel_table_equals_dense_sum(profile):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +36,40 @@ def test_residual_orders(ladder_rows):
     for m in (1, 2):
         for kind in ("g", "f", "h"):
             assert study[kind](m, ladder_rows[kind, m]).observed_order >= 1.0
+
+
+def test_residual_levels_fold_as_they_arrive(traj_ladder, monkeypatch):
+    """evaluate_residuals folds each level into its Richardson difference as
+    it arrives: when the next level is asked for, only the previous level's
+    residual fields are alive, and none are once the ladder is done."""
+    job = V.ResidualJob("g", 1)
+    direct = [[d for _, _, d in (V._evaluate_at(traj, [job], i)[0]
+                                 for i in V._eval_indices(traj))] for traj in traj_ladder[:2]]
+    refs = []                  # weak references to each level's residual fields
+    real = V._evaluate_at
+
+    def tracked(traj, jobs, i):
+        out = real(traj, jobs, i)
+        refs[-1].extend(weakref.ref(d) for _, _, d in out)
+        return out
+
+    monkeypatch.setattr(V, "_evaluate_at", tracked)
+
+    def levels():
+        for traj in traj_ladder:
+            for earlier in refs[:-1]:
+                assert alive(earlier) == []
+            if refs:
+                assert len(alive(refs[-1])) == len(refs[-1])
+            refs.append([])
+            yield traj
+
+    [rows] = V.evaluate_residuals(levels(), [job])
+    assert [len(level) for level in refs] == [3, 3, 3]
+    assert all(alive(level) == [] for level in refs)
+    assert rows[0].richardson is None
+    assert rows[1].richardson == max(V._interior_l2(traj_ladder[0].grid, a - b)
+                                     for a, b in zip(*direct))
 
 
 def test_snapshot_v_is_recovered_from_u(traj_imex, traj_picard):
