@@ -20,7 +20,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -68,7 +68,6 @@ class RunConfig:
     mmax: int = 10
     checks: tuple = _ALL_CHECKS
     residual_levels: int = 3
-    snapshot_stride: int = 1
     out_dir: str = "out"
     seed: int = 0
 
@@ -77,6 +76,8 @@ class RunConfig:
             raise ConfigError("grid.nx must be a power of two (transform efficiency)")
         if self.ny < 32:
             raise ConfigError("grid.ny must be at least 32")
+        if not self.lx > 0.0:
+            raise ConfigError("grid.lx must be positive")
         if not (0.0 < self.y0 < self.ymax / 3.0):
             raise ConfigError("profile.y0 must lie in (0, Ymax/3)")
         if self.alpha <= 1.0:
@@ -87,6 +88,8 @@ class RunConfig:
             raise ConfigError("perturbation.amp must be non-negative")
         if not (0.0 < self.eps <= 1.0):
             raise ConfigError("solver.eps must lie in (0, 1]")
+        if not self.t_final > 0.0:
+            raise ConfigError("solver.t_final must be positive")
         if self.nt < 4:
             raise ConfigError("solver.nt must be at least 4")
         if self.jmax < 2:
@@ -109,8 +112,6 @@ class RunConfig:
         for c in self.checks:
             if c not in _ALL_CHECKS:
                 raise ConfigError(f"verify.checks contains unknown check '{c}'")
-        if self.snapshot_stride < 1:
-            raise ConfigError("verify.snapshot_stride must be positive")
         if self.residual_levels < 1:
             raise ConfigError("verify.residual_levels must be positive")
         if {"residual_f", "residual_g", "residual_h"} & set(self.checks):
@@ -131,7 +132,7 @@ _SCHEMA = {
                "tol": float, "scheme": str},
     "norms": {"rho": float, "rho_tilde": float, "rho0": float, "sigma": float,
               "ell": float, "mmax": int},
-    "verify": {"checks": "list", "residual_levels": int, "snapshot_stride": int},
+    "verify": {"checks": "list", "residual_levels": int},
     "output": {"dir": str, "seed": int},
 }
 _KEY_MAP = {("output", "dir"): "out_dir"}
@@ -170,9 +171,10 @@ def load_config(path) -> RunConfig:
 
 class Lab:
     """Shared artifacts for one configuration, built lazily.  The profile,
-    u0, cut-offs, seminorm table and each scheme's solve at cfg.nt live as
-    long as the Lab, since several stages read them; a solve at any other Nt
-    (a finer residual ladder level) is not kept: only its caller holds it."""
+    u0, cut-offs, seminorm table, dy-refinement companion and each scheme's
+    solve at cfg.nt live as long as the Lab, since several stages read them;
+    a solve at any other Nt (a finer residual ladder level) is not kept: only
+    its caller holds it."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
@@ -189,7 +191,10 @@ class Lab:
 
     @cached_property
     def u0(self):
-        return build_perturbation(self.grid, self.cfg.amp, self.cfg.kx, self.profile)
+        try:
+            return build_perturbation(self.grid, self.cfg.amp, self.cfg.kx, self.profile)
+        except ValueError as exc:
+            raise ConfigError(f"perturbation: {exc}") from exc
 
     @cached_property
     def cut(self):
@@ -212,6 +217,12 @@ class Lab:
         """norms.trajectory_raws of trajectory(): the seminorms that
         run_norms and the energy and radius checks read."""
         return trajectory_raws(self.trajectory(), self.cut, self.params)
+
+    @cached_property
+    def fine(self) -> Lab:
+        """The dy-refinement companion: this configuration at Ny = 2 Ny - 1
+        (every coarse node kept), with no checks of its own."""
+        return Lab(replace(self.cfg, ny=2 * self.cfg.ny - 1, checks=()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -244,19 +255,11 @@ def run_solve(lab: Lab, outdir: Path) -> list:
 
 
 def run_norms(lab: Lab, outdir: Path) -> list:
-    traj = lab.trajectory()
-    cfg = lab.cfg
-    rows = ["t,gevrey_norm,full_norm,lifespan_running"]
-    running = 0.0
-    lam = 1.0   # display convention: unit radius-shrink rate for the series
-    for t, raw in zip(traj.times[::cfg.snapshot_stride], lab.raws[::cfg.snapshot_stride]):
+    rows = ["t,gevrey_norm,full_norm"]
+    for t, raw in zip(lab.trajectory().times, lab.raws):
         base = gevrey_norm(raw, lab.params)
         ext = gevrey_norm(raw, lab.params, with_aux=True)
-        if cfg.rho0 - lam * t > 0:
-            w = np.sqrt((cfg.rho0 - cfg.rho - lam * t) / (cfg.rho0 - cfg.rho)) \
-                if cfg.rho0 - cfg.rho - lam * t > 0 else 0.0
-            running = max(running, w * ext)
-        rows.append(f"{t!r},{base!r},{ext!r},{running!r}")
+        rows.append(f"{t!r},{base!r},{ext!r}")
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "norms.csv").write_text("\n".join(rows) + "\n")
     rep = {"name": "norms", "pass": True, "evidence": {"rows": len(rows) - 1}}
@@ -286,26 +289,19 @@ def run_verify(lab: Lab, outdir: Path) -> list:
              "evidence": {**cr.to_dict(), "tolerance": tol}})
     if "cancellation" in enabled:
         add(V.cancellation_check(lab.u0, evolve_shear(lab.profile, 0.0), lab.cut, lab.report))
-    if {"residual_f", "residual_g", "residual_h"} & enabled:
+    kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
+    if kinds:
         nts = [cfg.nt * 2**k for k in range(cfg.residual_levels)]
-        cutf = V.wide_f_cutoffs(lab.grid, lab.report)
-        jobs = [job for m in (1, 2, 3)
-                for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
-                            V.ResidualJob("h", m, lab.cut))
-                if f"residual_{job.kind}" in enabled]
+        jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
         # a generator: each finer level is solved, evaluated and dropped in turn
         rows = V.evaluate_residuals((lab.trajectory("imex", nt) for nt in nts), jobs)
-        study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
-        for job, job_rows in zip(jobs, rows):
-            add(study[job.kind](job.m, job_rows))
-        del rows, job_rows     # free the residual fields before the boundary companion
+        for job, levels in zip(jobs, rows):
+            add(V.residual_report(job, levels))
+        del rows, levels       # free the residual fields before the boundary companion
     if "boundary" in enabled:
-        # wall-trace orders need a dy-refinement companion
-        fine = RunConfig(**{**vars(cfg), "ny": 2 * cfg.ny - 1,
-                            "checks": (), "out_dir": cfg.out_dir})
-        lab_fine = Lab(fine)
-        add(V.boundary_checks([lab.trajectory("imex", cfg.nt),
-                               lab_fine.trajectory("imex", cfg.nt)], lab.report))
+        # wall-trace orders need the dy-refinement companion
+        add(V.boundary_checks([lab.trajectory("imex"), lab.fine.trajectory("imex")],
+                              lab.report))
     if "sobolev" in enabled:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:

@@ -33,8 +33,8 @@ from .profiles import AssumptionReport
 from .solver import Trajectory, recover_v
 
 __all__ = [
-    "ResidualReport", "CheckReport", "ResidualJob", "evaluate_residuals",
-    "residual_f", "residual_h", "residual_g",
+    "ResidualReport", "CheckReport", "ResidualJob", "residual_jobs", "evaluate_residuals",
+    "residual_report",
     "boundary_checks", "cancellation_check", "sobolev_check", "inequality_suite",
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
@@ -332,6 +332,25 @@ class ResidualJob(NamedTuple):
     cut: CutoffSet | None = None          # f and h only
 
 
+_DELTA_F = 0.5
+
+
+def _wide_f_cutoffs(grid: Grid2D, rep: AssumptionReport) -> CutoffSet:
+    """chi1 with a wider hole (delta = _DELTA_F, capped below y0/2) for the
+    f-identity checks, so that no stencil reaches the zero set of
+    omega^s + omega."""
+    return build_cutoffs(grid, rep.y0, min(_DELTA_F, 0.499 * rep.y0))
+
+
+def residual_jobs(grid: Grid2D, rep: AssumptionReport, cut: CutoffSet, kinds) -> list:
+    """The residual jobs of the given kinds ("f", "g", "h") at m = 1, 2, 3,
+    in report order: f reads the wide-hole cut-offs, h the certified cut."""
+    cutf = _wide_f_cutoffs(grid, rep) if "f" in kinds else None
+    return [job for m in (1, 2, 3)
+            for job in (ResidualJob("f", m, cutf), ResidualJob("g", m), ResidualJob("h", m, cut))
+            if job.kind in kinds]
+
+
 def _evaluate_at(traj: Trajectory, jobs, i: int) -> list:
     """(res, scale, diff) of each job at node i, from one snapshot triple
     that is dropped on return."""
@@ -384,9 +403,10 @@ def evaluate_residuals(trajs, jobs) -> list:
     return rows
 
 
-def _residual_study(name: str, levels) -> ResidualReport:
-    """Residual norms per time-resolution level plus the dt-order, measured
-    on the levels' Richardson differences when all levels share one grid."""
+def residual_report(job: ResidualJob, levels) -> ResidualReport:
+    """The job's residual norms per time-resolution level (its
+    evaluate_residuals levels) plus the dt-order, measured on the levels'
+    Richardson differences when all levels share one grid."""
     grid_levels = [(lvl.dt, lvl.grid.dy, lvl.grid.Nx) for lvl in levels]
     diffs = [lvl.richardson for lvl in levels[1:]]
     orders = []
@@ -396,34 +416,14 @@ def _residual_study(name: str, levels) -> ResidualReport:
             if diffs[k + 1] > 0:
                 orders.append(math.log(diffs[k] / diffs[k + 1]) / math.log(h1 / h2))
     observed = float(np.mean(orders)) if orders else float("nan")
-    return ResidualReport(name=name, grid_levels=grid_levels,
+    return ResidualReport(name=f"residual_{job.kind}[m={job.m}]", grid_levels=grid_levels,
                           residual_norms=[max(lvl.norms) for lvl in levels],
                           scales=[max(lvl.scales) for lvl in levels],
                           observed_order=observed, pairwise_orders=orders)
 
 
-def residual_f(m: int, rows) -> ResidualReport:
-    """Residual ladder for the f_m evolution identity from its
-    evaluate_residuals rows (one level per trajectory)."""
-    return _residual_study(f"residual_f[m={m}]", rows)
-
-
-def residual_h(m: int, rows) -> ResidualReport:
-    return _residual_study(f"residual_h[m={m}]", rows)
-
-
-def residual_g(m: int, rows) -> ResidualReport:
-    return _residual_study(f"residual_g[m={m}]", rows)
-
-
-_DELTA_F = 0.5
-
-
-def wide_f_cutoffs(grid: Grid2D, rep: AssumptionReport) -> CutoffSet:
-    """chi1 with a wider hole (delta = _DELTA_F, capped below y0/2) for the
-    f-identity checks, so that no stencil reaches the zero set of
-    omega^s + omega."""
-    return build_cutoffs(grid, rep.y0, min(_DELTA_F, 0.499 * rep.y0))
+# the per-kind names perfbench/tracer.py wraps; each is residual_report
+residual_f = residual_g = residual_h = residual_report
 
 
 def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:

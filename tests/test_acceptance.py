@@ -1,8 +1,8 @@
 """Acceptance gate: every exit criterion at its stated tolerance, one
 printed pass/fail line per criterion (run with -s to see them inline).
 
-Reference configuration: Nx=128, Ny=257, Lx=2pi, Ymax=30, y0=2, alpha=2,
-ell=2.25, sigma=1.75, amp=1e-3, kx=1, eps=0.1, T=0.05, Nt=32, Mmax=10.
+Reference configuration: configs/reference.ini, read through the session
+Lab of conftest.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ def test_criterion_01_assumption_and_persistence(profile, assumption):
 def test_criterion_02_compatibility(u0, profile):
     cr = check_compatibility(u0, profile)
     worst = max(cr.res_value, cr.res_dyomega, cr.res_third)
-    tol = 1e-8 * REF["amp"]
+    tol = 1e-8 * REF.amp
     _criterion(2, "compatibility residuals <= 1e-8*amp", worst <= tol,
                f"worst={worst:.2e} tol={tol:.1e}")
 
@@ -57,11 +57,10 @@ def test_criterion_03_cancellation(grid, profile, cutoffs, assumption, u0, fine_
 def test_criterion_04_appendix_residual_orders(ladder_rows):
     details = []
     ok = True
-    study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
-    for (kind, m), rows in ladder_rows.items():
-        rep = study[kind](m, rows)
+    for job, levels in ladder_rows:
+        rep = V.residual_report(job, levels)
         ok &= rep.observed_order >= 1.0
-        details.append(f"{kind}{m}:{rep.observed_order:.2f}")
+        details.append(f"{job.kind}{job.m}:{rep.observed_order:.2f}")
     _criterion(4, "f/h/g evolution-identity residual orders >= 1 in dt",
                ok, " ".join(details))
 

@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,9 +15,7 @@ import prandtl_lab.shear as S
 import prandtl_lab.verify as V
 from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
 
-from conftest import alive
-
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
+from conftest import CONFIG, alive
 
 
 def _write(tmp_path, body):
@@ -28,6 +28,19 @@ def test_reference_config_loads():
     cfg = load_config(CONFIG)
     assert cfg.nx == 128 and cfg.ny == 257
     assert cfg.sigma == 1.75 and cfg.ell == 2.25
+
+
+def test_reference_ini_shows_every_key():
+    """configs/reference.ini shows exactly the keys load_config accepts, and
+    those keys name exactly the RunConfig fields: a removed knob cannot
+    linger in the INI, a new one cannot go undocumented."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG)
+    ini = {(s, k) for s in parser.sections() for k in parser[s]}
+    schema = {(s, k) for s, keys in C._SCHEMA.items() for k in keys}
+    assert ini == schema
+    assert ({C._KEY_MAP.get(key, key[1]) for key in schema}
+            == {f.name for f in dataclasses.fields(C.RunConfig)})
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -81,8 +94,9 @@ def test_solve_and_norms_artifacts(tmp_path):
         assert z["scheme"] == "imex" and z["eps"] == cfg.eps
     assert run(cfg, "norms", out_dir=tmp_path) == 0
     rows = (tmp_path / "norms.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("t,gevrey_norm,full_norm")
+    assert rows[0] == "t,gevrey_norm,full_norm"
     assert len(rows) == 1 + 9
+    assert all(len(row.split(",")) == 3 for row in rows)
 
 
 def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
@@ -197,6 +211,27 @@ def test_profile_error_is_config_error(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, stage", [
+    ("solver", "t_final", 0.0, "solver.t_final must be positive"),
+    ("grid", "lx", 0.0, "grid.lx must be positive"),
+    ("grid", "ymax", 8.0, "perturbation:"),
+], ids=["t_final", "lx", "ymax"])
+def test_validated_space_never_crashes(tmp_path, section, key, value, stage):
+    """Each of these configs used to end in a ValueError traceback with no
+    manifest.  The INI route exits 2; run() exits 2 and writes a manifest
+    whose error object names the failing bound or stage."""
+    p = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "ini")]) == 2
+    # validate() stops the first two before run(); the third reaches it
+    assert (tmp_path / "ini" / "manifest.json").is_file() == (key == "ymax")
+    cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8)
+    setattr(cfg, key, value)
+    assert run(cfg, "solve", out_dir=tmp_path / "run") == 2
+    err = json.loads((tmp_path / "run" / "manifest.json").read_text())["error"]
+    assert err["exit_code"] == 2 and err["kind"] == "ConfigError"
+    assert err["message"].startswith(stage)
+
+
 def test_error_exits_write_manifest(tmp_path):
     """Exits 2 and 3 still end with a manifest: no reports, and an error
     object naming the exit code, the exception kind and its message."""
@@ -233,14 +268,11 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
     assert len(snapshot_refs) == 3 * 3 * cfg.residual_levels
     assert alive(snapshot_refs) == []
     trajs = [lab.trajectory("imex", cfg.nt * 2**k) for k in range(cfg.residual_levels)]
-    cutf = V.wide_f_cutoffs(lab.grid, lab.report)
-    study = {"f": V.residual_f, "g": V.residual_g, "h": V.residual_h}
     alone = []
-    for m in (1, 2, 3):
-        for job in (V.ResidualJob("f", m, cutf), V.ResidualJob("g", m),
-                    V.ResidualJob("h", m, lab.cut)):
-            [rows] = V.evaluate_residuals(trajs, [job])
-            alone.append(study[job.kind](m, rows))
+    for job in V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"):
+        [levels] = V.evaluate_residuals(trajs, [job])
+        alone.append(V.residual_report(job, levels))
+    assert [r.name for r in alone] == [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
     assert json.dumps(reports) == json.dumps([r.to_dict() for r in alone])
 
 

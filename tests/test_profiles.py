@@ -113,7 +113,7 @@ def test_zero_perturbation(grid, profile):
 
 def test_compatibility_of_built_perturbation(grid, profile, u0):
     cr = check_compatibility(u0, profile)
-    tol = 1e-8 * REF["amp"]
+    tol = 1e-8 * REF.amp
     assert cr.res_value <= tol
     assert cr.res_dyomega <= tol
     assert cr.res_third <= tol

@@ -50,7 +50,7 @@ def test_orders_above_one_formed_once_on_first_read(profile, monkeypatch):
         return real(p, t, j0, j1)
 
     monkeypatch.setattr(S, "_quadrature_rows", counting)
-    t = REF["T"] / 4
+    t = REF.t_final / 4
     s = evolve_shear(fresh, t)
     assert calls == [(t, 0, 2)]
     d = s.dj_omegas
@@ -65,7 +65,7 @@ def test_orders_above_one_formed_once_on_first_read(profile, monkeypatch):
 def test_kernel_table_equals_dense_sum(profile):
     """dy = 30/256 makes every offset h*m exact, so reading the kernel from
     the 1-D table is bitwise the dense double sum, orders 0..6."""
-    T = REF["T"]
+    T = REF.t_final
     for t in (T / 128, T / 32, T, 0.5):
         s = evolve_shear(profile, t)
         assert np.array_equal(_rows(s), _dense_quadrature(profile, t))
@@ -75,8 +75,8 @@ def test_kernel_table_equals_dense_sum(profile):
 def test_kernel_table_off_binary_grid():
     """On Ny = 200 dy is not a binary fraction: offsets round differently
     from y_i -/+ s_k, and the two forms agree to rounding."""
-    p = build_shear_profile(Grid2D(REF["Nx"], 200, REF["Lx"], REF["Ymax"]),
-                            REF["y0"], REF["alpha"])
+    p = build_shear_profile(Grid2D(REF.nx, 200, REF.lx, REF.ymax),
+                            REF.y0, REF.alpha)
     for t in (0.01, 0.05, 0.5):
         got, ref = _rows(evolve_shear(p, t)), _dense_quadrature(p, t)
         for j in range(7):

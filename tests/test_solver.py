@@ -25,7 +25,7 @@ def test_config_validation():
 def test_horizon_warning_names_caller(u0, profile):
     """A Picard run that stops at jmax with its update still above tol warns,
     and the warning points at the line that called picard_solve."""
-    cfg = SolverConfig(eps=REF["eps"], T=REF["T"], Nt=8, jmax=2, tol=1e-12)
+    cfg = SolverConfig(eps=REF.eps, T=REF.t_final, Nt=8, jmax=2, tol=1e-12)
     with pytest.warns(UserWarning, match="jmax=2") as rec:
         traj = picard_solve(u0, profile, cfg)
     assert len(traj.contraction) == 2 and traj.contraction[-1] > cfg.tol
@@ -161,7 +161,7 @@ def test_trajectory_boundary_values(traj_picard, traj_imex):
 def test_cross_solver_agreement(traj_picard, traj_imex):
     d = weighted_l2(traj_picard.u[-1] - traj_imex.u[-1], 0.0)
     sup = linf(traj_picard.u[-1])
-    tol = max(5.0 * (REF["T"] / REF["Nt"]) * sup, 1e-6)
+    tol = max(5.0 * (REF.t_final / REF.nt) * sup, 1e-6)
     assert d <= tol
 
 
@@ -172,11 +172,11 @@ def test_near_linear_regime(grid, profile):
     gaps = []
     for amp in (1e-6, 1e-3):
         u0 = build_perturbation(grid, amp, 1, profile)
-        tp = _solve(u0, profile, "picard", REF["Nt"])
-        ti = _solve(u0, profile, "imex", REF["Nt"])
+        tp = _solve(u0, profile, "picard", REF.nt)
+        ti = _solve(u0, profile, "imex", REF.nt)
         gaps.append(weighted_l2(tp.u[-1] - ti.u[-1], 0.0)
                     / max(weighted_l2(tp.u[-1], 0.0), 1e-300))
-    assert gaps[0] <= 5.0 * REF["T"] / REF["Nt"]
+    assert gaps[0] <= 5.0 * REF.t_final / REF.nt
     assert 0.5 <= gaps[0] / gaps[1] <= 2.0
 
 
