@@ -1,8 +1,10 @@
 """Configuration loading, experiment orchestration, and report emission.
 
-Runs are driven by an INI config with one section per module block; every
-cross-field constraint is re-validated at load time with the responsible
-bound named in the error.  Subcommands:
+Runs are driven by an INI config with one section per module block.  Each
+bound is checked once, by the object that reads the value: the grid, Gevrey
+parameters and solver config when the config is loaded, the profile and
+perturbation when a Lab is built (exit 2 with a manifest); the error names
+the INI section.  Non-finite numbers are rejected at load time.  Subcommands:
 
     shear-check   assumption scan + persistence certification
     solve         one trajectory, saved as trajectory/trajectory.npz
@@ -11,7 +13,7 @@ bound named in the error.  Subcommands:
     full          all of the above
 
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
-error, 3 solver divergence.
+error, 3 solver divergence or a field that overflowed to non-finite values.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .cutoffs import build_cutoffs
-from .grid import Grid2D
+from .grid import Grid2D, NonFiniteError
 from .norms import GevreyParams, gevrey_norm, trajectory_raws
 from .profiles import build_perturbation, build_shear_profile, check_compatibility, validate_assumption
 from .shear import check_proposition_shear, evolve_shear
@@ -72,41 +76,17 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.nx < 4 or (self.nx & (self.nx - 1)) != 0:
-            raise ConfigError("grid.nx must be a power of two (transform efficiency)")
-        if self.ny < 32:
-            raise ConfigError("grid.ny must be at least 32")
-        if not self.lx > 0.0:
-            raise ConfigError("grid.lx must be positive")
-        if not (0.0 < self.y0 < self.ymax / 3.0):
-            raise ConfigError("profile.y0 must lie in (0, Ymax/3)")
-        if self.alpha <= 1.0:
-            raise ConfigError("profile.alpha must exceed 1 (two-sided decay exponent)")
-        if self.kx < 1 or self.kx > self.nx // 8:
-            raise ConfigError("perturbation.kx must lie in [1, nx/8]")
-        if self.amp < 0.0:
-            raise ConfigError("perturbation.amp must be non-negative")
-        if not (0.0 < self.eps <= 1.0):
-            raise ConfigError("solver.eps must lie in (0, 1]")
-        if not self.t_final > 0.0:
-            raise ConfigError("solver.t_final must be positive")
-        if self.nt < 4:
-            raise ConfigError("solver.nt must be at least 4")
-        if self.jmax < 2:
-            raise ConfigError("solver.jmax must be at least 2")
-        if self.scheme not in ("picard", "imex"):
-            raise ConfigError("solver.scheme must be 'picard' or 'imex'")
-        if not (1.5 <= self.sigma <= 2.0):
-            raise ConfigError("norms.sigma must lie in [1.5, 2] (Gevrey index range "
-                              "of the well-posedness statement)")
-        if not (self.ell > 1.5):
-            raise ConfigError("norms.ell must exceed 3/2")
-        if not (self.alpha <= self.ell < self.alpha + 0.5):
-            raise ConfigError("norms.ell must satisfy alpha <= ell < alpha + 1/2 "
-                              "(weight-exponent window)")
-        if self.mmax < 7 or self.mmax > self.nx // 4:
-            raise ConfigError("norms.mmax must satisfy 7 <= mmax <= nx/4 "
-                              "(anti-aliasing guard)")
+        """Reject a configuration that cannot run.  Each bound on one value
+        is checked by the object that reads it: build() makes the grid,
+        Gevrey parameters and solver config, and a Lab makes the profile
+        and perturbation.  Only the rules no object owns are written here."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{_SECTION[f.name]}.{f.name} must be finite, got {value}")
+        self.build()
+        if self.mmax > self.nx // 4:
+            raise ConfigError("norms.mmax must not exceed nx/4 (anti-aliasing guard)")
         if not (0.0 < self.rho < self.rho_tilde < self.rho0):
             raise ConfigError("norms require 0 < rho < rho_tilde < rho0")
         for c in self.checks:
@@ -123,6 +103,28 @@ class RunConfig:
                                   "check is enabled (the dt-order needs two Richardson "
                                   "differences)")
 
+    def build(self) -> tuple:
+        """(grid, Gevrey parameters, solver config) of this configuration."""
+        with _owned_by("grid"):
+            grid = Grid2D(self.nx, self.ny, self.lx, self.ymax)
+        with _owned_by("norms"):
+            params = GevreyParams(rho=self.rho, sigma=self.sigma, ell=self.ell,
+                                  alpha=self.alpha, Mmax=self.mmax)
+        with _owned_by("solver"):
+            solver = SolverConfig(eps=self.eps, T=self.t_final, Nt=self.nt,
+                                  jmax=self.jmax, tol=self.tol, scheme=self.scheme)
+        return grid, params, solver
+
+
+@contextmanager
+def _owned_by(section: str):
+    """Report a bound that an object checks on its own input as a
+    ConfigError naming the INI section the input comes from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
 
 _SCHEMA = {
     "grid": {"nx": int, "ny": int, "lx": float, "ymax": float},
@@ -136,6 +138,7 @@ _SCHEMA = {
     "output": {"dir": str, "seed": int},
 }
 _KEY_MAP = {("output", "dir"): "out_dir"}
+_SECTION = {_KEY_MAP.get((s, k), k): s for s, keys in _SCHEMA.items() for k in keys}
 
 
 def load_config(path) -> RunConfig:
@@ -170,31 +173,23 @@ def load_config(path) -> RunConfig:
 
 
 class Lab:
-    """Shared artifacts for one configuration, built lazily.  The profile,
-    u0, cut-offs, seminorm table, dy-refinement companion and each scheme's
-    solve at cfg.nt live as long as the Lab, since several stages read them;
-    a solve at any other Nt (a finer residual ladder level) is not kept: only
-    its caller holds it."""
+    """Shared artifacts for one configuration.  The profile and u0 are built
+    at once, so every input rule is checked when the Lab is made; the rest is
+    built on first read.  The profile, u0, cut-offs, seminorm table,
+    dy-refinement companion and each scheme's solve at cfg.nt live as long
+    as the Lab, since several stages read them; a solve at any other Nt (a
+    finer residual ladder level) is not kept: only its caller holds it."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
-        self.grid = Grid2D(cfg.nx, cfg.ny, cfg.lx, cfg.ymax)
-        try:
+        self.grid, self.params, self.solver = cfg.build()
+        with _owned_by("profile"):
             self.profile = build_shear_profile(self.grid, cfg.y0, cfg.alpha)
-        except ValueError as exc:
-            raise ConfigError(f"profile: {exc}") from exc
         self.report = validate_assumption(self.profile)
-        self.params = GevreyParams(rho=cfg.rho, sigma=cfg.sigma, ell=cfg.ell,
-                                   alpha=cfg.alpha, Mmax=cfg.mmax)
+        with _owned_by("perturbation"):
+            self.u0 = build_perturbation(self.grid, cfg.amp, cfg.kx, self.profile)
         self._trajs = {}          # scheme -> solve at cfg.nt
-
-    @cached_property
-    def u0(self):
-        try:
-            return build_perturbation(self.grid, self.cfg.amp, self.cfg.kx, self.profile)
-        except ValueError as exc:
-            raise ConfigError(f"perturbation: {exc}") from exc
 
     @cached_property
     def cut(self):
@@ -205,8 +200,7 @@ class Lab:
         nt = nt or self.cfg.nt
         if nt == self.cfg.nt and scheme in self._trajs:
             return self._trajs[scheme]
-        sc = SolverConfig(eps=self.cfg.eps, T=self.cfg.t_final, Nt=nt,
-                          jmax=self.cfg.jmax, tol=self.cfg.tol, scheme=scheme)
+        sc = replace(self.solver, Nt=nt, scheme=scheme)
         traj = (picard_solve if scheme == "picard" else imex_solve)(self.u0, self.profile, sc)
         if nt == self.cfg.nt:
             self._trajs[scheme] = traj
@@ -259,7 +253,7 @@ def run_norms(lab: Lab, outdir: Path) -> list:
     for t, raw in zip(lab.trajectory().times, lab.raws):
         base = gevrey_norm(raw, lab.params)
         ext = gevrey_norm(raw, lab.params, with_aux=True)
-        rows.append(f"{t!r},{base!r},{ext!r}")
+        rows.append(f"{float(t)!r},{base!r},{ext!r}")
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "norms.csv").write_text("\n".join(rows) + "\n")
     rep = {"name": "norms", "pass": True, "evidence": {"rows": len(rows) - 1}}
@@ -352,9 +346,10 @@ def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
                 reports = run_shear_check(lab, outdir) + reports
         else:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-    except (ConfigError, SolverDivergence) as exc:
+    except (ConfigError, SolverDivergence, NonFiniteError) as exc:
         code, label = ((2, "configuration error") if isinstance(exc, ConfigError)
-                       else (3, "solver divergence"))
+                       else (3, "solver divergence") if isinstance(exc, SolverDivergence)
+                       else (3, "numerical overflow"))
         print(f"{label}: {exc}", file=sys.stderr)
         manifest["reports"] = []
         manifest["error"] = {"exit_code": code, "kind": type(exc).__name__,
@@ -383,7 +378,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.validate()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid2D", "Field", "fd_weights"]
+__all__ = ["Grid2D", "Field", "NonFiniteError", "fd_weights"]
 
 
 def fd_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
@@ -80,8 +80,8 @@ class Grid2D:
             raise ValueError(f"Nx must be a power of two >= 4, got {self.Nx}")
         if self.Ny < 32:
             raise ValueError(f"Ny must be at least 32, got {self.Ny}")
-        if self.Lx <= 0 or self.Ymax <= 0:
-            raise ValueError("Lx and Ymax must be positive")
+        if not (self.Lx / self.Nx > 0 and self.Ymax / (self.Ny - 1) > 0):
+            raise ValueError("Lx and Ymax must be positive, with non-zero grid spacings")
         self.x_nodes = self.Lx * np.arange(self.Nx) / self.Nx
         self.y_nodes = np.linspace(0.0, self.Ymax, self.Ny)
         self._dy_mats: dict[tuple, np.ndarray] = {}
@@ -137,6 +137,10 @@ class Grid2D:
                 and self.Lx == other.Lx and self.Ymax == other.Ymax)
 
 
+class NonFiniteError(ValueError):
+    """A Field built from non-finite samples: the computation overflowed."""
+
+
 class Field:
     """Real scalar samples on a Grid2D; asserts finiteness on construction."""
 
@@ -147,7 +151,7 @@ class Field:
         if values.shape != (grid.Nx, grid.Ny):
             raise ValueError(f"expected shape {(grid.Nx, grid.Ny)}, got {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite entries")
+            raise NonFiniteError("field contains non-finite entries")
         self.grid = grid
         self.values = values
 

@@ -57,6 +57,8 @@ class SolverConfig:
             raise ValueError(f"Nt must be at least 4, got {self.Nt}")
         if self.jmax < 2:
             raise ValueError(f"jmax must be at least 2, got {self.jmax}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.scheme not in ("picard", "imex"):
             raise ValueError(f"scheme must be 'picard' or 'imex', got {self.scheme!r}")
 

@@ -459,10 +459,8 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
             om_tot0 = s0.om_tot[:, 0]
             dxom0 = s0.dxom(1).values[:, 0]
             # d_y^2 omega represented through the evolution equation
-            eqrhs = Field(g, (om_p - om_m) / dt2
-                          + (s0.state.us[None, :] + s0.u.values) * s0.dxom(1).values
-                          + s0.v.values * s0.dyom_tot
-                          - eps * s0.dxom(2).values)
+            eqrhs = Field(g, _material_derivative(s0, om_m, om_p, s0.omega.values,
+                                                  s0.dyom_tot, 0.0, dt2, eps))
             third = dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0
             r_3 = max(r_3, float(np.max(np.abs(third))))
             s_3 = max(s_3, float(np.max(np.abs(om_tot0 * dxom0))))

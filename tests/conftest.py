@@ -5,12 +5,13 @@ objects the CLI builds; only off-reference runs are solved here."""
 
 import gc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from prandtl_lab.cli import Lab, load_config
-from prandtl_lab.solver import SolverConfig, imex_solve, picard_solve
+from prandtl_lab.solver import imex_solve, picard_solve
 import prandtl_lab.verify as V
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
@@ -66,7 +67,7 @@ def params(lab):
 def _solve(u0_field, profile, scheme, nt, eps=REF.eps):
     """An off-reference solve (another datum, Nt or eps) on the reference
     horizon and Picard settings."""
-    cfg = SolverConfig(eps=eps, T=REF.t_final, Nt=nt, jmax=REF.jmax, tol=REF.tol, scheme=scheme)
+    cfg = replace(REF, eps=eps, nt=nt, scheme=scheme).build()[2]
     fn = picard_solve if scheme == "picard" else imex_solve
     return fn(u0_field, profile, cfg)
 

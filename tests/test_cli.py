@@ -1,13 +1,19 @@
 import configparser
 import dataclasses
 import json
+import math
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import prandtl_lab.cli as C
 import prandtl_lab.norms as N
@@ -54,13 +60,13 @@ def test_unknown_key_rejected(tmp_path):
 
 def test_sigma_range_named(tmp_path):
     p = _write(tmp_path, "[norms]\nsigma = 2.5\n")
-    with pytest.raises(ConfigError, match=r"sigma must lie in \[1.5, 2\]"):
+    with pytest.raises(ConfigError, match=r"^norms: sigma must lie in \[1.5, 2\]"):
         load_config(p)
 
 
 def test_ell_alpha_window_named(tmp_path):
     p = _write(tmp_path, "[norms]\nell = 2.6\n")
-    with pytest.raises(ConfigError, match="alpha <= ell < alpha"):
+    with pytest.raises(ConfigError, match="^norms: ell must satisfy alpha <= ell < alpha"):
         load_config(p)
 
 
@@ -97,6 +103,7 @@ def test_solve_and_norms_artifacts(tmp_path):
     assert rows[0] == "t,gevrey_norm,full_norm"
     assert len(rows) == 1 + 9
     assert all(len(row.split(",")) == 3 for row in rows)
+    assert all(np.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
 
 
 def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
@@ -211,25 +218,71 @@ def test_profile_error_is_config_error(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key, value, stage", [
-    ("solver", "t_final", 0.0, "solver.t_final must be positive"),
-    ("grid", "lx", 0.0, "grid.lx must be positive"),
-    ("grid", "ymax", 8.0, "perturbation:"),
-], ids=["t_final", "lx", "ymax"])
-def test_validated_space_never_crashes(tmp_path, section, key, value, stage):
-    """Each of these configs used to end in a ValueError traceback with no
-    manifest.  The INI route exits 2; run() exits 2 and writes a manifest
-    whose error object names the failing bound or stage."""
+@pytest.mark.parametrize("section, key, value, loads, message", [
+    ("solver", "t_final", 0.0, False, r"^solver: T must be positive"),
+    ("grid", "lx", 0.0, False, r"^grid: Lx and Ymax must be positive"),
+    ("grid", "ymax", 8.0, True, r"^perturbation: grid too coarse"),
+    ("solver", "t_final", "inf", False, r"^solver\.t_final must be finite"),
+    ("grid", "lx", "inf", False, r"^grid\.lx must be finite"),
+    ("grid", "ymax", "inf", False, r"^grid\.ymax must be finite"),
+    ("solver", "tol", "nan", False, r"^solver\.tol must be finite"),
+    ("profile", "y0", 20.0, True, r"^profile: y0 must lie in \(0, Ymax/3\)"),
+    ("perturbation", "kx", 17, True, r"^perturbation: kx must lie in \[1, Nx/8\]"),
+    ("perturbation", "amp", -1.0, True, r"^perturbation: amp must be non-negative"),
+], ids=["t_final", "lx", "ymax", "t_final_inf", "lx_inf", "ymax_inf", "tol_nan",
+        "y0", "kx", "amp"])
+def test_validated_space_never_crashes(tmp_path, capsys, section, key, value, loads, message):
+    """The non-finite configs used to end in a traceback with no manifest,
+    or (tol = nan) ran every Picard sweep and passed.  The INI route exits 2
+    naming the section and the bound; run() exits 2 and writes a manifest
+    whose error object names them too.  The profile and perturbation
+    builders own their bounds, so such a config loads and its Lab rejects it."""
     p = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "ini")]) == 2
-    # validate() stops the first two before run(); the third reaches it
-    assert (tmp_path / "ini" / "manifest.json").is_file() == (key == "ymax")
+    err = capsys.readouterr().err
+    assert re.search(message, err.removeprefix("configuration error: "))
+    assert "Traceback" not in err
+    assert (tmp_path / "ini" / "manifest.json").is_file() == loads
     cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8)
-    setattr(cfg, key, value)
+    setattr(cfg, key, type(getattr(cfg, key))(value))
     assert run(cfg, "solve", out_dir=tmp_path / "run") == 2
     err = json.loads((tmp_path / "run" / "manifest.json").read_text())["error"]
     assert err["exit_code"] == 2 and err["kind"] == "ConfigError"
-    assert err["message"].startswith(stage)
+    assert re.search(message, err["message"])
+
+
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# each float field is drawn on both sides of its bounds
+_FLOAT_RANGES = {"lx": (-1.0, 20.0), "ymax": (-1.0, 60.0), "y0": (-1.0, 12.0),
+                 "alpha": (0.5, 3.0), "amp": (-0.01, 0.5), "eps": (-0.2, 1.5),
+                 "t_final": (-0.1, 10.0), "tol": (-1.0, 1.0), "rho": (-0.1, 0.6),
+                 "rho_tilde": (-0.1, 0.6), "rho0": (-0.1, 0.6), "sigma": (1.0, 2.5),
+                 "ell": (1.0, 3.0)}
+_OVERRIDE = st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi) | _NON_FINITE)
+                        for k, (lo, hi) in _FLOAT_RANGES.items()))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(ny=st.integers(33, 129), kx=st.integers(0, 5), scheme=st.sampled_from(["picard", "imex"]),
+       overrides=st.lists(_OVERRIDE, max_size=3))
+@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", math.inf)])
+@example(ny=53, kx=2, scheme="imex", overrides=[("lx", 3.76e-224)])     # x-derivatives overflow
+@example(ny=129, kx=1, scheme="picard", overrides=[("lx", 1e-20)])
+@example(ny=33, kx=1, scheme="picard", overrides=[("lx", 5e-324)])     # Lx / Nx underflows
+def test_validated_config_space_property(ny, kx, scheme, overrides):
+    """On small grids, a drawn config is either rejected by validate() with a
+    ConfigError, or solve ends with a documented exit code and a manifest."""
+    cfg = C.RunConfig(nx=32, ny=ny, mmax=8, nt=8, kx=kx, scheme=scheme, **dict(overrides))
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        # long horizons warn by design, and numpy warns on the overflows
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(cfg, "solve", out_dir=out) in (0, 2, 3)
+        assert (Path(out) / "manifest.json").is_file()
 
 
 def test_error_exits_write_manifest(tmp_path):

@@ -20,6 +20,8 @@ def test_config_validation():
         SolverConfig(eps=0.1, T=0.1, Nt=2)
     with pytest.raises(ValueError):
         SolverConfig(eps=0.1, T=0.1, Nt=8, scheme="rk4")
+    with pytest.raises(ValueError, match="tol must be positive"):
+        SolverConfig(eps=0.1, T=0.1, Nt=8, tol=-1.0)   # every Picard solve would run jmax sweeps
 
 
 def test_horizon_warning_names_caller(u0, profile):
