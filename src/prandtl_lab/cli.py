@@ -13,7 +13,11 @@ the INI section.  Non-finite numbers are rejected at load time.  Subcommands:
     full          all of the above
 
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
-error, 3 solver divergence or a field that overflowed to non-finite values.
+error (a cut-off set that does not fit the grid included), 3 solver
+divergence, a field that overflowed to non-finite values, or a
+cancellation-function denominator under its floor.  Exits 2 and 3 write a
+manifest whose error object names the stage that raised: setup (loading
+and building the Lab), shear-check, solve, norms or verify.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cutoffs import build_cutoffs
+from .cutoffs import CutoffError, DenominatorFloorError, build_cutoffs
 from .grid import Grid2D, NonFiniteError
 from .norms import GevreyParams, gevrey_norm, trajectory_raws
 from .profiles import build_perturbation, build_shear_profile, check_compatibility, validate_assumption
-from .shear import check_proposition_shear, evolve_shear
+from .shear import check_proposition_shear, evolve_shear, min_resolved_step
 from .solver import SolverConfig, SolverDivergence, imex_solve, picard_solve
 from . import verify as V
 
@@ -84,7 +88,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{_SECTION[f.name]}.{f.name} must be finite, got {value}")
-        self.build()
+        grid = self.build()[0]
         if self.mmax > self.nx // 4:
             raise ConfigError("norms.mmax must not exceed nx/4 (anti-aliasing guard)")
         if not (0.0 < self.rho < self.rho_tilde < self.rho0):
@@ -94,7 +98,8 @@ class RunConfig:
                 raise ConfigError(f"verify.checks contains unknown check '{c}'")
         if self.residual_levels < 1:
             raise ConfigError("verify.residual_levels must be positive")
-        if {"residual_f", "residual_g", "residual_h"} & set(self.checks):
+        residual = bool({"residual_f", "residual_g", "residual_h"} & set(self.checks))
+        if residual:
             if self.nt % 8:
                 raise ConfigError("solver.nt must be a multiple of 8 when a residual check is "
                                   "enabled (every ladder level is evaluated at 3T/8, 5T/8, 7T/8)")
@@ -102,6 +107,13 @@ class RunConfig:
                 raise ConfigError("verify.residual_levels must be at least 3 when a residual "
                                   "check is enabled (the dt-order needs two Richardson "
                                   "differences)")
+        # the shear state at the first step of the finest solve must be resolved
+        dt = math.ldexp(self.t_final / self.nt, -(self.residual_levels - 1 if residual else 0))
+        if not dt >= min_resolved_step(grid):
+            raise ConfigError(
+                f"solver.t_final = {self.t_final!r} is too short: the finest time step "
+                f"{dt:.3e} is under {min_resolved_step(grid):.3e}, the least step the "
+                f"shear quadrature resolves")
 
     def build(self) -> tuple:
         """(grid, Gevrey parameters, solver config) of this configuration."""
@@ -316,44 +328,46 @@ def run_verify(lab: Lab, outdir: Path) -> list:
     return reports
 
 
+# exit code and label of each error that ends a run without reports
+_ERROR_EXITS = ((ConfigError, 2, "configuration error"),
+                (CutoffError, 2, "configuration error"),
+                (SolverDivergence, 3, "solver divergence"),
+                (NonFiniteError, 3, "numerical overflow"),
+                (DenominatorFloorError, 3, "denominator floor"))
+
+
 def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
     """Execute one subcommand; returns the process exit code.
 
     Every exit writes manifest.json; exits 2 and 3 record no reports and
-    an error object instead."""
+    an error object instead, naming the stage that raised."""
     outdir = Path(out_dir if out_dir is not None else cfg.out_dir)
     manifest = {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in vars(cfg).items()},
         "versions": {"prandtl_lab": __version__, "numpy": np.__version__},
     }
+    # looked up per call, so that a wrapped stage function is the one run
+    stages = {"shear-check": run_shear_check, "solve": run_solve, "norms": run_norms,
+              "verify": run_verify}
+    stage = "setup"
     try:
-        lab = Lab(cfg)
-        if subcommand == "shear-check":
-            reports = run_shear_check(lab, outdir)
-        elif subcommand == "solve":
-            reports = run_solve(lab, outdir)
-        elif subcommand == "norms":
-            reports = run_norms(lab, outdir)
-        elif subcommand == "verify":
-            reports = run_verify(lab, outdir)
-        elif subcommand == "full":
-            # verify re-runs the shear checks when enabled; no duplicates
-            reports = run_solve(lab, outdir)
-            reports += run_norms(lab, outdir)
-            reports += run_verify(lab, outdir)
-            if not ({"assumption", "proposition"} & set(cfg.checks)):
-                reports = run_shear_check(lab, outdir) + reports
-        else:
+        if subcommand != "full" and subcommand not in stages:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-    except (ConfigError, SolverDivergence, NonFiniteError) as exc:
-        code, label = ((2, "configuration error") if isinstance(exc, ConfigError)
-                       else (3, "solver divergence") if isinstance(exc, SolverDivergence)
-                       else (3, "numerical overflow"))
+        lab = Lab(cfg)
+        reports = []
+        for stage in ("solve", "norms", "verify") if subcommand == "full" else (subcommand,):
+            reports += stages[stage](lab, outdir)
+        # verify re-runs the shear checks when enabled; no duplicates
+        if subcommand == "full" and not ({"assumption", "proposition"} & set(cfg.checks)):
+            stage = "shear-check"
+            reports = run_shear_check(lab, outdir) + reports
+    except tuple(exc for exc, _, _ in _ERROR_EXITS) as exc:
+        code, label = next((c, lbl) for e, c, lbl in _ERROR_EXITS if isinstance(exc, e))
         print(f"{label}: {exc}", file=sys.stderr)
         manifest["reports"] = []
         manifest["error"] = {"exit_code": code, "kind": type(exc).__name__,
-                             "message": str(exc)}
+                             "message": str(exc), "stage": stage}
         _write_json(outdir / "manifest.json", manifest)
         return code
 

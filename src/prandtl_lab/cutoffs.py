@@ -26,18 +26,23 @@ mask never acts where a quotient is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bump import window
-from .grid import Field, Grid2D, clean_spectrum, dx_m_spec, dy_j
+from .grid import Field, Grid2D, dx_m_spec, dy_j, x_spectrum
 from .shear import ShearState
 
-__all__ = ["CutoffSet", "build_cutoffs", "AuxWorkspace", "DenominatorFloorError"]
+__all__ = ["CutoffSet", "CutoffError", "build_cutoffs", "AuxWorkspace", "DenominatorFloorError"]
 
 
 class DenominatorFloorError(ValueError):
     """A cancellation-function denominator dipped below its floor."""
+
+
+class CutoffError(ValueError):
+    """A cut-off set that does not fit the critical strip or the grid."""
 
 
 # least |denominator| allowed on the support of chi1 (f_m) and chi2 (h_m)
@@ -55,10 +60,10 @@ class CutoffSet:
 
 def build_cutoffs(grid: Grid2D, y0: float, delta: float) -> CutoffSet:
     if not (0.0 < delta < y0 / 2.0):
-        raise ValueError(f"delta must lie in (0, y0/2), got {delta}")
+        raise CutoffError(f"delta must lie in (0, y0/2), got {delta}")
     if y0 + 3.0 * delta >= grid.Ymax:
         # the bound of validate_assumption's delta scan
-        raise ValueError(f"y0 + 3*delta = {y0 + 3.0 * delta} must lie below Ymax = {grid.Ymax}")
+        raise CutoffError(f"y0 + 3*delta = {y0 + 3.0 * delta} must lie below Ymax = {grid.Ymax}")
     y = grid.y_nodes
     d = delta
     chi1 = 1.0 - window(y, y0 - 1.5 * d, y0 - 1.25 * d, y0 + 1.25 * d, y0 + 1.5 * d)
@@ -90,21 +95,19 @@ def _masked_reciprocal(den: np.ndarray) -> np.ndarray:
 
 
 class AuxWorkspace:
-    """Derivative bundle of one (u, shear state) pair: omega and its first two
-    y-derivatives, the cleaned x-spectra of u, omega and d_y omega, omega_tot
-    with its first two y-derivatives, g1, and the masked reciprocals
-    inv_om = 1/omega_tot and inv_dyom = 1/d_y omega_tot with the quotients
-    a, b of the cancellation functions (all read-only).  Given a cut-off set
-    it also checks their denominators' floors and forms f_m and h_m.
-
-    npts selects the y-stencils (None: the standard ones of Grid2D).  Each
-    x-derivative of a cached spectrum is computed once per bundle and served
-    read-only afterwards."""
+    """Derivative bundle of one (u, shear state) pair: omega = d_y u, d_y omega
+    and d_y^2 omega, the cleaned x-spectra of u, omega and d_y omega (of
+    d_y^2 omega on first read), omega_tot with its first two y-derivatives,
+    the masked reciprocals inv_om = 1/omega_tot and inv_dyom = 1/d_y omega_tot
+    with the quotients a, b of the cancellation functions (all read-only),
+    and, on first read, g1 and its cleaned spectrum.  Given a cut-off set it
+    also checks the denominators' floors and forms f_m and h_m.  npts selects
+    the y-stencils (None: the standard ones of Grid2D).  Each x-derivative of
+    a spectrum is computed once per bundle and served read-only afterwards."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None):
-        g = u.grid
-        self.grid = g
+        self.grid = g = u.grid
         self.u = u
         self.state = state
         self.cut = cut
@@ -112,12 +115,12 @@ class AuxWorkspace:
         self.omega = dy_j(u, 1, npts)
         self.dyom = dy_j(self.omega, 1, npts)
         self.d2yom = dy_j(self.omega, 2, npts)
+        self.spec_u = x_spectrum(u.values)
+        self.spec_om = x_spectrum(self.omega.values)
+        self.spec_dyom = x_spectrum(self.dyom.values)
         self.om_tot = state.omegas[None, :] + self.omega.values
         self.dyom_tot = state.dj_omegas[0][None, :] + self.dyom.values
         self.d2yom_tot = state.dj_omegas[1][None, :] + self.d2yom.values
-        self.spec_u = clean_spectrum(np.fft.rfft(u.values, axis=0))
-        self.spec_om = clean_spectrum(np.fft.rfft(self.omega.values, axis=0))
-        self.spec_dyom = clean_spectrum(np.fft.rfft(self.dyom.values, axis=0))
         if cut is not None:
             _check_floor(self.om_tot, cut.chi1 > 0.0, _FLOOR_F,
                          "f_m coefficient (omega^s+omega)", g)
@@ -129,8 +132,10 @@ class AuxWorkspace:
         self.b = self.d2yom_tot * self.inv_dyom
         for arr in (self.inv_om, self.inv_dyom, self.a, self.b):
             arr.flags.writeable = False
-        self.g1 = self.om_tot * self.dxom(1).values - self.dyom_tot * self.dxu(1).values
-        self.spec_g1 = clean_spectrum(np.fft.rfft(self.g1, axis=0))
+
+    @cached_property
+    def spec_d2yom(self) -> np.ndarray:
+        return x_spectrum(self.d2yom.values)
 
     def _dx(self, spec_name: str, m: int) -> Field:
         """dx^m of the spectrum held in attribute spec_name, memoised."""
@@ -151,6 +156,17 @@ class AuxWorkspace:
     def dxdyom(self, m: int) -> Field:
         return self._dx("spec_dyom", m)
 
+    def dxd2yom(self, m: int) -> Field:
+        return self._dx("spec_d2yom", m)
+
+    @cached_property
+    def g1(self) -> np.ndarray:
+        return self.om_tot * self.dxom(1).values - self.dyom_tot * self.dxu(1).values
+
+    @cached_property
+    def spec_g1(self) -> np.ndarray:
+        return x_spectrum(self.g1)
+
     def q_f(self, m: int) -> np.ndarray:
         """f_m before its cut-off: dx^m omega - a dx^m u."""
         return self.dxom(m).values - self.a * self.dxu(m).values
@@ -169,7 +185,3 @@ class AuxWorkspace:
         if m < 1:
             raise ValueError("g_m requires m >= 1")
         return self._dx("spec_g1", m - 1)
-
-    def chi2_dyom(self, m: int) -> Field:
-        return Field(self.grid, self.cut.chi2[None, :] * self.dxdyom(m).values)
-

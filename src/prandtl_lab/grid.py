@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid2D", "Field", "NonFiniteError", "fd_weights"]
+__all__ = ["Grid2D", "Field", "NonFiniteError", "require_finite", "fd_weights"]
 
 
 def fd_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
@@ -101,6 +101,10 @@ class Grid2D:
         w[0] = w[-1] = 0.5 * self.dy
         return w
 
+    def y_weights(self, ellw: float) -> np.ndarray:
+        """Trapezoid weights in y times <y>^(2 ellw)."""
+        return self.trapz_weights() * (1.0 + self.y_nodes) ** (2.0 * ellw)
+
     def deriv_matrix_y(self, j: int, npts: int | None = None) -> np.ndarray:
         """Dense Ny x Ny matrix applying the j-th y-derivative to a y-row.
 
@@ -138,11 +142,20 @@ class Grid2D:
 
 
 class NonFiniteError(ValueError):
-    """A Field built from non-finite samples: the computation overflowed."""
+    """A field with non-finite samples: the computation overflowed."""
+
+
+def require_finite(f: "Field") -> "Field":
+    """f itself, once every sample is checked finite.  Fields are checked
+    where they enter the program (the perturbation datum, every solver
+    output), not on each construction."""
+    if not np.isfinite(f.values).all():
+        raise NonFiniteError("field contains non-finite entries")
+    return f
 
 
 class Field:
-    """Real scalar samples on a Grid2D; asserts finiteness on construction."""
+    """Real scalar samples on a Grid2D."""
 
     __slots__ = ("grid", "values")
 
@@ -150,8 +163,6 @@ class Field:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.Nx, grid.Ny):
             raise ValueError(f"expected shape {(grid.Nx, grid.Ny)}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("field contains non-finite entries")
         self.grid = grid
         self.values = values
 
@@ -202,9 +213,14 @@ def clean_spectrum(spec: np.ndarray) -> np.ndarray:
     return out
 
 
+def x_spectrum(values: np.ndarray) -> np.ndarray:
+    """The cleaned rfft spectrum in x of (Nx, Ny) samples."""
+    return clean_spectrum(np.fft.rfft(values, axis=0))
+
+
 def dx_m(f: Field, m: int) -> Field:
     """Spectral m-th x-derivative of f: dx_m_spec of its cleaned spectrum."""
-    return dx_m_spec(f.grid, clean_spectrum(np.fft.rfft(f.values, axis=0)), m)
+    return dx_m_spec(f.grid, x_spectrum(f.values), m)
 
 
 def dx_m_spec(grid: Grid2D, spec: np.ndarray, m: int) -> Field:
@@ -234,9 +250,13 @@ def dy_j(f: Field, j: int, npts: int | None = None) -> Field:
 
 def weighted_l2(f: Field, ellw: float) -> float:
     """|| <y>^ellw f ||_{L^2} with <y> = 1+y; trapezoid in y, exact mean in x."""
-    g = f.grid
-    wy = g.trapz_weights() * (1.0 + g.y_nodes) ** (2.0 * ellw)
-    colsq = np.einsum("ij,ij->j", f.values, f.values) * (g.Lx / g.Nx)
+    return l2_y_weighted(f.grid, f.values, f.grid.y_weights(ellw))
+
+
+def l2_y_weighted(grid: Grid2D, values: np.ndarray, wy: np.ndarray) -> float:
+    """|| sqrt(wy) f ||_{L^2} of samples f: exact mean in x, y-quadrature
+    weights wy."""
+    colsq = np.einsum("ij,ij->j", values, values) * (grid.Lx / grid.Nx)
     return float(np.sqrt(np.dot(colsq, wy)))
 
 

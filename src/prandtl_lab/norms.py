@@ -14,7 +14,9 @@ rho_*k_max^(1/sigma).
 
 L2 norms in x are evaluated per Fourier mode (Parseval, modal multiplier
 k^m) and weighted y-quadrature, which matches the physical-space evaluation
-to rounding and costs one FFT per underlying field.
+to rounding and reads the cleaned spectra the derivative bundle already
+holds; only f_m and h_m, whose coefficients vary in x, are summed in
+physical space.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet
-from .grid import Field, Grid2D, clean_spectrum, dy_j, weighted_l2
+from .grid import Field, Grid2D, dy_j, l2_y_weighted, x_spectrum
 from .shear import ShearState
 
 __all__ = ["GevreyParams", "GevreyRaw", "gevrey_raw", "full_raw",
@@ -74,22 +76,16 @@ class GevreyRaw:
     aux: dict = dc_field(default_factory=dict)   # m -> (g, f, h, chi2dyom)
 
 
-def _parseval_rows(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    """Row energy c_k |F(k, y)|^2 * Lx / Nx^2; summing over k gives the exact
-    x-integral of f^2 at each y."""
-    spec = clean_spectrum(np.fft.rfft(values, axis=0))
+def _weighted_norms_all_m(grid: Grid2D, spec: np.ndarray, wy: np.ndarray,
+                          m_list) -> np.ndarray:
+    """[ |sqrt(wy) dx^m f|_{L2} for m in m_list ] from the cleaned rfft
+    spectrum of f (Parseval: mode k carries c_k |F(k, y)|^2 Lx / Nx^2, and
+    dx^m multiplies it by k^(2m)); wy holds the y-quadrature weights."""
     c = np.full(grid.Nx // 2 + 1, 2.0)
     c[0] = 1.0
     if grid.Nx % 2 == 0:
         c[-1] = 1.0
-    return c[:, None] * np.abs(spec) ** 2 * (grid.Lx / grid.Nx ** 2)
-
-
-def _weighted_norms_all_m(grid: Grid2D, values: np.ndarray, weight_exp: float,
-                          m_list) -> np.ndarray:
-    """[ |<y>^w dx^m f|_{L2} for m in m_list ] via one FFT."""
-    rows = _parseval_rows(grid, values)
-    wy = grid.trapz_weights() * (1.0 + grid.y_nodes) ** (2.0 * weight_exp)
+    rows = c[:, None] * np.abs(spec) ** 2 * (grid.Lx / grid.Nx ** 2)
     k = grid.wavenumbers
     out = np.empty(len(m_list))
     col = rows @ wy
@@ -98,34 +94,44 @@ def _weighted_norms_all_m(grid: Grid2D, values: np.ndarray, weight_exp: float,
     return out
 
 
-def gevrey_raw(u: Field, p: GevreyParams) -> GevreyRaw:
-    g = u.grid
+def gevrey_raw(ws: AuxWorkspace, p: GevreyParams) -> GevreyRaw:
+    """The base seminorms of ws.u, read from its derivative bundle ws (on the
+    standard y-stencils); they do not depend on the bundle's shear state."""
+    g = ws.grid
     if p.Mmax > g.Nx // 4:
         raise ValueError(f"Mmax={p.Mmax} exceeds the anti-aliasing guard Nx/4={g.Nx // 4}")
     ms = list(range(p.Mmax + 1))
-    omega = dy_j(u, 1)
-    tang_u = _weighted_norms_all_m(g, u.values, p.ell - 1.0, ms)
-    tang_om = _weighted_norms_all_m(g, omega.values, p.ell, ms)
+    tang_u = _weighted_norms_all_m(g, ws.spec_u, g.y_weights(p.ell - 1.0), ms)
+    tang_om = _weighted_norms_all_m(g, ws.spec_om, g.y_weights(p.ell), ms)
+    w_mixed = g.y_weights(p.ell + 1.0)
+    specs = [ws.spec_dyom, ws.spec_d2yom] + [x_spectrum(dy_j(ws.omega, j).values)
+                                             for j in (3, 4)]
     mixed = {}
-    for j in range(1, 5):
-        dj_om = dy_j(omega, j)
+    for j, spec in enumerate(specs, 1):
         i_list = list(range(0, p.Mmax - j + 1))
-        vals = _weighted_norms_all_m(g, dj_om.values, p.ell + 1.0, i_list)
+        vals = _weighted_norms_all_m(g, spec, w_mixed, i_list)
         for i, v in zip(i_list, vals):
             mixed[(i, j)] = float(v)
     return GevreyRaw(tang_u=tang_u, tang_om=tang_om, mixed=mixed)
 
 
 def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> GevreyRaw:
-    raw = gevrey_raw(u, p)
+    """gevrey_raw plus the cancellation-function seminorms at m = 1..Mmax.
+    g_m = dx^(m-1) g1 and chi2 d_y dx^m omega are a pure x-derivative times a
+    y-only factor, so their norms come by Parseval from the bundle's spectra
+    with chi2^2 in the y-weight; f_m and h_m, whose quotients a, b vary in x,
+    are summed in physical space with chi1^2, chi2^2 folded into theirs."""
     ws = AuxWorkspace(u, state, cut)
-    for m in range(1, p.Mmax + 1):
-        raw.aux[m] = (
-            weighted_l2(ws.g(m), 0.0),
-            weighted_l2(ws.f(m), p.ell),
-            weighted_l2(ws.h(m), 0.0),
-            weighted_l2(ws.chi2_dyom(m), 0.0),
-        )
+    raw = gevrey_raw(ws, p)
+    g = u.grid
+    ms = list(range(1, p.Mmax + 1))
+    w_chi2 = g.trapz_weights() * cut.chi2 ** 2
+    w_f = g.y_weights(p.ell) * cut.chi1 ** 2
+    gs = _weighted_norms_all_m(g, ws.spec_g1, g.y_weights(0.0), [m - 1 for m in ms])
+    cs = _weighted_norms_all_m(g, ws.spec_dyom, w_chi2, ms)
+    for m, g_m, c_m in zip(ms, gs, cs):
+        raw.aux[m] = (float(g_m), l2_y_weighted(g, ws.q_f(m), w_f),
+                      l2_y_weighted(g, ws.q_h(m), w_chi2), float(c_m))
     return raw
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bump import poly_window
-from .grid import Field, Grid2D, dx_m, dy_j
+from .grid import Field, Grid2D, dx_m, dy_j, require_finite
 
 __all__ = [
     "ShearProfile",
@@ -277,7 +277,8 @@ def build_perturbation(grid: Grid2D, amp: float, kx: int, shear: ShearProfile) -
     phi is exactly linear on the wall plateau, so the wall stencils of the
     compatibility checks differentiate it exactly; the second pass scales
     q = (y^4/24)*window against the measured discrete wall value of
-    d_y^3 omega, making the third condition hold to rounding.
+    d_y^3 omega, making the third condition hold to rounding.  The datum
+    is checked finite (NonFiniteError).
     """
     if kx < 1 or kx > grid.Nx // 8:
         raise ValueError(f"kx must lie in [1, Nx/8], got {kx}")
@@ -299,7 +300,7 @@ def build_perturbation(grid: Grid2D, amp: float, kx: int, shear: ShearProfile) -
     q = (y**4 / 24.0) * poly_window(y, 0.0, 0.0, plateau, plateau + _CORR_TAPER)
     D1, D3 = grid.deriv_matrix_y(1), grid.deriv_matrix_y(3)
     lq = float((D3 @ (D1 @ q))[0])   # discrete d_y^4 of q at the wall; ~1 by design
-    return Field(grid, u1.values + np.outer(B / lq, q))
+    return require_finite(Field(grid, u1.values + np.outer(B / lq, q)))
 
 
 def check_compatibility(u0: Field, shear: ShearProfile) -> CompatibilityReport:

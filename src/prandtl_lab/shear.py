@@ -42,7 +42,7 @@ from scipy.special import erf, eval_hermite
 
 from .profiles import _FINE_REFINE, AssumptionReport, ShearProfile
 
-__all__ = ["ShearState", "PropositionReport", "evolve_shear",
+__all__ = ["ShearState", "PropositionReport", "evolve_shear", "min_resolved_step",
            "proposition_clauses", "check_proposition_shear"]
 
 
@@ -124,6 +124,13 @@ def _quadrature_rows(p: ShearProfile, t: float, j0: int, j1: int) -> np.ndarray:
         image = win[nf - 1::r][:ny]                  # [i, k] -> h*(r*i + k)
         out[j - j0] = (direct - image) @ w0w + _lift(y, t, j)
     return out
+
+
+def min_resolved_step(grid) -> float:
+    """Least time t > 0 whose heat-kernel width sqrt(4 t) reaches the
+    quadrature spacing dy/r; a narrower kernel is not resolved by the
+    quadrature of evolve_shear."""
+    return (grid.dy / _FINE_REFINE) ** 2 / 4.0
 
 
 def evolve_shear(p: ShearProfile, t: float) -> ShearState:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dst, idst
 
-from .grid import Field, Grid2D, dx_m, dy_j, linf, truncation_check, weighted_l2
+from .grid import Field, Grid2D, dx_m, dy_j, linf, require_finite, truncation_check, weighted_l2
 from .profiles import ShearProfile
 from .shear import ShearState, evolve_shear
 
@@ -107,7 +107,7 @@ def mild_solution(u0: Field, forcing, eps: float, times: np.ndarray) -> list[Fie
     ``forcing`` yields f at the nodes in order; each is reduced to its modal
     amplitudes on arrival, and the integral advances by the recursion
     I_i = e^{-L dt} I_{i-1} + dt/2 (e^{-L dt} f_{i-1} + f_i).  The value at
-    t_0 is u0 itself.
+    t_0 is u0 itself.  Every later value is checked finite (NonFiniteError).
     """
     g = u0.grid
     rates = _modal_rates(g, eps)
@@ -121,7 +121,8 @@ def mild_solution(u0: Field, forcing, eps: float, times: np.ndarray) -> list[Fie
         f_modal = _to_modal(g, f.values)
         if f_prev is not None:
             acc = e_dt * acc + 0.5 * dt * (e_dt * f_prev + f_modal)
-            out.append(Field(g, _from_modal(g, np.exp(-rates * t) * u0_modal - acc)))
+            out.append(require_finite(
+                Field(g, _from_modal(g, np.exp(-rates * t) * u0_modal - acc))))
         f_prev = f_modal
     return out
 
@@ -239,7 +240,8 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
 
 
 def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajectory:
-    """First-order splitting: explicit transport step, exact diffusion step."""
+    """First-order splitting: explicit transport step, exact diffusion step.
+    Each step's field is checked finite (NonFiniteError)."""
     g = u0.grid
     times = np.linspace(0.0, cfg.T, cfg.Nt + 1)
     states = _shear_states(profile, times)
@@ -250,7 +252,8 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
     for n in range(cfg.Nt):
         dxu = dx_m(u_cur, 1)
         f_cur = _forcing(u_cur, recover_v(u_cur, dxu), dxu, states[n])
-        nxt = heat_propagate(Field(g, u_cur.values - dt * f_cur.values), dt, cfg.eps)
+        nxt = require_finite(
+            heat_propagate(Field(g, u_cur.values - dt * f_cur.values), dt, cfg.eps))
         peak_prev = max(linf(u_cur), 1e-14)
         peak = linf(nxt)
         if peak > 2.0 * peak_prev and peak > 1e-10:

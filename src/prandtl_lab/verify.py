@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
-from .grid import Field, Grid2D, clean_spectrum, dx_m, dx_m_spec, dy_j, linf, weighted_l2
+from .grid import Field, Grid2D, dx_m, dx_m_spec, dy_j, linf, weighted_l2, x_spectrum
 from .norms import GevreyParams, gevrey_norm, lifespan_norm
 from .profiles import AssumptionReport
 from .solver import Trajectory, recover_v
@@ -93,25 +93,29 @@ class Snapshot(AuxWorkspace):
     floor of the residual studies sits well below their dt signal; the
     production operators elsewhere keep the standard order-4 stencils.
     On top of the shared bundle it keeps what only the residual identities
-    read: v (recovered from u and the bundle's d_x u; trajectories store u
-    alone), d_y^3 omega_tot, the spectra of v and d_y^2 omega, and the two
-    quotient packs, the derivatives of the bundle's a and b (each computed
-    once, read-only).
+    and the condition monitor read, each formed on first read: v (recovered
+    from u and the bundle's d_x u; trajectories store u alone) with its
+    spectrum, d_y^3 omega_tot, and the two quotient packs, the derivatives
+    of the bundle's a and b (read-only).
     """
 
     def __init__(self, traj: Trajectory, i: int):
         super().__init__(traj.u[i], traj.shear[i], npts=9)
-        self.v = recover_v(self.u, self.dxu(1))
-        self.spec_v = clean_spectrum(np.fft.rfft(self.v.values, axis=0))
-        self.spec_d2yom = clean_spectrum(np.fft.rfft(self.d2yom.values, axis=0))
-        self.d3yom_tot = (self.state.dj_omegas[2][None, :]
-                          + dy_j(self.omega, 3, npts=9).values)
+
+    @cached_property
+    def v(self) -> Field:
+        return recover_v(self.u, self.dxu(1))
+
+    @cached_property
+    def spec_v(self) -> np.ndarray:
+        return x_spectrum(self.v.values)
+
+    @cached_property
+    def d3yom_tot(self) -> np.ndarray:
+        return self.state.dj_omegas[2][None, :] + dy_j(self.omega, 3, npts=9).values
 
     def dxv(self, k):
         return self._dx("spec_v", k)
-
-    def dxd2yom(self, k):
-        return self._dx("spec_d2yom", k)
 
     @cached_property
     def quotient_pack_f(self) -> tuple:
@@ -172,7 +176,7 @@ def _material_derivative(snap: Snapshot, q_prev: np.ndarray, q_next: np.ndarray,
     so no stencil crosses their unsafe regions); both x-derivatives come from
     one cleaned spectrum of q."""
     g = snap.grid
-    spec = clean_spectrum(np.fft.rfft(q, axis=0))
+    spec = x_spectrum(q)
     return ((q_next - q_prev) / dt2
             + (snap.state.us[None, :] + snap.u.values) * dx_m_spec(g, spec, 1).values
             + snap.v.values * dyq

@@ -229,8 +229,10 @@ def test_profile_error_is_config_error(tmp_path, capsys):
     ("profile", "y0", 20.0, True, r"^profile: y0 must lie in \(0, Ymax/3\)"),
     ("perturbation", "kx", 17, True, r"^perturbation: kx must lie in \[1, Nx/8\]"),
     ("perturbation", "amp", -1.0, True, r"^perturbation: amp must be non-negative"),
+    ("solver", "t_final", 5e-324, False, r"^solver\.t_final = 5e-324 is too short"),
+    ("solver", "t_final", 7.1e-307, False, r"^solver\.t_final = 7\.1e-307 is too short"),
 ], ids=["t_final", "lx", "ymax", "t_final_inf", "lx_inf", "ymax_inf", "tol_nan",
-        "y0", "kx", "amp"])
+        "y0", "kx", "amp", "t_final_subnormal", "t_final_tiny"])
 def test_validated_space_never_crashes(tmp_path, capsys, section, key, value, loads, message):
     """The non-finite configs used to end in a traceback with no manifest,
     or (tol = nan) ran every Picard sweep and passed.  The INI route exits 2
@@ -269,6 +271,8 @@ _OVERRIDE = st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi) | _NON_FINITE)
 @example(ny=53, kx=2, scheme="imex", overrides=[("lx", 3.76e-224)])     # x-derivatives overflow
 @example(ny=129, kx=1, scheme="picard", overrides=[("lx", 1e-20)])
 @example(ny=33, kx=1, scheme="picard", overrides=[("lx", 5e-324)])     # Lx / Nx underflows
+@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", 5e-324)])    # kernel under-resolved
+@example(ny=129, kx=1, scheme="imex", overrides=[("t_final", 7.1e-307)])
 def test_validated_config_space_property(ny, kx, scheme, overrides):
     """On small grids, a drawn config is either rejected by validate() with a
     ConfigError, or solve ends with a documented exit code and a manifest."""
@@ -307,6 +311,49 @@ def test_error_exits_write_manifest(tmp_path):
     err = manifest["error"]
     assert err["exit_code"] == 3 and err["kind"] == "SolverDivergence"
     assert "Picard update grew" in err["message"]
+
+
+@pytest.mark.parametrize("scheme", ["picard", "imex"])
+def test_nan_in_solve_exits_three(tmp_path, monkeypatch, scheme):
+    """Fields are checked finite where they enter: a NaN injected into the
+    transport forcing reaches a solver output (a mild_solution field, an IMEX
+    step), and the run ends with exit 3 and a manifest naming the stage."""
+    import prandtl_lab.solver as SV
+    real = SV._forcing
+
+    def poisoned(u, v, dxu, state):
+        f = real(u, v, dxu, state)
+        f.values[4, 20] = np.nan
+        return f
+
+    monkeypatch.setattr(SV, "_forcing", poisoned)
+    cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8, scheme=scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(cfg, "solve", out_dir=tmp_path) == 3
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["reports"] == []
+    assert manifest["error"] == {"exit_code": 3, "kind": "NonFiniteError", "stage": "solve",
+                                 "message": "field contains non-finite entries"}
+
+
+@pytest.mark.parametrize("fault, code, kind", [
+    ("floor", 3, "DenominatorFloorError"), ("cutoff", 2, "CutoffError")])
+def test_verify_errors_exit_with_stage(tmp_path, monkeypatch, fault, code, kind):
+    """A cancellation denominator under its floor (exit 3) and a cut-off set
+    that does not fit the grid (exit 2, a configuration error), raised inside
+    run_verify, end with a manifest whose error names the verify stage."""
+    import prandtl_lab.cutoffs as CU
+    if fault == "floor":
+        monkeypatch.setattr(CU, "_FLOOR_F", 1e300)
+    else:
+        real = C.validate_assumption
+        monkeypatch.setattr(C, "validate_assumption",
+                            lambda p: dataclasses.replace(real(p), delta=p.grid.Ymax))
+    cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8, checks=("compatibility", "cancellation"))
+    assert run(cfg, "verify", out_dir=tmp_path) == code
+    err = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert (err["exit_code"], err["kind"], err["stage"]) == (code, kind, "verify")
 
 
 def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):

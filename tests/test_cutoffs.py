@@ -202,13 +202,13 @@ def _count_dx_calls(monkeypatch):
 
 
 def test_bundle_computes_each_x_derivative_once(grid, shear_state, cutoffs, u0, monkeypatch):
-    """f, h, g and chi2 d_y omega share their x-derivatives: each (spectrum,
-    order) pair reaches dx_m_spec once per bundle, and is read-only."""
+    """f, h and g share their x-derivatives: each (spectrum, order) pair
+    reaches dx_m_spec once per bundle, and is read-only."""
     calls = _count_dx_calls(monkeypatch)
     ws = AuxWorkspace(u0, shear_state, cutoffs)
     for _ in range(2):
         for m in (1, 2, 3):
-            ws.f(m), ws.h(m), ws.g(m), ws.chi2_dyom(m)
+            ws.f(m), ws.h(m), ws.g(m)
     assert max(calls.values()) == 1
     assert len(calls) == 3 * 3 + 3       # u, omega, d_y omega at m = 1..3; g1 at 0..2
     assert ws.dxom(2) is ws.dxom(2)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prandtl_lab.grid import (_STENCIL_PTS, Field, Grid2D, dx_m, dy_j, fd_weights, linf,
-                              weighted_l2)
+from prandtl_lab.grid import (_STENCIL_PTS, Field, Grid2D, NonFiniteError, dx_m, dy_j,
+                              fd_weights, linf, require_finite, weighted_l2)
 from prandtl_lab.solver import _cumint_y4
 
 
@@ -182,11 +182,16 @@ def test_dx_composition(g):
     assert weighted_l2(a - b, 0.0) <= 1e-10 * max(weighted_l2(b, 0.0), 1e-30)
 
 
-def test_field_rejects_nan(g):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_require_finite_rejects_non_finite(g, bad):
+    """Finiteness is checked where fields enter the program, by
+    require_finite, not on every Field construction."""
     vals = np.zeros((g.Nx, g.Ny))
-    vals[0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        Field(g, vals)
+    f = Field(g, vals)
+    assert require_finite(f) is f
+    vals[3, 5] = bad
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        require_finite(Field(g, vals))
 
 
 @settings(max_examples=10, deadline=None)

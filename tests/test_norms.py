@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from prandtl_lab.cutoffs import AuxWorkspace
 from prandtl_lab.grid import Field, weighted_l2
 from prandtl_lab.norms import GevreyParams, full_raw, gevrey_norm, gevrey_raw, lifespan_norm
 from prandtl_lab.shear import evolve_shear
 
 
-def _base(u, p):
-    return gevrey_norm(gevrey_raw(u, p), p)
+def _raw(u, p, profile):
+    """The base seminorms of u, read from its bundle with the t = 0 shear
+    state (the base group does not read the shear)."""
+    return gevrey_raw(AuxWorkspace(u, evolve_shear(profile, 0.0)), p)
+
+
+def _base(u, p, profile):
+    return gevrey_norm(_raw(u, p, profile), p)
 
 
 def _extended(u, st, cut, p):
@@ -32,20 +39,20 @@ def test_params_validation():
         GevreyParams(rho=-1.0)
 
 
-def test_zero_field(grid, params):
-    raw = gevrey_raw(Field.zeros(grid), params)
+def test_zero_field(grid, params, profile):
+    raw = _raw(Field.zeros(grid), params, profile)
     assert gevrey_norm(raw, params) == 0.0
     assert np.all(_entries(raw) == 0.0)
 
 
-def test_single_mode_hand_value(grid, params):
+def test_single_mode_hand_value(grid, params, profile):
     """u = a sin(kx) phi(y): the tangential-u supremand at order m is
     rho^(m-5)/((m-6)!)^sigma * k^m * a * |<y>^(l-1) phi|_{L2_y} * sqrt(Lx/2)."""
     a = 0.37
     phi = np.exp(-grid.y_nodes)
     for k, m in ((1, 6), (2, 7)):
         u = Field(grid, a * np.outer(np.sin(k * grid.x_nodes), phi))
-        raw = gevrey_raw(u, params)
+        raw = _raw(u, params, profile)
         wy = grid.trapz_weights()
         phin = np.sqrt(np.sum(wy * (1 + grid.y_nodes) ** (2 * (params.ell - 1)) * phi**2))
         expect = (params.rho ** (m - 5) / math.factorial(m - 6) ** params.sigma
@@ -54,7 +61,7 @@ def test_single_mode_hand_value(grid, params):
         assert np.isclose(got, expect, rtol=1e-10)
 
 
-def test_rho_monotonicity(grid, params):
+def test_rho_monotonicity(grid, params, profile):
     rng = np.random.default_rng(2)
     for _ in range(20):
         vals = np.zeros((grid.Nx, grid.Ny))
@@ -62,14 +69,14 @@ def test_rho_monotonicity(grid, params):
             vals += rng.normal() / k**2 * np.outer(np.sin(k * grid.x_nodes + rng.normal()),
                                                    np.exp(-grid.y_nodes / rng.uniform(1, 4)))
         u = Field(grid, vals)
-        lo = _base(u, params.with_rho(0.2))
-        hi = _base(u, params.with_rho(0.8))
+        lo = _base(u, params.with_rho(0.2), profile)
+        hi = _base(u, params.with_rho(0.8), profile)
         assert lo <= hi + 1e-12
 
 
 def test_homogeneity_of_base_norm(grid, params, profile, cutoffs, u0):
-    raw1 = gevrey_raw(u0, params)
-    raw2 = gevrey_raw(Field(grid, 2.0 * u0.values), params)
+    raw1 = _raw(u0, params, profile)
+    raw2 = _raw(Field(grid, 2.0 * u0.values), params, profile)
     assert np.allclose(_entries(raw2), 2.0 * _entries(raw1), rtol=1e-9, atol=1e-300)
     assert np.isclose(gevrey_norm(raw2, params), 2.0 * gevrey_norm(raw1, params), rtol=1e-9)
     # the extended norm is NOT homogeneous: aux functions are nonlinear in u
@@ -79,17 +86,47 @@ def test_homogeneity_of_base_norm(grid, params, profile, cutoffs, u0):
     assert abs(f2 - 2.0 * f1) > 1e-9 * f1
 
 
-def test_parseval_path_equals_physical(grid, params, u0):
+def test_parseval_path_equals_physical(grid, params, profile, u0):
     from prandtl_lab.grid import dx_m
     m = 7
     direct = weighted_l2(dx_m(u0, m), params.ell - 1.0)
-    got = gevrey_raw(u0, params).tang_u[m]
+    got = _raw(u0, params, profile).tang_u[m]
     assert np.isclose(direct, got, rtol=1e-10)
+
+
+def _aux_oracle(ws, m, ell):
+    """The four cancellation-group seminorms at order m, summed in physical
+    space from the bundle's fields."""
+    chi2_dyom = Field(ws.grid, ws.cut.chi2[None, :] * ws.dxdyom(m).values)
+    return (weighted_l2(ws.g(m), 0.0), weighted_l2(ws.f(m), ell),
+            weighted_l2(ws.h(m), 0.0), weighted_l2(chi2_dyom, 0.0))
+
+
+@pytest.mark.parametrize("datum", ["reference_row", "two_modes"])
+def test_aux_groups_equal_physical_sums(grid, params, profile, cutoffs, traj_picard, datum):
+    """full_raw takes g_m and chi2 d_y dx^m omega by Parseval from the
+    bundle's spectra and folds the cut-offs into the y-weights of f_m and
+    h_m; every entry matches the physical-space sum to 1e-13, on a stored
+    row of the reference run and on a datum with modes kx = 3 and 7, whose
+    g1 spectrum reaches mode 14."""
+    from prandtl_lab.profiles import build_perturbation
+    if datum == "reference_row":
+        u, st = traj_picard.u[16], traj_picard.shear[16]
+    else:
+        u = build_perturbation(grid, 1e-3, 3, profile) + build_perturbation(grid, 4e-4, 7, profile)
+        st = evolve_shear(profile, 0.0)
+    raw = full_raw(u, st, cutoffs, params)
+    ws = AuxWorkspace(u, st, cutoffs)
+    assert sorted(raw.aux) == list(range(1, params.Mmax + 1))
+    for m, got in raw.aux.items():
+        np.testing.assert_allclose(got, _aux_oracle(ws, m, params.ell), rtol=1e-13, atol=0.0)
+    if datum == "two_modes":
+        assert np.count_nonzero(np.abs(ws.spec_g1).max(axis=1)) >= 4
 
 
 def test_norm_ordering(grid, params, profile, cutoffs, u0):
     st = evolve_shear(profile, 0.0)
-    assert _base(u0, params) <= _extended(u0, st, cutoffs, params)
+    assert _base(u0, params, profile) <= _extended(u0, st, cutoffs, params)
 
 
 def test_truncation_stability(grid, profile, cutoffs, u0):
@@ -100,9 +137,9 @@ def test_truncation_stability(grid, profile, cutoffs, u0):
     assert abs(t12 - t10) <= 1e-2 * t10
 
 
-def test_mmax_guard(u0):
+def test_mmax_guard(profile, u0):
     with pytest.raises(ValueError, match="anti-aliasing"):
-        gevrey_raw(u0, GevreyParams(rho=0.3, Mmax=33))
+        _raw(u0, GevreyParams(rho=0.3, Mmax=33), profile)
 
 
 def test_lifespan_zero_and_t0(grid, params, profile, cutoffs, u0, traj_imex):
@@ -133,7 +170,6 @@ def test_extended_norm_zero_field(grid, profile, cutoffs, params):
 def test_aux_group_dominance_tracks_support(grid, assumption, profile, cutoffs, params):
     """A perturbation living on the critical strip loads the h-type terms;
     one supported away from it loads the f-type terms instead."""
-    from prandtl_lab.cutoffs import AuxWorkspace
     from prandtl_lab.grid import weighted_l2 as wl2
     st = evolve_shear(profile, 0.0)
     y0 = assumption.y0

@@ -122,6 +122,12 @@ def test_kernel_width_warning(profile):
         evolve_shear(profile, 4.0)
 
 
+def test_min_resolved_step_state_is_finite(profile):
+    """At the least step the quadrature resolves, every shear order is finite."""
+    st = evolve_shear(profile, S.min_resolved_step(profile.grid))
+    assert all(np.isfinite(a).all() for a in (st.us, st.omegas, st.dj_omegas))
+
+
 def test_maximum_principle(profile):
     lo = profile.u0s.min()
     hi = max(1.0, profile.u0s.max())

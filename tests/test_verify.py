@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import weakref
 
 import numpy as np
@@ -78,6 +79,32 @@ def test_snapshot_v_is_recovered_from_u(traj_imex, traj_picard):
         for i, u in enumerate(traj.u):
             assert np.array_equal(V.Snapshot(traj, i).v.values,
                                   recover_v(u, dx_m(u, 1)).values)
+
+
+def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assumption, params,
+                                              monkeypatch):
+    """v, g1 and their spectra are formed on first read.  In a residual
+    triple only the centre reads v, so recover_v runs once per triple, not
+    three times; condi_monitor never reads g_m, so none of its snapshots
+    forms g1 or its spectrum.  Plain attributes would fail both counts."""
+    calls = []
+    real = V.recover_v
+    monkeypatch.setattr(V, "recover_v", lambda u, dxu: calls.append(1) or real(u, dxu))
+    jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
+    V._evaluate_at(traj_imex, jobs, 12)
+    assert len(calls) == 1
+
+    formed = []
+
+    class Recorded(V.Snapshot):
+        def __del__(self):
+            formed.append(set(vars(self)))
+
+    monkeypatch.setattr(V, "Snapshot", Recorded)
+    V.condi_monitor(traj_picard, assumption, params)
+    gc.collect()
+    assert len(formed) == len(traj_picard.times)
+    assert all("v" in keys and not {"g1", "spec_g1"} & keys for keys in formed)
 
 
 def test_residual_h_ablation(traj_imex, cutoffs, monkeypatch):

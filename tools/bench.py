@@ -1,0 +1,122 @@
+"""Write a BENCH_*.json: perfbench medians of a change against its parent,
+the Tier-1 wall time and the src/ line count.
+
+    python3 tools/bench.py --parent DIR --out BENCH_<n>.json [--pairs N]
+
+Run from anywhere; the change is the checkout this script lives in and DIR
+is a checkout of the parent commit (for instance a `git archive` of it).
+For each pair and workload, perfbench (`perfbench/run.py --seed 0`, run for
+the `run_seconds` of this checkout's BENCHMARK.json) runs once in each
+checkout, parent and change alternating, and the first side of a pair
+alternates too, so that drift on a shared host falls on both sides.  At
+least ten pairs are run (the default).  The file keeps every run's
+end-to-end metrics, the per-side medians and quartiles and, per workload
+and metric, how many pairs the change won and whether that shows a gain
+(see `summarise`).
+Tier-1 is the suite of ROADMAP.md, run once on the change after the pairs.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+CHANGE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("perturbation-sweep", "reference-full")
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+MIN_PAIRS = 10
+
+
+def perfbench(checkout: Path, workload: str, seconds: float) -> dict:
+    """End-to-end metrics and verdict of one untraced perfbench run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    run = {name: result["metrics"][name]["value"] for name in METRICS}
+    run.update(correct=result["correct"], attempted=result["attempted"],
+               failed=result["failed"])
+    return run
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(len(p.read_text().splitlines())
+               for p in sorted((checkout / "src").rglob("*.py")))
+
+
+def tier1(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"], cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= ")}
+
+
+def summarise(by_side: dict) -> dict:
+    """Per side: every run and each metric's median and quartiles.  Per
+    metric (all lower-is-better): the pairs the change won, ties counting
+    for neither, and whether a gain is shown, that is, the change won at
+    least nine tenths of the pairs and its median lies below the parent's
+    by more than the parent's interquartile distance."""
+    out = {}
+    for side, rs in by_side.items():
+        out[side] = {"runs": rs, "median": {}, "quartiles": {}}
+        for m in METRICS:
+            vals = [r[m] for r in rs]
+            out[side]["median"][m] = statistics.median(vals)
+            q1, _, q3 = statistics.quantiles(vals, n=4)
+            out[side]["quartiles"][m] = [q1, q3]
+    pairs = list(zip(by_side["parent"], by_side["change"]))
+    out["pairs_change_better"] = {m: sum(c[m] < p[m] for p, c in pairs) for m in METRICS}
+    out["gain_shown"] = {
+        m: (10 * out["pairs_change_better"][m] >= 9 * len(pairs)
+            and out["parent"]["median"][m] - out["change"]["median"][m]
+            > out["parent"]["quartiles"][m][1] - out["parent"]["quartiles"][m][0])
+        for m in METRICS}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--out", required=True, type=Path, help="BENCH file to write")
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                    help=f"alternating pairs per workload (at least {MIN_PAIRS})")
+    args = ap.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be at least {MIN_PAIRS}")
+    seconds = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": CHANGE}
+    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
+    for k in range(args.pairs):
+        for w in WORKLOADS:
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                runs[w][side].append(perfbench(sides[side], w, seconds))
+                print(f"pair {k} {w} {side}: {runs[w][side][-1]}", file=sys.stderr)
+    workloads = {w: summarise(by_side) for w, by_side in runs.items()}
+    payload = {
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                 "machine": platform.machine()},
+        "perfbench": {"seed": 0, "seconds": seconds, "pairs": args.pairs,
+                      "workloads": workloads},
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
+        "tier1": tier1(CHANGE),
+    }
+    args.out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
