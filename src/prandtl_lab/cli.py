@@ -189,8 +189,10 @@ class Lab:
     at once, so every input rule is checked when the Lab is made; the rest is
     built on first read.  The profile, u0, cut-offs, seminorm table,
     dy-refinement companion and each scheme's solve at cfg.nt live as long
-    as the Lab, since several stages read them; a solve at any other Nt (a
-    finer residual ladder level) is not kept: only its caller holds it."""
+    as the Lab, since several stages read them, and hold every time node.
+    An imex solve at any other Nt is a finer residual ladder level: it is not
+    kept (only its caller holds it), and it holds only the nodes the residual
+    evaluation reads (verify.residual_nodes)."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
@@ -213,7 +215,11 @@ class Lab:
         if nt == self.cfg.nt and scheme in self._trajs:
             return self._trajs[scheme]
         sc = replace(self.solver, Nt=nt, scheme=scheme)
-        traj = (picard_solve if scheme == "picard" else imex_solve)(self.u0, self.profile, sc)
+        if scheme == "picard":
+            traj = picard_solve(self.u0, self.profile, sc)
+        else:
+            keep = None if nt == self.cfg.nt else V.residual_nodes(nt)
+            traj = imex_solve(self.u0, self.profile, sc, keep)
         if nt == self.cfg.nt:
             self._trajs[scheme] = traj
         return traj

@@ -14,11 +14,13 @@ coefficients entering the verification identities carry quadrature accuracy.
 
 Each order is formed only where it is read.  evolve_shear forms u^s and
 omega^s, all that the perturbation equation (the solvers' forcing) reads.
-Orders 2..6 (ShearState.dj_omegas, d_y^j omega^s for j = 1..5) are formed
-once, as one block, on the state's first read of them, and kept: the
-derivative bundle (cutoffs.AuxWorkspace, orders 2-3), the residual snapshot
-(verify.Snapshot, order 4) and the persistence clauses (proposition_clauses,
-all five) are their readers.  At t = 0 they are the profile's derivatives.
+Orders 2..4 (ShearState.dj_omegas, d_y^j omega^s for j = 1..3) are formed
+once, as one block, on the state's first read of them, and kept; so are
+orders 5..6 (ShearState.dj_omegas_high, j = 4, 5), as a second block.  The
+derivative bundle (cutoffs.AuxWorkspace, orders 2-3) and the residual
+snapshot (verify.Snapshot, order 4) read the first block; only the
+persistence clauses (proposition_clauses) read both.  At t = 0 they are the
+profile's derivatives.
 
 The quadrature nodes s_k = h*k (h = dy/r, r = profiles._FINE_REFINE) refine
 the grid, y_i = h*r*i, so both kernel arguments are integer multiples of h:
@@ -50,8 +52,9 @@ __all__ = ["ShearState", "PropositionReport", "evolve_shear", "min_resolved_step
 class ShearState:
     """Shear flow at one time: u^s, omega^s = d_y u^s, and d_y^j omega^s.
 
-    The state keeps its profile so that dj_omegas can be formed when first
-    read; the profile's state cache keeps both alive together."""
+    The state keeps its profile so that dj_omegas and dj_omegas_high can be
+    formed when first read; the profile's state cache keeps both alive
+    together."""
 
     t: float
     us: np.ndarray
@@ -60,10 +63,18 @@ class ShearState:
 
     @cached_property
     def dj_omegas(self) -> np.ndarray:
-        """Shape (5, Ny); row j-1 holds d_y^j omega^s."""
+        """Shape (3, Ny); row j-1 holds d_y^j omega^s, j = 1..3."""
+        return self._orders(2, 5)
+
+    @cached_property
+    def dj_omegas_high(self) -> np.ndarray:
+        """Shape (2, Ny); row j-4 holds d_y^j omega^s, j = 4, 5."""
+        return self._orders(5, 7)
+
+    def _orders(self, j0: int, j1: int) -> np.ndarray:
         if self.t == 0.0:
-            return self.profile.derivs[1:6].copy()
-        return _quadrature_rows(self.profile, self.t, 2, 7)
+            return self.profile.derivs[j0 - 1:j1 - 1].copy()
+        return _quadrature_rows(self.profile, self.t, j0, j1)
 
 
 def _lift(y: np.ndarray, t: float, j: int) -> np.ndarray:
@@ -137,7 +148,7 @@ def evolve_shear(p: ShearProfile, t: float) -> ShearState:
     """Shear state at time t >= 0; t=0 returns the profile samples exactly.
 
     Only u^s and omega^s are formed here; d_y^j omega^s follows on first read
-    of the state's dj_omegas."""
+    of the state's dj_omegas (j = 1..3) or dj_omegas_high (j = 4, 5)."""
     if t < 0:
         raise ValueError("t must be non-negative")
     cache = p.state_cache
@@ -192,8 +203,8 @@ def proposition_clauses(state: ShearState, rep: AssumptionReport,
                and np.all(mag <= 2.0 / rep.c1 * wy + _SLACK))
 
     wy1 = (1.0 + y) ** (-alpha - 1.0)
-    cl3 = bool(all(np.all(np.abs(state.dj_omegas[j]) <= 2.0 / rep.c1 * wy1 + _SLACK)
-                   for j in range(5)))
+    cl3 = bool(all(np.all(np.abs(row) <= 2.0 / rep.c1 * wy1 + _SLACK)
+                   for row in (*state.dj_omegas, *state.dj_omegas_high)))
     return {"i": cl1, "ii": cl2, "iii": cl3}
 
 

@@ -154,9 +154,13 @@ def recover_v(u: Field, dxu: Field) -> Field:
 
 @dataclass
 class Trajectory:
+    """A solve on the uniform time grid ``times``.  u holds a Field per node,
+    or None at a node the solve was told not to keep (imex_solve's keep), so
+    that reading a dropped node fails; shear holds every node's ShearState."""
+
     grid: Grid2D
     times: np.ndarray
-    u: list                      # Field per time node; v = recover_v(u) where read
+    u: list                      # Field per time node (None if dropped); v = recover_v(u)
     shear: list                  # ShearState per time node
     scheme: str
     eps: float
@@ -168,7 +172,10 @@ class Trajectory:
 
     def save(self, outdir) -> None:
         """Write outdir/trajectory.npz: times, u stacked to (N, Nx, Ny),
-        contraction, scheme and eps, all exact."""
+        contraction, scheme and eps, all exact.  A trajectory with dropped
+        nodes is refused (ValueError)."""
+        if any(f is None for f in self.u):
+            raise ValueError("cannot save a trajectory whose solve dropped time nodes")
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         np.savez(outdir / "trajectory.npz", times=self.times,
@@ -239,15 +246,21 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
                       scheme="picard", eps=cfg.eps, contraction=contraction)
 
 
-def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajectory:
+def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig,
+               keep=None) -> Trajectory:
     """First-order splitting: explicit transport step, exact diffusion step.
-    Each step's field is checked finite (NonFiniteError)."""
+    Each step's field is checked finite (NonFiniteError).
+
+    keep is the set of time indices whose fields the caller reads; the
+    trajectory holds None at every other node (see Trajectory).  The default,
+    None, keeps every node.  Every step is marched and checked either way."""
     g = u0.grid
     times = np.linspace(0.0, cfg.T, cfg.Nt + 1)
     states = _shear_states(profile, times)
     dt = times[1] - times[0]
+    keep = range(cfg.Nt + 1) if keep is None else keep
 
-    us = [u0.copy()]
+    us = [u0.copy() if 0 in keep else None]
     u_cur = u0
     for n in range(cfg.Nt):
         dxu = dx_m(u_cur, 1)
@@ -261,8 +274,8 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
                 f"imex step {n}: field max doubled in one step "
                 f"({peak:.3e} vs {peak_prev:.3e}); CFL-style blowup")
         u_cur = nxt
-        us.append(u_cur)
-    truncation_check(us[-1], name="imex final state")
+        us.append(u_cur if n + 1 in keep else None)
+    truncation_check(u_cur, name="imex final state")
     return Trajectory(grid=g, times=times, u=us, shear=states,
                       scheme="imex", eps=cfg.eps)
 

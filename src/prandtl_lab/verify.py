@@ -33,8 +33,8 @@ from .profiles import AssumptionReport
 from .solver import Trajectory, recover_v
 
 __all__ = [
-    "ResidualReport", "CheckReport", "ResidualJob", "residual_jobs", "evaluate_residuals",
-    "residual_report",
+    "ResidualReport", "CheckReport", "ResidualJob", "residual_jobs", "residual_nodes",
+    "evaluate_residuals", "residual_report",
     "boundary_checks", "cancellation_check", "sobolev_check", "inequality_suite",
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
@@ -162,9 +162,16 @@ def _triple(traj: Trajectory, i: int) -> tuple:
 _EVAL_FRACS = (0.375, 0.625, 0.875)
 
 
-def _eval_indices(traj: Trajectory) -> list:
-    n = len(traj.times) - 1
-    return sorted({min(max(int(round(f * n)), 1), n - 1) for f in _EVAL_FRACS})
+def _eval_indices(nt: int) -> list:
+    """Centre indices of the evaluation triples on a time grid of nt steps."""
+    return sorted({min(max(int(round(f * nt)), 1), nt - 1) for f in _EVAL_FRACS})
+
+
+def residual_nodes(nt: int) -> set:
+    """Every time index the residual evaluation reads on a ladder level of
+    nt steps: each evaluation triple (_triple).  A finer level's solve keeps
+    only these nodes."""
+    return {j for i in _eval_indices(nt) for j in (i - 1, i, i + 1)}
 
 
 def _material_derivative(snap: Snapshot, q_prev: np.ndarray, q_next: np.ndarray,
@@ -396,7 +403,7 @@ def evaluate_residuals(trajs, jobs) -> list:
     for traj in trajs:
         g0 = traj.grid if g0 is None else g0
         same = traj.grid.same_as(g0)
-        nodes = [_evaluate_at(traj, jobs, i) for i in _eval_indices(traj)]
+        nodes = [_evaluate_at(traj, jobs, i) for i in _eval_indices(len(traj.times) - 1)]
         for k, job_rows in enumerate(rows):
             norms, scales, fields = zip(*(node[k] for node in nodes))
             richardson = (max(_interior_l2(g0, a - b) for a, b in zip(prev[k], fields))
@@ -448,7 +455,7 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
         eps = traj.eps
         r_g, r_f, r_3, r_5, r_5raw = 0.0, 0.0, 0.0, 0.0, 0.0
         s_g, s_f, s_3, s_5 = 1e-300, 1e-300, 1e-300, 1e-300
-        for i in _eval_indices(traj):
+        for i in _eval_indices(len(traj.times) - 1):
             s0 = Snapshot(traj, i)
             # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
             om_m, om_p = (dy_j(traj.u[j], 1, npts=9).values for j in (i - 1, i + 1))

@@ -126,8 +126,9 @@ def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
 
 def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
     """Labs on one profile share its shear states, orders 2-6 included: after
-    a first member has read them, a second member with another amp forms no
-    quadrature row in its shear check or its seminorm table."""
+    a first member has read them (the seminorm table orders 2-4, the shear
+    check orders 2-6), a second member with another amp forms no quadrature
+    row in its shear check or its seminorm table."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.scheme = "imex"
@@ -139,7 +140,8 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
                         lambda p, t, j0, j1: calls.append((t, j0, j1)) or real(p, t, j0, j1))
     C.run_shear_check(first, tmp_path / "first")
     assert len(first.raws) == cfg.nt + 1
-    assert (first.trajectory().times[-1], 2, 7) in calls
+    assert (first.trajectory().times[-1], 2, 5) in calls
+    assert any(j0 == 5 for _, j0, _ in calls)
     calls.clear()
     cfg.amp = 2e-3
     second = Lab(cfg)
@@ -275,7 +277,8 @@ _OVERRIDE = st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi) | _NON_FINITE)
 @example(ny=129, kx=1, scheme="imex", overrides=[("t_final", 7.1e-307)])
 def test_validated_config_space_property(ny, kx, scheme, overrides):
     """On small grids, a drawn config is either rejected by validate() with a
-    ConfigError, or solve ends with a documented exit code and a manifest."""
+    ConfigError, or solve ends with a documented exit code and a manifest;
+    a solve that exits 0 wrote a trajectory whose every number is finite."""
     cfg = C.RunConfig(nx=32, ny=ny, mmax=8, nt=8, kx=kx, scheme=scheme, **dict(overrides))
     try:
         cfg.validate()
@@ -285,8 +288,12 @@ def test_validated_config_space_property(ny, kx, scheme, overrides):
         # long horizons warn by design, and numpy warns on the overflows
         warnings.simplefilter("ignore", UserWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert run(cfg, "solve", out_dir=out) in (0, 2, 3)
+        code = run(cfg, "solve", out_dir=out)
+        assert code in (0, 2, 3)
         assert (Path(out) / "manifest.json").is_file()
+        if code == 0:
+            with np.load(Path(out) / "trajectory" / "trajectory.npz") as z:
+                assert all(np.isfinite(z[k]).all() for k in z.files if z[k].dtype.kind == "f")
 
 
 def test_error_exits_write_manifest(tmp_path):
@@ -379,20 +386,22 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
 def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
     """run_verify solves, evaluates and drops the finer residual ladder
     levels one at a time: none is alive when the next solve starts (the
-    boundary companion's and Picard's included), and afterwards the Lab
-    holds only trajectories at cfg.nt."""
+    boundary companion's and Picard's included), each holds only the nodes
+    the residual evaluation reads, and afterwards the Lab holds only
+    trajectories at cfg.nt."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary", "contraction")
-    finer, solved = [], []
+    finer, solved, kept = [], [], []
 
     def tracked(solve):
-        def wrapper(u0, profile, sc):
+        def wrapper(u0, profile, sc, *keep):
             assert alive(finer) == [], "a finer ladder level outlived its evaluation"
-            traj = solve(u0, profile, sc)
+            traj = solve(u0, profile, sc, *keep)
             solved.append(sc.Nt)
             if sc.Nt > cfg.nt:
                 finer.append(weakref.ref(traj))
+                kept.append({i for i, f in enumerate(traj.u) if f is not None})
             return traj
         return wrapper
 
@@ -402,4 +411,29 @@ def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
     run_verify(lab, tmp_path)
     assert solved == [8, 16, 32, 8, 8]       # ladder, boundary companion, Picard
     assert len(finer) == cfg.residual_levels - 1 and alive(finer) == []
+    assert kept == [V.residual_nodes(16), V.residual_nodes(32)]
     assert {len(t.times) - 1 for t in lab._trajs.values()} == {cfg.nt}
+
+
+def test_finer_ladder_level_keeps_only_evaluation_nodes(tmp_path):
+    """A finer residual ladder level holds exactly the evaluation triples,
+    each node bitwise the same node of a whole imex solve; reading a dropped
+    node raises, and so does saving the level.  The solve at cfg.nt is whole."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    lab = Lab(cfg)
+    nt = 2 * cfg.nt
+    traj = lab.trajectory("imex", nt)
+    kept = {i for i, f in enumerate(traj.u) if f is not None}
+    assert kept == V.residual_nodes(nt) == {5, 6, 7, 9, 10, 11, 13, 14, 15}
+    assert len(traj.u) == len(traj.shear) == len(traj.times) == nt + 1
+    whole = C.imex_solve(lab.u0, lab.profile, dataclasses.replace(lab.solver, Nt=nt))
+    assert all(f is not None for f in whole.u)
+    assert all(np.array_equal(traj.u[i].values, whole.u[i].values) for i in kept)
+    for i in set(range(nt + 1)) - kept:
+        with pytest.raises(AttributeError):
+            V.Snapshot(traj, i)
+    with pytest.raises(ValueError, match="dropped"):
+        traj.save(tmp_path)
+    assert not (tmp_path / "trajectory.npz").exists()
+    assert all(f is not None for f in lab.trajectory("imex").u)

@@ -27,20 +27,22 @@ def _dense_quadrature(p, t):
 
 
 def _rows(s):
-    return np.vstack([s.us, s.omegas, s.dj_omegas])
+    return np.vstack([s.us, s.omegas, s.dj_omegas, s.dj_omegas_high])
 
 
 def test_t0_returns_profile_exactly(profile):
     s = evolve_shear(profile, 0.0)
     assert np.array_equal(s.us, profile.u0s)
     assert np.array_equal(s.omegas, profile.derivs[0])
-    assert np.array_equal(s.dj_omegas, profile.derivs[1:6])
+    assert np.array_equal(s.dj_omegas, profile.derivs[1:4])
+    assert np.array_equal(s.dj_omegas_high, profile.derivs[4:6])
     assert profile.state_cache[0.0] is s
 
 
 def test_orders_above_one_formed_once_on_first_read(profile, monkeypatch):
     """evolve_shear forms rows 0-1 only; the first dj_omegas read forms rows
-    2-6 as one block, which the state keeps."""
+    2-4 as one block and the first dj_omegas_high read rows 5-6 as another,
+    and the state keeps both.  Reading the first block forms no row 5-6."""
     fresh = dataclasses.replace(profile)          # an empty state cache
     calls = []
     real = S._quadrature_rows
@@ -54,12 +56,17 @@ def test_orders_above_one_formed_once_on_first_read(profile, monkeypatch):
     s = evolve_shear(fresh, t)
     assert calls == [(t, 0, 2)]
     d = s.dj_omegas
-    assert calls == [(t, 0, 2), (t, 2, 7)]
-    assert d.shape == (5, profile.grid.Ny)
-    assert s.dj_omegas is d
+    assert calls == [(t, 0, 2), (t, 2, 5)]
+    assert d.shape == (3, profile.grid.Ny)
+    high = s.dj_omegas_high
+    assert calls == [(t, 0, 2), (t, 2, 5), (t, 5, 7)]
+    assert high.shape == (2, profile.grid.Ny)
+    assert s.dj_omegas is d and s.dj_omegas_high is high
     assert evolve_shear(fresh, t).dj_omegas is d
-    assert evolve_shear(fresh, 0.0).dj_omegas.shape == (5, profile.grid.Ny)
-    assert len(calls) == 2
+    zero = evolve_shear(fresh, 0.0)
+    assert (zero.dj_omegas.shape, zero.dj_omegas_high.shape) == ((3, profile.grid.Ny),
+                                                                 (2, profile.grid.Ny))
+    assert len(calls) == 3
 
 
 def test_kernel_table_equals_dense_sum(profile):
@@ -125,7 +132,8 @@ def test_kernel_width_warning(profile):
 def test_min_resolved_step_state_is_finite(profile):
     """At the least step the quadrature resolves, every shear order is finite."""
     st = evolve_shear(profile, S.min_resolved_step(profile.grid))
-    assert all(np.isfinite(a).all() for a in (st.us, st.omegas, st.dj_omegas))
+    assert all(np.isfinite(a).all()
+               for a in (st.us, st.omegas, st.dj_omegas, st.dj_omegas_high))
 
 
 def test_maximum_principle(profile):

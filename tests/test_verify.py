@@ -42,8 +42,8 @@ def test_residual_levels_fold_as_they_arrive(traj_ladder, monkeypatch):
     it arrives: when the next level is asked for, only the previous level's
     residual fields are alive, and none are once the ladder is done."""
     job = V.ResidualJob("g", 1)
-    direct = [[d for _, _, d in (V._evaluate_at(traj, [job], i)[0]
-                                 for i in V._eval_indices(traj))] for traj in traj_ladder[:2]]
+    direct = [[V._evaluate_at(traj, [job], i)[0][2]
+               for i in V._eval_indices(len(traj.times) - 1)] for traj in traj_ladder[:2]]
     refs = []                  # weak references to each level's residual fields
     real = V._evaluate_at
 
@@ -111,7 +111,7 @@ def test_residual_h_ablation(traj_imex, cutoffs, monkeypatch):
     """Zeroing the g_{m+1} input must move the residual by about its norm:
     every right-hand-side term is wired in."""
     m = 1
-    i = V._eval_indices(traj_imex)[1]
+    i = V._eval_indices(len(traj_imex.times) - 1)[1]
     job = V.ResidualJob("h", m, cutoffs)
     [(r_full, scale, d_full)] = V._evaluate_at(traj_imex, [job], i)
     g_term = cutoffs.chi2[None, :] * V.Snapshot(traj_imex, i).g(m + 1).values
@@ -172,7 +172,7 @@ def test_boundary_detects_wall_slope_of_g(zero_traj, assumption, monkeypatch):
 def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshot_refs):
     """One snapshot per node: the centered d_t reads only omega at i -/+ 1."""
     V.boundary_checks([zero_traj], assumption)
-    assert len(snapshot_refs) == len(V._eval_indices(zero_traj))
+    assert len(snapshot_refs) == len(V._eval_indices(len(zero_traj.times) - 1))
     assert alive(snapshot_refs) == []
 
 

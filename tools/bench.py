@@ -1,5 +1,6 @@
 """Write a BENCH_*.json: perfbench medians of a change against its parent,
-the Tier-1 wall time and the src/ line count.
+the traced per-layer metrics of each, the Tier-1 wall time and the src/
+line count.
 
     python3 tools/bench.py --parent DIR --out BENCH_<n>.json [--pairs N]
 
@@ -13,6 +14,9 @@ least ten pairs are run (the default).  The file keeps every run's
 end-to-end metrics, the per-side medians and quartiles and, per workload
 and metric, how many pairs the change won and whether that shows a gain
 (see `summarise`).
+After the pairs, one traced run (`--trace 1`) per side and workload gives
+the per-layer metrics; the pairs stay untraced, so tracing overhead never
+enters the end-to-end numbers.
 Tier-1 is the suite of ROADMAP.md, run once on the change after the pairs.
 Only the standard library is used.
 """
@@ -35,17 +39,31 @@ METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 MIN_PAIRS = 10
 
 
-def perfbench(checkout: Path, workload: str, seconds: float) -> dict:
-    """End-to-end metrics and verdict of one untraced perfbench run."""
+def _run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+    """The result object of one perfbench run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    run = {name: result["metrics"][name]["value"] for name in METRICS}
-    run.update(correct=result["correct"], attempted=result["attempted"],
-               failed=result["failed"])
-    return run
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _verdict(result: dict) -> dict:
+    return {k: result[k] for k in ("correct", "attempted", "failed")}
+
+
+def perfbench(checkout: Path, workload: str, seconds: float) -> dict:
+    """End-to-end metrics and verdict of one untraced perfbench run."""
+    result = _run(checkout, workload, seconds, trace=0)
+    return {**{name: result["metrics"][name]["value"] for name in METRICS},
+            **_verdict(result)}
+
+
+def layers(checkout: Path, workload: str, seconds: float) -> dict:
+    """Per-layer metrics and verdict of one traced perfbench run."""
+    result = _run(checkout, workload, seconds, trace=1)
+    return {"layers": {name: m["value"] for name, m in result["metrics"].items()},
+            **_verdict(result)}
 
 
 def src_lines(checkout: Path) -> int:
@@ -106,6 +124,9 @@ def main(argv=None) -> int:
                 runs[w][side].append(perfbench(sides[side], w, seconds))
                 print(f"pair {k} {w} {side}: {runs[w][side][-1]}", file=sys.stderr)
     workloads = {w: summarise(by_side) for w, by_side in runs.items()}
+    for w in WORKLOADS:
+        workloads[w]["traced"] = {side: layers(path, w, seconds) for side, path in sides.items()}
+        print(f"traced {w}: {workloads[w]['traced']}", file=sys.stderr)
     payload = {
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
