@@ -17,7 +17,8 @@ error (a cut-off set that does not fit the grid included), 3 solver
 divergence, a field that overflowed to non-finite values, or a
 cancellation-function denominator under its floor.  Exits 2 and 3 write a
 manifest whose error object names the stage that raised: setup (loading
-and building the Lab), shear-check, solve, norms or verify.
+and building the Lab), shear-check, solve, norms or verify.  What varies
+between reruns goes to run_log.json next to the manifest (_write_run).
 """
 
 from __future__ import annotations
@@ -26,13 +27,18 @@ import argparse
 import configparser
 import json
 import math
+import os
+import platform
+import resource
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .cutoffs import CutoffError, DenominatorFloorError, build_cutoffs
@@ -189,10 +195,17 @@ class Lab:
     at once, so every input rule is checked when the Lab is made; the rest is
     built on first read.  The profile, u0, cut-offs, seminorm table,
     dy-refinement companion and each scheme's solve at cfg.nt live as long
-    as the Lab, since several stages read them, and hold every time node.
-    An imex solve at any other Nt is a finer residual ladder level: it is not
-    kept (only its caller holds it), and it holds only the nodes the residual
-    evaluation reads (verify.residual_nodes)."""
+    as the Lab, since several stages read them.  An imex solve at any other
+    Nt is a finer residual ladder level: it is not kept (only its caller
+    holds it).
+
+    Only two kinds of solve hold every time node: the configured scheme's
+    solve at cfg.nt, which solve, norms and the monitors read (except on the
+    companion, whose stages never run), and every Picard solve.  Every other
+    imex solve is read by the residual and boundary checks alone and holds
+    only their nodes (verify.residual_nodes)."""
+
+    _stages_read = True       # False on the companion (Lab.fine)
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
@@ -218,8 +231,8 @@ class Lab:
         if scheme == "picard":
             traj = picard_solve(self.u0, self.profile, sc)
         else:
-            keep = None if nt == self.cfg.nt else V.residual_nodes(nt)
-            traj = imex_solve(self.u0, self.profile, sc, keep)
+            whole = self._stages_read and nt == self.cfg.nt and scheme == self.cfg.scheme
+            traj = imex_solve(self.u0, self.profile, sc, None if whole else V.residual_nodes(nt))
         if nt == self.cfg.nt:
             self._trajs[scheme] = traj
         return traj
@@ -233,8 +246,11 @@ class Lab:
     @cached_property
     def fine(self) -> Lab:
         """The dy-refinement companion: this configuration at Ny = 2 Ny - 1
-        (every coarse node kept), with no checks of its own."""
-        return Lab(replace(self.cfg, ny=2 * self.cfg.ny - 1, checks=()))
+        (every coarse node kept), with no checks of its own.  Only the
+        boundary check reads its imex solve, which holds the residual nodes."""
+        fine = Lab(replace(self.cfg, ny=2 * self.cfg.ny - 1, checks=()))
+        fine._stages_read = False
+        return fine
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -342,11 +358,39 @@ _ERROR_EXITS = ((ConfigError, 2, "configuration error"),
                 (DenominatorFloorError, 3, "denominator floor"))
 
 
+class _StageClock:
+    """Wall seconds of each stage of one run and the process's ru_maxrss
+    (MB; Linux reports KiB) when the stage ends."""
+
+    def __init__(self):
+        self.stage, self._start, self.spans = "setup", time.perf_counter(), []
+
+    def end(self, next_stage=None) -> None:
+        """Close the current stage and open next_stage."""
+        now = time.perf_counter()
+        self.spans.append({"stage": self.stage, "wall_s": now - self._start,
+                           "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                           / 1024})
+        self.stage, self._start = next_stage, now
+
+
+def _write_run(outdir: Path, manifest: dict, clock: _StageClock) -> None:
+    """manifest.json, and next to it run_log.json: the stage timings and the
+    environment, which vary between reruns and so stay out of the manifest."""
+    _write_json(outdir / "manifest.json", manifest)
+    _write_json(outdir / "run_log.json", {
+        "stages": clock.spans,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+                        **{k: os.environ.get(k)
+                           for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}})
+
+
 def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
     """Execute one subcommand; returns the process exit code.
 
-    Every exit writes manifest.json; exits 2 and 3 record no reports and
-    an error object instead, naming the stage that raised."""
+    Every exit writes manifest.json and run_log.json; exits 2 and 3 record
+    no reports and an error object instead, naming the stage that raised."""
     outdir = Path(out_dir if out_dir is not None else cfg.out_dir)
     manifest = {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
@@ -356,30 +400,33 @@ def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
     # looked up per call, so that a wrapped stage function is the one run
     stages = {"shear-check": run_shear_check, "solve": run_solve, "norms": run_norms,
               "verify": run_verify}
-    stage = "setup"
+    clock = _StageClock()
     try:
         if subcommand != "full" and subcommand not in stages:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         lab = Lab(cfg)
         reports = []
         for stage in ("solve", "norms", "verify") if subcommand == "full" else (subcommand,):
+            clock.end(stage)
             reports += stages[stage](lab, outdir)
         # verify re-runs the shear checks when enabled; no duplicates
         if subcommand == "full" and not ({"assumption", "proposition"} & set(cfg.checks)):
-            stage = "shear-check"
+            clock.end("shear-check")
             reports = run_shear_check(lab, outdir) + reports
+        clock.end()
     except tuple(exc for exc, _, _ in _ERROR_EXITS) as exc:
         code, label = next((c, lbl) for e, c, lbl in _ERROR_EXITS if isinstance(exc, e))
         print(f"{label}: {exc}", file=sys.stderr)
         manifest["reports"] = []
         manifest["error"] = {"exit_code": code, "kind": type(exc).__name__,
-                             "message": str(exc), "stage": stage}
-        _write_json(outdir / "manifest.json", manifest)
+                             "message": str(exc), "stage": clock.stage}
+        clock.end()
+        _write_run(outdir, manifest, clock)
         return code
 
     manifest["reports"] = [{"name": r["name"], "pass": bool(r["pass"]),
                             "evidence": r.get("evidence", {})} for r in reports]
-    _write_json(outdir / "manifest.json", manifest)
+    _write_run(outdir, manifest, clock)
     ok = all(r["pass"] for r in reports)
     for r in reports:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['name']}")

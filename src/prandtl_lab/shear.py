@@ -30,6 +30,11 @@ h*m, m = -(Nf-1) .. r*(Ny-1) + Nf-1, and reads the direct (Toeplitz) and
 image (Hankel) Ny x Nf matrices from it as strided views.  When h*m is exact
 (dy a binary fraction, as on the reference grids) every entry is bitwise the
 one the dense double sum y_i -/+ s_k would give.
+
+The difference direct - image is never formed whole (20 MB at Ny = 513):
+it is formed 32 rows at a time, each block reduced by its own gemv.  The
+rows are bitwise those of the one-call single-thread product, and unlike
+that product's they do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -106,12 +111,23 @@ def _kernel_derivs_upto(z: np.ndarray, t: float, jmax: int) -> list[np.ndarray]:
     return out
 
 
-def _quadrature_rows(p: ShearProfile, t: float, j0: int, j1: int) -> np.ndarray:
-    """Rows d_y^j u^s(t) for j = j0 .. j1-1 (t > 0), shape (j1-j0, Ny).
+_BLOCK = 32     # rows of the kernel difference formed at once
 
-    Each row is its own product of the materialised kernel difference with
-    the weighted datum, so it is bitwise the same whichever block it is
-    formed in."""
+
+def _row_spans(ny: int) -> list[tuple[int, int]]:
+    """[a, b) row spans of _BLOCK rows; a tail under 4 rows joins the span
+    before it, so every span but the last is a multiple of 4 rows and the
+    last ends in the same Ny mod 4 rows as one Ny-row product would."""
+    edges = list(range(0, ny, _BLOCK)) + [ny]
+    if len(edges) > 2 and edges[-1] - edges[-2] < 4:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _kernel_operands(p: ShearProfile, t: float, j1: int) -> tuple:
+    """(w0w, views): the weighted datum w0 * quadrature weights on y_fine,
+    and per order j < j1 the (direct, image) Ny x Nf kernel views, read from
+    one table of d^j kernel at h*m."""
     grid = p.grid
     r, ny = _FINE_REFINE, grid.Ny
     yq = p.y_fine
@@ -127,13 +143,31 @@ def _quadrature_rows(p: ShearProfile, t: float, j0: int, j1: int) -> np.ndarray:
 
     # tab[j][m + nf - 1] = d^j kernel at h*m
     tab = _kernel_derivs_upto(h * np.arange(-(nf - 1), r * (ny - 1) + nf), t, j1 - 1)
-    y = grid.y_nodes
+    views = []
+    for j in range(j1):
+        win = sliding_window_view(tab[j], nf)
+        views.append((win[:r * (ny - 1) + 1:r, ::-1],    # [i, k] -> h*(r*i - k)
+                      win[nf - 1::r][:ny]))               # [i, k] -> h*(r*i + k)
+    return w0w, views
+
+
+def _quadrature_rows(p: ShearProfile, t: float, j0: int, j1: int) -> np.ndarray:
+    """Rows d_y^j u^s(t) for j = j0 .. j1-1 (t > 0), shape (j1-j0, Ny).
+
+    direct - image is formed one _row_spans span at a time in one reused
+    buffer, each span reduced by its own gemv; a row is the same whichever
+    block of orders it is formed in."""
+    w0w, views = _kernel_operands(p, t, j1)
+    ny = p.grid.Ny
+    spans = _row_spans(ny)
+    buf = np.empty((max(b - a for a, b in spans), len(w0w)))
     out = np.empty((j1 - j0, ny))
     for j in range(j0, j1):
-        win = sliding_window_view(tab[j], nf)
-        direct = win[:r * (ny - 1) + 1:r, ::-1]     # [i, k] -> h*(r*i - k)
-        image = win[nf - 1::r][:ny]                  # [i, k] -> h*(r*i + k)
-        out[j - j0] = (direct - image) @ w0w + _lift(y, t, j)
+        direct, image = views[j]
+        row = out[j - j0]
+        for a, b in spans:
+            row[a:b] = np.subtract(direct[a:b], image[a:b], out=buf[:b - a]) @ w0w
+        row += _lift(p.grid.y_nodes, t, j)
     return out
 
 

@@ -87,8 +87,10 @@ def ladder_rows(lab, traj_ladder):
 
 
 @pytest.fixture(scope="session")
-def traj_imex(traj_ladder):
-    return traj_ladder[0]
+def traj_imex(u0, profile):
+    """A whole imex solve at the reference Nt: the Lab's own imex solve at
+    cfg.nt (scheme picard) holds only the residual nodes."""
+    return _solve(u0, profile, "imex", REF.nt)
 
 
 @pytest.fixture(scope="session")
@@ -105,9 +107,11 @@ def picard_raws(lab):
 
 @pytest.fixture(scope="session")
 def fine_setup(lab):
+    """The companion's artifacts and a whole imex solve on it (the
+    companion's own imex solve holds only the residual nodes)."""
     fine = lab.fine
     return dict(grid=fine.grid, profile=fine.profile, report=fine.report, cut=fine.cut,
-                u0=fine.u0, traj=fine.trajectory("imex"))
+                u0=fine.u0, traj=imex_solve(fine.u0, fine.profile, fine.solver))
 
 
 @pytest.fixture(scope="session")

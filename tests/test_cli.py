@@ -196,6 +196,31 @@ def test_manifest_determinism(tmp_path):
     assert a == b
 
 
+def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
+    """run_log.json holds each stage's wall seconds and ru_maxrss at its end
+    and the environment; an error exit writes it too, its last stage the
+    one that raised."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg = load_config(CONFIG)
+    cfg.checks = ("sobolev",)
+    assert run(cfg, "verify", out_dir=tmp_path / "ok") == 0
+    cfg.y0 = 0.3
+    assert run(cfg, "shear-check", out_dir=tmp_path / "error") == 2
+    for name, stages in (("ok", ["setup", "verify"]), ("error", ["setup"])):
+        log = json.loads((tmp_path / name / "run_log.json").read_text())
+        assert set(log) == {"stages", "environment"}
+        assert [s["stage"] for s in log["stages"]] == stages
+        for s in log["stages"]:
+            assert set(s) == {"stage", "wall_s", "ru_maxrss_mb"}
+            assert s["wall_s"] >= 0.0 and s["ru_maxrss_mb"] > 0.0
+        env = log["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count",
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
+        assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("1", None)
+
+
 def test_main_bad_config_exit_two(tmp_path):
     p = _write(tmp_path, "[norms]\nsigma = 9\n")
     assert main(["verify", "--config", str(p)]) == 2
@@ -416,12 +441,15 @@ def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
 
 
 def test_finer_ladder_level_keeps_only_evaluation_nodes(tmp_path):
-    """A finer residual ladder level holds exactly the evaluation triples,
-    each node bitwise the same node of a whole imex solve; reading a dropped
-    node raises, and so does saving the level.  The solve at cfg.nt is whole."""
+    """A check-only imex solve (a finer residual ladder level, the cfg.nt
+    level when the scheme is picard, the companion's) holds exactly the
+    evaluation triples, each node bitwise the same node of a whole imex
+    solve; reading a dropped node raises, and so does saving the level.
+    The configured scheme's solve at cfg.nt is whole."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     lab = Lab(cfg)
+    assert cfg.scheme == "picard"
     nt = 2 * cfg.nt
     traj = lab.trajectory("imex", nt)
     kept = {i for i, f in enumerate(traj.u) if f is not None}
@@ -436,4 +464,23 @@ def test_finer_ladder_level_keeps_only_evaluation_nodes(tmp_path):
     with pytest.raises(ValueError, match="dropped"):
         traj.save(tmp_path)
     assert not (tmp_path / "trajectory.npz").exists()
+    for check_only in (lab.trajectory("imex"), lab.fine.trajectory("imex")):
+        assert {i for i, f in enumerate(check_only.u) if f is not None} == \
+            V.residual_nodes(cfg.nt)
+    assert all(f is not None for f in lab.trajectory().u)
+
+
+def test_imex_scheme_solve_and_full_write_trajectory(tmp_path):
+    """With scheme = imex the configured solve at cfg.nt is whole, so solve
+    and full save it and exit 0; the companion's imex solve stays thinned."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    cfg.scheme = "imex"
+    for sub in ("solve", "full"):
+        assert run(cfg, sub, out_dir=tmp_path / sub) == 0
+        with np.load(tmp_path / sub / "trajectory" / "trajectory.npz") as z:
+            assert z["u"].shape == (cfg.nt + 1, cfg.nx, cfg.ny)
+    lab = Lab(cfg)
     assert all(f is not None for f in lab.trajectory("imex").u)
+    assert {i for i, f in enumerate(lab.fine.trajectory("imex").u) if f is not None} == \
+        V.residual_nodes(cfg.nt)

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +18,9 @@ from prandtl_lab.shear import (_kernel_derivs_upto, _lift, check_proposition_she
 from conftest import REF
 
 
-def _dense_quadrature(p, t):
-    """Rows d_y^j u^s, j = 0..6, from the kernel evaluated on the full
-    Ny x Nf arrays y_i - s_k and y_i + s_k."""
+def _dense_differences(p, t):
+    """d^j kernel(y_i - s_k) - d^j kernel(y_i + s_k), j = 0..6, evaluated on
+    the full Ny x Nf arrays, and the weighted datum."""
     y, yq = p.grid.y_nodes, p.y_fine
     h = yq[1] - yq[0]
     wq = np.full(yq.shape, h)
@@ -23,7 +28,18 @@ def _dense_quadrature(p, t):
     w0w = (p.u0s_fine - _lift(yq, 0.0, 0)) * wq
     kd = _kernel_derivs_upto(y[:, None] - yq[None, :], t, 6)
     ks = _kernel_derivs_upto(y[:, None] + yq[None, :], t, 6)
-    return np.array([(kd[j] - ks[j]) @ w0w + _lift(y, t, j) for j in range(7)])
+    return [kd[j] - ks[j] for j in range(7)], w0w
+
+
+def _dense_quadrature(p, t):
+    """Rows d_y^j u^s, j = 0..6, from the dense kernel differences, each
+    multiplied over the same row spans as _quadrature_rows: one product of
+    all Ny rows is rounded differently when BLAS runs several threads."""
+    y = p.grid.y_nodes
+    diffs, w0w = _dense_differences(p, t)
+    spans = S._row_spans(len(y))
+    return np.array([np.concatenate([d[a:b] @ w0w for a, b in spans]) + _lift(y, t, j)
+                     for j, d in enumerate(diffs)])
 
 
 def _rows(s):
@@ -75,8 +91,70 @@ def test_kernel_table_equals_dense_sum(profile):
     T = REF.t_final
     for t in (T / 128, T / 32, T, 0.5):
         s = evolve_shear(profile, t)
+        w0w, views = S._kernel_operands(profile, t, 7)
+        diffs, dense_w0w = _dense_differences(profile, t)
+        assert np.array_equal(w0w, dense_w0w)
+        assert all(np.array_equal(direct - image, d) for (direct, image), d in zip(views, diffs))
         assert np.array_equal(_rows(s), _dense_quadrature(profile, t))
         assert s.us[0] == 0.0
+
+
+# Ny = 65, 66, 67 leave tails of 1, 2, 3 rows after the 32-row spans, 96 none
+_BLOCK_NYS = (65, 66, 67, 96, 257, 513)
+_BLOCK_TIMES = (REF.t_final / 32, REF.t_final)
+_ONE_THREAD_ROWS = """
+import sys
+import numpy as np
+from prandtl_lab.grid import Grid2D
+from prandtl_lab.profiles import build_shear_profile
+import prandtl_lab.shear as S
+
+nx, lx, ymax, y0, alpha, out = sys.argv[1:]
+rows = {}
+for ny in %r:
+    p = build_shear_profile(Grid2D(int(nx), ny, float(lx), float(ymax)), float(y0), float(alpha))
+    for t in %r:
+        got = S._quadrature_rows(p, t, 0, 7)
+        w0w, views = S._kernel_operands(p, t, 7)
+        y = p.grid.y_nodes
+        one_call = np.array([(d - i) @ w0w + S._lift(y, t, j) for j, (d, i) in enumerate(views)])
+        assert np.array_equal(got, one_call), (ny, t)
+        rows[f"{ny}_{t!r}"] = got
+np.savez(out, **rows)
+""" % (_BLOCK_NYS, _BLOCK_TIMES)
+
+
+def test_blocked_rows_are_the_one_call_product(tmp_path):
+    """Under one BLAS thread the row-blocked quadrature is bitwise the one
+    product (direct - image) @ w0w, orders 0..6, whatever tail the 32-row
+    spans leave; and the rows this process forms, under its own BLAS thread
+    count, are bitwise the same."""
+    src = Path(S.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(src))
+    out = tmp_path / "rows.npz"
+    subprocess.run([sys.executable, "-c", _ONE_THREAD_ROWS, str(REF.nx), repr(REF.lx),
+                    repr(REF.ymax), repr(REF.y0), repr(REF.alpha), str(out)],
+                   env=env, check=True)
+    with np.load(out) as one_thread:
+        for ny in _BLOCK_NYS:
+            p = build_shear_profile(Grid2D(REF.nx, ny, REF.lx, REF.ymax), REF.y0, REF.alpha)
+            for t in _BLOCK_TIMES:
+                assert np.array_equal(S._quadrature_rows(p, t, 0, 7),
+                                      one_thread[f"{ny}_{t!r}"]), (ny, t)
+
+
+def test_quadrature_forms_no_full_kernel_difference(profile_fine):
+    """Forming u^s and omega^s at Ny = 513 allocates under a quarter of the
+    Ny x Nf kernel difference that one product would materialise."""
+    ny, nf = profile_fine.grid.Ny, len(profile_fine.y_fine)
+    tracemalloc.start()
+    try:
+        S._quadrature_rows(profile_fine, REF.t_final / 2, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ny * nf * 8 / 4
 
 
 def test_kernel_table_off_binary_grid():

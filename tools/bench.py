@@ -18,6 +18,9 @@ After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
 enters the end-to-end numbers.
 Tier-1 is the suite of ROADMAP.md, run once on the change after the pairs.
+Before the pairs, `full --config configs/reference.ini` runs once per side
+with one BLAS thread, and the file lists the output files whose bytes differ
+between the sides (an empty list: byte-identical).
 Only the standard library is used.
 """
 
@@ -30,6 +33,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,6 +41,7 @@ CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("perturbation-sweep", "reference-full")
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 MIN_PAIRS = 10
+RUN_LOG = "run_log.json"     # stage timings, which differ between any two runs
 
 
 def _run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -82,6 +87,28 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= ")}
 
 
+def reference_outputs(sides: dict) -> dict:
+    """Each side's exit code of `full --config configs/reference.ini`, run
+    with OPENBLAS_NUM_THREADS=1, and the relative paths of the files it
+    writes whose bytes differ between the sides, a file written by one side
+    only included and run_log.json left out."""
+    codes, files = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, checkout in sides.items():
+            out = Path(tmp) / side
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
+            codes[side] = subprocess.run(
+                [sys.executable, "-m", "prandtl_lab.cli", "full", "--config",
+                 "configs/reference.ini", "--out", str(out)],
+                cwd=checkout, env=env, stdout=subprocess.DEVNULL).returncode
+            files[side] = {p.relative_to(out).as_posix(): p.read_bytes()
+                           for p in out.rglob("*") if p.is_file() and p.name != RUN_LOG}
+    names = sorted(set(files["parent"]) | set(files["change"]))
+    return {"exit_codes": codes,
+            "differing_files": [n for n in names
+                                if files["parent"].get(n) != files["change"].get(n)]}
+
+
 def summarise(by_side: dict) -> dict:
     """Per side: every run and each metric's median and quartiles.  Per
     metric (all lower-is-better): the pairs the change won, ties counting
@@ -117,6 +144,8 @@ def main(argv=None) -> int:
         ap.error(f"--pairs must be at least {MIN_PAIRS}")
     seconds = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
+    outputs = reference_outputs(sides)
+    print(f"reference outputs: {outputs}", file=sys.stderr)
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     for k in range(args.pairs):
         for w in WORKLOADS:
@@ -132,6 +161,7 @@ def main(argv=None) -> int:
                  "machine": platform.machine()},
         "perfbench": {"seed": 0, "seconds": seconds, "pairs": args.pairs,
                       "workloads": workloads},
+        "reference_full_outputs": outputs,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "tier1": tier1(CHANGE),
     }
