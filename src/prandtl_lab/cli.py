@@ -23,6 +23,10 @@ between reruns goes to run_log.json next to the manifest (_write_run).
 
 from __future__ import annotations
 
+import time
+
+_IMPORT_START = time.perf_counter()     # before the imports below
+
 import argparse
 import configparser
 import json
@@ -31,7 +35,6 @@ import os
 import platform
 import resource
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -48,6 +51,12 @@ from .profiles import build_perturbation, build_shear_profile, check_compatibili
 from .shear import check_proposition_shear, evolve_shear, min_resolved_step
 from .solver import SolverConfig, SolverDivergence, imex_solve, picard_solve
 from . import verify as V
+
+
+# the import of this module and of every module it loads that the process had
+# not (numpy and scipy in a fresh process); paid once per process
+_IMPORT = {"wall_s": time.perf_counter() - _IMPORT_START,
+           "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 _ALL_CHECKS = ("assumption", "proposition", "compatibility", "cancellation",
                "residual_f", "residual_g", "residual_h", "boundary", "sobolev",
@@ -375,10 +384,12 @@ class _StageClock:
 
 
 def _write_run(outdir: Path, manifest: dict, clock: _StageClock) -> None:
-    """manifest.json, and next to it run_log.json: the stage timings and the
-    environment, which vary between reruns and so stay out of the manifest."""
+    """manifest.json, and next to it run_log.json: the import span of this
+    module (_IMPORT), the stage timings and the environment, which vary
+    between reruns and so stay out of the manifest."""
     _write_json(outdir / "manifest.json", manifest)
     _write_json(outdir / "run_log.json", {
+        "import": _IMPORT,
         "stages": clock.spans,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count(),

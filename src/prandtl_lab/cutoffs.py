@@ -86,6 +86,13 @@ def _check_floor(den: np.ndarray, support: np.ndarray, floor: float, what: str,
             f"at y = {grid.y_nodes[jy]:.4f} (node {jy})")
 
 
+def read_only(*arrays) -> tuple:
+    """The arrays, each made read-only: what a bundle serves to its readers."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _masked_reciprocal(den: np.ndarray) -> np.ndarray:
     """1/den, zeroed where |den| is below a hair of 1e-9 times its peak."""
     hair = 1e-9 * max(float(np.max(np.abs(den))), 1e-30)
@@ -130,8 +137,7 @@ class AuxWorkspace:
         self.inv_dyom = _masked_reciprocal(self.dyom_tot)
         self.a = self.dyom_tot * self.inv_om
         self.b = self.d2yom_tot * self.inv_dyom
-        for arr in (self.inv_om, self.inv_dyom, self.a, self.b):
-            arr.flags.writeable = False
+        read_only(self.inv_om, self.inv_dyom, self.a, self.b)
 
     @cached_property
     def spec_d2yom(self) -> np.ndarray:
@@ -143,7 +149,7 @@ class AuxWorkspace:
         out = self._dx_memo.get(key)
         if out is None:
             out = dx_m_spec(self.grid, getattr(self, spec_name), m)
-            out.values.flags.writeable = False
+            read_only(out.values)
             self._dx_memo[key] = out
         return out
 

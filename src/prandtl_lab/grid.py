@@ -136,10 +136,6 @@ class Grid2D:
         self._dy_mats[key] = D
         return D
 
-    def same_as(self, other: "Grid2D") -> bool:
-        return (self.Nx == other.Nx and self.Ny == other.Ny
-                and self.Lx == other.Lx and self.Ymax == other.Ymax)
-
 
 class NonFiniteError(ValueError):
     """A field with non-finite samples: the computation overflowed."""

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _FINE_REFINE = 8          # refinement factor of the quadrature grid
+_SLACK = 1e-12            # rounding slack of the pointwise comparisons
 _profile_cache: dict = {}
 
 
@@ -91,6 +92,23 @@ class AssumptionReport:
     @property
     def all_pass(self) -> bool:
         return all(self.passes.values())
+
+    def clauses(self, om, dyom, rows, y: np.ndarray, k: float) -> dict[str, bool]:
+        """The pointwise hypotheses on a vorticity om (y on the last axis),
+        with the constants relaxed by the factor k:
+        (i) |d_y om| >= c0/k on the strip |y - y0| <= 7 delta/4,
+        (ii) c1/k <= |om| <y>^alpha <= k/c1 where |y - y0| >= 5 delta/4,
+        (iii) |row| <= k/c1 <y>^(-alpha-1) for each of the rows."""
+        strip = np.abs(y - self.y0) <= 1.75 * self.delta + _SLACK
+        off = np.abs(y - self.y0) >= 1.25 * self.delta - _SLACK
+        wy = (1.0 + y[off]) ** (-self.alpha)
+        wy1 = (1.0 + y) ** (-self.alpha - 1.0)
+        mag = np.abs(om[..., off])
+        return {"i": bool(np.all(np.abs(dyom[..., strip]) >= self.c0 / k - _SLACK)),
+                "ii": bool(np.all(mag >= self.c1 / k * wy - _SLACK)
+                           and np.all(mag <= k / self.c1 * wy + _SLACK)),
+                "iii": bool(all(np.all(np.abs(row) <= k / self.c1 * wy1 + _SLACK)
+                                for row in rows))}
 
     def to_dict(self) -> dict:
         return {
@@ -169,9 +187,6 @@ def build_shear_profile(grid: Grid2D, y0: float, alpha: float) -> ShearProfile:
                         u0s=u0s, derivs=derivs, y_fine=y_fine, u0s_fine=u0s_fine)
     _profile_cache[key] = prof
     return prof
-
-
-_SLACK = 1e-12
 
 
 def _constants_for_delta(p: ShearProfile, delta: float):

@@ -220,26 +220,12 @@ class PropositionReport:
                 "pass": self.ok}
 
 
-_SLACK = 1e-12
-
-
 def proposition_clauses(state: ShearState, rep: AssumptionReport,
                         y: np.ndarray) -> dict[str, bool]:
-    """Clause-by-clause persistence check (halved/doubled constants)."""
-    y0, delta, alpha = rep.y0, rep.delta, rep.alpha
-    strip = np.abs(y - y0) <= 1.75 * delta + _SLACK
-    cl1 = bool(np.all(np.abs(state.dj_omegas[0][strip]) >= rep.c0 / 2.0 - _SLACK))
-
-    off = np.abs(y - y0) >= 1.25 * delta - _SLACK
-    wy = (1.0 + y[off]) ** (-alpha)
-    mag = np.abs(state.omegas[off])
-    cl2 = bool(np.all(mag >= 0.5 * rep.c1 * wy - _SLACK)
-               and np.all(mag <= 2.0 / rep.c1 * wy + _SLACK))
-
-    wy1 = (1.0 + y) ** (-alpha - 1.0)
-    cl3 = bool(all(np.all(np.abs(row) <= 2.0 / rep.c1 * wy1 + _SLACK)
-                   for row in (*state.dj_omegas, *state.dj_omegas_high)))
-    return {"i": cl1, "ii": cl2, "iii": cl3}
+    """Clause-by-clause persistence check: the hypotheses on omega^s with
+    halved/doubled constants, clause (iii) on d_y^j omega^s, j = 1..5."""
+    return rep.clauses(state.omegas, state.dj_omegas[0],
+                       (*state.dj_omegas, *state.dj_omegas_high), y, 2.0)
 
 
 _T_SCAN = 0.5       # horizon of the persistence scan

@@ -11,10 +11,10 @@ differentiating a masked ratio through its unsafe region).  Each residual is
 reported over a ladder of time resolutions together with the observed
 convergence order.
 
-The f-identity is checked with its own wider-delta chi1 so that no finite
-difference stencil reaches the zero set of omega^s + omega; the identity
-holds for any admissible cut-off, while the condition monitor keeps the
-delta certified by the assumption scan.
+One frame (_evaluate_at) serves the three identities: each kind supplies only
+d_y q, d_y^2 q and its right-hand side, and the frame forms q on the time
+triple, the material derivative, the cut-off weighting (residual_jobs: f a
+wider-hole chi1, h the certified chi2) and the interior norms.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs
+from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs, read_only
 from .grid import Field, Grid2D, dx_m, dx_m_spec, dy_j, linf, weighted_l2, x_spectrum
 from .norms import GevreyParams, gevrey_norm, lifespan_norm
-from .profiles import AssumptionReport
+from .profiles import _SLACK, AssumptionReport
 from .solver import Trajectory, recover_v
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
 
-_SLACK = 1e-12
 _ORDERS = (1, 2, 3)         # tangential orders of the boundary and cancellation checks
 
 
@@ -127,7 +126,7 @@ class Snapshot(AuxWorkspace):
         dxdyom1 = self.dxdyom(1).values
         dxa = dxdyom1 * inv - a * dxom1 * inv
         d2ya = self.d3yom_tot * inv - 3.0 * N * P * inv**2 + 2.0 * P**3 * inv**3
-        return _read_only(dya, dxa, d2ya)
+        return read_only(dya, dxa, d2ya)
 
     @cached_property
     def quotient_pack_h(self) -> tuple:
@@ -141,18 +140,7 @@ class Snapshot(AuxWorkspace):
         dxdyom1 = self.dxdyom(1).values
         dxd2yom1 = self.dxd2yom(1).values
         dxb = dxd2yom1 * inv - b * dxdyom1 * inv
-        return _read_only(dyb, dxb)
-
-
-def _read_only(*arrays) -> tuple:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
-def _triple(traj: Trajectory, i: int) -> tuple:
-    """Snapshots at time indices i - 1, i, i + 1 (the centered d_t stencil)."""
-    return Snapshot(traj, i - 1), Snapshot(traj, i), Snapshot(traj, i + 1)
+        return read_only(dyb, dxb)
 
 
 # evaluation times are exact eighths of the horizon so that every time
@@ -169,8 +157,8 @@ def _eval_indices(nt: int) -> list:
 
 def residual_nodes(nt: int) -> set:
     """Every time index the residual evaluation reads on a ladder level of
-    nt steps: each evaluation triple (_triple).  A finer level's solve keeps
-    only these nodes."""
+    nt steps: each evaluation triple i - 1, i, i + 1 (the centered d_t
+    stencil).  A finer level's solve keeps only these nodes."""
     return {j for i in _eval_indices(nt) for j in (i - 1, i, i + 1)}
 
 
@@ -205,31 +193,16 @@ def _interior_l2(grid: Grid2D, values: np.ndarray) -> float:
     return weighted_l2(Field(grid, masked), 0.0)
 
 
-def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) -> tuple:
-    """(residual L2 norm, f_m scale, residual field) of the f_m evolution
-    identity at node i, from the snapshot triple at i - 1, i, i + 1.
-
-    The cut-off bookkeeping (all chi', chi'' terms) cancels algebraically
-    between the two sides, so the check evaluates the surviving interior
-    identity weighted by chi1; stencils never cross the critical strip
-    because the f-cutoff hole is wider than their reach.
-    """
-    g = traj.grid
-    eps = traj.eps
-    sm, s0, sp = snaps
-    dt2 = traj.times[i + 1] - traj.times[i - 1]
+def _f_terms(s0: Snapshot, m: int, eps: float) -> tuple:
+    """(d_y q, d_y^2 q, rhs) of the f_m identity, q = f_m before its
+    cut-off; d_y q and d_y^2 q from the quotient pack of a (analytic)."""
     a0, inv = s0.a, s0.inv_om
     dya, dxa, d2ya = s0.quotient_pack_f
-
-    chi = cut.chi1[None, :]
-    q0 = s0.q_f(m)
     dxm_u, dxm_om, dxm_dyom = s0.dxu(m).values, s0.dxom(m).values, s0.dxdyom(m).values
     dyq = dxm_dyom - dya * dxm_u - a0 * dxm_om
     d2yq = s0.dxd2yom(m).values - d2ya * dxm_u - 2.0 * dya * dxm_om - a0 * dxm_dyom
-    lhs = _material_derivative(
-        s0, sm.q_f(m), sp.q_f(m), q0, dyq, d2yq, dt2, eps)
 
-    rhs = np.zeros_like(q0)
+    rhs = np.zeros_like(dyq)
     for k in range(1, m + 1):
         c = math.comb(m, k)
         rhs -= c * s0.dxu(k).values * s0.dxom(m - k + 1).values
@@ -243,34 +216,21 @@ def _f_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
     rhs += (dxom1 - dxu1 * a0 - 2.0 * a0 * dya
             - 2.0 * eps * dxom1 * inv * dxa) * dxm_u
     rhs += 2.0 * dya * dxm_om + 2.0 * eps * dxa * s0.dxu(m + 1).values
-
-    diff = chi * (lhs - rhs)
-    res = _interior_l2(g, diff)
-    scale = max(_interior_l2(g, chi * q0), 1e-300)
-    return res, scale, diff
+    return dyq, d2yq, rhs
 
 
-def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) -> tuple:
-    """Interior form of the h_m evolution identity (cut-off terms cancel
-    algebraically as in the f-check); the coefficient block uses the
-    g1-corrected quotient calculus."""
-    g = traj.grid
-    eps = traj.eps
-    sm, s0, sp = snaps
-    dt2 = traj.times[i + 1] - traj.times[i - 1]
+def _h_terms(s0: Snapshot, m: int, eps: float) -> tuple:
+    """(d_y q, d_y^2 q, rhs) of the h_m identity, q = h_m before its
+    cut-off; the coefficient block uses the g1-corrected quotient calculus."""
+    g = s0.grid
     b0, invD = s0.b, s0.inv_dyom
     dyb, dxb = s0.quotient_pack_h
-
-    chi = cut.chi2[None, :]
-    q0 = s0.q_h(m)
     dxm_om, dxm_dyom, dxm_d2yom = s0.dxom(m).values, s0.dxdyom(m).values, s0.dxd2yom(m).values
     dyq = dxm_d2yom - dyb * dxm_om - b0 * dxm_dyom
     # one narrow FD derivative of the analytic first derivative: avoids both
     # pointwise d_y^3(omega)-level roughness and wide stencils crossing the
     # denominator's thin safe margin
     d2yq = dy_j(Field(g, dyq), 1).values
-    lhs = _material_derivative(
-        s0, sm.q_h(m), sp.q_h(m), q0, dyq, d2yq, dt2, eps)
 
     dxdyom1 = s0.dxdyom(1).values
     dxu1 = s0.dxu(1).values
@@ -278,12 +238,10 @@ def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
     # -2 b d_y b - 2 eps r d_y r with r = (d_x d_y omega)/D, which keeps every
     # pointwise value at the two-derivative level
     r_quot = dxdyom1 * invD
-    p_blk = (2.0 * (s0.om_tot * dxdyom1 - dxu1 * s0.d2yom_tot) * invD
-             - s0.g1 * s0.d2yom_tot * invD**2
-             - 2.0 * b0 * dyb
-             - 2.0 * eps * r_quot * dy_j(Field(g, r_quot), 1).values) * s0.dxom(m).values
-
-    rhs = p_blk
+    rhs = (2.0 * (s0.om_tot * dxdyom1 - dxu1 * s0.d2yom_tot) * invD
+           - s0.g1 * s0.d2yom_tot * invD**2
+           - 2.0 * b0 * dyb
+           - 2.0 * eps * r_quot * dy_j(Field(g, r_quot), 1).values) * s0.dxom(m).values
     rhs += 2.0 * dyb * dxm_dyom
     rhs += 2.0 * eps * dxb * s0.dxom(m + 1).values
     for k in range(1, m + 1):
@@ -295,22 +253,16 @@ def _h_identity(traj: Trajectory, i: int, snaps: tuple, m: int, cut: CutoffSet) 
         rhs += b0 * c * s0.dxv(k).values * s0.dxdyom(m - k).values
         rhs -= c * s0.dxv(k).values * s0.dxd2yom(m - k).values
     rhs -= s0.g(m + 1).values
-
-    diff = chi * (lhs - rhs)
-    res = _interior_l2(g, diff)
-    scale = max(_interior_l2(g, chi * q0), 1e-300)
-    return res, scale, diff
+    return dyq, d2yq, rhs
 
 
-def _g_identity(traj: Trajectory, i: int, snaps: tuple, m: int) -> tuple:
-    g = traj.grid
-    eps = traj.eps
-    sm, s0, sp = snaps
-    dt2 = traj.times[i + 1] - traj.times[i - 1]
+def _g_terms(s0: Snapshot, m: int, eps: float) -> tuple:
+    """(d_y q, d_y^2 q, rhs) of the g_m identity, q = g_m (9-point
+    stencils)."""
+    g = s0.grid
     q0 = s0.g(m).values
     dyq = q0 @ g.deriv_matrix_y(1, 9).T
     d2yq = q0 @ g.deriv_matrix_y(2, 9).T
-    lhs = _material_derivative(s0, sm.g(m).values, sp.g(m).values, q0, dyq, d2yq, dt2, eps)
 
     rhs = np.zeros_like(q0)
     for j in range(1, m):
@@ -329,59 +281,70 @@ def _g_identity(traj: Trajectory, i: int, snaps: tuple, m: int) -> tuple:
         rhs -= 2.0 * c * d1 * s0.dxdyom(m - j).values
         rhs += 2.0 * eps * c * s0.dxdyom(j + 1).values * s0.dxu(m - j + 1).values
         rhs -= 2.0 * eps * c * s0.dxom(j + 1).values * s0.dxom(m - j + 1).values
+    return dyq, d2yq, rhs
 
-    diff = lhs - rhs
-    res = _interior_l2(g, diff)
-    scale = max(_interior_l2(g, q0), 1e-300)
-    return res, scale, diff
+
+# per kind: q on one snapshot (f_m, h_m before their cut-offs; g_m), looked
+# up on the snapshot when called, and the identity's own terms
+_KINDS = {"f": (lambda s, m: s.q_f(m), _f_terms),
+          "g": (lambda s, m: s.g(m).values, _g_terms),
+          "h": (lambda s, m: s.q_h(m), _h_terms)}
 
 
 class ResidualJob(NamedTuple):
-    """One residual identity: kind "f", "g" or "h" at tangential order m."""
+    """One residual identity: kind "f", "g" or "h" at tangential order m,
+    weighted by the cut-off row chi (None: unweighted)."""
     kind: str
     m: int
-    cut: CutoffSet | None = None          # f and h only
+    chi: np.ndarray | None = None
 
 
 _DELTA_F = 0.5
 
 
-def _wide_f_cutoffs(grid: Grid2D, rep: AssumptionReport) -> CutoffSet:
-    """chi1 with a wider hole (delta = _DELTA_F, capped below y0/2) for the
-    f-identity checks, so that no stencil reaches the zero set of
-    omega^s + omega."""
-    return build_cutoffs(grid, rep.y0, min(_DELTA_F, 0.499 * rep.y0))
-
-
 def residual_jobs(grid: Grid2D, rep: AssumptionReport, cut: CutoffSet, kinds) -> list:
     """The residual jobs of the given kinds ("f", "g", "h") at m = 1, 2, 3,
-    in report order: f reads the wide-hole cut-offs, h the certified cut."""
-    cutf = _wide_f_cutoffs(grid, rep) if "f" in kinds else None
-    return [job for m in (1, 2, 3)
-            for job in (ResidualJob("f", m, cutf), ResidualJob("g", m), ResidualJob("h", m, cut))
-            if job.kind in kinds]
+    in report order.  h is weighted by chi2 of the certified cut, g by
+    nothing, and f by chi1 of a cut with a wider hole (delta = _DELTA_F,
+    capped below y0/2), so that no stencil reaches the zero set of
+    omega^s + omega."""
+    chi = {"g": None, "h": cut.chi2,
+           "f": build_cutoffs(grid, rep.y0, min(_DELTA_F, 0.499 * rep.y0)).chi1
+           if "f" in kinds else None}
+    return [ResidualJob(kind, m, chi[kind]) for m in (1, 2, 3) for kind in "fgh"
+            if kind in kinds]
 
 
 def _evaluate_at(traj: Trajectory, jobs, i: int) -> list:
     """(res, scale, diff) of each job at node i, from one snapshot triple
-    that is dropped on return."""
-    snaps = _triple(traj, i)
+    that is dropped on return: diff is chi times the identity's residual
+    (material derivative of q minus its right-hand side), res its interior
+    L2 norm and scale that of chi q.
+
+    The cut-off bookkeeping (all chi', chi'' terms) cancels algebraically
+    between the two sides, so each check evaluates the surviving interior
+    identity weighted by chi; stencils never cross the critical strip
+    because the f cut-off's hole is wider than their reach."""
+    snaps = [Snapshot(traj, j) for j in (i - 1, i, i + 1)]
+    s0 = snaps[1]
+    dt2 = traj.times[i + 1] - traj.times[i - 1]
     out = []
-    for job in jobs:
-        if job.kind == "f":
-            out.append(_f_identity(traj, i, snaps, job.m, job.cut))
-        elif job.kind == "h":
-            out.append(_h_identity(traj, i, snaps, job.m, job.cut))
-        else:
-            out.append(_g_identity(traj, i, snaps, job.m))
+    for kind, m, chi in jobs:
+        q, terms = _KINDS[kind]
+        q_prev, q0, q_next = (q(s, m) for s in snaps)
+        dyq, d2yq, rhs = terms(s0, m, traj.eps)
+        diff = _material_derivative(s0, q_prev, q_next, q0, dyq, d2yq, dt2, traj.eps) - rhs
+        if chi is not None:
+            diff, q0 = chi[None, :] * diff, chi[None, :] * q0
+        out.append((_interior_l2(traj.grid, diff),
+                    max(_interior_l2(traj.grid, q0), 1e-300), diff))
     return out
 
 
 class ResidualLevel(NamedTuple):
     """One ladder level of one residual job.  richardson is the largest
     interior L2 norm, over the evaluation nodes, of the residual field's
-    change from the previous level; it is None on the first level and on
-    any level whose grid differs from the first level's."""
+    change from the previous level; it is None on the first level."""
     dt: float
     grid: Grid2D
     norms: tuple                  # residual L2 norm per evaluation node
@@ -390,25 +353,23 @@ class ResidualLevel(NamedTuple):
 
 
 def evaluate_residuals(trajs, jobs) -> list:
-    """For each job, one ResidualLevel per trajectory.  Each node's snapshot
-    triple is built once for all jobs, so at most three snapshots are alive
-    at once; trajs may be a generator, whose levels are then released one by
-    one.  A level's residual fields are folded into its Richardson difference
-    against the previous level as the level arrives, so only the previous
-    level's fields are kept: the dt-independent spatial floor cancels in the
-    difference on a shared space grid and the dt component remains."""
+    """For each job, one ResidualLevel per trajectory (every level on one
+    space grid).  Each node's snapshot triple is built once for all jobs, so
+    at most three snapshots are alive at once; trajs may be a generator,
+    whose levels are then released one by one.  A level's residual fields
+    are folded into its Richardson difference against the previous level as
+    the level arrives, so only the previous level's fields are kept: the
+    dt-independent spatial floor cancels in the difference and the dt
+    component remains."""
     rows = [[] for _ in jobs]
     prev = [None] * len(jobs)       # previous level's residual fields per job
-    g0 = None
     for traj in trajs:
-        g0 = traj.grid if g0 is None else g0
-        same = traj.grid.same_as(g0)
         nodes = [_evaluate_at(traj, jobs, i) for i in _eval_indices(len(traj.times) - 1)]
         for k, job_rows in enumerate(rows):
             norms, scales, fields = zip(*(node[k] for node in nodes))
-            richardson = (max(_interior_l2(g0, a - b) for a, b in zip(prev[k], fields))
-                          if same and prev[k] is not None else None)
-            prev[k] = fields if same else None
+            richardson = (None if prev[k] is None else
+                          max(_interior_l2(traj.grid, a - b) for a, b in zip(prev[k], fields)))
+            prev[k] = fields
             job_rows.append(ResidualLevel(traj.dt, traj.grid, norms, scales, richardson))
         del traj, nodes     # before the generator solves the next level
     return rows
@@ -417,15 +378,14 @@ def evaluate_residuals(trajs, jobs) -> list:
 def residual_report(job: ResidualJob, levels) -> ResidualReport:
     """The job's residual norms per time-resolution level (its
     evaluate_residuals levels) plus the dt-order, measured on the levels'
-    Richardson differences when all levels share one grid."""
+    Richardson differences."""
     grid_levels = [(lvl.dt, lvl.grid.dy, lvl.grid.Nx) for lvl in levels]
     diffs = [lvl.richardson for lvl in levels[1:]]
     orders = []
-    if len(levels) >= 3 and None not in diffs:
-        for k in range(len(diffs) - 1):
-            h1, h2 = grid_levels[k][0], grid_levels[k + 1][0]
-            if diffs[k + 1] > 0:
-                orders.append(math.log(diffs[k] / diffs[k + 1]) / math.log(h1 / h2))
+    for k in range(len(diffs) - 1):
+        h1, h2 = grid_levels[k][0], grid_levels[k + 1][0]
+        if diffs[k + 1] > 0:
+            orders.append(math.log(diffs[k] / diffs[k + 1]) / math.log(h1 / h2))
     observed = float(np.mean(orders)) if orders else float("nan")
     return ResidualReport(name=f"residual_{job.kind}[m={job.m}]", grid_levels=grid_levels,
                           residual_norms=[max(lvl.norms) for lvl in levels],
@@ -451,46 +411,39 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
     levels = {}
     for traj in trajs:
         g = traj.grid
-        cut = build_cutoffs(g, rep.y0, rep.delta)
+        chi1 = build_cutoffs(g, rep.y0, rep.delta).chi1[None, :]
         eps = traj.eps
-        r_g, r_f, r_3, r_5, r_5raw = 0.0, 0.0, 0.0, 0.0, 0.0
-        s_g, s_f, s_3, s_5 = 1e-300, 1e-300, 1e-300, 1e-300
+        lv = {}
+
+        def keep(key, values):
+            """lv[key]: the running max of |values| (a scale's from 1e-300)."""
+            start = 1e-300 if key.endswith("_scale") else 0.0
+            lv[key] = max(lv.get(key, start), float(np.max(np.abs(values))))
+
         for i in _eval_indices(len(traj.times) - 1):
             s0 = Snapshot(traj, i)
             # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
             om_m, om_p = (dy_j(traj.u[j], 1, npts=9).values for j in (i - 1, i + 1))
             dt2 = traj.times[i + 1] - traj.times[i - 1]
             for m in _ORDERS:
-                gm = s0.g(m)
-                r_g = max(r_g, float(np.max(np.abs(dy_j(gm, 1).values[:, 0]))))
-                s_g = max(s_g, linf(Field(g, dy_j(gm, 1).values)))
-                fm = Field(g, cut.chi1[None, :] * s0.q_f(m))
-                r_f = max(r_f, float(np.max(np.abs(dy_j(fm, 1).values[:, 0]))))
-                s_f = max(s_f, linf(Field(g, dy_j(fm, 1).values)))
+                for name, q in (("g", s0.g(m)), ("f", Field(g, chi1 * s0.q_f(m)))):
+                    dyq = dy_j(q, 1).values
+                    keep(f"dy_{name}_wall", dyq[:, 0])
+                    keep(f"dy_{name}_scale", dyq)
             om_tot0 = s0.om_tot[:, 0]
             dxom0 = s0.dxom(1).values[:, 0]
             # d_y^2 omega represented through the evolution equation
             eqrhs = Field(g, _material_derivative(s0, om_m, om_p, s0.omega.values,
                                                   s0.dyom_tot, 0.0, dt2, eps))
-            third = dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0
-            r_3 = max(r_3, float(np.max(np.abs(third))))
-            s_3 = max(s_3, float(np.max(np.abs(om_tot0 * dxom0))))
+            keep("third_trace", dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0)
+            keep("third_scale", om_tot0 * dxom0)
             rhs5 = (-s0.d2yom_tot[:, 0] * dxom0
                     + 4.0 * om_tot0 * s0.dxd2yom(1).values[:, 0]
                     - 2.0 * eps * dxom0 * s0.dxom(2).values[:, 0])
-            fifth = dy_j(eqrhs, 3).values[:, 0] - rhs5
-            r_5 = max(r_5, float(np.max(np.abs(fifth))))
-            s_5 = max(s_5, float(np.max(np.abs(rhs5))))
-            r_5raw = max(r_5raw, float(np.max(np.abs(
-                dy_j(s0.omega, 5).values[:, 0] - rhs5))))
-        levels[(traj.grid.Ny, traj.dt)] = {
-            "dy_g_wall": r_g, "dy_g_scale": s_g,
-            "dy_f_wall": r_f, "dy_f_scale": s_f,
-            "third_trace": r_3, "third_scale": s_3,
-            "fifth_trace": r_5, "fifth_scale": s_5,
-            "fifth_trace_direct_unchecked": r_5raw,
-            "dy": traj.grid.dy,
-        }
+            keep("fifth_trace", dy_j(eqrhs, 3).values[:, 0] - rhs5)
+            keep("fifth_scale", rhs5)
+            keep("fifth_trace_direct_unchecked", dy_j(s0.omega, 5).values[:, 0] - rhs5)
+        levels[(traj.grid.Ny, traj.dt)] = {**lv, "dy": traj.grid.dy}
     keys = sorted(levels, key=lambda k: -levels[k]["dy"])
     ev = {"levels": {str(k): levels[k] for k in keys}}
     orders = {}
@@ -633,21 +586,14 @@ def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> C
     first_fail = None
     fail_clause = None
     margins = []
-    strip = np.abs(y - rep.y0) <= 1.75 * rep.delta + _SLACK
-    off = np.abs(y - rep.y0) >= 1.25 * rep.delta - _SLACK
-    wy_a = (1.0 + y) ** (-rep.alpha)
-    wy_a1 = (1.0 + y) ** (-rep.alpha - 1.0)
     w_lm1 = (1.0 + y) ** (p.ell - 1.0)
     w_l = (1.0 + y) ** p.ell
     w_lp1 = (1.0 + y) ** (p.ell + 1.0)
     for i, t in enumerate(traj.times):
         s0 = Snapshot(traj, i)
-        cl = {}
-        cl["1"] = bool(np.all(np.abs(s0.dyom_tot[:, strip]) >= rep.c0 / 4.0 - _SLACK))
-        mag = np.abs(s0.om_tot[:, off])
-        cl["2"] = bool(np.all(mag >= 0.25 * rep.c1 * wy_a[None, off] - _SLACK)
-                       and np.all(mag <= 4.0 / rep.c1 * wy_a[None, off] + _SLACK))
-        cl["3"] = bool(np.all(np.abs(s0.dyom_tot) <= 4.0 / rep.c1 * wy_a1[None, :] + _SLACK))
+        # clauses 1-3: the hypotheses on omega_tot with the constants relaxed by 4
+        hyp = rep.clauses(s0.om_tot, s0.dyom_tot, (s0.dyom_tot,), y, 4.0)
+        cl = {"1": hyp["i"], "2": hyp["ii"], "3": hyp["iii"]}
         total = 0.0
         for j in (1, 2):
             total += linf(Field(g, w_lm1[None, :] * s0.dxu(j).values))

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -209,7 +210,7 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
     assert run(cfg, "shear-check", out_dir=tmp_path / "error") == 2
     for name, stages in (("ok", ["setup", "verify"]), ("error", ["setup"])):
         log = json.loads((tmp_path / name / "run_log.json").read_text())
-        assert set(log) == {"stages", "environment"}
+        assert set(log) == {"import", "stages", "environment"}
         assert [s["stage"] for s in log["stages"]] == stages
         for s in log["stages"]:
             assert set(s) == {"stage", "wall_s", "ru_maxrss_mb"}
@@ -219,6 +220,33 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
         assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
         assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("1", None)
+
+
+def test_run_log_records_cli_import(tmp_path):
+    """run_log.json reports the import of prandtl_lab.cli, which set-up
+    pays before any run starts: in a fresh process it spans the whole
+    import, numpy and scipy included.  The manifest carries no timing."""
+    script = (
+        "import json, sys, time\n"
+        "t0 = time.perf_counter()\n"
+        "import prandtl_lab.cli as cli\n"
+        "outer = time.perf_counter() - t0\n"
+        "cfg = cli.load_config(sys.argv[1])\n"
+        "cfg.checks = ('inequalities',)\n"
+        "cli.run(cfg, 'verify', out_dir=sys.argv[2])\n"
+        "print(json.dumps({'outer': outer, 'import': cli._IMPORT}))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(CONFIG), str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(V.__file__).parents[1])})
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    log = json.loads((tmp_path / "run_log.json").read_text())
+    assert log["import"] == seen["import"]
+    assert set(log["import"]) == {"wall_s", "ru_maxrss_mb"}
+    # the recorded span misses only the package's own __init__: it is most
+    # of the import that the caller timed
+    assert 0.5 * seen["outer"] <= log["import"]["wall_s"] <= seen["outer"]
+    assert log["import"]["ru_maxrss_mb"] > 0.0
+    assert "import" not in json.loads((tmp_path / "manifest.json").read_text())
 
 
 def test_main_bad_config_exit_two(tmp_path):

@@ -84,6 +84,43 @@ def test_assumption_passes_over_family(y0, alpha):
     assert rep.all_pass, rep.failing
 
 
+def _clause_inputs(profile, rep, k, broken):
+    """(om, dyom, rows) of the profile at t = 0, with one value moved past
+    the clause's bound relaxed by k: clause i's floor on the strip, the lower
+    decay bound of clause ii off the strip, or clause iii's bound in one more
+    row.  k = 4 takes two x-rows, as the conditions monitor's fields do, and
+    breaks only the second."""
+    y = profile.grid.y_nodes
+    tile = (lambda a: np.tile(a, (2, 1))) if k == 4 else np.copy
+    om, dyom = tile(profile.derivs[0]), tile(profile.derivs[1])
+    rows = [tile(d) for d in profile.derivs[1:6]]
+    at = (1,) if k == 4 else ()
+    if broken == "i":
+        j = int(np.argmin(np.abs(y - rep.y0)))
+        dyom[at + (j,)] = 0.5 * rep.c0 / k
+    elif broken == "ii":
+        j = int(np.argmax(np.abs(y - rep.y0) >= 1.25 * rep.delta))
+        om[at + (j,)] = 0.5 * rep.c1 / k * (1.0 + y[j]) ** (-rep.alpha)
+    else:
+        bad = np.zeros_like(om)
+        bad[at + (-1,)] = 2.0 * k / rep.c1 * (1.0 + y[-1]) ** (-rep.alpha - 1.0)
+        rows = [*rows, bad]
+    return om, dyom, rows
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("broken", ["i", "ii", "iii"])
+def test_clause_rule_flips_only_the_broken_clause(profile, assumption, k, broken):
+    """Negative controls of AssumptionReport.clauses: the profile at t = 0
+    passes every clause, and a value past one relaxed bound fails that
+    clause alone."""
+    y = profile.grid.y_nodes
+    d = profile.derivs
+    assert all(assumption.clauses(d[0], d[1], d[1:6], y, k).values())
+    clauses = assumption.clauses(*_clause_inputs(profile, assumption, k, broken), y, k)
+    assert clauses == {c: c != broken for c in ("i", "ii", "iii")}
+
+
 def test_monotone_profile_fails_clause_i(grid):
     y = grid.y_nodes
     u0s = 1.0 - np.exp(-y)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prandtl_lab.cutoffs import AuxWorkspace
-from prandtl_lab.grid import Field, dx_m, weighted_l2
+from prandtl_lab.grid import Field, dx_m, dy_j, weighted_l2
 from prandtl_lab.norms import gevrey_norm, trajectory_raws
 from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import Trajectory, recover_v
@@ -107,22 +107,39 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
     assert all("v" in keys and not {"g1", "spec_g1"} & keys for keys in formed)
 
 
-def test_residual_h_ablation(traj_imex, cutoffs, monkeypatch):
-    """Zeroing the g_{m+1} input must move the residual by about its norm:
-    every right-hand-side term is wired in."""
-    m = 1
+def _zeroed(real, k0):
+    """A Snapshot method that returns zeros at order k0 and real elsewhere."""
+    return lambda self, k: Field.zeros(self.grid) if k == k0 else real(self, k)
+
+
+# kind: m, the Snapshot input zeroed (method, order), the right-hand-side
+# term it alone carries (of the centre snapshot and eps), and a floor on that
+# term's norm relative to the identity's scale
+_ABLATIONS = {
+    "f": (1, ("dxu", 2), lambda s0, eps: 2.0 * eps * s0.quotient_pack_f[1] * s0.dxu(2).values,
+          1e-4),
+    "g": (2, ("dxv", 1), lambda s0, eps: s0.dxv(1).values * dy_j(s0.g(1), 1).values, 1e-5),
+    "h": (1, ("g", 2), lambda s0, eps: s0.g(2).values, 1e-2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ABLATIONS))
+def test_residual_ablation(kind, traj_imex, lab, monkeypatch):
+    """Zeroing the one input that a right-hand-side term alone reads moves
+    the residual field by exactly that term's interior norm: every
+    right-hand-side term is wired in, and the frame reads the snapshot's
+    methods when it is called."""
+    m, (method, order), term, floor = _ABLATIONS[kind]
     i = V._eval_indices(len(traj_imex.times) - 1)[1]
-    job = V.ResidualJob("h", m, cutoffs)
-    [(r_full, scale, d_full)] = V._evaluate_at(traj_imex, [job], i)
-    g_term = cutoffs.chi2[None, :] * V.Snapshot(traj_imex, i).g(m + 1).values
-    real_g = V.Snapshot.g
-    monkeypatch.setattr(V.Snapshot, "g", lambda self, k: Field.zeros(self.grid) if k == m + 1
-                        else real_g(self, k))
-    [(r_ablate, _, d_ablate)] = V._evaluate_at(traj_imex, [job], i)
-    gnorm = V._interior_l2(traj_imex.grid, g_term)
+    [job] = [j for j in V.residual_jobs(lab.grid, lab.report, lab.cut, kind) if j.m == m]
+    [(_, scale, d_full)] = V._evaluate_at(traj_imex, [job], i)
+    t = term(V.Snapshot(traj_imex, i), traj_imex.eps)
+    tnorm = V._interior_l2(traj_imex.grid, t if job.chi is None else job.chi[None, :] * t)
+    monkeypatch.setattr(V.Snapshot, method, _zeroed(getattr(V.Snapshot, method), order))
+    [(_, _, d_ablate)] = V._evaluate_at(traj_imex, [job], i)
     moved = V._interior_l2(traj_imex.grid, d_ablate - d_full)
-    assert np.isclose(moved, gnorm, rtol=1e-10)
-    assert gnorm > 0.01 * scale   # the ablated term is not numerically negligible
+    assert np.isclose(moved, tnorm, rtol=1e-10)
+    assert tnorm > floor * scale    # the term is not numerically negligible
 
 
 def test_residual_g_eps_wiring(u0, profile):
@@ -292,6 +309,16 @@ def test_condi_detects_large_amplitude(grid, profile, assumption, params):
     assert not rep.passed
     assert rep.evidence["first_failure_time"] is not None
     assert rep.evidence["first_failure_time"] < REF.t_final
+
+
+def test_condi_detects_inflated_c0(traj_picard, assumption, params):
+    """Negative control: with c0 inflated tenfold the strip floor (clause 1)
+    fails at t = 0, and no other clause does."""
+    inflated = dataclasses.replace(assumption, c0=10.0 * assumption.c0)
+    rep = V.condi_monitor(traj_picard, inflated, params)
+    assert not rep.passed
+    assert rep.evidence["first_failure_time"] == 0.0
+    assert rep.evidence["failing_clauses"] == ["1"]
 
 
 def test_energy_monitor(traj_picard, picard_raws, params):

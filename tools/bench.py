@@ -1,5 +1,5 @@
 """Write a BENCH_*.json: perfbench medians of a change against its parent,
-the traced per-layer metrics of each, the Tier-1 wall time and the src/
+the traced per-layer metrics of each, each side's Tier-1 wall time and src/
 line count.
 
     python3 tools/bench.py --parent DIR --out BENCH_<n>.json [--pairs N]
@@ -17,7 +17,8 @@ and metric, how many pairs the change won and whether that shows a gain
 After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
 enters the end-to-end numbers.
-Tier-1 is the suite of ROADMAP.md, run once on the change after the pairs.
+Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs,
+the parent first; each side's wall time and summary line are kept.
 Before the pairs, `full --config configs/reference.ini` runs once per side
 with one BLAS thread, and the file lists the output files whose bytes differ
 between the sides (an empty list: byte-identical).
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
                       "workloads": workloads},
         "reference_full_outputs": outputs,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
-        "tier1": tier1(CHANGE),
+        "tier1": {side: tier1(path) for side, path in sides.items()},
     }
     args.out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
