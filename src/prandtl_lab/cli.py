@@ -304,20 +304,25 @@ def run_norms(lab: Lab, outdir: Path) -> list:
     return [rep]
 
 
-def run_verify(lab: Lab, outdir: Path) -> list:
+def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
+    """The enabled checks' reports, each written to <name>.json; mark(name)
+    is called as each check ends (the residual ladder is one check)."""
     cfg = lab.cfg
     reports = []
 
-    def add(check_report):
-        d = check_report.to_dict() if hasattr(check_report, "to_dict") else check_report
-        reports.append(d)
-        _write_json(outdir / f"{d['name']}.json", d)
+    def add(*check_reports, check=None):
+        """Write the reports of one check and mark its end (check: the
+        report's name by default)."""
+        for r in check_reports:
+            d = r.to_dict() if hasattr(r, "to_dict") else r
+            reports.append(d)
+            _write_json(outdir / f"{d['name']}.json", d)
+        mark(check or d["name"])
 
     enabled = set(cfg.checks)
     if "assumption" in enabled or "proposition" in enabled:
-        for r in run_shear_check(lab, outdir):
-            if r["name"] in enabled:
-                reports.append(r)
+        reports += [r for r in run_shear_check(lab, outdir) if r["name"] in enabled]
+        mark("shear-check")
     if "compatibility" in enabled:
         cr = check_compatibility(lab.u0, lab.profile)
         tol = 1e-8 * max(cfg.amp, 1e-300)
@@ -332,9 +337,8 @@ def run_verify(lab: Lab, outdir: Path) -> list:
         jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
         # a generator: each finer level is solved, evaluated and dropped in turn
         rows = V.evaluate_residuals((lab.trajectory("imex", nt) for nt in nts), jobs)
-        for job, levels in zip(jobs, rows):
-            add(V.residual_report(job, levels))
-        del rows, levels       # free the residual fields before the boundary companion
+        add(*(V.residual_report(job, levels) for job, levels in zip(jobs, rows)),
+            check="residual_ladder")
     if "boundary" in enabled:
         # wall-trace orders need the dy-refinement companion
         add(V.boundary_checks([lab.trajectory("imex"), lab.fine.trajectory("imex")],
@@ -369,18 +373,30 @@ _ERROR_EXITS = ((ConfigError, 2, "configuration error"),
 
 class _StageClock:
     """Wall seconds of each stage of one run and the process's ru_maxrss
-    (MB; Linux reports KiB) when the stage ends."""
+    (MB; Linux reports KiB) when the stage ends; likewise of each check a
+    stage marks, listed under the stage's "checks"."""
 
     def __init__(self):
-        self.stage, self._start, self.spans = "setup", time.perf_counter(), []
+        self.stage, self.spans, self.checks = "setup", [], []
+        self._start = self._last = time.perf_counter()
+
+    @staticmethod
+    def _span(start: float, now: float) -> dict:
+        return {"wall_s": now - start,
+                "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+    def mark(self, check: str) -> None:
+        """Close one check of the current stage."""
+        now = time.perf_counter()
+        self.checks.append({"check": check, **self._span(self._last, now)})
+        self._last = now
 
     def end(self, next_stage=None) -> None:
         """Close the current stage and open next_stage."""
         now = time.perf_counter()
-        self.spans.append({"stage": self.stage, "wall_s": now - self._start,
-                           "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                           / 1024})
-        self.stage, self._start = next_stage, now
+        self.spans.append({"stage": self.stage, **self._span(self._start, now),
+                           **({"checks": self.checks} if self.checks else {})})
+        self.stage, self.checks, self._start, self._last = next_stage, [], now, now
 
 
 def _write_run(outdir: Path, manifest: dict, clock: _StageClock) -> None:
@@ -408,10 +424,10 @@ def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
                    for k, v in vars(cfg).items()},
         "versions": {"prandtl_lab": __version__, "numpy": np.__version__},
     }
+    clock = _StageClock()
     # looked up per call, so that a wrapped stage function is the one run
     stages = {"shear-check": run_shear_check, "solve": run_solve, "norms": run_norms,
-              "verify": run_verify}
-    clock = _StageClock()
+              "verify": lambda lab, outdir: run_verify(lab, outdir, clock.mark)}
     try:
         if subcommand != "full" and subcommand not in stages:
             raise ConfigError(f"unknown subcommand {subcommand!r}")

@@ -14,7 +14,8 @@ convergence order.
 One frame (_evaluate_at) serves the three identities: each kind supplies only
 d_y q, d_y^2 q and its right-hand side, and the frame forms q on the time
 triple, the material derivative, the cut-off weighting (residual_jobs: f a
-wider-hole chi1, h the certified chi2) and the interior norms.
+wider-hole chi1, h the certified chi2) and the interior norms, with one
+snapshot alive at a time.
 """
 
 from __future__ import annotations
@@ -193,16 +194,23 @@ def _interior_l2(grid: Grid2D, values: np.ndarray) -> float:
     return weighted_l2(Field(grid, masked), 0.0)
 
 
-def _f_terms(s0: Snapshot, m: int, eps: float) -> tuple:
-    """(d_y q, d_y^2 q, rhs) of the f_m identity, q = f_m before its
-    cut-off; d_y q and d_y^2 q from the quotient pack of a (analytic)."""
-    a0, inv = s0.a, s0.inv_om
-    dya, dxa, d2ya = s0.quotient_pack_f
+def _f_dy(s0: Snapshot, m: int) -> tuple:
+    """(d_y q, d_y^2 q) of the f_m identity, q = f_m before its cut-off,
+    from the quotient pack of a (analytic)."""
+    a0 = s0.a
+    dya, _, d2ya = s0.quotient_pack_f
     dxm_u, dxm_om, dxm_dyom = s0.dxu(m).values, s0.dxom(m).values, s0.dxdyom(m).values
     dyq = dxm_dyom - dya * dxm_u - a0 * dxm_om
     d2yq = s0.dxd2yom(m).values - d2ya * dxm_u - 2.0 * dya * dxm_om - a0 * dxm_dyom
+    return dyq, d2yq
 
-    rhs = np.zeros_like(dyq)
+
+def _f_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
+    """Right-hand side of the f_m identity."""
+    a0, inv = s0.a, s0.inv_om
+    dya, dxa, _ = s0.quotient_pack_f
+    dxm_u, dxm_om = s0.dxu(m).values, s0.dxom(m).values
+    rhs = np.zeros_like(dxm_u)
     for k in range(1, m + 1):
         c = math.comb(m, k)
         rhs -= c * s0.dxu(k).values * s0.dxom(m - k + 1).values
@@ -216,22 +224,25 @@ def _f_terms(s0: Snapshot, m: int, eps: float) -> tuple:
     rhs += (dxom1 - dxu1 * a0 - 2.0 * a0 * dya
             - 2.0 * eps * dxom1 * inv * dxa) * dxm_u
     rhs += 2.0 * dya * dxm_om + 2.0 * eps * dxa * s0.dxu(m + 1).values
-    return dyq, d2yq, rhs
+    return rhs
 
 
-def _h_terms(s0: Snapshot, m: int, eps: float) -> tuple:
-    """(d_y q, d_y^2 q, rhs) of the h_m identity, q = h_m before its
-    cut-off; the coefficient block uses the g1-corrected quotient calculus."""
-    g = s0.grid
-    b0, invD = s0.b, s0.inv_dyom
-    dyb, dxb = s0.quotient_pack_h
-    dxm_om, dxm_dyom, dxm_d2yom = s0.dxom(m).values, s0.dxdyom(m).values, s0.dxd2yom(m).values
-    dyq = dxm_d2yom - dyb * dxm_om - b0 * dxm_dyom
+def _h_dy(s0: Snapshot, m: int) -> tuple:
+    """(d_y q, d_y^2 q) of the h_m identity, q = h_m before its cut-off."""
+    dyb, _ = s0.quotient_pack_h
+    dyq = s0.dxd2yom(m).values - dyb * s0.dxom(m).values - s0.b * s0.dxdyom(m).values
     # one narrow FD derivative of the analytic first derivative: avoids both
     # pointwise d_y^3(omega)-level roughness and wide stencils crossing the
     # denominator's thin safe margin
-    d2yq = dy_j(Field(g, dyq), 1).values
+    return dyq, dy_j(Field(s0.grid, dyq), 1).values
 
+
+def _h_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
+    """Right-hand side of the h_m identity; the coefficient block uses the
+    g1-corrected quotient calculus."""
+    g = s0.grid
+    b0, invD = s0.b, s0.inv_dyom
+    dyb, dxb = s0.quotient_pack_h
     dxdyom1 = s0.dxdyom(1).values
     dxu1 = s0.dxu(1).values
     # the third and fourth lines of the coefficient block regroup exactly as
@@ -242,7 +253,7 @@ def _h_terms(s0: Snapshot, m: int, eps: float) -> tuple:
            - s0.g1 * s0.d2yom_tot * invD**2
            - 2.0 * b0 * dyb
            - 2.0 * eps * r_quot * dy_j(Field(g, r_quot), 1).values) * s0.dxom(m).values
-    rhs += 2.0 * dyb * dxm_dyom
+    rhs += 2.0 * dyb * s0.dxdyom(m).values
     rhs += 2.0 * eps * dxb * s0.dxom(m + 1).values
     for k in range(1, m + 1):
         c = math.comb(m, k)
@@ -253,18 +264,19 @@ def _h_terms(s0: Snapshot, m: int, eps: float) -> tuple:
         rhs += b0 * c * s0.dxv(k).values * s0.dxdyom(m - k).values
         rhs -= c * s0.dxv(k).values * s0.dxd2yom(m - k).values
     rhs -= s0.g(m + 1).values
-    return dyq, d2yq, rhs
+    return rhs
 
 
-def _g_terms(s0: Snapshot, m: int, eps: float) -> tuple:
-    """(d_y q, d_y^2 q, rhs) of the g_m identity, q = g_m (9-point
-    stencils)."""
+def _g_dy(s0: Snapshot, m: int) -> tuple:
+    """(d_y q, d_y^2 q) of the g_m identity, q = g_m (9-point stencils)."""
     g = s0.grid
     q0 = s0.g(m).values
-    dyq = q0 @ g.deriv_matrix_y(1, 9).T
-    d2yq = q0 @ g.deriv_matrix_y(2, 9).T
+    return q0 @ g.deriv_matrix_y(1, 9).T, q0 @ g.deriv_matrix_y(2, 9).T
 
-    rhs = np.zeros_like(q0)
+
+def _g_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
+    """Right-hand side of the g_m identity."""
+    rhs = np.zeros_like(s0.om_tot)
     for j in range(1, m):
         c = math.comb(m - 1, j)
         rhs -= c * s0.dxu(j).values * s0.g(m - j + 1).values
@@ -281,14 +293,15 @@ def _g_terms(s0: Snapshot, m: int, eps: float) -> tuple:
         rhs -= 2.0 * c * d1 * s0.dxdyom(m - j).values
         rhs += 2.0 * eps * c * s0.dxdyom(j + 1).values * s0.dxu(m - j + 1).values
         rhs -= 2.0 * eps * c * s0.dxom(j + 1).values * s0.dxom(m - j + 1).values
-    return dyq, d2yq, rhs
+    return rhs
 
 
 # per kind: q on one snapshot (f_m, h_m before their cut-offs; g_m), looked
-# up on the snapshot when called, and the identity's own terms
-_KINDS = {"f": (lambda s, m: s.q_f(m), _f_terms),
-          "g": (lambda s, m: s.g(m).values, _g_terms),
-          "h": (lambda s, m: s.q_h(m), _h_terms)}
+# up on the snapshot when called, the identity's (d_y q, d_y^2 q) and its
+# right-hand side
+_KINDS = {"f": (lambda s, m: s.q_f(m), _f_dy, _f_rhs),
+          "g": (lambda s, m: s.g(m).values, _g_dy, _g_rhs),
+          "h": (lambda s, m: s.q_h(m), _h_dy, _h_rhs)}
 
 
 class ResidualJob(NamedTuple):
@@ -316,24 +329,32 @@ def residual_jobs(grid: Grid2D, rep: AssumptionReport, cut: CutoffSet, kinds) ->
 
 
 def _evaluate_at(traj: Trajectory, jobs, i: int) -> list:
-    """(res, scale, diff) of each job at node i, from one snapshot triple
-    that is dropped on return: diff is chi times the identity's residual
-    (material derivative of q minus its right-hand side), res its interior
-    L2 norm and scale that of chi q.
+    """(res, scale, diff) of each job at node i: diff is chi times the
+    identity's residual (material derivative of q minus its right-hand
+    side), res its interior L2 norm and scale that of chi q.
 
-    The cut-off bookkeeping (all chi', chi'' terms) cancels algebraically
-    between the two sides, so each check evaluates the surviving interior
-    identity weighted by chi; stencils never cross the critical strip
-    because the f cut-off's hole is wider than their reach."""
-    snaps = [Snapshot(traj, j) for j in (i - 1, i, i + 1)]
-    s0 = snaps[1]
+    One snapshot is alive at a time: each neighbour i - 1, i + 1 is reduced
+    to its q of every job and dropped before the centre is built, and a
+    job's neighbour q values are released once its material derivative is
+    formed, before its right-hand side.  The cut-off bookkeeping (all chi',
+    chi'' terms) cancels algebraically between the two sides, so each check
+    evaluates the surviving interior identity weighted by chi; stencils
+    never cross the critical strip because the f cut-off's hole is wider
+    than their reach."""
+    def qs(j):
+        s = Snapshot(traj, j)
+        return [_KINDS[kind][0](s, m) for kind, m, _ in jobs]
+
+    q_prev, q_next = qs(i - 1), qs(i + 1)
+    s0 = Snapshot(traj, i)
     dt2 = traj.times[i + 1] - traj.times[i - 1]
     out = []
-    for kind, m, chi in jobs:
-        q, terms = _KINDS[kind]
-        q_prev, q0, q_next = (q(s, m) for s in snaps)
-        dyq, d2yq, rhs = terms(s0, m, traj.eps)
-        diff = _material_derivative(s0, q_prev, q_next, q0, dyq, d2yq, dt2, traj.eps) - rhs
+    for k, (kind, m, chi) in enumerate(jobs):
+        q, d_y, rhs = _KINDS[kind]
+        q0 = q(s0, m)
+        diff = _material_derivative(s0, q_prev[k], q_next[k], q0, *d_y(s0, m), dt2, traj.eps)
+        q_prev[k] = q_next[k] = None
+        diff -= rhs(s0, m, traj.eps)
         if chi is not None:
             diff, q0 = chi[None, :] * diff, chi[None, :] * q0
         out.append((_interior_l2(traj.grid, diff),
@@ -354,24 +375,28 @@ class ResidualLevel(NamedTuple):
 
 def evaluate_residuals(trajs, jobs) -> list:
     """For each job, one ResidualLevel per trajectory (every level on one
-    space grid).  Each node's snapshot triple is built once for all jobs, so
-    at most three snapshots are alive at once; trajs may be a generator,
-    whose levels are then released one by one.  A level's residual fields
-    are folded into its Richardson difference against the previous level as
-    the level arrives, so only the previous level's fields are kept: the
-    dt-independent spatial floor cancels in the difference and the dt
-    component remains."""
+    space grid).  The nodes are evaluated one at a time for all jobs
+    (_evaluate_at: one snapshot alive at a time); trajs may be a generator,
+    whose levels are then released one by one.  Each node's residual field
+    is folded into the Richardson difference against the previous level's
+    field at that node as it arrives, and then takes that field's place, so
+    at most one level of residual fields is kept: the dt-independent spatial
+    floor cancels in the difference and the dt component remains."""
     rows = [[] for _ in jobs]
-    prev = [None] * len(jobs)       # previous level's residual fields per job
+    prev = [{} for _ in jobs]       # previous level's residual field per job, by node
     for traj in trajs:
-        nodes = [_evaluate_at(traj, jobs, i) for i in _eval_indices(len(traj.times) - 1)]
+        norms, scales, gaps = ([[] for _ in jobs] for _ in range(3))
+        for n, i in enumerate(_eval_indices(len(traj.times) - 1)):
+            for k, (res, scale, diff) in enumerate(_evaluate_at(traj, jobs, i)):
+                norms[k].append(res)
+                scales[k].append(scale)
+                if n in prev[k]:
+                    gaps[k].append(_interior_l2(traj.grid, prev[k][n] - diff))
+                prev[k][n] = diff
         for k, job_rows in enumerate(rows):
-            norms, scales, fields = zip(*(node[k] for node in nodes))
-            richardson = (None if prev[k] is None else
-                          max(_interior_l2(traj.grid, a - b) for a, b in zip(prev[k], fields)))
-            prev[k] = fields
-            job_rows.append(ResidualLevel(traj.dt, traj.grid, norms, scales, richardson))
-        del traj, nodes     # before the generator solves the next level
+            job_rows.append(ResidualLevel(traj.dt, traj.grid, tuple(norms[k]), tuple(scales[k]),
+                                          max(gaps[k]) if gaps[k] else None))
+        del traj        # before the generator solves the next level
     return rows
 
 

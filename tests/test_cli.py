@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -198,14 +199,16 @@ def test_manifest_determinism(tmp_path):
 
 
 def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
-    """run_log.json holds each stage's wall seconds and ru_maxrss at its end
-    and the environment; an error exit writes it too, its last stage the
-    one that raised."""
+    """run_log.json holds each stage's wall seconds and ru_maxrss at its end,
+    under verify the same of each check in run order, and the environment;
+    an error exit writes it too, its last stage the one that raised.  The
+    manifest holds no timing."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg = load_config(CONFIG)
-    cfg.checks = ("sobolev",)
+    cfg.checks = ("inequalities", "sobolev")
     assert run(cfg, "verify", out_dir=tmp_path / "ok") == 0
+    assert "wall_s" not in (tmp_path / "ok" / "manifest.json").read_text()
     cfg.y0 = 0.3
     assert run(cfg, "shear-check", out_dir=tmp_path / "error") == 2
     for name, stages in (("ok", ["setup", "verify"]), ("error", ["setup"])):
@@ -213,8 +216,15 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
         assert set(log) == {"import", "stages", "environment"}
         assert [s["stage"] for s in log["stages"]] == stages
         for s in log["stages"]:
-            assert set(s) == {"stage", "wall_s", "ru_maxrss_mb"}
+            assert set(s) - {"checks"} == {"stage", "wall_s", "ru_maxrss_mb"}
             assert s["wall_s"] >= 0.0 and s["ru_maxrss_mb"] > 0.0
+            marks = s.get("checks", [])
+            assert [c["check"] for c in marks] == (
+                ["sobolev_inequality", "inequality_suite"] if s["stage"] == "verify" else [])
+            for c in marks:
+                assert set(c) == {"check", "wall_s", "ru_maxrss_mb"}
+                assert 0.0 <= c["wall_s"] and 0.0 < c["ru_maxrss_mb"] <= s["ru_maxrss_mb"]
+            assert sum(c["wall_s"] for c in marks) <= s["wall_s"]
         env = log["environment"]
         assert set(env) == {"python", "numpy", "scipy", "cpu_count",
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
@@ -424,7 +434,9 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
     cfg.nt = 8
     cfg.checks = ("residual_f", "residual_g", "residual_h")
     lab = Lab(cfg)
-    reports = run_verify(lab, tmp_path)
+    marks = []
+    reports = run_verify(lab, tmp_path, marks.append)
+    assert marks == ["residual_ladder"]       # the ladder is one check
     assert len(snapshot_refs) == 3 * 3 * cfg.residual_levels
     assert alive(snapshot_refs) == []
     trajs = [lab.trajectory("imex", cfg.nt * 2**k) for k in range(cfg.residual_levels)]
@@ -434,6 +446,36 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
         alone.append(V.residual_report(job, levels))
     assert [r.name for r in alone] == [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
     assert json.dumps(reports) == json.dumps([r.to_dict() for r in alone])
+
+
+def test_residual_ladder_holds_one_snapshot(monkeypatch, snapshot_refs):
+    """evaluate_residuals keeps one snapshot and one ladder level of residual
+    fields alive: no Snapshot is built while another is alive, and its
+    memory peak on three pre-solved levels stays under 120 fields of
+    Nx Ny doubles (three live snapshots and two levels of fields reach 169;
+    one snapshot and one level about 95)."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    lab = Lab(cfg)
+    trajs = [lab.trajectory("imex", cfg.nt * 2**k) for k in range(cfg.residual_levels)]
+    jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
+    others = []             # snapshots alive when each one is built
+
+    class Counted(V.Snapshot):
+        def __init__(self, traj, i):
+            others.append(sum(r() is not None for r in snapshot_refs))
+            super().__init__(traj, i)
+
+    monkeypatch.setattr(V, "Snapshot", Counted)
+    tracemalloc.start()
+    try:
+        V.evaluate_residuals(trajs, jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(others) == 3 * 3 * cfg.residual_levels
+    assert max(others) == 0
+    assert peak < 120 * lab.grid.Nx * lab.grid.Ny * 8
 
 
 def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):

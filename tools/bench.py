@@ -21,7 +21,8 @@ Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs,
 the parent first; each side's wall time and summary line are kept.
 Before the pairs, `full --config configs/reference.ini` runs once per side
 with one BLAS thread, and the file lists the output files whose bytes differ
-between the sides (an empty list: byte-identical).
+between the sides (an empty list: byte-identical) and keeps each side's
+run_log.json (stage and check marks: where the time and the peak went).
 Only the standard library is used.
 """
 
@@ -42,7 +43,7 @@ CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("perturbation-sweep", "reference-full")
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 MIN_PAIRS = 10
-RUN_LOG = "run_log.json"     # stage timings, which differ between any two runs
+RUN_LOG = "run_log.json"     # stage and check marks, which differ between any two runs
 
 
 def _run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -89,11 +90,11 @@ def tier1(checkout: Path) -> dict:
 
 
 def reference_outputs(sides: dict) -> dict:
-    """Each side's exit code of `full --config configs/reference.ini`, run
-    with OPENBLAS_NUM_THREADS=1, and the relative paths of the files it
-    writes whose bytes differ between the sides, a file written by one side
-    only included and run_log.json left out."""
-    codes, files = {}, {}
+    """Each side's exit code and run_log.json of `full --config
+    configs/reference.ini`, run with OPENBLAS_NUM_THREADS=1, and the relative
+    paths of the files it writes whose bytes differ between the sides, a file
+    written by one side only included and run_log.json left out."""
+    codes, files, logs = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in sides.items():
             out = Path(tmp) / side
@@ -102,10 +103,11 @@ def reference_outputs(sides: dict) -> dict:
                 [sys.executable, "-m", "prandtl_lab.cli", "full", "--config",
                  "configs/reference.ini", "--out", str(out)],
                 cwd=checkout, env=env, stdout=subprocess.DEVNULL).returncode
+            logs[side] = json.loads((out / RUN_LOG).read_text())
             files[side] = {p.relative_to(out).as_posix(): p.read_bytes()
                            for p in out.rglob("*") if p.is_file() and p.name != RUN_LOG}
     names = sorted(set(files["parent"]) | set(files["change"]))
-    return {"exit_codes": codes,
+    return {"exit_codes": codes, "run_logs": logs,
             "differing_files": [n for n in names
                                 if files["parent"].get(n) != files["change"].get(n)]}
 
