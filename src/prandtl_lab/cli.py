@@ -1,6 +1,9 @@
 """Configuration loading, experiment orchestration, and report emission.
 
-Runs are driven by an INI config with one section per module block.  Each
+Runs are driven by an INI config with one section per module block.  The
+schema is RunConfig itself: each field names its section (and its key, when
+that is not the field's name) in its metadata and is parsed by the type of
+its default; any other section or key is rejected by name.  Each
 bound is checked once, by the object that reads the value: the grid, Gevrey
 parameters and solver config when the config is loaded, the profile and
 perturbation when a Lab is built (exit 2 with a manifest); the error names
@@ -36,7 +39,7 @@ import platform
 import resource
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -67,32 +70,37 @@ class ConfigError(ValueError):
     pass
 
 
+def _ini(section: str, default, key=None):
+    """A RunConfig field read from the INI key of its name (or key) in
+    [section], parsed by the type of its default."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass
 class RunConfig:
-    nx: int = 128
-    ny: int = 257
-    lx: float = 2.0 * np.pi
-    ymax: float = 30.0
-    y0: float = 2.0
-    alpha: float = 2.0
-    amp: float = 1e-3
-    kx: int = 1
-    eps: float = 0.1
-    t_final: float = 0.05
-    nt: int = 32
-    jmax: int = 12
-    tol: float = 1e-10
-    scheme: str = "picard"
-    rho: float = 0.3
-    rho_tilde: float = 0.4
-    rho0: float = 0.5
-    sigma: float = 1.75
-    ell: float = 2.25
-    mmax: int = 10
-    checks: tuple = _ALL_CHECKS
-    residual_levels: int = 3
-    out_dir: str = "out"
-    seed: int = 0
+    nx: int = _ini("grid", 128)
+    ny: int = _ini("grid", 257)
+    lx: float = _ini("grid", 2.0 * np.pi)
+    ymax: float = _ini("grid", 30.0)
+    y0: float = _ini("profile", 2.0)
+    alpha: float = _ini("profile", 2.0)
+    amp: float = _ini("perturbation", 1e-3)
+    kx: int = _ini("perturbation", 1)
+    eps: float = _ini("solver", 0.1)
+    t_final: float = _ini("solver", 0.05)
+    nt: int = _ini("solver", 32)
+    jmax: int = _ini("solver", 12)
+    tol: float = _ini("solver", 1e-10)
+    scheme: str = _ini("solver", "picard")
+    rho: float = _ini("norms", 0.3)
+    rho_tilde: float = _ini("norms", 0.4)
+    rho0: float = _ini("norms", 0.5)
+    sigma: float = _ini("norms", 1.75)
+    ell: float = _ini("norms", 2.25)
+    mmax: int = _ini("norms", 10)
+    checks: tuple = _ini("verify", _ALL_CHECKS)     # whitespace- or comma-separated
+    out_dir: str = _ini("output", "out", key="dir")
+    seed: int = _ini("output", 0)
 
     def validate(self) -> None:
         """Reject a configuration that cannot run.  Each bound on one value
@@ -102,7 +110,7 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{_SECTION[f.name]}.{f.name} must be finite, got {value}")
+                raise ConfigError(f"{f.metadata['section']}.{f.name} must be finite, got {value}")
         grid = self.build()[0]
         if self.mmax > self.nx // 4:
             raise ConfigError("norms.mmax must not exceed nx/4 (anti-aliasing guard)")
@@ -111,19 +119,14 @@ class RunConfig:
         for c in self.checks:
             if c not in _ALL_CHECKS:
                 raise ConfigError(f"verify.checks contains unknown check '{c}'")
-        if self.residual_levels < 1:
-            raise ConfigError("verify.residual_levels must be positive")
         residual = bool({"residual_f", "residual_g", "residual_h"} & set(self.checks))
-        if residual:
-            if self.nt % 8:
-                raise ConfigError("solver.nt must be a multiple of 8 when a residual check is "
-                                  "enabled (every ladder level is evaluated at 3T/8, 5T/8, 7T/8)")
-            if self.residual_levels < 3:
-                raise ConfigError("verify.residual_levels must be at least 3 when a residual "
-                                  "check is enabled (the dt-order needs two Richardson "
-                                  "differences)")
-        # the shear state at the first step of the finest solve must be resolved
-        dt = math.ldexp(self.t_final / self.nt, -(self.residual_levels - 1 if residual else 0))
+        if residual and self.nt % 8:
+            raise ConfigError("solver.nt must be a multiple of 8 when a residual check is "
+                              "enabled (every ladder level is evaluated at 3T/8, 5T/8, 7T/8)")
+        # the shear state at the first step of the finest solve must be resolved;
+        # each residual ladder level halves the step
+        halvings = len(V.ladder_nts(self.nt)) - 1 if residual else 0
+        dt = math.ldexp(self.t_final / self.nt, -halvings)
         if not dt >= min_resolved_step(grid):
             raise ConfigError(
                 f"solver.t_final = {self.t_final!r} is too short: the finest time step "
@@ -153,21 +156,6 @@ def _owned_by(section: str):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-_SCHEMA = {
-    "grid": {"nx": int, "ny": int, "lx": float, "ymax": float},
-    "profile": {"y0": float, "alpha": float},
-    "perturbation": {"amp": float, "kx": int},
-    "solver": {"eps": float, "t_final": float, "nt": int, "jmax": int,
-               "tol": float, "scheme": str},
-    "norms": {"rho": float, "rho_tilde": float, "rho0": float, "sigma": float,
-              "ell": float, "mmax": int},
-    "verify": {"checks": "list", "residual_levels": int},
-    "output": {"dir": str, "seed": int},
-}
-_KEY_MAP = {("output", "dir"): "out_dir"}
-_SECTION = {_KEY_MAP.get((s, k), k): s for s, keys in _SCHEMA.items() for k in keys}
-
-
 def load_config(path) -> RunConfig:
     """Parse and validate an INI run configuration.
 
@@ -178,23 +166,24 @@ def load_config(path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
+    known = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            f = known.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            typ = _SCHEMA[section][key]
-            attr = _KEY_MAP.get((section, key), key)
-            if typ == "list":
-                value = tuple(tok.strip() for tok in raw.replace(",", " ").split() if tok.strip())
+            typ = type(f.default)
+            if typ is tuple:
+                value = tuple(raw.replace(",", " ").split())
             else:
                 try:
                     value = typ(raw)
                 except ValueError as exc:
                     raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-            setattr(cfg, attr, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
@@ -267,28 +256,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
+def _emit(outdir: Path, *reports) -> list:
+    """Write each report (a V.CheckReport or V.ResidualReport) to
+    <name>.json; returns their dicts."""
+    out = [r.to_dict() for r in reports]
+    for d in out:
+        _write_json(outdir / f"{d['name']}.json", d)
+    return out
+
+
 def run_shear_check(lab: Lab, outdir: Path) -> list:
     rep = lab.report
-    prop = check_proposition_shear(lab.profile, rep) if rep.all_pass else None
-    reports = [{"name": "assumption", "pass": rep.all_pass, "evidence": rep.to_dict()}]
-    if prop is not None:
-        reports.append({"name": "proposition", "pass": prop.ok and prop.T_s >= 0.1,
-                        "evidence": prop.to_dict()})
-    for r in reports:
-        _write_json(outdir / f"{r['name']}.json", r)
-    return reports
+    reports = [V.CheckReport("assumption", rep.all_pass, rep.to_dict())]
+    if rep.all_pass:
+        prop = check_proposition_shear(lab.profile, rep)
+        reports.append(V.CheckReport("proposition", prop.ok, prop.to_dict()))
+    return _emit(outdir, *reports)
 
 
 def run_solve(lab: Lab, outdir: Path) -> list:
     traj = lab.trajectory()
     traj.save(outdir / "trajectory")
     cr = check_compatibility(lab.u0, lab.profile)
-    rep = {"name": "solve", "pass": True,
-           "evidence": {"scheme": traj.scheme, "times": len(traj.times),
-                        "contraction": [float(c) for c in traj.contraction],
-                        "compatibility": cr.to_dict()}}
-    _write_json(outdir / "solve.json", rep)
-    return [rep]
+    return _emit(outdir, V.CheckReport("solve", True, {
+        "scheme": traj.scheme, "times": len(traj.times),
+        "contraction": [float(c) for c in traj.contraction],
+        "compatibility": cr.to_dict()}))
 
 
 def run_norms(lab: Lab, outdir: Path) -> list:
@@ -299,9 +292,7 @@ def run_norms(lab: Lab, outdir: Path) -> list:
         rows.append(f"{float(t)!r},{base!r},{ext!r}")
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "norms.csv").write_text("\n".join(rows) + "\n")
-    rep = {"name": "norms", "pass": True, "evidence": {"rows": len(rows) - 1}}
-    _write_json(outdir / "norms.json", rep)
-    return [rep]
+    return _emit(outdir, V.CheckReport("norms", True, {"rows": len(rows) - 1}))
 
 
 def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
@@ -313,11 +304,8 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     def add(*check_reports, check=None):
         """Write the reports of one check and mark its end (check: the
         report's name by default)."""
-        for r in check_reports:
-            d = r.to_dict() if hasattr(r, "to_dict") else r
-            reports.append(d)
-            _write_json(outdir / f"{d['name']}.json", d)
-        mark(check or d["name"])
+        reports.extend(_emit(outdir, *check_reports))
+        mark(check or reports[-1]["name"])
 
     enabled = set(cfg.checks)
     if "assumption" in enabled or "proposition" in enabled:
@@ -326,17 +314,16 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     if "compatibility" in enabled:
         cr = check_compatibility(lab.u0, lab.profile)
         tol = 1e-8 * max(cfg.amp, 1e-300)
-        add({"name": "compatibility",
-             "pass": max(cr.res_value, cr.res_dyomega, cr.res_third) <= tol,
-             "evidence": {**cr.to_dict(), "tolerance": tol}})
+        worst = max(cr.res_value, cr.res_dyomega, cr.res_third)
+        add(V.CheckReport("compatibility", worst <= tol, {**cr.to_dict(), "tolerance": tol}))
     if "cancellation" in enabled:
         add(V.cancellation_check(lab.u0, evolve_shear(lab.profile, 0.0), lab.cut, lab.report))
     kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
     if kinds:
-        nts = [cfg.nt * 2**k for k in range(cfg.residual_levels)]
         jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
         # a generator: each finer level is solved, evaluated and dropped in turn
-        rows = V.evaluate_residuals((lab.trajectory("imex", nt) for nt in nts), jobs)
+        ladder = (lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt))
+        rows = V.evaluate_residuals(ladder, jobs)
         add(*(V.residual_report(job, levels) for job, levels in zip(jobs, rows)),
             check="residual_ladder")
     if "boundary" in enabled:

@@ -211,7 +211,7 @@ class PropositionReport:
 
     @property
     def ok(self) -> bool:
-        return not self.inconsistent_at_zero and self.T_s > 0.0
+        return not self.inconsistent_at_zero and self.T_s >= _T_S_MIN
 
     def to_dict(self) -> dict:
         return {"T_s": self.T_s, "t_checked": list(self.t_checked),
@@ -229,6 +229,7 @@ def proposition_clauses(state: ShearState, rep: AssumptionReport,
 
 
 _T_SCAN = 0.5       # horizon of the persistence scan
+_T_S_MIN = 0.1      # least persistence time T_s that passes
 _SCAN_STEP = 1e-2   # time step of the persistence scan
 
 

@@ -34,13 +34,14 @@ from .profiles import _SLACK, AssumptionReport
 from .solver import Trajectory, recover_v
 
 __all__ = [
-    "ResidualReport", "CheckReport", "ResidualJob", "residual_jobs", "residual_nodes",
-    "evaluate_residuals", "residual_report",
+    "ResidualReport", "CheckReport", "ResidualJob", "residual_jobs", "ladder_nts",
+    "residual_nodes", "evaluate_residuals", "residual_report",
     "boundary_checks", "cancellation_check", "sobolev_check", "inequality_suite",
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
 
 _ORDERS = (1, 2, 3)         # tangential orders of the boundary and cancellation checks
+_WIDE = 9                   # points of the wide y-stencils of the residual studies
 
 
 @dataclass
@@ -89,7 +90,7 @@ def _jsonable(x):
 class Snapshot(AuxWorkspace):
     """Derivative bundle of one stored trajectory time, shared by checks.
 
-    The y-derivative ladder uses wide (9-point) stencils so the spatial
+    The y-derivative ladder uses wide (_WIDE-point) stencils so the spatial
     floor of the residual studies sits well below their dt signal; the
     production operators elsewhere keep the standard order-4 stencils.
     On top of the shared bundle it keeps what only the residual identities
@@ -100,7 +101,7 @@ class Snapshot(AuxWorkspace):
     """
 
     def __init__(self, traj: Trajectory, i: int):
-        super().__init__(traj.u[i], traj.shear[i], npts=9)
+        super().__init__(traj.u[i], traj.shear[i], npts=_WIDE)
 
     @cached_property
     def v(self) -> Field:
@@ -112,7 +113,7 @@ class Snapshot(AuxWorkspace):
 
     @cached_property
     def d3yom_tot(self) -> np.ndarray:
-        return self.state.dj_omegas[2][None, :] + dy_j(self.omega, 3, npts=9).values
+        return self.state.dj_omegas[2][None, :] + dy_j(self.omega, 3, npts=_WIDE).values
 
     def dxv(self, k):
         return self._dx("spec_v", k)
@@ -149,6 +150,12 @@ class Snapshot(AuxWorkspace):
 # residual checks) lands on identical physical times and the Richardson
 # differences never compare shifted snapshots
 _EVAL_FRACS = (0.375, 0.625, 0.875)
+
+
+def ladder_nts(nt: int) -> list:
+    """Step counts of the residual ladder's levels, each halving dt: three
+    levels give the two Richardson differences that the dt-order needs."""
+    return [nt, 2 * nt, 4 * nt]
 
 
 def _eval_indices(nt: int) -> list:
@@ -268,10 +275,9 @@ def _h_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
 
 
 def _g_dy(s0: Snapshot, m: int) -> tuple:
-    """(d_y q, d_y^2 q) of the g_m identity, q = g_m (9-point stencils)."""
-    g = s0.grid
-    q0 = s0.g(m).values
-    return q0 @ g.deriv_matrix_y(1, 9).T, q0 @ g.deriv_matrix_y(2, 9).T
+    """(d_y q, d_y^2 q) of the g_m identity, q = g_m (wide stencils)."""
+    q0 = s0.g(m)
+    return dy_j(q0, 1, npts=_WIDE).values, dy_j(q0, 2, npts=_WIDE).values
 
 
 def _g_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
@@ -448,7 +454,7 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
         for i in _eval_indices(len(traj.times) - 1):
             s0 = Snapshot(traj, i)
             # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
-            om_m, om_p = (dy_j(traj.u[j], 1, npts=9).values for j in (i - 1, i + 1))
+            om_m, om_p = (dy_j(traj.u[j], 1, npts=_WIDE).values for j in (i - 1, i + 1))
             dt2 = traj.times[i + 1] - traj.times[i - 1]
             for m in _ORDERS:
                 for name, q in (("g", s0.g(m)), ("f", Field(g, chi1 * s0.q_f(m)))):
@@ -509,7 +515,7 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -
     """
     g = u.grid
     ws = AuxWorkspace(u, state, cut)
-    D = g.deriv_matrix_y(1, 9)
+    D = g.deriv_matrix_y(1, _WIDE)
     evidence = {}
     worst = 0.0
     for m in _ORDERS:

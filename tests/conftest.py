@@ -75,7 +75,7 @@ def _solve(u0_field, profile, scheme, nt, eps=REF.eps):
 @pytest.fixture(scope="session")
 def traj_ladder(lab):
     """The residual ladder's imex trajectories (Nt = 32, 64, 128)."""
-    return [lab.trajectory("imex", REF.nt * 2**k) for k in range(REF.residual_levels)]
+    return [lab.trajectory("imex", nt) for nt in V.ladder_nts(REF.nt)]
 
 
 @pytest.fixture(scope="session")

@@ -1,23 +1,30 @@
 """The benchmark's tracer resolves its targets by name: a module attribute
 for a function, the class __dict__ for a method.  A rename in the package
-would leave a target unresolved and break the traced benchmark run."""
+would leave a target unresolved and break the traced benchmark run.  Its
+workloads override RunConfig fields and drop checks by name, so a removed
+field or check fails here rather than in the benchmark's set-up."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+from prandtl_lab import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracer_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.TARGETS
+    return mod
 
 
 def test_every_tracer_target_resolves():
-    targets = _tracer_targets()
+    targets = _load("tracer").TARGETS
     assert targets
     for mod_name, attr in targets:
         mod = importlib.import_module(f"prandtl_lab.{mod_name}")
@@ -26,3 +33,21 @@ def test_every_tracer_target_resolves():
             assert meth in vars(getattr(mod, cls_name)), (mod_name, attr)
         else:
             assert callable(getattr(mod, attr)), (mod_name, attr)
+
+
+_WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS.WORKLOADS)
+def test_workload_plan_builds_valid_configs(workload):
+    """Every operation of the seed-0 plan names RunConfig fields and known
+    checks, and its config (the reference config with the overrides and
+    without the dropped checks, as the benchmark builds it) validates."""
+    plan = _WORKLOADS.plan(workload, 0)
+    base = cli.load_config(PERFBENCH.parent / plan["config"])
+    names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    for op in plan["ops"]:
+        assert set(op["overrides"]) <= names, op
+        assert set(op["drop_checks"]) <= set(cli._ALL_CHECKS), op
+        checks = tuple(c for c in base.checks if c not in op["drop_checks"])
+        dataclasses.replace(base, checks=checks, **op["overrides"]).validate()

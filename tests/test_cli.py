@@ -39,16 +39,17 @@ def test_reference_config_loads():
 
 
 def test_reference_ini_shows_every_key():
-    """configs/reference.ini shows exactly the keys load_config accepts, and
-    those keys name exactly the RunConfig fields: a removed knob cannot
-    linger in the INI, a new one cannot go undocumented."""
+    """configs/reference.ini shows exactly the (section, key) pairs that the
+    RunConfig fields declare: a removed knob cannot linger in the INI, a new
+    one cannot go undocumented.  load_config parses each key by the type of
+    its field's default, which is the declared type."""
     parser = configparser.ConfigParser()
     parser.read(CONFIG)
     ini = {(s, k) for s in parser.sections() for k in parser[s]}
-    schema = {(s, k) for s, keys in C._SCHEMA.items() for k in keys}
-    assert ini == schema
-    assert ({C._KEY_MAP.get(key, key[1]) for key in schema}
-            == {f.name for f in dataclasses.fields(C.RunConfig)})
+    declared = {(f.metadata["section"], f.metadata["key"] or f.name)
+                for f in dataclasses.fields(C.RunConfig)}
+    assert ini == declared
+    assert all(type(f.default).__name__ == f.type for f in dataclasses.fields(C.RunConfig))
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -58,6 +59,14 @@ def test_unknown_key_rejected(tmp_path):
     p = _write(tmp_path, "[output]\nformats = csv json\n")   # removed key
     with pytest.raises(ConfigError, match="formats"):
         load_config(p)
+    # a removed key, and a known key in another field's section
+    for body, message in (("[verify]\nresidual_levels = 3\n",
+                           r"unknown key 'residual_levels' in section \[verify\]"),
+                          ("[grid]\neps = 0.1\n", r"unknown key 'eps' in section \[grid\]")):
+        p = _write(tmp_path, body)
+        with pytest.raises(ConfigError, match=message):
+            load_config(p)
+        assert main(["verify", "--config", str(p)]) == 2
 
 
 def test_sigma_range_named(tmp_path):
@@ -164,15 +173,17 @@ def test_residual_ladder_needs_eighths(tmp_path):
     assert load_config(p).nt == 12
 
 
-def test_residual_ladder_needs_three_levels(tmp_path):
-    """Two levels give one Richardson difference and no dt-order (nan), so
-    every residual report would fail: rejected while a residual check is on."""
-    p = _write(tmp_path, "[verify]\nresidual_levels = 2\n")
-    with pytest.raises(ConfigError, match="residual_levels must be at least 3"):
-        load_config(p)
-    assert main(["verify", "--config", str(p)]) == 2
-    p = _write(tmp_path, "[verify]\nresidual_levels = 2\nchecks = conditions\n")
-    assert load_config(p).residual_levels == 2
+def test_proposition_fails_below_least_persistence_time(lab, tmp_path, monkeypatch):
+    """A persistence time 0 < T_s < 0.1 fails the proposition: the report's
+    ok, the pass in its evidence and the pass that cli writes agree."""
+    short = S.PropositionReport(T_s=0.05, t_checked=[0.0, 0.05, 0.06],
+                                clauses_at_failure={"i": True, "ii": False, "iii": True},
+                                inconsistent_at_zero=False)
+    assert short.ok is False and short.to_dict()["pass"] is False
+    monkeypatch.setattr(C, "check_proposition_shear", lambda profile, rep: short)
+    [_, prop] = C.run_shear_check(lab, tmp_path)
+    assert prop["pass"] is False and prop["evidence"]["pass"] is False
+    assert json.loads((tmp_path / "proposition.json").read_text()) == prop
 
 
 def test_verify_subset_and_failure_exit(tmp_path):
@@ -437,9 +448,9 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
     marks = []
     reports = run_verify(lab, tmp_path, marks.append)
     assert marks == ["residual_ladder"]       # the ladder is one check
-    assert len(snapshot_refs) == 3 * 3 * cfg.residual_levels
+    assert len(snapshot_refs) == 3 * 3 * len(V.ladder_nts(cfg.nt))
     assert alive(snapshot_refs) == []
-    trajs = [lab.trajectory("imex", cfg.nt * 2**k) for k in range(cfg.residual_levels)]
+    trajs = [lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt)]
     alone = []
     for job in V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"):
         [levels] = V.evaluate_residuals(trajs, [job])
@@ -457,7 +468,7 @@ def test_residual_ladder_holds_one_snapshot(monkeypatch, snapshot_refs):
     cfg = load_config(CONFIG)
     cfg.nt = 8
     lab = Lab(cfg)
-    trajs = [lab.trajectory("imex", cfg.nt * 2**k) for k in range(cfg.residual_levels)]
+    trajs = [lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt)]
     jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
     others = []             # snapshots alive when each one is built
 
@@ -473,7 +484,7 @@ def test_residual_ladder_holds_one_snapshot(monkeypatch, snapshot_refs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(others) == 3 * 3 * cfg.residual_levels
+    assert len(others) == 3 * 3 * len(V.ladder_nts(cfg.nt))
     assert max(others) == 0
     assert peak < 120 * lab.grid.Nx * lab.grid.Ny * 8
 
@@ -505,7 +516,7 @@ def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
     lab = Lab(cfg)
     run_verify(lab, tmp_path)
     assert solved == [8, 16, 32, 8, 8]       # ladder, boundary companion, Picard
-    assert len(finer) == cfg.residual_levels - 1 and alive(finer) == []
+    assert len(finer) == len(V.ladder_nts(cfg.nt)) - 1 and alive(finer) == []
     assert kept == [V.residual_nodes(16), V.residual_nodes(32)]
     assert {len(t.times) - 1 for t in lab._trajs.values()} == {cfg.nt}
 
