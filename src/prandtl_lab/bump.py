@@ -24,18 +24,22 @@ def ramp(s):
     return out if out.ndim else float(out)
 
 
-def window(y, lo_out, lo_in, hi_in, hi_out):
-    """Smooth window: 0 outside (lo_out, hi_out), 1 on [lo_in, hi_in].
-
-    Either transition may be degenerate (lo_out == lo_in disables it).
-    """
+def _window(rise, y, lo_out, lo_in, hi_in, hi_out):
+    """Window rising by the ramp rise: 0 outside (lo_out, hi_out), 1 on
+    [lo_in, hi_in].  Either transition may be degenerate (lo_out == lo_in
+    disables it)."""
     y = np.asarray(y, dtype=float)
     out = np.ones_like(y)
     if lo_in > lo_out:
-        out = out * ramp((y - lo_out) / (lo_in - lo_out))
+        out = out * rise((y - lo_out) / (lo_in - lo_out))
     if hi_out > hi_in:
-        out = out * ramp((hi_out - y) / (hi_out - hi_in))
+        out = out * rise((hi_out - y) / (hi_out - hi_in))
     return out
+
+
+def window(y, lo_out, lo_in, hi_in, hi_out):
+    """Smooth window (C-infinity ramp)."""
+    return _window(ramp, y, lo_out, lo_in, hi_in, hi_out)
 
 
 # Polynomial smoothstep of class C^7 (degree 15): every derivative used by
@@ -66,11 +70,5 @@ def poly_ramp(s):
 
 
 def poly_window(y, lo_out, lo_in, hi_in, hi_out):
-    """C^7 window: 0 outside (lo_out, hi_out), exactly 1 on [lo_in, hi_in]."""
-    y = np.asarray(y, dtype=float)
-    out = np.ones_like(y)
-    if lo_in > lo_out:
-        out = out * poly_ramp((y - lo_out) / (lo_in - lo_out))
-    if hi_out > hi_in:
-        out = out * poly_ramp((hi_out - y) / (hi_out - hi_in))
-    return out
+    """C^7 window, exactly 1 on [lo_in, hi_in]."""
+    return _window(poly_ramp, y, lo_out, lo_in, hi_in, hi_out)

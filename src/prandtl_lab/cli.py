@@ -9,11 +9,11 @@ parameters and solver config when the config is loaded, the profile and
 perturbation when a Lab is built (exit 2 with a manifest); the error names
 the INI section.  Non-finite numbers are rejected at load time.  Subcommands:
 
-    shear-check   assumption scan + persistence certification
+    shear-check   the enabled shear checks: assumption scan + persistence
     solve         one trajectory, saved as trajectory/trajectory.npz
     norms         norm time series CSV for a trajectory
     verify        the enabled certification checks
-    full          all of the above
+    full          solve, norms and verify
 
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
 error (a cut-off set that does not fit the grid included), 3 solver
@@ -266,9 +266,16 @@ def _emit(outdir: Path, *reports) -> list:
 
 
 def run_shear_check(lab: Lab, outdir: Path) -> list:
+    """The enabled shear checks' reports.  Either brings the assumption
+    report (the proposition's precondition, so a failing assumption is never
+    silent); the persistence scan runs only when proposition is enabled and
+    the assumption holds."""
+    enabled = set(lab.cfg.checks)
+    if not {"assumption", "proposition"} & enabled:
+        return []
     rep = lab.report
     reports = [V.CheckReport("assumption", rep.all_pass, rep.to_dict())]
-    if rep.all_pass:
+    if "proposition" in enabled and rep.all_pass:
         prop = check_proposition_shear(lab.profile, rep)
         reports.append(V.CheckReport("proposition", prop.ok, prop.to_dict()))
     return _emit(outdir, *reports)
@@ -297,7 +304,8 @@ def run_norms(lab: Lab, outdir: Path) -> list:
 
 def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     """The enabled checks' reports, each written to <name>.json; mark(name)
-    is called as each check ends (the residual ladder is one check)."""
+    is called as each check ends (the shear checks are one check, and so is
+    the residual ladder)."""
     cfg = lab.cfg
     reports = []
 
@@ -308,8 +316,8 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         mark(check or reports[-1]["name"])
 
     enabled = set(cfg.checks)
-    if "assumption" in enabled or "proposition" in enabled:
-        reports += [r for r in run_shear_check(lab, outdir) if r["name"] in enabled]
+    if shear := run_shear_check(lab, outdir):
+        reports += shear
         mark("shear-check")
     if "compatibility" in enabled:
         cr = check_compatibility(lab.u0, lab.profile)
@@ -423,10 +431,6 @@ def run(cfg: RunConfig, subcommand: str, out_dir=None) -> int:
         for stage in ("solve", "norms", "verify") if subcommand == "full" else (subcommand,):
             clock.end(stage)
             reports += stages[stage](lab, outdir)
-        # verify re-runs the shear checks when enabled; no duplicates
-        if subcommand == "full" and not ({"assumption", "proposition"} & set(cfg.checks)):
-            clock.end("shear-check")
-            reports = run_shear_check(lab, outdir) + reports
         clock.end()
     except tuple(exc for exc, _, _ in _ERROR_EXITS) as exc:
         code, label = next((c, lbl) for e, c, lbl in _ERROR_EXITS if isinstance(exc, e))

@@ -90,7 +90,7 @@ def _weighted_norms_all_m(grid: Grid2D, spec: np.ndarray, wy: np.ndarray,
     out = np.empty(len(m_list))
     col = rows @ wy
     for idx, m in enumerate(m_list):
-        out[idx] = np.sqrt(np.sum(k ** (2 * m) * col)) if m else np.sqrt(np.sum(col))
+        out[idx] = np.sqrt(np.sum(k ** (2 * m) * col))
     return out
 
 

@@ -24,7 +24,7 @@ than to stencil accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -111,11 +111,7 @@ class AssumptionReport:
                                 for row in rows))}
 
     def to_dict(self) -> dict:
-        return {
-            "y0": self.y0, "alpha": self.alpha, "c0": self.c0, "c1": self.c1,
-            "delta": self.delta, "passes": dict(self.passes),
-            "failing": self.failing, "pass": self.all_pass,
-        }
+        return {**asdict(self), "pass": self.all_pass}
 
 
 @dataclass
@@ -125,8 +121,7 @@ class CompatibilityReport:
     res_third: float       # sup_x |d_y^3 omega0 - (omega0s+omega0) d_x omega0| at y=0
 
     def to_dict(self) -> dict:
-        return {"res_value": self.res_value, "res_dyomega": self.res_dyomega,
-                "res_third": self.res_third}
+        return asdict(self)
 
 
 def _ansatz_derivs(y, y0: float, alpha: float, c: float, n: int) -> list:

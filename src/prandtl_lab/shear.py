@@ -40,7 +40,7 @@ that product's they do not depend on the BLAS thread count.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -214,10 +214,7 @@ class PropositionReport:
         return not self.inconsistent_at_zero and self.T_s >= _T_S_MIN
 
     def to_dict(self) -> dict:
-        return {"T_s": self.T_s, "t_checked": list(self.t_checked),
-                "clauses_at_failure": self.clauses_at_failure,
-                "inconsistent_at_zero": self.inconsistent_at_zero,
-                "pass": self.ok}
+        return {**asdict(self), "pass": self.ok}
 
 
 def proposition_clauses(state: ShearState, rep: AssumptionReport,

@@ -21,14 +21,15 @@ snapshot alive at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet, build_cutoffs, read_only
-from .grid import Field, Grid2D, dx_m, dx_m_spec, dy_j, linf, weighted_l2, x_spectrum
+from .grid import (Field, Grid2D, dx_m, dx_m_spec, dy_j, l2_y_weighted, linf, weighted_l2,
+                   x_spectrum)
 from .norms import GevreyParams, gevrey_norm, lifespan_norm
 from .profiles import _SLACK, AssumptionReport
 from .solver import Trajectory, recover_v
@@ -58,10 +59,7 @@ class ResidualReport:
         return bool(self.observed_order >= 1.0 - 1e-9)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "grid_levels": [list(g) for g in self.grid_levels],
-                "residual_norms": list(self.residual_norms), "scales": list(self.scales),
-                "observed_order": self.observed_order,
-                "pairwise_orders": list(self.pairwise_orders), "pass": self.ok}
+        return {**asdict(self), "pass": self.ok}
 
 
 @dataclass
@@ -195,10 +193,9 @@ _EDGE_ROWS = 4
 
 
 def _interior_l2(grid: Grid2D, values: np.ndarray) -> float:
-    masked = values.copy()
-    masked[:, :_EDGE_ROWS] = 0.0
-    masked[:, -_EDGE_ROWS:] = 0.0
-    return weighted_l2(Field(grid, masked), 0.0)
+    wy = grid.y_weights(0.0)
+    wy[:_EDGE_ROWS] = wy[-_EDGE_ROWS:] = 0.0
+    return l2_y_weighted(grid, values, wy)
 
 
 def _f_dy(s0: Snapshot, m: int) -> tuple:
@@ -515,7 +512,6 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -
     """
     g = u.grid
     ws = AuxWorkspace(u, state, cut)
-    D = g.deriv_matrix_y(1, _WIDE)
     evidence = {}
     worst = 0.0
     for m in _ORDERS:
@@ -523,7 +519,7 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -
         quot = np.zeros_like(ws.om_tot)
         np.divide(ws.dxu(m).values, ws.om_tot, out=quot,
                   where=np.abs(ws.om_tot) > 1e-12)
-        form2 = cut.chi1[None, :] * ws.om_tot * (quot @ D.T)
+        form2 = cut.chi1[None, :] * ws.om_tot * dy_j(Field(g, quot), 1, npts=_WIDE).values
         rowmax = np.max(np.abs(fm), axis=0)
         mask = (np.abs(g.y_nodes - rep.y0) >= _CANCEL_MARGIN) \
             & (rowmax >= _CANCEL_FLOOR_FRAC * rowmax.max())

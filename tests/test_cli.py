@@ -199,6 +199,41 @@ def test_verify_subset_and_failure_exit(tmp_path):
     assert rep["evidence"]["first_failure_time"] is not None
 
 
+def _report_files(outdir) -> set:
+    """The <name>.json report files a run wrote (manifest and run log aside)."""
+    return {p.stem for p in Path(outdir).glob("*.json")} - {"manifest", "run_log"}
+
+
+def test_enabled_checks_decide_the_reports(tmp_path, monkeypatch):
+    """The enabled checks alone decide which reports a run writes: assumption
+    alone runs no persistence scan, proposition brings its failing
+    precondition, and full with neither shear check reports neither."""
+    calls = []
+    real_prop = C.check_proposition_shear
+    monkeypatch.setattr(C, "check_proposition_shear",
+                        lambda *a: calls.append(1) or real_prop(*a))
+    cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8, checks=("assumption",))
+    assert run(cfg, "verify", out_dir=tmp_path / "assumption") == 0
+    assert calls == []
+    assert _report_files(tmp_path / "assumption") == {"assumption"}
+
+    real = C.validate_assumption
+    monkeypatch.setattr(C, "validate_assumption", lambda p: dataclasses.replace(
+        real(p), passes={"i": False, "ii": True, "iii": True}, failing="i"))
+    cfg.checks = ("proposition",)
+    assert run(cfg, "verify", out_dir=tmp_path / "proposition") == 1
+    manifest = json.loads((tmp_path / "proposition" / "manifest.json").read_text())
+    assert [(r["name"], r["pass"]) for r in manifest["reports"]] == [("assumption", False)]
+    assert calls == []
+    monkeypatch.setattr(C, "validate_assumption", real)
+
+    cfg.checks = ("sobolev",)
+    assert run(cfg, "full", out_dir=tmp_path / "full") == 0
+    manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
+    assert [r["name"] for r in manifest["reports"]] == ["solve", "norms", "sobolev_inequality"]
+    assert _report_files(tmp_path / "full") == {"solve", "norms", "sobolev_inequality"}
+
+
 def test_manifest_determinism(tmp_path):
     cfg = load_config(CONFIG)
     cfg.checks = ("sobolev", "inequalities")
@@ -342,18 +377,31 @@ _OVERRIDE = st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi) | _NON_FINITE)
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(ny=st.integers(33, 129), kx=st.integers(0, 5), scheme=st.sampled_from(["picard", "imex"]),
-       overrides=st.lists(_OVERRIDE, max_size=3))
-@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", math.inf)])
-@example(ny=53, kx=2, scheme="imex", overrides=[("lx", 3.76e-224)])     # x-derivatives overflow
-@example(ny=129, kx=1, scheme="picard", overrides=[("lx", 1e-20)])
-@example(ny=33, kx=1, scheme="picard", overrides=[("lx", 5e-324)])     # Lx / Nx underflows
-@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", 5e-324)])    # kernel under-resolved
-@example(ny=129, kx=1, scheme="imex", overrides=[("t_final", 7.1e-307)])
-def test_validated_config_space_property(ny, kx, scheme, overrides):
+       overrides=st.lists(_OVERRIDE, max_size=3),
+       subcommand=st.sampled_from(["solve", "verify", "full"]),
+       checks=st.sets(st.sampled_from(C._ALL_CHECKS)))
+@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", math.inf)],
+         subcommand="solve", checks=set(C._ALL_CHECKS))
+@example(ny=53, kx=2, scheme="imex", overrides=[("lx", 3.76e-224)],      # x-derivatives overflow
+         subcommand="solve", checks=set(C._ALL_CHECKS))
+@example(ny=129, kx=1, scheme="picard", overrides=[("lx", 1e-20)],
+         subcommand="solve", checks=set(C._ALL_CHECKS))
+@example(ny=33, kx=1, scheme="picard", overrides=[("lx", 5e-324)],      # Lx / Nx underflows
+         subcommand="solve", checks=set(C._ALL_CHECKS))
+@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", 5e-324)],     # kernel under-resolved
+         subcommand="solve", checks=set(C._ALL_CHECKS))
+@example(ny=129, kx=1, scheme="imex", overrides=[("t_final", 7.1e-307)],
+         subcommand="solve", checks=set(C._ALL_CHECKS))
+@example(ny=129, kx=1, scheme="picard", overrides=[], subcommand="verify", checks={"assumption"})
+@example(ny=129, kx=1, scheme="picard", overrides=[], subcommand="full", checks={"proposition"})
+def test_validated_config_space_property(ny, kx, scheme, overrides, subcommand, checks):
     """On small grids, a drawn config is either rejected by validate() with a
-    ConfigError, or solve ends with a documented exit code and a manifest;
-    a solve that exits 0 wrote a trajectory whose every number is finite."""
-    cfg = C.RunConfig(nx=32, ny=ny, mmax=8, nt=8, kx=kx, scheme=scheme, **dict(overrides))
+    ConfigError, or the drawn subcommand ends with a documented exit code and
+    a manifest that lists exactly the <name>.json reports the run wrote; a
+    solve or full that exits 0 or 1 (a failed check) wrote a trajectory whose
+    every number is finite."""
+    cfg = C.RunConfig(nx=32, ny=ny, mmax=8, nt=8, kx=kx, scheme=scheme, **dict(overrides),
+                      checks=tuple(c for c in C._ALL_CHECKS if c in checks))
     try:
         cfg.validate()
     except ConfigError:
@@ -362,10 +410,11 @@ def test_validated_config_space_property(ny, kx, scheme, overrides):
         # long horizons warn by design, and numpy warns on the overflows
         warnings.simplefilter("ignore", UserWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        code = run(cfg, "solve", out_dir=out)
-        assert code in (0, 2, 3)
-        assert (Path(out) / "manifest.json").is_file()
-        if code == 0:
+        code = run(cfg, subcommand, out_dir=out)
+        assert code in ((0, 2, 3) if subcommand == "solve" else (0, 1, 2, 3))
+        manifest = json.loads((Path(out) / "manifest.json").read_text())
+        assert _report_files(out) == {r["name"] for r in manifest["reports"]}
+        if code in (0, 1) and subcommand != "verify":
             with np.load(Path(out) / "trajectory" / "trajectory.npz") as z:
                 assert all(np.isfinite(z[k]).all() for k in z.files if z[k].dtype.kind == "f")
 
