@@ -457,12 +457,9 @@ def main(argv=None) -> int:
     ap.add_argument("subcommand", choices=["shear-check", "solve", "norms", "verify", "full"])
     ap.add_argument("--config", required=False, help="INI configuration file")
     ap.add_argument("--out", default=None, help="output directory (overrides config)")
-    ap.add_argument("--seed", type=int, default=None, help="seed override for randomized checks")
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

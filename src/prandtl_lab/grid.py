@@ -116,8 +116,6 @@ class Grid2D:
         key = (j, npts)
         if key in self._dy_mats:
             return self._dy_mats[key]
-        if self.Ny < j + 6:
-            raise ValueError(f"Ny={self.Ny} too small for derivative order {j}")
         n_int, n_bnd = _STENCIL_PTS[j] if npts is None else (npts, npts)
         half = (n_int - 1) // 2
         y = self.y_nodes

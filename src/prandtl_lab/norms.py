@@ -22,7 +22,7 @@ physical space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class GevreyParams:
                 f"ell must satisfy alpha <= ell < alpha + 1/2, got ell={self.ell}, alpha={self.alpha}")
         if self.Mmax < 7:
             raise ValueError(f"Mmax must be at least 7, got {self.Mmax}")
-
-    def with_rho(self, rho: float) -> "GevreyParams":
-        return GevreyParams(rho=rho, sigma=self.sigma, ell=self.ell,
-                            alpha=self.alpha, Mmax=self.Mmax)
 
     def weight(self, m: int) -> float:
         """rho^(m-5) / ((m-6)!)^sigma for m >= 6, 1 otherwise."""
@@ -178,6 +174,6 @@ def lifespan_norm(raws: list, times: np.ndarray, lam: float, T: float, p: Gevrey
         for rho in rhos:
             if rho + lam * t >= rho0:
                 continue
-            val = gevrey_norm(raw, p.with_rho(float(rho)), with_aux=True)
+            val = gevrey_norm(raw, replace(p, rho=float(rho)), with_aux=True)
             best = max(best, np.sqrt((rho0 - rho - lam * t) / (rho0 - rho)) * val)
     return float(best)

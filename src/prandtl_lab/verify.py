@@ -15,13 +15,14 @@ One frame (_evaluate_at) serves the three identities: each kind supplies only
 d_y q, d_y^2 q and its right-hand side, and the frame forms q on the time
 triple, the material derivative, the cut-off weighting (residual_jobs: f a
 wider-hole chi1, h the certified chi2) and the interior norms, with one
-snapshot alive at a time.
+snapshot alive at a time.  One transport commutator (_commutator) serves the
+three right-hand sides, which add only their own coefficient blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -41,7 +42,7 @@ __all__ = [
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
 
-_ORDERS = (1, 2, 3)         # tangential orders of the boundary and cancellation checks
+_ORDERS = (1, 2, 3)         # tangential orders of every identity check
 _WIDE = 9                   # points of the wide y-stencils of the residual studies
 
 
@@ -209,20 +210,27 @@ def _f_dy(s0: Snapshot, m: int) -> tuple:
     return dyq, d2yq
 
 
+def _commutator(s0: Snapshot, n: int, q, r, v_top: int) -> np.ndarray:
+    """[d_x^n, u d_x + v d_y] as one identity reads it: the sum over k = 1..n
+    of C(n,k) d_x^k u q(n-k+1) plus that over k = 1..v_top of C(n,k) d_x^k v
+    r(n-k).  f and h stop at v_top = n - 1: their k = n term, d_x^n v times
+    d_y omega_tot - a omega_tot (resp. d_y^2 omega_tot - b d_y omega_tot),
+    is zero by the definition of a (resp. b)."""
+    out = np.zeros_like(s0.om_tot)
+    for k in range(1, n + 1):
+        out += math.comb(n, k) * s0.dxu(k).values * q(n - k + 1)
+    for k in range(1, v_top + 1):
+        out += math.comb(n, k) * s0.dxv(k).values * r(n - k)
+    return out
+
+
 def _f_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
     """Right-hand side of the f_m identity."""
     a0, inv = s0.a, s0.inv_om
     dya, dxa, _ = s0.quotient_pack_f
     dxm_u, dxm_om = s0.dxu(m).values, s0.dxom(m).values
-    rhs = np.zeros_like(dxm_u)
-    for k in range(1, m + 1):
-        c = math.comb(m, k)
-        rhs -= c * s0.dxu(k).values * s0.dxom(m - k + 1).values
-        rhs += a0 * c * s0.dxu(k).values * s0.dxu(m - k + 1).values
-    for k in range(1, m):
-        c = math.comb(m, k)
-        rhs -= c * s0.dxv(k).values * s0.dxdyom(m - k).values
-        rhs += a0 * c * s0.dxv(k).values * s0.dxom(m - k).values
+    rhs = -_commutator(s0, m, s0.q_f,
+                       lambda j: s0.dxdyom(j).values - a0 * s0.dxom(j).values, m - 1)
     dxu1 = s0.dxu(1).values
     dxom1 = s0.dxom(1).values
     rhs += (dxom1 - dxu1 * a0 - 2.0 * a0 * dya
@@ -259,14 +267,8 @@ def _h_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
            - 2.0 * eps * r_quot * dy_j(Field(g, r_quot), 1).values) * s0.dxom(m).values
     rhs += 2.0 * dyb * s0.dxdyom(m).values
     rhs += 2.0 * eps * dxb * s0.dxom(m + 1).values
-    for k in range(1, m + 1):
-        c = math.comb(m, k)
-        rhs += b0 * c * s0.dxu(k).values * s0.dxom(m - k + 1).values
-        rhs -= c * s0.dxu(k).values * s0.dxdyom(m - k + 1).values
-    for k in range(1, m):
-        c = math.comb(m, k)
-        rhs += b0 * c * s0.dxv(k).values * s0.dxdyom(m - k).values
-        rhs -= c * s0.dxv(k).values * s0.dxd2yom(m - k).values
+    rhs -= _commutator(s0, m, s0.q_h,
+                       lambda j: s0.dxd2yom(j).values - b0 * s0.dxdyom(j).values, m - 1)
     rhs -= s0.g(m + 1).values
     return rhs
 
@@ -279,11 +281,8 @@ def _g_dy(s0: Snapshot, m: int) -> tuple:
 
 def _g_rhs(s0: Snapshot, m: int, eps: float) -> np.ndarray:
     """Right-hand side of the g_m identity."""
-    rhs = np.zeros_like(s0.om_tot)
-    for j in range(1, m):
-        c = math.comb(m - 1, j)
-        rhs -= c * s0.dxu(j).values * s0.g(m - j + 1).values
-        rhs -= c * s0.dxv(j).values * dy_j(s0.g(m - j), 1).values
+    rhs = -_commutator(s0, m - 1, lambda j: s0.g(j + 1).values,
+                       lambda j: dy_j(s0.g(j + 1), 1).values, m - 1)
     for j in range(0, m):
         c = math.comb(m - 1, j)
         if j == 0:
@@ -327,7 +326,7 @@ def residual_jobs(grid: Grid2D, rep: AssumptionReport, cut: CutoffSet, kinds) ->
     chi = {"g": None, "h": cut.chi2,
            "f": build_cutoffs(grid, rep.y0, min(_DELTA_F, 0.499 * rep.y0)).chi1
            if "f" in kinds else None}
-    return [ResidualJob(kind, m, chi[kind]) for m in (1, 2, 3) for kind in "fgh"
+    return [ResidualJob(kind, m, chi[kind]) for m in _ORDERS for kind in "fgh"
             if kind in kinds]
 
 
@@ -516,9 +515,7 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -
     worst = 0.0
     for m in _ORDERS:
         fm = ws.f(m).values
-        quot = np.zeros_like(ws.om_tot)
-        np.divide(ws.dxu(m).values, ws.om_tot, out=quot,
-                  where=np.abs(ws.om_tot) > 1e-12)
+        quot = ws.dxu(m).values * ws.inv_om
         form2 = cut.chi1[None, :] * ws.om_tot * dy_j(Field(g, quot), 1, npts=_WIDE).values
         rowmax = np.max(np.abs(fm), axis=0)
         mask = (np.abs(g.y_nodes - rep.y0) >= _CANCEL_MARGIN) \
@@ -653,8 +650,8 @@ def energy_monitor(raws: list, times: np.ndarray, p: GevreyParams,
     nr4 = np.empty(n)
     nt2 = np.empty(n)
     for i, raw in enumerate(raws):
-        v_rho = gevrey_norm(raw, p.with_rho(rho), with_aux=True)
-        v_rt = gevrey_norm(raw, p.with_rho(rho_t), with_aux=True)
+        v_rho = gevrey_norm(raw, replace(p, rho=rho), with_aux=True)
+        v_rt = gevrey_norm(raw, replace(p, rho=rho_t), with_aux=True)
         lhs[i] = v_rho ** 2
         nr4[i] = v_rho ** 4
         nt2[i] = v_rt ** 2 / (rho_t - rho)
@@ -677,8 +674,8 @@ def radius_decay_check(raws: list, times: np.ndarray, p: GevreyParams, rho0: flo
     constants, the lifespan norm stays below R on [0, rho0/(4 lambda)].
     raws are the trajectory's norms.trajectory_raws; raws[0] gives u0's
     base and extended norms."""
-    base0 = gevrey_norm(raws[0], p.with_rho(2.0 * rho0))
-    ext0 = gevrey_norm(raws[0], p.with_rho(rho0), with_aux=True)
+    base0 = gevrey_norm(raws[0], replace(p, rho=2.0 * rho0))
+    ext0 = gevrey_norm(raws[0], replace(p, rho=rho0), with_aux=True)
     denom = base0 + base0 ** 2
     c_hat = ext0 / denom if denom > 0 else 1.0
     R = 4.0 * c_star * c_hat * denom

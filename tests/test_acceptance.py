@@ -5,6 +5,8 @@ Reference configuration: configs/reference.ini, read through the session
 Lab of conftest.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from prandtl_lab.grid import linf, weighted_l2
@@ -96,7 +98,7 @@ def test_criterion_08_solver_cross_validation(traj_picard, traj_imex):
 
 def _sandwich_fit(u_fields, states, cut, params):
     c_fit = 0.0
-    lo, hi = params.with_rho(0.3), params.with_rho(0.5)
+    lo, hi = replace(params, rho=0.3), replace(params, rho=0.5)
     ordered = True
     for u, st in zip(u_fields, states):
         raw = full_raw(u, st, cut, lo)

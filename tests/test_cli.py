@@ -373,12 +373,27 @@ _FLOAT_RANGES = {"lx": (-1.0, 20.0), "ymax": (-1.0, 60.0), "y0": (-1.0, 12.0),
                  "ell": (1.0, 3.0)}
 _OVERRIDE = st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi) | _NON_FINITE)
                         for k, (lo, hi) in _FLOAT_RANGES.items()))
+# and within them: each value passes validate() beside the defaults and
+# beside any other value drawn here (the rho ranges are ordered, and every
+# ell lies in [alpha, alpha + 1/2) for every alpha)
+_IN_BOUND = {"lx": (4.0, 8.0), "ymax": (25.0, 40.0), "y0": (1.5, 3.0), "alpha": (1.9, 2.2),
+             "amp": (1e-4, 1e-2), "eps": (0.05, 0.5), "t_final": (0.02, 0.1),
+             "tol": (1e-12, 1e-8), "rho": (0.1, 0.35), "rho_tilde": (0.36, 0.45),
+             "rho0": (0.46, 0.6), "sigma": (1.5, 2.0), "ell": (2.2, 2.35)}
+# half the draws keep every override in bound, so that they reach cli.run
+_OVERRIDES = st.one_of(
+    st.lists(st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi))
+                         for k, (lo, hi) in _IN_BOUND.items())), max_size=2),
+    st.lists(_OVERRIDE, max_size=3))
 
 
+# kx on both sides of [1, Nx/8], in-bound values first: the draws favour the
+# first entries, and 0, the least integer, would otherwise end most draws
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(ny=st.integers(33, 129), kx=st.integers(0, 5), scheme=st.sampled_from(["picard", "imex"]),
-       overrides=st.lists(_OVERRIDE, max_size=3),
-       subcommand=st.sampled_from(["solve", "verify", "full"]),
+@given(ny=st.integers(33, 129), kx=st.sampled_from([1, 2, 3, 4, 0, 5]),
+       scheme=st.sampled_from(["picard", "imex"]),
+       overrides=_OVERRIDES,
+       subcommand=st.sampled_from(["shear-check", "solve", "norms", "verify", "full"]),
        checks=st.sets(st.sampled_from(C._ALL_CHECKS)))
 @example(ny=129, kx=1, scheme="picard", overrides=[("t_final", math.inf)],
          subcommand="solve", checks=set(C._ALL_CHECKS))
@@ -394,6 +409,8 @@ _OVERRIDE = st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi) | _NON_FINITE)
          subcommand="solve", checks=set(C._ALL_CHECKS))
 @example(ny=129, kx=1, scheme="picard", overrides=[], subcommand="verify", checks={"assumption"})
 @example(ny=129, kx=1, scheme="picard", overrides=[], subcommand="full", checks={"proposition"})
+@example(ny=65, kx=2, scheme="imex", overrides=[("eps", 0.2)], subcommand="norms",
+         checks=set(C._ALL_CHECKS))
 def test_validated_config_space_property(ny, kx, scheme, overrides, subcommand, checks):
     """On small grids, a drawn config is either rejected by validate() with a
     ConfigError, or the drawn subcommand ends with a documented exit code and
@@ -411,10 +428,10 @@ def test_validated_config_space_property(ny, kx, scheme, overrides, subcommand, 
         warnings.simplefilter("ignore", UserWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
         code = run(cfg, subcommand, out_dir=out)
-        assert code in ((0, 2, 3) if subcommand == "solve" else (0, 1, 2, 3))
+        assert code in ((0, 2, 3) if subcommand in ("solve", "norms") else (0, 1, 2, 3))
         manifest = json.loads((Path(out) / "manifest.json").read_text())
         assert _report_files(out) == {r["name"] for r in manifest["reports"]}
-        if code in (0, 1) and subcommand != "verify":
+        if code in (0, 1) and subcommand in ("solve", "full"):
             with np.load(Path(out) / "trajectory" / "trajectory.npz") as z:
                 assert all(np.isfinite(z[k]).all() for k in z.files if z[k].dtype.kind == "f")
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,8 +70,8 @@ def test_rho_monotonicity(grid, params, profile):
             vals += rng.normal() / k**2 * np.outer(np.sin(k * grid.x_nodes + rng.normal()),
                                                    np.exp(-grid.y_nodes / rng.uniform(1, 4)))
         u = Field(grid, vals)
-        lo = _base(u, params.with_rho(0.2), profile)
-        hi = _base(u, params.with_rho(0.8), profile)
+        lo = _base(u, replace(params, rho=0.2), profile)
+        hi = _base(u, replace(params, rho=0.8), profile)
         assert lo <= hi + 1e-12
 
 
@@ -153,7 +154,7 @@ def test_lifespan_zero_and_t0(grid, params, profile, cutoffs, u0, traj_imex):
     val = lifespan_norm(raws, times, 1.0, 0.0, params, 0.5)
     rhos = 0.5 * (np.arange(16) + 1.0) / 17.0
     st = traj_imex.shear[0]
-    expect = _extended(traj_imex.u[0], st, cutoffs, params.with_rho(float(rhos[-1])))
+    expect = _extended(traj_imex.u[0], st, cutoffs, replace(params, rho=float(rhos[-1])))
     assert np.isclose(val, expect, rtol=1e-9)
 
 

@@ -21,15 +21,20 @@ Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs,
 the parent first; each side's wall time and summary line are kept.
 Before the pairs, `full --config configs/reference.ini` runs once per side
 with one BLAS thread, and the file lists the output files whose bytes differ
-between the sides (an empty list: byte-identical) and keeps each side's
-run_log.json (stage and check marks: where the time and the peak went).
+between the sides (an empty list: byte-identical), for each differing JSON
+or CSV file whether both sides parse to the same structure and the largest
+relative deviation of a number, and keeps each side's run_log.json (stage
+and check marks: where the time and the peak went).
 Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -89,11 +94,60 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= ")}
 
 
+def _skeleton(name: str, data: bytes):
+    """(structure, numbers) of a JSON or CSV file: the parsed content with
+    every number replaced by None, and the numbers in reading order; None
+    if it does not parse."""
+    numbers = []
+
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [strip(v) for v in x]
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            numbers.append(float(x))
+            return None
+        return x
+
+    def cell(text):
+        try:
+            return strip(float(text))
+        except ValueError:
+            return text
+
+    try:
+        if name.endswith(".json"):
+            return strip(json.loads(data)), numbers
+        rows = csv.reader(io.StringIO(data.decode()))
+        return [[cell(c) for c in row] for row in rows], numbers
+    except (ValueError, UnicodeDecodeError):
+        return None
+
+
+def _deviation(name: str, parent: bytes | None, change: bytes | None) -> dict | None:
+    """For a JSON or CSV file (None for any other): whether both sides wrote
+    it and parse to the same structure and, if so, the largest relative
+    deviation |a - b| / max(|a|, |b|) of a number (0 where a == b)."""
+    if not name.endswith((".json", ".csv")):
+        return None
+    parsed = [_skeleton(name, data) if data is not None else None for data in (parent, change)]
+    if None in parsed or parsed[0][0] != parsed[1][0]:
+        return {"same_structure": False, "max_rel_dev": None}
+    (_, n_p), (_, n_c) = parsed
+    devs = [0.0 if a == b or (math.isnan(a) and math.isnan(b))
+            else abs(a - b) / max(abs(a), abs(b)) for a, b in zip(n_p, n_c)]
+    return {"same_structure": True, "max_rel_dev": max(devs, default=0.0)}
+
+
 def reference_outputs(sides: dict) -> dict:
     """Each side's exit code and run_log.json of `full --config
     configs/reference.ini`, run with OPENBLAS_NUM_THREADS=1, and the relative
     paths of the files it writes whose bytes differ between the sides, a file
-    written by one side only included and run_log.json left out."""
+    written by one side only included and run_log.json left out.  For each
+    differing JSON or CSV file, `deviations` tells whether the two sides
+    parse to the same structure and the largest relative deviation of a
+    number (_deviation)."""
     codes, files, logs = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in sides.items():
@@ -107,9 +161,11 @@ def reference_outputs(sides: dict) -> dict:
             files[side] = {p.relative_to(out).as_posix(): p.read_bytes()
                            for p in out.rglob("*") if p.is_file() and p.name != RUN_LOG}
     names = sorted(set(files["parent"]) | set(files["change"]))
-    return {"exit_codes": codes, "run_logs": logs,
-            "differing_files": [n for n in names
-                                if files["parent"].get(n) != files["change"].get(n)]}
+    differing = [n for n in names if files["parent"].get(n) != files["change"].get(n)]
+    deviations = {n: _deviation(n, files["parent"].get(n), files["change"].get(n))
+                  for n in differing}
+    return {"exit_codes": codes, "run_logs": logs, "differing_files": differing,
+            "deviations": {n: d for n, d in deviations.items() if d is not None}}
 
 
 def summarise(by_side: dict) -> dict:
