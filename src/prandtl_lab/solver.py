@@ -21,6 +21,7 @@ tolerance.  Both boundary values are imposed exactly by construction.
 from __future__ import annotations
 
 import warnings
+import zipfile
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -171,17 +172,19 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
     def save(self, outdir) -> None:
-        """Write outdir/trajectory.npz: times, u stacked to (N, Nx, Ny),
-        contraction, scheme and eps, all exact.  A trajectory with dropped
-        nodes is refused (ValueError)."""
+        """Write outdir/trajectory.npz: times, contraction, scheme, eps and u as (N, Nx, Ny),
+        all exact, u appended node by node (no stack).  Refuses dropped nodes (ValueError)."""
         if any(f is None for f in self.u):
             raise ValueError("cannot save a trajectory whose solve dropped time nodes")
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        np.savez(outdir / "trajectory.npz", times=self.times,
-                 u=np.stack([f.values for f in self.u]),
-                 contraction=np.asarray(self.contraction, dtype=float),
-                 scheme=self.scheme, eps=self.eps)
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+        np.savez(path := Path(outdir) / "trajectory.npz", times=self.times, scheme=self.scheme,
+                 contraction=np.asarray(self.contraction, dtype=float), eps=self.eps)
+        with zipfile.ZipFile(path, "a") as zf, zf.open("u.npy", "w", force_zip64=True) as fp:
+            np.lib.format.write_array_header_1_0(fp, {
+                "descr": "<f8", "fortran_order": False,
+                "shape": (len(self.u), self.grid.Nx, self.grid.Ny)})
+            for f in self.u:
+                fp.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def _forcing(u: Field, v: Field, dxu: Field, state: ShearState) -> Field:

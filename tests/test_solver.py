@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,8 +236,16 @@ def test_divergence_detector(grid, profile):
 
 
 def test_trajectory_save(tmp_path, traj_picard):
-    """trajectory.npz holds the solution exactly and is the only file."""
-    traj_picard.save(tmp_path / "tr")
+    """trajectory.npz holds the solution exactly and is the only file.  save
+    writes u node by node: its traced peak stays below two nodes, where a
+    stacked copy (and np.savez's bytes copy of it) held twice the trajectory."""
+    tracemalloc.start()
+    try:
+        traj_picard.save(tmp_path / "tr")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj_picard.u) > 4 and peak < 2 * traj_picard.u[0].values.nbytes
     assert [f.name for f in (tmp_path / "tr").iterdir()] == ["trajectory.npz"]
     with np.load(tmp_path / "tr" / "trajectory.npz") as z:
         assert np.array_equal(z["times"], traj_picard.times)
