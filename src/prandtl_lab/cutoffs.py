@@ -103,14 +103,17 @@ def _masked_reciprocal(den: np.ndarray) -> np.ndarray:
 
 class AuxWorkspace:
     """Derivative bundle of one (u, shear state) pair: omega = d_y u, d_y omega
-    and d_y^2 omega, the cleaned x-spectra of u, omega and d_y omega (of
-    d_y^2 omega on first read), omega_tot with its first two y-derivatives,
-    the masked reciprocals inv_om = 1/omega_tot and inv_dyom = 1/d_y omega_tot
-    with the quotients a, b of the cancellation functions (all read-only),
-    and, on first read, g1 and its cleaned spectrum.  Given a cut-off set it
-    also checks the denominators' floors and forms f_m and h_m.  npts selects
-    the y-stencils (None: the standard ones of Grid2D).  Each x-derivative of
-    a spectrum is computed once per bundle and served read-only afterwards."""
+    and d_y^2 omega, the cleaned x-spectra of u and omega, omega_tot with its
+    first two y-derivatives, and the masked reciprocal inv_om = 1/omega_tot
+    with the quotient a of the cancellation functions (read-only).  Formed
+    on first read, since many readers never need them (the boundary walk and
+    the condition monitor read neither inv_dyom nor b): the cleaned
+    x-spectra of d_y omega and d_y^2 omega and the masked reciprocal
+    inv_dyom = 1/d_y omega_tot with the quotient b (all read-only), and g1
+    with its cleaned spectrum.  Given a cut-off set the bundle also checks
+    the denominators' floors and forms f_m and h_m.  npts selects the
+    y-stencils (None: the standard ones of Grid2D).  Each x-derivative of a
+    spectrum is computed once per bundle and served read-only afterwards."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None):
@@ -124,7 +127,6 @@ class AuxWorkspace:
         self.d2yom = dy_j(self.omega, 2, npts)
         self.spec_u = x_spectrum(u.values)
         self.spec_om = x_spectrum(self.omega.values)
-        self.spec_dyom = x_spectrum(self.dyom.values)
         self.om_tot = state.omegas[None, :] + self.omega.values
         self.dyom_tot = state.dj_omegas[0][None, :] + self.dyom.values
         self.d2yom_tot = state.dj_omegas[1][None, :] + self.d2yom.values
@@ -134,14 +136,24 @@ class AuxWorkspace:
             _check_floor(self.dyom_tot, cut.chi2 > 0.0, _FLOOR_H,
                          "h_m coefficient (d_y omega^s + d_y omega)", g)
         self.inv_om = _masked_reciprocal(self.om_tot)
-        self.inv_dyom = _masked_reciprocal(self.dyom_tot)
         self.a = self.dyom_tot * self.inv_om
-        self.b = self.d2yom_tot * self.inv_dyom
-        read_only(self.inv_om, self.inv_dyom, self.a, self.b)
+        read_only(self.inv_om, self.a)
+
+    @cached_property
+    def spec_dyom(self) -> np.ndarray:
+        return read_only(x_spectrum(self.dyom.values))[0]
 
     @cached_property
     def spec_d2yom(self) -> np.ndarray:
-        return x_spectrum(self.d2yom.values)
+        return read_only(x_spectrum(self.d2yom.values))[0]
+
+    @cached_property
+    def inv_dyom(self) -> np.ndarray:
+        return read_only(_masked_reciprocal(self.dyom_tot))[0]
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return read_only(self.d2yom_tot * self.inv_dyom)[0]
 
     def _dx(self, spec_name: str, m: int) -> Field:
         """dx^m of the spectrum held in attribute spec_name, memoised."""

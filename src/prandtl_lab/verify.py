@@ -97,6 +97,11 @@ class Snapshot(AuxWorkspace):
     from u and the bundle's d_x u; trajectories store u alone) with its
     spectrum, d_y^3 omega_tot, and the two quotient packs, the derivatives
     of the bundle's a and b (read-only).
+
+    A snapshot holds tens of fields, so every walk over a trajectory's nodes
+    (_evaluate_at's time triple, _wall_traces, condi_monitor) reduces each
+    node to what it reads and drops the node's snapshot before it builds
+    the next: one snapshot is alive at a time.
     """
 
     def __init__(self, traj: Trajectory, i: int):
@@ -169,17 +174,17 @@ def residual_nodes(nt: int) -> set:
     return {j for i in _eval_indices(nt) for j in (i - 1, i, i + 1)}
 
 
-def _material_derivative(snap: Snapshot, q_prev: np.ndarray, q_next: np.ndarray,
-                         q: np.ndarray, dyq: np.ndarray, d2yq: np.ndarray,
-                         dt2: float, eps: float) -> np.ndarray:
-    """(d_t + (u^s+u) d_x + v d_y - d_y^2 - eps d_x^2) q, d_t centered.
+def _material_derivative(snap: Snapshot, dq: np.ndarray, q: np.ndarray, dyq: np.ndarray,
+                         d2yq: np.ndarray, dt2: float, eps: float) -> np.ndarray:
+    """(d_t + (u^s+u) d_x + v d_y - d_y^2 - eps d_x^2) q, d_t centered: dq is
+    q at the next node minus q at the previous one, dt2 their time gap.
 
     The caller supplies d_y q and d_y^2 q (analytic for the quotient fields,
     so no stencil crosses their unsafe regions); both x-derivatives come from
     one cleaned spectrum of q."""
     g = snap.grid
     spec = x_spectrum(q)
-    return ((q_next - q_prev) / dt2
+    return (dq / dt2
             + (snap.state.us[None, :] + snap.u.values) * dx_m_spec(g, spec, 1).values
             + snap.v.values * dyq
             - d2yq
@@ -330,38 +335,39 @@ def residual_jobs(grid: Grid2D, rep: AssumptionReport, cut: CutoffSet, kinds) ->
             if kind in kinds]
 
 
-def _evaluate_at(traj: Trajectory, jobs, i: int) -> list:
-    """(res, scale, diff) of each job at node i: diff is chi times the
-    identity's residual (material derivative of q minus its right-hand
-    side), res its interior L2 norm and scale that of chi q.
+def _evaluate_at(traj: Trajectory, jobs, i: int):
+    """Yields (res, scale, diff) of each job at node i, in job order: diff is
+    chi times the identity's residual (material derivative of q minus its
+    right-hand side), res its interior L2 norm and scale that of chi q.
 
-    One snapshot is alive at a time: each neighbour i - 1, i + 1 is reduced
-    to its q of every job and dropped before the centre is built, and a
-    job's neighbour q values are released once its material derivative is
-    formed, before its right-hand side.  The cut-off bookkeeping (all chi',
-    chi'' terms) cancels algebraically between the two sides, so each check
-    evaluates the surviving interior identity weighted by chi; stencils
-    never cross the critical strip because the f cut-off's hole is wider
-    than their reach."""
-    def qs(j):
-        s = Snapshot(traj, j)
-        return [_KINDS[kind][0](s, m) for kind, m, _ in jobs]
-
-    q_prev, q_next = qs(i - 1), qs(i + 1)
+    One snapshot is alive at a time: the neighbour i - 1 is reduced to its q
+    of every job and dropped; the neighbour i + 1 is built next, and each
+    job's q there is folded with the i - 1 value into the difference
+    q(i + 1) - q(i - 1) that the centered d_t reads before the centre is
+    built.  A job's difference is released once its material derivative is
+    formed, before its right-hand side, and its residual field is handed on
+    as it is formed.  The cut-off bookkeeping (all chi', chi'' terms)
+    cancels algebraically between the two sides, so each check evaluates the
+    surviving interior identity weighted by chi; stencils never cross the
+    critical strip because the f cut-off's hole is wider than their reach."""
+    s = Snapshot(traj, i - 1)
+    dq = [_KINDS[kind][0](s, m) for kind, m, _ in jobs]
+    del s
+    s = Snapshot(traj, i + 1)
+    for k, (kind, m, _) in enumerate(jobs):
+        dq[k] = _KINDS[kind][0](s, m) - dq[k]
+    del s
     s0 = Snapshot(traj, i)
     dt2 = traj.times[i + 1] - traj.times[i - 1]
-    out = []
     for k, (kind, m, chi) in enumerate(jobs):
         q, d_y, rhs = _KINDS[kind]
         q0 = q(s0, m)
-        diff = _material_derivative(s0, q_prev[k], q_next[k], q0, *d_y(s0, m), dt2, traj.eps)
-        q_prev[k] = q_next[k] = None
+        diff = _material_derivative(s0, dq[k], q0, *d_y(s0, m), dt2, traj.eps)
+        dq[k] = None
         diff -= rhs(s0, m, traj.eps)
         if chi is not None:
             diff, q0 = chi[None, :] * diff, chi[None, :] * q0
-        out.append((_interior_l2(traj.grid, diff),
-                    max(_interior_l2(traj.grid, q0), 1e-300), diff))
-    return out
+        yield (_interior_l2(traj.grid, diff), max(_interior_l2(traj.grid, q0), 1e-300), diff)
 
 
 class ResidualLevel(NamedTuple):
@@ -379,11 +385,12 @@ def evaluate_residuals(trajs, jobs) -> list:
     """For each job, one ResidualLevel per trajectory (every level on one
     space grid).  The nodes are evaluated one at a time for all jobs
     (_evaluate_at: one snapshot alive at a time); trajs may be a generator,
-    whose levels are then released one by one.  Each node's residual field
-    is folded into the Richardson difference against the previous level's
-    field at that node as it arrives, and then takes that field's place, so
-    at most one level of residual fields is kept: the dt-independent spatial
-    floor cancels in the difference and the dt component remains."""
+    whose levels are then released one by one.  Each job's residual field
+    at a node is folded into the Richardson difference against the previous
+    level's field of that job and node as _evaluate_at forms it, and then
+    takes that field's place, so at most one level of residual fields is
+    kept: the dt-independent spatial floor cancels in the difference and the
+    dt component remains."""
     rows = [[] for _ in jobs]
     prev = [{} for _ in jobs]       # previous level's residual field per job, by node
     for traj in trajs:
@@ -424,6 +431,43 @@ def residual_report(job: ResidualJob, levels) -> ResidualReport:
 residual_f = residual_g = residual_h = residual_report
 
 
+def _wall_traces(traj: Trajectory, i: int, chi1: np.ndarray) -> dict:
+    """The wall identities at node i of traj, reduced to floats: per
+    boundary_checks key, the largest magnitude of the defect or scale over
+    the node (and over the orders m).  The node's snapshot and temporaries
+    die on return, so a walk over the nodes holds one snapshot at a time."""
+    g, eps = traj.grid, traj.eps
+    out = {}
+
+    def keep(key, values):
+        out[key] = max(out.get(key, 0.0), float(np.max(np.abs(values))))
+
+    # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
+    dom = dy_j(traj.u[i + 1], 1, npts=_WIDE).values - dy_j(traj.u[i - 1], 1, npts=_WIDE).values
+    dt2 = traj.times[i + 1] - traj.times[i - 1]
+    s0 = Snapshot(traj, i)
+    for m in _ORDERS:
+        for name, q in (("g", s0.g(m)), ("f", Field(g, chi1 * s0.q_f(m)))):
+            dyq = dy_j(q, 1).values
+            keep(f"dy_{name}_wall", dyq[:, 0])
+            keep(f"dy_{name}_scale", dyq)
+    om_tot0 = s0.om_tot[:, 0]
+    dxom0 = s0.dxom(1).values[:, 0]
+    # d_y^2 omega represented through the evolution equation
+    eqrhs = Field(g, _material_derivative(s0, dom, s0.omega.values, s0.dyom_tot, 0.0,
+                                          dt2, eps))
+    del dom
+    keep("third_trace", dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0)
+    keep("third_scale", om_tot0 * dxom0)
+    rhs5 = (-s0.d2yom_tot[:, 0] * dxom0
+            + 4.0 * om_tot0 * s0.dxd2yom(1).values[:, 0]
+            - 2.0 * eps * dxom0 * s0.dxom(2).values[:, 0])
+    keep("fifth_trace", dy_j(eqrhs, 3).values[:, 0] - rhs5)
+    keep("fifth_scale", rhs5)
+    keep("fifth_trace_direct_unchecked", dy_j(s0.omega, 5).values[:, 0] - rhs5)
+    return out
+
+
 def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
     """Wall identities: d_y g_m = 0, d_y f_m = 0, and the third- and
     fifth-derivative trace formulas at y = 0.
@@ -437,39 +481,12 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
     """
     levels = {}
     for traj in trajs:
-        g = traj.grid
-        chi1 = build_cutoffs(g, rep.y0, rep.delta).chi1[None, :]
-        eps = traj.eps
+        chi1 = build_cutoffs(traj.grid, rep.y0, rep.delta).chi1[None, :]
         lv = {}
-
-        def keep(key, values):
-            """lv[key]: the running max of |values| (a scale's from 1e-300)."""
-            start = 1e-300 if key.endswith("_scale") else 0.0
-            lv[key] = max(lv.get(key, start), float(np.max(np.abs(values))))
-
         for i in _eval_indices(len(traj.times) - 1):
-            s0 = Snapshot(traj, i)
-            # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
-            om_m, om_p = (dy_j(traj.u[j], 1, npts=_WIDE).values for j in (i - 1, i + 1))
-            dt2 = traj.times[i + 1] - traj.times[i - 1]
-            for m in _ORDERS:
-                for name, q in (("g", s0.g(m)), ("f", Field(g, chi1 * s0.q_f(m)))):
-                    dyq = dy_j(q, 1).values
-                    keep(f"dy_{name}_wall", dyq[:, 0])
-                    keep(f"dy_{name}_scale", dyq)
-            om_tot0 = s0.om_tot[:, 0]
-            dxom0 = s0.dxom(1).values[:, 0]
-            # d_y^2 omega represented through the evolution equation
-            eqrhs = Field(g, _material_derivative(s0, om_m, om_p, s0.omega.values,
-                                                  s0.dyom_tot, 0.0, dt2, eps))
-            keep("third_trace", dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0)
-            keep("third_scale", om_tot0 * dxom0)
-            rhs5 = (-s0.d2yom_tot[:, 0] * dxom0
-                    + 4.0 * om_tot0 * s0.dxd2yom(1).values[:, 0]
-                    - 2.0 * eps * dxom0 * s0.dxom(2).values[:, 0])
-            keep("fifth_trace", dy_j(eqrhs, 3).values[:, 0] - rhs5)
-            keep("fifth_scale", rhs5)
-            keep("fifth_trace_direct_unchecked", dy_j(s0.omega, 5).values[:, 0] - rhs5)
+            for key, value in _wall_traces(traj, i, chi1).items():
+                # running maxima over the nodes, a scale's from 1e-300
+                lv[key] = max(lv.get(key, 1e-300 if key.endswith("_scale") else 0.0), value)
         levels[(traj.grid.Ny, traj.dt)] = {**lv, "dy": traj.grid.dy}
     keys = sorted(levels, key=lambda k: -levels[k]["dy"])
     ev = {"levels": {str(k): levels[k] for k in keys}}
@@ -604,7 +621,9 @@ def inequality_suite() -> CheckReport:
 
 def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> CheckReport:
     """Pointwise persistence conditions along the trajectory; returns the
-    first failure time (None if the full horizon passes)."""
+    first failure time (None if the full horizon passes).  node(i) reduces
+    one node to its clauses and clause 4's sum; its snapshot dies on return,
+    so the walk holds one snapshot at a time."""
     g = traj.grid
     y = g.y_nodes
     first_fail = None
@@ -613,7 +632,8 @@ def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> C
     w_lm1 = (1.0 + y) ** (p.ell - 1.0)
     w_l = (1.0 + y) ** p.ell
     w_lp1 = (1.0 + y) ** (p.ell + 1.0)
-    for i, t in enumerate(traj.times):
+
+    def node(i) -> tuple:
         s0 = Snapshot(traj, i)
         # clauses 1-3: the hypotheses on omega_tot with the constants relaxed by 4
         hyp = rep.clauses(s0.om_tot, s0.dyom_tot, (s0.dyom_tot,), y, 4.0)
@@ -627,6 +647,10 @@ def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> C
             total += linf(Field(g, w_lp1[None, :] * s0.dxdyom(ii).values))
             total += linf(Field(g, w_lp1[None, :] * s0.dxd2yom(ii).values))
         cl["4"] = bool(total <= 1.0 + _SLACK)
+        return cl, total
+
+    for i, t in enumerate(traj.times):
+        cl, total = node(i)
         margins.append(total)
         if not all(cl.values()) and first_fail is None:
             first_fail = float(t)

@@ -135,6 +135,21 @@ def snapshot_refs(monkeypatch):
     return refs
 
 
+@pytest.fixture
+def snapshot_overlap(snapshot_refs, monkeypatch):
+    """The number of verify.Snapshots alive as each one is built during the
+    test, one entry per Snapshot."""
+    others = []
+
+    class Counted(V.Snapshot):
+        def __init__(self, traj, i):
+            others.append(sum(r() is not None for r in snapshot_refs))
+            super().__init__(traj, i)
+
+    monkeypatch.setattr(V, "Snapshot", Counted)
+    return others
+
+
 def alive(refs) -> list:
     gc.collect()
     return [r for r in refs if r() is not None]

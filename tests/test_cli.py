@@ -525,25 +525,20 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
     assert json.dumps(reports) == json.dumps([r.to_dict() for r in alone])
 
 
-def test_residual_ladder_holds_one_snapshot(monkeypatch, snapshot_refs):
+def test_residual_ladder_holds_one_snapshot(snapshot_overlap):
     """evaluate_residuals keeps one snapshot and one ladder level of residual
     fields alive: no Snapshot is built while another is alive, and its
-    memory peak on three pre-solved levels stays under 120 fields of
+    memory peak on three pre-solved levels stays under 90 fields of
     Nx Ny doubles (three live snapshots and two levels of fields reach 169;
-    one snapshot and one level about 95)."""
+    one snapshot and one level 94.8; with each job's neighbour values folded
+    into one difference and each residual field folded as it is formed,
+    85.8)."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     lab = Lab(cfg)
     trajs = [lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt)]
     jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
-    others = []             # snapshots alive when each one is built
-
-    class Counted(V.Snapshot):
-        def __init__(self, traj, i):
-            others.append(sum(r() is not None for r in snapshot_refs))
-            super().__init__(traj, i)
-
-    monkeypatch.setattr(V, "Snapshot", Counted)
+    others = snapshot_overlap            # snapshots alive when each one is built
     tracemalloc.start()
     try:
         V.evaluate_residuals(trajs, jobs)
@@ -552,7 +547,7 @@ def test_residual_ladder_holds_one_snapshot(monkeypatch, snapshot_refs):
         tracemalloc.stop()
     assert len(others) == 3 * 3 * len(V.ladder_nts(cfg.nt))
     assert max(others) == 0
-    assert peak < 120 * lab.grid.Nx * lab.grid.Ny * 8
+    assert peak < 90 * lab.grid.Nx * lab.grid.Ny * 8
 
 
 def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):

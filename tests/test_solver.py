@@ -205,9 +205,9 @@ def test_pde_residual_refines(traj_ladder):
         i = int(0.875 * (len(traj.times) - 1))
         u, st = traj.u[i], traj.shear[i]
         dt2 = traj.times[i + 1] - traj.times[i - 1]
-        r = V._material_derivative(V.Snapshot(traj, i), traj.u[i - 1].values,
-                                   traj.u[i + 1].values, u.values, dy_j(u, 1).values,
-                                   dy_j(u, 2).values, dt2, traj.eps)
+        r = V._material_derivative(V.Snapshot(traj, i),
+                                   traj.u[i + 1].values - traj.u[i - 1].values, u.values,
+                                   dy_j(u, 1).values, dy_j(u, 2).values, dt2, traj.eps)
         r += recover_v(u, dx_m(u, 1)).values * st.omegas[None, :]
         r[:, :4] = r[:, -4:] = 0.0
         fields.append(r)

@@ -1,13 +1,14 @@
 import copy
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from prandtl_lab.cutoffs import AuxWorkspace
-from prandtl_lab.grid import Field, dx_m, dy_j, weighted_l2
+from prandtl_lab.cutoffs import AuxWorkspace, _masked_reciprocal
+from prandtl_lab.grid import Field, dx_m, dy_j, weighted_l2, x_spectrum
 from prandtl_lab.norms import gevrey_norm, trajectory_raws
 from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import Trajectory, recover_v
@@ -42,15 +43,15 @@ def test_residual_levels_fold_as_they_arrive(traj_ladder, monkeypatch):
     it arrives: when the next level is asked for, only the previous level's
     residual fields are alive, and none are once the ladder is done."""
     job = V.ResidualJob("g", 1)
-    direct = [[V._evaluate_at(traj, [job], i)[0][2]
+    direct = [[next(V._evaluate_at(traj, [job], i))[2]
                for i in V._eval_indices(len(traj.times) - 1)] for traj in traj_ladder[:2]]
     refs = []                  # weak references to each level's residual fields
     real = V._evaluate_at
 
     def tracked(traj, jobs, i):
-        out = real(traj, jobs, i)
-        refs[-1].extend(weakref.ref(d) for _, _, d in out)
-        return out
+        for out in real(traj, jobs, i):
+            refs[-1].append(weakref.ref(out[2]))
+            yield out
 
     monkeypatch.setattr(V, "_evaluate_at", tracked)
 
@@ -86,12 +87,16 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
     """v, g1 and their spectra are formed on first read.  In a residual
     triple only the centre reads v, so recover_v runs once per triple, not
     three times; condi_monitor never reads g_m, so none of its snapshots
-    forms g1 or its spectrum.  Plain attributes would fail both counts."""
+    forms g1 or its spectrum.  Plain attributes would fail both counts.
+    Likewise for the bundle's d_y omega spectrum, inv_dyom and b: neither
+    condi_monitor nor the boundary walk forms inv_dyom or b, and the
+    boundary walk forms no d_y omega spectrum.  Each of the three is
+    read-only and bitwise the value formed from the bundle's eager members."""
     calls = []
     real = V.recover_v
     monkeypatch.setattr(V, "recover_v", lambda u, dxu: calls.append(1) or real(u, dxu))
     jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
-    V._evaluate_at(traj_imex, jobs, 12)
+    list(V._evaluate_at(traj_imex, jobs, 12))
     assert len(calls) == 1
 
     formed = []
@@ -105,6 +110,52 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
     gc.collect()
     assert len(formed) == len(traj_picard.times)
     assert all("v" in keys and not {"g1", "spec_g1"} & keys for keys in formed)
+    assert not any({"inv_dyom", "b"} & keys for keys in formed)
+
+    formed.clear()
+    V.boundary_checks([traj_imex], assumption)
+    gc.collect()
+    assert len(formed) == len(V._eval_indices(len(traj_imex.times) - 1))
+    assert not any({"spec_dyom", "inv_dyom", "b"} & keys for keys in formed)
+
+    s = V.Snapshot(traj_imex, 12)
+    for member, eager in (("spec_dyom", lambda: x_spectrum(s.dyom.values)),
+                          ("inv_dyom", lambda: _masked_reciprocal(s.dyom_tot)),
+                          ("b", lambda: s.d2yom_tot * s.inv_dyom)):
+        assert member not in vars(s)
+        assert np.array_equal(getattr(s, member), eager())
+        assert not getattr(s, member).flags.writeable
+
+
+@pytest.mark.parametrize("walk", ["boundary", "conditions", "residuals"])
+def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, fine_setup, traj_picard, traj_ladder,
+                                      params, snapshot_overlap):
+    """Each walk over a trajectory's nodes drops a node's snapshot before it
+    builds the next: no Snapshot is built while another is alive."""
+    run = {"boundary": lambda: V.boundary_checks([traj_imex, fine_setup["traj"]], lab.report),
+           "conditions": lambda: V.condi_monitor(traj_picard, lab.report, params),
+           "residuals": lambda: V.evaluate_residuals(
+               traj_ladder[:2], V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"))}
+    run[walk]()
+    assert snapshot_overlap and max(snapshot_overlap) == 0
+
+
+def test_boundary_walk_memory_peak(lab, traj_imex, fine_setup):
+    """boundary_checks on the coarse/fine pair holds one snapshot and its
+    node's temporaries: its memory peak above what it leaves behind (the
+    grids' stencil matrices, cached on first use) stays under 35 fields of
+    Nx Ny doubles of the fine grid.  One snapshot at a time reaches 30.2;
+    keeping the previous node's snapshot and temporaries alive while the
+    next is built reaches 45.2."""
+    pair = [traj_imex, fine_setup["traj"]]
+    tracemalloc.start()
+    try:
+        V.boundary_checks(pair, lab.report)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    g = fine_setup["grid"]
+    assert peak - now < 35 * g.Nx * g.Ny * 8
 
 
 def _zeroed(real, k0):

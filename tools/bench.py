@@ -11,9 +11,10 @@ the `run_seconds` of this checkout's BENCHMARK.json) runs once in each
 checkout, parent and change alternating, and the first side of a pair
 alternates too, so that drift on a shared host falls on both sides.  At
 least ten pairs are run (the default).  The file keeps every run's
-end-to-end metrics, the per-side medians and quartiles and, per workload
-and metric, how many pairs the change won and whether that shows a gain
-(see `summarise`).
+end-to-end metrics and verdict (with the `fail_ratio` and
+`evidence_rel_dev` of the run's `info` line), the per-side medians and
+quartiles and, per workload and metric, how many pairs the change won and
+whether that shows a gain (see `summarise`).
 After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
 enters the end-to-end numbers.
@@ -52,16 +53,22 @@ RUN_LOG = "run_log.json"     # stage and check marks, which differ between any t
 
 
 def _run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
-    """The result object of one perfbench run."""
+    """The result object of one perfbench run (its last line), with the
+    evidence gate's fail_ratio and evidence_rel_dev from the info object on
+    the line before it."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, info_line, result_line = proc.stdout.strip().splitlines()
+    info = json.loads(info_line)["info"]
+    return {**json.loads(result_line),
+            **{k: info[k] for k in ("fail_ratio", "evidence_rel_dev")}}
 
 
 def _verdict(result: dict) -> dict:
-    return {k: result[k] for k in ("correct", "attempted", "failed")}
+    return {k: result[k]
+            for k in ("correct", "attempted", "failed", "fail_ratio", "evidence_rel_dev")}
 
 
 def perfbench(checkout: Path, workload: str, seconds: float) -> dict:
