@@ -84,7 +84,7 @@ class Grid2D:
             raise ValueError("Lx and Ymax must be positive, with non-zero grid spacings")
         self.x_nodes = self.Lx * np.arange(self.Nx) / self.Nx
         self.y_nodes = np.linspace(0.0, self.Ymax, self.Ny)
-        self._dy_mats: dict[tuple, np.ndarray] = {}
+        self._dy_bands: dict[tuple, tuple] = {}
         self._k = 2.0 * np.pi * np.fft.rfftfreq(self.Nx, d=self.Lx / self.Nx)
 
     @property
@@ -106,33 +106,39 @@ class Grid2D:
         return self.trapz_weights() * (1.0 + self.y_nodes) ** (2.0 * ellw)
 
     def deriv_matrix_y(self, j: int, npts: int | None = None) -> np.ndarray:
-        """Dense Ny x Ny matrix applying the j-th y-derivative to a y-row.
+        """A new dense Ny x Ny matrix applying the j-th y-derivative to a y-row.
 
         npts=None takes the interior and boundary widths of _STENCIL_PTS;
-        an integer uses npts-point stencils on every row.
+        an integer uses npts-point stencils on every row.  The grid keeps
+        only each stencil's band: the flat positions (row * Ny + column) of
+        its Fornberg weights, at most 9 per row, and the weights.  The
+        matrix is formed from it on every call and belongs to the caller.
         """
         if j not in _STENCIL_PTS:
             raise ValueError(f"y-derivative order must be 1..5, got {j}")
         key = (j, npts)
-        if key in self._dy_mats:
-            return self._dy_mats[key]
-        n_int, n_bnd = _STENCIL_PTS[j] if npts is None else (npts, npts)
-        half = (n_int - 1) // 2
-        y = self.y_nodes
-        D = np.zeros((self.Ny, self.Ny))
-        # the grid is uniform: rows with one offset pattern share their weights
-        weights = {}
-        for i in range(self.Ny):
-            if half <= i <= self.Ny - n_int + half:
-                lo, n = i - half, n_int
-            else:
-                n = n_bnd
-                lo = min(max(i - (n - 1) // 2, 0), self.Ny - n)
-            if (lo - i, n) not in weights:
-                weights[lo - i, n] = fd_weights(y[lo:lo + n], y[i], j)
-            D[i, lo:lo + n] = weights[lo - i, n]
-        self._dy_mats[key] = D
-        return D
+        if key not in self._dy_bands:
+            n_int, n_bnd = _STENCIL_PTS[j] if npts is None else (npts, npts)
+            half = (n_int - 1) // 2
+            y = self.y_nodes
+            pos, vals = [], []
+            # the grid is uniform: rows with one offset pattern share their weights
+            weights = {}
+            for i in range(self.Ny):
+                if half <= i <= self.Ny - n_int + half:
+                    lo, n = i - half, n_int
+                else:
+                    n = n_bnd
+                    lo = min(max(i - (n - 1) // 2, 0), self.Ny - n)
+                if (lo - i, n) not in weights:
+                    weights[lo - i, n] = fd_weights(y[lo:lo + n], y[i], j)
+                pos += range(i * self.Ny + lo, i * self.Ny + lo + n)
+                vals.append(weights[lo - i, n])
+            self._dy_bands[key] = np.array(pos), np.concatenate(vals)
+        pos, vals = self._dy_bands[key]
+        D = np.zeros(self.Ny * self.Ny)
+        D[pos] = vals
+        return D.reshape(self.Ny, self.Ny)
 
 
 class NonFiniteError(ValueError):
@@ -236,7 +242,9 @@ def dy_j(f: Field, j: int, npts: int | None = None) -> Field:
     With the default stencils: order 4 in the interior; one-sided closures of
     order 4 (j<=3) or 3 (j in {4,5}) at the boundaries; wider npts-point
     stencils (Grid2D.deriv_matrix_y) raise both.  Exact on polynomials up to
-    the stencil degree, which the tests rely on.
+    the stencil degree, which the tests rely on.  The product is the dense
+    BLAS f @ D.T with an operator formed for it from the grid's stencil
+    band and dropped after it: a banded product would round differently.
     """
     D = f.grid.deriv_matrix_y(j, npts)
     return Field(f.grid, f.values @ D.T)

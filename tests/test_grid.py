@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,22 +31,54 @@ def test_fd_weights_match_classic():
     assert np.allclose(w, [1 / 12, -2 / 3, 0, 2 / 3, -1 / 12])
 
 
+# every (j, npts) kind of y-stencil the program reads
+_DY_KINDS = [(j, None) for j in range(1, 6)] + [(j, 9) for j in (1, 2, 3)]
+
+
 def test_deriv_matrices_match_row_by_row():
     """Weights shared per offset pattern equal one Fornberg call per row."""
-    g = Grid2D(128, 257)
-    y = g.y_nodes
-    for j, npts in [(j, None) for j in range(1, 6)] + [(j, 9) for j in (1, 2, 3)]:
-        n_int, n_bnd = _STENCIL_PTS[j] if npts is None else (npts, npts)
-        half = (n_int - 1) // 2
-        D = np.zeros((g.Ny, g.Ny))
-        for i in range(g.Ny):
-            if half <= i <= g.Ny - n_int + half:
-                lo, n = i - half, n_int
-            else:
-                n = n_bnd
-                lo = min(max(i - (n - 1) // 2, 0), g.Ny - n)
-            D[i, lo:lo + n] = fd_weights(y[lo:lo + n], y[i], j)
-        assert np.array_equal(g.deriv_matrix_y(j, npts), D)
+    for g in (Grid2D(128, 257), Grid2D(128, 513)):
+        y = g.y_nodes
+        for j, npts in _DY_KINDS:
+            n_int, n_bnd = _STENCIL_PTS[j] if npts is None else (npts, npts)
+            half = (n_int - 1) // 2
+            D = np.zeros((g.Ny, g.Ny))
+            for i in range(g.Ny):
+                if half <= i <= g.Ny - n_int + half:
+                    lo, n = i - half, n_int
+                else:
+                    n = n_bnd
+                    lo = min(max(i - (n - 1) // 2, 0), g.Ny - n)
+                D[i, lo:lo + n] = fd_weights(y[lo:lo + n], y[i], j)
+            assert np.array_equal(g.deriv_matrix_y(j, npts), D)
+
+
+def test_deriv_matrix_is_new_on_each_call(g):
+    """Each call forms its own operator: D1 and D3 held together never
+    alias, and writing into one leaves the next call's intact."""
+    D1, D3 = g.deriv_matrix_y(1), g.deriv_matrix_y(3)
+    again = g.deriv_matrix_y(1)
+    assert D1 is not again and not np.shares_memory(D1, again)
+    assert not np.shares_memory(D1, D3)
+    expect = again.copy()
+    D1[:] = 0.0
+    assert np.array_equal(g.deriv_matrix_y(1), expect)
+
+
+def test_grid_keeps_no_dense_operator():
+    """After dy_j of every stencil kind, with the results dropped, a fresh
+    grid keeps only the stencils' bands: less than one Ny x Ny operator's
+    bytes (eight dense operators, about 16 MB here, when they were cached)."""
+    g = Grid2D(128, 513)
+    f = Field(g, np.random.default_rng(0).normal(size=(g.Nx, g.Ny)))
+    tracemalloc.start()
+    try:
+        for j, npts in _DY_KINDS:
+            dy_j(f, j, npts)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < g.Ny * g.Ny * 8
 
 
 def test_dx_of_constant_is_zero(g):

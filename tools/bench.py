@@ -25,7 +25,10 @@ with one BLAS thread, and the file lists the output files whose bytes differ
 between the sides (an empty list: byte-identical), for each differing JSON
 or CSV file whether both sides parse to the same structure and the largest
 relative deviation of a number, and keeps each side's run_log.json (stage
-and check marks: where the time and the peak went).
+and check marks: where the time and the peak went).  The same comparison is
+made of the seed-0 perturbation sweep's warm-up member and first member,
+run in one process per side from that side's perfbench plan
+(`perfbench/workloads.py`) and configs (`perfbench/worker.make_config`).
 Only the standard library is used.
 """
 
@@ -147,26 +150,51 @@ def _deviation(name: str, parent: bytes | None, change: bytes | None) -> dict | 
     return {"same_structure": True, "max_rel_dev": max(devs, default=0.0)}
 
 
-def reference_outputs(sides: dict) -> dict:
-    """Each side's exit code and run_log.json of `full --config
-    configs/reference.ini`, run with OPENBLAS_NUM_THREADS=1, and the relative
-    paths of the files it writes whose bytes differ between the sides, a file
-    written by one side only included and run_log.json left out.  For each
-    differing JSON or CSV file, `deviations` tells whether the two sides
-    parse to the same structure and the largest relative deviation of a
-    number (_deviation)."""
+# Run in a checkout with the output directory as its argument: the seed-0
+# perturbation sweep's warm-up member and first member, in one process as
+# perfbench runs them, from the plan of the checkout's perfbench/workloads.py
+# and configs of its perfbench/worker.py, each member into its own directory.
+SWEEP_MEMBERS = """
+import importlib.util, sys
+from pathlib import Path
+from prandtl_lab import cli
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, Path("perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+workloads, worker = load("workloads"), load("worker")
+plan = workloads.plan("perturbation-sweep", 0)
+base = cli.load_config(plan["config"])
+codes = [cli.run(worker.make_config(base, op), op["subcommand"],
+                 out_dir=str(Path(sys.argv[1], f"member_{k}")))
+         for k, op in enumerate(plan["ops"][:2])]
+sys.exit(max(codes))
+"""
+
+
+def compare_outputs(sides: dict, argv: list) -> dict:
+    """Run `argv OUT` once in each checkout, with OPENBLAS_NUM_THREADS=1 and
+    the checkout's src/ on the path, and compare what it writes under OUT.
+    Returns each side's exit code and run_log.json files (by relative
+    path), and the relative paths of the files whose bytes differ between
+    the sides, a file written by one side only included and every
+    run_log.json left out.  For each differing JSON or CSV file,
+    `deviations` tells whether the two sides parse to the same structure
+    and the largest relative deviation of a number (_deviation)."""
     codes, files, logs = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in sides.items():
             out = Path(tmp) / side
             env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
-            codes[side] = subprocess.run(
-                [sys.executable, "-m", "prandtl_lab.cli", "full", "--config",
-                 "configs/reference.ini", "--out", str(out)],
-                cwd=checkout, env=env, stdout=subprocess.DEVNULL).returncode
-            logs[side] = json.loads((out / RUN_LOG).read_text())
-            files[side] = {p.relative_to(out).as_posix(): p.read_bytes()
-                           for p in out.rglob("*") if p.is_file() and p.name != RUN_LOG}
+            codes[side] = subprocess.run([*argv, str(out)], cwd=checkout, env=env,
+                                         stdout=subprocess.DEVNULL).returncode
+            written = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
+            logs[side] = {n: json.loads(p.read_text())
+                          for n, p in written.items() if p.name == RUN_LOG}
+            files[side] = {n: p.read_bytes() for n, p in written.items() if p.name != RUN_LOG}
     names = sorted(set(files["parent"]) | set(files["change"]))
     differing = [n for n in names if files["parent"].get(n) != files["change"].get(n)]
     deviations = {n: _deviation(n, files["parent"].get(n), files["change"].get(n))
@@ -210,8 +238,11 @@ def main(argv=None) -> int:
         ap.error(f"--pairs must be at least {MIN_PAIRS}")
     seconds = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
-    outputs = reference_outputs(sides)
+    outputs = compare_outputs(sides, [sys.executable, "-m", "prandtl_lab.cli", "full",
+                                      "--config", "configs/reference.ini", "--out"])
     print(f"reference outputs: {outputs}", file=sys.stderr)
+    members = compare_outputs(sides, [sys.executable, "-c", SWEEP_MEMBERS])
+    print(f"sweep member outputs: {members}", file=sys.stderr)
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     for k in range(args.pairs):
         for w in WORKLOADS:
@@ -228,6 +259,7 @@ def main(argv=None) -> int:
         "perfbench": {"seed": 0, "seconds": seconds, "pairs": args.pairs,
                       "workloads": workloads},
         "reference_full_outputs": outputs,
+        "sweep_member_outputs": members,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "tier1": {side: tier1(path) for side, path in sides.items()},
     }
