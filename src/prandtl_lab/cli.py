@@ -191,17 +191,18 @@ def load_config(path) -> RunConfig:
 class Lab:
     """Shared artifacts for one configuration.  The profile and u0 are built
     at once, so every input rule is checked when the Lab is made; the rest is
-    built on first read.  The profile, u0, cut-offs, seminorm table,
-    dy-refinement companion and each scheme's solve at cfg.nt live as long
-    as the Lab, since several stages read them.  An imex solve at any other
-    Nt is a finer residual ladder level: it is not kept (only its caller
-    holds it).
+    built on first read.  The profile, u0, cut-offs, seminorm table and
+    dy-refinement companion live as long as the Lab, since several stages
+    read them; so do the configured scheme's and the Picard solve at cfg.nt,
+    and the imex solve at cfg.nt only for the boundary check.  Every other
+    solve (a residual ladder level, the companion's) lives with its caller.
 
     Only two kinds of solve hold every time node: the configured scheme's
     solve at cfg.nt, which solve, norms and the monitors read (except on the
     companion, whose stages never run), and every Picard solve.  Every other
     imex solve is read by the residual and boundary checks alone and holds
-    only their nodes (verify.residual_nodes)."""
+    only their nodes (verify.residual_nodes).  run_verify, the last stage,
+    drops each field of the configured solve once no later check reads it."""
 
     _stages_read = True       # False on the companion (Lab.fine)
 
@@ -231,7 +232,8 @@ class Lab:
         else:
             whole = self._stages_read and nt == self.cfg.nt and scheme == self.cfg.scheme
             traj = imex_solve(self.u0, self.profile, sc, None if whole else V.residual_nodes(nt))
-        if nt == self.cfg.nt:
+        if nt == self.cfg.nt and (scheme in (self.cfg.scheme, "picard")
+                                  or "boundary" in self.cfg.checks):
             self._trajs[scheme] = traj
         return traj
 
@@ -303,9 +305,13 @@ def run_norms(lab: Lab, outdir: Path) -> list:
 
 
 def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
-    """The enabled checks' reports, each written to <name>.json; mark(name)
-    is called as each check ends (the shear checks are one check, and so is
-    the residual ladder)."""
+    """The enabled checks' reports, each written to <name>.json in a fixed
+    order; mark(name) is called as each check ends, in run order (the shear
+    checks are one check, and so is the residual ladder).  The readers of the
+    whole configured solve run first (the condition monitor, and the seminorm
+    table, marked where verify forms it); then the solve keeps only the nodes
+    a later check reads (with imex, the residual and boundary checks'
+    verify.residual_nodes; with picard none), so a later read fails."""
     cfg = lab.cfg
     reports = []
 
@@ -316,6 +322,19 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         mark(check or reports[-1]["name"])
 
     enabled = set(cfg.checks)
+    kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
+    if {"conditions", "energy", "radius"} & enabled:
+        traj = lab.trajectory()
+        if "conditions" in enabled:
+            conditions = V.condi_monitor(traj, lab.report, lab.params)
+            mark(conditions.name)
+        if {"energy", "radius"} & enabled and "raws" not in vars(lab):
+            lab.raws
+            mark("seminorm_table")
+    if held := lab._trajs.get(cfg.scheme):
+        reads = cfg.scheme == "imex" and (kinds or "boundary" in enabled)
+        keep = V.residual_nodes(cfg.nt) if reads else ()
+        held.u[:] = [f if i in keep else None for i, f in enumerate(held.u)]
     if shear := run_shear_check(lab, outdir):
         reports += shear
         mark("shear-check")
@@ -326,10 +345,9 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         add(V.CheckReport("compatibility", worst <= tol, {**cr.to_dict(), "tolerance": tol}))
     if "cancellation" in enabled:
         add(V.cancellation_check(lab.u0, evolve_shear(lab.profile, 0.0), lab.cut, lab.report))
-    kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
     if kinds:
         jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
-        # a generator: each finer level is solved, evaluated and dropped in turn
+        # a generator: each level the Lab does not keep is solved, evaluated and dropped in turn
         ladder = (lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt))
         rows = V.evaluate_residuals(ladder, jobs)
         add(*(V.residual_report(job, levels) for job, levels in zip(jobs, rows)),
@@ -342,9 +360,8 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:
         add(V.inequality_suite())
-    traj = lab.trajectory() if {"conditions", "energy", "radius", "contraction"} & enabled else None
     if "conditions" in enabled:
-        add(V.condi_monitor(traj, lab.report, lab.params))
+        reports += _emit(outdir, conditions)     # run and marked first
     c_star = 1.0
     if "energy" in enabled:
         em = V.energy_monitor(lab.raws, traj.times, lab.params, (cfg.rho, cfg.rho_tilde))

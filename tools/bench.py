@@ -25,7 +25,8 @@ with one BLAS thread, and the file lists the output files whose bytes differ
 between the sides (an empty list: byte-identical), for each differing JSON
 or CSV file whether both sides parse to the same structure and the largest
 relative deviation of a number, and keeps each side's run_log.json (stage
-and check marks: where the time and the peak went).  The same comparison is
+and check marks: where the time and the peak went) and names the mark with
+the largest ru_maxrss_mb.  The same comparison is
 made of the seed-0 perturbation sweep's warm-up member and first member,
 run in one process per side from that side's perfbench plan
 (`perfbench/workloads.py`) and configs (`perfbench/worker.make_config`).
@@ -175,11 +176,23 @@ sys.exit(max(codes))
 """
 
 
+def peak_mark(log: dict) -> dict:
+    """The mark of a run_log.json (a stage, or a check under its stage) with
+    the largest ru_maxrss_mb, the first in run order on a tie: where the
+    run's peak was set.  ru_maxrss is the process's high-water mark, so a
+    run's first stage holds it when an earlier run in the process set it."""
+    marks = [(m.get("check") or m["stage"], m["ru_maxrss_mb"])
+             for stage in log["stages"] for m in (*stage.get("checks", ()), stage)]
+    mark, mb = max(marks, key=lambda m: m[1])
+    return {"mark": mark, "ru_maxrss_mb": mb}
+
+
 def compare_outputs(sides: dict, argv: list) -> dict:
     """Run `argv OUT` once in each checkout, with OPENBLAS_NUM_THREADS=1 and
     the checkout's src/ on the path, and compare what it writes under OUT.
     Returns each side's exit code and run_log.json files (by relative
-    path), and the relative paths of the files whose bytes differ between
+    path) with the mark that holds each one's peak (peak_mark), and the
+    relative paths of the files whose bytes differ between
     the sides, a file written by one side only included and every
     run_log.json left out.  For each differing JSON or CSV file,
     `deviations` tells whether the two sides parse to the same structure
@@ -195,11 +208,13 @@ def compare_outputs(sides: dict, argv: list) -> dict:
             logs[side] = {n: json.loads(p.read_text())
                           for n, p in written.items() if p.name == RUN_LOG}
             files[side] = {n: p.read_bytes() for n, p in written.items() if p.name != RUN_LOG}
+    peaks = {side: {n: peak_mark(log) for n, log in side_logs.items()}
+             for side, side_logs in logs.items()}
     names = sorted(set(files["parent"]) | set(files["change"]))
     differing = [n for n in names if files["parent"].get(n) != files["change"].get(n)]
     deviations = {n: _deviation(n, files["parent"].get(n), files["change"].get(n))
                   for n in differing}
-    return {"exit_codes": codes, "run_logs": logs, "differing_files": differing,
+    return {"exit_codes": codes, "run_logs": logs, "peaks": peaks, "differing_files": differing,
             "deviations": {n: d for n, d in deviations.items() if d is not None}}
 
 
