@@ -191,20 +191,11 @@ def load_config(path) -> RunConfig:
 class Lab:
     """Shared artifacts for one configuration.  The profile and u0 are built
     at once, so every input rule is checked when the Lab is made; the rest is
-    built on first read.  The profile, u0, cut-offs, seminorm table and
-    dy-refinement companion live as long as the Lab, since several stages
-    read them; so do the configured scheme's and the Picard solve at cfg.nt,
-    and the imex solve at cfg.nt only for the boundary check.  Every other
-    solve (a residual ladder level, the companion's) lives with its caller.
-
-    Only two kinds of solve hold every time node: the configured scheme's
-    solve at cfg.nt, which solve, norms and the monitors read (except on the
-    companion, whose stages never run), and every Picard solve.  Every other
-    imex solve is read by the residual and boundary checks alone and holds
-    only their nodes (verify.residual_nodes).  run_verify, the last stage,
-    drops each field of the configured solve once no later check reads it."""
-
-    _stages_read = True       # False on the companion (Lab.fine)
+    built on first read.  The Lab keeps what several stages read: the
+    profile, u0, the cut-offs, the configured solve (traj), its seminorm
+    table and the dy-refinement companion.  Every other solve belongs to the
+    check that reads it (check_solve, the contraction check's Picard solve
+    under imex) and lives with that check's caller."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
@@ -215,42 +206,37 @@ class Lab:
         self.report = validate_assumption(self.profile)
         with _owned_by("perturbation"):
             self.u0 = build_perturbation(self.grid, cfg.amp, cfg.kx, self.profile)
-        self._trajs = {}          # scheme -> solve at cfg.nt
 
     @cached_property
     def cut(self):
         return build_cutoffs(self.grid, self.report.y0, self.report.delta)
 
-    def trajectory(self, scheme=None, nt=None):
-        scheme = scheme or self.cfg.scheme
-        nt = nt or self.cfg.nt
-        if nt == self.cfg.nt and scheme in self._trajs:
-            return self._trajs[scheme]
-        sc = replace(self.solver, Nt=nt, scheme=scheme)
-        if scheme == "picard":
-            traj = picard_solve(self.u0, self.profile, sc)
-        else:
-            whole = self._stages_read and nt == self.cfg.nt and scheme == self.cfg.scheme
-            traj = imex_solve(self.u0, self.profile, sc, None if whole else V.residual_nodes(nt))
-        if nt == self.cfg.nt and (scheme in (self.cfg.scheme, "picard")
-                                  or "boundary" in self.cfg.checks):
-            self._trajs[scheme] = traj
-        return traj
+    @cached_property
+    def traj(self):
+        """The configured solve, cfg.scheme at cfg.nt with every node: solve,
+        norms and the monitors read it, and run_verify drops its fields once
+        they have."""
+        solve = picard_solve if self.cfg.scheme == "picard" else imex_solve
+        return solve(self.u0, self.profile, self.solver)
+
+    def check_solve(self, nt: int):
+        """An imex solve at nt steps holding only verify.residual_nodes(nt),
+        the nodes the residual and boundary checks read; never kept."""
+        return imex_solve(self.u0, self.profile, replace(self.solver, Nt=nt),
+                          V.residual_nodes(nt))
 
     @cached_property
     def raws(self):
-        """norms.trajectory_raws of trajectory(): the seminorms that
-        run_norms and the energy and radius checks read."""
-        return trajectory_raws(self.trajectory(), self.cut, self.params)
+        """norms.trajectory_raws of traj: the seminorms that run_norms and
+        the energy and radius checks read."""
+        return trajectory_raws(self.traj, self.cut, self.params)
 
     @cached_property
     def fine(self) -> Lab:
         """The dy-refinement companion: this configuration at Ny = 2 Ny - 1
         (every coarse node kept), with no checks of its own.  Only the
-        boundary check reads its imex solve, which holds the residual nodes."""
-        fine = Lab(replace(self.cfg, ny=2 * self.cfg.ny - 1, checks=()))
-        fine._stages_read = False
-        return fine
+        boundary check reads it, through its check_solve."""
+        return Lab(replace(self.cfg, ny=2 * self.cfg.ny - 1, checks=()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -284,7 +270,7 @@ def run_shear_check(lab: Lab, outdir: Path) -> list:
 
 
 def run_solve(lab: Lab, outdir: Path) -> list:
-    traj = lab.trajectory()
+    traj = lab.traj
     traj.save(outdir / "trajectory")
     cr = check_compatibility(lab.u0, lab.profile)
     return _emit(outdir, V.CheckReport("solve", True, {
@@ -295,7 +281,7 @@ def run_solve(lab: Lab, outdir: Path) -> list:
 
 def run_norms(lab: Lab, outdir: Path) -> list:
     rows = ["t,gevrey_norm,full_norm"]
-    for t, raw in zip(lab.trajectory().times, lab.raws):
+    for t, raw in zip(lab.traj.times, lab.raws):
         base = gevrey_norm(raw, lab.params)
         ext = gevrey_norm(raw, lab.params, with_aux=True)
         rows.append(f"{float(t)!r},{base!r},{ext!r}")
@@ -309,9 +295,10 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     order; mark(name) is called as each check ends, in run order (the shear
     checks are one check, and so is the residual ladder).  The readers of the
     whole configured solve run first (the condition monitor, and the seminorm
-    table, marked where verify forms it); then the solve keeps only the nodes
-    a later check reads (with imex, the residual and boundary checks'
-    verify.residual_nodes; with picard none), so a later read fails."""
+    table, marked where verify forms it); then lab.traj keeps no field, so a
+    later read fails.  Every other solve is made here and dies with its
+    check: the residual ladder's levels and the boundary walk's pair are
+    Lab.check_solve's, and under imex the contraction check solves Picard."""
     cfg = lab.cfg
     reports = []
 
@@ -323,18 +310,14 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
 
     enabled = set(cfg.checks)
     kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
-    if {"conditions", "energy", "radius"} & enabled:
-        traj = lab.trajectory()
-        if "conditions" in enabled:
-            conditions = V.condi_monitor(traj, lab.report, lab.params)
-            mark(conditions.name)
-        if {"energy", "radius"} & enabled and "raws" not in vars(lab):
-            lab.raws
-            mark("seminorm_table")
-    if held := lab._trajs.get(cfg.scheme):
-        reads = cfg.scheme == "imex" and (kinds or "boundary" in enabled)
-        keep = V.residual_nodes(cfg.nt) if reads else ()
-        held.u[:] = [f if i in keep else None for i, f in enumerate(held.u)]
+    if "conditions" in enabled:
+        conditions = V.condi_monitor(lab.traj, lab.report, lab.params)
+        mark(conditions.name)
+    if {"energy", "radius"} & enabled and "raws" not in vars(lab):
+        lab.raws
+        mark("seminorm_table")
+    if "traj" in vars(lab):
+        lab.traj.u[:] = [None] * len(lab.traj.u)
     if shear := run_shear_check(lab, outdir):
         reports += shear
         mark("shear-check")
@@ -345,17 +328,19 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         add(V.CheckReport("compatibility", worst <= tol, {**cr.to_dict(), "tolerance": tol}))
     if "cancellation" in enabled:
         add(V.cancellation_check(lab.u0, evolve_shear(lab.profile, 0.0), lab.cut, lab.report))
+    # the boundary walk's coarse level, which is also the ladder's first level
+    coarse = lab.check_solve(cfg.nt) if "boundary" in enabled else None
     if kinds:
         jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
-        # a generator: each level the Lab does not keep is solved, evaluated and dropped in turn
-        ladder = (lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt))
+        # a generator: each other level is solved, evaluated and dropped in turn
+        ladder = (coarse if coarse and nt == cfg.nt else lab.check_solve(nt)
+                  for nt in V.ladder_nts(cfg.nt))
         rows = V.evaluate_residuals(ladder, jobs)
         add(*(V.residual_report(job, levels) for job, levels in zip(jobs, rows)),
             check="residual_ladder")
     if "boundary" in enabled:
         # wall-trace orders need the dy-refinement companion
-        add(V.boundary_checks([lab.trajectory("imex"), lab.fine.trajectory("imex")],
-                              lab.report))
+        add(V.boundary_checks([coarse, lab.fine.check_solve(cfg.nt)], lab.report))
     if "sobolev" in enabled:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:
@@ -364,14 +349,15 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         reports += _emit(outdir, conditions)     # run and marked first
     c_star = 1.0
     if "energy" in enabled:
-        em = V.energy_monitor(lab.raws, traj.times, lab.params, (cfg.rho, cfg.rho_tilde))
+        em = V.energy_monitor(lab.raws, lab.traj.times, lab.params, (cfg.rho, cfg.rho_tilde))
         c_star = max(1.0, em.evidence.get("C_max") or 1.0)
         add(em)
     if "radius" in enabled:
-        add(V.radius_decay_check(lab.raws, traj.times, lab.params, cfg.rho0, c_star))
+        add(V.radius_decay_check(lab.raws, lab.traj.times, lab.params, cfg.rho0, c_star))
     if "contraction" in enabled:
-        ptraj = lab.trajectory("picard", cfg.nt)
-        add(V.picard_contraction_check(ptraj))
+        picard = (lab.traj if cfg.scheme == "picard"     # else the check's own solve
+                  else picard_solve(lab.u0, lab.profile, lab.solver))
+        add(V.picard_contraction_check(picard))
     return reports
 
 

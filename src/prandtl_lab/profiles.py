@@ -301,11 +301,7 @@ def build_perturbation(grid: Grid2D, amp: float, kx: int, shear: ShearProfile) -
     if amp == 0.0:
         return u1
 
-    omega1 = dy_j(u1, 1)
-    rhs = (shear.omega0s[0] + omega1.values[:, 0]) * dx_m(omega1, 1).values[:, 0]
-    lhs = dy_j(omega1, 3).values[:, 0]
-    B = rhs - lhs
-
+    B = -_third_defect(dy_j(u1, 1), shear)      # negation is exact
     plateau = _wall_plateau(grid)
     q = (y**4 / 24.0) * poly_window(y, 0.0, 0.0, plateau, plateau + _CORR_TAPER)
     D1, D3 = grid.deriv_matrix_y(1), grid.deriv_matrix_y(3)
@@ -313,11 +309,16 @@ def build_perturbation(grid: Grid2D, amp: float, kx: int, shear: ShearProfile) -
     return require_finite(Field(grid, u1.values + np.outer(B / lq, q)))
 
 
+def _third_defect(omega: Field, shear: ShearProfile) -> np.ndarray:
+    """The third compatibility condition's defect at y = 0 on omega = d_y u:
+    d_y^3 omega - (omega^s + omega) d_x omega."""
+    return dy_j(omega, 3).values[:, 0] \
+        - (shear.omega0s[0] + omega.values[:, 0]) * dx_m(omega, 1).values[:, 0]
+
+
 def check_compatibility(u0: Field, shear: ShearProfile) -> CompatibilityReport:
     """Wall residuals of the three compatibility conditions on the datum."""
     omega = dy_j(u0, 1)
     r1 = float(np.max(np.abs(u0.values[:, 0])))
     r2 = float(np.max(np.abs(dy_j(omega, 1).values[:, 0])))
-    third = dy_j(omega, 3).values[:, 0] \
-        - (shear.omega0s[0] + omega.values[:, 0]) * dx_m(omega, 1).values[:, 0]
-    return CompatibilityReport(r1, r2, float(np.max(np.abs(third))))
+    return CompatibilityReport(r1, r2, float(np.max(np.abs(_third_defect(omega, shear)))))

@@ -170,7 +170,7 @@ def _eval_indices(nt: int) -> list:
 def residual_nodes(nt: int) -> set:
     """Every time index the residual evaluation reads on a ladder level of
     nt steps: each evaluation triple i - 1, i, i + 1 (the centered d_t
-    stencil).  A finer level's solve keeps only these nodes."""
+    stencil).  A check-only imex solve keeps only these nodes."""
     return {j for i in _eval_indices(nt) for j in (i - 1, i, i + 1)}
 
 

@@ -75,7 +75,7 @@ def _solve(u0_field, profile, scheme, nt, eps=REF.eps):
 @pytest.fixture(scope="session")
 def traj_ladder(lab):
     """The residual ladder's imex trajectories (Nt = 32, 64, 128)."""
-    return [lab.trajectory("imex", nt) for nt in V.ladder_nts(REF.nt)]
+    return [lab.check_solve(nt) for nt in V.ladder_nts(REF.nt)]
 
 
 @pytest.fixture(scope="session")
@@ -88,14 +88,15 @@ def ladder_rows(lab, traj_ladder):
 
 @pytest.fixture(scope="session")
 def traj_imex(u0, profile):
-    """A whole imex solve at the reference Nt: the Lab's own imex solve at
-    cfg.nt (scheme picard) holds only the residual nodes."""
+    """A whole imex solve at the reference Nt: the Lab's check_solve holds
+    only the residual nodes."""
     return _solve(u0, profile, "imex", REF.nt)
 
 
 @pytest.fixture(scope="session")
 def traj_picard(lab):
-    return lab.trajectory("picard")
+    assert lab.cfg.scheme == "picard"
+    return lab.traj
 
 
 @pytest.fixture(scope="session")
@@ -108,7 +109,7 @@ def picard_raws(lab):
 @pytest.fixture(scope="session")
 def fine_setup(lab):
     """The companion's artifacts and a whole imex solve on it (the
-    companion's own imex solve holds only the residual nodes)."""
+    companion's check_solve holds only the residual nodes)."""
     fine = lab.fine
     return dict(grid=fine.grid, profile=fine.profile, report=fine.report, cut=fine.cut,
                 u0=fine.u0, traj=imex_solve(fine.u0, fine.profile, fine.solver))

@@ -126,7 +126,7 @@ def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
     cfg.scheme = "imex"
     cfg.checks = ("energy", "radius")
     lab = Lab(cfg)
-    traj = lab.trajectory()
+    traj = lab.traj
     calls = []
     full_raw = N.full_raw
     monkeypatch.setattr(N, "full_raw", lambda *a, **k: calls.append(1) or full_raw(*a, **k))
@@ -152,7 +152,7 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
                         lambda p, t, j0, j1: calls.append((t, j0, j1)) or real(p, t, j0, j1))
     C.run_shear_check(first, tmp_path / "first")
     assert len(first.raws) == cfg.nt + 1
-    assert (first.trajectory().times[-1], 2, 5) in calls
+    assert (first.traj.times[-1], 2, 5) in calls
     assert any(j0 == 5 for _, j0, _ in calls)
     calls.clear()
     cfg.amp = 2e-3
@@ -557,7 +557,7 @@ def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
     assert marks == ["residual_ladder"]       # the ladder is one check
     assert len(snapshot_refs) == 3 * 3 * len(V.ladder_nts(cfg.nt))
     assert alive(snapshot_refs) == []
-    trajs = [lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt)]
+    trajs = [lab.check_solve(nt) for nt in V.ladder_nts(cfg.nt)]
     alone = []
     for job in V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"):
         [levels] = V.evaluate_residuals(trajs, [job])
@@ -577,7 +577,7 @@ def test_residual_ladder_holds_one_snapshot(snapshot_overlap):
     cfg = load_config(CONFIG)
     cfg.nt = 8
     lab = Lab(cfg)
-    trajs = [lab.trajectory("imex", nt) for nt in V.ladder_nts(cfg.nt)]
+    trajs = [lab.check_solve(nt) for nt in V.ladder_nts(cfg.nt)]
     jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
     others = snapshot_overlap            # snapshots alive when each one is built
     tracemalloc.start()
@@ -595,18 +595,19 @@ def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
     """run_verify solves, evaluates and drops the finer residual ladder
     levels one at a time: none is alive when the next solve starts (the
     boundary companion's and Picard's included), each holds only the nodes
-    the residual evaluation reads, and afterwards the Lab holds only
-    trajectories at cfg.nt."""
+    the residual evaluation reads, and afterwards the one solve alive is the
+    Lab's configured solve at cfg.nt, which the contraction check read."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary", "contraction")
-    finer, solved, kept = [], [], []
+    finer, solved, kept, made = [], [], [], []
 
     def tracked(solve):
         def wrapper(u0, profile, sc, *keep):
             assert alive(finer) == [], "a finer ladder level outlived its evaluation"
             traj = solve(u0, profile, sc, *keep)
             solved.append(sc.Nt)
+            made.append(weakref.ref(traj))
             if sc.Nt > cfg.nt:
                 finer.append(weakref.ref(traj))
                 kept.append({i for i, f in enumerate(traj.u) if f is not None})
@@ -620,21 +621,22 @@ def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
     assert solved == [8, 16, 32, 8, 8]       # ladder, boundary companion, Picard
     assert len(finer) == len(V.ladder_nts(cfg.nt)) - 1 and alive(finer) == []
     assert kept == [V.residual_nodes(16), V.residual_nodes(32)]
-    assert {len(t.times) - 1 for t in lab._trajs.values()} == {cfg.nt}
+    [held] = alive(made)
+    assert held() is lab.traj and len(lab.traj.times) - 1 == cfg.nt
 
 
 def test_finer_ladder_level_keeps_only_evaluation_nodes(tmp_path):
-    """A check-only imex solve (a finer residual ladder level, the cfg.nt
-    level when the scheme is picard, the companion's) holds exactly the
-    evaluation triples, each node bitwise the same node of a whole imex
-    solve; reading a dropped node raises, and so does saving the level.
-    The configured scheme's solve at cfg.nt is whole."""
+    """A check-only imex solve (Lab.check_solve: a residual ladder level,
+    the boundary walk's pair) holds exactly the evaluation triples, each
+    node bitwise the same node of a whole imex solve; reading a dropped node
+    raises, and so does saving the level.  The configured solve, Lab.traj,
+    is whole."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     lab = Lab(cfg)
     assert cfg.scheme == "picard"
     nt = 2 * cfg.nt
-    traj = lab.trajectory("imex", nt)
+    traj = lab.check_solve(nt)
     kept = {i for i, f in enumerate(traj.u) if f is not None}
     assert kept == V.residual_nodes(nt) == {5, 6, 7, 9, 10, 11, 13, 14, 15}
     assert len(traj.u) == len(traj.shear) == len(traj.times) == nt + 1
@@ -647,15 +649,15 @@ def test_finer_ladder_level_keeps_only_evaluation_nodes(tmp_path):
     with pytest.raises(ValueError, match="dropped"):
         traj.save(tmp_path)
     assert not (tmp_path / "trajectory.npz").exists()
-    for check_only in (lab.trajectory("imex"), lab.fine.trajectory("imex")):
+    for check_only in (lab.check_solve(cfg.nt), lab.fine.check_solve(cfg.nt)):
         assert {i for i, f in enumerate(check_only.u) if f is not None} == \
             V.residual_nodes(cfg.nt)
-    assert all(f is not None for f in lab.trajectory().u)
+    assert all(f is not None for f in lab.traj.u)
 
 
 def test_imex_scheme_solve_and_full_write_trajectory(tmp_path):
     """With scheme = imex the configured solve at cfg.nt is whole, so solve
-    and full save it and exit 0; the companion's imex solve stays thinned."""
+    and full save it and exit 0; the companion's check_solve stays thinned."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.scheme = "imex"
@@ -664,8 +666,8 @@ def test_imex_scheme_solve_and_full_write_trajectory(tmp_path):
         with np.load(tmp_path / sub / "trajectory" / "trajectory.npz") as z:
             assert z["u"].shape == (cfg.nt + 1, cfg.nx, cfg.ny)
     lab = Lab(cfg)
-    assert all(f is not None for f in lab.trajectory("imex").u)
-    assert {i for i, f in enumerate(lab.fine.trajectory("imex").u) if f is not None} == \
+    assert all(f is not None for f in lab.traj.u)
+    assert {i for i, f in enumerate(lab.fine.check_solve(cfg.nt).u) if f is not None} == \
         V.residual_nodes(cfg.nt)
 
 
@@ -684,30 +686,31 @@ def test_verify_releases_picard_solve_before_ladder(tmp_path, monkeypatch):
 
     def first_ladder_solve(u0, profile, sc, *keep):
         if not held:
-            held.append([f is not None for f in lab.trajectory().u])
+            held.append([f is not None for f in lab.traj.u])
         return real(u0, profile, sc, *keep)
 
     monkeypatch.setattr(C, "imex_solve", first_ladder_solve)
     reports = {r["name"]: r for r in run_verify(lab, tmp_path)}
     assert held == [[False] * (cfg.nt + 1)]
     with pytest.raises(AttributeError):
-        V.Snapshot(lab.trajectory(), cfg.nt // 2)
-    assert reports["picard_contraction"]["evidence"]["updates"] == lab.trajectory().contraction
+        V.Snapshot(lab.traj, cfg.nt // 2)
+    assert reports["picard_contraction"]["evidence"]["updates"] == lab.traj.contraction
     fresh = Lab(cfg)
-    times = fresh.trajectory().times
+    times = fresh.traj.times
     em = V.energy_monitor(fresh.raws, times, fresh.params, (cfg.rho, cfg.rho_tilde))
-    alone = [V.condi_monitor(fresh.trajectory(), fresh.report, fresh.params), em,
+    alone = [V.condi_monitor(fresh.traj, fresh.report, fresh.params), em,
              V.radius_decay_check(fresh.raws, times, fresh.params, cfg.rho0,
                                   max(1.0, em.evidence["C_max"]))]
     assert [reports[r.name] for r in alone] == [r.to_dict() for r in alone]
 
 
 def test_imex_solve_lifetimes(tmp_path, monkeypatch):
-    """With the boundary check off, the imex solve at cfg.nt under scheme
-    picard is a ladder level like the finer ones: none outlives its level.
-    Under scheme imex the configured solve keeps only the residual nodes once
-    the monitors have read it, the residual and boundary reports equal those
-    of a run without the monitors, and full still saves it whole."""
+    """With the boundary check off, the imex solve at cfg.nt is a ladder
+    level like the finer ones: none outlives its level, and the Lab's one
+    solve is the configured Picard solve.  Under scheme imex the configured
+    solve keeps no field once the monitors have read it, the residual and
+    boundary reports equal those of a run without the monitors, and full
+    still saves it whole."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.checks = ("residual_h", "contraction")
@@ -724,15 +727,14 @@ def test_imex_solve_lifetimes(tmp_path, monkeypatch):
     lab = Lab(cfg)
     run_verify(lab, tmp_path / "picard")
     assert len(refs) == len(V.ladder_nts(cfg.nt)) and alive(refs) == []
-    assert set(lab._trajs) == {"picard"}
+    assert vars(lab)["traj"].scheme == "picard"
     monkeypatch.setattr(C, "imex_solve", real)
 
     cfg.scheme = "imex"
     cfg.checks = ("residual_h", "boundary", "conditions", "energy")
     lab = Lab(cfg)
     reports = run_verify(lab, tmp_path / "imex")
-    assert {i for i, f in enumerate(lab.trajectory().u) if f is not None} == \
-        V.residual_nodes(cfg.nt)
+    assert all(f is None for f in lab.traj.u)
     alone = run_verify(Lab(dataclasses.replace(cfg, checks=("residual_h", "boundary"))),
                        tmp_path / "alone")
     assert json.dumps(alone) == json.dumps(
@@ -741,6 +743,36 @@ def test_imex_solve_lifetimes(tmp_path, monkeypatch):
     whole = C.imex_solve(lab.u0, lab.profile, lab.solver)
     with np.load(tmp_path / "full" / "trajectory" / "trajectory.npz") as z:
         assert np.array_equal(z["u"], np.stack([f.values for f in whole.u]))
+
+
+@pytest.mark.parametrize("checks", [("residual_h",), ("contraction",)])
+def test_verify_alone_keeps_no_check_solve(tmp_path, monkeypatch, checks):
+    """Under scheme imex, verify run alone solves only what its checks read
+    and keeps none of it: every imex solve at cfg.nt holds only
+    verify.residual_nodes (the configured solve is not solved whole for the
+    residual ladder), and no imex or Picard solve outlives run_verify,
+    although the Lab does."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    cfg.scheme = "imex"
+    cfg.checks = checks
+    refs, kept = [], []
+
+    def tracked(solve):
+        def wrapper(u0, profile, sc, *keep):
+            traj = solve(u0, profile, sc, *keep)
+            refs.append(weakref.ref(traj))
+            if traj.scheme == "imex" and sc.Nt == cfg.nt:
+                kept.append({i for i, f in enumerate(traj.u) if f is not None})
+            return traj
+        return wrapper
+
+    monkeypatch.setattr(C, "imex_solve", tracked(C.imex_solve))
+    monkeypatch.setattr(C, "picard_solve", tracked(C.picard_solve))
+    lab = Lab(cfg)
+    run_verify(lab, tmp_path)
+    assert all(nodes <= V.residual_nodes(cfg.nt) for nodes in kept)
+    assert refs and alive(refs) == []
 
 
 def test_verify_peak_after_solve_and_norms(tmp_path):

@@ -261,6 +261,32 @@ def test_boundary_orders(traj_imex, fine_setup, assumption):
     assert rep.evidence["orders"]["fifth_trace"] >= 1.0
 
 
+def test_boundary_order_gate_fails_alone(traj_imex, fine_setup, assumption, monkeypatch):
+    """Negative control for the dy-order gate: fifth_trace has no ratio
+    gate, so inflating it 4x on the Ny = 513 level lowers its order by 2,
+    under 1, while every finest-level ratio and the third_trace order still
+    pass; the check then fails through the order gate alone."""
+    real = V._wall_traces
+    fine_ny = fine_setup["grid"].Ny
+
+    def inflated(traj, i, chi1):
+        out = real(traj, i, chi1)
+        if traj.grid.Ny == fine_ny:
+            out["fifth_trace"] *= 4.0
+        return out
+
+    monkeypatch.setattr(V, "_wall_traces", inflated)
+    rep = V.boundary_checks([traj_imex, fine_setup["traj"]], assumption)
+    fin = min(rep.evidence["levels"].values(), key=lambda lv: lv["dy"])
+    assert fin["dy"] == fine_setup["grid"].dy
+    assert fin["dy_g_wall"] <= 5e-2 * fin["dy_g_scale"]
+    assert fin["dy_f_wall"] <= 5e-2 * fin["dy_f_scale"]
+    assert fin["third_trace"] <= 1e-2 * fin["third_scale"]
+    assert rep.evidence["orders"]["third_trace"] >= 2.0
+    assert rep.evidence["orders"]["fifth_trace"] < 1.0
+    assert not rep.passed
+
+
 # ------------------------------------------------------------- cancellation
 
 def test_cancellation_identity(grid, profile, cutoffs, assumption, u0):

@@ -26,16 +26,19 @@ between the sides (an empty list: byte-identical), for each differing JSON
 or CSV file whether both sides parse to the same structure and the largest
 relative deviation of a number, and keeps each side's run_log.json (stage
 and check marks: where the time and the peak went) and names the mark with
-the largest ru_maxrss_mb.  The same comparison is
-made of the seed-0 perturbation sweep's warm-up member and first member,
-run in one process per side from that side's perfbench plan
-(`perfbench/workloads.py`) and configs (`perfbench/worker.make_config`).
+the largest ru_maxrss_mb.  The same comparison is made of `full` on the
+reference config with `[solver] scheme = imex` (a temporary INI), a path no
+perfbench workload runs, and of the seed-0 perturbation sweep's warm-up
+member and first member, run in one process per side from that side's
+perfbench plan (`perfbench/workloads.py`) and configs
+(`perfbench/worker.make_config`).
 Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import io
 import json
@@ -253,9 +256,17 @@ def main(argv=None) -> int:
         ap.error(f"--pairs must be at least {MIN_PAIRS}")
     seconds = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
-    outputs = compare_outputs(sides, [sys.executable, "-m", "prandtl_lab.cli", "full",
-                                      "--config", "configs/reference.ini", "--out"])
+    full = [sys.executable, "-m", "prandtl_lab.cli", "full", "--config"]
+    outputs = compare_outputs(sides, [*full, "configs/reference.ini", "--out"])
     print(f"reference outputs: {outputs}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = configparser.ConfigParser()
+        ini.read(CHANGE / "configs" / "reference.ini")
+        ini["solver"]["scheme"] = "imex"
+        with open(imex_ini := Path(tmp) / "imex.ini", "w") as fp:
+            ini.write(fp)
+        imex = compare_outputs(sides, [*full, str(imex_ini), "--out"])
+    print(f"imex full outputs: {imex}", file=sys.stderr)
     members = compare_outputs(sides, [sys.executable, "-c", SWEEP_MEMBERS])
     print(f"sweep member outputs: {members}", file=sys.stderr)
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
@@ -274,6 +285,7 @@ def main(argv=None) -> int:
         "perfbench": {"seed": 0, "seconds": seconds, "pairs": args.pairs,
                       "workloads": workloads},
         "reference_full_outputs": outputs,
+        "imex_full_outputs": imex,
         "sweep_member_outputs": members,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "tier1": {side: tier1(path) for side, path in sides.items()},
