@@ -102,16 +102,17 @@ class RunConfig:
     out_dir: str = _ini("output", "out", key="dir")
     seed: int = _ini("output", 0)
 
-    def validate(self) -> None:
-        """Reject a configuration that cannot run.  Each bound on one value
-        is checked by the object that reads it: build() makes the grid,
-        Gevrey parameters and solver config, and a Lab makes the profile
-        and perturbation.  Only the rules no object owns are written here."""
+    def validate(self) -> tuple:
+        """Reject a configuration that cannot run; return build()'s grid,
+        Gevrey parameters and solver config, which the Lab takes.  Each bound
+        on one value is checked by the object that reads it: those three,
+        and the profile and perturbation that a Lab makes.  Only the rules
+        no object owns are written here."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.metadata['section']}.{f.name} must be finite, got {value}")
-        grid = self.build()[0]
+        grid, params, solver = self.build()
         if self.mmax > self.nx // 4:
             raise ConfigError("norms.mmax must not exceed nx/4 (anti-aliasing guard)")
         if not (0.0 < self.rho < self.rho_tilde < self.rho0):
@@ -132,6 +133,7 @@ class RunConfig:
                 f"solver.t_final = {self.t_final!r} is too short: the finest time step "
                 f"{dt:.3e} is under {min_resolved_step(grid):.3e}, the least step the "
                 f"shear quadrature resolves")
+        return grid, params, solver
 
     def build(self) -> tuple:
         """(grid, Gevrey parameters, solver config) of this configuration."""
@@ -198,9 +200,8 @@ class Lab:
     under imex) and lives with that check's caller."""
 
     def __init__(self, cfg: RunConfig):
-        cfg.validate()
         self.cfg = cfg
-        self.grid, self.params, self.solver = cfg.build()
+        self.grid, self.params, self.solver = cfg.validate()
         with _owned_by("profile"):
             self.profile = build_shear_profile(self.grid, cfg.y0, cfg.alpha)
         self.report = validate_assumption(self.profile)
@@ -216,7 +217,7 @@ class Lab:
         """The configured solve, cfg.scheme at cfg.nt with every node: solve,
         norms and the monitors read it, and run_verify drops its fields once
         they have."""
-        solve = picard_solve if self.cfg.scheme == "picard" else imex_solve
+        solve = picard_solve if self.solver.scheme == "picard" else imex_solve
         return solve(self.u0, self.profile, self.solver)
 
     def check_solve(self, nt: int):
@@ -328,19 +329,20 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         add(V.CheckReport("compatibility", worst <= tol, {**cr.to_dict(), "tolerance": tol}))
     if "cancellation" in enabled:
         add(V.cancellation_check(lab.u0, evolve_shear(lab.profile, 0.0), lab.cut, lab.report))
-    # the boundary walk's coarse level, which is also the ladder's first level
-    coarse = lab.check_solve(cfg.nt) if "boundary" in enabled else None
+    # the boundary walk's coarse level and the ladder's first, in a slot the walk empties
+    held = [lab.check_solve(cfg.nt)] if "boundary" in enabled else []
     if kinds:
         jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
         # a generator: each other level is solved, evaluated and dropped in turn
-        ladder = (coarse if coarse and nt == cfg.nt else lab.check_solve(nt)
+        ladder = (held[0] if held and nt == cfg.nt else lab.check_solve(nt)
                   for nt in V.ladder_nts(cfg.nt))
         rows = V.evaluate_residuals(ladder, jobs)
         add(*(V.residual_report(job, levels) for job, levels in zip(jobs, rows)),
             check="residual_ladder")
     if "boundary" in enabled:
-        # wall-trace orders need the dy-refinement companion
-        add(V.boundary_checks([coarse, lab.fine.check_solve(cfg.nt)], lab.report))
+        # wall-trace orders need the dy-refinement companion, solved after the coarse walk
+        pair = (level() for level in (held.pop, lambda: lab.fine.check_solve(cfg.nt)))
+        add(V.boundary_checks(pair, lab.report))
     if "sobolev" in enabled:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:
@@ -355,7 +357,7 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     if "radius" in enabled:
         add(V.radius_decay_check(lab.raws, lab.traj.times, lab.params, cfg.rho0, c_star))
     if "contraction" in enabled:
-        picard = (lab.traj if cfg.scheme == "picard"     # else the check's own solve
+        picard = (lab.traj if lab.solver.scheme == "picard"     # else the check's own solve
                   else picard_solve(lab.u0, lab.profile, lab.solver))
         add(V.picard_contraction_check(picard))
     return reports

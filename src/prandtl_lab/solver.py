@@ -29,7 +29,7 @@ import numpy as np
 from scipy.fft import dst, idst
 
 from .grid import Field, Grid2D, dx_m, dy_j, linf, require_finite, truncation_check, weighted_l2
-from .profiles import ShearProfile
+from .profiles import ShearProfile, check_compatibility
 from .shear import ShearState, evolve_shear
 
 __all__ = ["SolverConfig", "Trajectory", "SolverDivergence", "heat_propagate",
@@ -187,15 +187,18 @@ class Trajectory:
                 fp.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
-def _forcing(u: Field, v: Field, dxu: Field, state: ShearState) -> Field:
-    g = u.grid
+def _forcing(u: Field, state: ShearState) -> Field:
+    """The transport term (u^s+u) d_x u + v d_y(u^s+u), v slaved to u."""
+    dxu = dx_m(u, 1)
     total_dy = state.omegas[None, :] + dy_j(u, 1).values
-    vals = (state.us[None, :] + u.values) * dxu.values + v.values * total_dy
-    return Field(g, vals)
+    vals = (state.us[None, :] + u.values) * dxu.values + recover_v(u, dxu).values * total_dy
+    return Field(u.grid, vals)
 
 
-def _shear_states(profile: ShearProfile, times: np.ndarray) -> list:
-    return [evolve_shear(profile, float(t)) for t in times]
+def _time_grid(profile: ShearProfile, cfg: SolverConfig) -> tuple:
+    """The uniform time grid on [0, T] in cfg.Nt steps and its shear states."""
+    times = np.linspace(0.0, cfg.T, cfg.Nt + 1)
+    return times, [evolve_shear(profile, float(t)) for t in times]
 
 
 def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajectory:
@@ -207,26 +210,18 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
     sweeps in a row (horizon too long for eps).
     """
     g = u0.grid
-    from .profiles import check_compatibility
     cr = check_compatibility(u0, profile)
     if cr.res_third > 1e-6 * (1.0 + linf(u0)):
         warnings.warn(
             f"initial datum violates the third wall compatibility condition "
             f"by {cr.res_third:.2e}; wall traces of the solution will be rough",
             stacklevel=2)
-    times = np.linspace(0.0, cfg.T, cfg.Nt + 1)
-    states = _shear_states(profile, times)
-
-    def forcing_of(us):
-        for ui, st in zip(us, states):
-            dxu = dx_m(ui, 1)
-            yield _forcing(ui, recover_v(ui, dxu), dxu, st)
-
+    times, states = _time_grid(profile, cfg)
     u_prev = [u0.copy() for _ in times]
     contraction: list[float] = []
     grow = 0
     for _ in range(cfg.jmax):
-        u_next = mild_solution(u0, forcing_of(u_prev), cfg.eps, times)
+        u_next = mild_solution(u0, map(_forcing, u_prev, states), cfg.eps, times)
         xi = max(weighted_l2(u_next[i] - u_prev[i], 0.0) for i in range(len(times)))
         contraction.append(xi)
         if len(contraction) >= 2 and xi > contraction[-2]:
@@ -258,16 +253,14 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig,
     trajectory holds None at every other node (see Trajectory).  The default,
     None, keeps every node.  Every step is marched and checked either way."""
     g = u0.grid
-    times = np.linspace(0.0, cfg.T, cfg.Nt + 1)
-    states = _shear_states(profile, times)
+    times, states = _time_grid(profile, cfg)
     dt = times[1] - times[0]
     keep = range(cfg.Nt + 1) if keep is None else keep
 
     us = [u0.copy() if 0 in keep else None]
     u_cur = u0
     for n in range(cfg.Nt):
-        dxu = dx_m(u_cur, 1)
-        f_cur = _forcing(u_cur, recover_v(u_cur, dxu), dxu, states[n])
+        f_cur = _forcing(u_cur, states[n])
         nxt = require_finite(
             heat_propagate(Field(g, u_cur.values - dt * f_cur.values), dt, cfg.eps))
         peak_prev = max(linf(u_cur), 1e-14)

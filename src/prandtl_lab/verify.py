@@ -488,6 +488,7 @@ def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
                 # running maxima over the nodes, a scale's from 1e-300
                 lv[key] = max(lv.get(key, 1e-300 if key.endswith("_scale") else 0.0), value)
         levels[(traj.grid.Ny, traj.dt)] = {**lv, "dy": traj.grid.dy}
+        del traj        # before a generator solves the next level
     keys = sorted(levels, key=lambda k: -levels[k]["dy"])
     ev = {"levels": {str(k): levels[k] for k in keys}}
     orders = {}

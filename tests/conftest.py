@@ -107,12 +107,10 @@ def picard_raws(lab):
 
 
 @pytest.fixture(scope="session")
-def fine_setup(lab):
-    """The companion's artifacts and a whole imex solve on it (the
-    companion's check_solve holds only the residual nodes)."""
-    fine = lab.fine
-    return dict(grid=fine.grid, profile=fine.profile, report=fine.report, cut=fine.cut,
-                u0=fine.u0, traj=imex_solve(fine.u0, fine.profile, fine.solver))
+def traj_fine(lab):
+    """A whole imex solve on the dy-refinement companion, lab.fine (its
+    check_solve holds only the residual nodes)."""
+    return imex_solve(lab.fine.u0, lab.fine.profile, lab.fine.solver)
 
 
 @pytest.fixture(scope="session")

@@ -43,12 +43,11 @@ def test_criterion_02_compatibility(u0, profile):
                f"worst={worst:.2e} tol={tol:.1e}")
 
 
-def test_criterion_03_cancellation(grid, profile, cutoffs, assumption, u0, fine_setup):
+def test_criterion_03_cancellation(lab, profile, cutoffs, assumption, u0):
     st = evolve_shear(profile, 0.0)
     coarse = V.cancellation_check(u0, st, cutoffs, assumption)
-    fs = fine_setup
-    fine = V.cancellation_check(fs["u0"], evolve_shear(fs["profile"], 0.0),
-                                fs["cut"], fs["report"])
+    fs = lab.fine
+    fine = V.cancellation_check(fs.u0, evolve_shear(fs.profile, 0.0), fs.cut, fs.report)
     c, f = coarse.evidence["worst_rel"], fine.evidence["worst_rel"]
     order = np.log2(c / f)
     ok = coarse.passed and order >= 3.0
@@ -67,8 +66,8 @@ def test_criterion_04_appendix_residual_orders(ladder_rows):
                ok, " ".join(details))
 
 
-def test_criterion_05_boundary_identities(traj_imex, fine_setup, assumption):
-    rep = V.boundary_checks([traj_imex, fine_setup["traj"]], assumption)
+def test_criterion_05_boundary_identities(traj_imex, traj_fine, assumption):
+    rep = V.boundary_checks([traj_imex, traj_fine], assumption)
     orders = rep.evidence["orders"]
     ok = rep.passed and orders["third_trace"] >= 2.0 and orders["fifth_trace"] >= 1.0
     _criterion(5, "wall identities hold; trace orders >= 2 and >= 1", ok,
@@ -112,27 +111,25 @@ def _sandwich_fit(u_fields, states, cut, params):
     return c_fit, ordered
 
 
-def test_criterion_09_norm_sandwich(traj_picard, cutoffs, params, fine_setup):
+def test_criterion_09_norm_sandwich(lab, traj_picard, cutoffs, params, traj_fine):
     idx = [0, len(traj_picard.times) // 2, -1]
     c_coarse, ordered = _sandwich_fit([traj_picard.u[i] for i in idx],
                                       [traj_picard.shear[i] for i in idx],
                                       cutoffs, params)
-    fs = fine_setup
-    c_fine, ordered_f = _sandwich_fit([fs["traj"].u[i] for i in idx],
-                                      [fs["traj"].shear[i] for i in idx],
-                                      fs["cut"], params)
+    c_fine, ordered_f = _sandwich_fit([traj_fine.u[i] for i in idx],
+                                      [traj_fine.shear[i] for i in idx],
+                                      lab.fine.cut, params)
     ratio = c_coarse / c_fine
     ok = ordered and ordered_f and 0.5 <= ratio <= 2.0
     _criterion(9, "norm sandwich ordered; fitted C stable under refinement", ok,
                f"C={c_coarse:.3f} refined C={c_fine:.3f} ratio={ratio:.2f}")
 
 
-def test_criterion_10_energy_monitor(traj_picard, picard_raws, params, cutoffs, fine_setup,
+def test_criterion_10_energy_monitor(lab, traj_picard, picard_raws, params, cutoffs, traj_fine,
                                     eps_family):
     base = V.energy_monitor(picard_raws, traj_picard.times, params, (0.3, 0.4))
     c_base = base.evidence["C_max"]
-    fs = fine_setup
-    fine = V.energy_monitor(trajectory_raws(fs["traj"], fs["cut"], params), fs["traj"].times,
+    fine = V.energy_monitor(trajectory_raws(traj_fine, lab.fine.cut, params), traj_fine.times,
                             params, (0.3, 0.4))
     ratios = [c_base / fine.evidence["C_max"]]
     for eps, traj in eps_family.items():

@@ -23,6 +23,8 @@ import prandtl_lab.norms as N
 import prandtl_lab.shear as S
 import prandtl_lab.verify as V
 from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
+from prandtl_lab.grid import Field
+from prandtl_lab.profiles import perturbation_envelope
 
 from conftest import CONFIG, alive
 
@@ -509,8 +511,8 @@ def test_nan_in_solve_exits_three(tmp_path, monkeypatch, scheme):
     import prandtl_lab.solver as SV
     real = SV._forcing
 
-    def poisoned(u, v, dxu, state):
-        f = real(u, v, dxu, state)
+    def poisoned(u, state):
+        f = real(u, state)
         f.values[4, 20] = np.nan
         return f
 
@@ -542,6 +544,25 @@ def test_verify_errors_exit_with_stage(tmp_path, monkeypatch, fault, code, kind)
     assert run(cfg, "verify", out_dir=tmp_path) == code
     err = json.loads((tmp_path / "manifest.json").read_text())["error"]
     assert (err["exit_code"], err["kind"], err["stage"]) == (code, kind, "verify")
+
+
+def test_compatibility_report_fails_without_wall_correction(tmp_path, monkeypatch):
+    """Negative control for the compatibility report: the datum's first pass
+    alone, amp sin(kx x) phi(y) with no wall correction, misses the third
+    condition by far more than the 1e-8 amp tolerance, and verify exits 1."""
+    def first_pass(grid, amp, kx, shear):
+        sx = np.sin(2.0 * np.pi * kx * grid.x_nodes / grid.Lx)
+        return Field(grid, np.outer(amp * sx, perturbation_envelope(grid)))
+
+    monkeypatch.setattr(C, "build_perturbation", first_pass)
+    cfg = load_config(CONFIG)
+    cfg.checks = ("compatibility",)
+    assert run(cfg, "verify", out_dir=tmp_path) == 1
+    [rep] = json.loads((tmp_path / "manifest.json").read_text())["reports"]
+    ev = rep["evidence"]
+    assert rep["name"] == "compatibility" and not rep["pass"]
+    assert ev["tolerance"] == 1e-8 * cfg.amp
+    assert max(ev["res_value"], ev["res_dyomega"]) <= ev["tolerance"] < ev["res_third"]
 
 
 def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
@@ -595,19 +616,25 @@ def test_verify_drops_each_finer_ladder_level(tmp_path, monkeypatch):
     """run_verify solves, evaluates and drops the finer residual ladder
     levels one at a time: none is alive when the next solve starts (the
     boundary companion's and Picard's included), each holds only the nodes
-    the residual evaluation reads, and afterwards the one solve alive is the
+    the residual evaluation reads, the coarse imex solve at cfg.nt (the
+    ladder's first level and the boundary walk's coarse level) is dead when
+    the companion's solve starts, and afterwards the one solve alive is the
     Lab's configured solve at cfg.nt, which the contraction check read."""
     cfg = load_config(CONFIG)
     cfg.nt = 8
     cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary", "contraction")
-    finer, solved, kept, made = [], [], [], []
+    finer, solved, kept, made, coarse = [], [], [], [], []
 
     def tracked(solve):
         def wrapper(u0, profile, sc, *keep):
             assert alive(finer) == [], "a finer ladder level outlived its evaluation"
+            if u0.grid.Ny > cfg.ny:
+                assert coarse and alive(coarse) == [], "the coarse level outlived its walk"
             traj = solve(u0, profile, sc, *keep)
             solved.append(sc.Nt)
             made.append(weakref.ref(traj))
+            if sc.Nt == cfg.nt and u0.grid.Ny == cfg.ny and solve.__name__ == "imex_solve":
+                coarse.append(weakref.ref(traj))
             if sc.Nt > cfg.nt:
                 finer.append(weakref.ref(traj))
                 kept.append({i for i, f in enumerate(traj.u) if f is not None})

@@ -8,6 +8,9 @@ from prandtl_lab.cutoffs import AuxWorkspace
 from prandtl_lab.grid import Field, weighted_l2
 from prandtl_lab.norms import GevreyParams, full_raw, gevrey_norm, gevrey_raw, lifespan_norm
 from prandtl_lab.shear import evolve_shear
+import prandtl_lab.verify as V
+
+from conftest import REF
 
 
 def _raw(u, p, profile):
@@ -201,3 +204,24 @@ def test_sigma_range_endpoints(grid, profile, cutoffs, u0, sigma):
     # stronger factorial damping (larger sigma) cannot increase the total
     softer = _extended(u0, st, cutoffs, GevreyParams(rho=0.3, sigma=1.5))
     assert total <= softer + 1e-12
+
+
+# relative gap allowed between the base norms of the reference grid and its
+# dy-refinement companion at one node, fixed before the test was first run:
+# the two grids differ by 10% at t = 0
+_DY_REFINEMENT_BOUND = 0.25
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: for t > 0 the base norm comes "
+                   "mostly from the far-field y-rows, so it is not resolved in dy")
+def test_base_norm_agrees_under_dy_refinement(lab, traj_ladder, traj_fine, params):
+    """At every residual node, the base Gevrey norm of the imex solve at
+    cfg.nt on the reference grid (Ny = 257) and on the dy-refinement
+    companion (Ny = 513) agree within _DY_REFINEMENT_BOUND of the latter."""
+    coarse = traj_ladder[0]
+    assert len(coarse.times) == len(traj_fine.times) == REF.nt + 1
+    for i in sorted(V.residual_nodes(REF.nt)):
+        norm_c = gevrey_norm(full_raw(coarse.u[i], coarse.shear[i], lab.cut, params), params)
+        norm_f = gevrey_norm(full_raw(traj_fine.u[i], traj_fine.shear[i], lab.fine.cut, params),
+                             params)
+        assert abs(norm_c - norm_f) <= _DY_REFINEMENT_BOUND * norm_f, (i, norm_c, norm_f)

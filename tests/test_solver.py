@@ -186,7 +186,7 @@ def test_near_linear_regime(grid, profile):
 def test_imex_reduces_to_heat_propagate(grid, profile, monkeypatch):
     """With the transport forcing switched off the march is exactly the
     semigroup step applied repeatedly."""
-    monkeypatch.setattr(S, "_forcing", lambda u, v, dxu, st: Field.zeros(u.grid))
+    monkeypatch.setattr(S, "_forcing", lambda u, state: Field.zeros(u.grid))
     u0 = Field.from_function(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -219,8 +219,7 @@ def test_pde_residual_refines(traj_ladder):
 def test_picard_is_fixed_point_of_mild_solution(traj_picard):
     """Mapping the converged iterate once more moves it by less than 10 tol."""
     traj = traj_picard
-    forcing = [S._forcing(u, recover_v(u, dx_m(u, 1)), dx_m(u, 1), st)
-               for u, st in zip(traj.u, traj.shear)]
+    forcing = [S._forcing(u, st) for u, st in zip(traj.u, traj.shear)]
     mapped = mild_solution(traj.u[0], forcing, traj.eps, traj.times)
     xi = max(weighted_l2(a - b, 0.0) for a, b in zip(mapped, traj.u))
     assert xi <= 10 * 1e-12          # conftest._solve runs Picard with tol = 1e-12

@@ -128,11 +128,11 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
 
 
 @pytest.mark.parametrize("walk", ["boundary", "conditions", "residuals"])
-def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, fine_setup, traj_picard, traj_ladder,
+def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_picard, traj_ladder,
                                       params, snapshot_overlap):
     """Each walk over a trajectory's nodes drops a node's snapshot before it
     builds the next: no Snapshot is built while another is alive."""
-    run = {"boundary": lambda: V.boundary_checks([traj_imex, fine_setup["traj"]], lab.report),
+    run = {"boundary": lambda: V.boundary_checks([traj_imex, traj_fine], lab.report),
            "conditions": lambda: V.condi_monitor(traj_picard, lab.report, params),
            "residuals": lambda: V.evaluate_residuals(
                traj_ladder[:2], V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"))}
@@ -140,21 +140,21 @@ def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, fine_setup, traj_pic
     assert snapshot_overlap and max(snapshot_overlap) == 0
 
 
-def test_boundary_walk_memory_peak(lab, traj_imex, fine_setup):
+def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
     """boundary_checks on the coarse/fine pair holds one snapshot and its
     node's temporaries, and no grid keeps a dense y-stencil operator: its
     tracemalloc peak stays under 35 fields of Nx Ny doubles of the fine
     grid, and what it leaves behind (the grids' stencil bands) under 2.
     It peaks at 32.9 and leaves 0.8; with the dense operators cached on
     each grid it peaked at 45.4 and left 15.2."""
-    pair = [traj_imex, fine_setup["traj"]]
+    pair = [traj_imex, traj_fine]
     tracemalloc.start()
     try:
         V.boundary_checks(pair, lab.report)
         now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    g = fine_setup["grid"]
+    g = grid_fine
     assert peak < 35 * g.Nx * g.Ny * 8
     assert now < 2 * g.Nx * g.Ny * 8
 
@@ -254,20 +254,21 @@ def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshot_re
     assert alive(snapshot_refs) == []
 
 
-def test_boundary_orders(traj_imex, fine_setup, assumption):
-    rep = V.boundary_checks([traj_imex, fine_setup["traj"]], assumption)
+def test_boundary_orders(traj_imex, traj_fine, assumption):
+    rep = V.boundary_checks([traj_imex, traj_fine], assumption)
     assert rep.passed, rep.evidence
     assert rep.evidence["orders"]["third_trace"] >= 2.0
     assert rep.evidence["orders"]["fifth_trace"] >= 1.0
 
 
-def test_boundary_order_gate_fails_alone(traj_imex, fine_setup, assumption, monkeypatch):
+def test_boundary_order_gate_fails_alone(traj_imex, traj_fine, grid_fine, assumption,
+                                         monkeypatch):
     """Negative control for the dy-order gate: fifth_trace has no ratio
     gate, so inflating it 4x on the Ny = 513 level lowers its order by 2,
     under 1, while every finest-level ratio and the third_trace order still
     pass; the check then fails through the order gate alone."""
     real = V._wall_traces
-    fine_ny = fine_setup["grid"].Ny
+    fine_ny = grid_fine.Ny
 
     def inflated(traj, i, chi1):
         out = real(traj, i, chi1)
@@ -276,9 +277,9 @@ def test_boundary_order_gate_fails_alone(traj_imex, fine_setup, assumption, monk
         return out
 
     monkeypatch.setattr(V, "_wall_traces", inflated)
-    rep = V.boundary_checks([traj_imex, fine_setup["traj"]], assumption)
+    rep = V.boundary_checks([traj_imex, traj_fine], assumption)
     fin = min(rep.evidence["levels"].values(), key=lambda lv: lv["dy"])
-    assert fin["dy"] == fine_setup["grid"].dy
+    assert fin["dy"] == grid_fine.dy
     assert fin["dy_g_wall"] <= 5e-2 * fin["dy_g_scale"]
     assert fin["dy_f_wall"] <= 5e-2 * fin["dy_f_scale"]
     assert fin["third_trace"] <= 1e-2 * fin["third_scale"]
@@ -296,12 +297,12 @@ def test_cancellation_identity(grid, profile, cutoffs, assumption, u0):
     assert rep.evidence["worst_rel"] <= 1e-4
 
 
-def test_cancellation_refines(fine_setup, grid, profile, cutoffs, assumption, u0):
+def test_cancellation_refines(lab, profile, cutoffs, assumption, u0):
     st = evolve_shear(profile, 0.0)
     coarse = V.cancellation_check(u0, st, cutoffs, assumption).evidence["worst_rel"]
-    fs = fine_setup
-    st_f = evolve_shear(fs["profile"], 0.0)
-    fine = V.cancellation_check(fs["u0"], st_f, fs["cut"], fs["report"]).evidence["worst_rel"]
+    fs = lab.fine
+    st_f = evolve_shear(fs.profile, 0.0)
+    fine = V.cancellation_check(fs.u0, st_f, fs.cut, fs.report).evidence["worst_rel"]
     assert np.log2(coarse / fine) >= 3.0
 
 
@@ -440,6 +441,15 @@ def test_radius_decay(traj_picard, picard_raws, params):
                                max(1.0, em.evidence["C_max"]))
     assert rep.passed
     assert rep.evidence["margin"] > 0
+
+
+def test_radius_decay_detects_small_constant(traj_picard, picard_raws, params):
+    """Negative control: C* = 1e-3 shrinks the radius R = 4 C* C_hat (N0 + N0^2)
+    below the lifespan norm of the reference seminorm table, and the check
+    fails."""
+    rep = V.radius_decay_check(picard_raws, traj_picard.times, params, 0.5, 1e-3)
+    assert not rep.passed
+    assert rep.evidence["lifespan_norm"] > rep.evidence["R"]
 
 
 def test_lambda_arithmetic():

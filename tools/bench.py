@@ -19,7 +19,8 @@ After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
 enters the end-to-end numbers.
 Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs,
-the parent first; each side's wall time and summary line are kept.
+the parent first; each side's wall time, summary line and ten slowest test
+phases (pytest `--durations=10`) are kept.
 Before the pairs, `full --config configs/reference.ini` runs once per side
 with one BLAS thread, and the file lists the output files whose bytes differ
 between the sides (an empty list: byte-identical), for each differing JSON
@@ -45,6 +46,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -102,10 +104,15 @@ def tier1(checkout: Path) -> dict:
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"], cwd=checkout, env=env, capture_output=True, text=True)
+         "-p", "no:cacheprovider", "--durations=10"],
+        cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= ")}
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    # pytest's duration lines read "<seconds>s <setup|call|teardown> <test id>"
+    slowest = [line for line in lines if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)]
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= "),
+            "slowest": slowest}
 
 
 def _skeleton(name: str, data: bytes):
