@@ -221,10 +221,10 @@ class Lab:
         return solve(self.u0, self.profile, self.solver)
 
     def check_solve(self, nt: int):
-        """An imex solve at nt steps holding only verify.residual_nodes(nt),
-        the nodes the residual and boundary checks read; never kept."""
-        return imex_solve(self.u0, self.profile, replace(self.solver, Nt=nt),
-                          V.residual_nodes(nt))
+        """An imex solve at nt steps whose fields are streamed (Trajectory):
+        the residual and boundary checks read each node once, in time order,
+        through verify.walk, which keeps three at a time; never kept."""
+        return imex_solve(self.u0, self.profile, replace(self.solver, Nt=nt), stream=True)
 
     @cached_property
     def raws(self):
@@ -298,8 +298,11 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     whole configured solve run first (the condition monitor, and the seminorm
     table, marked where verify forms it); then lab.traj keeps no field, so a
     later read fails.  Every other solve is made here and dies with its
-    check: the residual ladder's levels and the boundary walk's pair are
-    Lab.check_solve's, and under imex the contraction check solves Picard."""
+    check.  The residual ladder's levels and the boundary check's pair are
+    Lab.check_solve's streams, read once by verify.walk: the ladder's levels
+    in one lockstep walk whose first level is also the boundary check's
+    coarse level, so that solve is made once, and then the companion's
+    solve.  Under imex the contraction check solves Picard."""
     cfg = lab.cfg
     reports = []
 
@@ -329,20 +332,18 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         add(V.CheckReport("compatibility", worst <= tol, {**cr.to_dict(), "tolerance": tol}))
     if "cancellation" in enabled:
         add(V.cancellation_check(lab.u0, evolve_shear(lab.profile, 0.0), lab.cut, lab.report))
-    # the boundary walk's coarse level and the ladder's first, in a slot the walk empties
-    held = [lab.check_solve(cfg.nt)] if "boundary" in enabled else []
-    if kinds:
+    if kinds or "boundary" in enabled:
+        # one walk: the residual ladder's levels in lockstep, the first also
+        # the boundary check's coarse level
         jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
-        # a generator: each other level is solved, evaluated and dropped in turn
-        ladder = (held[0] if held and nt == cfg.nt else lab.check_solve(nt)
-                  for nt in V.ladder_nts(cfg.nt))
-        rows = V.evaluate_residuals(ladder, jobs)
-        add(*(V.residual_report(job, levels) for job, levels in zip(jobs, rows)),
-            check="residual_ladder")
+        rows, coarse = V.walk(map(lab.check_solve, V.ladder_nts(cfg.nt) if kinds else [cfg.nt]),
+                              jobs, lab.report if "boundary" in enabled else None)
+        if kinds:
+            add(*(V.residual_report(job, levels) for job, levels in zip(jobs, rows)),
+                check="residual_ladder")
     if "boundary" in enabled:
-        # wall-trace orders need the dy-refinement companion, solved after the coarse walk
-        pair = (level() for level in (held.pop, lambda: lab.fine.check_solve(cfg.nt)))
-        add(V.boundary_checks(pair, lab.report))
+        # the wall-trace orders need the dy-refinement companion
+        add(V.boundary_checks([lab.fine.check_solve(cfg.nt)], lab.report, coarse))
     if "sobolev" in enabled:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:
@@ -372,28 +373,34 @@ _ERROR_EXITS = ((ConfigError, 2, "configuration error"),
 
 
 class _StageClock:
-    """Wall seconds of each stage of one run and the process's ru_maxrss
-    (MB; Linux reports KiB) when the stage ends; likewise of each check a
-    stage marks, listed under the stage's "checks"."""
+    """Wall seconds, process CPU seconds (user and system) and minor page
+    faults of each stage of one run, and the process's ru_maxrss (MB; Linux
+    reports KiB) when the stage ends; likewise of each check a stage marks,
+    listed under the stage's "checks"."""
 
     def __init__(self):
         self.stage, self.spans, self.checks = "setup", [], []
-        self._start = self._last = time.perf_counter()
+        self._start = self._last = self._now()
 
     @staticmethod
-    def _span(start: float, now: float) -> dict:
-        return {"wall_s": now - start,
-                "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    def _now() -> tuple:
+        ru = resource.getrusage(resource.RUSAGE_SELF)
+        return time.perf_counter(), ru.ru_utime + ru.ru_stime, ru.ru_minflt, ru.ru_maxrss / 1024
+
+    @staticmethod
+    def _span(start: tuple, now: tuple) -> dict:
+        return {"wall_s": now[0] - start[0], "cpu_s": now[1] - start[1],
+                "ru_minflt": now[2] - start[2], "ru_maxrss_mb": now[3]}
 
     def mark(self, check: str) -> None:
         """Close one check of the current stage."""
-        now = time.perf_counter()
+        now = self._now()
         self.checks.append({"check": check, **self._span(self._last, now)})
         self._last = now
 
     def end(self, next_stage=None) -> None:
         """Close the current stage and open next_stage."""
-        now = time.perf_counter()
+        now = self._now()
         self.spans.append({"stage": self.stage, **self._span(self._start, now),
                            **({"checks": self.checks} if self.checks else {})})
         self.stage, self.checks, self._start, self._last = next_stage, [], now, now

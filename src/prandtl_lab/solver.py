@@ -155,13 +155,14 @@ def recover_v(u: Field, dxu: Field) -> Field:
 
 @dataclass
 class Trajectory:
-    """A solve on the uniform time grid ``times``.  u holds a Field per node,
-    or None at a node the solve was told not to keep (imex_solve's keep), so
-    that reading a dropped node fails; shear holds every node's ShearState."""
+    """A solve on the uniform time grid ``times``.  u holds a Field per node
+    (None at a node whose field its owner has dropped, so that reading it
+    fails), or, for a streamed imex solve, an iterator that hands the fields
+    out in time order once; shear holds every node's ShearState."""
 
     grid: Grid2D
     times: np.ndarray
-    u: list                      # Field per time node (None if dropped); v = recover_v(u)
+    u: list                      # Field per node (None if dropped) or a stream; v = recover_v(u)
     shear: list                  # ShearState per time node
     scheme: str
     eps: float
@@ -173,9 +174,10 @@ class Trajectory:
 
     def save(self, outdir) -> None:
         """Write outdir/trajectory.npz: times, contraction, scheme, eps and u as (N, Nx, Ny),
-        all exact, u appended node by node (no stack).  Refuses dropped nodes (ValueError)."""
-        if any(f is None for f in self.u):
-            raise ValueError("cannot save a trajectory whose solve dropped time nodes")
+        all exact, u appended node by node (no stack).  Refuses a streamed
+        trajectory and dropped nodes (ValueError)."""
+        if not isinstance(self.u, list) or any(f is None for f in self.u):
+            raise ValueError("cannot save a streamed trajectory or one with dropped time nodes")
         Path(outdir).mkdir(parents=True, exist_ok=True)
         np.savez(path := Path(outdir) / "trajectory.npz", times=self.times, scheme=self.scheme,
                  contraction=np.asarray(self.contraction, dtype=float), eps=self.eps)
@@ -244,25 +246,17 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
                       scheme="picard", eps=cfg.eps, contraction=contraction)
 
 
-def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig,
-               keep=None) -> Trajectory:
-    """First-order splitting: explicit transport step, exact diffusion step.
-    Each step's field is checked finite (NonFiniteError).
-
-    keep is the set of time indices whose fields the caller reads; the
-    trajectory holds None at every other node (see Trajectory).  The default,
-    None, keeps every node.  Every step is marched and checked either way."""
-    g = u0.grid
-    times, states = _time_grid(profile, cfg)
-    dt = times[1] - times[0]
-    keep = range(cfg.Nt + 1) if keep is None else keep
-
-    us = [u0.copy() if 0 in keep else None]
+def _imex_nodes(u0: Field, states: list, dt: float, eps: float):
+    """The march's fields in time order, u0's copy first; each step is
+    marched when its field is asked for, checked finite (NonFiniteError) and
+    guarded against doubling, and the last is truncation-checked once it has
+    been handed out."""
+    yield u0.copy()
     u_cur = u0
-    for n in range(cfg.Nt):
-        f_cur = _forcing(u_cur, states[n])
-        nxt = require_finite(
-            heat_propagate(Field(g, u_cur.values - dt * f_cur.values), dt, cfg.eps))
+    for n, state in enumerate(states[:-1]):
+        # explicit transport, then exact diffusion; no temporary outlives the step
+        nxt = require_finite(heat_propagate(
+            Field(u0.grid, u_cur.values - dt * _forcing(u_cur, state).values), dt, eps))
         peak_prev = max(linf(u_cur), 1e-14)
         peak = linf(nxt)
         if peak > 2.0 * peak_prev and peak > 1e-10:
@@ -270,8 +264,19 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig,
                 f"imex step {n}: field max doubled in one step "
                 f"({peak:.3e} vs {peak_prev:.3e}); CFL-style blowup")
         u_cur = nxt
-        us.append(u_cur if n + 1 in keep else None)
+        yield u_cur
     truncation_check(u_cur, name="imex final state")
-    return Trajectory(grid=g, times=times, u=us, shear=states,
-                      scheme="imex", eps=cfg.eps)
 
+
+def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig,
+               stream: bool = False) -> Trajectory:
+    """First-order splitting: explicit transport step, exact diffusion step.
+
+    With stream, the trajectory's u is an iterator that hands the fields out
+    in time order, once, marching each step as its field is asked for (see
+    Trajectory): the reader keeps what it needs and drains the iterator, so
+    every step is marched and checked.  Otherwise u holds every field."""
+    times, states = _time_grid(profile, cfg)
+    nodes = _imex_nodes(u0, states, times[1] - times[0], cfg.eps)
+    return Trajectory(grid=u0.grid, times=times, u=nodes if stream else list(nodes),
+                      shear=states, scheme="imex", eps=cfg.eps)

@@ -11,12 +11,20 @@ differentiating a masked ratio through its unsafe region).  Each residual is
 reported over a ladder of time resolutions together with the observed
 convergence order.
 
-One frame (_evaluate_at) serves the three identities: each kind supplies only
-d_y q, d_y^2 q and its right-hand side, and the frame forms q on the time
-triple, the material derivative, the cut-off weighting (residual_jobs: f a
-wider-hole chi1, h the certified chi2) and the interior norms, with one
-snapshot alive at a time.  One transport commutator (_commutator) serves the
-three right-hand sides, which add only their own coefficient blocks.
+One frame (_time_differences, then _residuals) serves the three identities:
+each kind supplies only d_y q, d_y^2 q and its right-hand side, and the
+frame forms q on the time triple, the material derivative, the cut-off
+weighting (residual_jobs: f a wider-hole chi1, h the certified chi2) and
+the interior norms, with one snapshot alive at a time.  One transport
+commutator (_commutator) serves the three right-hand sides, which add only
+their own coefficient blocks.
+
+One node walk (walk) reads the check-only solves, which stream their nodes:
+it advances the residual ladder's levels in lockstep, each through a
+three-node window, folds each job's Richardson difference across the levels
+at every node, and lets the first level's centre snapshot serve the
+boundary check's wall traces too; boundary_checks walks the dy-refinement
+companion the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .solver import Trajectory, recover_v
 
 __all__ = [
     "ResidualReport", "CheckReport", "ResidualJob", "residual_jobs", "ladder_nts",
-    "residual_nodes", "evaluate_residuals", "residual_report",
+    "walk", "residual_report",
     "boundary_checks", "cancellation_check", "sobolev_check", "inequality_suite",
     "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
 ]
@@ -99,9 +107,10 @@ class Snapshot(AuxWorkspace):
     of the bundle's a and b (read-only).
 
     A snapshot holds tens of fields, so every walk over a trajectory's nodes
-    (_evaluate_at's time triple, _wall_traces, condi_monitor) reduces each
-    node to what it reads and drops the node's snapshot before it builds
-    the next: one snapshot is alive at a time.
+    (walk, whose centre snapshot serves both the residual identities and
+    _wall_traces, and condi_monitor) reduces each node to what it reads and
+    drops the node's snapshot before it builds the next: one snapshot is
+    alive at a time.
     """
 
     def __init__(self, traj: Trajectory, i: int):
@@ -167,11 +176,22 @@ def _eval_indices(nt: int) -> list:
     return sorted({min(max(int(round(f * nt)), 1), nt - 1) for f in _EVAL_FRACS})
 
 
-def residual_nodes(nt: int) -> set:
-    """Every time index the residual evaluation reads on a ladder level of
-    nt steps: each evaluation triple i - 1, i, i + 1 (the centered d_t
-    stencil).  A check-only imex solve keeps only these nodes."""
-    return {j for i in _eval_indices(nt) for j in (i - 1, i, i + 1)}
+def _windows(traj: Trajectory):
+    """Reads traj.u once in time order and yields, at each evaluation index
+    i (_eval_indices), the three-node Trajectory of the nodes i - 1, i and
+    i + 1 (read it at index 1; its node list is reused, so it is good until
+    the next is asked for); then reads traj.u to its end, so that a streamed
+    solve marches and checks its last steps.  A node is dropped before the
+    node two steps on is read, so at most three of traj's nodes are alive,
+    the one being marched included."""
+    idx = _eval_indices(len(traj.times) - 1)
+    win = []
+    for j, u in enumerate(traj.u):
+        win.append(u)
+        if j - 1 in idx:
+            yield replace(traj, times=traj.times[j - 2:j + 1], u=win,
+                          shear=traj.shear[j - 2:j + 1])
+        del win[:-2]
 
 
 def _material_derivative(snap: Snapshot, dq: np.ndarray, q: np.ndarray, dyq: np.ndarray,
@@ -335,29 +355,34 @@ def residual_jobs(grid: Grid2D, rep: AssumptionReport, cut: CutoffSet, kinds) ->
             if kind in kinds]
 
 
-def _evaluate_at(traj: Trajectory, jobs, i: int):
-    """Yields (res, scale, diff) of each job at node i, in job order: diff is
-    chi times the identity's residual (material derivative of q minus its
-    right-hand side), res its interior L2 norm and scale that of chi q.
-
-    One snapshot is alive at a time: the neighbour i - 1 is reduced to its q
-    of every job and dropped; the neighbour i + 1 is built next, and each
-    job's q there is folded with the i - 1 value into the difference
-    q(i + 1) - q(i - 1) that the centered d_t reads before the centre is
-    built.  A job's difference is released once its material derivative is
-    formed, before its right-hand side, and its residual field is handed on
-    as it is formed.  The cut-off bookkeeping (all chi', chi'' terms)
-    cancels algebraically between the two sides, so each check evaluates the
-    surviving interior identity weighted by chi; stencils never cross the
-    critical strip because the f cut-off's hole is wider than their reach."""
+def _time_differences(traj: Trajectory, jobs, i: int) -> list:
+    """Each job's q(i + 1) - q(i - 1), the difference the centered d_t
+    reads.  The neighbour i - 1 is reduced to its q of every job and dropped
+    before i + 1 is built, and each job's q there is folded with the i - 1
+    value at once; with no job no neighbour is built."""
+    if not jobs:
+        return []
     s = Snapshot(traj, i - 1)
     dq = [_KINDS[kind][0](s, m) for kind, m, _ in jobs]
     del s
     s = Snapshot(traj, i + 1)
     for k, (kind, m, _) in enumerate(jobs):
         dq[k] = _KINDS[kind][0](s, m) - dq[k]
-    del s
-    s0 = Snapshot(traj, i)
+    return dq
+
+
+def _residuals(traj: Trajectory, jobs, i: int, s0: Snapshot, dq: list):
+    """Yields (res, scale, diff) of each job at node i, in job order, from
+    the centre snapshot s0 and the jobs' _time_differences dq: diff is chi
+    times the identity's residual (material derivative of q minus its
+    right-hand side), res its interior L2 norm and scale that of chi q.
+
+    A job's difference is released once its material derivative is formed,
+    before its right-hand side, and its residual field is handed on as it is
+    formed.  The cut-off bookkeeping (all chi', chi'' terms) cancels
+    algebraically between the two sides, so each check evaluates the
+    surviving interior identity weighted by chi; stencils never cross the
+    critical strip because the f cut-off's hole is wider than their reach."""
     dt2 = traj.times[i + 1] - traj.times[i - 1]
     for k, (kind, m, chi) in enumerate(jobs):
         q, d_y, rhs = _KINDS[kind]
@@ -381,38 +406,65 @@ class ResidualLevel(NamedTuple):
     richardson: float | None
 
 
-def evaluate_residuals(trajs, jobs) -> list:
-    """For each job, one ResidualLevel per trajectory (every level on one
-    space grid).  The nodes are evaluated one at a time for all jobs
-    (_evaluate_at: one snapshot alive at a time); trajs may be a generator,
-    whose levels are then released one by one.  Each job's residual field
-    at a node is folded into the Richardson difference against the previous
-    level's field of that job and node as _evaluate_at forms it, and then
-    takes that field's place, so at most one level of residual fields is
-    kept: the dt-independent spatial floor cancels in the difference and the
-    dt component remains."""
-    rows = [[] for _ in jobs]
-    prev = [{} for _ in jobs]       # previous level's residual field per job, by node
-    for traj in trajs:
-        norms, scales, gaps = ([[] for _ in jobs] for _ in range(3))
-        for n, i in enumerate(_eval_indices(len(traj.times) - 1)):
-            for k, (res, scale, diff) in enumerate(_evaluate_at(traj, jobs, i)):
-                norms[k].append(res)
-                scales[k].append(scale)
-                if n in prev[k]:
-                    gaps[k].append(_interior_l2(traj.grid, prev[k][n] - diff))
-                prev[k][n] = diff
-        for k, job_rows in enumerate(rows):
-            job_rows.append(ResidualLevel(traj.dt, traj.grid, tuple(norms[k]), tuple(scales[k]),
-                                          max(gaps[k]) if gaps[k] else None))
-        del traj        # before the generator solves the next level
-    return rows
+def _walk_node(windows, jobs, acc: list, chi1) -> dict:
+    """One evaluation node of walk, its levels' windows in turn: appends
+    each job's residual norm, scale and, from the second level on, the
+    interior L2 norm of its residual field's change from the previous level
+    to acc[k][level]; with chi1, returns the first level's wall traces (else
+    an empty dict).  What it forms dies on return, so the levels' next nodes
+    are marched with only the windows alive."""
+    coarser = [None] * len(jobs)        # each job's residual field on the previous level
+    traces = {}
+    for level, win in enumerate(windows):
+        dq = _time_differences(win, jobs, 1)
+        s0 = Snapshot(win, 1)
+        for k, (res, scale, diff) in enumerate(_residuals(win, jobs, 1, s0, dq)):
+            norms, scales, gaps = acc[k][level]
+            norms.append(res)
+            scales.append(scale)
+            if coarser[k] is not None:
+                gaps.append(_interior_l2(win.grid, coarser[k] - diff))
+            coarser[k] = diff
+        if level == 0 and chi1 is not None:
+            traces = _wall_traces(win, 1, s0, chi1)
+        del s0          # before the next level's snapshot is built
+    return traces
+
+
+def walk(trajs, jobs=(), rep: AssumptionReport | None = None) -> tuple:
+    """The node walk of the check-only solves: (rows, walls).  rows holds,
+    for each job, one ResidualLevel per trajectory (the residual ladder's
+    levels, each halving dt of the last, all on one space grid); walls, with
+    rep, the boundary check's wall-trace maxima of the first trajectory,
+    keyed by (Ny, dt) with its dy (boundary_checks).
+
+    The trajectories advance in lockstep, one evaluation node at a time, each
+    through its three-node window (_windows: a stream is read once and
+    drained).  At a node the levels are evaluated in turn with one snapshot
+    alive at a time, and each job's residual field is folded at once into
+    the Richardson difference against the previous level's field of that
+    job and node, then takes its place (_walk_node): the dt-independent
+    spatial floor cancels in the difference and the dt component remains.
+    The first level's centre snapshot also serves the wall traces."""
+    trajs = list(trajs)
+    first = trajs[0]
+    chi1 = None if rep is None else build_cutoffs(first.grid, rep.y0, rep.delta).chi1[None, :]
+    acc = [[([], [], []) for _ in trajs] for _ in jobs]     # per job and level: norms, scales, gaps
+    wall = {}
+    for windows in zip(*map(_windows, trajs), strict=True):
+        for key, value in _walk_node(windows, jobs, acc, chi1).items():
+            # running maxima over the nodes, a scale's from 1e-300
+            wall[key] = max(wall.get(key, 1e-300 if key.endswith("_scale") else 0.0), value)
+    walls = {} if rep is None else {(first.grid.Ny, first.dt): {**wall, "dy": first.grid.dy}}
+    rows = [[ResidualLevel(traj.dt, traj.grid, tuple(norms), tuple(scales),
+                           max(gaps) if gaps else None)
+             for traj, (norms, scales, gaps) in zip(trajs, levels)] for levels in acc]
+    return rows, walls
 
 
 def residual_report(job: ResidualJob, levels) -> ResidualReport:
-    """The job's residual norms per time-resolution level (its
-    evaluate_residuals levels) plus the dt-order, measured on the levels'
-    Richardson differences."""
+    """The job's residual norms per time-resolution level (its walk rows)
+    plus the dt-order, measured on the levels' Richardson differences."""
     grid_levels = [(lvl.dt, lvl.grid.dy, lvl.grid.Nx) for lvl in levels]
     diffs = [lvl.richardson for lvl in levels[1:]]
     orders = []
@@ -431,21 +483,17 @@ def residual_report(job: ResidualJob, levels) -> ResidualReport:
 residual_f = residual_g = residual_h = residual_report
 
 
-def _wall_traces(traj: Trajectory, i: int, chi1: np.ndarray) -> dict:
-    """The wall identities at node i of traj, reduced to floats: per
-    boundary_checks key, the largest magnitude of the defect or scale over
-    the node (and over the orders m).  The node's snapshot and temporaries
-    die on return, so a walk over the nodes holds one snapshot at a time."""
+def _wall_traces(traj: Trajectory, i: int, s0: Snapshot, chi1: np.ndarray) -> dict:
+    """The wall identities at node i of traj, from its snapshot s0, reduced
+    to floats: per boundary_checks key, the largest magnitude of the defect
+    or scale over the node (and over the orders m).  The temporaries die on
+    return."""
     g, eps = traj.grid, traj.eps
     out = {}
 
     def keep(key, values):
         out[key] = max(out.get(key, 0.0), float(np.max(np.abs(values))))
 
-    # the centered d_t reads only omega (Snapshot.omega) at i - 1 and i + 1
-    dom = dy_j(traj.u[i + 1], 1, npts=_WIDE).values - dy_j(traj.u[i - 1], 1, npts=_WIDE).values
-    dt2 = traj.times[i + 1] - traj.times[i - 1]
-    s0 = Snapshot(traj, i)
     for m in _ORDERS:
         for name, q in (("g", s0.g(m)), ("f", Field(g, chi1 * s0.q_f(m)))):
             dyq = dy_j(q, 1).values
@@ -453,7 +501,10 @@ def _wall_traces(traj: Trajectory, i: int, chi1: np.ndarray) -> dict:
             keep(f"dy_{name}_scale", dyq)
     om_tot0 = s0.om_tot[:, 0]
     dxom0 = s0.dxom(1).values[:, 0]
-    # d_y^2 omega represented through the evolution equation
+    # d_y^2 omega represented through the evolution equation; the centered
+    # d_t reads only omega (Snapshot.omega's stencil) at i - 1 and i + 1
+    dom = dy_j(traj.u[i + 1], 1, npts=_WIDE).values - dy_j(traj.u[i - 1], 1, npts=_WIDE).values
+    dt2 = traj.times[i + 1] - traj.times[i - 1]
     eqrhs = Field(g, _material_derivative(s0, dom, s0.omega.values, s0.dyom_tot, 0.0,
                                           dt2, eps))
     del dom
@@ -468,27 +519,24 @@ def _wall_traces(traj: Trajectory, i: int, chi1: np.ndarray) -> dict:
     return out
 
 
-def boundary_checks(trajs, rep: AssumptionReport) -> CheckReport:
+def boundary_checks(trajs, rep: AssumptionReport, walked=None) -> CheckReport:
     """Wall identities: d_y g_m = 0, d_y f_m = 0, and the third- and
-    fifth-derivative trace formulas at y = 0.
+    fifth-derivative trace formulas at y = 0, with their dy-orders between
+    the coarsest and the finest level.
 
-    The trace formulas are evaluated through the vorticity equation's
-    representation of d_y^2 omega (one resp. three further derivatives),
-    exactly as they are derived; forming d_y^5 omega directly from nodal
-    values would amplify solution noise by 1/dy^5 and sits in the blind
-    spot of the sine representation.  The raw direct evaluation is reported
-    as unchecked evidence.
+    Each trajectory is walked here, one at a time (walk); walked holds the
+    walk's wall maxima of levels already walked elsewhere (run_verify walks
+    its coarse level with the residual ladder).  The trace formulas are
+    evaluated through the vorticity equation's representation of
+    d_y^2 omega (one resp. three further derivatives), exactly as they are
+    derived; forming d_y^5 omega directly from nodal values would amplify
+    solution noise by 1/dy^5 and sits in the blind spot of the sine
+    representation.  The raw direct evaluation is reported as unchecked
+    evidence.
     """
-    levels = {}
+    levels = dict(walked or {})
     for traj in trajs:
-        chi1 = build_cutoffs(traj.grid, rep.y0, rep.delta).chi1[None, :]
-        lv = {}
-        for i in _eval_indices(len(traj.times) - 1):
-            for key, value in _wall_traces(traj, i, chi1).items():
-                # running maxima over the nodes, a scale's from 1e-300
-                lv[key] = max(lv.get(key, 1e-300 if key.endswith("_scale") else 0.0), value)
-        levels[(traj.grid.Ny, traj.dt)] = {**lv, "dy": traj.grid.dy}
-        del traj        # before a generator solves the next level
+        levels.update(walk([traj], rep=rep)[1])
     keys = sorted(levels, key=lambda k: -levels[k]["dy"])
     ev = {"levels": {str(k): levels[k] for k in keys}}
     orders = {}

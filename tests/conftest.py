@@ -72,24 +72,26 @@ def _solve(u0_field, profile, scheme, nt, eps=REF.eps):
     return fn(u0_field, profile, cfg)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def traj_ladder(lab):
-    """The residual ladder's imex trajectories (Nt = 32, 64, 128)."""
+    """The residual ladder's check-only imex solves (Nt = 32, 64, 128),
+    fresh for each test: their nodes stream once."""
     return [lab.check_solve(nt) for nt in V.ladder_nts(REF.nt)]
 
 
 @pytest.fixture(scope="session")
-def ladder_rows(lab, traj_ladder):
-    """(job, verify.evaluate_residuals levels) of every residual job on
-    traj_ladder, in report order."""
+def ladder_rows(lab):
+    """(job, verify.walk rows) of every residual job on the residual ladder,
+    in report order."""
     jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
-    return list(zip(jobs, V.evaluate_residuals(traj_ladder, jobs)))
+    rows, _ = V.walk([lab.check_solve(nt) for nt in V.ladder_nts(REF.nt)], jobs)
+    return list(zip(jobs, rows))
 
 
 @pytest.fixture(scope="session")
 def traj_imex(u0, profile):
-    """A whole imex solve at the reference Nt: the Lab's check_solve holds
-    only the residual nodes."""
+    """A whole imex solve at the reference Nt: the Lab's check_solve
+    streams its nodes."""
     return _solve(u0, profile, "imex", REF.nt)
 
 
@@ -109,7 +111,7 @@ def picard_raws(lab):
 @pytest.fixture(scope="session")
 def traj_fine(lab):
     """A whole imex solve on the dy-refinement companion, lab.fine (its
-    check_solve holds only the residual nodes)."""
+    check_solve streams its nodes)."""
     return imex_solve(lab.fine.u0, lab.fine.profile, lab.fine.solver)
 
 
@@ -147,6 +149,14 @@ def snapshot_overlap(snapshot_refs, monkeypatch):
 
     monkeypatch.setattr(V, "Snapshot", Counted)
     return others
+
+
+def evaluate_at(traj, jobs, i):
+    """verify's residual frame at node i of a whole trajectory, in walk's
+    order: the neighbours' time differences, then the centre snapshot;
+    yields (res, scale, diff) of each job."""
+    dq = V._time_differences(traj, jobs, i)
+    return V._residuals(traj, jobs, i, V.Snapshot(traj, i), dq)
 
 
 def alive(refs) -> list:

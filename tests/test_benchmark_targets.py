@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from prandtl_lab import cli
+from prandtl_lab import cli, solver
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,8 +25,11 @@ def _load(name):
     return mod
 
 
+_TRACER = _load("tracer")
+
+
 def test_every_tracer_target_resolves():
-    targets = _load("tracer").TARGETS
+    targets = _TRACER.TARGETS
     assert targets
     for mod_name, attr in targets:
         mod = importlib.import_module(f"prandtl_lab.{mod_name}")
@@ -56,18 +59,35 @@ def test_workload_plan_builds_valid_configs(workload):
 
 
 @pytest.mark.parametrize("workload", _WORKLOADS.WORKLOADS)
-def test_workload_report_order_matches_reference(workload, tmp_path):
+def test_workload_report_order_matches_reference(workload, tmp_path, monkeypatch):
     """The benchmark's evidence gate compares the manifest's reports by list
     position: op 0 of the seed-0 plan, run on a small grid, lists its
     reports in the order of the kept reference manifest.  Some checks fail on
-    that grid (exit 1); only the order is judged here."""
+    that grid (exit 1); only the order is judged here.  The run is traced as
+    the benchmark's traced run is: every traced span the plan does not list
+    as unused has a call, and the imex step counter equals the steps the
+    imex solves marched (one heat_propagate each), so a solve that hands out
+    its nodes lazily is still marched to its end."""
     plan = _WORKLOADS.plan(workload, 0)
     base = cli.load_config(PERFBENCH.parent / plan["config"])
     op = plan["ops"][0]
     checks = tuple(c for c in base.checks if c not in op["drop_checks"])
     cfg = dataclasses.replace(base, checks=checks, **op["overrides"],
                               nx=32, ny=129, mmax=8, nt=8)
-    assert cli.run(cfg, op["subcommand"], out_dir=tmp_path) in (0, 1)
+    steps = []
+    real = solver.heat_propagate
+    monkeypatch.setattr(solver, "heat_propagate", lambda *args: steps.append(1) or real(*args))
+    tracer = _TRACER.Tracer().install()
+    try:
+        tracer.recording = True
+        assert cli.run(cfg, op["subcommand"], out_dir=tmp_path) in (0, 1)
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
     names = [r["name"] for r in json.loads((tmp_path / "manifest.json").read_text())["reports"]]
     reference = json.loads((PERFBENCH / "reference" / workload / "op0.json").read_text())
     assert names == [r["name"] for r in reference["reports"]]
+    layers = tracer.layer_metrics(1)
+    spans = [_TRACER.span_name(m, a) for m, a in _TRACER.TARGETS]
+    assert [n for n in spans if n not in plan["unused"] and layers[f"{n}.calls"] == 0] == []
+    assert layers["solver.imex_solve.steps"] == len(steps) > 0

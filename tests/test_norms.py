@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from prandtl_lab.cutoffs import AuxWorkspace
-from prandtl_lab.grid import Field, weighted_l2
-from prandtl_lab.norms import GevreyParams, full_raw, gevrey_norm, gevrey_raw, lifespan_norm
+from prandtl_lab.grid import Field, dy_j, weighted_l2, x_spectrum
+from prandtl_lab.norms import (GevreyParams, _weighted_norms_all_m, full_raw, gevrey_norm,
+                               gevrey_raw, lifespan_norm)
 from prandtl_lab.shear import evolve_shear
 import prandtl_lab.verify as V
 
@@ -214,14 +215,41 @@ _DY_REFINEMENT_BOUND = 0.25
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: for t > 0 the base norm comes "
                    "mostly from the far-field y-rows, so it is not resolved in dy")
-def test_base_norm_agrees_under_dy_refinement(lab, traj_ladder, traj_fine, params):
-    """At every residual node, the base Gevrey norm of the imex solve at
-    cfg.nt on the reference grid (Ny = 257) and on the dy-refinement
-    companion (Ny = 513) agree within _DY_REFINEMENT_BOUND of the latter."""
-    coarse = traj_ladder[0]
+def test_base_norm_agrees_under_dy_refinement(lab, traj_imex, traj_fine, params):
+    """At every residual node (each evaluation triple), the base Gevrey norm
+    of the imex solve at cfg.nt on the reference grid (Ny = 257) and on the
+    dy-refinement companion (Ny = 513) agree within _DY_REFINEMENT_BOUND of
+    the latter."""
+    coarse = traj_imex
     assert len(coarse.times) == len(traj_fine.times) == REF.nt + 1
-    for i in sorted(V.residual_nodes(REF.nt)):
+    for i in sorted({j for c in V._eval_indices(REF.nt) for j in (c - 1, c, c + 1)}):
         norm_c = gevrey_norm(full_raw(coarse.u[i], coarse.shear[i], lab.cut, params), params)
         norm_f = gevrey_norm(full_raw(traj_fine.u[i], traj_fine.shear[i], lab.fine.cut, params),
                              params)
         assert abs(norm_c - norm_f) <= _DY_REFINEMENT_BOUND * norm_f, (i, norm_c, norm_f)
+
+
+# the last y-rows that the far-field test weighs, and the share of the
+# squared seminorm they may carry, both fixed before the test was first run
+_FAR_ROWS = 5
+_FAR_SHARE = 0.1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: the sine basis puts a far-field "
+                   "layer at Ymax, which carries most of the d_y^4 omega seminorm for t > 0")
+def test_far_field_rows_carry_little_of_the_mixed_seminorm(traj_picard, params):
+    """At every t > 0 node of the reference Picard solve, the last _FAR_ROWS
+    y-rows carry under _FAR_SHARE of the squared |<y>^(ell+1) d_x d_y^4 omega|
+    seminorm, the sup of the norm's dominant mixed group: the seminorm
+    without them (those quadrature weights zeroed) keeps the rest.  Measured
+    at the parent: a share of 0 at t = 0, 0.49 at T/32 and 0.99 at T."""
+    g = traj_picard.grid
+    w = g.y_weights(params.ell + 1.0)
+    w_near = w.copy()
+    w_near[-_FAR_ROWS:] = 0.0
+    shares = []
+    for u in traj_picard.u[1:]:
+        spec = x_spectrum(dy_j(dy_j(u, 1), 4).values)
+        [whole], [near] = (_weighted_norms_all_m(g, spec, wy, [1]) for wy in (w, w_near))
+        shares.append(1.0 - (near / whole) ** 2)
+    assert max(shares) < _FAR_SHARE, shares

@@ -14,7 +14,7 @@ from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import Trajectory, recover_v
 import prandtl_lab.verify as V
 
-from conftest import REF, _solve, alive
+from conftest import REF, _solve, alive, evaluate_at
 
 
 # ---------------------------------------------------------------- residuals
@@ -28,7 +28,7 @@ def test_residuals_vanish_on_shear_only(zero_traj, cutoffs, assumption):
     jobs = [job for job in V.residual_jobs(zero_traj.grid, assumption, cutoffs, "fgh")
             if job.m <= 2]
     bound = {"g": 1e-14, "f": 1e-12, "h": 1e-11}
-    for job, (r, s, d) in zip(jobs, V._evaluate_at(zero_traj, jobs, 4)):
+    for job, (r, s, d) in zip(jobs, evaluate_at(zero_traj, jobs, 4)):
         assert r <= bound[job.kind]
 
 
@@ -38,37 +38,37 @@ def test_residual_orders(ladder_rows):
             assert V.residual_report(job, levels).observed_order >= 1.0
 
 
-def test_residual_levels_fold_as_they_arrive(traj_ladder, monkeypatch):
-    """evaluate_residuals folds each level into its Richardson difference as
-    it arrives: when the next level is asked for, only the previous level's
-    residual fields are alive, and none are once the ladder is done."""
+def test_residual_levels_fold_as_they_arrive(lab, traj_imex, u0, profile, monkeypatch):
+    """walk folds each level into its Richardson difference as it arrives:
+    the levels advance in lockstep, and when a level's residual field at a
+    node is formed, only the previous level's field of that node is alive,
+    and none are once the walk is done.  The difference equals the one of
+    the fields evaluated node by node.  The first two levels are whole
+    solves and the third streams: walk reads both alike."""
     job = V.ResidualJob("g", 1)
-    direct = [[next(V._evaluate_at(traj, [job], i))[2]
-               for i in V._eval_indices(len(traj.times) - 1)] for traj in traj_ladder[:2]]
-    refs = []                  # weak references to each level's residual fields
-    real = V._evaluate_at
+    nts = V.ladder_nts(REF.nt)
+    ladder = [traj_imex, _solve(u0, profile, "imex", nts[1]), lab.check_solve(nts[2])]
+    direct = [[next(evaluate_at(traj, [job], i))[2]
+               for i in V._eval_indices(len(traj.times) - 1)] for traj in ladder[:2]]
+    refs = []                  # weak references to the residual fields, in walk order
+    real = V._residuals
 
-    def tracked(traj, jobs, i):
-        for out in real(traj, jobs, i):
-            refs[-1].append(weakref.ref(out[2]))
+    def tracked(*args):
+        for out in real(*args):
+            level = len(refs) % len(ladder)
+            if level:
+                assert len(alive(refs)) == 1 and alive(refs)[0] is refs[-1]
+            else:
+                assert alive(refs) == []
+            refs.append(weakref.ref(out[2]))
             yield out
 
-    monkeypatch.setattr(V, "_evaluate_at", tracked)
-
-    def levels():
-        for traj in traj_ladder:
-            for earlier in refs[:-1]:
-                assert alive(earlier) == []
-            if refs:
-                assert len(alive(refs[-1])) == len(refs[-1])
-            refs.append([])
-            yield traj
-
-    [rows] = V.evaluate_residuals(levels(), [job])
-    assert [len(level) for level in refs] == [3, 3, 3]
-    assert all(alive(level) == [] for level in refs)
+    monkeypatch.setattr(V, "_residuals", tracked)
+    [rows], _ = V.walk(ladder, [job])
+    assert len(refs) == 3 * len(ladder)
+    assert alive(refs) == []
     assert rows[0].richardson is None
-    assert rows[1].richardson == max(V._interior_l2(traj_ladder[0].grid, a - b)
+    assert rows[1].richardson == max(V._interior_l2(lab.grid, a - b)
                                      for a, b in zip(*direct))
 
 
@@ -96,7 +96,7 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
     real = V.recover_v
     monkeypatch.setattr(V, "recover_v", lambda u, dxu: calls.append(1) or real(u, dxu))
     jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
-    list(V._evaluate_at(traj_imex, jobs, 12))
+    list(evaluate_at(traj_imex, jobs, 12))
     assert len(calls) == 1
 
     formed = []
@@ -131,11 +131,13 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
 def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_picard, traj_ladder,
                                       params, snapshot_overlap):
     """Each walk over a trajectory's nodes drops a node's snapshot before it
-    builds the next: no Snapshot is built while another is alive."""
+    builds the next: no Snapshot is built while another is alive, the
+    residual ladder's lockstep walk with its wall traces included."""
     run = {"boundary": lambda: V.boundary_checks([traj_imex, traj_fine], lab.report),
            "conditions": lambda: V.condi_monitor(traj_picard, lab.report, params),
-           "residuals": lambda: V.evaluate_residuals(
-               traj_ladder[:2], V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"))}
+           "residuals": lambda: V.walk(
+               traj_ladder[:2], V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"),
+               lab.report)}
     run[walk]()
     assert snapshot_overlap and max(snapshot_overlap) == 0
 
@@ -193,11 +195,11 @@ def test_residual_ablation(kind, m, zeroed, term, floor, traj_imex, lab, monkeyp
     method, order = zeroed
     i = V._eval_indices(len(traj_imex.times) - 1)[1]
     [job] = [j for j in V.residual_jobs(lab.grid, lab.report, lab.cut, kind) if j.m == m]
-    [(_, scale, d_full)] = V._evaluate_at(traj_imex, [job], i)
+    [(_, scale, d_full)] = evaluate_at(traj_imex, [job], i)
     t = term(V.Snapshot(traj_imex, i), traj_imex.eps)
     tnorm = V._interior_l2(traj_imex.grid, t if job.chi is None else job.chi[None, :] * t)
     monkeypatch.setattr(V.Snapshot, method, _zeroed(getattr(V.Snapshot, method), order))
-    [(_, _, d_ablate)] = V._evaluate_at(traj_imex, [job], i)
+    [(_, _, d_ablate)] = evaluate_at(traj_imex, [job], i)
     moved = V._interior_l2(traj_imex.grid, d_ablate - d_full)
     assert np.isclose(moved, tnorm, rtol=1e-10)
     assert tnorm > floor * scale    # the term is not numerically negligible
@@ -270,8 +272,8 @@ def test_boundary_order_gate_fails_alone(traj_imex, traj_fine, grid_fine, assump
     real = V._wall_traces
     fine_ny = grid_fine.Ny
 
-    def inflated(traj, i, chi1):
-        out = real(traj, i, chi1)
+    def inflated(traj, *args):
+        out = real(traj, *args)
         if traj.grid.Ny == fine_ny:
             out["fifth_trace"] *= 4.0
         return out
