@@ -113,7 +113,10 @@ class AuxWorkspace:
     with its cleaned spectrum.  Given a cut-off set the bundle also checks
     the denominators' floors and forms f_m and h_m.  npts selects the
     y-stencils (None: the standard ones of Grid2D).  Each x-derivative of a
-    spectrum is computed once per bundle and served read-only afterwards."""
+    spectrum is computed once per bundle and served read-only afterwards,
+    until its reader drops its order (drop_dx): norms.full_raw does once it
+    has read f_m and h_m, so its bundle holds one order at a time, while the
+    residual frame, which reads orders again across its jobs, keeps them."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None):
@@ -164,6 +167,12 @@ class AuxWorkspace:
             read_only(out.values)
             self._dx_memo[key] = out
         return out
+
+    def drop_dx(self, m: int) -> None:
+        """Forget the memoised x-derivatives of order m (read again, they
+        would be formed again)."""
+        for key in [k for k in self._dx_memo if k[1] == m]:
+            del self._dx_memo[key]
 
     def dxu(self, m: int) -> Field:
         return self._dx("spec_u", m)

@@ -116,7 +116,10 @@ def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> Ge
     g_m = dx^(m-1) g1 and chi2 d_y dx^m omega are a pure x-derivative times a
     y-only factor, so their norms come by Parseval from the bundle's spectra
     with chi2^2 in the y-weight; f_m and h_m, whose quotients a, b vary in x,
-    are summed in physical space with chi1^2, chi2^2 folded into theirs."""
+    are summed in physical space with chi1^2, chi2^2 folded into theirs.
+    Once f_m and h_m have been read, the bundle drops its order-m
+    x-derivatives of u, omega and d_y omega, which no later order reads: the
+    table holds one tangential order at a time, and each is formed once."""
     ws = AuxWorkspace(u, state, cut)
     raw = gevrey_raw(ws, p)
     g = u.grid
@@ -128,6 +131,7 @@ def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> Ge
     for m, g_m, c_m in zip(ms, gs, cs):
         raw.aux[m] = (float(g_m), l2_y_weighted(g, ws.q_f(m), w_f),
                       l2_y_weighted(g, ws.q_h(m), w_chi2), float(c_m))
+        ws.drop_dx(m)
     return raw
 
 

@@ -8,7 +8,7 @@ Two routes solve the same equation and cross-validate each other:
   * picard_solve iterates the fixed-point map u_j = M1 u0 - M2 F(u_{j-1})
     on the whole time grid (mild_solution), where M1 is the Dirichlet heat
     semigroup of d_y^2 + eps d_x^2 (heat_propagate) and M2 its Duhamel
-    convolution (trapezoid in time);
+    convolution (trapezoid in time), one node at a time;
   * imex_solve marches u^{n+1} = M1(dt) (u^n - dt F(u^n)) with
     heat_propagate, diffusion exact per step, transport explicit.
 
@@ -101,31 +101,33 @@ def heat_propagate(f: Field, t: float, eps: float) -> Field:
     return Field(g, _from_modal(g, modal))
 
 
-def mild_solution(u0: Field, forcing, eps: float, times: np.ndarray) -> list[Field]:
+def mild_solution(u0: Field, forcing, eps: float, times: np.ndarray):
     """M1(t_i) u0 - int_0^{t_i} M1(t_i - s) f(s) ds at every node of the
-    uniform time grid, the integral by the trapezoid rule.
+    uniform time grid, the integral by the trapezoid rule, yielded in time
+    order.
 
-    ``forcing`` yields f at the nodes in order; each is reduced to its modal
-    amplitudes on arrival, and the integral advances by the recursion
-    I_i = e^{-L dt} I_{i-1} + dt/2 (e^{-L dt} f_{i-1} + f_i).  The value at
-    t_0 is u0 itself.  Every later value is checked finite (NonFiniteError).
+    ``forcing`` yields f at the nodes in order; f_i is read, and reduced to
+    its modal amplitudes, before node i is handed out (node 0, u0 itself,
+    included), so a caller may drop what f_i was formed from once node i has
+    arrived.  The integral advances by the recursion
+    I_i = e^{-L dt} I_{i-1} + dt/2 (e^{-L dt} f_{i-1} + f_i).  Every value
+    after u0 is checked finite (NonFiniteError).
     """
     g = u0.grid
     rates = _modal_rates(g, eps)
     dt = times[1] - times[0]
     e_dt = np.exp(-rates * dt)
     u0_modal = _to_modal(g, u0.values)
-    out = [u0]
     acc = np.zeros_like(u0_modal)
     f_prev = None
     for t, f in zip(times, forcing):
         f_modal = _to_modal(g, f.values)
-        if f_prev is not None:
+        if f_prev is None:
+            yield u0
+        else:
             acc = e_dt * acc + 0.5 * dt * (e_dt * f_prev + f_modal)
-            out.append(require_finite(
-                Field(g, _from_modal(g, np.exp(-rates * t) * u0_modal - acc))))
+            yield require_finite(Field(g, _from_modal(g, np.exp(-rates * t) * u0_modal - acc)))
         f_prev = f_modal
-    return out
 
 
 def _cumint_y4(grid: Grid2D, vals: np.ndarray) -> np.ndarray:
@@ -209,7 +211,10 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
     Stops when the sup-in-time L2 norm of the update xi_j falls below
     cfg.tol, or after cfg.jmax sweeps with a warning that the iteration has
     not converged; raises SolverDivergence when the update norm grows three
-    sweeps in a row (horizon too long for eps).
+    sweeps in a row (horizon too long for eps).  The initial guess is u0 at
+    every node.  As each node of a sweep arrives, its update norm is folded
+    into xi_j and it replaces the previous sweep's node, whose forcing has
+    been read: a sweep holds one trajectory.
     """
     g = u0.grid
     cr = check_compatibility(u0, profile)
@@ -219,12 +224,14 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
             f"by {cr.res_third:.2e}; wall traces of the solution will be rough",
             stacklevel=2)
     times, states = _time_grid(profile, cfg)
-    u_prev = [u0.copy() for _ in times]
+    u_prev = [u0] * len(times)           # the initial guess; _forcing only reads it
     contraction: list[float] = []
     grow = 0
     for _ in range(cfg.jmax):
-        u_next = mild_solution(u0, map(_forcing, u_prev, states), cfg.eps, times)
-        xi = max(weighted_l2(u_next[i] - u_prev[i], 0.0) for i in range(len(times)))
+        xi = 0.0
+        for i, u in enumerate(mild_solution(u0, map(_forcing, u_prev, states), cfg.eps, times)):
+            xi = max(xi, weighted_l2(u - u_prev[i], 0.0))
+            u_prev[i] = u
         contraction.append(xi)
         if len(contraction) >= 2 and xi > contraction[-2]:
             grow += 1
@@ -234,7 +241,6 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
                     f"T={cfg.T} too large for eps={cfg.eps}")
         else:
             grow = 0
-        u_prev = u_next
         if xi < cfg.tol:
             break
     else:

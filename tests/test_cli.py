@@ -1,3 +1,4 @@
+import collections
 import configparser
 import dataclasses
 import json
@@ -19,8 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prandtl_lab.cli as C
+import prandtl_lab.cutoffs as CU
+import prandtl_lab.grid as G
 import prandtl_lab.norms as N
 import prandtl_lab.shear as S
+import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
 from prandtl_lab.grid import Field
@@ -669,6 +673,70 @@ def test_coarse_check_solve_made_once(tmp_path, monkeypatch):
     assert sorted(made) == sorted([(cfg.ny, nt) for nt in V.ladder_nts(cfg.nt)]
                                   + [(2 * cfg.ny - 1, cfg.nt)])
     assert [r["name"] for r in reports][-1] == "boundary_checks"
+
+
+def test_full_work_counts(tmp_path, monkeypatch):
+    """The work of one full at nt = 8 on the reference config, counted
+    exactly: solves by (scheme, Ny, Nt), imex steps (one heat_propagate
+    each), Picard sweeps (one mild_solution each), distinct shear states by
+    Ny, Snapshot and AuxWorkspace constructions (a Snapshot is also a
+    bundle) and dx_m_spec and dy_j calls, each function counted at every
+    binding the package holds.  An extra solve, step, sweep, shear state,
+    bundle or derivative fails here without any timing; a release of
+    memoised x-derivatives that had them formed again would raise the
+    dx_m_spec count."""
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    counts = collections.Counter()
+
+    def count(fn, key):
+        def wrapper(*args, **kw):
+            counts[key(*args)] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    def count_everywhere(fn, key):
+        wrapper = count(fn, key)
+        for mod in [m for name, m in sys.modules.items() if name.startswith("prandtl_lab")]:
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+    count_everywhere(SO.picard_solve, lambda u0, p, sc: ("picard", u0.grid.Ny, sc.Nt))
+    count_everywhere(SO.imex_solve, lambda u0, p, sc, *a: ("imex", u0.grid.Ny, sc.Nt))
+    count_everywhere(SO.heat_propagate, lambda *a: "imex steps")
+    count_everywhere(SO.mild_solution, lambda *a: "picard sweeps")
+    count_everywhere(S.evolve_shear, lambda p, t: ("shear", p.grid.Ny, t))
+    count_everywhere(G.dx_m_spec, lambda *a: "dx_m_spec")
+    count_everywhere(G.dy_j, lambda *a: "dy_j")
+    for cls in (CU.AuxWorkspace, V.Snapshot):
+        monkeypatch.setattr(cls, "__init__", count(cls.__init__, lambda *a, name=cls.__name__: name))
+    assert run(cfg, "full", out_dir=tmp_path) == 0
+    states = collections.Counter(k[1] for k in counts if k[0] == "shear")
+    work = {k: v for k, v in counts.items() if k[0] != "shear"}
+    assert work == {("picard", 257, 8): 1, "picard sweeps": 5,
+                    ("imex", 257, 8): 1, ("imex", 257, 16): 1, ("imex", 257, 32): 1,
+                    ("imex", 513, 8): 1, "imex steps": 64,
+                    "Snapshot": 39, "AuxWorkspace": 49, "dx_m_spec": 1180, "dy_j": 709}
+    assert states == {257: 82, 513: 9}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 3: the residual and boundary reports "
+                   "pass on Richardson differences, in which a dt-independent defect cancels")
+def test_verify_fails_on_a_wrong_transport_term(tmp_path, monkeypatch):
+    """With the transport term 5% too large (solver._forcing scaled, so both
+    schemes solve the wrong equation), at least one of the residual and
+    boundary reports fails at nt = 8.  Measured: every report passes, here
+    and at nt = 16."""
+    real = SO._forcing
+    monkeypatch.setattr(SO, "_forcing",
+                        lambda u, state: Field(u.grid, 1.05 * real(u, state).values))
+    cfg = load_config(CONFIG)
+    cfg.nt = 8
+    cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary")
+    reports = run_verify(Lab(cfg), tmp_path)
+    assert len(reports) == 10
+    assert not all(r["pass"] for r in reports)
 
 
 def test_check_solves_hold_three_nodes(tmp_path, monkeypatch):

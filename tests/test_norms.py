@@ -1,9 +1,12 @@
 import math
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import prandtl_lab.cutoffs as CU
 from prandtl_lab.cutoffs import AuxWorkspace
 from prandtl_lab.grid import Field, dy_j, weighted_l2, x_spectrum
 from prandtl_lab.norms import (GevreyParams, _weighted_norms_all_m, full_raw, gevrey_norm,
@@ -205,6 +208,34 @@ def test_sigma_range_endpoints(grid, profile, cutoffs, u0, sigma):
     # stronger factorial damping (larger sigma) cannot increase the total
     softer = _extended(u0, st, cutoffs, GevreyParams(rho=0.3, sigma=1.5))
     assert total <= softer + 1e-12
+
+
+def test_full_raw_holds_one_tangential_order(traj_picard, cutoffs, params, monkeypatch):
+    """While full_raw reads order m, its bundle holds no x-derivative of
+    another order: every x-derivative the bundle serves is watched by a weak
+    reference, and as each is read none of another order is alive.  Each
+    derivative of u, omega and d_y omega is still formed once per order, and
+    the seminorms equal those of a bundle that keeps every order."""
+    seen, stale, formed = [], [], []
+    real_dx, real_spec = AuxWorkspace._dx, CU.dx_m_spec
+
+    def watched(self, name, m):
+        out = real_dx(self, name, m)
+        seen.append((m, weakref.ref(out.values)))
+        stale.extend((k, m) for k, r in seen if k != m and r() is not None)
+        return out
+
+    monkeypatch.setattr(AuxWorkspace, "_dx", watched)
+    monkeypatch.setattr(CU, "dx_m_spec", lambda g, spec, m: formed.append(m) or real_spec(g, spec, m))
+    u, st = traj_picard.u[-1], traj_picard.shear[-1]
+    raw = full_raw(u, st, cutoffs, params)
+    assert sorted(raw.aux) == list(range(1, params.Mmax + 1))
+    assert stale == []
+    assert Counter(formed) == {m: 3 for m in range(1, params.Mmax + 1)}
+    monkeypatch.setattr(AuxWorkspace, "drop_dx", lambda self, m: None)
+    kept = full_raw(u, st, cutoffs, params)
+    assert np.array_equal(kept.tang_u, raw.tang_u) and np.array_equal(kept.tang_om, raw.tang_om)
+    assert (kept.mixed, kept.aux) == (raw.mixed, raw.aux)
 
 
 # relative gap allowed between the base norms of the reference grid and its

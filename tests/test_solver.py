@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_heat_propagate_semigroup(grid):
 def test_duhamel_zero_forcing(grid):
     times = np.linspace(0, 0.1, 9)
     forcing = [Field.zeros(grid) for _ in times]
-    out = -mild_solution(Field.zeros(grid), forcing, 0.1, times)[8]
+    out = -list(mild_solution(Field.zeros(grid), forcing, 0.1, times))[8]
     assert linf(out) == 0.0
 
 
@@ -77,7 +78,7 @@ def test_duhamel_constant_eigenforcing(grid):
     for nt in (16, 32):
         times = np.linspace(0, 0.5, nt + 1)
         forcing = [f for _ in times]
-        out = -mild_solution(Field.zeros(grid), forcing, eps, times)[nt]
+        out = -list(mild_solution(Field.zeros(grid), forcing, eps, times))[nt]
         expect = (1.0 - np.exp(-lam * 0.5)) / lam
         errs.append(linf(Field(grid, out.values - expect * f.values)))
     assert errs[0] <= 1e-4
@@ -95,7 +96,7 @@ def test_duhamel_forcing_consistency(grid):
         times = np.linspace(0, 0.2, nt + 1)
         forcing = [Field(grid, np.cos(3 * t) * f.values) for t in times]
         k = nt // 2
-        duh = mild_solution(Field.zeros(grid), forcing, eps, times)
+        duh = list(mild_solution(Field.zeros(grid), forcing, eps, times))
         dm, d0, dp = -duh[k - 1], -duh[k], -duh[k + 1]
         dt = times[1] - times[0]
         resid = (dp.values - dm.values) / (2 * dt) - lam_op(d0) - forcing[k].values
@@ -113,7 +114,7 @@ def test_mild_solution_matches_direct_sum(grid):
     u0 = Field(grid, rng.normal(size=(grid.Nx, grid.Ny)) * sine)
     times = np.linspace(0, 0.2, 13)
     forcing = [Field(grid, rng.normal(size=(grid.Nx, grid.Ny)) * sine) for _ in times]
-    out = mild_solution(u0, forcing, eps, times)
+    out = list(mild_solution(u0, forcing, eps, times))
     assert len(out) == len(times)
     for i in range(1, len(times)):
         expect = heat_propagate(u0, times[i], eps).values
@@ -121,7 +122,7 @@ def test_mild_solution_matches_direct_sum(grid):
             w = times[min(s + 1, i)] - times[max(s - 1, 0)]
             expect -= 0.5 * w * heat_propagate(forcing[s], times[i] - times[s], eps).values
         assert linf(Field(grid, out[i].values - expect)) <= 1e-13 * np.max(np.abs(expect))
-    free = mild_solution(u0, [Field.zeros(grid) for _ in times], eps, times)
+    free = list(mild_solution(u0, [Field.zeros(grid) for _ in times], eps, times))
     for i, t in enumerate(times):
         assert linf(free[i] - heat_propagate(u0, t, eps)) <= 1e-13 * linf(u0)
 
@@ -221,9 +222,51 @@ def test_picard_is_fixed_point_of_mild_solution(traj_picard):
     """Mapping the converged iterate once more moves it by less than 10 tol."""
     traj = traj_picard
     forcing = [S._forcing(u, st) for u, st in zip(traj.u, traj.shear)]
-    mapped = mild_solution(traj.u[0], forcing, traj.eps, traj.times)
+    mapped = list(mild_solution(traj.u[0], forcing, traj.eps, traj.times))
     xi = max(weighted_l2(a - b, 0.0) for a, b in zip(mapped, traj.u))
     assert xi <= 10 * 1e-12          # conftest._solve runs Picard with tol = 1e-12
+
+
+def test_picard_sweep_holds_one_trajectory(u0, profile, monkeypatch):
+    """At nt = 8 no more than Nt + 3 of picard_solve's node fields are alive
+    at any point of a sweep: the initial guess and the previous sweep's
+    nodes (each field the transport term reads) and every field
+    mild_solution hands out are watched by weak references, and counted as
+    each forcing is formed and as each node is handed out.  A sweep that
+    returns its nodes in a list counts every node it holds; holding it whole
+    beside the previous sweep (and Nt + 1 copies of u0 as the initial guess)
+    keeps about 2 (Nt + 1)."""
+    nt = 8
+    refs, counts = [], []
+
+    def watch(f):
+        refs.append(weakref.ref(f.values))
+        counts.append(len({id(r()) for r in refs if r() is not None}))
+
+    real_forcing, real_mild = S._forcing, S.mild_solution
+
+    def forcing(u, state):
+        watch(u)
+        return real_forcing(u, state)
+
+    def handed_out(nodes):
+        for f in nodes:
+            watch(f)
+            yield f
+
+    def mild(*args):
+        nodes = real_mild(*args)
+        if isinstance(nodes, list):
+            for f in nodes:
+                watch(f)
+            return nodes
+        return handed_out(nodes)
+
+    monkeypatch.setattr(S, "_forcing", forcing)
+    monkeypatch.setattr(S, "mild_solution", mild)
+    traj = _solve(u0, profile, "picard", nt)
+    assert len(traj.contraction) >= 2 and len(traj.u) == nt + 1
+    assert max(counts) <= nt + 3, counts
 
 
 def test_divergence_detector(grid, profile):
