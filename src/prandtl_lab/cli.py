@@ -32,6 +32,7 @@ _IMPORT_START = time.perf_counter()     # before the imports below
 
 import argparse
 import configparser
+import ctypes
 import json
 import math
 import os
@@ -60,6 +61,27 @@ from . import verify as V
 # not (numpy and scipy in a fresh process); paid once per process
 _IMPORT = {"wall_s": time.perf_counter() - _IMPORT_START,
            "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+# glibc's malloc, else None.  By default glibc maps each block above a
+# threshold that grows with the blocks freed and unmaps it on free, and hands
+# the free top of its heap back, so a walk that forms and drops fields of
+# 263 KB at every node faults the same pages in again at every node.  Fixed
+# thresholds keep freed blocks for the next node: 32 MB for mmap (its largest
+# value) and 64 MB for the trim.
+_GLIBC = ctypes.CDLL(None) if platform.libc_ver()[0] == "glibc" else None
+if _GLIBC is not None:
+    _GLIBC.mallopt(-3, 32 << 20)        # M_MMAP_THRESHOLD
+    _GLIBC.mallopt(-1, 64 << 20)        # M_TRIM_THRESHOLD
+
+
+def _release_free_pages() -> None:
+    """Hand the pages of the heap's free blocks back to the system
+    (malloc_trim), so that what one check left behind does not count toward
+    the next one's peak.  Called between checks, never inside a walk."""
+    if _GLIBC is not None:
+        _GLIBC.malloc_trim(0)
+
 
 _ALL_CHECKS = ("assumption", "proposition", "compatibility", "cancellation",
                "residual_f", "residual_g", "residual_h", "boundary", "sobolev",
@@ -294,7 +316,8 @@ def run_norms(lab: Lab, outdir: Path) -> list:
 def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     """The enabled checks' reports, each written to <name>.json in a fixed
     order; mark(name) is called as each check ends, in run order (the shear
-    checks are one check, and so is the residual ladder).  The readers of the
+    checks are one check, and so is the residual ladder), once the free pages
+    the check left are handed back (_release_free_pages).  The readers of the
     whole configured solve run first (the condition monitor, and the seminorm
     table, marked where verify forms it); then lab.traj keeps no field, so a
     later read fails.  Every other solve is made here and dies with its
@@ -306,25 +329,29 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     cfg = lab.cfg
     reports = []
 
+    def done(check):
+        _release_free_pages()
+        mark(check)
+
     def add(*check_reports, check=None):
         """Write the reports of one check and mark its end (check: the
         report's name by default)."""
         reports.extend(_emit(outdir, *check_reports))
-        mark(check or reports[-1]["name"])
+        done(check or reports[-1]["name"])
 
     enabled = set(cfg.checks)
     kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
     if "conditions" in enabled:
         conditions = V.condi_monitor(lab.traj, lab.report, lab.params)
-        mark(conditions.name)
+        done(conditions.name)
     if {"energy", "radius"} & enabled and "raws" not in vars(lab):
         lab.raws
-        mark("seminorm_table")
+        done("seminorm_table")
     if "traj" in vars(lab):
         lab.traj.u[:] = [None] * len(lab.traj.u)
     if shear := run_shear_check(lab, outdir):
         reports += shear
-        mark("shear-check")
+        done("shear-check")
     if "compatibility" in enabled:
         cr = check_compatibility(lab.u0, lab.profile)
         tol = 1e-8 * max(cfg.amp, 1e-300)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -354,6 +355,40 @@ def test_run_log_records_cli_import(tmp_path):
     assert 0.5 * seen["outer"] <= log["import"]["wall_s"] <= seen["outer"]
     assert log["import"]["ru_maxrss_mb"] > 0.0
     assert "import" not in json.loads((tmp_path / "manifest.json").read_text())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+def test_freed_memory_is_reused():
+    """Once prandtl_lab.cli is imported, freed arrays of 1-3 MB serve the
+    next ones (cli._keep_freed_memory): ten more rounds fault no new pages.
+    Under glibc's defaults, which map, unmap and trim them, they fault about
+    700 (arrays under numpy's 4 MB huge-page cut, so pages of 4 KiB)."""
+    script = (
+        "import resource, numpy as np, prandtl_lab.cli\n"
+        "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for n in (1, 2, 3):\n"
+        "    np.ones(n << 17)\n"
+        "f0 = faults()\n"
+        "for _ in range(10):\n"
+        "    for n in (3, 1, 2):\n"
+        "        np.ones(n << 17)\n"
+        "print(faults() - f0)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(V.__file__).parents[1])})
+    assert int(proc.stdout) < 50
+
+
+def test_verify_releases_free_pages_between_checks(tmp_path, monkeypatch):
+    """run_verify hands the heap's free pages back before it marks each
+    check's end, and at no other point, so no walk is interrupted."""
+    events = []
+    monkeypatch.setattr(C, "_release_free_pages", lambda: events.append("release"))
+    cfg = C.RunConfig(nt=8, checks=("conditions", "energy", "compatibility", "inequalities"))
+    run_verify(Lab(cfg), tmp_path, mark=events.append)
+    marks = ["conditions_monitor", "seminorm_table", "compatibility", "inequality_suite",
+             "energy_monitor"]
+    assert events == [e for m in marks for e in ("release", m)]
 
 
 def test_main_bad_config_exit_two(tmp_path):
