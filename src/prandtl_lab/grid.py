@@ -184,11 +184,6 @@ class Field:
     def __sub__(self, other):
         return Field(self.grid, self.values - _vals(other))
 
-    def __mul__(self, other):
-        return Field(self.grid, self.values * _vals(other))
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return Field(self.grid, -self.values)
 

@@ -1,26 +1,32 @@
 """Shared fixtures: the reference configuration artifacts are expensive
 (solves, kernel quadrature), so everything heavy is session-scoped.  They are
 read from one cli.Lab of configs/reference.ini, so the tests judge the
-objects the CLI builds; only off-reference runs are solved here."""
+objects the CLI builds; only off-reference runs are solved here.  A test
+that only observes a run reads a Record of it, made once (recorded)."""
 
 import gc
+import sys
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
 
-from prandtl_lab.cli import Lab, load_config
-from prandtl_lab.solver import imex_solve, picard_solve
+import prandtl_lab.cli as C
+import prandtl_lab.cutoffs as CU
+import prandtl_lab.grid as G
+import prandtl_lab.norms as N
+import prandtl_lab.shear as S
+import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
-REF = load_config(CONFIG)
+REF = C.load_config(CONFIG)
 
 
 @pytest.fixture(scope="session")
 def lab():
-    return Lab(REF)
+    return C.Lab(REF)
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +74,7 @@ def _solve(u0_field, profile, scheme, nt, eps=REF.eps):
     """An off-reference solve (another datum, Nt or eps) on the reference
     horizon and Picard settings."""
     cfg = replace(REF, eps=eps, nt=nt, scheme=scheme).build()[2]
-    fn = picard_solve if scheme == "picard" else imex_solve
+    fn = SO.picard_solve if scheme == "picard" else SO.imex_solve
     return fn(u0_field, profile, cfg)
 
 
@@ -112,7 +118,7 @@ def picard_raws(lab):
 def traj_fine(lab):
     """A whole imex solve on the dy-refinement companion, lab.fine (its
     check_solve streams its nodes)."""
-    return imex_solve(lab.fine.u0, lab.fine.profile, lab.fine.solver)
+    return SO.imex_solve(lab.fine.u0, lab.fine.profile, lab.fine.solver)
 
 
 @pytest.fixture(scope="session")
@@ -122,33 +128,165 @@ def eps_family(u0, profile):
             0.05: _solve(u0, profile, "imex", REF.nt, eps=0.05)}
 
 
-@pytest.fixture
-def snapshot_refs(monkeypatch):
-    """Weak references to every verify.Snapshot built during the test."""
-    refs = []
+@dataclass
+class Built:
+    """One verify.Snapshot built under track_snapshots."""
+    ref: weakref.ref
+    ny: int                     # its grid's Ny
+    others: int                 # tracked Snapshots alive as it was built
+    at: int                     # events recorded before it was built
+    formed: set = field(default_factory=set)    # its instance members, once it has died
+
+
+def track_snapshots(mp, events=()) -> list:
+    """Patch verify.Snapshot through mp (a MonkeyPatch) with a subclass that
+    records a Built of each Snapshot, in build order; returns that list."""
+    built, index = [], {}
 
     class Tracked(V.Snapshot):
         def __init__(self, traj, i):
+            others = sum(b.ref() is not None for b in built)
             super().__init__(traj, i)
-            refs.append(weakref.ref(self))
+            index[id(self)] = len(built)
+            built.append(Built(weakref.ref(self), traj.grid.Ny, others, len(events)))
 
-    monkeypatch.setattr(V, "Snapshot", Tracked)
-    return refs
+        def __del__(self):
+            if (k := index.pop(id(self), None)) is not None:
+                built[k].formed.update(vars(self))
+
+    mp.setattr(V, "Snapshot", Tracked)
+    return built
 
 
 @pytest.fixture
-def snapshot_overlap(snapshot_refs, monkeypatch):
-    """The number of verify.Snapshots alive as each one is built during the
-    test, one entry per Snapshot."""
-    others = []
+def snapshots(monkeypatch):
+    """A Built of every verify.Snapshot built during the test."""
+    return track_snapshots(monkeypatch)
 
-    class Counted(V.Snapshot):
-        def __init__(self, traj, i):
-            others.append(sum(r() is not None for r in snapshot_refs))
-            super().__init__(traj, i)
 
-    monkeypatch.setattr(V, "Snapshot", Counted)
-    return others
+@dataclass
+class Solve:
+    """One solve made during a recorded run."""
+    scheme: str
+    ny: int
+    nt: int
+    streamed: bool
+    ref: weakref.ref            # to the Trajectory
+    at: int                     # events recorded before it was made
+    before: list                # per earlier solve, as it started: holds()
+    nodes: list = field(default_factory=list)   # weak references to the fields handed out
+    held: list = field(default_factory=list)    # holds() as each node is handed out; whole: once
+
+    def holds(self):
+        """None if the trajectory is freed, else how many of its nodes it holds."""
+        if (traj := self.ref()) is None:
+            return None
+        return (sum(r() is not None for r in self.nodes) if self.streamed
+                else sum(f is not None for f in traj.u))
+
+    def watch(self, fields):
+        for f in fields:
+            self.nodes.append(weakref.ref(f.values))
+            self.held.append(sum(r() is not None for r in self.nodes))
+            yield f
+
+
+@dataclass
+class Record:
+    """What one cli.run did (recorded)."""
+    out: Path                   # its output directory
+    code: int | None = None     # its exit code
+    lab: C.Lab | None = None    # the Lab that run_verify read
+    reports: list | None = None     # and the reports it returned
+    solves: list = field(default_factory=list)      # a Solve per solve, in order
+    snapshots: list = field(default_factory=list)   # a Built per verify.Snapshot
+    events: list = field(default_factory=list)      # ("stage", name) as a stage ends,
+    #                     ("mark", check) and ("release", None) (_release_free_pages)
+    calls: list = field(default_factory=list)       # (key, events before it) per counted call
+
+    @property
+    def marks(self) -> list:
+        return [name for kind, name in self.events if kind == "mark"]
+
+    def during(self, at: int) -> str:
+        """The stage or check during which what was recorded at `at` happened."""
+        return next(name for kind, name in self.events[at:] if kind != "release")
+
+
+# the functions a Record counts, by name (and evolve_shear by its state)
+_COUNTED = (SO.heat_propagate, SO.mild_solution, G.dx_m_spec, G.dy_j, N.trajectory_raws,
+            N.full_raw, V.condi_monitor)
+
+
+def _record(cfg, subcommand: str, out: Path) -> Record:
+    """cli.run(cfg, subcommand) into out, recorded: each solve made, every
+    Snapshot built, the events, the counted calls (_COUNTED, evolve_shear and
+    AuxWorkspace constructions, each function at every binding the package
+    holds) and what run_verify read and returned.  The patches last for this
+    run only."""
+    rec = Record(out)
+    with pytest.MonkeyPatch.context() as mp:
+        def everywhere(fn, wrapper):
+            for mod in [m for name, m in sys.modules.items() if name.startswith("prandtl_lab")]:
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        mp.setattr(mod, attr, wrapper)
+
+        def counted(fn, key=None):
+            return lambda *a, **kw: rec.calls.append(
+                (key(*a) if key else fn.__name__, len(rec.events))) or fn(*a, **kw)
+
+        def solving(fn):
+            def wrapper(u0, profile, sc, *args, **kw):
+                before = [s.holds() for s in rec.solves]
+                traj = fn(u0, profile, sc, *args, **kw)
+                rec.solves.append(solve := Solve(
+                    traj.scheme, u0.grid.Ny, sc.Nt, not isinstance(traj.u, list),
+                    weakref.ref(traj), len(rec.events), before))
+                if solve.streamed:
+                    traj.u = solve.watch(traj.u)
+                else:
+                    solve.held.append(solve.holds())
+                return traj
+            return wrapper
+
+        def verify(lab, outdir, mark):
+            rec.lab, rec.reports = lab, run_verify(lab, outdir, mark)
+            return rec.reports
+
+        for fn in _COUNTED:
+            everywhere(fn, counted(fn))
+        everywhere(S.evolve_shear, counted(S.evolve_shear, lambda p, t: ("shear", p.grid.Ny, t)))
+        for fn in (SO.imex_solve, SO.picard_solve):
+            everywhere(fn, solving(fn))
+        mp.setattr(CU.AuxWorkspace, "__init__",        # a Snapshot's too
+                   counted(CU.AuxWorkspace.__init__, lambda *a: "AuxWorkspace"))
+        rec.snapshots = track_snapshots(mp, rec.events)
+        mark, end, release, run_verify = (C._StageClock.mark, C._StageClock.end,
+                                          C._release_free_pages, C.run_verify)
+        mp.setattr(C._StageClock, "mark", lambda clock, check:
+                   rec.events.append(("mark", check)) or mark(clock, check))
+        mp.setattr(C._StageClock, "end", lambda clock, stage=None:
+                   rec.events.append(("stage", clock.stage)) or end(clock, stage))
+        mp.setattr(C, "_release_free_pages",
+                   lambda: rec.events.append(("release", None)) or release())
+        mp.setattr(C, "run_verify", verify)
+        rec.code = C.run(cfg, subcommand, out_dir=out)
+    return rec
+
+
+@pytest.fixture(scope="session")
+def recorded(tmp_path_factory):
+    """recorded(cfg, subcommand="verify"): the Record of cli.run(cfg,
+    subcommand), made once per session for each configuration.  Ask for it
+    before the test patches anything, or the record sees the patches."""
+    records = {}
+
+    def get(cfg, subcommand="verify"):
+        if (key := (subcommand, repr(cfg))) not in records:
+            records[key] = _record(cfg, subcommand, tmp_path_factory.mktemp(subcommand))
+        return records[key]
+    return get
 
 
 def evaluate_at(traj, jobs, i):

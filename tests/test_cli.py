@@ -9,10 +9,8 @@ import re
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prandtl_lab.cli as C
-import prandtl_lab.cutoffs as CU
-import prandtl_lab.grid as G
-import prandtl_lab.norms as N
 import prandtl_lab.shear as S
 import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
@@ -31,7 +26,27 @@ from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms,
 from prandtl_lab.grid import Field
 from prandtl_lab.profiles import perturbation_envelope
 
-from conftest import CONFIG, alive
+from conftest import CONFIG, REF, alive
+
+
+@pytest.fixture(scope="session")
+def picard_verify(recorded):
+    """verify at nt = 8 under Picard: the residuals, boundary and contraction."""
+    return recorded(dataclasses.replace(REF, nt=8, checks=(
+        "residual_f", "residual_g", "residual_h", "boundary", "contraction")))
+
+
+@pytest.fixture(scope="session")
+def full_run(recorded):
+    """full at nt = 8 on the reference config, every check enabled."""
+    return recorded(dataclasses.replace(REF, nt=8, checks=C._ALL_CHECKS), "full")
+
+
+@pytest.fixture(scope="session")
+def imex_verify(recorded):
+    """verify at nt = 8 under imex: residual_h, boundary and two monitors."""
+    return recorded(dataclasses.replace(REF, nt=8, scheme="imex", checks=(
+        "residual_h", "boundary", "conditions", "energy")))
 
 
 def _write(tmp_path, body):
@@ -109,9 +124,7 @@ def test_shear_check_exit_zero(tmp_path):
 
 
 def test_solve_and_norms_artifacts(tmp_path):
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.scheme = "imex"
+    cfg = dataclasses.replace(REF, nt=8, scheme="imex")
     assert run(cfg, "solve", out_dir=tmp_path) == 0
     with np.load(tmp_path / "trajectory" / "trajectory.npz") as z:
         assert np.array_equal(z["times"], np.linspace(0.0, cfg.t_final, cfg.nt + 1))
@@ -125,22 +138,11 @@ def test_solve_and_norms_artifacts(tmp_path):
     assert all(np.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
 
 
-def test_norms_and_energy_share_seminorms(tmp_path, monkeypatch):
+def test_norms_and_energy_share_seminorms(full_run):
     """run_norms and the energy and radius checks read the Lab's one
     seminorm table: one full_raw per stored time, u0's included."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.scheme = "imex"
-    cfg.checks = ("energy", "radius")
-    lab = Lab(cfg)
-    traj = lab.traj
-    calls = []
-    full_raw = N.full_raw
-    monkeypatch.setattr(N, "full_raw", lambda *a, **k: calls.append(1) or full_raw(*a, **k))
-    run_norms(lab, tmp_path)
-    reports = run_verify(lab, tmp_path)
-    assert [r["name"] for r in reports] == ["energy_monitor", "radius_decay"]
-    assert len(calls) == len(traj.times)
+    assert {"energy_monitor", "radius_decay"} <= {r["name"] for r in full_run.reports}
+    assert [k for k, _ in full_run.calls].count("full_raw") == len(full_run.lab.traj.times)
 
 
 def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
@@ -148,9 +150,7 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
     a first member has read them (the seminorm table orders 2-4, the shear
     check orders 2-6), a second member with another amp forms no quadrature
     row in its shear check or its seminorm table."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.scheme = "imex"
+    cfg = dataclasses.replace(REF, nt=8, scheme="imex")
     first = Lab(cfg)
     monkeypatch.setattr(first.profile, "state_cache", {})
     calls = []
@@ -195,9 +195,7 @@ def test_proposition_fails_below_least_persistence_time(lab, tmp_path, monkeypat
 
 
 def test_verify_subset_and_failure_exit(tmp_path):
-    cfg = load_config(CONFIG)
-    cfg.checks = ("conditions",)
-    cfg.nt = 8
+    cfg = dataclasses.replace(REF, nt=8, checks=("conditions",))
     assert run(cfg, "verify", out_dir=tmp_path / "ok") == 0
     cfg.amp = 0.5
     code = run(cfg, "verify", out_dir=tmp_path / "fail")
@@ -290,44 +288,43 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
         assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("1", None)
 
 
-def test_run_log_marks_checks_in_run_order(tmp_path, monkeypatch):
+def test_run_log_marks_checks_in_run_order(picard_verify, imex_verify, full_run):
     """The readers of the whole configured solve run before the shear
     checks, so under verify the condition monitor's mark comes first and
     covers its own walk, and the seminorm table is marked where verify forms
     it (under full the norms stage forms it); the reports keep their fixed
-    order in the manifest."""
-    spans = {}
-
-    def timed(name, fn):
-        def wrapper(*args):
-            start = time.perf_counter()
-            out = fn(*args)
-            spans[name] = time.perf_counter() - start
-            return out
-        return wrapper
-
-    monkeypatch.setattr(V, "condi_monitor", timed("conditions_monitor", V.condi_monitor))
-    monkeypatch.setattr(C, "trajectory_raws", timed("seminorm_table", C.trajectory_raws))
-    cfg = C.RunConfig(nt=8, checks=("residual_g", "conditions", "energy"))
-    reports = [f"residual_g[m={m}]" for m in (1, 2, 3)] + ["conditions_monitor",
-                                                          "energy_monitor"]
-    for sub, marks in (("verify", ["conditions_monitor", "seminorm_table", "residual_ladder",
-                                   "energy_monitor"]),
-                       ("full", ["conditions_monitor", "residual_ladder", "energy_monitor"])):
-        spans.clear()
-        assert run(cfg, sub, out_dir=tmp_path / sub) == 0
-        manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
-        assert [r["name"] for r in manifest["reports"]] == (
-            reports if sub == "verify" else ["solve", "norms", *reports])
-        log = json.loads((tmp_path / sub / "run_log.json").read_text())
+    order in the manifest.  A call covers the mark that ends next after it
+    starts, since marks are made between the checks.  run_verify hands the
+    heap's free pages back before it marks each check's end, and at no other
+    point, so no walk is interrupted."""
+    for rec in (picard_verify, imex_verify, full_run):
+        assert [e for e in rec.events if e[0] != "stage"] == [
+            e for m in rec.marks for e in (("release", None), ("mark", m))]
+    residuals = [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
+    for rec, sub, marks, reports in (
+            (imex_verify, "verify",
+             ["conditions_monitor", "seminorm_table", "residual_ladder", "boundary_checks",
+              "energy_monitor"],
+             [r for r in residuals if r.startswith("residual_h")]
+             + ["boundary_checks", "conditions_monitor", "energy_monitor"]),
+            (full_run, "full",
+             ["conditions_monitor", "shear-check", "compatibility", "cancellation_identity",
+              "residual_ladder", "boundary_checks", "sobolev_inequality", "inequality_suite",
+              "energy_monitor", "radius_decay", "picard_contraction"],
+             ["solve", "norms", "assumption", "proposition", "compatibility",
+              "cancellation_identity", *residuals, "boundary_checks", "sobolev_inequality",
+              "inequality_suite", "conditions_monitor", "energy_monitor", "radius_decay",
+              "picard_contraction"])):
+        assert rec.code == 0
+        manifest = json.loads((rec.out / "manifest.json").read_text())
+        assert [r["name"] for r in manifest["reports"]] == reports
+        log = json.loads((rec.out / "run_log.json").read_text())
         [verify] = [s["checks"] for s in log["stages"] if s["stage"] == "verify"]
-        assert [c["check"] for c in verify] == marks
-        for c in verify:
-            if c["check"] in spans:
-                assert c["wall_s"] >= spans[c["check"]]
-        if sub == "full":
-            [norms] = [s for s in log["stages"] if s["stage"] == "norms"]
-            assert norms["wall_s"] >= spans["seminorm_table"]
+        assert [c["check"] for c in verify] == rec.marks == marks
+        calls = {key: rec.during(at) for key, at in rec.calls
+                 if key in ("condi_monitor", "trajectory_raws")}
+        assert calls == {"condi_monitor": "conditions_monitor",
+                         "trajectory_raws": "seminorm_table" if sub == "verify" else "norms"}
 
 
 def test_run_log_records_cli_import(tmp_path):
@@ -360,7 +357,8 @@ def test_run_log_records_cli_import(tmp_path):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
 def test_freed_memory_is_reused():
     """Once prandtl_lab.cli is imported, freed arrays of 1-3 MB serve the
-    next ones (cli._keep_freed_memory): ten more rounds fault no new pages.
+    next ones (the mallopt calls that cli makes on import, which fix glibc's
+    mmap and trim thresholds): ten more rounds fault no new pages.
     Under glibc's defaults, which map, unmap and trim them, they fault about
     700 (arrays under numpy's 4 MB huge-page cut, so pages of 4 KiB)."""
     script = (
@@ -377,18 +375,6 @@ def test_freed_memory_is_reused():
                           check=True,
                           env={**os.environ, "PYTHONPATH": str(Path(V.__file__).parents[1])})
     assert int(proc.stdout) < 50
-
-
-def test_verify_releases_free_pages_between_checks(tmp_path, monkeypatch):
-    """run_verify hands the heap's free pages back before it marks each
-    check's end, and at no other point, so no walk is interrupted."""
-    events = []
-    monkeypatch.setattr(C, "_release_free_pages", lambda: events.append("release"))
-    cfg = C.RunConfig(nt=8, checks=("conditions", "energy", "compatibility", "inequalities"))
-    run_verify(Lab(cfg), tmp_path, mark=events.append)
-    marks = ["conditions_monitor", "seminorm_table", "compatibility", "inequality_suite",
-             "energy_monitor"]
-    assert events == [e for m in marks for e in ("release", m)]
 
 
 def test_main_bad_config_exit_two(tmp_path):
@@ -608,31 +594,29 @@ def test_compatibility_report_fails_without_wall_correction(tmp_path, monkeypatc
     assert max(ev["res_value"], ev["res_dyomega"]) <= ev["tolerance"] < ev["res_third"]
 
 
-def test_residual_block_matches_standalone_reports(tmp_path, snapshot_refs):
+def test_residual_block_matches_standalone_reports(picard_verify):
     """run_verify evaluates the residual ladders one time triple at a time,
     for all jobs at once, and drops each triple; its reports equal those of
     each job evaluated alone bitwise (on whole solves of the same levels,
-    bitwise the nodes the streamed levels hand out)."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.checks = ("residual_f", "residual_g", "residual_h")
-    lab = Lab(cfg)
-    marks = []
-    reports = run_verify(lab, tmp_path, marks.append)
-    assert marks == ["residual_ladder"]       # the ladder is one check
-    assert len(snapshot_refs) == 3 * 3 * len(V.ladder_nts(cfg.nt))
-    assert alive(snapshot_refs) == []
+    bitwise the nodes the streamed levels hand out).  The boundary
+    companion's snapshots (Ny = 2 Ny - 1) are not the ladder's."""
+    rec, lab = picard_verify, picard_verify.lab
+    assert rec.marks == ["residual_ladder", "boundary_checks", "picard_contraction"]
+    ladder = [b for b in rec.snapshots if b.ny == lab.grid.Ny]
+    assert len(ladder) == 3 * 3 * len(V.ladder_nts(lab.cfg.nt))
+    assert {rec.during(b.at) for b in ladder} == {"residual_ladder"}   # the ladder is one check
+    assert alive(b.ref for b in rec.snapshots) == []
     whole = [C.imex_solve(lab.u0, lab.profile, dataclasses.replace(lab.solver, Nt=nt))
-             for nt in V.ladder_nts(cfg.nt)]
+             for nt in V.ladder_nts(lab.cfg.nt)]
     alone = []
     for job in V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"):
         [levels], _ = V.walk(whole, [job])
         alone.append(V.residual_report(job, levels))
     assert [r.name for r in alone] == [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
-    assert json.dumps(reports) == json.dumps([r.to_dict() for r in alone])
+    assert json.dumps(rec.reports[:len(alone)]) == json.dumps([r.to_dict() for r in alone])
 
 
-def test_residual_ladder_holds_one_snapshot(snapshot_overlap):
+def test_residual_ladder_holds_one_snapshot(snapshots):
     """walk keeps one snapshot and one residual field per job alive: no
     Snapshot is built while another is alive, and its memory peak on the
     three streamed levels, their marching included, stays under 75 fields
@@ -641,118 +625,78 @@ def test_residual_ladder_holds_one_snapshot(snapshot_overlap):
     the same walk peaked at 80.1 with the levels solved beforehand (their
     marching not counted: three live snapshots and two levels of fields had
     reached 169, one snapshot and one level 94.8)."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
+    cfg = dataclasses.replace(REF, nt=8)
     lab = Lab(cfg)
     trajs = [lab.check_solve(nt) for nt in V.ladder_nts(cfg.nt)]
     jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
-    others = snapshot_overlap            # snapshots alive when each one is built
     tracemalloc.start()
     try:
         V.walk(trajs, jobs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(others) == 3 * 3 * len(V.ladder_nts(cfg.nt))
-    assert max(others) == 0
+    assert len(snapshots) == 3 * 3 * len(V.ladder_nts(cfg.nt))
+    assert max(b.others for b in snapshots) == 0    # snapshots alive as each one is built
     assert peak < 75.0 * lab.grid.Nx * lab.grid.Ny * 8
 
 
-def test_verify_check_solves_die_with_their_walk(tmp_path, monkeypatch):
+def test_verify_check_solves_die_with_their_walk(picard_verify):
     """run_verify makes the residual ladder's levels for one lockstep walk
     and the boundary companion's solve after it: the ladder's levels are
-    all dead when the companion's solve starts (and the companion is dead
-    when Picard's would), and afterwards the one solve alive is the Lab's
-    configured solve at cfg.nt, which the contraction check read."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary", "contraction")
-    solved, made = [], []
-
-    def tracked(solve):
-        def wrapper(u0, profile, sc, **kw):
-            if u0.grid.Ny > cfg.ny:
-                assert len(made) == 3 and alive(made) == [], "a ladder level outlived its walk"
-            traj = solve(u0, profile, sc, **kw)
-            solved.append(sc.Nt)
-            made.append(weakref.ref(traj))
-            return traj
-        return wrapper
-
-    monkeypatch.setattr(C, "imex_solve", tracked(C.imex_solve))
-    monkeypatch.setattr(C, "picard_solve", tracked(C.picard_solve))
-    lab = Lab(cfg)
-    run_verify(lab, tmp_path)
-    assert solved == [8, 16, 32, 8, 8]       # ladder, boundary companion, Picard
-    [held] = alive(made)
-    assert held() is lab.traj and len(lab.traj.times) - 1 == cfg.nt
-
-
-def test_coarse_check_solve_made_once(tmp_path, monkeypatch):
-    """With boundary and a residual check enabled, the imex solve on the
-    reference grid at cfg.nt is made once: it is the residual ladder's
-    first level and the boundary check's coarse level in one walk."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.checks = ("residual_h", "boundary")
-    made = []
-    real = C.imex_solve
-
-    def counted(u0, profile, sc, *args, **kw):
-        made.append((u0.grid.Ny, sc.Nt))
-        return real(u0, profile, sc, *args, **kw)
-
-    monkeypatch.setattr(C, "imex_solve", counted)
-    reports = run_verify(Lab(cfg), tmp_path)
+    all dead when the companion's solve starts, and the companion is dead
+    when Picard's does; afterwards the one solve alive is the Lab's
+    configured solve at cfg.nt, which the contraction check read.  The imex
+    solve on the reference grid at cfg.nt is made once: it is the residual
+    ladder's first level and the boundary check's coarse level in one walk.
+    No check-only imex solve has more than three of its nodes alive: each
+    field it hands out is watched by a weak reference, and as each is handed
+    out at most three are alive, the new one included (a solve that returns
+    its nodes in a list counts every node it holds)."""
+    rec, cfg = picard_verify, picard_verify.lab.cfg
+    assert [(s.scheme, s.ny, s.nt, rec.during(s.at)) for s in rec.solves] == [
+        ("imex", cfg.ny, 8, "residual_ladder"), ("imex", cfg.ny, 16, "residual_ladder"),
+        ("imex", cfg.ny, 32, "residual_ladder"), ("imex", 2 * cfg.ny - 1, 8, "boundary_checks"),
+        ("picard", cfg.ny, 8, "picard_contraction")]
+    made = [(s.ny, s.nt) for s in rec.solves if s.scheme == "imex"]
     assert made.count((cfg.ny, cfg.nt)) == 1
     assert sorted(made) == sorted([(cfg.ny, nt) for nt in V.ladder_nts(cfg.nt)]
                                   + [(2 * cfg.ny - 1, cfg.nt)])
-    assert [r["name"] for r in reports][-1] == "boundary_checks"
+    # the contraction check, which comes last, aside
+    assert [r["name"] for r in rec.reports][-2:] == ["boundary_checks", "picard_contraction"]
+    imex = [s for s in rec.solves if s.scheme == "imex"]
+    assert all(len(s.held) == s.nt + 1 for s in imex)        # each hands out every node
+    assert max(n for s in imex for n in s.held) <= 3, [s.held for s in imex]
+    companion, picard = rec.solves[3:]
+    assert companion.before == [None] * 3, "a ladder level outlived its walk"
+    assert picard.before == [None] * 4
+    [held] = alive(s.ref for s in rec.solves)
+    assert held is picard.ref and held() is rec.lab.traj and len(rec.lab.traj.times) - 1 == cfg.nt
+    assert vars(rec.lab)["traj"].scheme == "picard"
 
 
-def test_full_work_counts(tmp_path, monkeypatch):
+def test_full_work_counts(full_run):
     """The work of one full at nt = 8 on the reference config, counted
     exactly: solves by (scheme, Ny, Nt), imex steps (one heat_propagate
     each), Picard sweeps (one mild_solution each), distinct shear states by
     Ny, Snapshot and AuxWorkspace constructions (a Snapshot is also a
-    bundle) and dx_m_spec and dy_j calls, each function counted at every
+    bundle), dx_m_spec and dy_j calls, one seminorm table (a full_raw per
+    node) and one condition-monitor walk, each function counted at every
     binding the package holds.  An extra solve, step, sweep, shear state,
     bundle or derivative fails here without any timing; a release of
     memoised x-derivatives that had them formed again would raise the
     dx_m_spec count."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    counts = collections.Counter()
-
-    def count(fn, key):
-        def wrapper(*args, **kw):
-            counts[key(*args)] += 1
-            return fn(*args, **kw)
-        return wrapper
-
-    def count_everywhere(fn, key):
-        wrapper = count(fn, key)
-        for mod in [m for name, m in sys.modules.items() if name.startswith("prandtl_lab")]:
-            for attr, obj in list(vars(mod).items()):
-                if obj is fn:
-                    monkeypatch.setattr(mod, attr, wrapper)
-
-    count_everywhere(SO.picard_solve, lambda u0, p, sc: ("picard", u0.grid.Ny, sc.Nt))
-    count_everywhere(SO.imex_solve, lambda u0, p, sc, *a: ("imex", u0.grid.Ny, sc.Nt))
-    count_everywhere(SO.heat_propagate, lambda *a: "imex steps")
-    count_everywhere(SO.mild_solution, lambda *a: "picard sweeps")
-    count_everywhere(S.evolve_shear, lambda p, t: ("shear", p.grid.Ny, t))
-    count_everywhere(G.dx_m_spec, lambda *a: "dx_m_spec")
-    count_everywhere(G.dy_j, lambda *a: "dy_j")
-    for cls in (CU.AuxWorkspace, V.Snapshot):
-        monkeypatch.setattr(cls, "__init__", count(cls.__init__, lambda *a, name=cls.__name__: name))
-    assert run(cfg, "full", out_dir=tmp_path) == 0
+    rec = full_run
+    assert rec.code == 0
+    counts = collections.Counter(key for key, _ in rec.calls)
     states = collections.Counter(k[1] for k in counts if k[0] == "shear")
     work = {k: v for k, v in counts.items() if k[0] != "shear"}
-    assert work == {("picard", 257, 8): 1, "picard sweeps": 5,
-                    ("imex", 257, 8): 1, ("imex", 257, 16): 1, ("imex", 257, 32): 1,
-                    ("imex", 513, 8): 1, "imex steps": 64,
-                    "Snapshot": 39, "AuxWorkspace": 49, "dx_m_spec": 1180, "dy_j": 709}
+    assert collections.Counter((s.scheme, s.ny, s.nt) for s in rec.solves) == {
+        ("picard", 257, 8): 1, ("imex", 257, 8): 1, ("imex", 257, 16): 1, ("imex", 257, 32): 1,
+        ("imex", 513, 8): 1}
+    assert work == {"mild_solution": 5, "heat_propagate": 64, "AuxWorkspace": 49,
+                    "dx_m_spec": 1180, "dy_j": 709, "trajectory_raws": 1, "full_raw": 9,
+                    "condi_monitor": 1}
+    assert len(rec.snapshots) == 39
     assert states == {257: 82, 513: 9}
 
 
@@ -766,51 +710,11 @@ def test_verify_fails_on_a_wrong_transport_term(tmp_path, monkeypatch):
     real = SO._forcing
     monkeypatch.setattr(SO, "_forcing",
                         lambda u, state: Field(u.grid, 1.05 * real(u, state).values))
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary")
+    cfg = dataclasses.replace(REF, nt=8, checks=("residual_f", "residual_g", "residual_h",
+                                                 "boundary"))
     reports = run_verify(Lab(cfg), tmp_path)
     assert len(reports) == 10
     assert not all(r["pass"] for r in reports)
-
-
-def test_check_solves_hold_three_nodes(tmp_path, monkeypatch):
-    """During run_verify no check-only imex solve (the ladder's levels, the
-    boundary companion's) has more than three of its nodes alive: each field
-    it hands out is watched by a weak reference, and as each is handed out
-    at most three are alive, the new one included.  A solve that returns its
-    nodes in a list counts every node it holds."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.checks = ("residual_f", "residual_g", "residual_h", "boundary")
-    counts = []
-    real = C.imex_solve
-
-    def watched(u0, profile, sc, *args, **kw):
-        traj = real(u0, profile, sc, *args, **kw)
-        refs = []
-
-        def count():
-            counts.append((u0.grid.Ny, sc.Nt, sum(r() is not None for r in refs)))
-
-        def nodes(fields):
-            for f in fields:
-                refs.append(weakref.ref(f.values))
-                count()
-                yield f
-
-        if isinstance(traj.u, list):
-            refs.extend(weakref.ref(f.values) for f in traj.u if f is not None)
-            count()
-        else:
-            traj.u = nodes(traj.u)
-        return traj
-
-    monkeypatch.setattr(C, "imex_solve", watched)
-    run_verify(Lab(cfg), tmp_path)
-    assert {(ny, nt) for ny, nt, _ in counts} == \
-        {(cfg.ny, nt) for nt in V.ladder_nts(cfg.nt)} | {(2 * cfg.ny - 1, cfg.nt)}
-    assert max(n for _, _, n in counts) <= 3, counts
 
 
 def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
@@ -818,8 +722,7 @@ def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
     the boundary companion's) streams its nodes: read once, in time order,
     each bitwise the same node of a whole imex solve; it cannot be indexed
     or saved.  The configured solve, Lab.traj, is whole."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
+    cfg = dataclasses.replace(REF, nt=8)
     lab = Lab(cfg)
     assert cfg.scheme == "picard"
     nt = 2 * cfg.nt
@@ -840,42 +743,35 @@ def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
 
 def test_imex_scheme_solve_and_full_write_trajectory(tmp_path):
     """With scheme = imex the configured solve at cfg.nt is whole, so solve
-    and full save it and exit 0; the companion's check_solve streams."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.scheme = "imex"
+    and full save it, bitwise, and exit 0; the companion's check_solve
+    streams."""
+    cfg = dataclasses.replace(REF, nt=8, scheme="imex")
+    lab = Lab(cfg)
+    assert all(f is not None for f in lab.traj.u)
     for sub in ("solve", "full"):
         assert run(cfg, sub, out_dir=tmp_path / sub) == 0
         with np.load(tmp_path / sub / "trajectory" / "trajectory.npz") as z:
             assert z["u"].shape == (cfg.nt + 1, cfg.nx, cfg.ny)
-    lab = Lab(cfg)
-    assert all(f is not None for f in lab.traj.u)
+            assert np.array_equal(z["u"], np.stack([f.values for f in lab.traj.u]))
     assert not isinstance(lab.fine.check_solve(cfg.nt).u, list)
 
 
-def test_verify_releases_picard_solve_before_ladder(tmp_path, monkeypatch):
+def test_verify_releases_picard_solve_before_ladder(full_run):
     """With scheme picard the monitors read the configured solve first, and
     then run_verify drops all its fields: inside the first residual ladder
     solve it holds none, reading a node raises, its contraction history is
     still read, and the monitors' reports equal those of a fresh Lab."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.checks = ("residual_g", "conditions", "energy", "radius", "contraction")
+    rec, lab = full_run, full_run.lab
+    cfg = lab.cfg
     assert cfg.scheme == "picard"
-    lab = Lab(cfg)
-    held = []
-    real = C.imex_solve
-
-    def first_ladder_solve(u0, profile, sc, **kw):
-        if not held:
-            held.append([f is not None for f in lab.traj.u])
-        return real(u0, profile, sc, **kw)
-
-    monkeypatch.setattr(C, "imex_solve", first_ladder_solve)
-    reports = {r["name"]: r for r in run_verify(lab, tmp_path)}
-    assert held == [[False] * (cfg.nt + 1)]
+    configured, first = rec.solves[:2]
+    assert [(s.scheme, s.nt, rec.during(s.at)) for s in (configured, first)] == [
+        ("picard", cfg.nt, "solve"), ("imex", cfg.nt, "residual_ladder")]
+    assert configured.ref() is lab.traj and len(lab.traj.times) == cfg.nt + 1
+    assert first.before == [0]
     with pytest.raises(AttributeError):
         V.Snapshot(lab.traj, cfg.nt // 2)
+    reports = {r["name"]: r for r in rec.reports}
     assert reports["picard_contraction"]["evidence"]["updates"] == lab.traj.contraction
     fresh = Lab(cfg)
     times = fresh.traj.times
@@ -886,73 +782,29 @@ def test_verify_releases_picard_solve_before_ladder(tmp_path, monkeypatch):
     assert [reports[r.name] for r in alone] == [r.to_dict() for r in alone]
 
 
-def test_imex_solve_lifetimes(tmp_path, monkeypatch):
-    """With the boundary check off, the imex solve at cfg.nt is a ladder
-    level like the finer ones: none outlives the walk, and the Lab's one
-    solve is the configured Picard solve.  Under scheme imex the configured
-    solve keeps no field once the monitors have read it, the residual and
-    boundary reports equal those of a run without the monitors, and full
-    still saves it whole."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.checks = ("residual_h", "contraction")
-    refs = []
-    real = C.imex_solve
-
-    def tracked(u0, profile, sc, **kw):
-        traj = real(u0, profile, sc, **kw)
-        refs.append(weakref.ref(traj))
-        return traj
-
-    monkeypatch.setattr(C, "imex_solve", tracked)
-    lab = Lab(cfg)
-    run_verify(lab, tmp_path / "picard")
-    assert len(refs) == len(V.ladder_nts(cfg.nt)) and alive(refs) == []
-    assert vars(lab)["traj"].scheme == "picard"
-    monkeypatch.setattr(C, "imex_solve", real)
-
-    cfg.scheme = "imex"
-    cfg.checks = ("residual_h", "boundary", "conditions", "energy")
-    lab = Lab(cfg)
-    reports = run_verify(lab, tmp_path / "imex")
-    assert all(f is None for f in lab.traj.u)
+def test_imex_solve_lifetimes(imex_verify, tmp_path):
+    """Under scheme imex the configured solve keeps no field once the
+    monitors have read it, and the residual and boundary reports equal
+    those of a run without the monitors (under Picard: the walk test)."""
+    rec, cfg = imex_verify, imex_verify.lab.cfg
+    assert cfg.scheme == "imex"
+    assert all(f is None for f in rec.lab.traj.u)
     alone = run_verify(Lab(dataclasses.replace(cfg, checks=("residual_h", "boundary"))),
                        tmp_path / "alone")
     assert json.dumps(alone) == json.dumps(
-        [r for r in reports if r["name"] not in ("conditions_monitor", "energy_monitor")])
-    assert run(cfg, "full", out_dir=tmp_path / "full") == 0
-    whole = C.imex_solve(lab.u0, lab.profile, lab.solver)
-    with np.load(tmp_path / "full" / "trajectory" / "trajectory.npz") as z:
-        assert np.array_equal(z["u"], np.stack([f.values for f in whole.u]))
+        [r for r in rec.reports if r["name"] not in ("conditions_monitor", "energy_monitor")])
 
 
 @pytest.mark.parametrize("checks", [("residual_h",), ("contraction",)])
-def test_verify_alone_keeps_no_check_solve(tmp_path, monkeypatch, checks):
+def test_verify_alone_keeps_no_check_solve(recorded, checks):
     """Under scheme imex, verify run alone solves only what its checks read
     and keeps none of it: every imex solve at cfg.nt streams its nodes (the
     configured solve is not solved whole for the residual ladder), and no
     imex or Picard solve outlives run_verify, although the Lab does."""
-    cfg = load_config(CONFIG)
-    cfg.nt = 8
-    cfg.scheme = "imex"
-    cfg.checks = checks
-    refs, whole = [], []
-
-    def tracked(solve):
-        def wrapper(u0, profile, sc, **kw):
-            traj = solve(u0, profile, sc, **kw)
-            refs.append(weakref.ref(traj))
-            if traj.scheme == "imex" and sc.Nt == cfg.nt:
-                whole.append(isinstance(traj.u, list))
-            return traj
-        return wrapper
-
-    monkeypatch.setattr(C, "imex_solve", tracked(C.imex_solve))
-    monkeypatch.setattr(C, "picard_solve", tracked(C.picard_solve))
-    lab = Lab(cfg)
-    run_verify(lab, tmp_path)
-    assert not any(whole)
-    assert refs and alive(refs) == []
+    rec = recorded(dataclasses.replace(REF, nt=8, scheme="imex", checks=checks))
+    assert rec.code == 0 and rec.lab is not None
+    assert all(s.streamed for s in rec.solves if s.scheme == "imex" and s.nt == 8)
+    assert rec.solves and alive(s.ref for s in rec.solves) == []
 
 
 def test_verify_peak_after_solve_and_norms(tmp_path):

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import gc
 import tracemalloc
 import weakref
 
@@ -83,7 +82,7 @@ def test_snapshot_v_is_recovered_from_u(traj_imex, traj_picard):
 
 
 def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assumption, params,
-                                              monkeypatch):
+                                              monkeypatch, snapshots):
     """v, g1 and their spectra are formed on first read.  In a residual
     triple only the centre reads v, so recover_v runs once per triple, not
     three times; condi_monitor never reads g_m, so none of its snapshots
@@ -99,22 +98,18 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
     list(evaluate_at(traj_imex, jobs, 12))
     assert len(calls) == 1
 
-    formed = []
+    def members(walk) -> list:          # of each Snapshot walk() builds, as it dies
+        n = len(snapshots)
+        walk()
+        assert alive(b.ref for b in snapshots[n:]) == []
+        return [b.formed for b in snapshots[n:]]
 
-    class Recorded(V.Snapshot):
-        def __del__(self):
-            formed.append(set(vars(self)))
-
-    monkeypatch.setattr(V, "Snapshot", Recorded)
-    V.condi_monitor(traj_picard, assumption, params)
-    gc.collect()
+    formed = members(lambda: V.condi_monitor(traj_picard, assumption, params))
     assert len(formed) == len(traj_picard.times)
     assert all("v" in keys and not {"g1", "spec_g1"} & keys for keys in formed)
     assert not any({"inv_dyom", "b"} & keys for keys in formed)
 
-    formed.clear()
-    V.boundary_checks([traj_imex], assumption)
-    gc.collect()
+    formed = members(lambda: V.boundary_checks([traj_imex], assumption))
     assert len(formed) == len(V._eval_indices(len(traj_imex.times) - 1))
     assert not any({"spec_dyom", "inv_dyom", "b"} & keys for keys in formed)
 
@@ -129,7 +124,7 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
 
 @pytest.mark.parametrize("walk", ["boundary", "conditions", "residuals"])
 def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_picard, traj_ladder,
-                                      params, snapshot_overlap):
+                                      params, snapshots):
     """Each walk over a trajectory's nodes drops a node's snapshot before it
     builds the next: no Snapshot is built while another is alive, the
     residual ladder's lockstep walk with its wall traces included."""
@@ -139,7 +134,7 @@ def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_pica
                traj_ladder[:2], V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"),
                lab.report)}
     run[walk]()
-    assert snapshot_overlap and max(snapshot_overlap) == 0
+    assert snapshots and max(b.others for b in snapshots) == 0
 
 
 def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
@@ -249,11 +244,11 @@ def test_boundary_detects_wall_slope_of_g(zero_traj, assumption, monkeypatch):
     assert lv["dy_g_wall"] > 5e-2 * lv["dy_g_scale"]
 
 
-def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshot_refs):
+def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshots):
     """One snapshot per node: the centered d_t reads only omega at i -/+ 1."""
     V.boundary_checks([zero_traj], assumption)
-    assert len(snapshot_refs) == len(V._eval_indices(len(zero_traj.times) - 1))
-    assert alive(snapshot_refs) == []
+    assert len(snapshots) == len(V._eval_indices(len(zero_traj.times) - 1))
+    assert alive(b.ref for b in snapshots) == []
 
 
 def test_boundary_orders(traj_imex, traj_fine, assumption):
@@ -382,10 +377,10 @@ def test_inequality_suite():
 
 # ----------------------------------------------------------------- monitors
 
-def test_condi_passes_at_reference(traj_picard, assumption, params, snapshot_refs):
+def test_condi_passes_at_reference(traj_picard, assumption, params, snapshots):
     rep = V.condi_monitor(traj_picard, assumption, params)
-    assert len(snapshot_refs) == len(traj_picard.times)
-    assert alive(snapshot_refs) == []      # each snapshot read once, then dropped
+    assert len(snapshots) == len(traj_picard.times)
+    assert alive(b.ref for b in snapshots) == []      # each snapshot read once, then dropped
     assert rep.passed
     assert rep.evidence["first_failure_time"] is None
     assert rep.evidence["clause4_max"] <= 1.0
@@ -415,6 +410,20 @@ def test_energy_monitor(traj_picard, picard_raws, params):
     rep = V.energy_monitor(picard_raws, traj_picard.times, params, (0.3, 0.4))
     assert rep.passed
     assert np.isfinite(rep.evidence["C_max"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_energy_monitor_fails_on_non_finite_seminorm(traj_picard, picard_raws, params, bad):
+    """Negative control: the energy monitor's one rule is that C is finite at
+    every stored time, so one non-finite entry of the seminorm table (a mixed
+    seminorm at the middle time) fails it; inf gives C = inf / inf there."""
+    raws = list(picard_raws)
+    k = len(raws) // 2
+    raws[k] = dataclasses.replace(raws[k], mixed={**raws[k].mixed, (0, 1): bad})
+    with np.errstate(invalid="ignore"):
+        rep = V.energy_monitor(raws, traj_picard.times, params, (0.3, 0.4))
+    assert rep.passed is False
+    assert not np.isfinite(rep.evidence["C_max"])
 
 
 def test_energy_monitor_vacuous(zero_traj, params, cutoffs):

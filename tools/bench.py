@@ -18,9 +18,10 @@ whether that shows a gain (see `summarise`).
 After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
 enters the end-to-end numbers.
-Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs,
-the parent first; each side's wall time, summary line and ten slowest test
-phases (pytest `--durations=10`) are kept.
+Tier-1 is the suite of ROADMAP.md, run TIER1_RUNS times on each side after
+the pairs, alternating which side goes first; every run's wall time, summary
+line and ten slowest test phases (pytest `--durations=10`) are kept, with
+each side's median wall time and its quartiles.
 Before the pairs, `full --config configs/reference.ini` runs once per side
 with one BLAS thread, and the file lists the output files whose bytes differ
 between the sides (an empty list: byte-identical), for each differing JSON
@@ -58,6 +59,7 @@ CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("perturbation-sweep", "reference-full")
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 MIN_PAIRS = 10
+TIER1_RUNS = 5               # Tier-1 runs per side: one cannot show a 10% change on a shared host
 RUN_LOG = "run_log.json"     # stage and check marks, which differ between any two runs
 
 
@@ -113,6 +115,24 @@ def tier1(checkout: Path) -> dict:
     slowest = [line for line in lines if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)]
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= "),
             "slowest": slowest}
+
+
+def tier1_runs(sides: dict) -> dict:
+    """Tier-1 TIER1_RUNS times in each checkout, alternating which side
+    goes first; per side every run (tier1) and the median and quartiles of
+    the wall times."""
+    runs = {side: [] for side in sides}
+    for k in range(TIER1_RUNS):
+        for side in list(sides) if k % 2 == 0 else list(sides)[::-1]:
+            runs[side].append(tier1(sides[side]))
+            print(f"tier1 {k} {side}: {runs[side][-1]['summary']}", file=sys.stderr)
+    out = {}
+    for side, rs in runs.items():
+        walls = [r["wall_s"] for r in rs]
+        q1, _, q3 = statistics.quantiles(walls, n=4)
+        out[side] = {"runs": rs, "median_wall_s": statistics.median(walls),
+                     "quartiles_wall_s": [q1, q3]}
+    return out
 
 
 def _skeleton(name: str, data: bytes):
@@ -295,7 +315,7 @@ def main(argv=None) -> int:
         "imex_full_outputs": imex,
         "sweep_member_outputs": members,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
-        "tier1": {side: tier1(path) for side, path in sides.items()},
+        "tier1": tier1_runs(sides),
     }
     args.out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
