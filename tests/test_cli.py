@@ -288,18 +288,13 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
         assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("1", None)
 
 
-def test_run_log_marks_checks_in_run_order(picard_verify, imex_verify, full_run):
+def test_run_log_marks_checks_in_run_order(imex_verify, full_run):
     """The readers of the whole configured solve run before the shear
     checks, so under verify the condition monitor's mark comes first and
     covers its own walk, and the seminorm table is marked where verify forms
     it (under full the norms stage forms it); the reports keep their fixed
     order in the manifest.  A call covers the mark that ends next after it
-    starts, since marks are made between the checks.  run_verify hands the
-    heap's free pages back before it marks each check's end, and at no other
-    point, so no walk is interrupted."""
-    for rec in (picard_verify, imex_verify, full_run):
-        assert [e for e in rec.events if e[0] != "stage"] == [
-            e for m in rec.marks for e in (("release", None), ("mark", m))]
+    starts, since marks are made between the checks."""
     residuals = [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
     for rec, sub, marks, reports in (
             (imex_verify, "verify",
@@ -325,6 +320,15 @@ def test_run_log_marks_checks_in_run_order(picard_verify, imex_verify, full_run)
                  if key in ("condi_monitor", "trajectory_raws")}
         assert calls == {"condi_monitor": "conditions_monitor",
                          "trajectory_raws": "seminorm_table" if sub == "verify" else "norms"}
+
+
+
+def test_verify_releases_free_pages_between_checks(picard_verify, imex_verify, full_run):
+    """run_verify hands the heap's free pages back before it marks each
+    check's end, and at no other point, so no walk is interrupted."""
+    for rec in (picard_verify, imex_verify, full_run):
+        assert [e for e in rec.events if e[0] != "stage"] == [
+            e for m in rec.marks for e in (("release", None), ("mark", m))]
 
 
 def test_run_log_records_cli_import(tmp_path):
@@ -645,33 +649,46 @@ def test_verify_check_solves_die_with_their_walk(picard_verify):
     and the boundary companion's solve after it: the ladder's levels are
     all dead when the companion's solve starts, and the companion is dead
     when Picard's does; afterwards the one solve alive is the Lab's
-    configured solve at cfg.nt, which the contraction check read.  The imex
-    solve on the reference grid at cfg.nt is made once: it is the residual
-    ladder's first level and the boundary check's coarse level in one walk.
-    No check-only imex solve has more than three of its nodes alive: each
-    field it hands out is watched by a weak reference, and as each is handed
-    out at most three are alive, the new one included (a solve that returns
-    its nodes in a list counts every node it holds)."""
+    configured solve at cfg.nt, which the contraction check read."""
     rec, cfg = picard_verify, picard_verify.lab.cfg
     assert [(s.scheme, s.ny, s.nt, rec.during(s.at)) for s in rec.solves] == [
         ("imex", cfg.ny, 8, "residual_ladder"), ("imex", cfg.ny, 16, "residual_ladder"),
         ("imex", cfg.ny, 32, "residual_ladder"), ("imex", 2 * cfg.ny - 1, 8, "boundary_checks"),
         ("picard", cfg.ny, 8, "picard_contraction")]
-    made = [(s.ny, s.nt) for s in rec.solves if s.scheme == "imex"]
-    assert made.count((cfg.ny, cfg.nt)) == 1
-    assert sorted(made) == sorted([(cfg.ny, nt) for nt in V.ladder_nts(cfg.nt)]
-                                  + [(2 * cfg.ny - 1, cfg.nt)])
-    # the contraction check, which comes last, aside
-    assert [r["name"] for r in rec.reports][-2:] == ["boundary_checks", "picard_contraction"]
-    imex = [s for s in rec.solves if s.scheme == "imex"]
-    assert all(len(s.held) == s.nt + 1 for s in imex)        # each hands out every node
-    assert max(n for s in imex for n in s.held) <= 3, [s.held for s in imex]
     companion, picard = rec.solves[3:]
     assert companion.before == [None] * 3, "a ladder level outlived its walk"
     assert picard.before == [None] * 4
     [held] = alive(s.ref for s in rec.solves)
     assert held is picard.ref and held() is rec.lab.traj and len(rec.lab.traj.times) - 1 == cfg.nt
     assert vars(rec.lab)["traj"].scheme == "picard"
+
+
+
+def test_coarse_check_solve_made_once(picard_verify):
+    """With boundary and a residual check enabled, the imex solve on the
+    reference grid at cfg.nt is made once: it is the residual ladder's
+    first level and the boundary check's coarse level in one walk."""
+    rec, cfg = picard_verify, picard_verify.lab.cfg
+    made = [(s.ny, s.nt) for s in rec.solves if s.scheme == "imex"]
+    assert made.count((cfg.ny, cfg.nt)) == 1
+    assert sorted(made) == sorted([(cfg.ny, nt) for nt in V.ladder_nts(cfg.nt)]
+                                  + [(2 * cfg.ny - 1, cfg.nt)])
+    # the contraction check, which comes last, aside
+    assert [r["name"] for r in rec.reports][-2:] == ["boundary_checks", "picard_contraction"]
+
+
+def test_check_solves_hold_three_nodes(picard_verify):
+    """During run_verify no check-only imex solve (the ladder's levels, the
+    boundary companion's) has more than three of its nodes alive: each field
+    it hands out is watched by a weak reference, and as each is handed out
+    at most three are alive, the new one included.  A solve that returns its
+    nodes in a list counts every node it holds."""
+    rec, cfg = picard_verify, picard_verify.lab.cfg
+    imex = [s for s in rec.solves if s.scheme == "imex"]
+    assert {(s.ny, s.nt) for s in imex} == \
+        {(cfg.ny, nt) for nt in V.ladder_nts(cfg.nt)} | {(2 * cfg.ny - 1, cfg.nt)}
+    assert all(len(s.held) == s.nt + 1 for s in imex)        # each hands out every node
+    assert max(n for s in imex for n in s.held) <= 3, [s.held for s in imex]
 
 
 def test_full_work_counts(full_run):
