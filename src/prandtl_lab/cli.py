@@ -51,7 +51,8 @@ from . import __version__
 from .cutoffs import CutoffError, DenominatorFloorError, build_cutoffs
 from .grid import Grid2D, NonFiniteError
 from .norms import GevreyParams, gevrey_norm, trajectory_raws
-from .profiles import build_perturbation, build_shear_profile, check_compatibility, validate_assumption
+from .profiles import (build_perturbation, build_shear_profile, check_compatibility,
+                       quadpack_route, validate_assumption)
 from .shear import check_proposition_shear, evolve_shear, min_resolved_step
 from .solver import SolverConfig, SolverDivergence, imex_solve, picard_solve
 from . import verify as V
@@ -442,7 +443,8 @@ def _write_run(outdir: Path, manifest: dict, clock: _StageClock) -> None:
         "import": _IMPORT,
         "stages": clock.spans,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+                        "scipy": scipy.__version__, "quadpack": quadpack_route(),
+                        "cpu_count": os.cpu_count(),
                         **{k: os.environ.get(k)
                            for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}})
 

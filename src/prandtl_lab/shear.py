@@ -141,13 +141,16 @@ def _kernel_operands(p: ShearProfile, t: float, j1: int) -> tuple:
     wq[0] = wq[-1] = 0.5 * h
     w0w = w0 * wq
 
-    # tab[j][m + nf - 1] = d^j kernel at h*m
+    # tab[j][m + nf - 1] = d^j kernel at h*m.  The direct view is read from
+    # a reversed copy of the table so that its columns run forward: the
+    # subtraction in _quadrature_rows is slower on a negative column stride
     tab = _kernel_derivs_upto(h * np.arange(-(nf - 1), r * (ny - 1) + nf), t, j1 - 1)
+    n = len(tab[0])
     views = []
     for j in range(j1):
-        win = sliding_window_view(tab[j], nf)
-        views.append((win[:r * (ny - 1) + 1:r, ::-1],    # [i, k] -> h*(r*i - k)
-                      win[nf - 1::r][:ny]))               # [i, k] -> h*(r*i + k)
+        rev = sliding_window_view(tab[j][::-1].copy(), nf)
+        views.append((rev[n - nf::-r][:ny],                      # [i, k] -> h*(r*i - k)
+                      sliding_window_view(tab[j], nf)[nf - 1::r][:ny]))  # h*(r*i + k)
     return w0w, views
 
 

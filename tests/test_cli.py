@@ -24,7 +24,7 @@ import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
 from prandtl_lab.grid import Field
-from prandtl_lab.profiles import perturbation_envelope
+from prandtl_lab.profiles import perturbation_envelope, quadpack_route
 
 from conftest import CONFIG, REF, alive
 
@@ -282,8 +282,9 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
             for k in spans:       # the marks split their stage
                 assert sum(c[k] for c in marks) <= s[k] + 1e-9
         env = log["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "cpu_count",
+        assert set(env) == {"python", "numpy", "scipy", "quadpack", "cpu_count",
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert env["quadpack"] == quadpack_route()
         assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
         assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("1", None)
 

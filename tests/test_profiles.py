@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+import prandtl_lab.profiles as P
 from prandtl_lab.grid import Field, Grid2D, dx_m, dy_j
 from prandtl_lab.profiles import (ShearProfile, _ansatz_derivs, build_perturbation,
                                   build_shear_profile, check_compatibility, validate_assumption)
@@ -57,16 +58,84 @@ def test_ansatz_derivatives_match_sympy(grid, y0, alpha):
         assert np.max(np.abs(ours[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+_FRESH_LAB = """
+import sys
+from prandtl_lab.cli import Lab, RunConfig
+from prandtl_lab.profiles import _ansatz_derivs
+lab = Lab(RunConfig())
+print('sympy' in sys.modules, 'scipy.integrate' in sys.modules)
+from scipy.integrate import quad
+p, ymax = lab.profile, lab.grid.Ymax
+bare, _ = quad(lambda s: float(_ansatz_derivs(s, p.y0, p.alpha, p.correction, 1)[0]),
+               0.0, ymax, limit=200)
+print(p.amplitude.hex(), (1.0 / bare).hex())
+"""
+
+
 def test_profile_build_does_not_import_sympy():
+    """Building a Lab in a fresh process imports neither sympy nor
+    scipy.integrate (QUADPACK is loaded by file path); importing quad after
+    it still works and gives the Lab's amplitude bitwise."""
     root = Path(__file__).resolve().parent.parent
-    code = ("import sys; from prandtl_lab.cli import Lab, RunConfig; Lab(RunConfig()); "
-            "print('sympy' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", _FRESH_LAB], capture_output=True, text=True,
                           cwd=str(root), env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    sympy, integrate, direct, by_quad = proc.stdout.split()
+    assert sympy == "False"
+    assert integrate == "False"
+    assert direct == by_quad
+
+
+@pytest.mark.parametrize("y0,alpha,ny", [(REF.y0, REF.alpha, REF.ny),
+                                         (1.5, 1.5, 257), (2.0, 2.5, 257), (3.0, 2.0, 257)])
+def test_direct_normalization_is_quads(grid, y0, alpha, ny):
+    """The amplitude A from the file-loaded qagse is bitwise 1 / quad's
+    normalization integral, on the reference datum and on the family of
+    test_assumption_passes_over_family."""
+    g = grid if ny == REF.ny else Grid2D(64, ny)
+    p = build_shear_profile(g, y0, alpha)
+    assert P.quadpack_route() == "direct"
+    c = (1.0 + (alpha + 1.0) * y0) / y0
+    bare, _ = quad(lambda s: float(_ansatz_derivs(s, y0, alpha, c, 1)[0]), 0.0, g.Ymax,
+                   limit=200)
+    assert p.amplitude.hex() == (1.0 / bare).hex()
+
+
+@pytest.fixture
+def fresh_quadpack(monkeypatch):
+    """An empty profile cache and loader cache; the route flag, the cache and
+    the loader come back as they were."""
+    monkeypatch.setattr(P, "_profile_cache", {})
+    monkeypatch.setattr(P, "_fell_back", False)
+    P._load_qagse.cache_clear()
+    yield monkeypatch
+    P._load_qagse.cache_clear()
+
+
+def test_missing_qagse_falls_back_to_quad(fresh_quadpack, grid, profile):
+    """When the loader finds no extension, quad builds a bitwise-equal profile."""
+    fresh_quadpack.setattr(P, "_QUADPACK", "_no_such_quadpack")
+    assert P._load_qagse() is None
+    assert P.quadpack_route() == "quad"
+    p = build_shear_profile(grid, REF.y0, REF.alpha)
+    assert p.amplitude.hex() == profile.amplitude.hex()
+    for k in ("u0s", "derivs", "u0s_fine"):
+        assert np.array_equal(getattr(p, k), getattr(profile, k)), k
+
+
+def test_qagse_error_flag_raises_quads_warning(fresh_quadpack):
+    """A non-zero ier from qagse hands the integral to quad, whose warning
+    the caller sees, with quad's value."""
+    f = lambda s: 1.0 + np.cos(1e4 * s)    # too many oscillations for 200 subintervals
+    assert P._load_qagse()(f, 0.0, 30.0, (), 0, 1.49e-8, 1.49e-8, 200)[2] != 0
+    assert P.quadpack_route() == "direct"
+    with pytest.warns(IntegrationWarning):
+        value = P._integral(f, 30.0)
+    assert P.quadpack_route() == "quad"
+    with pytest.warns(IntegrationWarning):
+        assert value == quad(f, 0.0, 30.0, limit=200)[0]
 
 
 def test_validate_assumption_reference(assumption):
