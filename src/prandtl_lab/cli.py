@@ -325,8 +325,9 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     check.  The residual ladder's levels and the boundary check's pair are
     Lab.check_solve's streams, read once by verify.walk: the ladder's levels
     in one lockstep walk whose first level is also the boundary check's
-    coarse level, so that solve is made once, and then the companion's
-    solve.  Under imex the contraction check solves Picard."""
+    coarse level, then the companion's solve in a second walk; both walks'
+    wall traces go to boundary_checks.  Under imex the contraction check
+    solves Picard."""
     cfg = lab.cfg
     reports = []
 
@@ -371,7 +372,8 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
                 check="residual_ladder")
     if "boundary" in enabled:
         # the wall-trace orders need the dy-refinement companion
-        add(V.boundary_checks([lab.fine.check_solve(cfg.nt)], lab.report, coarse))
+        _, fine = V.walk([lab.fine.check_solve(cfg.nt)], rep=lab.report)
+        add(V.boundary_checks({**coarse, **fine}))
     if "sobolev" in enabled:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:

@@ -261,15 +261,18 @@ def linf(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def truncation_check(f: Field, tol: float = 1e-8, name: str = "field") -> bool:
-    """Warn when |f| at y=Ymax exceeds tol * max|f| (unsafe y-truncation)."""
+_TRUNCATION_TOL = 1e-8      # largest share of max|f| that f may keep at y = Ymax
+
+
+def truncation_check(f: Field, name: str = "field") -> bool:
+    """Warn when |f| at y=Ymax exceeds _TRUNCATION_TOL * max|f| (unsafe y-truncation)."""
     peak = np.max(np.abs(f.values))
     if peak == 0.0:
         return True
     edge = np.max(np.abs(f.values[:, -1]))
-    if edge > tol * peak:
+    if edge > _TRUNCATION_TOL * peak:
         warnings.warn(
-            f"{name}: magnitude {edge:.3e} at y=Ymax exceeds {tol:.1e} of max {peak:.3e}; "
-            "y-truncation may be unsafe", stacklevel=2)
+            f"{name}: magnitude {edge:.3e} at y=Ymax exceeds {_TRUNCATION_TOL:.1e} of max "
+            f"{peak:.3e}; y-truncation may be unsafe", stacklevel=2)
         return False
     return True

@@ -92,22 +92,20 @@ def _lift(y: np.ndarray, t: float, j: int) -> np.ndarray:
     return (2.0 / np.sqrt(np.pi)) * s ** (-j) * sign * eval_hermite(j - 1, eta) * np.exp(-eta * eta)
 
 
-def _kernel_derivs_upto(z: np.ndarray, t: float, jmax: int) -> list[np.ndarray]:
-    """[d_z^j kernel for j=0..jmax] with one exponential, Hermite recurrence."""
+def _kernel_derivs_upto(z: np.ndarray, t: float, j0: int, j1: int) -> list[np.ndarray]:
+    """[d_z^j kernel for j0 <= j < j1] with one exponential; the Hermite
+    recurrence runs from order 0, the products only for the orders kept."""
     s = np.sqrt(4.0 * t)
     x = z / s
     e = np.exp(-x * x) / np.sqrt(4.0 * np.pi * t)
     h_prev = np.ones_like(x)
     h_cur = 2.0 * x
-    out = [e.copy()]
-    for j in range(1, jmax + 1):
-        if j == 1:
-            h = h_cur
-        else:
-            h = 2.0 * x * h_cur - 2.0 * (j - 1) * h_prev
-            h_prev, h_cur = h_cur, h
-        sign = -1.0 if j % 2 else 1.0
-        out.append(sign * s ** (-j) * h * e)
+    out = [e.copy()] if j0 == 0 else []
+    for j in range(1, j1):
+        if j > 1:
+            h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * (j - 1) * h_prev
+        if j >= j0:
+            out.append((-1.0) ** j * s ** (-j) * h_cur * e)
     return out
 
 
@@ -124,10 +122,10 @@ def _row_spans(ny: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _kernel_operands(p: ShearProfile, t: float, j1: int) -> tuple:
+def _kernel_operands(p: ShearProfile, t: float, j0: int, j1: int) -> tuple:
     """(w0w, views): the weighted datum w0 * quadrature weights on y_fine,
-    and per order j < j1 the (direct, image) Ny x Nf kernel views, read from
-    one table of d^j kernel at h*m."""
+    and per order j0 <= j < j1 the (direct, image) Ny x Nf kernel views,
+    read from one table of d^j kernel at h*m."""
     grid = p.grid
     r, ny = _FINE_REFINE, grid.Ny
     yq = p.y_fine
@@ -141,16 +139,16 @@ def _kernel_operands(p: ShearProfile, t: float, j1: int) -> tuple:
     wq[0] = wq[-1] = 0.5 * h
     w0w = w0 * wq
 
-    # tab[j][m + nf - 1] = d^j kernel at h*m.  The direct view is read from
-    # a reversed copy of the table so that its columns run forward: the
+    # tab[j - j0][m + nf - 1] = d^j kernel at h*m.  The direct view is read
+    # from a reversed copy of the table so that its columns run forward: the
     # subtraction in _quadrature_rows is slower on a negative column stride
-    tab = _kernel_derivs_upto(h * np.arange(-(nf - 1), r * (ny - 1) + nf), t, j1 - 1)
+    tab = _kernel_derivs_upto(h * np.arange(-(nf - 1), r * (ny - 1) + nf), t, j0, j1)
     n = len(tab[0])
     views = []
-    for j in range(j1):
-        rev = sliding_window_view(tab[j][::-1].copy(), nf)
+    for row in tab:
+        rev = sliding_window_view(row[::-1].copy(), nf)
         views.append((rev[n - nf::-r][:ny],                      # [i, k] -> h*(r*i - k)
-                      sliding_window_view(tab[j], nf)[nf - 1::r][:ny]))  # h*(r*i + k)
+                      sliding_window_view(row, nf)[nf - 1::r][:ny]))  # h*(r*i + k)
     return w0w, views
 
 
@@ -160,14 +158,12 @@ def _quadrature_rows(p: ShearProfile, t: float, j0: int, j1: int) -> np.ndarray:
     direct - image is formed one _row_spans span at a time in one reused
     buffer, each span reduced by its own gemv; a row is the same whichever
     block of orders it is formed in."""
-    w0w, views = _kernel_operands(p, t, j1)
+    w0w, views = _kernel_operands(p, t, j0, j1)
     ny = p.grid.Ny
     spans = _row_spans(ny)
     buf = np.empty((max(b - a for a, b in spans), len(w0w)))
     out = np.empty((j1 - j0, ny))
-    for j in range(j0, j1):
-        direct, image = views[j]
-        row = out[j - j0]
+    for j, (direct, image), row in zip(range(j0, j1), views, out):
         for a, b in spans:
             row[a:b] = np.subtract(direct[a:b], image[a:b], out=buf[:b - a]) @ w0w
         row += _lift(p.grid.y_nodes, t, j)

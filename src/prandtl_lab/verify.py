@@ -23,8 +23,8 @@ One node walk (walk) reads the check-only solves, which stream their nodes:
 it advances the residual ladder's levels in lockstep, each through a
 three-node window, folds each job's Richardson difference across the levels
 at every node, and lets the first level's centre snapshot serve the
-boundary check's wall traces too; boundary_checks walks the dy-refinement
-companion the same way.
+boundary check's wall traces too; a second walk reads the dy-refinement
+companion, and boundary_checks reduces the wall traces of both walks.
 """
 
 from __future__ import annotations
@@ -519,24 +519,20 @@ def _wall_traces(traj: Trajectory, i: int, s0: Snapshot, chi1: np.ndarray) -> di
     return out
 
 
-def boundary_checks(trajs, rep: AssumptionReport, walked=None) -> CheckReport:
+def boundary_checks(levels: dict) -> CheckReport:
     """Wall identities: d_y g_m = 0, d_y f_m = 0, and the third- and
     fifth-derivative trace formulas at y = 0, with their dy-orders between
     the coarsest and the finest level.
 
-    Each trajectory is walked here, one at a time (walk); walked holds the
-    walk's wall maxima of levels already walked elsewhere (run_verify walks
-    its coarse level with the residual ladder).  The trace formulas are
-    evaluated through the vorticity equation's representation of
-    d_y^2 omega (one resp. three further derivatives), exactly as they are
-    derived; forming d_y^5 omega directly from nodal values would amplify
-    solution noise by 1/dy^5 and sits in the blind spot of the sine
-    representation.  The raw direct evaluation is reported as unchecked
-    evidence.
+    levels holds the wall-trace maxima that walk returns with rep, one
+    level per trajectory read; this reduces them and walks nothing.  The
+    trace formulas are evaluated through the vorticity equation's
+    representation of d_y^2 omega (one resp. three further derivatives),
+    exactly as they are derived; forming d_y^5 omega directly from nodal
+    values would amplify solution noise by 1/dy^5 and sits in the blind
+    spot of the sine representation.  The raw direct evaluation is reported
+    as unchecked evidence.
     """
-    levels = dict(walked or {})
-    for traj in trajs:
-        levels.update(walk([traj], rep=rep)[1])
     keys = sorted(levels, key=lambda k: -levels[k]["dy"])
     ev = {"levels": {str(k): levels[k] for k in keys}}
     orders = {}

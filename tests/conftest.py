@@ -94,6 +94,16 @@ def ladder_rows(lab):
     return list(zip(jobs, rows))
 
 
+def wall_levels(trajs, rep) -> dict:
+    """The wall-trace maxima that verify.boundary_checks reduces, each
+    trajectory walked alone (verify.walk), as run_verify walks the
+    dy-refinement companion."""
+    levels = {}
+    for traj in trajs:
+        levels.update(V.walk([traj], rep=rep)[1])
+    return levels
+
+
 @pytest.fixture(scope="session")
 def traj_imex(u0, profile):
     """A whole imex solve at the reference Nt: the Lab's check_solve

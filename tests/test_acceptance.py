@@ -15,7 +15,7 @@ from prandtl_lab.profiles import build_perturbation, check_compatibility
 from prandtl_lab.shear import check_proposition_shear, evolve_shear
 import prandtl_lab.verify as V
 
-from conftest import REF, _solve
+from conftest import REF, _solve, wall_levels
 
 
 def _criterion(num, desc, passed, detail=""):
@@ -67,7 +67,7 @@ def test_criterion_04_appendix_residual_orders(ladder_rows):
 
 
 def test_criterion_05_boundary_identities(traj_imex, traj_fine, assumption):
-    rep = V.boundary_checks([traj_imex, traj_fine], assumption)
+    rep = V.boundary_checks(wall_levels([traj_imex, traj_fine], assumption))
     orders = rep.evidence["orders"]
     ok = rep.passed and orders["third_trace"] >= 2.0 and orders["fifth_trace"] >= 1.0
     _criterion(5, "wall identities hold; trace orders >= 2 and >= 1", ok,

@@ -26,8 +26,8 @@ def _dense_differences(p, t):
     wq = np.full(yq.shape, h)
     wq[0] = wq[-1] = 0.5 * h
     w0w = (p.u0s_fine - _lift(yq, 0.0, 0)) * wq
-    kd = _kernel_derivs_upto(y[:, None] - yq[None, :], t, 6)
-    ks = _kernel_derivs_upto(y[:, None] + yq[None, :], t, 6)
+    kd = _kernel_derivs_upto(y[:, None] - yq[None, :], t, 0, 7)
+    ks = _kernel_derivs_upto(y[:, None] + yq[None, :], t, 0, 7)
     return [kd[j] - ks[j] for j in range(7)], w0w
 
 
@@ -91,7 +91,7 @@ def test_kernel_table_equals_dense_sum(profile):
     T = REF.t_final
     for t in (T / 128, T / 32, T, 0.5):
         s = evolve_shear(profile, t)
-        w0w, views = S._kernel_operands(profile, t, 7)
+        w0w, views = S._kernel_operands(profile, t, 0, 7)
         diffs, dense_w0w = _dense_differences(profile, t)
         assert np.array_equal(w0w, dense_w0w)
         assert all(np.array_equal(direct - image, d) for (direct, image), d in zip(views, diffs))
@@ -115,7 +115,7 @@ for ny in %r:
     p = build_shear_profile(Grid2D(int(nx), ny, float(lx), float(ymax)), float(y0), float(alpha))
     for t in %r:
         got = S._quadrature_rows(p, t, 0, 7)
-        w0w, views = S._kernel_operands(p, t, 7)
+        w0w, views = S._kernel_operands(p, t, 0, 7)
         y = p.grid.y_nodes
         one_call = np.array([(d - i) @ w0w + S._lift(y, t, j) for j, (d, i) in enumerate(views)])
         assert np.array_equal(got, one_call), (ny, t)

@@ -13,7 +13,7 @@ from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import Trajectory, recover_v
 import prandtl_lab.verify as V
 
-from conftest import REF, _solve, alive, evaluate_at
+from conftest import REF, _solve, alive, evaluate_at, wall_levels
 
 
 # ---------------------------------------------------------------- residuals
@@ -109,7 +109,7 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
     assert all("v" in keys and not {"g1", "spec_g1"} & keys for keys in formed)
     assert not any({"inv_dyom", "b"} & keys for keys in formed)
 
-    formed = members(lambda: V.boundary_checks([traj_imex], assumption))
+    formed = members(lambda: V.boundary_checks(wall_levels([traj_imex], assumption)))
     assert len(formed) == len(V._eval_indices(len(traj_imex.times) - 1))
     assert not any({"spec_dyom", "inv_dyom", "b"} & keys for keys in formed)
 
@@ -128,7 +128,7 @@ def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_pica
     """Each walk over a trajectory's nodes drops a node's snapshot before it
     builds the next: no Snapshot is built while another is alive, the
     residual ladder's lockstep walk with its wall traces included."""
-    run = {"boundary": lambda: V.boundary_checks([traj_imex, traj_fine], lab.report),
+    run = {"boundary": lambda: V.boundary_checks(wall_levels([traj_imex, traj_fine], lab.report)),
            "conditions": lambda: V.condi_monitor(traj_picard, lab.report, params),
            "residuals": lambda: V.walk(
                traj_ladder[:2], V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"),
@@ -138,16 +138,16 @@ def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_pica
 
 
 def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
-    """boundary_checks on the coarse/fine pair holds one snapshot and its
-    node's temporaries, and no grid keeps a dense y-stencil operator: its
-    tracemalloc peak stays under 35 fields of Nx Ny doubles of the fine
-    grid, and what it leaves behind (the grids' stencil bands) under 2.
-    It peaks at 32.9 and leaves 0.8; with the dense operators cached on
-    each grid it peaked at 45.4 and left 15.2."""
+    """The boundary walk of the coarse/fine pair, with its reduction, holds
+    one snapshot and its node's temporaries, and no grid keeps a dense
+    y-stencil operator: its tracemalloc peak stays under 35 fields of Nx Ny
+    doubles of the fine grid, and what it leaves behind (the grids' stencil
+    bands) under 2.  It peaks at 32.9 and leaves 0.8; with the dense
+    operators cached on each grid it peaked at 45.4 and left 15.2."""
     pair = [traj_imex, traj_fine]
     tracemalloc.start()
     try:
-        V.boundary_checks(pair, lab.report)
+        V.boundary_checks(wall_levels(pair, lab.report))
         now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -224,7 +224,7 @@ def test_residual_g_eps_wiring(u0, profile):
 # ----------------------------------------------------------------- boundary
 
 def test_boundary_zero_perturbation(zero_traj, assumption):
-    rep = V.boundary_checks([zero_traj], assumption)
+    rep = V.boundary_checks(wall_levels([zero_traj], assumption))
     lv = next(iter(rep.evidence["levels"].values()))
     assert lv["dy_g_wall"] <= 1e-13
     assert lv["dy_f_wall"] <= 1e-13
@@ -234,11 +234,11 @@ def test_boundary_zero_perturbation(zero_traj, assumption):
 
 def test_boundary_detects_wall_slope_of_g(zero_traj, assumption, monkeypatch):
     """Negative control: a g_m with a nonzero wall slope fails d_y g_m = 0."""
-    assert V.boundary_checks([zero_traj], assumption).passed
+    assert V.boundary_checks(wall_levels([zero_traj], assumption)).passed
     y = zero_traj.grid.y_nodes
     monkeypatch.setattr(V.Snapshot, "g", lambda self, m: Field(
         self.grid, np.outer(np.sin(self.grid.x_nodes), y * np.exp(-y))))
-    rep = V.boundary_checks([zero_traj], assumption)
+    rep = V.boundary_checks(wall_levels([zero_traj], assumption))
     assert not rep.passed
     lv = next(iter(rep.evidence["levels"].values()))
     assert lv["dy_g_wall"] > 5e-2 * lv["dy_g_scale"]
@@ -246,13 +246,13 @@ def test_boundary_detects_wall_slope_of_g(zero_traj, assumption, monkeypatch):
 
 def test_boundary_checks_drop_their_snapshots(zero_traj, assumption, snapshots):
     """One snapshot per node: the centered d_t reads only omega at i -/+ 1."""
-    V.boundary_checks([zero_traj], assumption)
+    V.boundary_checks(wall_levels([zero_traj], assumption))
     assert len(snapshots) == len(V._eval_indices(len(zero_traj.times) - 1))
     assert alive(b.ref for b in snapshots) == []
 
 
 def test_boundary_orders(traj_imex, traj_fine, assumption):
-    rep = V.boundary_checks([traj_imex, traj_fine], assumption)
+    rep = V.boundary_checks(wall_levels([traj_imex, traj_fine], assumption))
     assert rep.passed, rep.evidence
     assert rep.evidence["orders"]["third_trace"] >= 2.0
     assert rep.evidence["orders"]["fifth_trace"] >= 1.0
@@ -274,7 +274,7 @@ def test_boundary_order_gate_fails_alone(traj_imex, traj_fine, grid_fine, assump
         return out
 
     monkeypatch.setattr(V, "_wall_traces", inflated)
-    rep = V.boundary_checks([traj_imex, traj_fine], assumption)
+    rep = V.boundary_checks(wall_levels([traj_imex, traj_fine], assumption))
     fin = min(rep.evidence["levels"].values(), key=lambda lv: lv["dy"])
     assert fin["dy"] == grid_fine.dy
     assert fin["dy_g_wall"] <= 5e-2 * fin["dy_g_scale"]
@@ -283,6 +283,58 @@ def test_boundary_order_gate_fails_alone(traj_imex, traj_fine, grid_fine, assump
     assert rep.evidence["orders"]["third_trace"] >= 2.0
     assert rep.evidence["orders"]["fifth_trace"] < 1.0
     assert not rep.passed
+
+
+@pytest.fixture(scope="module")
+def pair_levels(traj_imex, traj_fine, assumption):
+    """The walked wall-trace levels of the coarse/fine pair."""
+    return wall_levels([traj_imex, traj_fine], assumption)
+
+
+def _boundary_gates(rep) -> dict:
+    """Each of boundary_checks' five gates, read from its report."""
+    fin = min(rep.evidence["levels"].values(), key=lambda lv: lv["dy"])
+    orders = rep.evidence["orders"]
+    return {"dy_g_wall": fin["dy_g_wall"] <= 5e-2 * fin["dy_g_scale"],
+            "dy_f_wall": fin["dy_f_wall"] <= 5e-2 * fin["dy_f_scale"],
+            "third_trace": fin["third_trace"] <= 1e-2 * fin["third_scale"],
+            "third_order": orders["third_trace"] >= 2.0,
+            "fifth_order": orders["fifth_trace"] >= 1.0}
+
+
+def _set_order(coarse, fine, key, order):
+    """coarse[key] such that key's dy-order between the levels is order."""
+    coarse[key] = fine[key] * (coarse["dy"] / fine["dy"]) ** order
+
+
+def _break_third_ratio(coarse, fine):
+    k = 2e-2 * fine["third_scale"] / fine["third_trace"]
+    coarse["third_trace"] *= k          # both levels alike: the order holds
+    fine["third_trace"] *= k
+
+
+_BREAKS = {
+    "dy_g_wall": lambda coarse, fine: fine.update(dy_g_wall=1e-1 * fine["dy_g_scale"]),
+    "dy_f_wall": lambda coarse, fine: fine.update(dy_f_wall=1e-1 * fine["dy_f_scale"]),
+    "third_trace": _break_third_ratio,
+    "third_order": lambda coarse, fine: _set_order(coarse, fine, "third_trace", 1.5),
+    "fifth_order": lambda coarse, fine: _set_order(coarse, fine, "fifth_trace", 0.5),
+}
+
+
+@pytest.mark.parametrize("gate", list(_BREAKS))
+def test_every_boundary_gate_can_fail(gate, pair_levels):
+    """Negative controls of the reducer: breaking one gate in the walked
+    levels of the coarse/fine pair (a finest-level ratio at twice its bound,
+    or a dy-order under its floor) fails the report while the other four
+    gates still hold."""
+    assert all(_boundary_gates(V.boundary_checks(pair_levels)).values())
+    levels = {key: dict(level) for key, level in pair_levels.items()}
+    coarse, fine = sorted(levels.values(), key=lambda lv: -lv["dy"])
+    _BREAKS[gate](coarse, fine)
+    rep = V.boundary_checks(levels)
+    assert not rep.passed
+    assert _boundary_gates(rep) == {g: g != gate for g in _BREAKS}
 
 
 # ------------------------------------------------------------- cancellation

@@ -1,6 +1,6 @@
 """Write a BENCH_*.json: perfbench medians of a change against its parent,
-the traced per-layer metrics of each, each side's Tier-1 wall time and src/
-line count.
+the traced per-layer metrics of each, each side's Tier-1 run (with per-file
+test seconds) and src/ line count.
 
     python3 tools/bench.py --parent DIR --out BENCH_<n>.json [--pairs N]
 
@@ -18,10 +18,12 @@ whether that shows a gain (see `summarise`).
 After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
 enters the end-to-end numbers.
-Tier-1 is the suite of ROADMAP.md, run TIER1_RUNS times on each side after
-the pairs, alternating which side goes first; every run's wall time, summary
-line and ten slowest test phases (pytest `--durations=10`) are kept, with
-each side's median wall time and its quartiles.
+Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs
+under pytest `--durations=0`: each side's wall time, exit code and summary
+line are kept with, per test file, the summed setup, call and teardown
+seconds.  Whole-suite wall times swing by more than a third between runs of
+one commit on a shared host, so the per-file sums, which say where a
+change moved the suite's time, are the figures to compare.
 Before the pairs, `full --config configs/reference.ini` runs once per side
 with one BLAS thread, and the file lists the output files whose bytes differ
 between the sides (an empty list: byte-identical), for each differing JSON
@@ -59,7 +61,6 @@ CHANGE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("perturbation-sweep", "reference-full")
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 MIN_PAIRS = 10
-TIER1_RUNS = 5               # Tier-1 runs per side: one cannot show a 10% change on a shared host
 RUN_LOG = "run_log.json"     # stage and check marks, which differ between any two runs
 
 
@@ -102,37 +103,27 @@ def src_lines(checkout: Path) -> int:
 
 
 def tier1(checkout: Path) -> dict:
+    """One Tier-1 run in checkout: its wall time, exit code, summary line
+    and, per test file, the seconds of its tests' setup, call and teardown
+    phases, summed (pytest --durations=0 --durations-min=0 lists every
+    phase)."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider", "--durations=10"],
+         "-p", "no:cacheprovider", "--durations=0", "--durations-min=0"],
         cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     summary = lines[-1] if lines else ""
-    # pytest's duration lines read "<seconds>s <setup|call|teardown> <test id>"
-    slowest = [line for line in lines if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)]
+    files = {}
+    # pytest's duration lines read "<seconds>s <setup|call|teardown> <file>::<test>"
+    for line in lines:
+        if m := re.match(r"(\d+\.\d+)s (setup|call|teardown) +([^:\s]+)::", line):
+            phases = files.setdefault(m[3], {"setup_s": 0.0, "call_s": 0.0, "teardown_s": 0.0})
+            phases[f"{m[2]}_s"] += float(m[1])
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= "),
-            "slowest": slowest}
-
-
-def tier1_runs(sides: dict) -> dict:
-    """Tier-1 TIER1_RUNS times in each checkout, alternating which side
-    goes first; per side every run (tier1) and the median and quartiles of
-    the wall times."""
-    runs = {side: [] for side in sides}
-    for k in range(TIER1_RUNS):
-        for side in list(sides) if k % 2 == 0 else list(sides)[::-1]:
-            runs[side].append(tier1(sides[side]))
-            print(f"tier1 {k} {side}: {runs[side][-1]['summary']}", file=sys.stderr)
-    out = {}
-    for side, rs in runs.items():
-        walls = [r["wall_s"] for r in rs]
-        q1, _, q3 = statistics.quantiles(walls, n=4)
-        out[side] = {"runs": rs, "median_wall_s": statistics.median(walls),
-                     "quartiles_wall_s": [q1, q3]}
-    return out
+            "files": dict(sorted(files.items()))}
 
 
 def _skeleton(name: str, data: bytes):
@@ -306,6 +297,8 @@ def main(argv=None) -> int:
     for w in WORKLOADS:
         workloads[w]["traced"] = {side: layers(path, w, seconds) for side, path in sides.items()}
         print(f"traced {w}: {workloads[w]['traced']}", file=sys.stderr)
+    tier = {side: tier1(path) for side, path in sides.items()}
+    print(f"tier1: { {side: t['summary'] for side, t in tier.items()} }", file=sys.stderr)
     payload = {
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
@@ -315,7 +308,7 @@ def main(argv=None) -> int:
         "imex_full_outputs": imex,
         "sweep_member_outputs": members,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
-        "tier1": tier1_runs(sides),
+        "tier1": tier,
     }
     args.out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
