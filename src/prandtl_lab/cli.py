@@ -114,7 +114,6 @@ class RunConfig:
     nt: int = _ini("solver", 32)
     jmax: int = _ini("solver", 12)
     tol: float = _ini("solver", 1e-10)
-    scheme: str = _ini("solver", "picard")
     rho: float = _ini("norms", 0.3)
     rho_tilde: float = _ini("norms", 0.4)
     rho0: float = _ini("norms", 0.5)
@@ -136,6 +135,8 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.metadata['section']}.{f.name} must be finite, got {value}")
         grid, params, solver = self.build()
+        if self.seed < 0:
+            raise ConfigError(f"output.seed must be non-negative, got {self.seed}")
         if self.mmax > self.nx // 4:
             raise ConfigError("norms.mmax must not exceed nx/4 (anti-aliasing guard)")
         if not (0.0 < self.rho < self.rho_tilde < self.rho0):
@@ -167,7 +168,7 @@ class RunConfig:
                                   alpha=self.alpha, Mmax=self.mmax)
         with _owned_by("solver"):
             solver = SolverConfig(eps=self.eps, T=self.t_final, Nt=self.nt,
-                                  jmax=self.jmax, tol=self.tol, scheme=self.scheme)
+                                  jmax=self.jmax, tol=self.tol)
         return grid, params, solver
 
 
@@ -219,8 +220,7 @@ class Lab:
     built on first read.  The Lab keeps what several stages read: the
     profile, u0, the cut-offs, the configured solve (traj), its seminorm
     table and the dy-refinement companion.  Every other solve belongs to the
-    check that reads it (check_solve, the contraction check's Picard solve
-    under imex) and lives with that check's caller."""
+    check that reads it (check_solve) and lives with that check's caller."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -237,17 +237,16 @@ class Lab:
 
     @cached_property
     def traj(self):
-        """The configured solve, cfg.scheme at cfg.nt with every node: solve,
-        norms and the monitors read it, and run_verify drops its fields once
-        they have."""
-        solve = picard_solve if self.solver.scheme == "picard" else imex_solve
-        return solve(self.u0, self.profile, self.solver)
+        """The configured solve, Picard at cfg.nt with every node: solve,
+        norms, the monitors and the contraction check read it, and run_verify
+        drops its fields once the monitors have."""
+        return picard_solve(self.u0, self.profile, self.solver)
 
     def check_solve(self, nt: int):
         """An imex solve at nt steps whose fields are streamed (Trajectory):
         the residual and boundary checks read each node once, in time order,
         through verify.walk, which keeps three at a time; never kept."""
-        return imex_solve(self.u0, self.profile, replace(self.solver, Nt=nt), stream=True)
+        return imex_solve(self.u0, self.profile, replace(self.solver, Nt=nt))
 
     @cached_property
     def raws(self):
@@ -326,8 +325,7 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     Lab.check_solve's streams, read once by verify.walk: the ladder's levels
     in one lockstep walk whose first level is also the boundary check's
     coarse level, then the companion's solve in a second walk; both walks'
-    wall traces go to boundary_checks.  Under imex the contraction check
-    solves Picard."""
+    wall traces go to boundary_checks."""
     cfg = lab.cfg
     reports = []
 
@@ -388,9 +386,7 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     if "radius" in enabled:
         add(V.radius_decay_check(lab.raws, lab.traj.times, lab.params, cfg.rho0, c_star))
     if "contraction" in enabled:
-        picard = (lab.traj if lab.solver.scheme == "picard"     # else the check's own solve
-                  else picard_solve(lab.u0, lab.profile, lab.solver))
-        add(V.picard_contraction_check(picard))
+        add(V.picard_contraction_check(lab.traj))
     return reports
 
 

@@ -5,12 +5,13 @@
 
 Two routes solve the same equation and cross-validate each other:
 
-  * picard_solve iterates the fixed-point map u_j = M1 u0 - M2 F(u_{j-1})
-    on the whole time grid (mild_solution), where M1 is the Dirichlet heat
-    semigroup of d_y^2 + eps d_x^2 (heat_propagate) and M2 its Duhamel
-    convolution (trapezoid in time), one node at a time;
-  * imex_solve marches u^{n+1} = M1(dt) (u^n - dt F(u^n)) with
-    heat_propagate, diffusion exact per step, transport explicit.
+  * picard_solve, the configured solve, iterates the fixed-point map
+    u_j = M1 u0 - M2 F(u_{j-1}) on the whole time grid (mild_solution), where
+    M1 is the Dirichlet heat semigroup of d_y^2 + eps d_x^2 (heat_propagate)
+    and M2 its Duhamel convolution (trapezoid in time), one node at a time;
+  * imex_solve, the checks' solve, marches u^{n+1} = M1(dt) (u^n - dt F(u^n))
+    with heat_propagate, diffusion exact per step, transport explicit, and
+    hands each node out as it is marched.
 
 The semigroup is diagonal in (Fourier in x) x (sine series in y); a sine
 expansion on [0, Ymax] replaces the exact half-line image kernel, which is
@@ -47,7 +48,6 @@ class SolverConfig:
     Nt: int
     jmax: int = 12
     tol: float = 1e-10
-    scheme: str = "picard"
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
@@ -60,8 +60,6 @@ class SolverConfig:
             raise ValueError(f"jmax must be at least 2, got {self.jmax}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.scheme not in ("picard", "imex"):
-            raise ValueError(f"scheme must be 'picard' or 'imex', got {self.scheme!r}")
 
 
 def _to_modal(grid: Grid2D, values: np.ndarray) -> np.ndarray:
@@ -159,8 +157,8 @@ def recover_v(u: Field, dxu: Field) -> Field:
 class Trajectory:
     """A solve on the uniform time grid ``times``.  u holds a Field per node
     (None at a node whose field its owner has dropped, so that reading it
-    fails), or, for a streamed imex solve, an iterator that hands the fields
-    out in time order once; shear holds every node's ShearState."""
+    fails), or, for an imex solve, an iterator that hands the fields out in
+    time order once; shear holds every node's ShearState."""
 
     grid: Grid2D
     times: np.ndarray
@@ -274,15 +272,14 @@ def _imex_nodes(u0: Field, states: list, dt: float, eps: float):
     truncation_check(u_cur, name="imex final state")
 
 
-def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig,
-               stream: bool = False) -> Trajectory:
+def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajectory:
     """First-order splitting: explicit transport step, exact diffusion step.
 
-    With stream, the trajectory's u is an iterator that hands the fields out
-    in time order, once, marching each step as its field is asked for (see
+    The trajectory's u is an iterator that hands the fields out in time
+    order, once, marching each step as its field is asked for (see
     Trajectory): the reader keeps what it needs and drains the iterator, so
-    every step is marched and checked.  Otherwise u holds every field."""
+    every step is marched and checked."""
     times, states = _time_grid(profile, cfg)
-    nodes = _imex_nodes(u0, states, times[1] - times[0], cfg.eps)
-    return Trajectory(grid=u0.grid, times=times, u=nodes if stream else list(nodes),
+    return Trajectory(grid=u0.grid, times=times,
+                      u=_imex_nodes(u0, states, times[1] - times[0], cfg.eps),
                       shear=states, scheme="imex", eps=cfg.eps)

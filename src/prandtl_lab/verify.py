@@ -462,6 +462,11 @@ def walk(trajs, jobs=(), rep: AssumptionReport | None = None) -> tuple:
     return rows, walls
 
 
+def _order(e1: float, e2: float, h1: float, h2: float) -> float:
+    """The observed order of errors e1, e2 at resolutions h1, h2."""
+    return math.log(e1 / e2) / math.log(h1 / h2)
+
+
 def residual_report(job: ResidualJob, levels) -> ResidualReport:
     """The job's residual norms per time-resolution level (its walk rows)
     plus the dt-order, measured on the levels' Richardson differences."""
@@ -471,7 +476,7 @@ def residual_report(job: ResidualJob, levels) -> ResidualReport:
     for k in range(len(diffs) - 1):
         h1, h2 = grid_levels[k][0], grid_levels[k + 1][0]
         if diffs[k + 1] > 0:
-            orders.append(math.log(diffs[k] / diffs[k + 1]) / math.log(h1 / h2))
+            orders.append(_order(diffs[k], diffs[k + 1], h1, h2))
     observed = float(np.mean(orders)) if orders else float("nan")
     return ResidualReport(name=f"residual_{job.kind}[m={job.m}]", grid_levels=grid_levels,
                           residual_norms=[max(lvl.norms) for lvl in levels],
@@ -540,8 +545,7 @@ def boundary_checks(levels: dict) -> CheckReport:
         for fieldname in ("third_trace", "fifth_trace", "dy_g_wall", "dy_f_wall"):
             a, b = levels[keys[0]], levels[keys[-1]]
             if b[fieldname] > 0 and a["dy"] != b["dy"]:
-                orders[fieldname] = math.log(a[fieldname] / b[fieldname]) \
-                    / math.log(a["dy"] / b["dy"])
+                orders[fieldname] = _order(a[fieldname], b[fieldname], a["dy"], b["dy"])
     ev["orders"] = orders
     fin = levels[keys[-1]]
     passed = (fin["dy_g_wall"] <= 5e-2 * fin["dy_g_scale"] + _SLACK

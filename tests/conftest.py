@@ -71,11 +71,14 @@ def params(lab):
 
 
 def _solve(u0_field, profile, scheme, nt, eps=REF.eps):
-    """An off-reference solve (another datum, Nt or eps) on the reference
-    horizon and Picard settings."""
-    cfg = replace(REF, eps=eps, nt=nt, scheme=scheme).build()[2]
-    fn = SO.picard_solve if scheme == "picard" else SO.imex_solve
-    return fn(u0_field, profile, cfg)
+    """A whole picard or imex solve (another datum, Nt or eps) on the
+    reference horizon and Picard settings: an imex solve's stream is listed,
+    so that its nodes can be read in any order and more than once."""
+    cfg = replace(REF, eps=eps, nt=nt).build()[2]
+    if scheme == "picard":
+        return SO.picard_solve(u0_field, profile, cfg)
+    traj = SO.imex_solve(u0_field, profile, cfg)
+    return replace(traj, u=list(traj.u))
 
 
 @pytest.fixture
@@ -106,29 +109,25 @@ def wall_levels(trajs, rep) -> dict:
 
 @pytest.fixture(scope="session")
 def traj_imex(u0, profile):
-    """A whole imex solve at the reference Nt: the Lab's check_solve
-    streams its nodes."""
+    """A whole imex solve at the reference Nt (_solve)."""
     return _solve(u0, profile, "imex", REF.nt)
 
 
 @pytest.fixture(scope="session")
 def traj_picard(lab):
-    assert lab.cfg.scheme == "picard"
     return lab.traj
 
 
 @pytest.fixture(scope="session")
 def picard_raws(lab):
     """The Lab's seminorm table of traj_picard."""
-    assert lab.cfg.scheme == "picard"
     return lab.raws
 
 
 @pytest.fixture(scope="session")
 def traj_fine(lab):
-    """A whole imex solve on the dy-refinement companion, lab.fine (its
-    check_solve streams its nodes)."""
-    return SO.imex_solve(lab.fine.u0, lab.fine.profile, lab.fine.solver)
+    """A whole imex solve on the dy-refinement companion, lab.fine."""
+    return _solve(lab.fine.u0, lab.fine.profile, "imex", REF.nt)
 
 
 @pytest.fixture(scope="session")

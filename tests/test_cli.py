@@ -26,7 +26,7 @@ from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms,
 from prandtl_lab.grid import Field
 from prandtl_lab.profiles import perturbation_envelope, quadpack_route
 
-from conftest import CONFIG, REF, alive
+from conftest import CONFIG, REF, _solve, alive
 
 
 @pytest.fixture(scope="session")
@@ -43,9 +43,9 @@ def full_run(recorded):
 
 
 @pytest.fixture(scope="session")
-def imex_verify(recorded):
-    """verify at nt = 8 under imex: residual_h, boundary and two monitors."""
-    return recorded(dataclasses.replace(REF, nt=8, scheme="imex", checks=(
+def monitors_verify(recorded):
+    """verify at nt = 8: residual_h, boundary and two monitors."""
+    return recorded(dataclasses.replace(REF, nt=8, checks=(
         "residual_h", "boundary", "conditions", "energy")))
 
 
@@ -85,6 +85,8 @@ def test_unknown_key_rejected(tmp_path):
     # a removed key, and a known key in another field's section
     for body, message in (("[verify]\nresidual_levels = 3\n",
                            r"unknown key 'residual_levels' in section \[verify\]"),
+                          ("[solver]\nscheme = imex\n",
+                           r"unknown key 'scheme' in section \[solver\]"),
                           ("[grid]\neps = 0.1\n", r"unknown key 'eps' in section \[grid\]")):
         p = _write(tmp_path, body)
         with pytest.raises(ConfigError, match=message):
@@ -124,12 +126,12 @@ def test_shear_check_exit_zero(tmp_path):
 
 
 def test_solve_and_norms_artifacts(tmp_path):
-    cfg = dataclasses.replace(REF, nt=8, scheme="imex")
+    cfg = dataclasses.replace(REF, nt=8)
     assert run(cfg, "solve", out_dir=tmp_path) == 0
     with np.load(tmp_path / "trajectory" / "trajectory.npz") as z:
         assert np.array_equal(z["times"], np.linspace(0.0, cfg.t_final, cfg.nt + 1))
         assert z["u"].shape == (cfg.nt + 1, cfg.nx, cfg.ny)
-        assert z["scheme"] == "imex" and z["eps"] == cfg.eps
+        assert z["scheme"] == "picard" and z["eps"] == cfg.eps
     assert run(cfg, "norms", out_dir=tmp_path) == 0
     rows = (tmp_path / "norms.csv").read_text().strip().splitlines()
     assert rows[0] == "t,gevrey_norm,full_norm"
@@ -150,7 +152,7 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
     a first member has read them (the seminorm table orders 2-4, the shear
     check orders 2-6), a second member with another amp forms no quadrature
     row in its shear check or its seminorm table."""
-    cfg = dataclasses.replace(REF, nt=8, scheme="imex")
+    cfg = dataclasses.replace(REF, nt=8)
     first = Lab(cfg)
     monkeypatch.setattr(first.profile, "state_cache", {})
     calls = []
@@ -289,7 +291,7 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
         assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("1", None)
 
 
-def test_run_log_marks_checks_in_run_order(imex_verify, full_run):
+def test_run_log_marks_checks_in_run_order(monitors_verify, full_run):
     """The readers of the whole configured solve run before the shear
     checks, so under verify the condition monitor's mark comes first and
     covers its own walk, and the seminorm table is marked where verify forms
@@ -298,7 +300,7 @@ def test_run_log_marks_checks_in_run_order(imex_verify, full_run):
     starts, since marks are made between the checks."""
     residuals = [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
     for rec, sub, marks, reports in (
-            (imex_verify, "verify",
+            (monitors_verify, "verify",
              ["conditions_monitor", "seminorm_table", "residual_ladder", "boundary_checks",
               "energy_monitor"],
              [r for r in residuals if r.startswith("residual_h")]
@@ -324,10 +326,10 @@ def test_run_log_marks_checks_in_run_order(imex_verify, full_run):
 
 
 
-def test_verify_releases_free_pages_between_checks(picard_verify, imex_verify, full_run):
+def test_verify_releases_free_pages_between_checks(picard_verify, monitors_verify, full_run):
     """run_verify hands the heap's free pages back before it marks each
     check's end, and at no other point, so no walk is interrupted."""
-    for rec in (picard_verify, imex_verify, full_run):
+    for rec in (picard_verify, monitors_verify, full_run):
         assert [e for e in rec.events if e[0] != "stage"] == [
             e for m in rec.marks for e in (("release", None), ("mark", m))]
 
@@ -419,8 +421,9 @@ def test_profile_error_is_config_error(tmp_path, capsys):
     ("perturbation", "amp", -1.0, True, r"^perturbation: amp must be non-negative"),
     ("solver", "t_final", 5e-324, False, r"^solver\.t_final = 5e-324 is too short"),
     ("solver", "t_final", 7.1e-307, False, r"^solver\.t_final = 7\.1e-307 is too short"),
+    ("output", "seed", -1, False, r"^output\.seed must be non-negative"),
 ], ids=["t_final", "lx", "ymax", "t_final_inf", "lx_inf", "ymax_inf", "tol_nan",
-        "y0", "kx", "amp", "t_final_subnormal", "t_final_tiny"])
+        "y0", "kx", "amp", "t_final_subnormal", "t_final_tiny", "seed"])
 def test_validated_space_never_crashes(tmp_path, capsys, section, key, value, loads, message):
     """The non-finite configs used to end in a traceback with no manifest,
     or (tol = nan) ran every Picard sweep and passed.  The INI route exits 2
@@ -442,24 +445,30 @@ def test_validated_space_never_crashes(tmp_path, capsys, section, key, value, lo
 
 
 _NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
-# each float field is drawn on both sides of its bounds
+# each float field is drawn on both sides of its bounds, and so is each
+# integer field that no other argument draws
 _FLOAT_RANGES = {"lx": (-1.0, 20.0), "ymax": (-1.0, 60.0), "y0": (-1.0, 12.0),
                  "alpha": (0.5, 3.0), "amp": (-0.01, 0.5), "eps": (-0.2, 1.5),
                  "t_final": (-0.1, 10.0), "tol": (-1.0, 1.0), "rho": (-0.1, 0.6),
                  "rho_tilde": (-0.1, 0.6), "rho0": (-0.1, 0.6), "sigma": (1.0, 2.5),
                  "ell": (1.0, 3.0)}
+_INT_RANGES = {"jmax": (-1, 14), "seed": (-3, 5)}
 _OVERRIDE = st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi) | _NON_FINITE)
-                        for k, (lo, hi) in _FLOAT_RANGES.items()))
+                        for k, (lo, hi) in _FLOAT_RANGES.items()),
+                      *(st.tuples(st.just(k), st.integers(lo, hi))
+                        for k, (lo, hi) in _INT_RANGES.items()))
 # and within them: each value passes validate() beside the defaults and
 # beside any other value drawn here (the rho ranges are ordered, and every
 # ell lies in [alpha, alpha + 1/2) for every alpha)
 _IN_BOUND = {"lx": (4.0, 8.0), "ymax": (25.0, 40.0), "y0": (1.5, 3.0), "alpha": (1.9, 2.2),
              "amp": (1e-4, 1e-2), "eps": (0.05, 0.5), "t_final": (0.02, 0.1),
              "tol": (1e-12, 1e-8), "rho": (0.1, 0.35), "rho_tilde": (0.36, 0.45),
-             "rho0": (0.46, 0.6), "sigma": (1.5, 2.0), "ell": (2.2, 2.35)}
+             "rho0": (0.46, 0.6), "sigma": (1.5, 2.0), "ell": (2.2, 2.35),
+             "jmax": (2, 14), "seed": (0, 5)}
 # half the draws keep every override in bound, so that they reach cli.run
 _OVERRIDES = st.one_of(
-    st.lists(st.one_of(*(st.tuples(st.just(k), st.floats(lo, hi))
+    st.lists(st.one_of(*(st.tuples(st.just(k), (st.integers if isinstance(lo, int)
+                                                 else st.floats)(lo, hi))
                          for k, (lo, hi) in _IN_BOUND.items())), max_size=2),
     st.lists(_OVERRIDE, max_size=3))
 
@@ -468,33 +477,35 @@ _OVERRIDES = st.one_of(
 # first entries, and 0, the least integer, would otherwise end most draws
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(ny=st.integers(33, 129), kx=st.sampled_from([1, 2, 3, 4, 0, 5]),
-       scheme=st.sampled_from(["picard", "imex"]),
        overrides=_OVERRIDES,
        subcommand=st.sampled_from(["shear-check", "solve", "norms", "verify", "full"]),
        checks=st.sets(st.sampled_from(C._ALL_CHECKS)))
-@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", math.inf)],
+@example(ny=129, kx=1, overrides=[("t_final", math.inf)],
          subcommand="solve", checks=set(C._ALL_CHECKS))
-@example(ny=53, kx=2, scheme="imex", overrides=[("lx", 3.76e-224)],      # x-derivatives overflow
+@example(ny=53, kx=2, overrides=[("lx", 3.76e-224)],      # x-derivatives overflow
          subcommand="solve", checks=set(C._ALL_CHECKS))
-@example(ny=129, kx=1, scheme="picard", overrides=[("lx", 1e-20)],
+@example(ny=53, kx=2, overrides=[("lx", 3.76e-224)],      # and in the IMEX march
+         subcommand="verify", checks={"residual_h"})
+@example(ny=129, kx=1, overrides=[("lx", 1e-20)],
          subcommand="solve", checks=set(C._ALL_CHECKS))
-@example(ny=33, kx=1, scheme="picard", overrides=[("lx", 5e-324)],      # Lx / Nx underflows
+@example(ny=33, kx=1, overrides=[("lx", 5e-324)],      # Lx / Nx underflows
          subcommand="solve", checks=set(C._ALL_CHECKS))
-@example(ny=129, kx=1, scheme="picard", overrides=[("t_final", 5e-324)],     # kernel under-resolved
+@example(ny=129, kx=1, overrides=[("t_final", 5e-324)],     # kernel under-resolved
          subcommand="solve", checks=set(C._ALL_CHECKS))
-@example(ny=129, kx=1, scheme="imex", overrides=[("t_final", 7.1e-307)],
+@example(ny=129, kx=1, overrides=[("t_final", 7.1e-307)],
          subcommand="solve", checks=set(C._ALL_CHECKS))
-@example(ny=129, kx=1, scheme="picard", overrides=[], subcommand="verify", checks={"assumption"})
-@example(ny=129, kx=1, scheme="picard", overrides=[], subcommand="full", checks={"proposition"})
-@example(ny=65, kx=2, scheme="imex", overrides=[("eps", 0.2)], subcommand="norms",
+@example(ny=129, kx=1, overrides=[], subcommand="verify", checks={"assumption"})
+@example(ny=129, kx=1, overrides=[], subcommand="full", checks={"proposition"})
+@example(ny=129, kx=1, overrides=[("seed", -1)], subcommand="verify", checks={"sobolev"})
+@example(ny=65, kx=2, overrides=[("eps", 0.2)], subcommand="norms",
          checks=set(C._ALL_CHECKS))
-def test_validated_config_space_property(ny, kx, scheme, overrides, subcommand, checks):
+def test_validated_config_space_property(ny, kx, overrides, subcommand, checks):
     """On small grids, a drawn config is either rejected by validate() with a
     ConfigError, or the drawn subcommand ends with a documented exit code and
     a manifest that lists exactly the <name>.json reports the run wrote; a
     solve or full that exits 0 or 1 (a failed check) wrote a trajectory whose
     every number is finite."""
-    cfg = C.RunConfig(nx=32, ny=ny, mmax=8, nt=8, kx=kx, scheme=scheme, **dict(overrides),
+    cfg = C.RunConfig(nx=32, ny=ny, mmax=8, nt=8, kx=kx, **dict(overrides),
                       checks=tuple(c for c in C._ALL_CHECKS if c in checks))
     try:
         cfg.validate()
@@ -527,7 +538,7 @@ def test_error_exits_write_manifest(tmp_path):
     assert err["message"].startswith("profile:")
 
     cfg = load_config(CONFIG)
-    cfg.eps, cfg.t_final, cfg.nt, cfg.scheme = 0.001, 5.0, 8, "picard"
+    cfg.eps, cfg.t_final, cfg.nt = 0.001, 5.0, 8
     with pytest.warns(UserWarning):
         assert run(cfg, "solve", out_dir=tmp_path / "diverge") == 3
     manifest = json.loads((tmp_path / "diverge" / "manifest.json").read_text())
@@ -537,11 +548,13 @@ def test_error_exits_write_manifest(tmp_path):
     assert "Picard update grew" in err["message"]
 
 
-@pytest.mark.parametrize("scheme", ["picard", "imex"])
-def test_nan_in_solve_exits_three(tmp_path, monkeypatch, scheme):
+@pytest.mark.parametrize("subcommand, checks", [
+    ("solve", C._ALL_CHECKS), ("verify", ("residual_h",))], ids=["picard", "imex"])
+def test_nan_in_solve_exits_three(tmp_path, monkeypatch, subcommand, checks):
     """Fields are checked finite where they enter: a NaN injected into the
-    transport forcing reaches a solver output (a mild_solution field, an IMEX
-    step), and the run ends with exit 3 and a manifest naming the stage."""
+    transport forcing reaches a solver output (a mild_solution field of the
+    configured solve; an IMEX step of a residual ladder level, which verify
+    marches), and the run ends with exit 3 and a manifest naming the stage."""
     import prandtl_lab.solver as SV
     real = SV._forcing
 
@@ -551,13 +564,13 @@ def test_nan_in_solve_exits_three(tmp_path, monkeypatch, scheme):
         return f
 
     monkeypatch.setattr(SV, "_forcing", poisoned)
-    cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8, scheme=scheme)
+    cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8, checks=checks)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert run(cfg, "solve", out_dir=tmp_path) == 3
+        assert run(cfg, subcommand, out_dir=tmp_path) == 3
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["reports"] == []
-    assert manifest["error"] == {"exit_code": 3, "kind": "NonFiniteError", "stage": "solve",
+    assert manifest["error"] == {"exit_code": 3, "kind": "NonFiniteError", "stage": subcommand,
                                  "message": "field contains non-finite entries"}
 
 
@@ -611,8 +624,7 @@ def test_residual_block_matches_standalone_reports(picard_verify):
     assert len(ladder) == 3 * 3 * len(V.ladder_nts(lab.cfg.nt))
     assert {rec.during(b.at) for b in ladder} == {"residual_ladder"}   # the ladder is one check
     assert alive(b.ref for b in rec.snapshots) == []
-    whole = [C.imex_solve(lab.u0, lab.profile, dataclasses.replace(lab.solver, Nt=nt))
-             for nt in V.ladder_nts(lab.cfg.nt)]
+    whole = [_solve(lab.u0, lab.profile, "imex", nt) for nt in V.ladder_nts(lab.cfg.nt)]
     alone = []
     for job in V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"):
         [levels], _ = V.walk(whole, [job])
@@ -722,7 +734,7 @@ def test_full_work_counts(full_run):
                    "pass on Richardson differences, in which a dt-independent defect cancels")
 def test_verify_fails_on_a_wrong_transport_term(tmp_path, monkeypatch):
     """With the transport term 5% too large (solver._forcing scaled, so both
-    schemes solve the wrong equation), at least one of the residual and
+    solvers solve the wrong equation), at least one of the residual and
     boundary reports fails at nt = 8.  Measured: every report passes, here
     and at nt = 16."""
     real = SO._forcing
@@ -742,7 +754,6 @@ def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
     or saved.  The configured solve, Lab.traj, is whole."""
     cfg = dataclasses.replace(REF, nt=8)
     lab = Lab(cfg)
-    assert cfg.scheme == "picard"
     nt = 2 * cfg.nt
     traj = lab.check_solve(nt)
     assert len(traj.shear) == len(traj.times) == nt + 1
@@ -751,7 +762,7 @@ def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
     assert not (tmp_path / "trajectory.npz").exists()
     with pytest.raises(TypeError):
         V.Snapshot(traj, nt // 2)
-    whole = C.imex_solve(lab.u0, lab.profile, dataclasses.replace(lab.solver, Nt=nt))
+    whole = _solve(lab.u0, lab.profile, "imex", nt)
     streamed = list(traj.u)
     assert len(streamed) == len(whole.u) == nt + 1
     assert all(np.array_equal(a.values, b.values) for a, b in zip(streamed, whole.u))
@@ -759,29 +770,13 @@ def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
     assert all(f is not None for f in lab.traj.u)
 
 
-def test_imex_scheme_solve_and_full_write_trajectory(tmp_path):
-    """With scheme = imex the configured solve at cfg.nt is whole, so solve
-    and full save it, bitwise, and exit 0; the companion's check_solve
-    streams."""
-    cfg = dataclasses.replace(REF, nt=8, scheme="imex")
-    lab = Lab(cfg)
-    assert all(f is not None for f in lab.traj.u)
-    for sub in ("solve", "full"):
-        assert run(cfg, sub, out_dir=tmp_path / sub) == 0
-        with np.load(tmp_path / sub / "trajectory" / "trajectory.npz") as z:
-            assert z["u"].shape == (cfg.nt + 1, cfg.nx, cfg.ny)
-            assert np.array_equal(z["u"], np.stack([f.values for f in lab.traj.u]))
-    assert not isinstance(lab.fine.check_solve(cfg.nt).u, list)
-
-
 def test_verify_releases_picard_solve_before_ladder(full_run):
-    """With scheme picard the monitors read the configured solve first, and
+    """The monitors read the configured Picard solve first, and
     then run_verify drops all its fields: inside the first residual ladder
     solve it holds none, reading a node raises, its contraction history is
     still read, and the monitors' reports equal those of a fresh Lab."""
     rec, lab = full_run, full_run.lab
     cfg = lab.cfg
-    assert cfg.scheme == "picard"
     configured, first = rec.solves[:2]
     assert [(s.scheme, s.nt, rec.during(s.at)) for s in (configured, first)] == [
         ("picard", cfg.nt, "solve"), ("imex", cfg.nt, "residual_ladder")]
@@ -800,26 +795,13 @@ def test_verify_releases_picard_solve_before_ladder(full_run):
     assert [reports[r.name] for r in alone] == [r.to_dict() for r in alone]
 
 
-def test_imex_solve_lifetimes(imex_verify, tmp_path):
-    """Under scheme imex the configured solve keeps no field once the
-    monitors have read it, and the residual and boundary reports equal
-    those of a run without the monitors (under Picard: the walk test)."""
-    rec, cfg = imex_verify, imex_verify.lab.cfg
-    assert cfg.scheme == "imex"
-    assert all(f is None for f in rec.lab.traj.u)
-    alone = run_verify(Lab(dataclasses.replace(cfg, checks=("residual_h", "boundary"))),
-                       tmp_path / "alone")
-    assert json.dumps(alone) == json.dumps(
-        [r for r in rec.reports if r["name"] not in ("conditions_monitor", "energy_monitor")])
-
-
-@pytest.mark.parametrize("checks", [("residual_h",), ("contraction",)])
+@pytest.mark.parametrize("checks", [("residual_h",)])
 def test_verify_alone_keeps_no_check_solve(recorded, checks):
-    """Under scheme imex, verify run alone solves only what its checks read
-    and keeps none of it: every imex solve at cfg.nt streams its nodes (the
-    configured solve is not solved whole for the residual ladder), and no
-    imex or Picard solve outlives run_verify, although the Lab does."""
-    rec = recorded(dataclasses.replace(REF, nt=8, scheme="imex", checks=checks))
+    """verify run alone solves only what its checks read and keeps none of
+    it: every imex solve at cfg.nt streams its nodes (no whole solve is made
+    for the residual ladder), and no solve outlives run_verify, although
+    the Lab does."""
+    rec = recorded(dataclasses.replace(REF, nt=8, checks=checks))
     assert rec.code == 0 and rec.lab is not None
     assert all(s.streamed for s in rec.solves if s.scheme == "imex" and s.nt == 8)
     assert rec.solves and alive(s.ref for s in rec.solves) == []

@@ -19,21 +19,21 @@ After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
 enters the end-to-end numbers.
 Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs
-under pytest `--durations=0`: each side's wall time, exit code and summary
-line are kept with, per test file, the summed setup, call and teardown
-seconds.  Whole-suite wall times swing by more than a third between runs of
-one commit on a shared host, so the per-file sums, which say where a
-change moved the suite's time, are the figures to compare.
+under pytest `--durations=0` with this checkout's solve counter loaded
+(`tools/solve_counts.py`, `-p solve_counts`): each side's wall time, exit
+code and summary line are kept with, per test file, the summed setup, call
+and teardown seconds and the counted solves, Picard sweeps and IMEX steps.
+Whole-suite wall times swing by more than a third between runs of one
+commit on a shared host, so the per-file sums and counts, which say where a
+change moved the suite's time and work, are the figures to compare.
 Before the pairs, `full --config configs/reference.ini` runs once per side
 with one BLAS thread, and the file lists the output files whose bytes differ
 between the sides (an empty list: byte-identical), for each differing JSON
 or CSV file whether both sides parse to the same structure and the largest
 relative deviation of a number, and keeps each side's run_log.json (stage
 and check marks: where the time and the peak went) and names the mark with
-the largest ru_maxrss_mb.  The same comparison is made of `full` on the
-reference config with `[solver] scheme = imex` (a temporary INI), a path no
-perfbench workload runs, and of the seed-0 perturbation sweep's warm-up
-member and first member, run in one process per side from that side's
+the largest ru_maxrss_mb.  The same comparison is made of the seed-0
+perturbation sweep's warm-up member and first member, run in one process per side from that side's
 perfbench plan (`perfbench/workloads.py`) and configs
 (`perfbench/worker.make_config`).
 Only the standard library is used.
@@ -42,7 +42,6 @@ Only the standard library is used.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
 import json
@@ -106,12 +105,14 @@ def tier1(checkout: Path) -> dict:
     """One Tier-1 run in checkout: its wall time, exit code, summary line
     and, per test file, the seconds of its tests' setup, call and teardown
     phases, summed (pytest --durations=0 --durations-min=0 lists every
-    phase)."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    phase), and the calls that the solve counter of this checkout's tools/
+    counted (solve_counts.py's summary lines)."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(checkout / "src"), str(CHANGE / "tools")]))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider", "--durations=0", "--durations-min=0"],
+         "-p", "no:cacheprovider", "-p", "solve_counts", "--durations=0", "--durations-min=0"],
         cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
@@ -122,6 +123,11 @@ def tier1(checkout: Path) -> dict:
         if m := re.match(r"(\d+\.\d+)s (setup|call|teardown) +([^:\s]+)::", line):
             phases = files.setdefault(m[3], {"setup_s": 0.0, "call_s": 0.0, "teardown_s": 0.0})
             phases[f"{m[2]}_s"] += float(m[1])
+    # solve_counts.py's lines read "<file> <name>=<calls> ..."
+    for line in lines:
+        if m := re.fullmatch(r"(\S+\.py)((?: \w+=\d+)+)", line):
+            files.setdefault(m[1], {}).update(
+                (name, int(n)) for name, n in re.findall(r"(\w+)=(\d+)", m[2]))
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary.strip("= "),
             "files": dict(sorted(files.items()))}
 
@@ -277,14 +283,6 @@ def main(argv=None) -> int:
     full = [sys.executable, "-m", "prandtl_lab.cli", "full", "--config"]
     outputs = compare_outputs(sides, [*full, "configs/reference.ini", "--out"])
     print(f"reference outputs: {outputs}", file=sys.stderr)
-    with tempfile.TemporaryDirectory() as tmp:
-        ini = configparser.ConfigParser()
-        ini.read(CHANGE / "configs" / "reference.ini")
-        ini["solver"]["scheme"] = "imex"
-        with open(imex_ini := Path(tmp) / "imex.ini", "w") as fp:
-            ini.write(fp)
-        imex = compare_outputs(sides, [*full, str(imex_ini), "--out"])
-    print(f"imex full outputs: {imex}", file=sys.stderr)
     members = compare_outputs(sides, [sys.executable, "-c", SWEEP_MEMBERS])
     print(f"sweep member outputs: {members}", file=sys.stderr)
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
@@ -305,7 +303,6 @@ def main(argv=None) -> int:
         "perfbench": {"seed": 0, "seconds": seconds, "pairs": args.pairs,
                       "workloads": workloads},
         "reference_full_outputs": outputs,
-        "imex_full_outputs": imex,
         "sweep_member_outputs": members,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "tier1": tier,
