@@ -185,30 +185,30 @@ def _owned_by(section: str):
 def load_config(path) -> RunConfig:
     """Parse and validate an INI run configuration.
 
-    Unknown sections or keys are rejected by name; constraint violations
+    Unknown sections (a [DEFAULT] one included) or keys are rejected by
+    name, and a file that does not parse as UTF-8 INI is rejected naming it;
+    values are read literally (no % interpolation).  Constraint violations
     carry the violated bound in the message.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found or unreadable: {path}")
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found or unreadable: {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     known = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
     cfg = RunConfig()
     for section in parser.sections():
         if section not in {s for s, _ in known}:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            f = known.get((section, key))
-            if f is None:
+            if (f := known.get((section, key))) is None:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             typ = type(f.default)
-            if typ is tuple:
-                value = tuple(raw.replace(",", " ").split())
-            else:
-                try:
-                    value = typ(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+            try:
+                value = tuple(raw.replace(",", " ").split()) if typ is tuple else typ(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
             setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
@@ -239,7 +239,7 @@ class Lab:
     def traj(self):
         """The configured solve, Picard at cfg.nt with every node: solve,
         norms, the monitors and the contraction check read it, and run_verify
-        drops its fields once the monitors have."""
+        drops its fields once those four checks have."""
         return picard_solve(self.u0, self.profile, self.solver)
 
     def check_solve(self, nt: int):
@@ -317,15 +317,15 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     """The enabled checks' reports, each written to <name>.json in a fixed
     order; mark(name) is called as each check ends, in run order (the shear
     checks are one check, and so is the residual ladder), once the free pages
-    the check left are handed back (_release_free_pages).  The readers of the
-    whole configured solve run first (the condition monitor, and the seminorm
-    table, marked where verify forms it); then lab.traj keeps no field, so a
-    later read fails.  Every other solve is made here and dies with its
-    check.  The residual ladder's levels and the boundary check's pair are
-    Lab.check_solve's streams, read once by verify.walk: the ladder's levels
-    in one lockstep walk whose first level is also the boundary check's
-    coarse level, then the companion's solve in a second walk; both walks'
-    wall traces go to boundary_checks."""
+    the check left are handed back (_release_free_pages).  The four readers
+    of the configured solve (the condition and energy monitors, the radius
+    and contraction checks) run first; then lab.traj keeps no field, so a
+    later read fails, and their reports are written last.  Every other solve
+    is made here and dies with its check: the residual ladder's levels and
+    the boundary check's pair are Lab.check_solve's streams, read once by
+    verify.walk, the ladder's levels in one lockstep walk whose first level
+    is also the boundary check's coarse level, then the companion's solve in
+    a second walk; both walks' wall traces go to boundary_checks."""
     cfg = lab.cfg
     reports = []
 
@@ -341,12 +341,22 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
 
     enabled = set(cfg.checks)
     kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
+    monitors = []           # reports of the configured solve's readers, written last
+
+    def last(report):
+        monitors.append(report)
+        done(report.name)
+
     if "conditions" in enabled:
-        conditions = V.condi_monitor(lab.traj, lab.report, lab.params)
-        done(conditions.name)
-    if {"energy", "radius"} & enabled and "raws" not in vars(lab):
-        lab.raws
-        done("seminorm_table")
+        last(V.condi_monitor(lab.traj, lab.report, lab.params))
+    c_star = 1.0
+    if "energy" in enabled:
+        last(V.energy_monitor(lab.raws, lab.traj.times, lab.params, (cfg.rho, cfg.rho_tilde)))
+        c_star = max(1.0, monitors[-1].evidence.get("C_max") or 1.0)
+    if "radius" in enabled:
+        last(V.radius_decay_check(lab.raws, lab.traj.times, lab.params, cfg.rho0, c_star))
+    if "contraction" in enabled:
+        last(V.picard_contraction_check(lab.traj))
     if "traj" in vars(lab):
         lab.traj.u[:] = [None] * len(lab.traj.u)
     if shear := run_shear_check(lab, outdir):
@@ -376,18 +386,7 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:
         add(V.inequality_suite())
-    if "conditions" in enabled:
-        reports += _emit(outdir, conditions)     # run and marked first
-    c_star = 1.0
-    if "energy" in enabled:
-        em = V.energy_monitor(lab.raws, lab.traj.times, lab.params, (cfg.rho, cfg.rho_tilde))
-        c_star = max(1.0, em.evidence.get("C_max") or 1.0)
-        add(em)
-    if "radius" in enabled:
-        add(V.radius_decay_check(lab.raws, lab.traj.times, lab.params, cfg.rho0, c_star))
-    if "contraction" in enabled:
-        add(V.picard_contraction_check(lab.traj))
-    return reports
+    return reports + _emit(outdir, *monitors)
 
 
 # exit code and label of each error that ends a run without reports

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet
 from .grid import Field, Grid2D, dy_j, l2_y_weighted, x_spectrum
-from .shear import ShearState
+from .shear import ShearState, evolve_shear
 
 __all__ = ["GevreyParams", "GevreyRaw", "gevrey_raw", "full_raw",
            "trajectory_raws", "gevrey_norm", "lifespan_norm"]
@@ -136,9 +136,10 @@ def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> Ge
 
 
 def trajectory_raws(traj, cut: CutoffSet, p: GevreyParams) -> list:
-    """full_raw of the trajectory at every stored time.  The seminorms do
-    not depend on rho, so one list serves every radius a reader asks for."""
-    return [full_raw(u, st, cut, p) for u, st in zip(traj.u, traj.shear)]
+    """full_raw of the trajectory at every stored time, with its shear state
+    there; the seminorms do not depend on rho, so one list serves every rho."""
+    return [full_raw(u, evolve_shear(traj.profile, float(t)), cut, p)
+            for u, t in zip(traj.u, traj.times)]
 
 
 def gevrey_norm(raw: GevreyRaw, p: GevreyParams, with_aux: bool = False) -> float:

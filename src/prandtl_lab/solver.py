@@ -155,15 +155,15 @@ def recover_v(u: Field, dxu: Field) -> Field:
 
 @dataclass
 class Trajectory:
-    """A solve on the uniform time grid ``times``.  u holds a Field per node
+    """A solve on the uniform time grid ``times``: u holds a Field per node
     (None at a node whose field its owner has dropped, so that reading it
     fails), or, for an imex solve, an iterator that hands the fields out in
-    time order once; shear holds every node's ShearState."""
+    time order once; a node's ShearState is evolve_shear(profile, t)."""
 
     grid: Grid2D
     times: np.ndarray
     u: list                      # Field per node (None if dropped) or a stream; v = recover_v(u)
-    shear: list                  # ShearState per time node
+    profile: ShearProfile
     scheme: str
     eps: float
     contraction: list = dc_field(default_factory=list)
@@ -246,7 +246,7 @@ def picard_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Traject
             f"Picard iteration stopped at jmax={cfg.jmax} sweeps with the update "
             f"{xi:.3e} above tol={cfg.tol:.1e}", stacklevel=2)
     truncation_check(u_prev[-1], name="picard final state")
-    return Trajectory(grid=g, times=times, u=u_prev, shear=states,
+    return Trajectory(grid=g, times=times, u=u_prev, profile=profile,
                       scheme="picard", eps=cfg.eps, contraction=contraction)
 
 
@@ -282,4 +282,4 @@ def imex_solve(u0: Field, profile: ShearProfile, cfg: SolverConfig) -> Trajector
     times, states = _time_grid(profile, cfg)
     return Trajectory(grid=u0.grid, times=times,
                       u=_imex_nodes(u0, states, times[1] - times[0], cfg.eps),
-                      shear=states, scheme="imex", eps=cfg.eps)
+                      profile=profile, scheme="imex", eps=cfg.eps)

@@ -41,6 +41,7 @@ from .grid import (Field, Grid2D, dx_m, dx_m_spec, dy_j, l2_y_weighted, linf, we
                    x_spectrum)
 from .norms import GevreyParams, gevrey_norm, lifespan_norm
 from .profiles import _SLACK, AssumptionReport
+from .shear import evolve_shear
 from .solver import Trajectory, recover_v
 
 __all__ = [
@@ -114,7 +115,7 @@ class Snapshot(AuxWorkspace):
     """
 
     def __init__(self, traj: Trajectory, i: int):
-        super().__init__(traj.u[i], traj.shear[i], npts=_WIDE)
+        super().__init__(traj.u[i], evolve_shear(traj.profile, float(traj.times[i])), npts=_WIDE)
 
     @cached_property
     def v(self) -> Field:
@@ -189,8 +190,7 @@ def _windows(traj: Trajectory):
     for j, u in enumerate(traj.u):
         win.append(u)
         if j - 1 in idx:
-            yield replace(traj, times=traj.times[j - 2:j + 1], u=win,
-                          shear=traj.shear[j - 2:j + 1])
+            yield replace(traj, times=traj.times[j - 2:j + 1], u=win)
         del win[:-2]
 
 

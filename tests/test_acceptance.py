@@ -114,10 +114,12 @@ def _sandwich_fit(u_fields, states, cut, params):
 def test_criterion_09_norm_sandwich(lab, traj_picard, cutoffs, params, traj_fine):
     idx = [0, len(traj_picard.times) // 2, -1]
     c_coarse, ordered = _sandwich_fit([traj_picard.u[i] for i in idx],
-                                      [traj_picard.shear[i] for i in idx],
+                                      [evolve_shear(traj_picard.profile, traj_picard.times[i])
+                                       for i in idx],
                                       cutoffs, params)
     c_fine, ordered_f = _sandwich_fit([traj_fine.u[i] for i in idx],
-                                      [traj_fine.shear[i] for i in idx],
+                                      [evolve_shear(traj_fine.profile, traj_fine.times[i])
+                                       for i in idx],
                                       lab.fine.cut, params)
     ratio = c_coarse / c_fine
     ok = ordered and ordered_f and 0.5 <= ratio <= 2.0

@@ -292,23 +292,22 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
 
 
 def test_run_log_marks_checks_in_run_order(monitors_verify, full_run):
-    """The readers of the whole configured solve run before the shear
-    checks, so under verify the condition monitor's mark comes first and
-    covers its own walk, and the seminorm table is marked where verify forms
-    it (under full the norms stage forms it); the reports keep their fixed
-    order in the manifest.  A call covers the mark that ends next after it
-    starts, since marks are made between the checks."""
+    """The four readers of the configured solve run as one block before the
+    shear checks, so under verify their marks come first, the condition
+    monitor's covering its own walk and the energy monitor's the seminorm
+    table, which it forms (under full the norms stage forms it); the reports
+    keep their fixed order in the manifest.  A call covers the mark that
+    ends next after it starts, since marks are made between the checks."""
     residuals = [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
     for rec, sub, marks, reports in (
             (monitors_verify, "verify",
-             ["conditions_monitor", "seminorm_table", "residual_ladder", "boundary_checks",
-              "energy_monitor"],
+             ["conditions_monitor", "energy_monitor", "residual_ladder", "boundary_checks"],
              [r for r in residuals if r.startswith("residual_h")]
              + ["boundary_checks", "conditions_monitor", "energy_monitor"]),
             (full_run, "full",
-             ["conditions_monitor", "shear-check", "compatibility", "cancellation_identity",
-              "residual_ladder", "boundary_checks", "sobolev_inequality", "inequality_suite",
-              "energy_monitor", "radius_decay", "picard_contraction"],
+             ["conditions_monitor", "energy_monitor", "radius_decay", "picard_contraction",
+              "shear-check", "compatibility", "cancellation_identity", "residual_ladder",
+              "boundary_checks", "sobolev_inequality", "inequality_suite"],
              ["solve", "norms", "assumption", "proposition", "compatibility",
               "cancellation_identity", *residuals, "boundary_checks", "sobolev_inequality",
               "inequality_suite", "conditions_monitor", "energy_monitor", "radius_decay",
@@ -322,7 +321,7 @@ def test_run_log_marks_checks_in_run_order(monitors_verify, full_run):
         calls = {key: rec.during(at) for key, at in rec.calls
                  if key in ("condi_monitor", "trajectory_raws")}
         assert calls == {"condi_monitor": "conditions_monitor",
-                         "trajectory_raws": "seminorm_table" if sub == "verify" else "norms"}
+                         "trajectory_raws": "energy_monitor" if sub == "verify" else "norms"}
 
 
 
@@ -387,6 +386,35 @@ def test_freed_memory_is_reused():
 def test_main_bad_config_exit_two(tmp_path):
     p = _write(tmp_path, "[norms]\nsigma = 9\n")
     assert main(["verify", "--config", str(p)]) == 2
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"[grid]\nnx = 64\nnx = 64\n", "option 'nx' in section 'grid' already exists"),
+    (b"[grid]\nnx = 64\n[grid]\nny = 129\n", "section 'grid' already exists"),
+    (b"nx = 64\n", "contains no section headers"),
+    (b"[grid]\nnx 128\n", "contains parsing errors"),
+    (b"[grid]\nnx = 64\n# \xff\n", "can't decode byte 0xff"),
+    (b"[DEFAULT]\nnt = 16\n", "unknown config section [DEFAULT]"),
+    (b"[grid]\nnx = 128\n[DEFAULT]\nnt = 16\n", "unknown config section [DEFAULT]"),
+], ids=["duplicate_key", "duplicate_section", "no_header", "no_separator", "not_utf8",
+        "default_alone", "default_beside_grid"])
+def test_malformed_ini_exits_two(tmp_path, capsys, body, message):
+    """An INI file that does not parse, or is not UTF-8, ends through main
+    with exit 2 and a configuration error that names the file, not with a
+    traceback; a [DEFAULT] section is an unknown section, not defaults that
+    every other section would inherit."""
+    p = tmp_path / "cfg.ini"
+    p.write_bytes(body)
+    assert main(["verify", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert "DEFAULT" in message or f"cannot parse {p}" in err
+
+
+def test_ini_values_are_read_literally(tmp_path):
+    """A % in a value is part of it: load_config does no interpolation."""
+    p = _write(tmp_path, "[output]\ndir = run_50%\n")
+    assert load_config(p).out_dir == "run_50%"
 
 
 def test_console_entry_point(tmp_path):
@@ -619,7 +647,7 @@ def test_residual_block_matches_standalone_reports(picard_verify):
     bitwise the nodes the streamed levels hand out).  The boundary
     companion's snapshots (Ny = 2 Ny - 1) are not the ladder's."""
     rec, lab = picard_verify, picard_verify.lab
-    assert rec.marks == ["residual_ladder", "boundary_checks", "picard_contraction"]
+    assert rec.marks == ["picard_contraction", "residual_ladder", "boundary_checks"]
     ladder = [b for b in rec.snapshots if b.ny == lab.grid.Ny]
     assert len(ladder) == 3 * 3 * len(V.ladder_nts(lab.cfg.nt))
     assert {rec.during(b.at) for b in ladder} == {"residual_ladder"}   # the ladder is one check
@@ -658,22 +686,23 @@ def test_residual_ladder_holds_one_snapshot(snapshots):
 
 
 def test_verify_check_solves_die_with_their_walk(picard_verify):
-    """run_verify makes the residual ladder's levels for one lockstep walk
-    and the boundary companion's solve after it: the ladder's levels are
-    all dead when the companion's solve starts, and the companion is dead
-    when Picard's does; afterwards the one solve alive is the Lab's
-    configured solve at cfg.nt, which the contraction check read."""
+    """run_verify makes the Lab's configured Picard solve first, for the
+    contraction check, and drops its fields before the residual ladder's
+    levels are made for one lockstep walk; the boundary companion's solve
+    comes after the walk, when the ladder's levels are all dead.  Afterwards
+    the one solve alive is the configured solve at cfg.nt, holding no
+    field."""
     rec, cfg = picard_verify, picard_verify.lab.cfg
     assert [(s.scheme, s.ny, s.nt, rec.during(s.at)) for s in rec.solves] == [
+        ("picard", cfg.ny, 8, "picard_contraction"),
         ("imex", cfg.ny, 8, "residual_ladder"), ("imex", cfg.ny, 16, "residual_ladder"),
-        ("imex", cfg.ny, 32, "residual_ladder"), ("imex", 2 * cfg.ny - 1, 8, "boundary_checks"),
-        ("picard", cfg.ny, 8, "picard_contraction")]
-    companion, picard = rec.solves[3:]
-    assert companion.before == [None] * 3, "a ladder level outlived its walk"
-    assert picard.before == [None] * 4
+        ("imex", cfg.ny, 32, "residual_ladder"), ("imex", 2 * cfg.ny - 1, 8, "boundary_checks")]
+    picard, first, *_, companion = rec.solves
+    assert first.before == [0], "the configured solve kept a field into the ladder"
+    assert companion.before == [0] + [None] * 3, "a ladder level outlived its walk"
     [held] = alive(s.ref for s in rec.solves)
     assert held is picard.ref and held() is rec.lab.traj and len(rec.lab.traj.times) - 1 == cfg.nt
-    assert vars(rec.lab)["traj"].scheme == "picard"
+    assert vars(rec.lab)["traj"].scheme == "picard" and picard.holds() == 0
 
 
 
@@ -756,7 +785,7 @@ def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
     lab = Lab(cfg)
     nt = 2 * cfg.nt
     traj = lab.check_solve(nt)
-    assert len(traj.shear) == len(traj.times) == nt + 1
+    assert traj.profile is lab.profile and len(traj.times) == nt + 1
     with pytest.raises(ValueError, match="streamed"):
         traj.save(tmp_path)
     assert not (tmp_path / "trajectory.npz").exists()
@@ -795,16 +824,19 @@ def test_verify_releases_picard_solve_before_ladder(full_run):
     assert [reports[r.name] for r in alone] == [r.to_dict() for r in alone]
 
 
-@pytest.mark.parametrize("checks", [("residual_h",)])
+@pytest.mark.parametrize("checks", [("residual_h",), ("contraction",)])
 def test_verify_alone_keeps_no_check_solve(recorded, checks):
-    """verify run alone solves only what its checks read and keeps none of
-    it: every imex solve at cfg.nt streams its nodes (no whole solve is made
-    for the residual ladder), and no solve outlives run_verify, although
-    the Lab does."""
+    """verify run alone solves only what its checks read and keeps no field
+    of it: every imex solve at cfg.nt streams its nodes (no whole solve is
+    made for the residual ladder), and once run_verify returns every solve
+    is dead but the Lab's configured solve, if a check made it, which holds
+    no field."""
     rec = recorded(dataclasses.replace(REF, nt=8, checks=checks))
     assert rec.code == 0 and rec.lab is not None
     assert all(s.streamed for s in rec.solves if s.scheme == "imex" and s.nt == 8)
-    assert rec.solves and alive(s.ref for s in rec.solves) == []
+    left = [r() for r in alive(s.ref for s in rec.solves)]
+    assert len(left) == ("traj" in vars(rec.lab)) and all(t is rec.lab.traj for t in left)
+    assert rec.solves and all(s.holds() in (None, 0) for s in rec.solves)
 
 
 def test_verify_peak_after_solve_and_norms(tmp_path):

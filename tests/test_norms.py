@@ -119,7 +119,7 @@ def test_aux_groups_equal_physical_sums(grid, params, profile, cutoffs, traj_pic
     g1 spectrum reaches mode 14."""
     from prandtl_lab.profiles import build_perturbation
     if datum == "reference_row":
-        u, st = traj_picard.u[16], traj_picard.shear[16]
+        u, st = traj_picard.u[16], evolve_shear(traj_picard.profile, traj_picard.times[16])
     else:
         u = build_perturbation(grid, 1e-3, 3, profile) + build_perturbation(grid, 4e-4, 7, profile)
         st = evolve_shear(profile, 0.0)
@@ -152,7 +152,8 @@ def test_mmax_guard(profile, u0):
 
 def test_lifespan_zero_and_t0(grid, params, profile, cutoffs, u0, traj_imex):
     # two stored times: the second lies past T = 0 and is never read
-    times, states = traj_imex.times[:2], traj_imex.shear[:2]
+    times = traj_imex.times[:2]
+    states = [evolve_shear(traj_imex.profile, t) for t in times]
     zero_raws = [full_raw(Field.zeros(grid), st, cutoffs, params) for st in states]
     assert lifespan_norm(zero_raws, times, 1.0, 0.0, params, 0.5) == 0.0
 
@@ -160,7 +161,7 @@ def test_lifespan_zero_and_t0(grid, params, profile, cutoffs, u0, traj_imex):
     raws = [full_raw(u, st, cutoffs, params) for u, st in zip(traj_imex.u, states)]
     val = lifespan_norm(raws, times, 1.0, 0.0, params, 0.5)
     rhos = 0.5 * (np.arange(16) + 1.0) / 17.0
-    st = traj_imex.shear[0]
+    st = states[0]
     expect = _extended(traj_imex.u[0], st, cutoffs, replace(params, rho=float(rhos[-1])))
     assert np.isclose(val, expect, rtol=1e-9)
 
@@ -227,7 +228,8 @@ def test_full_raw_holds_one_tangential_order(traj_picard, cutoffs, params, monke
 
     monkeypatch.setattr(AuxWorkspace, "_dx", watched)
     monkeypatch.setattr(CU, "dx_m_spec", lambda g, spec, m: formed.append(m) or real_spec(g, spec, m))
-    u, st = traj_picard.u[-1], traj_picard.shear[-1]
+    u, t = traj_picard.u[-1], traj_picard.times[-1]
+    st = evolve_shear(traj_picard.profile, t)
     raw = full_raw(u, st, cutoffs, params)
     assert sorted(raw.aux) == list(range(1, params.Mmax + 1))
     assert stale == []
@@ -254,9 +256,9 @@ def test_base_norm_agrees_under_dy_refinement(lab, traj_imex, traj_fine, params)
     coarse = traj_imex
     assert len(coarse.times) == len(traj_fine.times) == REF.nt + 1
     for i in sorted({j for c in V._eval_indices(REF.nt) for j in (c - 1, c, c + 1)}):
-        norm_c = gevrey_norm(full_raw(coarse.u[i], coarse.shear[i], lab.cut, params), params)
-        norm_f = gevrey_norm(full_raw(traj_fine.u[i], traj_fine.shear[i], lab.fine.cut, params),
-                             params)
+        st_c, st_f = (evolve_shear(t.profile, t.times[i]) for t in (coarse, traj_fine))
+        norm_c = gevrey_norm(full_raw(coarse.u[i], st_c, lab.cut, params), params)
+        norm_f = gevrey_norm(full_raw(traj_fine.u[i], st_f, lab.fine.cut, params), params)
         assert abs(norm_c - norm_f) <= _DY_REFINEMENT_BOUND * norm_f, (i, norm_c, norm_f)
 
 

@@ -9,6 +9,7 @@ import prandtl_lab.solver as S
 import prandtl_lab.verify as V
 from prandtl_lab.grid import Field, dx_m, dy_j, linf, weighted_l2
 from prandtl_lab.profiles import build_perturbation
+from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import (SolverConfig, SolverDivergence, heat_propagate, imex_solve,
                                 mild_solution, picard_solve, recover_v)
 
@@ -203,7 +204,7 @@ def test_pde_residual_refines(u0, profile):
     for nt in V.ladder_nts(REF.nt):
         traj = _solve(u0, profile, "imex", nt)
         i = int(0.875 * (len(traj.times) - 1))
-        u, st = traj.u[i], traj.shear[i]
+        u, st = traj.u[i], evolve_shear(traj.profile, traj.times[i])
         dt2 = traj.times[i + 1] - traj.times[i - 1]
         r = V._material_derivative(V.Snapshot(traj, i),
                                    traj.u[i + 1].values - traj.u[i - 1].values, u.values,
@@ -219,7 +220,7 @@ def test_pde_residual_refines(u0, profile):
 def test_picard_is_fixed_point_of_mild_solution(traj_picard):
     """Mapping the converged iterate once more moves it by less than 10 tol."""
     traj = traj_picard
-    forcing = [S._forcing(u, st) for u, st in zip(traj.u, traj.shear)]
+    forcing = [S._forcing(u, evolve_shear(traj.profile, t)) for u, t in zip(traj.u, traj.times)]
     mapped = list(mild_solution(traj.u[0], forcing, traj.eps, traj.times))
     xi = max(weighted_l2(a - b, 0.0) for a, b in zip(mapped, traj.u))
     assert xi <= 10 * 1e-12          # conftest._solve runs Picard with tol = 1e-12

@@ -11,6 +11,8 @@ from prandtl_lab.grid import Field, dx_m, dy_j, weighted_l2, x_spectrum
 from prandtl_lab.norms import gevrey_norm, trajectory_raws
 from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import Trajectory, recover_v
+import prandtl_lab.norms as N
+import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 
 from conftest import REF, _solve, alive, evaluate_at, wall_levels
@@ -79,6 +81,40 @@ def test_snapshot_v_is_recovered_from_u(traj_imex, traj_picard):
         for i, u in enumerate(traj.u):
             assert np.array_equal(V.Snapshot(traj, i).v.values,
                                   recover_v(u, dx_m(u, 1)).values)
+
+
+def test_checks_read_the_profile_shear_not_the_solver_copy(grid, u0, profile, cutoffs,
+                                                            assumption, params, monkeypatch):
+    """A check does not read the solver's copy of the shear: with the
+    solvers handed every state frozen at t = 0 (solver._time_grid patched),
+    every Snapshot of a check-only walk and every row of trajectory_raws
+    still reads the profile's own state at its node, evolve_shear(profile,
+    t) with state.t == t, and the trajectory keeps no list of states."""
+    assert "shear" not in {f.name for f in dataclasses.fields(Trajectory)}
+    real_grid, real_raw = SO._time_grid, N.full_raw
+
+    def frozen(p, cfg):
+        times, _ = real_grid(p, cfg)
+        return times, [evolve_shear(p, 0.0)] * len(times)
+
+    class Tracked(V.Snapshot):
+        def __init__(self, traj, i):
+            super().__init__(traj, i)
+            read.append((self.state, traj.times[i]))
+
+    read, rows = [], []
+    monkeypatch.setattr(SO, "_time_grid", frozen)
+    monkeypatch.setattr(V, "Snapshot", Tracked)
+    monkeypatch.setattr(N, "full_raw",
+                        lambda u, st, cut, p: rows.append(st) or real_raw(u, st, cut, p))
+    cfg = dataclasses.replace(REF, nt=8).build()[2]
+    V.walk([SO.imex_solve(u0, profile, cfg)], V.residual_jobs(grid, assumption, cutoffs, "f"))
+    assert len(read) == 3 * len(V._eval_indices(cfg.Nt))     # each centre and its neighbours
+    traj = SO.picard_solve(u0, profile, cfg)
+    trajectory_raws(traj, cutoffs, params)
+    assert len(rows) == len(traj.times) and rows[0] is evolve_shear(profile, 0.0)
+    for state, t in read + list(zip(rows, traj.times))[1:]:
+        assert state is evolve_shear(profile, t) and state.t == t > 0.0
 
 
 def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assumption, params,

@@ -17,7 +17,9 @@ quartiles and, per workload and metric, how many pairs the change won and
 whether that shows a gain (see `summarise`).
 After the pairs, one traced run (`--trace 1`) per side and workload gives
 the per-layer metrics; the pairs stay untraced, so tracing overhead never
-enters the end-to-end numbers.
+enters the end-to-end numbers.  Each workload's `count_changes` lists the
+traced metrics counted in calls or bytes whose values differ between the
+sides (see `count_changes`).
 Tier-1 is the suite of ROADMAP.md, run once on each side after the pairs
 under pytest `--durations=0` with this checkout's solve counter loaded
 (`tools/solve_counts.py`, `-p solve_counts`): each side's wall time, exit
@@ -94,6 +96,21 @@ def layers(checkout: Path, workload: str, seconds: float) -> dict:
     result = _run(checkout, workload, seconds, trace=1)
     return {"layers": {name: m["value"] for name, m in result["metrics"].items()},
             **_verdict(result)}
+
+
+def count_changes(traced: dict, units: dict) -> dict:
+    """The per-layer metrics of the traced runs (traced: layers() by side)
+    whose unit in units (name -> BENCHMARK.json unit) is `count` or
+    `bytes` and whose values differ between the sides, each with both
+    values, and each side's `attempted`.  A count has no variance, so one
+    traced run per side shows its change; but counts are means per timed
+    operation, so a sweep's compare only when `attempted` matches
+    (`comparable`)."""
+    attempted = {side: t["attempted"] for side, t in traced.items()}
+    values = {name: {side: t["layers"].get(name) for side, t in traced.items()}
+              for name, unit in units.items() if unit in ("count", "bytes")}
+    return {"attempted": attempted, "comparable": attempted["parent"] == attempted["change"],
+            "metrics": {n: v for n, v in values.items() if v["parent"] != v["change"]}}
 
 
 def src_lines(checkout: Path) -> int:
@@ -278,7 +295,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         ap.error(f"--pairs must be at least {MIN_PAIRS}")
-    seconds = json.loads((CHANGE / "BENCHMARK.json").read_text())["run_seconds"]
+    spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    units = {m["name"]: m["unit"] for m in spec["per_layer"]}
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
     full = [sys.executable, "-m", "prandtl_lab.cli", "full", "--config"]
     outputs = compare_outputs(sides, [*full, "configs/reference.ini", "--out"])
@@ -294,6 +313,7 @@ def main(argv=None) -> int:
     workloads = {w: summarise(by_side) for w, by_side in runs.items()}
     for w in WORKLOADS:
         workloads[w]["traced"] = {side: layers(path, w, seconds) for side, path in sides.items()}
+        workloads[w]["count_changes"] = count_changes(workloads[w]["traced"], units)
         print(f"traced {w}: {workloads[w]['traced']}", file=sys.stderr)
     tier = {side: tier1(path) for side, path in sides.items()}
     print(f"tier1: { {side: t['summary'] for side, t in tier.items()} }", file=sys.stderr)
