@@ -52,7 +52,8 @@ from .cutoffs import CutoffError, DenominatorFloorError, build_cutoffs
 from .grid import Grid2D, NonFiniteError
 from .norms import GevreyParams, gevrey_norm, trajectory_raws
 from .profiles import (build_perturbation, build_shear_profile, check_compatibility,
-                       quadpack_route, validate_assumption)
+                       validate_assumption)
+from .scipy_ext import routes
 from .shear import check_proposition_shear, evolve_shear, min_resolved_step
 from .solver import SolverConfig, SolverDivergence, imex_solve, picard_solve
 from . import verify as V
@@ -185,10 +186,10 @@ def _owned_by(section: str):
 def load_config(path) -> RunConfig:
     """Parse and validate an INI run configuration.
 
-    Unknown sections (a [DEFAULT] one included) or keys are rejected by
-    name, and a file that does not parse as UTF-8 INI is rejected naming it;
-    values are read literally (no % interpolation).  Constraint violations
-    carry the violated bound in the message.
+    Unknown sections (a [DEFAULT] one included) or keys, values that do
+    not parse, and a file that does not parse as UTF-8 INI are rejected
+    naming the file; values are read literally (no % interpolation).
+    Constraint violations carry the violated bound in the message.
     """
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
@@ -200,15 +201,15 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig()
     for section in parser.sections():
         if section not in {s for s, _ in known}:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise ConfigError(f"{path}: unknown config section [{section}]")
         for key, raw in parser.items(section):
             if (f := known.get((section, key))) is None:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+                raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
             typ = type(f.default)
             try:
                 value = tuple(raw.replace(",", " ").split()) if typ is tuple else typ(raw)
             except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+                raise ConfigError(f"{path}: [{section}] {key}: cannot parse {raw!r}") from exc
             setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
@@ -218,9 +219,10 @@ class Lab:
     """Shared artifacts for one configuration.  The profile and u0 are built
     at once, so every input rule is checked when the Lab is made; the rest is
     built on first read.  The Lab keeps what several stages read: the
-    profile, u0, the cut-offs, the configured solve (traj), its seminorm
-    table and the dy-refinement companion.  Every other solve belongs to the
-    check that reads it (check_solve) and lives with that check's caller."""
+    profile, u0, the datum's compatibility report, the cut-offs, the
+    configured solve (traj), its seminorm table and the dy-refinement
+    companion.  Every other solve belongs to the check that reads it
+    (check_solve) and lives with that check's caller."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -230,6 +232,12 @@ class Lab:
         self.report = validate_assumption(self.profile)
         with _owned_by("perturbation"):
             self.u0 = build_perturbation(self.grid, cfg.amp, cfg.kx, self.profile)
+
+    @cached_property
+    def compatibility(self):
+        """check_compatibility of u0: the solve and compatibility reports
+        read it."""
+        return check_compatibility(self.u0, self.profile)
 
     @cached_property
     def cut(self):
@@ -295,11 +303,10 @@ def run_shear_check(lab: Lab, outdir: Path) -> list:
 def run_solve(lab: Lab, outdir: Path) -> list:
     traj = lab.traj
     traj.save(outdir / "trajectory")
-    cr = check_compatibility(lab.u0, lab.profile)
     return _emit(outdir, V.CheckReport("solve", True, {
         "scheme": traj.scheme, "times": len(traj.times),
         "contraction": [float(c) for c in traj.contraction],
-        "compatibility": cr.to_dict()}))
+        "compatibility": lab.compatibility.to_dict()}))
 
 
 def run_norms(lab: Lab, outdir: Path) -> list:
@@ -363,7 +370,7 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         reports += shear
         done("shear-check")
     if "compatibility" in enabled:
-        cr = check_compatibility(lab.u0, lab.profile)
+        cr = lab.compatibility
         tol = 1e-8 * max(cfg.amp, 1e-300)
         worst = max(cr.res_value, cr.res_dyomega, cr.res_third)
         add(V.CheckReport("compatibility", worst <= tol, {**cr.to_dict(), "tolerance": tol}))
@@ -440,7 +447,7 @@ def _write_run(outdir: Path, manifest: dict, clock: _StageClock) -> None:
         "import": _IMPORT,
         "stages": clock.spans,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "scipy": scipy.__version__, "quadpack": quadpack_route(),
+                        "scipy": scipy.__version__, **routes(),
                         "cpu_count": os.cpu_count(),
                         **{k: os.environ.get(k)
                            for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}})

@@ -23,18 +23,14 @@ than to stencil accuracy.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cache
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .bump import poly_window
 from .grid import Field, Grid2D, dx_m, dy_j, require_finite
+from .scipy_ext import compiled, use_public
 
 __all__ = [
     "ShearProfile",
@@ -44,14 +40,11 @@ __all__ = [
     "validate_assumption",
     "build_perturbation",
     "check_compatibility",
-    "quadpack_route",
 ]
 
 _FINE_REFINE = 8          # refinement factor of the quadrature grid
 _SLACK = 1e-12            # rounding slack of the pointwise comparisons
 _profile_cache: dict = {}
-_QUADPACK = "_quadpack"   # scipy's compiled QUADPACK, in scipy/integrate
-_fell_back = False        # a normalization integral of this process ran on quad
 
 
 @dataclass
@@ -150,43 +143,19 @@ def _ansatz_derivs(y, y0: float, alpha: float, c: float, n: int) -> list:
     return [(y0 - y) * Q[k] - k * Q[k - 1] if k else (y0 - y) * Q[0] for k in range(n)]
 
 
-@cache
-def _load_qagse():
-    """QUADPACK's qagse from scipy's compiled extension, loaded by file path
-    so that scipy.integrate, which imports linalg, optimize, sparse, spatial
-    and constants, stays out of the process; None when this scipy has no
-    such file or the file no such name."""
-    where = Path(scipy.__file__).parent / "integrate"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = where / (_QUADPACK + suffix)
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location("scipy.integrate._quadpack", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return getattr(module, "_qagse", None)
-    return None
-
-
 def _integral(f, b: float) -> float:
     """The integral of f over [0, b]: the qagse call that
     scipy.integrate.quad(f, 0.0, b, limit=200) makes, bitwise the same.
     quad itself runs when qagse is not found or flags an error (ier != 0),
     so its IntegrationWarning or ValueError is the one raised."""
-    qagse = _load_qagse()
+    qagse = compiled("quadpack")
     if qagse is not None:
         value, _, ier = qagse(f, 0.0, b, (), 0, 1.49e-8, 1.49e-8, 200)
         if ier == 0:
             return value
-    global _fell_back
-    _fell_back = True
+        use_public("quadpack")
     from scipy.integrate import quad
     return quad(f, 0.0, b, limit=200)[0]
-
-
-def quadpack_route() -> str:
-    """'direct' while this process integrates through the file-loaded qagse,
-    'quad' once scipy.integrate.quad has run or when qagse is not found."""
-    return "quad" if _fell_back or _load_qagse() is None else "direct"
 
 
 def build_shear_profile(grid: Grid2D, y0: float, alpha: float) -> ShearProfile:

@@ -45,9 +45,9 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf, eval_hermite
 
 from .profiles import _FINE_REFINE, AssumptionReport, ShearProfile
+from .scipy_ext import compiled
 
 __all__ = ["ShearState", "PropositionReport", "evolve_shear", "min_resolved_step",
            "proposition_clauses", "check_proposition_shear"]
@@ -82,14 +82,33 @@ class ShearState:
         return _quadrature_rows(self.profile, self.t, j0, j1)
 
 
+def _erf(x: np.ndarray) -> np.ndarray:
+    """scipy.special.erf, from the file-loaded _special_ufuncs when found."""
+    erf = compiled("special_ufuncs")
+    if erf is None:
+        from scipy.special import erf
+    return erf(x)
+
+
+def _hermite(n: int, x: np.ndarray) -> np.ndarray:
+    """The physicists' Hermite polynomial H_n(x) as scipy.special.eval_hermite
+    computes it, bitwise: the probabilists' recurrence y_k = xs y_{k+1} -
+    k y_{k+2}, k = n .. 1, on xs = sqrt(2) x, times 2^(n/2)."""
+    xs = np.sqrt(2.0) * x
+    y1, y2 = np.ones_like(xs), np.zeros_like(xs)
+    for k in range(n, 0, -1):
+        y1, y2 = xs * y1 - k * y2, y1
+    return y1 * 2.0 ** (n / 2)
+
+
 def _lift(y: np.ndarray, t: float, j: int) -> np.ndarray:
     """d_y^j of erf(y / (2 sqrt(1+t)))."""
     s = 2.0 * np.sqrt(1.0 + t)
     eta = y / s
     if j == 0:
-        return erf(eta)
+        return _erf(eta)
     sign = -1.0 if (j - 1) % 2 else 1.0
-    return (2.0 / np.sqrt(np.pi)) * s ** (-j) * sign * eval_hermite(j - 1, eta) * np.exp(-eta * eta)
+    return (2.0 / np.sqrt(np.pi)) * s ** (-j) * sign * _hermite(j - 1, eta) * np.exp(-eta * eta)
 
 
 def _kernel_derivs_upto(z: np.ndarray, t: float, j0: int, j1: int) -> list[np.ndarray]:

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .grid import Field, Grid2D, dx_m, dy_j, linf, require_finite, truncation_check, weighted_l2
 from .profiles import ShearProfile, check_compatibility
+from .scipy_ext import compiled
 from .shear import ShearState, evolve_shear
 
 __all__ = ["SolverConfig", "Trajectory", "SolverDivergence", "heat_propagate",
@@ -62,15 +62,26 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
+def _dst1(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """DST-I along axis 1 of real x, as scipy.fft.dst(x, type=1, axis=1) or
+    (inverse) idst computes it: pocketfft's dst with the arguments those
+    pass, normalization 0 forward and 2 inverse."""
+    dst = compiled("pocketfft")
+    if dst is None:
+        from scipy import fft
+        return (fft.idst if inverse else fft.dst)(x, type=1, axis=1)
+    return dst(x, 1, (1,), 2 if inverse else 0, None, 1, None)
+
+
 def _to_modal(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     """(Nx, Ny) real samples -> (Nx/2+1, Ny-2) complex sine-mode amplitudes."""
-    return np.fft.rfft(dst(values[:, 1:-1], type=1, axis=1), axis=0)
+    return np.fft.rfft(_dst1(values[:, 1:-1], inverse=False), axis=0)
 
 
 def _from_modal(grid: Grid2D, modal: np.ndarray) -> np.ndarray:
     s = np.fft.irfft(modal, n=grid.Nx, axis=0)
     out = np.zeros((grid.Nx, grid.Ny))
-    out[:, 1:-1] = idst(s, type=1, axis=1)
+    out[:, 1:-1] = _dst1(s, inverse=True)
     return out
 
 

@@ -16,6 +16,8 @@ import prandtl_lab.cli as C
 import prandtl_lab.cutoffs as CU
 import prandtl_lab.grid as G
 import prandtl_lab.norms as N
+import prandtl_lab.profiles as P
+import prandtl_lab.scipy_ext as E
 import prandtl_lab.shear as S
 import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
@@ -68,6 +70,24 @@ def u0(lab):
 @pytest.fixture(scope="session")
 def params(lab):
     return lab.params
+
+
+@pytest.fixture
+def fresh_extensions(monkeypatch):
+    """A monkeypatch under which scipy_ext starts afresh: no extension loaded
+    and no public route recorded; both, and the EXTENSIONS table, come back
+    as they were."""
+    monkeypatch.setattr(E, "_public", set())
+    E.scipy_extension.cache_clear()
+    yield monkeypatch
+    E.scipy_extension.cache_clear()
+
+
+def missing_extension(mp, key: str) -> None:
+    """Point EXTENSIONS[key] at a module this scipy does not have, through
+    mp (a MonkeyPatch, so that the entry comes back)."""
+    subdir, _, name, public = E.EXTENSIONS[key]
+    mp.setitem(E.EXTENSIONS, key, (subdir, "_no_such_module", name, public))
 
 
 def _solve(u0_field, profile, scheme, nt, eps=REF.eps):
@@ -224,7 +244,7 @@ class Record:
 
 # the functions a Record counts, by name (and evolve_shear by its state)
 _COUNTED = (SO.heat_propagate, SO.mild_solution, G.dx_m_spec, G.dy_j, N.trajectory_raws,
-            N.full_raw, V.condi_monitor)
+            N.full_raw, V.condi_monitor, P.check_compatibility)
 
 
 def _record(cfg, subcommand: str, out: Path) -> Record:

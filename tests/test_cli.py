@@ -24,9 +24,10 @@ import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 from prandtl_lab.cli import ConfigError, Lab, load_config, main, run, run_norms, run_verify
 from prandtl_lab.grid import Field
-from prandtl_lab.profiles import perturbation_envelope, quadpack_route
+from prandtl_lab.profiles import perturbation_envelope
+from prandtl_lab.scipy_ext import routes
 
-from conftest import CONFIG, REF, _solve, alive
+from conftest import CONFIG, REF, _solve, alive, missing_extension
 
 
 @pytest.fixture(scope="session")
@@ -284,11 +285,24 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
             for k in spans:       # the marks split their stage
                 assert sum(c[k] for c in marks) <= s[k] + 1e-9
         env = log["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "quadpack", "cpu_count",
+        assert set(env) == {"python", "numpy", "scipy", "quadpack", "pocketfft",
+                            "special_ufuncs", "cpu_count",
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
-        assert env["quadpack"] == quadpack_route()
+        assert {k: env[k] for k in routes()} == routes()
+        assert set(routes().values()) == {"direct"}
         assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
         assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("1", None)
+
+
+def test_run_log_names_public_routes(fresh_extensions, tmp_path):
+    """A compiled extension that is not found is named in run_log.json's
+    environment by the public import that runs in its place."""
+    missing_extension(fresh_extensions, "pocketfft")
+    cfg = load_config(CONFIG)
+    cfg.checks = ("inequalities",)
+    assert run(cfg, "verify", out_dir=tmp_path) == 0
+    env = json.loads((tmp_path / "run_log.json").read_text())["environment"]
+    assert [env[k] for k in routes()] == ["direct", "scipy.fft", "direct"]
 
 
 def test_run_log_marks_checks_in_run_order(monitors_verify, full_run):
@@ -396,11 +410,16 @@ def test_main_bad_config_exit_two(tmp_path):
     (b"[grid]\nnx = 64\n# \xff\n", "can't decode byte 0xff"),
     (b"[DEFAULT]\nnt = 16\n", "unknown config section [DEFAULT]"),
     (b"[grid]\nnx = 128\n[DEFAULT]\nnt = 16\n", "unknown config section [DEFAULT]"),
+    (b"[wobble]\nnx = 128\n", "unknown config section [wobble]"),
+    (b"[grid]\nwobble = 3\n", "unknown key 'wobble' in section [grid]"),
+    (b"[grid]\nnx = 12.5\n", "[grid] nx: cannot parse '12.5'"),
 ], ids=["duplicate_key", "duplicate_section", "no_header", "no_separator", "not_utf8",
-        "default_alone", "default_beside_grid"])
+        "default_alone", "default_beside_grid", "unknown_section", "unknown_key",
+        "unparsable_value"])
 def test_malformed_ini_exits_two(tmp_path, capsys, body, message):
-    """An INI file that does not parse, or is not UTF-8, ends through main
-    with exit 2 and a configuration error that names the file, not with a
+    """An INI file that does not parse, is not UTF-8, or holds an unknown
+    section or key or a value that does not parse ends through main with
+    exit 2 and a configuration error that names the file, not with a
     traceback; a [DEFAULT] section is an unknown section, not defaults that
     every other section would inherit."""
     p = tmp_path / "cfg.ini"
@@ -408,7 +427,7 @@ def test_malformed_ini_exits_two(tmp_path, capsys, body, message):
     assert main(["verify", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
-    assert "DEFAULT" in message or f"cannot parse {p}" in err
+    assert f"{p}: " in err
 
 
 def test_ini_values_are_read_literally(tmp_path):
@@ -739,7 +758,9 @@ def test_full_work_counts(full_run):
     each), Picard sweeps (one mild_solution each), distinct shear states by
     Ny, Snapshot and AuxWorkspace constructions (a Snapshot is also a
     bundle), dx_m_spec and dy_j calls, one seminorm table (a full_raw per
-    node) and one condition-monitor walk, each function counted at every
+    node), one condition-monitor walk and two compatibility checks of the
+    datum (picard_solve's, for its warning, and the Lab's, which the solve
+    and compatibility reports read), each function counted at every
     binding the package holds.  An extra solve, step, sweep, shear state,
     bundle or derivative fails here without any timing; a release of
     memoised x-derivatives that had them formed again would raise the
@@ -753,8 +774,8 @@ def test_full_work_counts(full_run):
         ("picard", 257, 8): 1, ("imex", 257, 8): 1, ("imex", 257, 16): 1, ("imex", 257, 32): 1,
         ("imex", 513, 8): 1}
     assert work == {"mild_solution": 5, "heat_propagate": 64, "AuxWorkspace": 49,
-                    "dx_m_spec": 1180, "dy_j": 709, "trajectory_raws": 1, "full_raw": 9,
-                    "condi_monitor": 1}
+                    "dx_m_spec": 1179, "dy_j": 706, "trajectory_raws": 1, "full_raw": 9,
+                    "condi_monitor": 1, "check_compatibility": 2}
     assert len(rec.snapshots) == 39
     assert states == {257: 82, 513: 9}
 

@@ -9,11 +9,12 @@ import sympy as sp
 from scipy.integrate import IntegrationWarning, quad
 
 import prandtl_lab.profiles as P
+import prandtl_lab.scipy_ext as E
 from prandtl_lab.grid import Field, Grid2D, dx_m, dy_j
 from prandtl_lab.profiles import (ShearProfile, _ansatz_derivs, build_perturbation,
                                   build_shear_profile, check_compatibility, validate_assumption)
 
-from conftest import REF
+from conftest import REF, missing_extension
 
 
 def test_bare_normalization_integral():
@@ -60,32 +61,51 @@ def test_ansatz_derivatives_match_sympy(grid, y0, alpha):
 
 _FRESH_LAB = """
 import sys
+import numpy as np
+import prandtl_lab.scipy_ext as E
 from prandtl_lab.cli import Lab, RunConfig
 from prandtl_lab.profiles import _ansatz_derivs
+from prandtl_lab.shear import _quadrature_rows, evolve_shear
+from prandtl_lab.solver import heat_propagate
 lab = Lab(RunConfig())
-print('sympy' in sys.modules, 'scipy.integrate' in sys.modules)
+p = lab.profile
+direct = (evolve_shear(p, 0.01).us, heat_propagate(lab.u0, 0.01, 0.1).values)
+print('sympy' in sys.modules,
+      *(m in sys.modules for m in ('scipy.fft', 'scipy.special', 'scipy.integrate')))
+import scipy.fft, scipy.special
 from scipy.integrate import quad
-p, ymax = lab.profile, lab.grid.Ymax
 bare, _ = quad(lambda s: float(_ansatz_derivs(s, p.y0, p.alpha, p.correction, 1)[0]),
-               0.0, ymax, limit=200)
-print(p.amplitude.hex(), (1.0 / bare).hex())
+               0.0, lab.grid.Ymax, limit=200)
+print(p.amplitude.hex() == (1.0 / bare).hex(), E.routes() == dict.fromkeys(E.EXTENSIONS, 'direct'))
+for route in ('direct', 'public'):
+    E.scipy_extension.cache_clear()
+    if route == 'public':
+        for key, (subdir, _, name, public) in E.EXTENSIONS.items():
+            E.EXTENSIONS[key] = (subdir, '_no_such_module', name, public)
+    again = (_quadrature_rows(p, 0.01, 0, 1)[0], heat_propagate(lab.u0, 0.01, 0.1).values)
+    print(route, all(np.array_equal(a, b) for a, b in zip(again, direct)))
+print(E.routes() == {k: v[3] for k, v in E.EXTENSIONS.items()})
 """
 
 
 def test_profile_build_does_not_import_sympy():
-    """Building a Lab in a fresh process imports neither sympy nor
-    scipy.integrate (QUADPACK is loaded by file path); importing quad after
-    it still works and gives the Lab's amplitude bitwise."""
+    """A Lab, a shear state at t > 0 and a heat_propagate in a fresh process
+    import neither sympy nor scipy.fft, scipy.special or scipy.integrate (the
+    three compiled extensions are loaded by file path).  Importing those
+    packages afterwards works, quad gives the Lab's amplitude bitwise, and
+    the shear state and heat_propagate come out bitwise the same both on the
+    file-loaded functions (reloaded once the packages hold them) and on the
+    public routes."""
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _FRESH_LAB], capture_output=True, text=True,
                           cwd=str(root), env=env)
     assert proc.returncode == 0, proc.stderr
-    sympy, integrate, direct, by_quad = proc.stdout.split()
-    assert sympy == "False"
-    assert integrate == "False"
-    assert direct == by_quad
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["False"] * 4          # sympy, fft, special, integrate
+    assert lines[1].split() == ["True", "True"]
+    assert lines[2:] == ["direct True", "public True", "True"]
 
 
 @pytest.mark.parametrize("y0,alpha,ny", [(REF.y0, REF.alpha, REF.ny),
@@ -96,7 +116,7 @@ def test_direct_normalization_is_quads(grid, y0, alpha, ny):
     test_assumption_passes_over_family."""
     g = grid if ny == REF.ny else Grid2D(64, ny)
     p = build_shear_profile(g, y0, alpha)
-    assert P.quadpack_route() == "direct"
+    assert E.routes()["quadpack"] == "direct"
     c = (1.0 + (alpha + 1.0) * y0) / y0
     bare, _ = quad(lambda s: float(_ansatz_derivs(s, y0, alpha, c, 1)[0]), 0.0, g.Ymax,
                    limit=200)
@@ -104,21 +124,17 @@ def test_direct_normalization_is_quads(grid, y0, alpha, ny):
 
 
 @pytest.fixture
-def fresh_quadpack(monkeypatch):
-    """An empty profile cache and loader cache; the route flag, the cache and
-    the loader come back as they were."""
-    monkeypatch.setattr(P, "_profile_cache", {})
-    monkeypatch.setattr(P, "_fell_back", False)
-    P._load_qagse.cache_clear()
-    yield monkeypatch
-    P._load_qagse.cache_clear()
+def fresh_quadpack(fresh_extensions):
+    """fresh_extensions with an empty profile cache, which comes back as it was."""
+    fresh_extensions.setattr(P, "_profile_cache", {})
+    return fresh_extensions
 
 
 def test_missing_qagse_falls_back_to_quad(fresh_quadpack, grid, profile):
     """When the loader finds no extension, quad builds a bitwise-equal profile."""
-    fresh_quadpack.setattr(P, "_QUADPACK", "_no_such_quadpack")
-    assert P._load_qagse() is None
-    assert P.quadpack_route() == "quad"
+    missing_extension(fresh_quadpack, "quadpack")
+    assert E.compiled("quadpack") is None
+    assert E.routes()["quadpack"] == "scipy.integrate.quad"
     p = build_shear_profile(grid, REF.y0, REF.alpha)
     assert p.amplitude.hex() == profile.amplitude.hex()
     for k in ("u0s", "derivs", "u0s_fine"):
@@ -129,11 +145,11 @@ def test_qagse_error_flag_raises_quads_warning(fresh_quadpack):
     """A non-zero ier from qagse hands the integral to quad, whose warning
     the caller sees, with quad's value."""
     f = lambda s: 1.0 + np.cos(1e4 * s)    # too many oscillations for 200 subintervals
-    assert P._load_qagse()(f, 0.0, 30.0, (), 0, 1.49e-8, 1.49e-8, 200)[2] != 0
-    assert P.quadpack_route() == "direct"
+    assert E.compiled("quadpack")(f, 0.0, 30.0, (), 0, 1.49e-8, 1.49e-8, 200)[2] != 0
+    assert E.routes()["quadpack"] == "direct"
     with pytest.warns(IntegrationWarning):
         value = P._integral(f, 30.0)
-    assert P.quadpack_route() == "quad"
+    assert E.routes()["quadpack"] == "scipy.integrate.quad"
     with pytest.warns(IntegrationWarning):
         assert value == quad(f, 0.0, 30.0, limit=200)[0]
 

@@ -7,15 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, eval_hermite
 
 from prandtl_lab.grid import Grid2D
 from prandtl_lab.profiles import ShearProfile, build_shear_profile
+import prandtl_lab.scipy_ext as E
 import prandtl_lab.shear as S
-from prandtl_lab.shear import (_kernel_derivs_upto, _lift, check_proposition_shear,
-                               evolve_shear, proposition_clauses)
+import prandtl_lab.verify as V
+from prandtl_lab.shear import (_T_SCAN, _erf, _hermite, _kernel_derivs_upto, _lift,
+                               _quadrature_rows, check_proposition_shear, evolve_shear,
+                               proposition_clauses)
 
-from conftest import REF
+from conftest import REF, missing_extension
 
 
 def _dense_differences(p, t):
@@ -189,6 +192,53 @@ def test_erf_datum_is_self_similar(grid):
         s = evolve_shear(p, t)
         expect = erf(y / (2.0 * np.sqrt(1.0 + t)))
         assert np.max(np.abs(s.us - expect)) <= 1e-12
+
+
+def _lift_arguments(profiles) -> np.ndarray:
+    """The eta = y / (2 sqrt(1+t)) that _lift reads on each profile: its
+    y-nodes at every time of the persistence scan and of the residual
+    ladder's solves, and its fine quadrature nodes at t = 0."""
+    ts = np.concatenate([np.arange(0.0, _T_SCAN + 5e-3, 1e-2),
+                         *(np.linspace(0.0, REF.t_final, nt + 1) for nt in V.ladder_nts(REF.nt))])
+    return np.concatenate([z for p in profiles for z in (
+        (p.grid.y_nodes[None, :] / (2.0 * np.sqrt(1.0 + ts[:, None]))).ravel(),
+        p.y_fine / 2.0)])
+
+
+@pytest.fixture(scope="module")
+def lift_samples(profile, profile_fine):
+    """A dense sample of [-40, 40] and _lift_arguments of the reference and
+    the Ny = 513 profiles."""
+    rng = np.random.default_rng(0)
+    return {"dense": np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                                     rng.standard_normal(100_000) * 6.0]),
+            "grids": _lift_arguments([profile, profile_fine])}
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("sample", ["dense", "grids"])
+def test_hermite_factor_is_scipys(lift_samples, sample, n):
+    """The numpy Hermite factor of _lift is scipy.special.eval_hermite bitwise."""
+    x = lift_samples[sample]
+    assert np.array_equal(_hermite(n, x), eval_hermite(n, x))
+
+
+@pytest.mark.parametrize("sample", ["dense", "grids"])
+def test_erf_is_scipys(lift_samples, sample):
+    """The file-loaded erf is scipy.special.erf bitwise."""
+    assert E.routes()["special_ufuncs"] == "direct"
+    x = lift_samples[sample]
+    assert np.array_equal(_erf(x), erf(x))
+
+
+def test_missing_special_ufuncs_falls_back_to_scipy_special(fresh_extensions, profile):
+    """When the loader finds no _special_ufuncs, scipy.special's erf forms
+    bitwise-equal shear rows."""
+    rows = _quadrature_rows(profile, 0.02, 0, 2)
+    missing_extension(fresh_extensions, "special_ufuncs")
+    assert E.compiled("special_ufuncs") is None
+    assert E.routes()["special_ufuncs"] == "scipy.special"
+    assert np.array_equal(_quadrature_rows(profile, 0.02, 0, 2), rows)
 
 
 def test_wall_value_stays_zero(profile):

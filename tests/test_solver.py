@@ -4,7 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.fft import dst, idst
 
+import prandtl_lab.scipy_ext as E
 import prandtl_lab.solver as S
 import prandtl_lab.verify as V
 from prandtl_lab.grid import Field, dx_m, dy_j, linf, weighted_l2
@@ -13,7 +15,7 @@ from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import (SolverConfig, SolverDivergence, heat_propagate, imex_solve,
                                 mild_solution, picard_solve, recover_v)
 
-from conftest import REF, _solve
+from conftest import REF, _solve, missing_extension
 
 
 def test_config_validation():
@@ -33,6 +35,31 @@ def test_horizon_warning_names_caller(u0, profile):
         traj = picard_solve(u0, profile, cfg)
     assert len(traj.contraction) == 2 and traj.contraction[-1] > cfg.tol
     assert rec[0].filename == __file__
+
+
+@pytest.mark.parametrize("which", ["reference", "fine"])
+def test_modal_transforms_are_scipys(lab, which):
+    """_to_modal and _from_modal on the file-loaded DST-I are bitwise the
+    ones scipy.fft.dst and idst(type=1) give, on the reference grid and on
+    its Ny = 513 companion."""
+    assert E.routes()["pocketfft"] == "direct"
+    g = (lab if which == "reference" else lab.fine).grid
+    vals = np.random.default_rng(g.Ny).standard_normal((g.Nx, g.Ny))
+    modal = S._to_modal(g, vals)
+    assert np.array_equal(modal, np.fft.rfft(dst(vals[:, 1:-1], type=1, axis=1), axis=0))
+    out = np.zeros((g.Nx, g.Ny))
+    out[:, 1:-1] = idst(np.fft.irfft(modal, n=g.Nx, axis=0), type=1, axis=1)
+    assert np.array_equal(S._from_modal(g, modal), out)
+
+
+def test_missing_pocketfft_falls_back_to_scipy_fft(fresh_extensions, u0):
+    """When the loader finds no pypocketfft, scipy.fft's DST-I propagates
+    bitwise the same."""
+    heat = heat_propagate(u0, 0.02, REF.eps).values
+    missing_extension(fresh_extensions, "pocketfft")
+    assert E.compiled("pocketfft") is None
+    assert E.routes()["pocketfft"] == "scipy.fft"
+    assert np.array_equal(heat_propagate(u0, 0.02, REF.eps).values, heat)
 
 
 def test_heat_propagate_identity(grid):
