@@ -15,6 +15,9 @@ the INI section.  Non-finite numbers are rejected at load time.  Subcommands:
     verify        the enabled certification checks
     full          solve, norms and verify
 
+The configured Picard solve is read once, by the pass of Lab.table, after
+the solve stage saved it; verify runs its checks in report order.
+
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
 error (a cut-off set that does not fit the grid included), 3 solver
 divergence, a field that overflowed to non-finite values, or a
@@ -43,6 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -50,7 +54,7 @@ import scipy
 from . import __version__
 from .cutoffs import CutoffError, DenominatorFloorError, build_cutoffs
 from .grid import Grid2D, NonFiniteError
-from .norms import GevreyParams, gevrey_norm, trajectory_raws
+from .norms import GevreyParams, full_raw, gevrey_norm
 from .profiles import (build_perturbation, build_shear_profile, check_compatibility,
                        validate_assumption)
 from .scipy_ext import routes
@@ -145,13 +149,11 @@ class RunConfig:
         for c in self.checks:
             if c not in _ALL_CHECKS:
                 raise ConfigError(f"verify.checks contains unknown check '{c}'")
-        residual = bool({"residual_f", "residual_g", "residual_h"} & set(self.checks))
-        if residual and self.nt % 8:
-            raise ConfigError("solver.nt must be a multiple of 8 when a residual check is "
-                              "enabled (every ladder level is evaluated at 3T/8, 5T/8, 7T/8)")
         # the shear state at the first step of the finest solve must be resolved;
         # each residual ladder level halves the step
-        halvings = len(V.ladder_nts(self.nt)) - 1 if residual else 0
+        residual = {"residual_f", "residual_g", "residual_h"} & set(self.checks)
+        with _owned_by("solver"):
+            halvings = len(V.ladder_nts(self.nt)) - 1 if residual else 0
         dt = math.ldexp(self.t_final / self.nt, -halvings)
         if not dt >= min_resolved_step(grid):
             raise ConfigError(
@@ -215,12 +217,20 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+class SolveTable(NamedTuple):
+    """What the norms stage and the checks read of the configured solve."""
+    times: np.ndarray
+    contraction: list       # the Picard update norms
+    raws: list              # per node, norms.full_raw
+    conditions: list        # per node, verify.condition_row; none with that check off
+
+
 class Lab:
     """Shared artifacts for one configuration.  The profile and u0 are built
     at once, so every input rule is checked when the Lab is made; the rest is
     built on first read.  The Lab keeps what several stages read: the
     profile, u0, the datum's compatibility report, the cut-offs, the
-    configured solve (traj), its seminorm table and the dy-refinement
+    configured solve (traj) and its table, and the dy-refinement
     companion.  Every other solve belongs to the check that reads it
     (check_solve) and lives with that check's caller."""
 
@@ -245,9 +255,8 @@ class Lab:
 
     @cached_property
     def traj(self):
-        """The configured solve, Picard at cfg.nt with every node: solve,
-        norms, the monitors and the contraction check read it, and run_verify
-        drops its fields once those four checks have."""
+        """The configured solve, Picard at cfg.nt with every node: run_solve
+        saves it, and table reads its fields once and drops them."""
         return picard_solve(self.u0, self.profile, self.solver)
 
     def check_solve(self, nt: int):
@@ -257,10 +266,20 @@ class Lab:
         return imex_solve(self.u0, self.profile, replace(self.solver, Nt=nt))
 
     @cached_property
-    def raws(self):
-        """norms.trajectory_raws of traj: the seminorms that run_norms and
-        the energy and radius checks read."""
-        return trajectory_raws(self.traj, self.cut, self.params)
+    def table(self) -> SolveTable:
+        """The one pass over traj's nodes, which then keeps no field (a later
+        read fails) and hands its pages back.  run_norms and every check of
+        traj read this table, so no field outlives the first of them."""
+        traj, with_conditions = self.traj, "conditions" in self.cfg.checks
+        raws, conditions = [], []
+        for i, t in enumerate(traj.times):
+            raws.append(full_raw(traj.u[i], evolve_shear(self.profile, float(t)), self.cut,
+                                 self.params))
+            if with_conditions:
+                conditions.append(V.condition_row(traj, i, self.report, self.params))
+        traj.u[:] = [None] * len(traj.u)
+        _release_free_pages()
+        return SolveTable(traj.times, traj.contraction, raws, conditions)
 
     @cached_property
     def fine(self) -> Lab:
@@ -311,7 +330,7 @@ def run_solve(lab: Lab, outdir: Path) -> list:
 
 def run_norms(lab: Lab, outdir: Path) -> list:
     rows = ["t,gevrey_norm,full_norm"]
-    for t, raw in zip(lab.traj.times, lab.raws):
+    for t, raw in zip(lab.table.times, lab.table.raws):
         base = gevrey_norm(raw, lab.params)
         ext = gevrey_norm(raw, lab.params, with_aux=True)
         rows.append(f"{float(t)!r},{base!r},{ext!r}")
@@ -321,18 +340,13 @@ def run_norms(lab: Lab, outdir: Path) -> list:
 
 
 def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
-    """The enabled checks' reports, each written to <name>.json in a fixed
-    order; mark(name) is called as each check ends, in run order (the shear
-    checks are one check, and so is the residual ladder), once the free pages
-    the check left are handed back (_release_free_pages).  The four readers
-    of the configured solve (the condition and energy monitors, the radius
-    and contraction checks) run first; then lab.traj keeps no field, so a
-    later read fails, and their reports are written last.  Every other solve
-    is made here and dies with its check: the residual ladder's levels and
-    the boundary check's pair are Lab.check_solve's streams, read once by
-    verify.walk, the ladder's levels in one lockstep walk whose first level
-    is also the boundary check's coarse level, then the companion's solve in
-    a second walk; both walks' wall traces go to boundary_checks."""
+    """The enabled checks' reports, each written to <name>.json, in report
+    order; mark(name) is called as each check ends (the shear checks are one
+    check, and so is the residual ladder), once the free pages it left are
+    handed back (_release_free_pages).  The checks of the configured solve
+    come last and reduce lab.table.  Every other solve is made here and dies
+    with its check, read once by verify.walk: the residual ladder's levels
+    in one lockstep walk, then the boundary companion's solve."""
     cfg = lab.cfg
     reports = []
 
@@ -348,24 +362,6 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
 
     enabled = set(cfg.checks)
     kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
-    monitors = []           # reports of the configured solve's readers, written last
-
-    def last(report):
-        monitors.append(report)
-        done(report.name)
-
-    if "conditions" in enabled:
-        last(V.condi_monitor(lab.traj, lab.report, lab.params))
-    c_star = 1.0
-    if "energy" in enabled:
-        last(V.energy_monitor(lab.raws, lab.traj.times, lab.params, (cfg.rho, cfg.rho_tilde)))
-        c_star = max(1.0, monitors[-1].evidence.get("C_max") or 1.0)
-    if "radius" in enabled:
-        last(V.radius_decay_check(lab.raws, lab.traj.times, lab.params, cfg.rho0, c_star))
-    if "contraction" in enabled:
-        last(V.picard_contraction_check(lab.traj))
-    if "traj" in vars(lab):
-        lab.traj.u[:] = [None] * len(lab.traj.u)
     if shear := run_shear_check(lab, outdir):
         reports += shear
         done("shear-check")
@@ -393,7 +389,18 @@ def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
         add(V.sobolev_check(lab.grid, seed=cfg.seed))
     if "inequalities" in enabled:
         add(V.inequality_suite())
-    return reports + _emit(outdir, *monitors)
+    if "conditions" in enabled:
+        add(V.condi_monitor(lab.table.conditions, lab.table.times))
+    c_star = 1.0
+    if "energy" in enabled:
+        add(em := V.energy_monitor(lab.table.raws, lab.table.times, lab.params,
+                                   (cfg.rho, cfg.rho_tilde)))
+        c_star = max(1.0, em.evidence["C_max"] or 1.0)
+    if "radius" in enabled:
+        add(V.radius_decay_check(lab.table.raws, lab.table.times, lab.params, cfg.rho0, c_star))
+    if "contraction" in enabled:
+        add(V.picard_contraction_check(lab.table))
+    return reports
 
 
 # exit code and label of each error that ends a run without reports

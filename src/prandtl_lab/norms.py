@@ -28,10 +28,10 @@ import numpy as np
 
 from .cutoffs import AuxWorkspace, CutoffSet
 from .grid import Field, Grid2D, dy_j, l2_y_weighted, x_spectrum
-from .shear import ShearState, evolve_shear
+from .shear import ShearState
 
-__all__ = ["GevreyParams", "GevreyRaw", "gevrey_raw", "full_raw",
-           "trajectory_raws", "gevrey_norm", "lifespan_norm"]
+__all__ = ["GevreyParams", "GevreyRaw", "gevrey_raw", "full_raw", "gevrey_norm",
+           "lifespan_norm"]
 
 
 @dataclass
@@ -135,13 +135,6 @@ def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> Ge
     return raw
 
 
-def trajectory_raws(traj, cut: CutoffSet, p: GevreyParams) -> list:
-    """full_raw of the trajectory at every stored time, with its shear state
-    there; the seminorms do not depend on rho, so one list serves every rho."""
-    return [full_raw(u, evolve_shear(traj.profile, float(t)), cut, p)
-            for u, t in zip(traj.u, traj.times)]
-
-
 def gevrey_norm(raw: GevreyRaw, p: GevreyParams, with_aux: bool = False) -> float:
     """The Gevrey norm at radius p.rho from the seminorms of one field: the
     sum of the suprema of the five base groups and, with_aux, of the two
@@ -168,7 +161,7 @@ def lifespan_norm(raws: list, times: np.ndarray, lam: float, T: float, p: Gevrey
                   rho0: float) -> float:
     """sup over (rho, t) with rho + lam*t < rho0, t <= T of
     sqrt((rho0-rho-lam t)/(rho0-rho)) * |u(t)|_{rho,sigma}, from the
-    trajectory_raws of u at the stored times."""
+    full_raw of u at the stored times."""
     if T > rho0 / lam + 1e-12:
         raise ValueError(f"T={T} exceeds rho0/lambda={rho0 / lam}")
     rhos = rho0 * (np.arange(_N_RHO) + 1.0) / (_N_RHO + 1.0)

@@ -46,9 +46,9 @@ from .solver import Trajectory, recover_v
 
 __all__ = [
     "ResidualReport", "CheckReport", "ResidualJob", "residual_jobs", "ladder_nts",
-    "walk", "residual_report",
-    "boundary_checks", "cancellation_check", "sobolev_check", "inequality_suite",
-    "condi_monitor", "energy_monitor", "radius_decay_check", "picard_contraction_check",
+    "walk", "residual_report", "boundary_checks", "cancellation_check", "sobolev_check",
+    "inequality_suite", "condition_row", "condi_monitor", "energy_monitor",
+    "radius_decay_check", "picard_contraction_check",
 ]
 
 _ORDERS = (1, 2, 3)         # tangential orders of every identity check
@@ -109,9 +109,9 @@ class Snapshot(AuxWorkspace):
 
     A snapshot holds tens of fields, so every walk over a trajectory's nodes
     (walk, whose centre snapshot serves both the residual identities and
-    _wall_traces, and condi_monitor) reduces each node to what it reads and
-    drops the node's snapshot before it builds the next: one snapshot is
-    alive at a time.
+    _wall_traces, and the configured solve's pass through condition_row)
+    reduces each node to what it reads and drops the node's snapshot before
+    it builds the next: one snapshot is alive at a time.
     """
 
     def __init__(self, traj: Trajectory, i: int):
@@ -160,15 +160,19 @@ class Snapshot(AuxWorkspace):
 
 
 # evaluation times are exact eighths of the horizon so that every time
-# ladder (Nt divisible by 8, which RunConfig.validate requires of the
-# residual checks) lands on identical physical times and the Richardson
-# differences never compare shifted snapshots
+# ladder (Nt divisible by 8, which ladder_nts requires) lands on identical
+# physical times and the Richardson differences never compare shifted
+# snapshots
 _EVAL_FRACS = (0.375, 0.625, 0.875)
 
 
 def ladder_nts(nt: int) -> list:
     """Step counts of the residual ladder's levels, each halving dt: three
-    levels give the two Richardson differences that the dt-order needs."""
+    levels give the two Richardson differences that the dt-order needs; nt
+    must be a multiple of 8 (_EVAL_FRACS)."""
+    if nt % 8:
+        raise ValueError(f"nt must be a multiple of 8 when a residual check is enabled "
+                         f"(every ladder level is read at 3T/8, 5T/8, 7T/8), got {nt}")
     return [nt, 2 * nt, 4 * nt]
 
 
@@ -668,53 +672,48 @@ def inequality_suite() -> CheckReport:
                                  "geometric_worst_margin": worst_margin})
 
 
-def condi_monitor(traj: Trajectory, rep: AssumptionReport, p: GevreyParams) -> CheckReport:
-    """Pointwise persistence conditions along the trajectory; returns the
-    first failure time (None if the full horizon passes).  node(i) reduces
-    one node to its clauses and clause 4's sum; its snapshot dies on return,
-    so the walk holds one snapshot at a time."""
+def condition_row(traj: Trajectory, i: int, rep: AssumptionReport, p: GevreyParams) -> tuple:
+    """The pointwise persistence conditions at node i of traj: (clauses,
+    clause 4's sum).  Its snapshot dies on return."""
     g = traj.grid
     y = g.y_nodes
-    first_fail = None
-    fail_clause = None
-    margins = []
+    s0 = Snapshot(traj, i)
+    # clauses 1-3: the hypotheses on omega_tot with the constants relaxed by 4
+    hyp = rep.clauses(s0.om_tot, s0.dyom_tot, (s0.dyom_tot,), y, 4.0)
+    cl = {"1": hyp["i"], "2": hyp["ii"], "3": hyp["iii"]}
     w_lm1 = (1.0 + y) ** (p.ell - 1.0)
     w_l = (1.0 + y) ** p.ell
     w_lp1 = (1.0 + y) ** (p.ell + 1.0)
+    total = 0.0
+    for j in (1, 2):
+        total += linf(Field(g, w_lm1[None, :] * s0.dxu(j).values))
+        total += linf(s0.dxv(j - 1))
+        total += linf(Field(g, w_l[None, :] * s0.dxom(j).values))
+    for ii in (1, 2):
+        total += linf(Field(g, w_lp1[None, :] * s0.dxdyom(ii).values))
+        total += linf(Field(g, w_lp1[None, :] * s0.dxd2yom(ii).values))
+    cl["4"] = bool(total <= 1.0 + _SLACK)
+    return cl, total
 
-    def node(i) -> tuple:
-        s0 = Snapshot(traj, i)
-        # clauses 1-3: the hypotheses on omega_tot with the constants relaxed by 4
-        hyp = rep.clauses(s0.om_tot, s0.dyom_tot, (s0.dyom_tot,), y, 4.0)
-        cl = {"1": hyp["i"], "2": hyp["ii"], "3": hyp["iii"]}
-        total = 0.0
-        for j in (1, 2):
-            total += linf(Field(g, w_lm1[None, :] * s0.dxu(j).values))
-            total += linf(s0.dxv(j - 1))
-            total += linf(Field(g, w_l[None, :] * s0.dxom(j).values))
-        for ii in (1, 2):
-            total += linf(Field(g, w_lp1[None, :] * s0.dxdyom(ii).values))
-            total += linf(Field(g, w_lp1[None, :] * s0.dxd2yom(ii).values))
-        cl["4"] = bool(total <= 1.0 + _SLACK)
-        return cl, total
 
-    for i, t in enumerate(traj.times):
-        cl, total = node(i)
-        margins.append(total)
-        if not all(cl.values()) and first_fail is None:
-            first_fail = float(t)
-            fail_clause = [k for k, v in cl.items() if not v]
+def condi_monitor(rows: list, times: np.ndarray) -> CheckReport:
+    """Reduces a trajectory's condition rows (condition_row at each stored
+    time) to the first time a clause fails and the clauses failing there
+    (None and None if every row passes), and clause 4's largest sum."""
+    fails = [(float(t), [k for k, v in cl.items() if not v])
+             for (cl, _), t in zip(rows, times) if not all(cl.values())]
+    first_fail, fail_clause = fails[0] if fails else (None, None)
     return CheckReport(
-        name="conditions_monitor", passed=first_fail is None,
+        name="conditions_monitor", passed=not fails,
         evidence={"first_failure_time": first_fail, "failing_clauses": fail_clause,
-                  "clause4_max": max(margins), "horizon": float(traj.times[-1])})
+                  "clause4_max": max(s for _, s in rows), "horizon": float(times[-1])})
 
 
 def energy_monitor(raws: list, times: np.ndarray, p: GevreyParams,
                    rho_pair: tuple) -> CheckReport:
     """Minimal constant making the radius-pair energy inequality hold at each
     stored time; reports its maximum over the horizon.  raws are the
-    trajectory's norms.trajectory_raws."""
+    trajectory's seminorm table, norms.full_raw at each stored time."""
     rho, rho_t = rho_pair
     if not (0.0 < rho < rho_t):
         raise ValueError("need 0 < rho < rho_tilde")
@@ -745,8 +744,8 @@ def radius_decay_check(raws: list, times: np.ndarray, p: GevreyParams, rho0: flo
                        c_star: float) -> CheckReport:
     """Shrinking-radius bound: with R and lambda built from the fitted
     constants, the lifespan norm stays below R on [0, rho0/(4 lambda)].
-    raws are the trajectory's norms.trajectory_raws; raws[0] gives u0's
-    base and extended norms."""
+    raws are the trajectory's seminorm table (energy_monitor); raws[0]
+    gives u0's base and extended norms."""
     base0 = gevrey_norm(raws[0], replace(p, rho=2.0 * rho0))
     ext0 = gevrey_norm(raws[0], replace(p, rho=rho0), with_aux=True)
     denom = base0 + base0 ** 2
@@ -764,9 +763,9 @@ def radius_decay_check(raws: list, times: np.ndarray, p: GevreyParams, rho0: flo
                   "horizon": horizon, "restricted_to_computed_horizon": restricted})
 
 
-def picard_contraction_check(traj: Trajectory) -> CheckReport:
-    """Geometric decay of the Picard update norms recorded by the solver."""
-    xs = [x for x in traj.contraction if x > 0.0]
+def picard_contraction_check(solve) -> CheckReport:
+    """Geometric decay of the Picard update norms, solve.contraction."""
+    xs = [x for x in solve.contraction if x > 0.0]
     if len(xs) < 3:
         return CheckReport(name="picard_contraction", passed=False,
                            evidence={"inconclusive": True, "updates": xs})

@@ -135,13 +135,30 @@ def traj_imex(u0, profile):
 
 @pytest.fixture(scope="session")
 def traj_picard(lab):
-    return lab.traj
+    """The Lab's configured solve, holding its fields in a list of its own:
+    the Lab's pass over the solve (picard_raws) drops the Lab's."""
+    return replace(lab.traj, u=list(lab.traj.u))
 
 
 @pytest.fixture(scope="session")
-def picard_raws(lab):
-    """The Lab's seminorm table of traj_picard."""
-    return lab.raws
+def picard_raws(lab, traj_picard):
+    """The seminorm rows of the Lab's table of traj_picard, formed once
+    traj_picard holds its fields."""
+    return lab.table.raws
+
+
+def seminorm_table(traj, cut, p) -> list:
+    """norms.full_raw of a whole trajectory at every stored time, with its
+    shear state there: the seminorm rows of a Lab's table."""
+    return [N.full_raw(u, S.evolve_shear(traj.profile, float(t)), cut, p)
+            for u, t in zip(traj.u, traj.times)]
+
+
+def condition_report(traj, rep, p):
+    """verify.condi_monitor of a whole trajectory's condition rows, as a Lab's
+    table holds them."""
+    return V.condi_monitor([V.condition_row(traj, i, rep, p) for i in range(len(traj.times))],
+                           traj.times)
 
 
 @pytest.fixture(scope="session")
@@ -205,19 +222,39 @@ class Solve:
     before: list                # per earlier solve, as it started: holds()
     nodes: list = field(default_factory=list)   # weak references to the fields handed out
     held: list = field(default_factory=list)    # holds() as each node is handed out; whole: once
+    reads: list = field(default_factory=list)   # whole: (node, events before it) per read
+    #                                             during the run
 
     def holds(self):
         """None if the trajectory is freed, else how many of its nodes it holds."""
         if (traj := self.ref()) is None:
             return None
         return (sum(r() is not None for r in self.nodes) if self.streamed
-                else sum(f is not None for f in traj.u))
+                else len(traj.u) - traj.u.count(None))
 
     def watch(self, fields):
         for f in fields:
             self.nodes.append(weakref.ref(f.values))
             self.held.append(sum(r() is not None for r in self.nodes))
             yield f
+
+
+class _ReadNodes(list):
+    """A whole solve's node list that, while rec's run lasts, records in
+    reads (node, events before it) as each node is read, by index or in a
+    loop."""
+
+    def __init__(self, fields, reads: list, rec):
+        super().__init__(fields)
+        self.reads, self.rec = reads, rec
+
+    def __getitem__(self, i):
+        if isinstance(i, int) and self.rec.code is None:
+            self.reads.append((range(len(self))[i], len(self.rec.events)))
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass
@@ -227,6 +264,7 @@ class Record:
     code: int | None = None     # its exit code
     lab: C.Lab | None = None    # the Lab that run_verify read
     reports: list | None = None     # and the reports it returned
+    held: list | None = None    # Solve.holds() of each solve as run_verify started
     solves: list = field(default_factory=list)      # a Solve per solve, in order
     snapshots: list = field(default_factory=list)   # a Built per verify.Snapshot
     events: list = field(default_factory=list)      # ("stage", name) as a stage ends,
@@ -243,15 +281,16 @@ class Record:
 
 
 # the functions a Record counts, by name (and evolve_shear by its state)
-_COUNTED = (SO.heat_propagate, SO.mild_solution, G.dx_m_spec, G.dy_j, N.trajectory_raws,
-            N.full_raw, V.condi_monitor, P.check_compatibility)
+_COUNTED = (SO.heat_propagate, SO.mild_solution, G.dx_m_spec, G.dy_j, N.full_raw,
+            V.condi_monitor, P.check_compatibility)
 
 
 def _record(cfg, subcommand: str, out: Path) -> Record:
-    """cli.run(cfg, subcommand) into out, recorded: each solve made, every
-    Snapshot built, the events, the counted calls (_COUNTED, evolve_shear and
-    AuxWorkspace constructions, each function at every binding the package
-    holds) and what run_verify read and returned.  The patches last for this
+    """cli.run(cfg, subcommand) into out, recorded: each solve made (a whole
+    solve's node reads too), every Snapshot built, the events, the counted
+    calls (_COUNTED, evolve_shear and AuxWorkspace constructions, each
+    function at every binding the package holds), what run_verify read and
+    returned and what the solves held as it started.  The patches last for this
     run only."""
     rec = Record(out)
     with pytest.MonkeyPatch.context() as mp:
@@ -275,11 +314,13 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
                 if solve.streamed:
                     traj.u = solve.watch(traj.u)
                 else:
+                    traj.u = _ReadNodes(traj.u, solve.reads, rec)
                     solve.held.append(solve.holds())
                 return traj
             return wrapper
 
         def verify(lab, outdir, mark):
+            rec.held = [s.holds() for s in rec.solves]
             rec.lab, rec.reports = lab, run_verify(lab, outdir, mark)
             return rec.reports
 

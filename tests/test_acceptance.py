@@ -10,12 +10,12 @@ from dataclasses import replace
 import numpy as np
 
 from prandtl_lab.grid import linf, weighted_l2
-from prandtl_lab.norms import full_raw, gevrey_norm, trajectory_raws
+from prandtl_lab.norms import full_raw, gevrey_norm
 from prandtl_lab.profiles import build_perturbation, check_compatibility
 from prandtl_lab.shear import check_proposition_shear, evolve_shear
 import prandtl_lab.verify as V
 
-from conftest import REF, _solve, wall_levels
+from conftest import REF, _solve, condition_report, seminorm_table, wall_levels
 
 
 def _criterion(num, desc, passed, detail=""):
@@ -131,11 +131,11 @@ def test_criterion_10_energy_monitor(lab, traj_picard, picard_raws, params, cuto
                                     eps_family):
     base = V.energy_monitor(picard_raws, traj_picard.times, params, (0.3, 0.4))
     c_base = base.evidence["C_max"]
-    fine = V.energy_monitor(trajectory_raws(traj_fine, lab.fine.cut, params), traj_fine.times,
+    fine = V.energy_monitor(seminorm_table(traj_fine, lab.fine.cut, params), traj_fine.times,
                             params, (0.3, 0.4))
     ratios = [c_base / fine.evidence["C_max"]]
     for eps, traj in eps_family.items():
-        other = V.energy_monitor(trajectory_raws(traj, cutoffs, params), traj.times, params,
+        other = V.energy_monitor(seminorm_table(traj, cutoffs, params), traj.times, params,
                                  (0.3, 0.4))
         ratios.append(c_base / other.evidence["C_max"])
     ok = np.isfinite(c_base) and all(0.5 <= r <= 2.0 for r in ratios)
@@ -154,10 +154,10 @@ def test_criterion_11_radius_decay(traj_picard, picard_raws, params):
 
 
 def test_criterion_12_condition_monitor(grid, profile, assumption, params, traj_picard):
-    ok_ref = V.condi_monitor(traj_picard, assumption, params)
+    ok_ref = condition_report(traj_picard, assumption, params)
     big = build_perturbation(grid, 0.5, 1, profile)
     traj_big = _solve(big, profile, "imex", 16)
-    bad = V.condi_monitor(traj_big, assumption, params)
+    bad = condition_report(traj_big, assumption, params)
     ok = ok_ref.passed and (not bad.passed) \
         and bad.evidence["first_failure_time"] is not None
     _criterion(12, "persistence conditions pass at reference, fail at amp=0.5", ok,

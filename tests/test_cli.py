@@ -27,7 +27,8 @@ from prandtl_lab.grid import Field
 from prandtl_lab.profiles import perturbation_envelope
 from prandtl_lab.scipy_ext import routes
 
-from conftest import CONFIG, REF, _solve, alive, missing_extension
+from conftest import (CONFIG, REF, _solve, alive, condition_report, missing_extension,
+                      seminorm_table)
 
 
 @pytest.fixture(scope="session")
@@ -161,7 +162,7 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
     monkeypatch.setattr(S, "_quadrature_rows",
                         lambda p, t, j0, j1: calls.append((t, j0, j1)) or real(p, t, j0, j1))
     C.run_shear_check(first, tmp_path / "first")
-    assert len(first.raws) == cfg.nt + 1
+    assert len(first.table.raws) == cfg.nt + 1
     assert (first.traj.times[-1], 2, 5) in calls
     assert any(j0 == 5 for _, j0, _ in calls)
     calls.clear()
@@ -169,7 +170,7 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
     second = Lab(cfg)
     assert second.profile is first.profile
     C.run_shear_check(second, tmp_path / "second")
-    assert len(second.raws) == cfg.nt + 1
+    assert len(second.table.raws) == cfg.nt + 1
     assert calls == []
 
 
@@ -253,6 +254,35 @@ def test_manifest_determinism(tmp_path):
     assert a == b
 
 
+def _two_openblas_threads() -> bool:
+    """Whether numpy's BLAS is OpenBLAS and two CPUs can run two of its
+    threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"].lower() and (os.cpu_count() or 1) >= 2
+
+
+@pytest.mark.skipif(not _two_openblas_threads(), reason="runs OpenBLAS on 1 and 2 threads")
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 19: outputs depend on the BLAS "
+                   "thread count (grid.dy_j's dense product)")
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """full at nt = 8 with the checks that reduce the configured solve's
+    table writes the same manifest.json and norms.csv bytes at one and at
+    two OpenBLAS threads.  Measured: both files differ."""
+    script = ("import sys\n"
+              "import prandtl_lab.cli as cli\n"
+              "cfg = cli.load_config(sys.argv[1])\n"
+              "cfg.nt, cfg.checks = 8, ('conditions', 'energy', 'radius')\n"
+              "sys.exit(cli.run(cfg, 'full', out_dir=sys.argv[2]))\n")
+    for n in (1, 2):
+        subprocess.run([sys.executable, "-c", script, str(CONFIG), str(tmp_path / str(n))],
+                       capture_output=True, check=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": str(n),
+                            "PYTHONPATH": str(Path(V.__file__).parents[1])})
+    differ = [name for name in ("manifest.json", "norms.csv")
+              if (tmp_path / "1" / name).read_bytes() != (tmp_path / "2" / name).read_bytes()]
+    assert differ == []
+
+
 def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
     """run_log.json holds each stage's wall seconds, CPU seconds and minor
     page faults and the ru_maxrss at its end, under verify the same of each
@@ -306,22 +336,23 @@ def test_run_log_names_public_routes(fresh_extensions, tmp_path):
 
 
 def test_run_log_marks_checks_in_run_order(monitors_verify, full_run):
-    """The four readers of the configured solve run as one block before the
-    shear checks, so under verify their marks come first, the condition
-    monitor's covering its own walk and the energy monitor's the seminorm
-    table, which it forms (under full the norms stage forms it); the reports
-    keep their fixed order in the manifest.  A call covers the mark that
-    ends next after it starts, since marks are made between the checks."""
+    """run_verify runs its checks in report order, so the verify stage's
+    marks follow the manifest (the shear checks one mark, the residual
+    ladder one).  The checks of the configured solve come last and reduce
+    the Lab's table: under verify its pass (each full_raw) runs in the first
+    of them, the condition monitor, and under full in the norms stage.  A
+    call covers the mark that ends next after it starts, since marks are
+    made between the checks."""
     residuals = [f"residual_{k}[m={m}]" for m in (1, 2, 3) for k in "fgh"]
     for rec, sub, marks, reports in (
             (monitors_verify, "verify",
-             ["conditions_monitor", "energy_monitor", "residual_ladder", "boundary_checks"],
+             ["residual_ladder", "boundary_checks", "conditions_monitor", "energy_monitor"],
              [r for r in residuals if r.startswith("residual_h")]
              + ["boundary_checks", "conditions_monitor", "energy_monitor"]),
             (full_run, "full",
-             ["conditions_monitor", "energy_monitor", "radius_decay", "picard_contraction",
-              "shear-check", "compatibility", "cancellation_identity", "residual_ladder",
-              "boundary_checks", "sobolev_inequality", "inequality_suite"],
+             ["shear-check", "compatibility", "cancellation_identity", "residual_ladder",
+              "boundary_checks", "sobolev_inequality", "inequality_suite",
+              "conditions_monitor", "energy_monitor", "radius_decay", "picard_contraction"],
              ["solve", "norms", "assumption", "proposition", "compatibility",
               "cancellation_identity", *residuals, "boundary_checks", "sobolev_inequality",
               "inequality_suite", "conditions_monitor", "energy_monitor", "radius_decay",
@@ -332,18 +363,22 @@ def test_run_log_marks_checks_in_run_order(monitors_verify, full_run):
         log = json.loads((rec.out / "run_log.json").read_text())
         [verify] = [s["checks"] for s in log["stages"] if s["stage"] == "verify"]
         assert [c["check"] for c in verify] == rec.marks == marks
-        calls = {key: rec.during(at) for key, at in rec.calls
-                 if key in ("condi_monitor", "trajectory_raws")}
-        assert calls == {"condi_monitor": "conditions_monitor",
-                         "trajectory_raws": "energy_monitor" if sub == "verify" else "norms"}
+        calls = {(key, rec.during(at)) for key, at in rec.calls
+                 if key in ("condi_monitor", "full_raw")}
+        assert calls == {("condi_monitor", "conditions_monitor"),
+                         ("full_raw", "conditions_monitor" if sub == "verify" else "norms")}
 
 
 
 def test_verify_releases_free_pages_between_checks(picard_verify, monitors_verify, full_run):
     """run_verify hands the heap's free pages back before it marks each
-    check's end, and at no other point, so no walk is interrupted."""
+    check's end, and the Lab's pass over the configured solve once, as its
+    walk ends (after its last full_raw), and at no other point, so no walk
+    is interrupted."""
     for rec in (picard_verify, monitors_verify, full_run):
-        assert [e for e in rec.events if e[0] != "stage"] == [
+        at = max(at for key, at in rec.calls if key == "full_raw")
+        assert rec.events[at] == ("release", None)
+        assert [e for e in rec.events[:at] + rec.events[at + 1:] if e[0] != "stage"] == [
             e for m in rec.marks for e in (("release", None), ("mark", m))]
 
 
@@ -666,7 +701,7 @@ def test_residual_block_matches_standalone_reports(picard_verify):
     bitwise the nodes the streamed levels hand out).  The boundary
     companion's snapshots (Ny = 2 Ny - 1) are not the ladder's."""
     rec, lab = picard_verify, picard_verify.lab
-    assert rec.marks == ["picard_contraction", "residual_ladder", "boundary_checks"]
+    assert rec.marks == ["residual_ladder", "boundary_checks", "picard_contraction"]
     ladder = [b for b in rec.snapshots if b.ny == lab.grid.Ny]
     assert len(ladder) == 3 * 3 * len(V.ladder_nts(lab.cfg.nt))
     assert {rec.during(b.at) for b in ladder} == {"residual_ladder"}   # the ladder is one check
@@ -705,20 +740,19 @@ def test_residual_ladder_holds_one_snapshot(snapshots):
 
 
 def test_verify_check_solves_die_with_their_walk(picard_verify):
-    """run_verify makes the Lab's configured Picard solve first, for the
-    contraction check, and drops its fields before the residual ladder's
-    levels are made for one lockstep walk; the boundary companion's solve
-    comes after the walk, when the ladder's levels are all dead.  Afterwards
-    the one solve alive is the configured solve at cfg.nt, holding no
-    field."""
+    """run_verify makes the residual ladder's levels for one lockstep walk;
+    the boundary companion's solve comes after the walk, when the ladder's
+    levels are all dead, and the Lab's configured Picard solve last, for the
+    contraction check, when every check-only solve is dead.  Afterwards the
+    one solve alive is the configured solve at cfg.nt, holding no field."""
     rec, cfg = picard_verify, picard_verify.lab.cfg
     assert [(s.scheme, s.ny, s.nt, rec.during(s.at)) for s in rec.solves] == [
-        ("picard", cfg.ny, 8, "picard_contraction"),
         ("imex", cfg.ny, 8, "residual_ladder"), ("imex", cfg.ny, 16, "residual_ladder"),
-        ("imex", cfg.ny, 32, "residual_ladder"), ("imex", 2 * cfg.ny - 1, 8, "boundary_checks")]
-    picard, first, *_, companion = rec.solves
-    assert first.before == [0], "the configured solve kept a field into the ladder"
-    assert companion.before == [0] + [None] * 3, "a ladder level outlived its walk"
+        ("imex", cfg.ny, 32, "residual_ladder"), ("imex", 2 * cfg.ny - 1, 8, "boundary_checks"),
+        ("picard", cfg.ny, 8, "picard_contraction")]
+    *_, companion, picard = rec.solves
+    assert companion.before == [None] * 3, "a ladder level outlived its walk"
+    assert picard.before == [None] * 4, "a check-only solve outlived its walk"
     [held] = alive(s.ref for s in rec.solves)
     assert held is picard.ref and held() is rec.lab.traj and len(rec.lab.traj.times) - 1 == cfg.nt
     assert vars(rec.lab)["traj"].scheme == "picard" and picard.holds() == 0
@@ -757,8 +791,9 @@ def test_full_work_counts(full_run):
     exactly: solves by (scheme, Ny, Nt), imex steps (one heat_propagate
     each), Picard sweeps (one mild_solution each), distinct shear states by
     Ny, Snapshot and AuxWorkspace constructions (a Snapshot is also a
-    bundle), dx_m_spec and dy_j calls, one seminorm table (a full_raw per
-    node), one condition-monitor walk and two compatibility checks of the
+    bundle), dx_m_spec and dy_j calls, one pass over the configured solve
+    (a full_raw per node), one condition-monitor reduction and two
+    compatibility checks of the
     datum (picard_solve's, for its warning, and the Lab's, which the solve
     and compatibility reports read), each function counted at every
     binding the package holds.  An extra solve, step, sweep, shear state,
@@ -774,8 +809,8 @@ def test_full_work_counts(full_run):
         ("picard", 257, 8): 1, ("imex", 257, 8): 1, ("imex", 257, 16): 1, ("imex", 257, 32): 1,
         ("imex", 513, 8): 1}
     assert work == {"mild_solution": 5, "heat_propagate": 64, "AuxWorkspace": 49,
-                    "dx_m_spec": 1179, "dy_j": 706, "trajectory_raws": 1, "full_raw": 9,
-                    "condi_monitor": 1, "check_compatibility": 2}
+                    "dx_m_spec": 1179, "dy_j": 706, "full_raw": 9, "condi_monitor": 1,
+                    "check_compatibility": 2}
     assert len(rec.snapshots) == 39
     assert states == {257: 82, 513: 9}
 
@@ -821,10 +856,11 @@ def test_check_solve_streams_the_whole_solve_nodes(tmp_path):
 
 
 def test_verify_releases_picard_solve_before_ladder(full_run):
-    """The monitors read the configured Picard solve first, and
-    then run_verify drops all its fields: inside the first residual ladder
-    solve it holds none, reading a node raises, its contraction history is
-    still read, and the monitors' reports equal those of a fresh Lab."""
+    """The Lab's pass over the configured Picard solve, in the norms stage,
+    drops all its fields: inside the first residual ladder solve it holds
+    none, reading a node raises, its contraction history is still read, and
+    the monitors' reports equal those read node by node off a fresh Lab's
+    solve."""
     rec, lab = full_run, full_run.lab
     cfg = lab.cfg
     configured, first = rec.solves[:2]
@@ -838,11 +874,28 @@ def test_verify_releases_picard_solve_before_ladder(full_run):
     assert reports["picard_contraction"]["evidence"]["updates"] == lab.traj.contraction
     fresh = Lab(cfg)
     times = fresh.traj.times
-    em = V.energy_monitor(fresh.raws, times, fresh.params, (cfg.rho, cfg.rho_tilde))
-    alone = [V.condi_monitor(fresh.traj, fresh.report, fresh.params), em,
-             V.radius_decay_check(fresh.raws, times, fresh.params, cfg.rho0,
+    raws = seminorm_table(fresh.traj, fresh.cut, fresh.params)
+    em = V.energy_monitor(raws, times, fresh.params, (cfg.rho, cfg.rho_tilde))
+    alone = [condition_report(fresh.traj, fresh.report, fresh.params), em,
+             V.radius_decay_check(raws, times, fresh.params, cfg.rho0,
                                   max(1.0, em.evidence["C_max"]))]
     assert [reports[r.name] for r in alone] == [r.to_dict() for r in alone]
+
+
+def test_configured_solve_read_in_one_pass(full_run):
+    """Under full the Lab's pass reads the configured Picard solve in the
+    norms stage, each node in one visit and in time order (its seminorm row,
+    then its condition row), and drops every field, so that the solve holds
+    none when the verify stage starts.  Besides the pass only run_solve's
+    save reads a node."""
+    rec = full_run
+    [picard] = [s for s in rec.solves if s.scheme == "picard"]
+    assert rec.held[rec.solves.index(picard)] == 0
+    reads = [(i, rec.during(at)) for i, at in picard.reads]
+    assert {stage for _, stage in reads} == {"solve", "norms"}
+    nodes = [i for i, stage in reads if stage == "norms"]
+    visits = [i for k, i in enumerate(nodes) if k == 0 or nodes[k - 1] != i]
+    assert visits == list(range(rec.lab.cfg.nt + 1))
 
 
 @pytest.mark.parametrize("checks", [("residual_h",), ("contraction",)])

@@ -8,14 +8,15 @@ import pytest
 
 from prandtl_lab.cutoffs import AuxWorkspace, _masked_reciprocal
 from prandtl_lab.grid import Field, dx_m, dy_j, weighted_l2, x_spectrum
-from prandtl_lab.norms import gevrey_norm, trajectory_raws
+from prandtl_lab.norms import gevrey_norm
 from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import Trajectory, recover_v
-import prandtl_lab.norms as N
+import prandtl_lab.cli as C
 import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 
-from conftest import REF, _solve, alive, evaluate_at, wall_levels
+from conftest import (REF, _solve, alive, condition_report, evaluate_at, seminorm_table,
+                      wall_levels)
 
 
 # ---------------------------------------------------------------- residuals
@@ -83,15 +84,16 @@ def test_snapshot_v_is_recovered_from_u(traj_imex, traj_picard):
                                   recover_v(u, dx_m(u, 1)).values)
 
 
-def test_checks_read_the_profile_shear_not_the_solver_copy(grid, u0, profile, cutoffs,
-                                                            assumption, params, monkeypatch):
+def test_checks_read_the_profile_shear_not_the_solver_copy(grid, profile, cutoffs, assumption,
+                                                            monkeypatch):
     """A check does not read the solver's copy of the shear: with the
     solvers handed every state frozen at t = 0 (solver._time_grid patched),
-    every Snapshot of a check-only walk and every row of trajectory_raws
-    still reads the profile's own state at its node, evolve_shear(profile,
-    t) with state.t == t, and the trajectory keeps no list of states."""
+    every Snapshot of a check-only walk and every seminorm row of a Lab's
+    table still reads the profile's own state at its node,
+    evolve_shear(profile, t) with state.t == t, and the trajectory keeps no
+    list of states."""
     assert "shear" not in {f.name for f in dataclasses.fields(Trajectory)}
-    real_grid, real_raw = SO._time_grid, N.full_raw
+    real_grid, real_raw = SO._time_grid, C.full_raw
 
     def frozen(p, cfg):
         times, _ = real_grid(p, cfg)
@@ -105,15 +107,15 @@ def test_checks_read_the_profile_shear_not_the_solver_copy(grid, u0, profile, cu
     read, rows = [], []
     monkeypatch.setattr(SO, "_time_grid", frozen)
     monkeypatch.setattr(V, "Snapshot", Tracked)
-    monkeypatch.setattr(N, "full_raw",
+    monkeypatch.setattr(C, "full_raw",
                         lambda u, st, cut, p: rows.append(st) or real_raw(u, st, cut, p))
-    cfg = dataclasses.replace(REF, nt=8).build()[2]
-    V.walk([SO.imex_solve(u0, profile, cfg)], V.residual_jobs(grid, assumption, cutoffs, "f"))
-    assert len(read) == 3 * len(V._eval_indices(cfg.Nt))     # each centre and its neighbours
-    traj = SO.picard_solve(u0, profile, cfg)
-    trajectory_raws(traj, cutoffs, params)
-    assert len(rows) == len(traj.times) and rows[0] is evolve_shear(profile, 0.0)
-    for state, t in read + list(zip(rows, traj.times))[1:]:
+    lab = C.Lab(dataclasses.replace(REF, nt=8, checks=("energy",)))
+    assert lab.profile is profile
+    V.walk([lab.check_solve(8)], V.residual_jobs(grid, assumption, cutoffs, "f"))
+    assert len(read) == 3 * len(V._eval_indices(8))     # each centre and its neighbours
+    times = lab.table.times
+    assert len(rows) == len(times) and rows[0] is evolve_shear(profile, 0.0)
+    for state, t in read + list(zip(rows, times))[1:]:
         assert state is evolve_shear(profile, t) and state.t == t > 0.0
 
 
@@ -121,10 +123,10 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
                                               monkeypatch, snapshots):
     """v, g1 and their spectra are formed on first read.  In a residual
     triple only the centre reads v, so recover_v runs once per triple, not
-    three times; condi_monitor never reads g_m, so none of its snapshots
+    three times; condition_row never reads g_m, so none of its snapshots
     forms g1 or its spectrum.  Plain attributes would fail both counts.
     Likewise for the bundle's d_y omega spectrum, inv_dyom and b: neither
-    condi_monitor nor the boundary walk forms inv_dyom or b, and the
+    condition_row nor the boundary walk forms inv_dyom or b, and the
     boundary walk forms no d_y omega spectrum.  Each of the three is
     read-only and bitwise the value formed from the bundle's eager members."""
     calls = []
@@ -140,7 +142,7 @@ def test_bundle_members_formed_only_where_read(lab, traj_imex, traj_picard, assu
         assert alive(b.ref for b in snapshots[n:]) == []
         return [b.formed for b in snapshots[n:]]
 
-    formed = members(lambda: V.condi_monitor(traj_picard, assumption, params))
+    formed = members(lambda: condition_report(traj_picard, assumption, params))
     assert len(formed) == len(traj_picard.times)
     assert all("v" in keys and not {"g1", "spec_g1"} & keys for keys in formed)
     assert not any({"inv_dyom", "b"} & keys for keys in formed)
@@ -165,7 +167,7 @@ def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_pica
     builds the next: no Snapshot is built while another is alive, the
     residual ladder's lockstep walk with its wall traces included."""
     run = {"boundary": lambda: V.boundary_checks(wall_levels([traj_imex, traj_fine], lab.report)),
-           "conditions": lambda: V.condi_monitor(traj_picard, lab.report, params),
+           "conditions": lambda: condition_report(traj_picard, lab.report, params),
            "residuals": lambda: V.walk(
                traj_ladder[:2], V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh"),
                lab.report)}
@@ -466,7 +468,7 @@ def test_inequality_suite():
 # ----------------------------------------------------------------- monitors
 
 def test_condi_passes_at_reference(traj_picard, assumption, params, snapshots):
-    rep = V.condi_monitor(traj_picard, assumption, params)
+    rep = condition_report(traj_picard, assumption, params)
     assert len(snapshots) == len(traj_picard.times)
     assert alive(b.ref for b in snapshots) == []      # each snapshot read once, then dropped
     assert rep.passed
@@ -478,7 +480,7 @@ def test_condi_detects_large_amplitude(grid, profile, assumption, params):
     from prandtl_lab.profiles import build_perturbation
     big = build_perturbation(grid, 0.5, 1, profile)
     traj = _solve(big, profile, "imex", 16)
-    rep = V.condi_monitor(traj, assumption, params)
+    rep = condition_report(traj, assumption, params)
     assert not rep.passed
     assert rep.evidence["first_failure_time"] is not None
     assert rep.evidence["first_failure_time"] < REF.t_final
@@ -488,7 +490,7 @@ def test_condi_detects_inflated_c0(traj_picard, assumption, params):
     """Negative control: with c0 inflated tenfold the strip floor (clause 1)
     fails at t = 0, and no other clause does."""
     inflated = dataclasses.replace(assumption, c0=10.0 * assumption.c0)
-    rep = V.condi_monitor(traj_picard, inflated, params)
+    rep = condition_report(traj_picard, inflated, params)
     assert not rep.passed
     assert rep.evidence["first_failure_time"] == 0.0
     assert rep.evidence["failing_clauses"] == ["1"]
@@ -515,7 +517,7 @@ def test_energy_monitor_fails_on_non_finite_seminorm(traj_picard, picard_raws, p
 
 
 def test_energy_monitor_vacuous(zero_traj, params, cutoffs):
-    raws = trajectory_raws(zero_traj, cutoffs, params)
+    raws = seminorm_table(zero_traj, cutoffs, params)
     rep = V.energy_monitor(raws, zero_traj.times, params, (0.3, 0.4))
     assert rep.passed
     assert rep.evidence["vacuous"] is True
@@ -586,13 +588,13 @@ def test_contraction_inconclusive(traj_picard):
 def test_condi_zero_perturbation(zero_traj, assumption, params):
     """Shear alone within the persistence window satisfies the relaxed
     pointwise conditions (clause four is trivially zero)."""
-    rep = V.condi_monitor(zero_traj, assumption, params)
+    rep = condition_report(zero_traj, assumption, params)
     assert rep.passed
     assert rep.evidence["clause4_max"] == 0.0
 
 
 def test_radius_zero_trajectory(zero_traj, params, cutoffs):
-    raws = trajectory_raws(zero_traj, cutoffs, params)
+    raws = seminorm_table(zero_traj, cutoffs, params)
     rep = V.radius_decay_check(raws, zero_traj.times, params, 0.5, 1.0)
     assert rep.evidence["lifespan_norm"] == 0.0
     assert rep.passed
