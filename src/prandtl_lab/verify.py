@@ -29,6 +29,7 @@ companion, and boundary_checks reduces the wall traces of both walks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cached_property
@@ -603,6 +604,97 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -
 
 
 _SOBOLEV_COUNT = 100
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant advances by mult per call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_pcg64(seed: int) -> tuple:
+    """(state, sequence) that numpy's PCG64 takes from SeedSequence(seed):
+    the seed's 32-bit words, least significant first, hash-mixed into a pool
+    of four words, then hashed out into four uint64 words (two 32-bit words
+    each, little-endian): the first two are the 128-bit state, the last
+    two the sequence."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(x, hashmix(word)) for x in pool]
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [out(pool[i % 4]) for i in range(8)]
+    w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+class _DefaultRng:
+    """numpy.random.default_rng(seed)'s stream, bit for bit, for the two
+    methods _sobolev_field calls: PCG64 (XSL-RR 128/64, O'Neill 2014) seeded
+    through SeedSequence, numpy's 32-bit Lemire rejection for `integers`
+    (drawing from the half-word buffer of next_uint32) and its 53-bit
+    doubles for `uniform`.  Pure Python, so the run never imports
+    numpy.random (and with it secrets, hashlib and OpenSSL)."""
+
+    def __init__(self, seed: int):
+        state, seq = _seed_pcg64(seed)
+        self._state, self._inc = 0, (seq << 1 | 1) & _MASK128
+        self._step()
+        self._state = (self._state + state) & _MASK128
+        self._step()
+        self._half = None       # the upper half of the last 64-bit draw, not yet used
+
+    def _step(self):
+        self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+
+    def _next64(self) -> int:
+        self._step()
+        hi = self._state >> 64
+        x, rot = (hi ^ self._state) & _MASK64, hi >> 58
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An integer in [lo, hi)."""
+        rng = hi - lo - 1
+        if not 0 <= rng <= _MASK32:
+            raise ValueError(f"integers({lo}, {hi}): the range must be 1 to 2**32 wide")
+        if rng == 0:
+            return lo
+        excl = rng + 1
+        m = self._next32() * excl
+        if m & _MASK32 < excl:
+            threshold = (_MASK32 - rng) % excl
+            while m & _MASK32 < threshold:
+                m = self._next32() * excl
+        return lo + (m >> 32)
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * ((self._next64() >> 11) * 2.0**-53)
 
 
 def _sobolev_field(grid: Grid2D, rng) -> Field:
@@ -626,7 +718,7 @@ def _sobolev_field(grid: Grid2D, rng) -> Field:
 def sobolev_check(grid: Grid2D, seed: int = 0) -> CheckReport:
     """linf(h) <= sqrt(2)(|h| + |d_x h| + |d_y h| + |d_x d_y h|) on
     _SOBOLEV_COUNT random band-limited fields with y-decay."""
-    rng = np.random.default_rng(seed)
+    rng = _DefaultRng(seed)
     violations = 0
     max_ratio = 0.0
     for _ in range(_SOBOLEV_COUNT):

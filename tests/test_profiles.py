@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -106,6 +107,41 @@ def test_profile_build_does_not_import_sympy():
     assert lines[0].split() == ["False"] * 4          # sympy, fft, special, integrate
     assert lines[1].split() == ["True", "True"]
     assert lines[2:] == ["direct True", "public True", "True"]
+
+
+_TWO_SWEEP_RUNS = """
+import dataclasses, json, sys, tempfile, warnings
+from prandtl_lab import cli
+base = cli.RunConfig()
+cfg = dataclasses.replace(base, nx=32, ny=65, mmax=8, nt=8,
+                          checks=tuple(c for c in base.checks if c != "boundary"))
+cfg.validate()
+loaded = []
+for _ in range(2):
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.run(cfg, "full", out_dir=out) in (0, 1)
+    loaded.append(sorted(sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_sweep_runs_import_no_random_or_hashlib():
+    """Two `full` runs of the sweep's check set (every check but boundary)
+    in one fresh process leave none of numpy.random, secrets, hashlib or
+    _hashlib loaded (the Sobolev draws are pure Python), and the second run
+    imports no module: a sweep's later members carry no import pages that
+    its first member loaded after its own peak."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _TWO_SWEEP_RUNS], capture_output=True,
+                          text=True, cwd=str(root), env=env)
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout.splitlines()[-1])
+    for loaded in (first, second):
+        assert sorted({"numpy.random", "secrets", "hashlib", "_hashlib"} & set(loaded)) == []
+    assert sorted(set(second) - set(first)) == []
 
 
 @pytest.mark.parametrize("y0,alpha,ny", [(REF.y0, REF.alpha, REF.ny),

@@ -426,10 +426,11 @@ def test_sobolev_detects_dropped_bound_terms(grid, monkeypatch):
 
 
 def test_sobolev_fields_match_meshgrid_form(grid, grid_fine):
-    """Each random field, built from 1-D factors, is bitwise the meshgrid
-    formula on the same draws, and the draw order is unchanged."""
+    """Each random field, built from 1-D factors on the lab's generator, is
+    bitwise the meshgrid formula on numpy's default_rng draws of the same
+    seed: the field form, the draw order and the draw stream are unchanged."""
     for g in (grid, grid_fine):
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        rng, ref_rng = V._DefaultRng(5), np.random.default_rng(5)
         X, Y = np.meshgrid(g.x_nodes, g.y_nodes, indexing="ij")
         for _ in range(50):
             vals = np.zeros((g.Nx, g.Ny))
@@ -443,6 +444,58 @@ def test_sobolev_fields_match_meshgrid_form(grid, grid_fine):
                 vals += amp * np.cos(2 * np.pi * k * X / g.Lx + phase) \
                     * (Y ** p) * np.exp(-q * (Y - c) ** 2)
             assert np.array_equal(V._sobolev_field(g, rng).values, vals)
+
+
+def _sobolev_draws(rng, kmax, fields=40):
+    """The draws of `fields` _sobolev_field calls, in its order, as Python
+    numbers (floats by their hex form, so equality is bitwise)."""
+    out = []
+    for _ in range(fields):
+        terms = int(rng.integers(1, 4))
+        out.append(terms)
+        for _ in range(terms):
+            out.append(int(rng.integers(0, kmax + 1)))
+            out += [float(rng.uniform(*b)).hex() for b in ((0, 2 * np.pi), (0.2, 3.0), (0.1, 1.5))]
+            out.append(int(rng.integers(0, 3)))
+            out.append(float(rng.uniform(0.1, 2.0)).hex())
+    return out
+
+
+def _sweep_seeds():
+    """The `seed` of every operation of perfbench's seed-0 sweep plan."""
+    from test_benchmark_targets import _WORKLOADS
+    return [op["overrides"]["seed"] for op in _WORKLOADS.plan("perturbation-sweep", 0)["ops"]]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12, *_sweep_seeds(), 2**32 + 7, 2**130 + 3])
+def test_sobolev_generator_is_default_rng(seed):
+    """The lab's generator draws numpy.random.default_rng(seed)'s stream bit
+    for bit on _sobolev_field's pattern, at the grids' kmax (Nx // 8 or 2),
+    for seeds of one, two and five 32-bit words (five take SeedSequence's
+    branch for entropy beyond its pool of four)."""
+    for kmax in (2, 4, 8, 32):
+        assert _sobolev_draws(V._DefaultRng(seed), kmax) \
+            == _sobolev_draws(np.random.default_rng(seed), kmax)
+
+
+def test_sobolev_check_evidence_is_default_rng(grid, monkeypatch):
+    """sobolev_check gives the same evidence on numpy's default_rng."""
+    ours = V.sobolev_check(grid, seed=12)
+    monkeypatch.setattr(V, "_DefaultRng", np.random.default_rng)
+    assert V.sobolev_check(grid, seed=12) == ours
+
+
+def test_sobolev_generator_rejects_wide_ranges():
+    """Ranges wider than 32 bits (numpy's 64-bit Lemire branch) and empty
+    ones raise; a one-value range returns its value without a draw."""
+    rng = V._DefaultRng(0)
+    for lo, hi in ((0, 2**32 + 1), (-1, 2**32), (3, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            rng.integers(lo, hi)
+    ref = np.random.default_rng(0)
+    assert rng.integers(7, 8) == ref.integers(7, 8) == 7
+    assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+    assert rng.integers(0, 2**32) == ref.integers(0, 2**32)
 
 
 def test_sobolev_single_example(grid):

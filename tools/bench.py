@@ -37,7 +37,10 @@ and check marks: where the time and the peak went) and names the mark with
 the largest ru_maxrss_mb.  The same comparison is made of the seed-0
 perturbation sweep's warm-up member and first member, run in one process per side from that side's
 perfbench plan (`perfbench/workloads.py`) and configs
-(`perfbench/worker.make_config`).
+(`perfbench/worker.make_config`); that comparison also keeps each side's
+`late_imports`: the modules loaded when member 1's verify stage begins
+that were not loaded when member 0's began, imports that the warm-up
+member makes late and that every later member carries to its peak.
 Only the standard library is used.
 """
 
@@ -63,6 +66,7 @@ WORKLOADS = ("perturbation-sweep", "reference-full")
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 MIN_PAIRS = 10
 RUN_LOG = "run_log.json"     # stage and check marks, which differ between any two runs
+LATE_IMPORTS = "late_imports.json"      # written by SWEEP_MEMBERS, kept per side
 
 
 def _run(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -198,9 +202,11 @@ def _deviation(name: str, parent: bytes | None, change: bytes | None) -> dict | 
 # Run in a checkout with the output directory as its argument: the seed-0
 # perturbation sweep's warm-up member and first member, in one process as
 # perfbench runs them, from the plan of the checkout's perfbench/workloads.py
-# and configs of its perfbench/worker.py, each member into its own directory.
+# and configs of its perfbench/worker.py, each member into its own directory,
+# and LATE_IMPORTS: the modules member 1 holds as its verify stage begins
+# beyond those member 0 held there.
 SWEEP_MEMBERS = """
-import importlib.util, sys
+import importlib.util, json, sys
 from pathlib import Path
 from prandtl_lab import cli
 
@@ -213,9 +219,17 @@ def load(name):
 workloads, worker = load("workloads"), load("worker")
 plan = workloads.plan("perturbation-sweep", 0)
 base = cli.load_config(plan["config"])
+held, run_verify = [], cli.run_verify
+
+def verify(lab, outdir, mark):
+    held.append(set(sys.modules))
+    return run_verify(lab, outdir, mark)
+
+cli.run_verify = verify
 codes = [cli.run(worker.make_config(base, op), op["subcommand"],
                  out_dir=str(Path(sys.argv[1], f"member_{k}")))
          for k, op in enumerate(plan["ops"][:2])]
+Path(sys.argv[1], "late_imports.json").write_text(json.dumps(sorted(held[1] - held[0])))
 sys.exit(max(codes))
 """
 
@@ -234,14 +248,15 @@ def peak_mark(log: dict) -> dict:
 def compare_outputs(sides: dict, argv: list) -> dict:
     """Run `argv OUT` once in each checkout, with OPENBLAS_NUM_THREADS=1 and
     the checkout's src/ on the path, and compare what it writes under OUT.
-    Returns each side's exit code and run_log.json files (by relative
-    path) with the mark that holds each one's peak (peak_mark), and the
-    relative paths of the files whose bytes differ between
-    the sides, a file written by one side only included and every
-    run_log.json left out.  For each differing JSON or CSV file,
+    Returns each side's exit code, run_log.json files (by relative
+    path) with the mark that holds each one's peak (peak_mark) and the
+    content of OUT/late_imports.json (None if not written), and the
+    relative paths of the files whose bytes differ between the sides, a
+    file written by one side only included and every run_log.json and
+    late_imports.json left out.  For each differing JSON or CSV file,
     `deviations` tells whether the two sides parse to the same structure
     and the largest relative deviation of a number (_deviation)."""
-    codes, files, logs = {}, {}, {}
+    codes, files, logs, late = {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in sides.items():
             out = Path(tmp) / side
@@ -251,14 +266,18 @@ def compare_outputs(sides: dict, argv: list) -> dict:
             written = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
             logs[side] = {n: json.loads(p.read_text())
                           for n, p in written.items() if p.name == RUN_LOG}
-            files[side] = {n: p.read_bytes() for n, p in written.items() if p.name != RUN_LOG}
+            late[side] = (json.loads(written[LATE_IMPORTS].read_text())
+                          if LATE_IMPORTS in written else None)
+            files[side] = {n: p.read_bytes() for n, p in written.items()
+                           if p.name not in (RUN_LOG, LATE_IMPORTS)}
     peaks = {side: {n: peak_mark(log) for n, log in side_logs.items()}
              for side, side_logs in logs.items()}
     names = sorted(set(files["parent"]) | set(files["change"]))
     differing = [n for n in names if files["parent"].get(n) != files["change"].get(n)]
     deviations = {n: _deviation(n, files["parent"].get(n), files["change"].get(n))
                   for n in differing}
-    return {"exit_codes": codes, "run_logs": logs, "peaks": peaks, "differing_files": differing,
+    return {"exit_codes": codes, "run_logs": logs, "peaks": peaks, "late_imports": late,
+            "differing_files": differing,
             "deviations": {n: d for n, d in deviations.items() if d is not None}}
 
 
