@@ -42,6 +42,7 @@ import os
 import platform
 import resource
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -53,7 +54,7 @@ import scipy
 
 from . import __version__
 from .cutoffs import CutoffError, DenominatorFloorError, build_cutoffs
-from .grid import Grid2D, NonFiniteError
+from .grid import Grid2D, NonFiniteError, linf
 from .norms import GevreyParams, full_raw, gevrey_norm
 from .profiles import (build_perturbation, build_shear_profile, check_compatibility,
                        validate_assumption)
@@ -229,24 +230,29 @@ class Lab:
     """Shared artifacts for one configuration.  The profile and u0 are built
     at once, so every input rule is checked when the Lab is made; the rest is
     built on first read.  The Lab keeps what several stages read: the
-    profile, u0, the datum's compatibility report, the cut-offs, the
-    configured solve (traj) and its table, and the dy-refinement
-    companion.  Every other solve belongs to the check that reads it
-    (check_solve) and lives with that check's caller."""
+    profile, u0, the assumption report, the datum's compatibility report,
+    the cut-offs, the configured solve (traj) and its table, and the
+    dy-refinement companion.  Every other solve belongs to the check that
+    reads it (check_solve) and lives with that check's caller."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.grid, self.params, self.solver = cfg.validate()
         with _owned_by("profile"):
             self.profile = build_shear_profile(self.grid, cfg.y0, cfg.alpha)
-        self.report = validate_assumption(self.profile)
         with _owned_by("perturbation"):
             self.u0 = build_perturbation(self.grid, cfg.amp, cfg.kx, self.profile)
 
     @cached_property
+    def report(self):
+        """validate_assumption of the profile: the shear checks, the cut-offs
+        and the checks' hypotheses read it."""
+        return validate_assumption(self.profile)
+
+    @cached_property
     def compatibility(self):
-        """check_compatibility of u0: the solve and compatibility reports
-        read it."""
+        """check_compatibility of u0: the solve's warning and the solve and
+        compatibility reports read it."""
         return check_compatibility(self.u0, self.profile)
 
     @cached_property
@@ -256,7 +262,12 @@ class Lab:
     @cached_property
     def traj(self):
         """The configured solve, Picard at cfg.nt with every node: run_solve
-        saves it, and table reads its fields once and drops them."""
+        saves it, and table reads its fields once and drops them.  A datum
+        that misses the third wall compatibility condition by more than
+        1e-6 (1 + max|u0|) is warned of first."""
+        if (third := self.compatibility.res_third) > 1e-6 * (1.0 + linf(self.u0)):
+            warnings.warn(f"initial datum violates the third wall compatibility condition "
+                          f"by {third:.2e}; wall traces of the solution will be rough")
         return picard_solve(self.u0, self.profile, self.solver)
 
     def check_solve(self, nt: int):

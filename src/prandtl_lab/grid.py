@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,20 +258,3 @@ def l2_y_weighted(grid: Grid2D, values: np.ndarray, wy: np.ndarray) -> float:
 
 def linf(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-_TRUNCATION_TOL = 1e-8      # largest share of max|f| that f may keep at y = Ymax
-
-
-def truncation_check(f: Field, name: str = "field") -> bool:
-    """Warn when |f| at y=Ymax exceeds _TRUNCATION_TOL * max|f| (unsafe y-truncation)."""
-    peak = np.max(np.abs(f.values))
-    if peak == 0.0:
-        return True
-    edge = np.max(np.abs(f.values[:, -1]))
-    if edge > _TRUNCATION_TOL * peak:
-        warnings.warn(
-            f"{name}: magnitude {edge:.3e} at y=Ymax exceeds {_TRUNCATION_TOL:.1e} of max "
-            f"{peak:.3e}; y-truncation may be unsafe", stacklevel=2)
-        return False
-    return True

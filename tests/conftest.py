@@ -282,7 +282,7 @@ class Record:
 
 # the functions a Record counts, by name (and evolve_shear by its state)
 _COUNTED = (SO.heat_propagate, SO.mild_solution, G.dx_m_spec, G.dy_j, N.full_raw,
-            V.condi_monitor, P.check_compatibility)
+            V.condi_monitor, P.check_compatibility, P.validate_assumption)
 
 
 def _record(cfg, subcommand: str, out: Path) -> Record:

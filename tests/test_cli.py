@@ -27,8 +27,8 @@ from prandtl_lab.grid import Field
 from prandtl_lab.profiles import perturbation_envelope
 from prandtl_lab.scipy_ext import routes
 
-from conftest import (CONFIG, REF, _solve, alive, condition_report, missing_extension,
-                      seminorm_table)
+from conftest import (CONFIG, REF, _record, _solve, alive, condition_report,
+                      missing_extension, seminorm_table)
 
 
 @pytest.fixture(scope="session")
@@ -675,15 +675,18 @@ def test_verify_errors_exit_with_stage(tmp_path, monkeypatch, fault, code, kind)
     assert (err["exit_code"], err["kind"], err["stage"]) == (code, kind, "verify")
 
 
+def _first_pass(grid, amp, kx, shear):
+    """The datum's first pass alone, amp sin(kx x) phi(y), with no wall
+    correction (build_perturbation's signature)."""
+    sx = np.sin(2.0 * np.pi * kx * grid.x_nodes / grid.Lx)
+    return Field(grid, np.outer(amp * sx, perturbation_envelope(grid)))
+
+
 def test_compatibility_report_fails_without_wall_correction(tmp_path, monkeypatch):
     """Negative control for the compatibility report: the datum's first pass
-    alone, amp sin(kx x) phi(y) with no wall correction, misses the third
-    condition by far more than the 1e-8 amp tolerance, and verify exits 1."""
-    def first_pass(grid, amp, kx, shear):
-        sx = np.sin(2.0 * np.pi * kx * grid.x_nodes / grid.Lx)
-        return Field(grid, np.outer(amp * sx, perturbation_envelope(grid)))
-
-    monkeypatch.setattr(C, "build_perturbation", first_pass)
+    alone misses the third condition by far more than the 1e-8 amp
+    tolerance, and verify exits 1."""
+    monkeypatch.setattr(C, "build_perturbation", _first_pass)
     cfg = load_config(CONFIG)
     cfg.checks = ("compatibility",)
     assert run(cfg, "verify", out_dir=tmp_path) == 1
@@ -692,6 +695,27 @@ def test_compatibility_report_fails_without_wall_correction(tmp_path, monkeypatc
     assert rep["name"] == "compatibility" and not rep["pass"]
     assert ev["tolerance"] == 1e-8 * cfg.amp
     assert max(ev["res_value"], ev["res_dyomega"]) <= ev["tolerance"] < ev["res_third"]
+
+
+def test_lab_owns_the_third_condition_warning(tmp_path, monkeypatch):
+    """The Lab judges the datum once.  On the first pass alone (res_third
+    8.3e-5 at amp 1e-3 on this grid, above the 1e-6 (1 + max|u0|) bound)
+    solve warns once of the third wall compatibility condition, from one
+    check_compatibility call counted at every binding the package holds;
+    picard_solve called directly on that datum warns of nothing."""
+    monkeypatch.setattr(C, "build_perturbation", _first_pass)
+    cfg = C.RunConfig(nx=32, ny=129, mmax=8, nt=8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = _record(cfg, "solve", tmp_path)
+    assert rec.code == 0
+    assert [w.category for w in caught
+            if "third wall compatibility" in str(w.message)] == [UserWarning], caught
+    assert [key for key, _ in rec.calls].count("check_compatibility") == 1
+    lab = Lab(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SO.picard_solve(lab.u0, lab.profile, lab.solver)
 
 
 def test_residual_block_matches_standalone_reports(picard_verify):
@@ -792,11 +816,11 @@ def test_full_work_counts(full_run):
     each), Picard sweeps (one mild_solution each), distinct shear states by
     Ny, Snapshot and AuxWorkspace constructions (a Snapshot is also a
     bundle), dx_m_spec and dy_j calls, one pass over the configured solve
-    (a full_raw per node), one condition-monitor reduction and two
-    compatibility checks of the
-    datum (picard_solve's, for its warning, and the Lab's, which the solve
-    and compatibility reports read), each function counted at every
-    binding the package holds.  An extra solve, step, sweep, shear state,
+    (a full_raw per node), one condition-monitor reduction, one assumption
+    scan (the Lab's; the companion's report is never read) and one
+    compatibility check of the datum (the Lab's, which the solve's warning
+    and the solve and compatibility reports read), each function counted
+    at every binding the package holds.  An extra solve, step, sweep, shear state,
     bundle or derivative fails here without any timing; a release of
     memoised x-derivatives that had them formed again would raise the
     dx_m_spec count."""
@@ -809,8 +833,8 @@ def test_full_work_counts(full_run):
         ("picard", 257, 8): 1, ("imex", 257, 8): 1, ("imex", 257, 16): 1, ("imex", 257, 32): 1,
         ("imex", 513, 8): 1}
     assert work == {"mild_solution": 5, "heat_propagate": 64, "AuxWorkspace": 49,
-                    "dx_m_spec": 1179, "dy_j": 706, "full_raw": 9, "condi_monitor": 1,
-                    "check_compatibility": 2}
+                    "dx_m_spec": 1178, "dy_j": 703, "full_raw": 9, "condi_monitor": 1,
+                    "check_compatibility": 1, "validate_assumption": 1}
     assert len(rec.snapshots) == 39
     assert states == {257: 82, 513: 9}
 

@@ -237,16 +237,3 @@ def test_dx_eigenvalue_property(k, m):
     # tolerance covers spectral rounding amplified by the top retained mode
     tol = 1e-7 * max(float(k) ** (2 * m), (g.Nx / 2.0) ** (2 * m) * 1e-6)
     assert np.allclose(got.values, (-1.0) ** m * float(k) ** (2 * m) * f.values, atol=tol)
-
-
-def test_truncation_validator(g):
-    from prandtl_lab.grid import truncation_check
-    slow = Field.from_function(g, lambda X, Y: np.exp(-Y / 10.0))
-    with pytest.warns(UserWarning, match="truncation"):
-        assert not truncation_check(slow, name="slow-decay field")
-    import warnings as _w
-    compact = Field.from_function(g, lambda X, Y: np.exp(-Y) * (Y < 10))
-    with _w.catch_warnings():
-        _w.simplefilter("error")
-        assert truncation_check(compact)
-    assert truncation_check(Field.zeros(g))

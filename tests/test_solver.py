@@ -188,6 +188,27 @@ def test_trajectory_boundary_values(traj_picard, traj_imex):
             assert np.max(np.abs(u.values[:, -1])) <= 1e-12
 
 
+def test_sine_basis_pins_the_end_rows(lab, traj_picard, traj_imex, traj_fine, monkeypatch):
+    """Every node of the Picard, imex and companion solves has exactly-zero
+    first and last y-rows: the datum is built so, and every later node comes
+    out of the sine expansion, which sets both rows to 0.0, so no check of
+    |u| at y = Ymax on a node can fire.  Along a check-only march every
+    heat_propagate input has an exactly-zero wall row too, which is why its
+    wall-row warning is silent in runs."""
+    for traj in (traj_picard, traj_imex, traj_fine):
+        assert all(not u.values[:, [0, -1]].any() for u in traj.u)
+    walls, real = [], S.heat_propagate
+
+    def recording(f, t, eps):
+        walls.append(float(np.max(np.abs(f.values[:, 0]))))
+        return real(f, t, eps)
+
+    monkeypatch.setattr(S, "heat_propagate", recording)
+    for _ in lab.check_solve(REF.nt).u:
+        pass
+    assert walls == [0.0] * REF.nt
+
+
 def test_cross_solver_agreement(traj_picard, traj_imex):
     d = weighted_l2(traj_picard.u[-1] - traj_imex.u[-1], 0.0)
     sup = linf(traj_picard.u[-1])

@@ -1,6 +1,8 @@
 """Write a BENCH_*.json: perfbench medians of a change against its parent,
 the traced per-layer metrics of each, each side's Tier-1 run (with per-file
-test seconds) and src/ line count.
+test seconds) and src/ line count, in total (`src_lines`) and per file
+(`src_lines_by_file`: each Python file under src/, by its path relative to
+the checkout, so that a change's BENCH file shows which modules shrank).
 
     python3 tools/bench.py --parent DIR --out BENCH_<n>.json [--pairs N]
 
@@ -117,9 +119,11 @@ def count_changes(traced: dict, units: dict) -> dict:
             "metrics": {n: v for n, v in values.items() if v["parent"] != v["change"]}}
 
 
-def src_lines(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in sorted((checkout / "src").rglob("*.py")))
+def src_lines_by_file(checkout: Path) -> dict:
+    """The line count of each Python file under checkout/src, by its path
+    relative to checkout."""
+    return {p.relative_to(checkout).as_posix(): len(p.read_text().splitlines())
+            for p in sorted((checkout / "src").rglob("*.py"))}
 
 
 def tier1(checkout: Path) -> dict:
@@ -336,6 +340,7 @@ def main(argv=None) -> int:
         print(f"traced {w}: {workloads[w]['traced']}", file=sys.stderr)
     tier = {side: tier1(path) for side, path in sides.items()}
     print(f"tier1: { {side: t['summary'] for side, t in tier.items()} }", file=sys.stderr)
+    by_file = {side: src_lines_by_file(path) for side, path in sides.items()}
     payload = {
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
@@ -343,7 +348,8 @@ def main(argv=None) -> int:
                       "workloads": workloads},
         "reference_full_outputs": outputs,
         "sweep_member_outputs": members,
-        "src_lines": {side: src_lines(path) for side, path in sides.items()},
+        "src_lines": {side: sum(by_file[side].values()) for side in sides},
+        "src_lines_by_file": by_file,
         "tier1": tier,
     }
     args.out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
