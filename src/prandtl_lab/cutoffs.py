@@ -111,19 +111,19 @@ class AuxWorkspace:
     x-spectra of d_y omega and d_y^2 omega and the masked reciprocal
     inv_dyom = 1/d_y omega_tot with the quotient b (all read-only), and g1
     with its cleaned spectrum.  Given a cut-off set the bundle also checks
-    the denominators' floors and forms f_m and h_m.  npts selects the
-    y-stencils (None: the standard ones of Grid2D).  Each x-derivative of a
-    spectrum is computed once per bundle and served read-only afterwards,
-    until its reader drops its order (drop_dx): norms.full_raw does once it
-    has read f_m and h_m, so its bundle holds one order at a time, while the
-    residual frame, which reads orders again across its jobs, keeps them."""
+    the denominators' floors on its support.  q_f and q_h are f_m and h_m
+    before their cut-offs.  npts selects the y-stencils (None: the standard
+    ones of Grid2D).  Each x-derivative of a spectrum is computed once per
+    bundle and served read-only afterwards, until its reader drops its order
+    (drop_dx): norms.full_raw does once it has read f_m and h_m, so its
+    bundle holds one order at a time, while the residual frame, which reads
+    orders again across its jobs, keeps them."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None):
         self.grid = g = u.grid
         self.u = u
         self.state = state
-        self.cut = cut
         self._dx_memo: dict[tuple[str, int], Field] = {}
         self.omega = dy_j(u, 1, npts)
         self.dyom = dy_j(self.omega, 1, npts)
@@ -201,12 +201,6 @@ class AuxWorkspace:
     def q_h(self, m: int) -> np.ndarray:
         """h_m before its cut-off: dx^m d_y omega - b dx^m omega."""
         return self.dxdyom(m).values - self.b * self.dxom(m).values
-
-    def f(self, m: int) -> Field:
-        return Field(self.grid, self.cut.chi1[None, :] * self.q_f(m))
-
-    def h(self, m: int) -> Field:
-        return Field(self.grid, self.cut.chi2[None, :] * self.q_h(m))
 
     def g(self, m: int) -> Field:
         if m < 1:

@@ -165,26 +165,11 @@ class Field:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "Field":
-        return cls(grid, np.zeros((grid.Nx, grid.Ny)))
-
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn) -> "Field":
-        X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
-        return cls(grid, fn(X, Y))
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
-    def __add__(self, other):
-        return Field(self.grid, self.values + _vals(other))
-
     def __sub__(self, other):
         return Field(self.grid, self.values - _vals(other))
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
 
 
 def _vals(x):

@@ -585,7 +585,7 @@ def cancellation_check(u: Field, state, cut: CutoffSet, rep: AssumptionReport) -
     evidence = {}
     worst = 0.0
     for m in _ORDERS:
-        fm = ws.f(m).values
+        fm = cut.chi1[None, :] * ws.q_f(m)
         quot = ws.dxu(m).values * ws.inv_om
         form2 = cut.chi1[None, :] * ws.om_tot * dy_j(Field(g, quot), 1, npts=_WIDE).values
         rowmax = np.max(np.abs(fm), axis=0)

@@ -4,12 +4,14 @@ read from one cli.Lab of configs/reference.ini, so the tests judge the
 objects the CLI builds; only off-reference runs are solved here.  A test
 that only observes a run reads a Record of it, made once (recorded)."""
 
+import functools
 import gc
 import sys
 import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prandtl_lab.cli as C
@@ -23,7 +25,15 @@ import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
+PACKAGE = Path(C.__file__).parent       # the source files of prandtl_lab
 REF = C.load_config(CONFIG)
+
+
+def sampled(grid, fn) -> G.Field:
+    """The Field of fn(X, Y) on the grid's nodes (X, Y: their (Nx, Ny)
+    meshgrid)."""
+    X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
+    return G.Field(grid, fn(X, Y))
 
 
 @pytest.fixture(scope="session")
@@ -270,6 +280,7 @@ class Record:
     events: list = field(default_factory=list)      # ("stage", name) as a stage ends,
     #                     ("mark", check) and ("release", None) (_release_free_pages)
     calls: list = field(default_factory=list)       # (key, events before it) per counted call
+    called: set = field(default_factory=set)        # code objects of src/ that the run called
 
     @property
     def marks(self) -> list:
@@ -290,8 +301,11 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
     solve's node reads too), every Snapshot built, the events, the counted
     calls (_COUNTED, evolve_shear and AuxWorkspace constructions, each
     function at every binding the package holds), what run_verify read and
-    returned and what the solves held as it started.  The patches last for this
-    run only."""
+    returned and what the solves held as it started, and the code objects of
+    the package's files that the run called (a sys.setprofile hook).  The run
+    starts as the CLI's process does, with no profile (and so no shear state)
+    cached and no scipy extension loaded.  The patches last for this run
+    only."""
     rec = Record(out)
     with pytest.MonkeyPatch.context() as mp:
         def everywhere(fn, wrapper):
@@ -341,7 +355,15 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
         mp.setattr(C, "_release_free_pages",
                    lambda: rec.events.append(("release", None)) or release())
         mp.setattr(C, "run_verify", verify)
-        rec.code = C.run(cfg, subcommand, out_dir=out)
+        mp.setattr(P, "_profile_cache", {})
+        mp.setattr(E, "scipy_extension", functools.cache(E.scipy_extension.__wrapped__))
+        codes, previous = set(), sys.getprofile()
+        sys.setprofile(lambda frame, event, arg: event == "call" and codes.add(frame.f_code))
+        try:
+            rec.code = C.run(cfg, subcommand, out_dir=out)
+        finally:
+            sys.setprofile(previous)
+    rec.called = {code for code in codes if Path(code.co_filename).parent == PACKAGE}
     return rec
 
 

@@ -1,6 +1,7 @@
 import collections
 import configparser
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from prandtl_lab.grid import Field
 from prandtl_lab.profiles import perturbation_envelope
 from prandtl_lab.scipy_ext import routes
 
-from conftest import (CONFIG, REF, _record, _solve, alive, condition_report,
+from conftest import (CONFIG, PACKAGE, REF, _record, _solve, alive, condition_report,
                       missing_extension, seminorm_table)
 
 
@@ -837,6 +839,40 @@ def test_full_work_counts(full_run):
                     "check_compatibility": 1, "validate_assumption": 1}
     assert len(rec.snapshots) == 39
     assert states == {257: 82, 513: 9}
+
+
+# the functions of src/ that no cli.run calls, and why
+_NOT_RUN = {
+    "cli.main": "the console entry: it parses argv and the INI, then calls run",
+    "cli.load_config": "parses the INI before run is called (main; conftest's REF)",
+    "cli._ini": "runs while RunConfig's class body executes, at import",
+    "scipy_ext.use_public": "QUADPACK's error path "
+                            "(test_profiles.py::test_qagse_error_flag_raises_quads_warning)",
+}
+
+
+def _functions(path: Path) -> set:
+    """(qualified name, first line) of every named function and method
+    compiled from path: the nested code objects that are function bodies,
+    not class bodies, lambdas or comprehensions."""
+    found, todo = set(), [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+            found.add((code.co_qualname, code.co_firstlineno))
+    return found
+
+
+def test_full_calls_every_function_of_src(full_run):
+    """The runtime surface: full (full_run) calls every named function and
+    method defined in src/ but the ones _NOT_RUN names, so a production
+    function that only the tests call fails here by name."""
+    called = {(Path(c.co_filename).stem, c.co_qualname, c.co_firstlineno)
+              for c in full_run.called}
+    missing = sorted(f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+                     for name, line in _functions(path) if (path.stem, name, line) not in called)
+    assert missing == sorted(_NOT_RUN), f"not called: {missing}"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP direction 3: the residual and boundary reports "

@@ -10,6 +10,8 @@ from prandtl_lab.grid import Field, dy_j
 from prandtl_lab.shear import evolve_shear
 import prandtl_lab.verify as V
 
+from conftest import sampled
+
 
 def test_cutoff_plateaus(grid, assumption, cutoffs):
     y = grid.y_nodes
@@ -53,22 +55,22 @@ def shear_state(profile):
 
 
 def test_shear_only_aux_vanish(grid, shear_state, cutoffs):
-    z = Field.zeros(grid)
+    z = Field(grid, np.zeros((grid.Nx, grid.Ny)))
     ws = AuxWorkspace(z, shear_state, cutoffs)
     for m in (1, 2):
-        assert np.max(np.abs(ws.f(m).values)) == 0.0
-        assert np.max(np.abs(ws.h(m).values)) == 0.0
+        assert np.max(np.abs(cutoffs.chi1[None, :] * ws.q_f(m))) == 0.0
+        assert np.max(np.abs(cutoffs.chi2[None, :] * ws.q_h(m))) == 0.0
         assert np.max(np.abs(AuxWorkspace(z, shear_state).g(m).values)) == 0.0
 
 
 def test_f_supports(grid, assumption, shear_state, cutoffs, u0):
     ws = AuxWorkspace(u0, shear_state, cutoffs)
-    f1 = ws.f(1)
+    f1 = cutoffs.chi1[None, :] * ws.q_f(1)
     strip = np.abs(grid.y_nodes - assumption.y0) <= 1.25 * assumption.delta
-    assert np.max(np.abs(f1.values[:, strip])) == 0.0
-    h1 = ws.h(1)
+    assert np.max(np.abs(f1[:, strip])) == 0.0
+    h1 = cutoffs.chi2[None, :] * ws.q_h(1)
     off = np.abs(grid.y_nodes - assumption.y0) >= 1.75 * assumption.delta + 1e-12
-    assert np.max(np.abs(h1.values[:, off])) == 0.0
+    assert np.max(np.abs(h1[:, off])) == 0.0
 
 
 def _gtilde(ws, m):
@@ -103,15 +105,15 @@ def test_two_form_cancellation(grid, assumption, shear_state, cutoffs, u0):
     from the critical point where the quotient is resolvable."""
     ws = AuxWorkspace(u0, shear_state, cutoffs)
     m = 2
-    fm = ws.f(m)
+    fm = cutoffs.chi1[None, :] * ws.q_f(m)
     quot = np.zeros_like(ws.om_tot)
     np.divide(ws.dxu(m).values, ws.om_tot, out=quot, where=np.abs(ws.om_tot) > 1e-12)
     form2 = cutoffs.chi1[None, :] * ws.om_tot * dy_j(Field(grid, quot), 1).values
     mask = np.abs(grid.y_nodes - assumption.y0) >= 1.5
     mask[:2] = mask[-4:] = False
-    rowmax = np.max(np.abs(fm.values), axis=0)
+    rowmax = np.max(np.abs(fm), axis=0)
     mask &= rowmax >= 0.02 * rowmax.max()
-    rel = np.linalg.norm((fm.values - form2)[:, mask]) / np.linalg.norm(fm.values[:, mask])
+    rel = np.linalg.norm((fm - form2)[:, mask]) / np.linalg.norm(fm[:, mask])
     assert rel <= 1e-2        # order-4 interior stencil at reference dy
 
 
@@ -125,8 +127,8 @@ def test_f1_symbolic_probe(grid, profile, cutoffs):
     om_sym = sp.diff(u_sym, sp_y)
 
     state = evolve_shear(profile, 0.0)
-    u = Field.from_function(grid, sp.lambdify((sp_x, sp_y), u_sym, "numpy"))
-    f1 = AuxWorkspace(u, state, cutoffs).f(1)
+    u = sampled(grid, sp.lambdify((sp_x, sp_y), u_sym, "numpy"))
+    f1 = cutoffs.chi1[None, :] * AuxWorkspace(u, state, cutoffs).q_f(1)
 
     dxom_sym = sp.lambdify((sp_x, sp_y), sp.diff(om_sym, sp_x), "numpy")
     dxu_sym = sp.lambdify((sp_x, sp_y), sp.diff(u_sym, sp_x), "numpy")
@@ -139,7 +141,7 @@ def test_f1_symbolic_probe(grid, profile, cutoffs):
         dyom_s = profile.derivs[1][iy]
         a_coef = (dyom_s + dyom_pert(xv, yv)) / (om_s + om_pert(xv, yv))
         expect = cutoffs.chi1[iy] * (dxom_sym(xv, yv) - a_coef * dxu_sym(xv, yv))
-        assert abs(f1.values[ix, iy] - expect) <= 5e-5 * max(abs(expect), a_amp)
+        assert abs(f1[ix, iy] - expect) <= 5e-5 * max(abs(expect), a_amp)
 
 
 def test_h1_symbolic_probe(grid, profile, cutoffs, assumption):
@@ -148,8 +150,8 @@ def test_h1_symbolic_probe(grid, profile, cutoffs, assumption):
     u_sym = a_amp * sp.sin(sp_x) * sp_y * sp.exp(-sp_y**2 / 2)
     om_sym = sp.diff(u_sym, sp_y)
     state = evolve_shear(profile, 0.0)
-    u = Field.from_function(grid, sp.lambdify((sp_x, sp_y), u_sym, "numpy"))
-    h1 = AuxWorkspace(u, state, cutoffs).h(1)
+    u = sampled(grid, sp.lambdify((sp_x, sp_y), u_sym, "numpy"))
+    h1 = cutoffs.chi2[None, :] * AuxWorkspace(u, state, cutoffs).q_h(1)
 
     fdxdyom = sp.lambdify((sp_x, sp_y), sp.diff(om_sym, sp_x, sp_y), "numpy")
     fdxom = sp.lambdify((sp_x, sp_y), sp.diff(om_sym, sp_x), "numpy")
@@ -161,7 +163,7 @@ def test_h1_symbolic_probe(grid, profile, cutoffs, assumption):
         b_coef = (profile.derivs[2][iy] + fd2yom(xv, yv)) \
             / (profile.derivs[1][iy] + fdyom(xv, yv))
         expect = cutoffs.chi2[iy] * (fdxdyom(xv, yv) - b_coef * fdxom(xv, yv))
-        assert abs(h1.values[ix, iy] - expect) <= 2e-4 * max(abs(expect), a_amp)
+        assert abs(h1[ix, iy] - expect) <= 2e-4 * max(abs(expect), a_amp)
 
 
 def test_denominator_floor_rejection(shear_state, cutoffs, u0, monkeypatch):
@@ -208,7 +210,7 @@ def test_bundle_computes_each_x_derivative_once(grid, shear_state, cutoffs, u0, 
     ws = AuxWorkspace(u0, shear_state, cutoffs)
     for _ in range(2):
         for m in (1, 2, 3):
-            ws.f(m), ws.h(m), ws.g(m)
+            ws.q_f(m), ws.q_h(m), ws.g(m)
     assert max(calls.values()) == 1
     assert len(calls) == 3 * 3 + 3       # u, omega, d_y omega at m = 1..3; g1 at 0..2
     assert ws.dxom(2) is ws.dxom(2)

@@ -9,6 +9,8 @@ from prandtl_lab.grid import (_STENCIL_PTS, Field, Grid2D, NonFiniteError, dx_m,
                               fd_weights, linf, require_finite, weighted_l2)
 from prandtl_lab.solver import _cumint_y4
 
+from conftest import sampled
+
 
 @pytest.fixture(scope="module")
 def g():
@@ -88,7 +90,7 @@ def test_dx_of_constant_is_zero(g):
 
 
 def test_dx2_eigenfunction(g):
-    f = Field.from_function(g, lambda X, Y: np.sin(2 * np.pi * X / g.Lx) * np.exp(-Y))
+    f = sampled(g, lambda X, Y: np.sin(2 * np.pi * X / g.Lx) * np.exp(-Y))
     expect = -((2 * np.pi / g.Lx) ** 2)
     assert np.allclose(dx_m(f, 2).values, expect * f.values, atol=1e-11)
 
@@ -119,18 +121,18 @@ def test_dx3_against_finite_differences():
 
 
 def test_dx_guard(g):
-    f = Field.zeros(g)
+    f = Field(g, np.zeros((g.Nx, g.Ny)))
     with pytest.raises(ValueError, match="anti-aliasing"):
         dx_m(f, g.Nx // 4 + 1)
 
 
 def test_dy2_polynomial_exact(g):
-    f = Field.from_function(g, lambda X, Y: Y**2)
+    f = sampled(g, lambda X, Y: Y**2)
     assert np.allclose(dy_j(f, 2).values, 2.0, atol=1e-8)
 
 
 def test_dy1_exponential(g):
-    f = Field.from_function(g, lambda X, Y: np.exp(-Y))
+    f = sampled(g, lambda X, Y: np.exp(-Y))
     err = np.abs(dy_j(f, 1).values + f.values)
     assert err[:, 3:-3].max() < 1e-4          # interior O(dy^4)
     assert err.max() < 1e-3                   # one-sided rows included
@@ -141,7 +143,7 @@ def test_dy5_refinement_order():
     # the pair stays below the rounding floor of the 1/dy^5 amplification
     for ny in (129, 257):
         g = Grid2D(64, ny, Ymax=10.0)
-        f = Field.from_function(g, lambda X, Y: np.sin(Y))
+        f = sampled(g, lambda X, Y: np.sin(Y))
         err = np.max(np.abs(dy_j(f, 5).values - np.cos(g.y_nodes)[None, :]))
         errs.append(err)
     order = np.log2(errs[0] / errs[1])
@@ -149,7 +151,7 @@ def test_dy5_refinement_order():
 
 
 def test_weighted_l2_zero_and_constant(g):
-    assert weighted_l2(Field.zeros(g), 1.5) == 0.0
+    assert weighted_l2(Field(g, np.zeros((g.Nx, g.Ny))), 1.5) == 0.0
     one = Field(g, np.ones((g.Nx, g.Ny)))
     assert np.isclose(weighted_l2(one, 0.0), np.sqrt(g.Lx * g.Ymax), rtol=1e-12)
 
@@ -162,7 +164,7 @@ def test_weighted_l2_against_quadrature():
     errs = []
     for ny in (257, 513):
         g = Grid2D(32, ny)
-        f = Field.from_function(g, lambda X, Y: np.exp(-Y))
+        f = sampled(g, lambda X, Y: np.exp(-Y))
         errs.append(abs(weighted_l2(f, 1.0) - ref))
     assert errs[0] <= 3e-6 * ref
     assert np.log2(errs[0] / errs[1]) >= 1.8
@@ -185,24 +187,24 @@ def test_integrate_y(g):
     """The solver's cumulative y-antiderivative (the one recover_v uses)."""
     out = _cumint_y4(g, np.ones((g.Nx, g.Ny)))
     assert np.allclose(out, g.y_nodes[None, :], atol=1e-12)
-    cosf = Field.from_function(g, lambda X, Y: np.cos(Y))
+    cosf = sampled(g, lambda X, Y: np.cos(Y))
     out = _cumint_y4(g, cosf.values)
     assert np.max(np.abs(out - np.sin(g.y_nodes)[None, :])) < 1e-5  # O(dy^4)
     assert np.max(np.abs(_cumint_y4(g, np.zeros((g.Nx, g.Ny))))) == 0.0
 
 
 def test_linf(g):
-    assert linf(Field.zeros(g)) == 0.0
+    assert linf(Field(g, np.zeros((g.Nx, g.Ny)))) == 0.0
     vals = np.zeros((g.Nx, g.Ny))
     vals[5, 7] = 3.5
     assert linf(Field(g, vals)) == 3.5
-    f = Field.from_function(g, lambda X, Y: np.sin(2 * np.pi * X / g.Lx) * np.exp(-Y))
+    f = sampled(g, lambda X, Y: np.sin(2 * np.pi * X / g.Lx) * np.exp(-Y))
     assert linf(f) <= 1.0
     assert linf(f) >= 1.0 - 2e-2
 
 
 def test_derivatives_commute(g):
-    f = Field.from_function(g, lambda X, Y: np.sin(2 * np.pi * X / g.Lx) * Y**3)
+    f = sampled(g, lambda X, Y: np.sin(2 * np.pi * X / g.Lx) * Y**3)
     lhs = dy_j(dx_m(f, 2), 2)
     rhs = dx_m(dy_j(f, 2), 2)
     scale = weighted_l2(f, 0.0)
@@ -210,7 +212,7 @@ def test_derivatives_commute(g):
 
 
 def test_dx_composition(g):
-    f = Field.from_function(g, lambda X, Y: np.sin(3 * 2 * np.pi * X / g.Lx) * np.exp(-Y))
+    f = sampled(g, lambda X, Y: np.sin(3 * 2 * np.pi * X / g.Lx) * np.exp(-Y))
     a = dx_m(dx_m(f, 2), 3)
     b = dx_m(f, 5)
     assert weighted_l2(a - b, 0.0) <= 1e-10 * max(weighted_l2(b, 0.0), 1e-30)
@@ -232,7 +234,7 @@ def test_require_finite_rejects_non_finite(g, bad):
 @given(k=st.integers(min_value=1, max_value=8), m=st.integers(min_value=1, max_value=2))
 def test_dx_eigenvalue_property(k, m):
     g = Grid2D(64, 33, Ymax=5.0)
-    f = Field.from_function(g, lambda X, Y: np.sin(k * X) * (1 + Y))
+    f = sampled(g, lambda X, Y: np.sin(k * X) * (1 + Y))
     got = dx_m(dx_m(f, m), m)
     # tolerance covers spectral rounding amplified by the top retained mode
     tol = 1e-7 * max(float(k) ** (2 * m), (g.Nx / 2.0) ** (2 * m) * 1e-6)

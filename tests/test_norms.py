@@ -14,7 +14,7 @@ from prandtl_lab.norms import (GevreyParams, _weighted_norms_all_m, full_raw, ge
 from prandtl_lab.shear import evolve_shear
 import prandtl_lab.verify as V
 
-from conftest import REF
+from conftest import REF, sampled
 
 
 def _raw(u, p, profile):
@@ -48,7 +48,7 @@ def test_params_validation():
 
 
 def test_zero_field(grid, params, profile):
-    raw = _raw(Field.zeros(grid), params, profile)
+    raw = _raw(Field(grid, np.zeros((grid.Nx, grid.Ny))), params, profile)
     assert gevrey_norm(raw, params) == 0.0
     assert np.all(_entries(raw) == 0.0)
 
@@ -102,12 +102,14 @@ def test_parseval_path_equals_physical(grid, params, profile, u0):
     assert np.isclose(direct, got, rtol=1e-10)
 
 
-def _aux_oracle(ws, m, ell):
+def _aux_oracle(ws, cut, m, ell):
     """The four cancellation-group seminorms at order m, summed in physical
-    space from the bundle's fields."""
-    chi2_dyom = Field(ws.grid, ws.cut.chi2[None, :] * ws.dxdyom(m).values)
-    return (weighted_l2(ws.g(m), 0.0), weighted_l2(ws.f(m), ell),
-            weighted_l2(ws.h(m), 0.0), weighted_l2(chi2_dyom, 0.0))
+    space from the bundle's fields and the cut-offs."""
+    chi1, chi2 = cut.chi1[None, :], cut.chi2[None, :]
+    f, h = Field(ws.grid, chi1 * ws.q_f(m)), Field(ws.grid, chi2 * ws.q_h(m))
+    chi2_dyom = Field(ws.grid, chi2 * ws.dxdyom(m).values)
+    return (weighted_l2(ws.g(m), 0.0), weighted_l2(f, ell),
+            weighted_l2(h, 0.0), weighted_l2(chi2_dyom, 0.0))
 
 
 @pytest.mark.parametrize("datum", ["reference_row", "two_modes"])
@@ -121,13 +123,14 @@ def test_aux_groups_equal_physical_sums(grid, params, profile, cutoffs, traj_pic
     if datum == "reference_row":
         u, st = traj_picard.u[16], evolve_shear(traj_picard.profile, traj_picard.times[16])
     else:
-        u = build_perturbation(grid, 1e-3, 3, profile) + build_perturbation(grid, 4e-4, 7, profile)
+        u = Field(grid, build_perturbation(grid, 1e-3, 3, profile).values
+                  + build_perturbation(grid, 4e-4, 7, profile).values)
         st = evolve_shear(profile, 0.0)
     raw = full_raw(u, st, cutoffs, params)
     ws = AuxWorkspace(u, st, cutoffs)
     assert sorted(raw.aux) == list(range(1, params.Mmax + 1))
     for m, got in raw.aux.items():
-        np.testing.assert_allclose(got, _aux_oracle(ws, m, params.ell), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got, _aux_oracle(ws, cutoffs, m, params.ell), rtol=1e-13, atol=0.0)
     if datum == "two_modes":
         assert np.count_nonzero(np.abs(ws.spec_g1).max(axis=1)) >= 4
 
@@ -154,7 +157,8 @@ def test_lifespan_zero_and_t0(grid, params, profile, cutoffs, u0, traj_imex):
     # two stored times: the second lies past T = 0 and is never read
     times = traj_imex.times[:2]
     states = [evolve_shear(traj_imex.profile, t) for t in times]
-    zero_raws = [full_raw(Field.zeros(grid), st, cutoffs, params) for st in states]
+    zero = Field(grid, np.zeros((grid.Nx, grid.Ny)))
+    zero_raws = [full_raw(zero, st, cutoffs, params) for st in states]
     assert lifespan_norm(zero_raws, times, 1.0, 0.0, params, 0.5) == 0.0
 
     # at T=0 the sup over rho reduces to the largest admissible grid radius
@@ -173,7 +177,7 @@ def test_lifespan_guard(params, traj_imex):
 
 def test_extended_norm_zero_field(grid, profile, cutoffs, params):
     st = evolve_shear(profile, 0.0)
-    assert _extended(Field.zeros(grid), st, cutoffs, params) == 0.0
+    assert _extended(Field(grid, np.zeros((grid.Nx, grid.Ny))), st, cutoffs, params) == 0.0
 
 
 def test_aux_group_dominance_tracks_support(grid, assumption, profile, cutoffs, params):
@@ -182,15 +186,13 @@ def test_aux_group_dominance_tracks_support(grid, assumption, profile, cutoffs, 
     from prandtl_lab.grid import weighted_l2 as wl2
     st = evolve_shear(profile, 0.0)
     y0 = assumption.y0
-    on_strip = Field.from_function(
-        grid, lambda X, Y: 1e-3 * np.sin(X) * np.exp(-80.0 * (Y - y0) ** 2))
-    off_strip = Field.from_function(
-        grid, lambda X, Y: 1e-3 * np.sin(X) * Y * np.exp(-2.0 * Y**2))
+    on_strip = sampled(grid, lambda X, Y: 1e-3 * np.sin(X) * np.exp(-80.0 * (Y - y0) ** 2))
+    off_strip = sampled(grid, lambda X, Y: 1e-3 * np.sin(X) * Y * np.exp(-2.0 * Y**2))
 
     def f_h_weight(u):
         ws = AuxWorkspace(u, st, cutoffs)
-        f = max(wl2(ws.f(m), params.ell) for m in (1, 2, 3))
-        h = max(wl2(ws.h(m), 0.0) for m in (1, 2, 3))
+        f = max(wl2(Field(grid, cutoffs.chi1[None, :] * ws.q_f(m)), params.ell) for m in (1, 2, 3))
+        h = max(wl2(Field(grid, cutoffs.chi2[None, :] * ws.q_h(m)), 0.0) for m in (1, 2, 3))
         return f, h
 
     f_on, h_on = f_h_weight(on_strip)

@@ -15,7 +15,7 @@ from prandtl_lab.grid import Field, Grid2D, dx_m, dy_j
 from prandtl_lab.profiles import (ShearProfile, _ansatz_derivs, build_perturbation,
                                   build_shear_profile, check_compatibility, validate_assumption)
 
-from conftest import REF, missing_extension
+from conftest import REF, missing_extension, sampled
 
 
 def test_bare_normalization_integral():
@@ -322,7 +322,7 @@ def test_correction_fourth_derivative_matches_coefficient(grid, profile):
 def test_third_condition_hand_oracle(grid, profile):
     """u = sin(x) * y: first two conditions hold on the nose, the third
     residual equals max |(omega0s(0) + sin x) cos x| over the x-nodes."""
-    u = Field.from_function(grid, lambda X, Y: np.sin(X) * Y)
+    u = sampled(grid, lambda X, Y: np.sin(X) * Y)
     cr = check_compatibility(u, profile)
     assert cr.res_value == 0.0
     assert cr.res_dyomega <= 1e-12

@@ -15,7 +15,7 @@ from prandtl_lab.shear import evolve_shear
 from prandtl_lab.solver import (SolverConfig, SolverDivergence, heat_propagate, imex_solve,
                                 mild_solution, picard_solve, recover_v)
 
-from conftest import REF, _solve, missing_extension
+from conftest import REF, _solve, missing_extension, sampled
 
 
 def test_config_validation():
@@ -63,14 +63,14 @@ def test_missing_pocketfft_falls_back_to_scipy_fft(fresh_extensions, u0):
 
 
 def test_heat_propagate_identity(grid):
-    f = Field.from_function(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
+    f = sampled(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
     out = heat_propagate(f, 0.0, 0.1)
     assert linf(out - f) <= 1e-12
 
 
 def test_heat_propagate_eigenfunction(grid):
-    f = Field.from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / grid.Lx)
-                            * np.sin(np.pi * Y / grid.Ymax))
+    f = sampled(grid, lambda X, Y: np.sin(2 * np.pi * X / grid.Lx)
+                * np.sin(np.pi * Y / grid.Ymax))
     eps, t = 0.1, 0.3
     lam = (2 * np.pi / grid.Lx) ** 2 * eps + (np.pi / grid.Ymax) ** 2
     out = heat_propagate(f, t, eps)
@@ -88,8 +88,8 @@ def test_heat_propagate_semigroup(grid):
 
 def test_duhamel_zero_forcing(grid):
     times = np.linspace(0, 0.1, 9)
-    forcing = [Field.zeros(grid) for _ in times]
-    out = -list(mild_solution(Field.zeros(grid), forcing, 0.1, times))[8]
+    zero = Field(grid, np.zeros((grid.Nx, grid.Ny)))
+    out = list(mild_solution(zero, [zero] * len(times), 0.1, times))[8]
     assert linf(out) == 0.0
 
 
@@ -97,16 +97,17 @@ def test_duhamel_constant_eigenforcing(grid):
     """Constant-in-time joint eigenfunction forcing has the closed form
     (1 - e^{-lam t})/lam; trapezoid quadrature is O(dt^2) accurate."""
     eps = 0.1
-    f = Field.from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / grid.Lx)
-                            * np.sin(np.pi * Y / grid.Ymax))
+    zero = Field(grid, np.zeros((grid.Nx, grid.Ny)))
+    f = sampled(grid, lambda X, Y: np.sin(2 * np.pi * X / grid.Lx)
+                * np.sin(np.pi * Y / grid.Ymax))
     lam = (2 * np.pi / grid.Lx) ** 2 * eps + (np.pi / grid.Ymax) ** 2
     errs = []
     for nt in (16, 32):
         times = np.linspace(0, 0.5, nt + 1)
         forcing = [f for _ in times]
-        out = -list(mild_solution(Field.zeros(grid), forcing, eps, times))[nt]
+        out = -list(mild_solution(zero, forcing, eps, times))[nt].values
         expect = (1.0 - np.exp(-lam * 0.5)) / lam
-        errs.append(linf(Field(grid, out.values - expect * f.values)))
+        errs.append(linf(Field(grid, out - expect * f.values)))
     assert errs[0] <= 1e-4
     assert np.log2(errs[0] / errs[1]) >= 1.8
 
@@ -114,16 +115,17 @@ def test_duhamel_constant_eigenforcing(grid):
 def test_duhamel_forcing_consistency(grid):
     """d_t(D) - L(D) - forcing -> 0, D the Duhamel term, at first order under dt refinement."""
     eps = 0.1
-    f = Field.from_function(grid, lambda X, Y: np.sin(2 * np.pi * X / grid.Lx)
-                            * np.sin(2 * np.pi * Y / grid.Ymax) * np.exp(-Y / 5))
+    zero = Field(grid, np.zeros((grid.Nx, grid.Ny)))
+    f = sampled(grid, lambda X, Y: np.sin(2 * np.pi * X / grid.Lx)
+                * np.sin(2 * np.pi * Y / grid.Ymax) * np.exp(-Y / 5))
     lam_op = lambda u: dy_j(u, 2).values + eps * dx_m(u, 2).values
     errs = []
     for nt in (32, 64):
         times = np.linspace(0, 0.2, nt + 1)
         forcing = [Field(grid, np.cos(3 * t) * f.values) for t in times]
         k = nt // 2
-        duh = list(mild_solution(Field.zeros(grid), forcing, eps, times))
-        dm, d0, dp = -duh[k - 1], -duh[k], -duh[k + 1]
+        duh = list(mild_solution(zero, forcing, eps, times))
+        dm, d0, dp = (Field(grid, -d.values) for d in duh[k - 1:k + 2])
         dt = times[1] - times[0]
         resid = (dp.values - dm.values) / (2 * dt) - lam_op(d0) - forcing[k].values
         errs.append(np.max(np.abs(resid[:, 5:-5])))
@@ -148,15 +150,16 @@ def test_mild_solution_matches_direct_sum(grid):
             w = times[min(s + 1, i)] - times[max(s - 1, 0)]
             expect -= 0.5 * w * heat_propagate(forcing[s], times[i] - times[s], eps).values
         assert linf(Field(grid, out[i].values - expect)) <= 1e-13 * np.max(np.abs(expect))
-    free = list(mild_solution(u0, [Field.zeros(grid) for _ in times], eps, times))
+    zero = Field(grid, np.zeros((grid.Nx, grid.Ny)))
+    free = list(mild_solution(u0, [zero] * len(times), eps, times))
     for i, t in enumerate(times):
         assert linf(free[i] - heat_propagate(u0, t, eps)) <= 1e-13 * linf(u0)
 
 
 def test_recover_v(grid):
-    u = Field.from_function(grid, lambda X, Y: np.sin(Y) * 0 + 1.0)
+    u = sampled(grid, lambda X, Y: np.sin(Y) * 0 + 1.0)
     assert linf(recover_v(u, dx_m(u, 1))) <= 1e-13      # x-independent -> v = 0
-    u = Field.from_function(grid, lambda X, Y: np.sin(X) * Y)
+    u = sampled(grid, lambda X, Y: np.sin(X) * Y)
     v = recover_v(u, dx_m(u, 1))
     expect = -np.cos(grid.x_nodes)[:, None] * grid.y_nodes[None, :] ** 2 / 2.0
     assert np.max(np.abs(v.values - expect)) <= 1e-9
@@ -166,7 +169,7 @@ def test_recover_v(grid):
 
 
 def test_zero_initial_data_stays_zero(grid, profile):
-    z = Field.zeros(grid)
+    z = Field(grid, np.zeros((grid.Nx, grid.Ny)))
     tp = _solve(z, profile, "picard", 8)
     ti = _solve(z, profile, "imex", 8)
     assert max(linf(u) for u in tp.u) == 0.0
@@ -234,8 +237,8 @@ def test_near_linear_regime(grid, profile):
 def test_imex_reduces_to_heat_propagate(grid, profile, monkeypatch):
     """With the transport forcing switched off the march is exactly the
     semigroup step applied repeatedly."""
-    monkeypatch.setattr(S, "_forcing", lambda u, state: Field.zeros(u.grid))
-    u0 = Field.from_function(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
+    monkeypatch.setattr(S, "_forcing", lambda u, state: Field(u.grid, np.zeros_like(u.values)))
+    u0 = sampled(grid, lambda X, Y: np.sin(X) * np.sin(np.pi * Y / grid.Ymax))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         *_, last = imex_solve(u0, profile, SolverConfig(eps=0.1, T=0.04, Nt=8)).u

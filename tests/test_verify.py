@@ -15,15 +15,15 @@ import prandtl_lab.cli as C
 import prandtl_lab.solver as SO
 import prandtl_lab.verify as V
 
-from conftest import (REF, _solve, alive, condition_report, evaluate_at, seminorm_table,
-                      wall_levels)
+from conftest import (REF, _solve, alive, condition_report, evaluate_at, sampled,
+                      seminorm_table, wall_levels)
 
 
 # ---------------------------------------------------------------- residuals
 
 @pytest.fixture(scope="module")
 def zero_traj(grid, profile):
-    return _solve(Field.zeros(grid), profile, "imex", 8)
+    return _solve(Field(grid, np.zeros((grid.Nx, grid.Ny))), profile, "imex", 8)
 
 
 def test_residuals_vanish_on_shear_only(zero_traj, cutoffs, assumption):
@@ -196,7 +196,8 @@ def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
 
 def _zeroed(real, k0):
     """A Snapshot method that returns zeros at order k0 and real elsewhere."""
-    return lambda self, k: Field.zeros(self.grid) if k == k0 else real(self, k)
+    return lambda self, k: (Field(self.grid, np.zeros_like(self.u.values)) if k == k0
+                            else real(self, k))
 
 
 # per case: the kind and m, the Snapshot input zeroed (method, order), the
@@ -396,8 +397,7 @@ def test_cancellation_refines(lab, profile, cutoffs, assumption, u0):
 def test_cancellation_detects_dropped_term(profile, cutoffs, assumption, u0, monkeypatch):
     """Negative control: f_m without its a dx^m u term no longer matches the
     quotient form, and the check fails."""
-    monkeypatch.setattr(AuxWorkspace, "f", lambda self, m: Field(
-        self.grid, self.cut.chi1[None, :] * self.dxom(m).values))
+    monkeypatch.setattr(AuxWorkspace, "q_f", lambda self, m: self.dxom(m).values)
     rep = V.cancellation_check(u0, evolve_shear(profile, 0.0), cutoffs, assumption)
     assert not rep.passed
     assert rep.evidence["worst_rel"] > 1e-4
@@ -500,7 +500,7 @@ def test_sobolev_generator_rejects_wide_ranges():
 
 def test_sobolev_single_example(grid):
     from prandtl_lab.grid import dx_m, dy_j, linf
-    h = Field.from_function(grid, lambda X, Y: np.sin(X) * np.exp(-Y))
+    h = sampled(grid, lambda X, Y: np.sin(X) * np.exp(-Y))
     bound = np.sqrt(2) * (weighted_l2(h, 0) + weighted_l2(dx_m(h, 1), 0)
                           + weighted_l2(dy_j(h, 1), 0)
                           + weighted_l2(dy_j(dx_m(h, 1), 1), 0))
