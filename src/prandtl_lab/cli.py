@@ -82,6 +82,29 @@ if _GLIBC is not None:
     _GLIBC.mallopt(-1, 64 << 20)        # M_TRIM_THRESHOLD
 
 
+class _MallInfo2(ctypes.Structure):
+    """glibc's struct mallinfo2 (malloc.h)."""
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+# glibc's mallinfo2 (glibc 2.33 on), else None
+_MALLINFO2 = getattr(_GLIBC, "mallinfo2", None)
+if _MALLINFO2 is not None:
+    _MALLINFO2.restype = _MallInfo2
+
+
+def _heap_in_use_mb():
+    """The bytes malloc has handed out and not had back, in MB: the heap's
+    blocks in use and the mapped ones (mallinfo2's uordblks + hblkhd); None
+    without mallinfo2."""
+    if _MALLINFO2 is None:
+        return None
+    info = _MALLINFO2()
+    return (info.uordblks + info.hblkhd) / 2**20
+
+
 def _release_free_pages() -> None:
     """Hand the pages of the heap's free blocks back to the system
     (malloc_trim), so that what one check left behind does not count toward
@@ -425,8 +448,9 @@ _ERROR_EXITS = ((ConfigError, 2, "configuration error"),
 class _StageClock:
     """Wall seconds, process CPU seconds (user and system) and minor page
     faults of each stage of one run, and the process's ru_maxrss (MB; Linux
-    reports KiB) when the stage ends; likewise of each check a stage marks,
-    listed under the stage's "checks"."""
+    reports KiB) and malloc's heap in use (MB, _heap_in_use_mb) when the
+    stage ends; likewise of each check a stage marks, listed under the
+    stage's "checks"."""
 
     def __init__(self):
         self.stage, self.spans, self.checks = "setup", [], []
@@ -435,12 +459,13 @@ class _StageClock:
     @staticmethod
     def _now() -> tuple:
         ru = resource.getrusage(resource.RUSAGE_SELF)
-        return time.perf_counter(), ru.ru_utime + ru.ru_stime, ru.ru_minflt, ru.ru_maxrss / 1024
+        return (time.perf_counter(), ru.ru_utime + ru.ru_stime, ru.ru_minflt,
+                ru.ru_maxrss / 1024, _heap_in_use_mb())
 
     @staticmethod
     def _span(start: tuple, now: tuple) -> dict:
         return {"wall_s": now[0] - start[0], "cpu_s": now[1] - start[1],
-                "ru_minflt": now[2] - start[2], "ru_maxrss_mb": now[3]}
+                "ru_minflt": now[2] - start[2], "ru_maxrss_mb": now[3], "heap_in_use_mb": now[4]}
 
     def mark(self, check: str) -> None:
         """Close one check of the current stage."""

@@ -116,8 +116,9 @@ class AuxWorkspace:
     ones of Grid2D).  Each x-derivative of a spectrum is computed once per
     bundle and served read-only afterwards, until its reader drops its order
     (drop_dx): norms.full_raw does once it has read f_m and h_m, so its
-    bundle holds one order at a time, while the residual frame, which reads
-    orders again across its jobs, keeps them."""
+    bundle holds one order at a time, and verify's wall traces drop each
+    one they read no more, while the residual frame, which reads orders
+    again across its jobs, keeps them."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None):
@@ -168,10 +169,11 @@ class AuxWorkspace:
             self._dx_memo[key] = out
         return out
 
-    def drop_dx(self, m: int) -> None:
-        """Forget the memoised x-derivatives of order m (read again, they
-        would be formed again)."""
-        for key in [k for k in self._dx_memo if k[1] == m]:
+    def drop_dx(self, m: int, *specs: str) -> None:
+        """Forget the memoised x-derivatives of order m, only those of the
+        named spectra if any are named (read again, they would be formed
+        again)."""
+        for key in [k for k in self._dx_memo if k[1] == m and (not specs or k[0] in specs)]:
             del self._dx_memo[key]
 
     def dxu(self, m: int) -> Field:

@@ -185,18 +185,23 @@ def _eval_indices(nt: int) -> list:
 def _windows(traj: Trajectory):
     """Reads traj.u once in time order and yields, at each evaluation index
     i (_eval_indices), the three-node Trajectory of the nodes i - 1, i and
-    i + 1 (read it at index 1; its node list is reused, so it is good until
-    the next is asked for); then reads traj.u to its end, so that a streamed
-    solve marches and checks its last steps.  A node is dropped before the
-    node two steps on is read, so at most three of traj's nodes are alive,
-    the one being marched included."""
+    i + 1 (read it at index 1); then reads traj.u to its end, so that a
+    streamed solve marches and checks its last steps.  Of the nodes read it
+    keeps only those a window still to come reads, and of a window's nodes,
+    once yielded, only those the next window reads: each window owns its
+    node list, so its nodes die with its reader's last reference but for
+    those.  So at most three of traj's nodes are alive, the one being
+    marched included, and between windows only the next window's shared
+    nodes (and the node last read, which a stream holds to march from)."""
     idx = _eval_indices(len(traj.times) - 1)
-    win = []
+    held = {}       # node index -> field, of the nodes a window still to come reads
     for j, u in enumerate(traj.u):
-        win.append(u)
+        if any(abs(j - i) <= 1 for i in idx):
+            held[j] = u
         if j - 1 in idx:
-            yield replace(traj, times=traj.times[j - 2:j + 1], u=win)
-        del win[:-2]
+            first = min((i - 1 for i in idx if i >= j), default=j + 1)   # next window's first
+            yield replace(traj, times=traj.times[j - 2:j + 1],
+                          u=[held[k] if k >= first else held.pop(k) for k in range(j - 2, j + 1)])
 
 
 def _material_derivative(snap: Snapshot, dq: np.ndarray, q: np.ndarray, dyq: np.ndarray,
@@ -411,16 +416,18 @@ class ResidualLevel(NamedTuple):
     richardson: float | None
 
 
-def _walk_node(windows, jobs, acc: list, chi1) -> dict:
-    """One evaluation node of walk, its levels' windows in turn: appends
-    each job's residual norm, scale and, from the second level on, the
-    interior L2 norm of its residual field's change from the previous level
-    to acc[k][level]; with chi1, returns the first level's wall traces (else
-    an empty dict).  What it forms dies on return, so the levels' next nodes
-    are marched with only the windows alive."""
+def _walk_node(streams, jobs, acc: list, chi1) -> dict:
+    """One evaluation node of walk, its levels in turn: each level's window
+    is taken from its stream (_windows), evaluated and dropped before the
+    next level's is asked for, so that window and snapshot are the level's
+    alone.  Appends each job's residual norm, scale and, from the second
+    level on, the interior L2 norm of its residual field's change from the
+    previous level to acc[k][level]; with chi1, returns the first level's
+    wall traces (else an empty dict).  What it forms dies on return."""
     coarser = [None] * len(jobs)        # each job's residual field on the previous level
     traces = {}
-    for level, win in enumerate(windows):
+    for level, stream in enumerate(streams):
+        win = next(stream)
         dq = _time_differences(win, jobs, 1)
         s0 = Snapshot(win, 1)
         for k, (res, scale, diff) in enumerate(_residuals(win, jobs, 1, s0, dq)):
@@ -432,7 +439,7 @@ def _walk_node(windows, jobs, acc: list, chi1) -> dict:
             coarser[k] = diff
         if level == 0 and chi1 is not None:
             traces = _wall_traces(win, 1, s0, chi1)
-        del s0          # before the next level's snapshot is built
+        del s0, win     # before the next level's nodes are marched
     return traces
 
 
@@ -445,21 +452,29 @@ def walk(trajs, jobs=(), rep: AssumptionReport | None = None) -> tuple:
 
     The trajectories advance in lockstep, one evaluation node at a time, each
     through its three-node window (_windows: a stream is read once and
-    drained).  At a node the levels are evaluated in turn with one snapshot
-    alive at a time, and each job's residual field is folded at once into
-    the Richardson difference against the previous level's field of that
-    job and node, then takes its place (_walk_node): the dt-independent
-    spatial floor cancels in the difference and the dt component remains.
-    The first level's centre snapshot also serves the wall traces."""
+    drained).  At a node the levels are marched to their windows and
+    evaluated in turn, with one window and one snapshot alive at a time
+    (each other level keeps only the nodes its next window shares), and
+    each job's residual field is folded at once into the Richardson
+    difference against the previous level's field of that job and node,
+    then takes its place (_walk_node): the dt-independent spatial floor
+    cancels in the difference and the dt component remains.  The first
+    level's centre snapshot also serves the wall traces."""
     trajs = list(trajs)
     first = trajs[0]
     chi1 = None if rep is None else build_cutoffs(first.grid, rep.y0, rep.delta).chi1[None, :]
     acc = [[([], [], []) for _ in trajs] for _ in jobs]     # per job and level: norms, scales, gaps
     wall = {}
-    for windows in zip(*map(_windows, trajs), strict=True):
-        for key, value in _walk_node(windows, jobs, acc, chi1).items():
+    nodes = {len(_eval_indices(len(traj.times) - 1)) for traj in trajs}
+    if len(nodes) > 1:
+        raise ValueError(f"the trajectories' evaluation node counts differ: {sorted(nodes)}")
+    streams = [_windows(traj) for traj in trajs]
+    for _ in range(nodes.pop()):
+        for key, value in _walk_node(streams, jobs, acc, chi1).items():
             # running maxima over the nodes, a scale's from 1e-300
             wall[key] = max(wall.get(key, 1e-300 if key.endswith("_scale") else 0.0), value)
+    for stream in streams:
+        next(stream, None)      # drains it: its solve marches its last steps
     walls = {} if rep is None else {(first.grid.Ny, first.dt): {**wall, "dy": first.grid.dy}}
     rows = [[ResidualLevel(traj.dt, traj.grid, tuple(norms), tuple(scales),
                            max(gaps) if gaps else None)
@@ -496,19 +511,38 @@ residual_f = residual_g = residual_h = residual_report
 def _wall_traces(traj: Trajectory, i: int, s0: Snapshot, chi1: np.ndarray) -> dict:
     """The wall identities at node i of traj, from its snapshot s0, reduced
     to floats: per boundary_checks key, the largest magnitude of the defect
-    or scale over the node (and over the orders m).  The temporaries die on
-    return."""
+    or scale over the node (and over the orders m).  It reads g_m at every
+    order, then f_m, then the trace formulas, and releases each member of s0
+    as soon as it has read it for the last time: g_m after its order, g1
+    and its spectrum after g_3, d_x^m u (m >= 2) after f_m, and d_x^3 omega
+    and the quotient a with its reciprocal after f_3; d_x u (through v),
+    d_x omega and d_x^2 omega, which the trace formulas read again, stay, so
+    nothing is formed twice.  The temporaries die on return."""
     g, eps = traj.grid, traj.eps
     out = {}
 
     def keep(key, values):
         out[key] = max(out.get(key, 0.0), float(np.max(np.abs(values))))
 
+    def slope(name, q):
+        dyq = dy_j(q, 1).values
+        keep(f"dy_{name}_wall", dyq[:, 0])
+        keep(f"dy_{name}_scale", dyq)
+
+    def release(*members):      # attributes of s0 (drop_dx: its memoised x-derivatives)
+        for member in members:
+            vars(s0).pop(member, None)
+
     for m in _ORDERS:
-        for name, q in (("g", s0.g(m)), ("f", Field(g, chi1 * s0.q_f(m)))):
-            dyq = dy_j(q, 1).values
-            keep(f"dy_{name}_wall", dyq[:, 0])
-            keep(f"dy_{name}_scale", dyq)
+        slope("g", s0.g(m))
+        s0.drop_dx(m - 1, "spec_g1")        # g_m
+    release("g1", "spec_g1")                # formed on first read (if g_m was)
+    for m in _ORDERS:
+        slope("f", Field(g, chi1 * s0.q_f(m)))
+        if m >= 2:
+            s0.drop_dx(m, "spec_u")
+    s0.drop_dx(3, "spec_om")
+    release("a", "inv_om")
     om_tot0 = s0.om_tot[:, 0]
     dxom0 = s0.dxom(1).values[:, 0]
     # d_y^2 omega represented through the evolution equation; the centered

@@ -191,20 +191,23 @@ class Built:
     ny: int                     # its grid's Ny
     others: int                 # tracked Snapshots alive as it was built
     at: int                     # events recorded before it was built
+    holds: object = None        # what track_snapshots' holds() returned as it was built
     formed: set = field(default_factory=set)    # its instance members, once it has died
 
 
-def track_snapshots(mp, events=()) -> list:
+def track_snapshots(mp, events=(), holds=lambda: None) -> list:
     """Patch verify.Snapshot through mp (a MonkeyPatch) with a subclass that
-    records a Built of each Snapshot, in build order; returns that list."""
+    records a Built of each Snapshot, in build order, holds() read as it is
+    built; returns that list."""
     built, index = [], {}
 
     class Tracked(V.Snapshot):
         def __init__(self, traj, i):
             others = sum(b.ref() is not None for b in built)
+            held = holds()
             super().__init__(traj, i)
             index[id(self)] = len(built)
-            built.append(Built(weakref.ref(self), traj.grid.Ny, others, len(events)))
+            built.append(Built(weakref.ref(self), traj.grid.Ny, others, len(events), held))
 
         def __del__(self):
             if (k := index.pop(id(self), None)) is not None:
@@ -276,7 +279,8 @@ class Record:
     reports: list | None = None     # and the reports it returned
     held: list | None = None    # Solve.holds() of each solve as run_verify started
     solves: list = field(default_factory=list)      # a Solve per solve, in order
-    snapshots: list = field(default_factory=list)   # a Built per verify.Snapshot
+    snapshots: list = field(default_factory=list)   # a Built per verify.Snapshot, with
+    #                     holds: Solve.holds() of each solve made by then
     events: list = field(default_factory=list)      # ("stage", name) as a stage ends,
     #                     ("mark", check) and ("release", None) (_release_free_pages)
     calls: list = field(default_factory=list)       # (key, events before it) per counted call
@@ -301,11 +305,11 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
     solve's node reads too), every Snapshot built, the events, the counted
     calls (_COUNTED, evolve_shear and AuxWorkspace constructions, each
     function at every binding the package holds), what run_verify read and
-    returned and what the solves held as it started, and the code objects of
-    the package's files that the run called (a sys.setprofile hook).  The run
-    starts as the CLI's process does, with no profile (and so no shear state)
-    cached and no scipy extension loaded.  The patches last for this run
-    only."""
+    returned and what the solves held as it started and as each Snapshot was
+    built, and the code objects of the package's files that the run called
+    (a sys.setprofile hook).  The run starts as the CLI's process does, with
+    no profile (and so no shear state) cached and no scipy extension loaded.
+    The patches last for this run only."""
     rec = Record(out)
     with pytest.MonkeyPatch.context() as mp:
         def everywhere(fn, wrapper):
@@ -345,7 +349,7 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
             everywhere(fn, solving(fn))
         mp.setattr(CU.AuxWorkspace, "__init__",        # a Snapshot's too
                    counted(CU.AuxWorkspace.__init__, lambda *a: "AuxWorkspace"))
-        rec.snapshots = track_snapshots(mp, rec.events)
+        rec.snapshots = track_snapshots(mp, rec.events, lambda: [s.holds() for s in rec.solves])
         mark, end, release, run_verify = (C._StageClock.mark, C._StageClock.end,
                                           C._release_free_pages, C.run_verify)
         mp.setattr(C._StageClock, "mark", lambda clock, check:

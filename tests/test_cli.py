@@ -287,9 +287,10 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
     """run_log.json holds each stage's wall seconds, CPU seconds and minor
-    page faults and the ru_maxrss at its end, under verify the same of each
-    check in run order, and the environment; an error exit writes it too,
-    its last stage the one that raised.  The manifest holds no timing."""
+    page faults and the ru_maxrss and malloc's heap in use at its end (None
+    without glibc's mallinfo2), under verify the same of each check in run
+    order, and the environment; an error exit writes it too, its last stage
+    the one that raised.  The manifest holds no timing."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg = load_config(CONFIG)
@@ -303,16 +304,17 @@ def test_run_log_next_to_every_manifest(tmp_path, monkeypatch):
         assert set(log) == {"import", "stages", "environment"}
         assert [s["stage"] for s in log["stages"]] == stages
         spans = ("wall_s", "cpu_s", "ru_minflt")
+        heap = (lambda mb: mb is None) if C._MALLINFO2 is None else (lambda mb: mb > 0.0)
         for s in log["stages"]:
-            assert set(s) - {"checks"} == {"stage", *spans, "ru_maxrss_mb"}
-            assert s["wall_s"] >= 0.0 and s["ru_maxrss_mb"] > 0.0
+            assert set(s) - {"checks"} == {"stage", *spans, "ru_maxrss_mb", "heap_in_use_mb"}
+            assert s["wall_s"] >= 0.0 and s["ru_maxrss_mb"] > 0.0 and heap(s["heap_in_use_mb"])
             assert s["cpu_s"] >= 0.0 and isinstance(s["ru_minflt"], int) and s["ru_minflt"] >= 0
             marks = s.get("checks", [])
             assert [c["check"] for c in marks] == (
                 ["sobolev_inequality", "inequality_suite"] if s["stage"] == "verify" else [])
             for c in marks:
-                assert set(c) == {"check", *spans, "ru_maxrss_mb"}
-                assert all(c[k] >= 0 for k in spans)
+                assert set(c) == {"check", *spans, "ru_maxrss_mb", "heap_in_use_mb"}
+                assert all(c[k] >= 0 for k in spans) and heap(c["heap_in_use_mb"])
                 assert 0.0 < c["ru_maxrss_mb"] <= s["ru_maxrss_mb"]
             for k in spans:       # the marks split their stage
                 assert sum(c[k] for c in marks) <= s[k] + 1e-9
@@ -432,6 +434,19 @@ def test_freed_memory_is_reused():
                           check=True,
                           env={**os.environ, "PYTHONPATH": str(Path(V.__file__).parents[1])})
     assert int(proc.stdout) < 50
+
+
+@pytest.mark.skipif(C._MALLINFO2 is None, reason="reads glibc's mallinfo2")
+def test_heap_in_use_counts_an_array():
+    """The run log's heap in use grows by an 8 MB array while it lives (a
+    heap block under cli's 32 MB mmap threshold) and falls back once it is
+    freed."""
+    before = C._heap_in_use_mb()
+    arr = np.ones(1 << 20)
+    grown = C._heap_in_use_mb() - before
+    del arr
+    assert 7.99 < grown < 8.1
+    assert abs(C._heap_in_use_mb() - before) < 0.1
 
 
 def test_main_bad_config_exit_two(tmp_path):
@@ -810,6 +825,23 @@ def test_check_solves_hold_three_nodes(picard_verify):
         {(cfg.ny, nt) for nt in V.ladder_nts(cfg.nt)} | {(2 * cfg.ny - 1, cfg.nt)}
     assert all(len(s.held) == s.nt + 1 for s in imex)        # each hands out every node
     assert max(n for s in imex for n in s.held) <= 3, [s.held for s in imex]
+
+
+def test_ladder_windows_die_once_evaluated(picard_verify):
+    """walk holds a ladder level's window only while that level is
+    evaluated: as each snapshot of a level l >= 1 is built, every lower
+    level holds one node, the last its stream handed out (the stream
+    marches from it; at nt = 8 the first level's next window reads it
+    again).  A window kept until the next node's would hold its three."""
+    rec, cfg = picard_verify, picard_verify.lab.cfg
+    levels = [k for k, s in enumerate(rec.solves) if s.scheme == "imex" and s.ny == cfg.ny]
+    assert [rec.solves[k].nt for k in levels] == V.ladder_nts(cfg.nt)
+    ladder = [b for b in rec.snapshots if b.ny == cfg.ny]
+    assert {rec.during(b.at) for b in ladder} == {"residual_ladder"}
+    # at each node each level builds its three snapshots in turn
+    for k, b in enumerate(ladder):
+        lower = levels[:k // 3 % len(levels)]
+        assert [b.holds[j] for j in lower] == [1] * len(lower), (k, b.holds)
 
 
 def test_full_work_counts(full_run):

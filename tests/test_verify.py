@@ -175,13 +175,32 @@ def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_pica
     assert snapshots and max(b.others for b in snapshots) == 0
 
 
+def test_adjacent_windows_share_nodes(lab, tmp_path):
+    """At nt = 4 the two evaluation windows (nodes 1-3 and 2-4) share two
+    nodes: walk reads the streamed solve as it reads the whole one, to the
+    bit, and a boundary-only full exits 0."""
+    nt = 4
+    assert V._eval_indices(nt) == [2, 3]
+    streamed = V.walk([lab.check_solve(nt)], rep=lab.report)[1]
+    whole = V.walk([_solve(lab.u0, lab.profile, "imex", nt)], rep=lab.report)[1]
+    assert list(streamed) == list(whole) and len(streamed) == 1
+    [(a, b)] = zip(streamed.values(), whole.values())
+    assert a.keys() == b.keys() and all(np.float64(a[k]).tobytes() == np.float64(b[k]).tobytes()
+                                        for k in a)
+    cfg = dataclasses.replace(REF, nt=nt, checks=("assumption", "boundary"))
+    assert C.run(cfg, "full", out_dir=tmp_path) == 0
+
+
 def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
     """The boundary walk of the coarse/fine pair, with its reduction, holds
-    one snapshot and its node's temporaries, and no grid keeps a dense
-    y-stencil operator: its tracemalloc peak stays under 35 fields of Nx Ny
-    doubles of the fine grid, and what it leaves behind (the grids' stencil
-    bands) under 2.  It peaks at 32.9 and leaves 0.8; with the dense
-    operators cached on each grid it peaked at 45.4 and left 15.2."""
+    one snapshot and its node's temporaries, its wall traces release each
+    member of the snapshot once they have read it for the last time, and no
+    grid keeps a dense y-stencil operator: its tracemalloc peak stays under
+    23 fields of Nx Ny doubles of the fine grid, and what it leaves behind
+    (the grids' stencil bands) under 2.  It peaks at 21.8 and leaves 0.8,
+    so the bound leaves about 1.2 fields (5%).  While the wall traces kept
+    every member to the node's end it peaked at 32.9; with the dense
+    operators cached on each grid too, at 45.4, leaving 15.2."""
     pair = [traj_imex, traj_fine]
     tracemalloc.start()
     try:
@@ -190,7 +209,7 @@ def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
     finally:
         tracemalloc.stop()
     g = grid_fine
-    assert peak < 35 * g.Nx * g.Ny * 8
+    assert peak < 23 * g.Nx * g.Ny * 8
     assert now < 2 * g.Nx * g.Ny * 8
 
 
