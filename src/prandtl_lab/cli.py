@@ -105,6 +105,18 @@ def _heap_in_use_mb():
     return (info.uordblks + info.hblkhd) / 2**20
 
 
+def _heap_high_water_mb():
+    """The bytes malloc holds from the system, in MB: its arenas, free
+    blocks included, and the mapped blocks (mallinfo2's arena + hblkhd);
+    None without mallinfo2.  Under cli's trim threshold no arena shrinks
+    but by _release_free_pages, so read before that, this is the heap's
+    high-water mark since the last release."""
+    if _MALLINFO2 is None:
+        return None
+    info = _MALLINFO2()
+    return (info.arena + info.hblkhd) / 2**20
+
+
 def _release_free_pages() -> None:
     """Hand the pages of the heap's free blocks back to the system
     (malloc_trim), so that what one check left behind does not count toward
@@ -373,20 +385,22 @@ def run_norms(lab: Lab, outdir: Path) -> list:
     return _emit(outdir, V.CheckReport("norms", True, {"rows": len(rows) - 1}))
 
 
-def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
+def run_verify(lab: Lab, outdir: Path, mark=lambda check, high_water: None) -> list:
     """The enabled checks' reports, each written to <name>.json, in report
-    order; mark(name) is called as each check ends (the shear checks are one
-    check, and so is the residual ladder), once the free pages it left are
-    handed back (_release_free_pages).  The checks of the configured solve
-    come last and reduce lab.table.  Every other solve is made here and dies
+    order; mark(name, high_water) is called as each check ends (the shear
+    checks are one check, and so is the residual ladder), once the free
+    pages it left are handed back (_release_free_pages), with the heap's
+    high-water mark read before that (_heap_high_water_mb).  The checks of
+    the configured solve come last and reduce lab.table.  Every other solve is made here and dies
     with its check, read once by verify.walk: the residual ladder's levels
     in one lockstep walk, then the boundary companion's solve."""
     cfg = lab.cfg
     reports = []
 
     def done(check):
+        high_water = _heap_high_water_mb()
         _release_free_pages()
-        mark(check)
+        mark(check, high_water)
 
     def add(*check_reports, check=None):
         """Write the reports of one check and mark its end (check: the
@@ -447,35 +461,41 @@ _ERROR_EXITS = ((ConfigError, 2, "configuration error"),
 
 class _StageClock:
     """Wall seconds, process CPU seconds (user and system) and minor page
-    faults of each stage of one run, and the process's ru_maxrss (MB; Linux
-    reports KiB) and malloc's heap in use (MB, _heap_in_use_mb) when the
-    stage ends; likewise of each check a stage marks, listed under the
-    stage's "checks"."""
+    faults of each stage of one run, and when the stage ends the process's
+    ru_maxrss (MB; Linux reports KiB), malloc's heap in use
+    (_heap_in_use_mb) and the heap's high-water mark (_heap_high_water_mb,
+    the largest of its own and its checks'); likewise of each check a stage
+    marks, listed under the stage's "checks"."""
 
     def __init__(self):
         self.stage, self.spans, self.checks = "setup", [], []
         self._start = self._last = self._now()
 
     @staticmethod
-    def _now() -> tuple:
+    def _now(high_water=None) -> tuple:
         ru = resource.getrusage(resource.RUSAGE_SELF)
         return (time.perf_counter(), ru.ru_utime + ru.ru_stime, ru.ru_minflt,
-                ru.ru_maxrss / 1024, _heap_in_use_mb())
+                ru.ru_maxrss / 1024, _heap_in_use_mb(),
+                _heap_high_water_mb() if high_water is None else high_water)
 
     @staticmethod
     def _span(start: tuple, now: tuple) -> dict:
         return {"wall_s": now[0] - start[0], "cpu_s": now[1] - start[1],
-                "ru_minflt": now[2] - start[2], "ru_maxrss_mb": now[3], "heap_in_use_mb": now[4]}
+                "ru_minflt": now[2] - start[2], "ru_maxrss_mb": now[3], "heap_in_use_mb": now[4],
+                "heap_high_water_mb": now[5]}
 
-    def mark(self, check: str) -> None:
-        """Close one check of the current stage."""
-        now = self._now()
+    def mark(self, check: str, high_water) -> None:
+        """Close one check of the current stage; high_water is the heap's
+        high-water mark read before its free pages were handed back."""
+        now = self._now(high_water)
         self.checks.append({"check": check, **self._span(self._last, now)})
         self._last = now
 
     def end(self, next_stage=None) -> None:
         """Close the current stage and open next_stage."""
         now = self._now()
+        if now[5] is not None:
+            now = (*now[:5], max([now[5], *(c["heap_high_water_mb"] for c in self.checks)]))
         self.spans.append({"stage": self.stage, **self._span(self._start, now),
                            **({"checks": self.checks} if self.checks else {})})
         self.stage, self.checks, self._start, self._last = next_stage, [], now, now

@@ -114,11 +114,11 @@ class AuxWorkspace:
     the denominators' floors on its support.  q_f and q_h are f_m and h_m
     before their cut-offs.  npts selects the y-stencils (None: the standard
     ones of Grid2D).  Each x-derivative of a spectrum is computed once per
-    bundle and served read-only afterwards, until its reader drops its order
-    (drop_dx): norms.full_raw does once it has read f_m and h_m, so its
-    bundle holds one order at a time, and verify's wall traces drop each
-    one they read no more, while the residual frame, which reads orders
-    again across its jobs, keeps them."""
+    bundle and served read-only afterwards, until its reader releases it
+    (release): norms.full_raw releases order m once it has read f_m and
+    h_m, so its bundle holds one order at a time, and verify.walk releases
+    each member of a snapshot, memoised derivatives included, once no step
+    still to come reads it (asking which members are formed: formed)."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None):
@@ -169,12 +169,19 @@ class AuxWorkspace:
             self._dx_memo[key] = out
         return out
 
-    def drop_dx(self, m: int, *specs: str) -> None:
-        """Forget the memoised x-derivatives of order m, only those of the
-        named spectra if any are named (read again, they would be formed
-        again)."""
-        for key in [k for k in self._dx_memo if k[1] == m and (not specs or k[0] in specs)]:
-            del self._dx_memo[key]
+    def release(self, *members) -> None:
+        """Forget the named members: attributes by name (read again, one
+        formed on first read would be formed again, and any other fails) and
+        memoised x-derivatives as (spectrum attribute, order) keys."""
+        for member in members:
+            if isinstance(member, tuple):
+                self._dx_memo.pop(member, None)
+            else:
+                vars(self).pop(member, None)
+
+    def formed(self, member) -> bool:
+        """Whether the named member (as release names it) is held."""
+        return member in (self._dx_memo if isinstance(member, tuple) else vars(self))
 
     def dxu(self, m: int) -> Field:
         return self._dx("spec_u", m)

@@ -131,7 +131,7 @@ def full_raw(u: Field, state: ShearState, cut: CutoffSet, p: GevreyParams) -> Ge
     for m, g_m, c_m in zip(ms, gs, cs):
         raw.aux[m] = (float(g_m), l2_y_weighted(g, ws.q_f(m), w_f),
                       l2_y_weighted(g, ws.q_h(m), w_chi2), float(c_m))
-        ws.drop_dx(m)
+        ws.release(*((spec, m) for spec in ("spec_u", "spec_om", "spec_dyom")))
     return raw
 
 

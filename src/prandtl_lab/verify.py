@@ -11,7 +11,7 @@ differentiating a masked ratio through its unsafe region).  Each residual is
 reported over a ladder of time resolutions together with the observed
 convergence order.
 
-One frame (_time_differences, then _residuals) serves the three identities:
+One frame (_time_differences, then _residual) serves the three identities:
 each kind supplies only d_y q, d_y^2 q and its right-hand side, and the
 frame forms q on the time triple, the material derivative, the cut-off
 weighting (residual_jobs: f a wider-hole chi1, h the certified chi2) and
@@ -24,7 +24,11 @@ it advances the residual ladder's levels in lockstep, each through a
 three-node window, folds each job's Richardson difference across the levels
 at every node, and lets the first level's centre snapshot serve the
 boundary check's wall traces too; a second walk reads the dy-refinement
-companion, and boundary_checks reduces the wall traces of both walks.
+companion, and boundary_checks reduces the wall traces of both walks.  At
+each level the jobs are evaluated kind by kind (f, g, then h), each kind's
+wall slopes after its jobs, and before each step the centre snapshot
+releases what no step still to come reads (_READS), so that each kind's
+own members die with its last job.
 """
 
 from __future__ import annotations
@@ -110,9 +114,10 @@ class Snapshot(AuxWorkspace):
 
     A snapshot holds tens of fields, so every walk over a trajectory's nodes
     (walk, whose centre snapshot serves both the residual identities and
-    _wall_traces, and the configured solve's pass through condition_row)
+    the wall traces, and the configured solve's pass through condition_row)
     reduces each node to what it reads and drops the node's snapshot before
-    it builds the next: one snapshot is alive at a time.
+    it builds the next: one snapshot is alive at a time, and walk's centre
+    snapshot releases each member once no step still to come reads it.
     """
 
     def __init__(self, traj: Trajectory, i: int):
@@ -381,28 +386,79 @@ def _time_differences(traj: Trajectory, jobs, i: int) -> list:
     return dq
 
 
-def _residuals(traj: Trajectory, jobs, i: int, s0: Snapshot, dq: list):
-    """Yields (res, scale, diff) of each job at node i, in job order, from
-    the centre snapshot s0 and the jobs' _time_differences dq: diff is chi
-    times the identity's residual (material derivative of q minus its
-    right-hand side), res its interior L2 norm and scale that of chi q.
+def _residual(traj: Trajectory, jobs, k: int, i: int, s0: Snapshot, dq: list) -> tuple:
+    """(res, scale, diff) of jobs[k] at node i, from the centre snapshot s0
+    and the jobs' _time_differences dq: diff is chi times the identity's
+    residual (material derivative of q minus its right-hand side), res its
+    interior L2 norm and scale that of chi q.
 
-    A job's difference is released once its material derivative is formed,
-    before its right-hand side, and its residual field is handed on as it is
-    formed.  The cut-off bookkeeping (all chi', chi'' terms) cancels
-    algebraically between the two sides, so each check evaluates the
-    surviving interior identity weighted by chi; stencils never cross the
-    critical strip because the f cut-off's hole is wider than their reach."""
+    The job's difference dq[k] is released once its material derivative is
+    formed, before its right-hand side.  The cut-off bookkeeping (all chi',
+    chi'' terms) cancels algebraically between the two sides, so each check
+    evaluates the surviving interior identity weighted by chi; stencils
+    never cross the critical strip because the f cut-off's hole is wider
+    than their reach."""
+    kind, m, chi = jobs[k]
+    q, d_y, rhs = _KINDS[kind]
+    q0 = q(s0, m)
     dt2 = traj.times[i + 1] - traj.times[i - 1]
-    for k, (kind, m, chi) in enumerate(jobs):
-        q, d_y, rhs = _KINDS[kind]
-        q0 = q(s0, m)
-        diff = _material_derivative(s0, dq[k], q0, *d_y(s0, m), dt2, traj.eps)
-        dq[k] = None
-        diff -= rhs(s0, m, traj.eps)
-        if chi is not None:
-            diff, q0 = chi[None, :] * diff, chi[None, :] * q0
-        yield (_interior_l2(traj.grid, diff), max(_interior_l2(traj.grid, q0), 1e-300), diff)
+    diff = _material_derivative(s0, dq[k], q0, *d_y(s0, m), dt2, traj.eps)
+    dq[k] = None
+    diff -= rhs(s0, m, traj.eps)
+    if chi is not None:
+        diff, q0 = chi[None, :] * diff, chi[None, :] * q0
+    return _interior_l2(traj.grid, diff), max(_interior_l2(traj.grid, q0), 1e-300), diff
+
+
+# What each step of a level's evaluation at a node (_steps) reads of the
+# centre snapshot's members that the walk releases: attributes by name,
+# memoised x-derivatives as (spectrum, order) keys (a job at order m: of
+# u, omega, d_y omega, d_y^2 omega and v, the orders from 1 up to its
+# tops).  A spectrum counts as read where one of its derivatives still to
+# be formed is, and so does the member that a product (a spectrum, or
+# d_y^3 omega_tot) is formed from (_SOURCES) where the product still to be
+# formed is.
+_U, _OM, _DY, _D2, _V, _G = "spec_u", "spec_om", "spec_dyom", "spec_d2yom", "spec_v", "spec_g1"
+_READS = {
+    **{(kind, m): names | {(spec, j) for spec, top in zip((_U, _OM, _DY, _D2, _V), tops)
+                           for j in range(1, top + 1)}
+       for m in _ORDERS
+       for kind, names, tops in (
+           ("f", {"a", "inv_om", "quotient_pack_f", "d3yom_tot"}, (m + 1, m, m, m, m - 1)),
+           ("g", {(_G, j) for j in range(m)}, (m + 1, m + 1, m, m - 1, m - 1)),
+           ("h", {"b", "inv_dyom", "quotient_pack_h", "g1", (_G, m)}, (m, m + 1, m, m, m - 1)))},
+    **{("dy_f", m): {"a", (_U, m), (_OM, m)} for m in _ORDERS},
+    **{("dy_g", m): {(_G, m - 1), (_U, 1), (_OM, 1)} for m in _ORDERS},
+    ("traces", 0): {"omega", (_U, 1), (_OM, 1), (_OM, 2), (_D2, 1)},
+}
+_SOURCES = {_DY: "dyom", _D2: "d2yom", _G: "g1", "d3yom_tot": "omega"}
+_RELEASED = set().union(*_READS.values(), _SOURCES, _SOURCES.values(), (_U, _OM, _V))
+
+
+def _steps(jobs, walls: bool) -> list:
+    """The steps of one level's evaluation at a node, in walk order, each
+    as (its _READS key, its job's index or None): the jobs kind by kind, on
+    the wall level each kind followed by its wall slopes (f and g, the
+    identities d_y f_m = 0 and d_y g_m = 0, at each order), then the trace
+    formulas."""
+    out = []
+    for kind in "fgh":
+        out += [((kind, job.m), k) for k, job in enumerate(jobs) if job.kind == kind]
+        if walls and kind != "h":
+            out += [((f"dy_{kind}", m), None) for m in _ORDERS]
+    return out + [(("traces", 0), None)] * walls
+
+
+def _spent(s0: Snapshot, later) -> list:
+    """The members of s0 that the walk releases (_READS) and that s0 holds
+    but no step in later reads: neither the member itself nor, for a
+    spectrum, a derivative still to be formed nor, for a source
+    (_SOURCES), a product still to be formed."""
+    reads = set().union(*(_READS[step] for step in later))
+    reads |= {key[0] for key in reads if isinstance(key, tuple) and not s0.formed(key)}
+    reads |= {src for product, src in _SOURCES.items()
+              if product in reads and not s0.formed(product)}
+    return [member for member in _RELEASED - reads if s0.formed(member)]
 
 
 class ResidualLevel(NamedTuple):
@@ -420,25 +476,45 @@ def _walk_node(streams, jobs, acc: list, chi1) -> dict:
     """One evaluation node of walk, its levels in turn: each level's window
     is taken from its stream (_windows), evaluated and dropped before the
     next level's is asked for, so that window and snapshot are the level's
-    alone.  Appends each job's residual norm, scale and, from the second
-    level on, the interior L2 norm of its residual field's change from the
-    previous level to acc[k][level]; with chi1, returns the first level's
-    wall traces (else an empty dict).  What it forms dies on return."""
+    alone.  A level reads its neighbours' nodes only for the time
+    differences (the wall level also for its trace formulas) and then
+    releases them.  It evaluates its jobs kind by kind, f, g, then h, each
+    in order m, the wall slopes of f and g after their kind's jobs
+    (_steps), and before each step its centre snapshot releases every
+    member that no step still to come reads (_spent): the quotient a with
+    its reciprocal, pack and d_y^3 omega_tot after f_3, d_y omega and
+    d_y^2 omega once their spectra are formed, g_1 after the job g_1 (h
+    reads g_2 to g_4), g1 and its spectrum after h_3, and each spectrum
+    once every derivative still to be read of it is formed.  Appends each
+    job's residual norm, scale and, from the second level on, the interior
+    L2 norm of its residual field's change from the previous level to
+    acc[k][level]; with chi1, returns the first level's wall traces (else
+    an empty dict).  What it forms dies on return."""
     coarser = [None] * len(jobs)        # each job's residual field on the previous level
     traces = {}
     for level, stream in enumerate(streams):
+        walls = level == 0 and chi1 is not None
+        steps = _steps(jobs, walls)
         win = next(stream)
         dq = _time_differences(win, jobs, 1)
+        if not walls:
+            win.u[0] = win.u[2] = None      # nodes i -/+ 1, read for the last time
         s0 = Snapshot(win, 1)
-        for k, (res, scale, diff) in enumerate(_residuals(win, jobs, 1, s0, dq)):
-            norms, scales, gaps = acc[k][level]
-            norms.append(res)
-            scales.append(scale)
-            if coarser[k] is not None:
-                gaps.append(_interior_l2(win.grid, coarser[k] - diff))
-            coarser[k] = diff
-        if level == 0 and chi1 is not None:
-            traces = _wall_traces(win, 1, s0, chi1)
+        for n, ((name, m), k) in enumerate(steps):
+            s0.release(*_spent(s0, [step for step, _ in steps[n:]]))
+            if k is not None:
+                res, scale, diff = _residual(win, jobs, k, 1, s0, dq)
+                norms, scales, gaps = acc[k][level]
+                norms.append(res)
+                scales.append(scale)
+                if coarser[k] is not None:
+                    gaps.append(_interior_l2(win.grid, coarser[k] - diff))
+                coarser[k] = diff
+            elif name == "traces":
+                traces.update(_wall_traces(win, 1, s0))
+            else:
+                for key, value in _wall_slope(s0, name[-1], m, chi1).items():
+                    traces[key] = max(traces.get(key, 0.0), value)
         del s0, win     # before the next level's nodes are marched
     return traces
 
@@ -458,7 +534,9 @@ def walk(trajs, jobs=(), rep: AssumptionReport | None = None) -> tuple:
     each job's residual field is folded at once into the Richardson
     difference against the previous level's field of that job and node,
     then takes its place (_walk_node): the dt-independent spatial floor
-    cancels in the difference and the dt component remains.  The first
+    cancels in the difference and the dt component remains.  A level
+    evaluates its jobs kind by kind and releases each snapshot member once
+    no step still to come reads it; rows keep the jobs' order.  The first
     level's centre snapshot also serves the wall traces."""
     trajs = list(trajs)
     first = trajs[0]
@@ -508,59 +586,44 @@ def residual_report(job: ResidualJob, levels) -> ResidualReport:
 residual_f = residual_g = residual_h = residual_report
 
 
-def _wall_traces(traj: Trajectory, i: int, s0: Snapshot, chi1: np.ndarray) -> dict:
-    """The wall identities at node i of traj, from its snapshot s0, reduced
+def _peak(values: np.ndarray) -> float:
+    """The largest magnitude of the values."""
+    return float(np.max(np.abs(values)))
+
+
+def _wall_slope(s0: Snapshot, kind: str, m: int, chi1: np.ndarray) -> dict:
+    """The wall identity d_y q = 0 of kind "f" (q = chi1 f_m) or "g"
+    (q = g_m) at snapshot s0, reduced to floats: the largest magnitude of
+    d_y q at the wall and over the node."""
+    q = s0.g(m) if kind == "g" else Field(s0.grid, chi1 * s0.q_f(m))
+    dyq = dy_j(q, 1).values
+    return {f"dy_{kind}_wall": _peak(dyq[:, 0]), f"dy_{kind}_scale": _peak(dyq)}
+
+
+def _wall_traces(traj: Trajectory, i: int, s0: Snapshot) -> dict:
+    """The trace formulas at node i of traj, from its snapshot s0, reduced
     to floats: per boundary_checks key, the largest magnitude of the defect
-    or scale over the node (and over the orders m).  It reads g_m at every
-    order, then f_m, then the trace formulas, and releases each member of s0
-    as soon as it has read it for the last time: g_m after its order, g1
-    and its spectrum after g_3, d_x^m u (m >= 2) after f_m, and d_x^3 omega
-    and the quotient a with its reciprocal after f_3; d_x u (through v),
-    d_x omega and d_x^2 omega, which the trace formulas read again, stay, so
-    nothing is formed twice.  The temporaries die on return."""
+    or scale at the wall.  d_y^2 omega is represented through the evolution
+    equation, whose centered d_t reads only omega (Snapshot.omega's
+    stencil) at i - 1 and i + 1; traj's nodes there are released once read.
+    The temporaries die on return."""
     g, eps = traj.grid, traj.eps
-    out = {}
-
-    def keep(key, values):
-        out[key] = max(out.get(key, 0.0), float(np.max(np.abs(values))))
-
-    def slope(name, q):
-        dyq = dy_j(q, 1).values
-        keep(f"dy_{name}_wall", dyq[:, 0])
-        keep(f"dy_{name}_scale", dyq)
-
-    def release(*members):      # attributes of s0 (drop_dx: its memoised x-derivatives)
-        for member in members:
-            vars(s0).pop(member, None)
-
-    for m in _ORDERS:
-        slope("g", s0.g(m))
-        s0.drop_dx(m - 1, "spec_g1")        # g_m
-    release("g1", "spec_g1")                # formed on first read (if g_m was)
-    for m in _ORDERS:
-        slope("f", Field(g, chi1 * s0.q_f(m)))
-        if m >= 2:
-            s0.drop_dx(m, "spec_u")
-    s0.drop_dx(3, "spec_om")
-    release("a", "inv_om")
     om_tot0 = s0.om_tot[:, 0]
     dxom0 = s0.dxom(1).values[:, 0]
-    # d_y^2 omega represented through the evolution equation; the centered
-    # d_t reads only omega (Snapshot.omega's stencil) at i - 1 and i + 1
     dom = dy_j(traj.u[i + 1], 1, npts=_WIDE).values - dy_j(traj.u[i - 1], 1, npts=_WIDE).values
+    traj.u[i - 1] = traj.u[i + 1] = None
     dt2 = traj.times[i + 1] - traj.times[i - 1]
     eqrhs = Field(g, _material_derivative(s0, dom, s0.omega.values, s0.dyom_tot, 0.0,
                                           dt2, eps))
     del dom
-    keep("third_trace", dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0)
-    keep("third_scale", om_tot0 * dxom0)
+    out = {"third_trace": _peak(dy_j(eqrhs, 1).values[:, 0] - om_tot0 * dxom0),
+           "third_scale": _peak(om_tot0 * dxom0)}
     rhs5 = (-s0.d2yom_tot[:, 0] * dxom0
             + 4.0 * om_tot0 * s0.dxd2yom(1).values[:, 0]
             - 2.0 * eps * dxom0 * s0.dxom(2).values[:, 0])
-    keep("fifth_trace", dy_j(eqrhs, 3).values[:, 0] - rhs5)
-    keep("fifth_scale", rhs5)
-    keep("fifth_trace_direct_unchecked", dy_j(s0.omega, 5).values[:, 0] - rhs5)
-    return out
+    return {**out, "fifth_trace": _peak(dy_j(eqrhs, 3).values[:, 0] - rhs5),
+            "fifth_scale": _peak(rhs5),
+            "fifth_trace_direct_unchecked": _peak(dy_j(s0.omega, 5).values[:, 0] - rhs5)}
 
 
 def boundary_checks(levels: dict) -> CheckReport:

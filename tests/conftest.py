@@ -352,8 +352,8 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
         rec.snapshots = track_snapshots(mp, rec.events, lambda: [s.holds() for s in rec.solves])
         mark, end, release, run_verify = (C._StageClock.mark, C._StageClock.end,
                                           C._release_free_pages, C.run_verify)
-        mp.setattr(C._StageClock, "mark", lambda clock, check:
-                   rec.events.append(("mark", check)) or mark(clock, check))
+        mp.setattr(C._StageClock, "mark", lambda clock, check, high_water:
+                   rec.events.append(("mark", check)) or mark(clock, check, high_water))
         mp.setattr(C._StageClock, "end", lambda clock, stage=None:
                    rec.events.append(("stage", clock.stage)) or end(clock, stage))
         mp.setattr(C, "_release_free_pages",
@@ -388,9 +388,10 @@ def recorded(tmp_path_factory):
 def evaluate_at(traj, jobs, i):
     """verify's residual frame at node i of a whole trajectory, in walk's
     order: the neighbours' time differences, then the centre snapshot;
-    yields (res, scale, diff) of each job."""
+    yields (res, scale, diff) of each job, in job order."""
     dq = V._time_differences(traj, jobs, i)
-    return V._residuals(traj, jobs, i, V.Snapshot(traj, i), dq)
+    s0 = V.Snapshot(traj, i)
+    return (V._residual(traj, jobs, k, i, s0, dq) for k in range(len(jobs)))
 
 
 def alive(refs) -> list:

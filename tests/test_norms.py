@@ -236,7 +236,7 @@ def test_full_raw_holds_one_tangential_order(traj_picard, cutoffs, params, monke
     assert sorted(raw.aux) == list(range(1, params.Mmax + 1))
     assert stale == []
     assert Counter(formed) == {m: 3 for m in range(1, params.Mmax + 1)}
-    monkeypatch.setattr(AuxWorkspace, "drop_dx", lambda self, m: None)
+    monkeypatch.setattr(AuxWorkspace, "release", lambda self, *members: None)
     kept = full_raw(u, st, cutoffs, params)
     assert np.array_equal(kept.tang_u, raw.tang_u) and np.array_equal(kept.tang_om, raw.tang_om)
     assert (kept.mixed, kept.aux) == (raw.mixed, raw.aux)

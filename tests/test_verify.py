@@ -1,5 +1,7 @@
+import collections
 import copy
 import dataclasses
+import functools
 import tracemalloc
 import weakref
 
@@ -53,19 +55,19 @@ def test_residual_levels_fold_as_they_arrive(lab, traj_imex, u0, profile, monkey
     direct = [[next(evaluate_at(traj, [job], i))[2]
                for i in V._eval_indices(len(traj.times) - 1)] for traj in ladder[:2]]
     refs = []                  # weak references to the residual fields, in walk order
-    real = V._residuals
+    real = V._residual
 
     def tracked(*args):
-        for out in real(*args):
-            level = len(refs) % len(ladder)
-            if level:
-                assert len(alive(refs)) == 1 and alive(refs)[0] is refs[-1]
-            else:
-                assert alive(refs) == []
-            refs.append(weakref.ref(out[2]))
-            yield out
+        out = real(*args)
+        level = len(refs) % len(ladder)
+        if level:
+            assert len(alive(refs)) == 1 and alive(refs)[0] is refs[-1]
+        else:
+            assert alive(refs) == []
+        refs.append(weakref.ref(out[2]))
+        return out
 
-    monkeypatch.setattr(V, "_residuals", tracked)
+    monkeypatch.setattr(V, "_residual", tracked)
     [rows], _ = V.walk(ladder, [job])
     assert len(refs) == 3 * len(ladder)
     assert alive(refs) == []
@@ -175,6 +177,50 @@ def test_node_walks_hold_one_snapshot(walk, lab, traj_imex, traj_fine, traj_pica
     assert snapshots and max(b.others for b in snapshots) == 0
 
 
+def test_walk_forms_each_member_once(lab, monkeypatch):
+    """The snapshots' releases never have a member formed again: over the
+    ladder's walk with the first level's wall traces and over the
+    dy-refinement companion's, no Snapshot forms a member that is formed on
+    first read, or a memoised x-derivative, twice; and each centre snapshot
+    has released the f-only members (the quotient a and its pack) and d_y
+    omega by the time it dies."""
+    tallies, formed = [], []
+
+    class Counted(V.Snapshot):
+        def __init__(self, traj, i):
+            self.tally = collections.Counter()
+            tallies.append(self.tally)
+            super().__init__(traj, i)
+
+        def __del__(self):
+            formed.append(set(vars(self)))
+
+        def _dx(self, spec, m):
+            if (spec, m) not in self._dx_memo:
+                self.tally[(spec, m)] += 1
+            return super()._dx(spec, m)
+
+    for cls in V.Snapshot.__mro__:
+        for name, prop in vars(cls).items():
+            if isinstance(prop, functools.cached_property) and name not in vars(Counted):
+                counted = functools.cached_property(
+                    lambda self, func=prop.func, name=name: self.tally.update([name]) or func(self))
+                counted.__set_name__(Counted, name)
+                setattr(Counted, name, counted)
+    monkeypatch.setattr(V, "Snapshot", Counted)
+    nt = 8
+    jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
+    V.walk([lab.check_solve(n) for n in V.ladder_nts(nt)], jobs, lab.report)
+    V.walk([lab.fine.check_solve(nt)], rep=lab.report)
+    assert len(tallies) == 3 * 3 * len(V.ladder_nts(nt)) + len(V._eval_indices(nt))
+    assert {"quotient_pack_f", "quotient_pack_h", "g1", ("spec_u", 4)} <= set().union(*tallies)
+    assert max(n for tally in tallies for n in tally.values()) == 1
+    alive([])       # collects the snapshots
+    centres = [keys for keys in formed if "v" in keys]
+    assert len(centres) == 3 * len(V.ladder_nts(nt)) + len(V._eval_indices(nt))
+    assert not any({"a", "inv_om", "quotient_pack_f", "dyom"} & keys for keys in centres)
+
+
 def test_adjacent_windows_share_nodes(lab, tmp_path):
     """At nt = 4 the two evaluation windows (nodes 1-3 and 2-4) share two
     nodes: walk reads the streamed solve as it reads the whole one, to the
@@ -193,14 +239,17 @@ def test_adjacent_windows_share_nodes(lab, tmp_path):
 
 def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
     """The boundary walk of the coarse/fine pair, with its reduction, holds
-    one snapshot and its node's temporaries, its wall traces release each
-    member of the snapshot once they have read it for the last time, and no
+    one snapshot and its node's temporaries, its snapshot releases each
+    member once no step still to come reads it (d_y omega at once, the
+    window's nodes i -/+ 1 once the trace formulas have read them), and no
     grid keeps a dense y-stencil operator: its tracemalloc peak stays under
-    23 fields of Nx Ny doubles of the fine grid, and what it leaves behind
-    (the grids' stencil bands) under 2.  It peaks at 21.8 and leaves 0.8,
-    so the bound leaves about 1.2 fields (5%).  While the wall traces kept
-    every member to the node's end it peaked at 32.9; with the dense
-    operators cached on each grid too, at 45.4, leaving 15.2."""
+    20 fields of Nx Ny doubles of the fine grid, and what it leaves behind
+    (the grids' stencil bands) under 2.  It peaks at 19.1 and leaves 0.01,
+    so the bound leaves about 0.9 fields (5%).  While the wall traces
+    released each member after its last read but d_y omega and the nodes
+    stayed to the node's end it peaked at 21.1 (21.8 on an earlier host);
+    while they kept every member, at 32.9; with the dense operators cached
+    on each grid too, at 45.4, leaving 15.2."""
     pair = [traj_imex, traj_fine]
     tracemalloc.start()
     try:
@@ -209,7 +258,7 @@ def test_boundary_walk_memory_peak(lab, traj_imex, traj_fine, grid_fine):
     finally:
         tracemalloc.stop()
     g = grid_fine
-    assert peak < 23 * g.Nx * g.Ny * 8
+    assert peak < 20 * g.Nx * g.Ny * 8
     assert now < 2 * g.Nx * g.Ny * 8
 
 

@@ -36,7 +36,8 @@ between the sides (an empty list: byte-identical), for each differing JSON
 or CSV file whether both sides parse to the same structure and the largest
 relative deviation of a number, and keeps each side's run_log.json (stage
 and check marks: where the time and the peak went) and names the mark with
-the largest ru_maxrss_mb, with malloc's heap in use there.  The same
+the largest ru_maxrss_mb, with malloc's heap in use and the heap's
+high-water mark there.  The same
 comparison is made of the seed-0 perturbation sweep's warm-up member and
 first member, run in one process per side from that side's perfbench plan
 (`perfbench/workloads.py`) and configs (`perfbench/worker.make_config`);
@@ -242,13 +243,14 @@ sys.exit(max(codes))
 def peak_mark(log: dict) -> dict:
     """The mark of a run_log.json (a stage, or a check under its stage) with
     the largest ru_maxrss_mb, the first in run order on a tie: where the
-    run's peak was set, with malloc's heap in use there (None where the log
-    has none).  ru_maxrss is the process's high-water mark, so a run's
-    first stage holds it when an earlier run in the process set it."""
+    run's peak was set, with malloc's heap in use and the heap's high-water
+    mark there (None where the log has none).  ru_maxrss is the process's
+    high-water mark, so a run's first stage holds it when an earlier run in
+    the process set it."""
     marks = [m for stage in log["stages"] for m in (*stage.get("checks", ()), stage)]
     peak = max(marks, key=lambda m: m["ru_maxrss_mb"])
     return {"mark": peak.get("check") or peak["stage"], "ru_maxrss_mb": peak["ru_maxrss_mb"],
-            "heap_in_use_mb": peak.get("heap_in_use_mb")}
+            **{k: peak.get(k) for k in ("heap_in_use_mb", "heap_high_water_mb")}}
 
 
 def compare_outputs(sides: dict, argv: list) -> dict:
