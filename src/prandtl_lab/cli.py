@@ -95,32 +95,23 @@ if _MALLINFO2 is not None:
     _MALLINFO2.restype = _MallInfo2
 
 
-def _heap_in_use_mb():
-    """The bytes malloc has handed out and not had back, in MB: the heap's
-    blocks in use and the mapped ones (mallinfo2's uordblks + hblkhd); None
-    without mallinfo2."""
+def _heap_mb() -> tuple:
+    """(in use, held) by malloc, in MB; (None, None) without mallinfo2.  In
+    use: the heap's blocks handed out and the mapped ones (mallinfo2's
+    uordblks + hblkhd).  Held from the system: its arenas, free blocks
+    included, and the mapped blocks (arena + hblkhd); under cli's trim
+    threshold no arena shrinks but by _release_free_pages, so this is the
+    heap's high-water mark since the last release."""
     if _MALLINFO2 is None:
-        return None
+        return None, None
     info = _MALLINFO2()
-    return (info.uordblks + info.hblkhd) / 2**20
-
-
-def _heap_high_water_mb():
-    """The bytes malloc holds from the system, in MB: its arenas, free
-    blocks included, and the mapped blocks (mallinfo2's arena + hblkhd);
-    None without mallinfo2.  Under cli's trim threshold no arena shrinks
-    but by _release_free_pages, so read before that, this is the heap's
-    high-water mark since the last release."""
-    if _MALLINFO2 is None:
-        return None
-    info = _MALLINFO2()
-    return (info.arena + info.hblkhd) / 2**20
+    return (info.uordblks + info.hblkhd) / 2**20, (info.arena + info.hblkhd) / 2**20
 
 
 def _release_free_pages() -> None:
     """Hand the pages of the heap's free blocks back to the system
-    (malloc_trim), so that what one check left behind does not count toward
-    the next one's peak.  Called between checks, never inside a walk."""
+    (malloc_trim), so that what one run-log span left does not count toward
+    the next one's peak.  Called by _StageClock alone, after each reading."""
     if _GLIBC is not None:
         _GLIBC.malloc_trim(0)
 
@@ -314,8 +305,9 @@ class Lab:
     @cached_property
     def table(self) -> SolveTable:
         """The one pass over traj's nodes, which then keeps no field (a later
-        read fails) and hands its pages back.  run_norms and every check of
-        traj read this table, so no field outlives the first of them."""
+        read fails); the clock's next reading sees its peak, and then its
+        pages go back.  run_norms and every check of traj read this table,
+        so no field outlives the first of them."""
         traj, with_conditions = self.traj, "conditions" in self.cfg.checks
         raws, conditions = [], []
         for i, t in enumerate(traj.times):
@@ -324,7 +316,6 @@ class Lab:
             if with_conditions:
                 conditions.append(V.condition_row(traj, i, self.report, self.params))
         traj.u[:] = [None] * len(traj.u)
-        _release_free_pages()
         return SolveTable(traj.times, traj.contraction, raws, conditions)
 
     @cached_property
@@ -385,34 +376,28 @@ def run_norms(lab: Lab, outdir: Path) -> list:
     return _emit(outdir, V.CheckReport("norms", True, {"rows": len(rows) - 1}))
 
 
-def run_verify(lab: Lab, outdir: Path, mark=lambda check, high_water: None) -> list:
+def run_verify(lab: Lab, outdir: Path, mark=lambda check: None) -> list:
     """The enabled checks' reports, each written to <name>.json, in report
-    order; mark(name, high_water) is called as each check ends (the shear
-    checks are one check, and so is the residual ladder), once the free
-    pages it left are handed back (_release_free_pages), with the heap's
-    high-water mark read before that (_heap_high_water_mb).  The checks of
-    the configured solve come last and reduce lab.table.  Every other solve is made here and dies
-    with its check, read once by verify.walk: the residual ladder's levels
-    in one lockstep walk, then the boundary companion's solve."""
+    order; mark(name) is called as each check ends (the shear checks are one
+    check, and so is the residual ladder).  The checks of the configured
+    solve come last and reduce lab.table.  Every other solve is made here
+    and dies with its check, read once by verify.walk: the residual
+    ladder's levels in one lockstep walk, then the boundary companion's
+    solve."""
     cfg = lab.cfg
     reports = []
-
-    def done(check):
-        high_water = _heap_high_water_mb()
-        _release_free_pages()
-        mark(check, high_water)
 
     def add(*check_reports, check=None):
         """Write the reports of one check and mark its end (check: the
         report's name by default)."""
         reports.extend(_emit(outdir, *check_reports))
-        done(check or reports[-1]["name"])
+        mark(check or reports[-1]["name"])
 
     enabled = set(cfg.checks)
     kinds = {c.removeprefix("residual_") for c in enabled if c.startswith("residual_")}
     if shear := run_shear_check(lab, outdir):
         reports += shear
-        done("shear-check")
+        mark("shear-check")
     if "compatibility" in enabled:
         cr = lab.compatibility
         tol = 1e-8 * max(cfg.amp, 1e-300)
@@ -462,41 +447,44 @@ _ERROR_EXITS = ((ConfigError, 2, "configuration error"),
 class _StageClock:
     """Wall seconds, process CPU seconds (user and system) and minor page
     faults of each stage of one run, and when the stage ends the process's
-    ru_maxrss (MB; Linux reports KiB), malloc's heap in use
-    (_heap_in_use_mb) and the heap's high-water mark (_heap_high_water_mb,
-    the largest of its own and its checks'); likewise of each check a stage
-    marks, listed under the stage's "checks"."""
+    ru_maxrss (MB; Linux reports KiB) and malloc's heap in use and held
+    (_heap_mb: heap_in_use_mb, heap_high_water_mb, the largest of its own
+    and its checks'); likewise of each check a stage marks, listed under the
+    stage's "checks".  Each mark and stage end is one reading, after which
+    the heap's free pages go back (_release_free_pages), so each span's
+    high water is its own."""
 
     def __init__(self):
         self.stage, self.spans, self.checks = "setup", [], []
         self._start = self._last = self._now()
 
     @staticmethod
-    def _now(high_water=None) -> tuple:
+    def _now() -> tuple:
         ru = resource.getrusage(resource.RUSAGE_SELF)
         return (time.perf_counter(), ru.ru_utime + ru.ru_stime, ru.ru_minflt,
-                ru.ru_maxrss / 1024, _heap_in_use_mb(),
-                _heap_high_water_mb() if high_water is None else high_water)
+                ru.ru_maxrss / 1024, *_heap_mb())
 
-    @staticmethod
-    def _span(start: tuple, now: tuple) -> dict:
-        return {"wall_s": now[0] - start[0], "cpu_s": now[1] - start[1],
-                "ru_minflt": now[2] - start[2], "ru_maxrss_mb": now[3], "heap_in_use_mb": now[4],
-                "heap_high_water_mb": now[5]}
+    @classmethod
+    def _read(cls, start: tuple) -> tuple:
+        """(now, the span since start), read before the free pages go back."""
+        now = cls._now()
+        _release_free_pages()
+        return now, {"wall_s": now[0] - start[0], "cpu_s": now[1] - start[1],
+                     "ru_minflt": now[2] - start[2], "ru_maxrss_mb": now[3],
+                     "heap_in_use_mb": now[4], "heap_high_water_mb": now[5]}
 
-    def mark(self, check: str, high_water) -> None:
-        """Close one check of the current stage; high_water is the heap's
-        high-water mark read before its free pages were handed back."""
-        now = self._now(high_water)
-        self.checks.append({"check": check, **self._span(self._last, now)})
-        self._last = now
+    def mark(self, check: str) -> None:
+        """Close one check of the current stage."""
+        self._last, span = self._read(self._last)
+        self.checks.append({"check": check, **span})
 
     def end(self, next_stage=None) -> None:
         """Close the current stage and open next_stage."""
-        now = self._now()
+        now, span = self._read(self._start)
         if now[5] is not None:
-            now = (*now[:5], max([now[5], *(c["heap_high_water_mb"] for c in self.checks)]))
-        self.spans.append({"stage": self.stage, **self._span(self._start, now),
+            span["heap_high_water_mb"] = max([now[5], *(c["heap_high_water_mb"]
+                                                        for c in self.checks)])
+        self.spans.append({"stage": self.stage, **span,
                            **({"checks": self.checks} if self.checks else {})})
         self.stage, self.checks, self._start, self._last = next_stage, [], now, now
 

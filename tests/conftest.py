@@ -352,8 +352,8 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
         rec.snapshots = track_snapshots(mp, rec.events, lambda: [s.holds() for s in rec.solves])
         mark, end, release, run_verify = (C._StageClock.mark, C._StageClock.end,
                                           C._release_free_pages, C.run_verify)
-        mp.setattr(C._StageClock, "mark", lambda clock, check, high_water:
-                   rec.events.append(("mark", check)) or mark(clock, check, high_water))
+        mp.setattr(C._StageClock, "mark", lambda clock, check:
+                   rec.events.append(("mark", check)) or mark(clock, check))
         mp.setattr(C._StageClock, "end", lambda clock, stage=None:
                    rec.events.append(("stage", clock.stage)) or end(clock, stage))
         mp.setattr(C, "_release_free_pages",

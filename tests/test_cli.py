@@ -381,15 +381,14 @@ def test_run_log_marks_checks_in_run_order(monitors_verify, full_run):
 
 
 def test_verify_releases_free_pages_between_checks(picard_verify, monitors_verify, full_run):
-    """run_verify hands the heap's free pages back before it marks each
-    check's end, and the Lab's pass over the configured solve once, as its
-    walk ends (after its last full_raw), and at no other point, so no walk
-    is interrupted."""
+    """The heap's free pages go back once after each check's mark and each
+    stage's end, the Lab's pass over the configured solve included (it ends
+    in a check or stage like any other work), and at no other point, so no
+    walk is interrupted and no reading misses what its span reached."""
     for rec in (picard_verify, monitors_verify, full_run):
-        at = max(at for key, at in rec.calls if key == "full_raw")
-        assert rec.events[at] == ("release", None)
-        assert [e for e in rec.events[:at] + rec.events[at + 1:] if e[0] != "stage"] == [
-            e for m in rec.marks for e in (("release", None), ("mark", m))]
+        marks = [e for e in rec.events if e[0] != "release"]
+        assert {kind for kind, _ in marks} == {"mark", "stage"}
+        assert rec.events == [e for m in marks for e in (m, ("release", None))]
 
 
 def test_run_log_records_cli_import(tmp_path):
@@ -447,12 +446,12 @@ def test_heap_in_use_counts_an_array():
     """The run log's heap in use grows by an 8 MB array while it lives (a
     heap block under cli's 32 MB mmap threshold) and falls back once it is
     freed."""
-    before = C._heap_in_use_mb()
+    before = C._heap_mb()[0]
     arr = np.ones(1 << 20)
-    grown = C._heap_in_use_mb() - before
+    grown = C._heap_mb()[0] - before
     del arr
     assert 7.99 < grown < 8.1
-    assert abs(C._heap_in_use_mb() - before) < 0.1
+    assert abs(C._heap_mb()[0] - before) < 0.1
 
 
 @pytest.mark.skipif(C._MALLINFO2 is None, reason="reads glibc's mallinfo2")
@@ -467,6 +466,30 @@ def test_residual_ladder_mark_keeps_its_high_water(full_run):
     [ladder] = [c for c in verify if c["check"] == "residual_ladder"]
     field_mb = full_run.lab.grid.Nx * full_run.lab.grid.Ny * 8 / 2**20
     assert ladder["heap_high_water_mb"] - ladder["heap_in_use_mb"] > 40 * field_mb
+
+
+@pytest.mark.skipif(C._MALLINFO2 is None, reason="reads glibc's mallinfo2")
+def test_norms_stage_high_water_holds_its_table_pass(tmp_path, monkeypatch):
+    """Under full the Lab's pass over the configured solve (each full_raw,
+    and the condition rows) runs in the norms stage, and that stage's heap
+    high-water mark sees it: it is at least the heap held after each
+    full_raw of the pass.  A release of the free pages before the stage's
+    reading would hide the pass (measured at nt = 8 in a fresh process: 13.3
+    MB logged against 19.0 MB held after the pass's largest full_raw)."""
+    held, full_raw = [], C.full_raw
+
+    def sampled(*args):
+        raw = full_raw(*args)
+        held.append(C._heap_mb()[1])
+        return raw
+
+    monkeypatch.setattr(C, "full_raw", sampled)
+    cfg = dataclasses.replace(REF, nt=8, checks=("conditions",))
+    assert run(cfg, "full", out_dir=tmp_path) == 0
+    log = json.loads((tmp_path / "run_log.json").read_text())
+    [norms] = [s for s in log["stages"] if s["stage"] == "norms"]
+    assert len(held) == cfg.nt + 1
+    assert norms["heap_high_water_mb"] >= max(held)
 
 
 def test_main_bad_config_exit_two(tmp_path):

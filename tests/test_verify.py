@@ -221,6 +221,69 @@ def test_walk_forms_each_member_once(lab, monkeypatch):
     assert not any({"a", "inv_om", "quotient_pack_f", "dyom"} & keys for keys in centres)
 
 
+def _tally_formations(monkeypatch) -> list:
+    """Patch verify.Snapshot through monkeypatch with a subclass each of
+    whose instances tallies, in a Counter appended to the returned list, the
+    members it forms on first read and the memoised x-derivatives it forms."""
+    tallies = []
+
+    class Tallied(V.Snapshot):
+        def __init__(self, traj, i):
+            self.tally = collections.Counter()
+            tallies.append(self.tally)
+            super().__init__(traj, i)
+
+        def _dx(self, spec, m):
+            if (spec, m) not in self._dx_memo:
+                self.tally[(spec, m)] += 1
+            return super()._dx(spec, m)
+
+    for cls in V.Snapshot.__mro__:
+        for name, prop in vars(cls).items():
+            if isinstance(prop, functools.cached_property) and name not in vars(Tallied):
+                tallied = functools.cached_property(
+                    lambda self, func=prop.func, name=name: self.tally.update([name]) or func(self))
+                tallied.__set_name__(Tallied, name)
+                setattr(Tallied, name, tallied)
+    monkeypatch.setattr(V, "Snapshot", Tallied)
+    return tallies
+
+
+def _level_bits(row) -> list:
+    return [(np.array(level.norms + level.scales).tobytes(), level.richardson) for level in row]
+
+
+def _wall_bits(walls) -> dict:
+    return {key: {k: np.float64(v).tobytes() for k, v in w.items()} for key, w in walls.items()}
+
+
+@pytest.fixture(scope="module")
+def fgh_walk(lab):
+    """(jobs, rows, walls) of a one-level walk at nt = 8 of every residual
+    job, with the wall traces."""
+    jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, "fgh")
+    return (jobs, *V.walk([lab.check_solve(8)], jobs, lab.report))
+
+
+@pytest.mark.parametrize("with_rep", [True, False], ids=["rep", "no_rep"])
+@pytest.mark.parametrize("kinds", ["f", "g", "h", "fg", "fh", "gh"])
+def test_walk_releases_on_every_kind_subset(kinds, with_rep, lab, fgh_walk, monkeypatch):
+    """[verify] checks may enable any subset of the residual kinds, so the
+    walk's release schedule must hold on each: a one-level walk at nt = 8 of
+    each proper non-empty subset, with the wall traces and without, forms
+    no Snapshot member twice, and its rows and wall traces are bitwise those
+    of the walk of every kind (fgh_walk) for the same jobs."""
+    tallies = _tally_formations(monkeypatch)
+    jobs = V.residual_jobs(lab.grid, lab.report, lab.cut, kinds)
+    rows, walls = V.walk([lab.check_solve(8)], jobs, lab.report if with_rep else None)
+    assert tallies and max(n for tally in tallies for n in tally.values()) == 1
+    every_jobs, every_rows, every_walls = fgh_walk
+    by_job = {(job.kind, job.m): row for job, row in zip(every_jobs, every_rows)}
+    assert [_level_bits(row) for row in rows] == [_level_bits(by_job[job.kind, job.m])
+                                                  for job in jobs]
+    assert _wall_bits(walls) == (_wall_bits(every_walls) if with_rep else {})
+
+
 def test_adjacent_windows_share_nodes(lab, tmp_path):
     """At nt = 4 the two evaluation windows (nodes 1-3 and 2-4) share two
     nodes: walk reads the streamed solve as it reads the whole one, to the

@@ -37,7 +37,8 @@ or CSV file whether both sides parse to the same structure and the largest
 relative deviation of a number, and keeps each side's run_log.json (stage
 and check marks: where the time and the peak went) and names the mark with
 the largest ru_maxrss_mb, with malloc's heap in use and the heap's
-high-water mark there.  The same
+high-water mark there, and the mark with the largest heap high-water mark
+(peak_mark).  The same
 comparison is made of the seed-0 perturbation sweep's warm-up member and
 first member, run in one process per side from that side's perfbench plan
 (`perfbench/workloads.py`) and configs (`perfbench/worker.make_config`);
@@ -245,12 +246,20 @@ def peak_mark(log: dict) -> dict:
     the largest ru_maxrss_mb, the first in run order on a tie: where the
     run's peak was set, with malloc's heap in use and the heap's high-water
     mark there (None where the log has none).  ru_maxrss is the process's
-    high-water mark, so a run's first stage holds it when an earlier run in
-    the process set it."""
+    high-water mark, so it credits the first mark that reaches the peak, and
+    a run's first stage holds it when an earlier run in the process set it.
+    `heap_peak` names the mark with the largest heap_high_water_mb, the
+    first in run order on a tie, with that figure (None where the log has
+    none): each span's heap high water is its own transient, so this names
+    the span whose work sets the heap's peak."""
     marks = [m for stage in log["stages"] for m in (*stage.get("checks", ()), stage)]
     peak = max(marks, key=lambda m: m["ru_maxrss_mb"])
+    heap = max((m for m in marks if m.get("heap_high_water_mb") is not None),
+               key=lambda m: m["heap_high_water_mb"], default=None)
     return {"mark": peak.get("check") or peak["stage"], "ru_maxrss_mb": peak["ru_maxrss_mb"],
-            **{k: peak.get(k) for k in ("heap_in_use_mb", "heap_high_water_mb")}}
+            **{k: peak.get(k) for k in ("heap_in_use_mb", "heap_high_water_mb")},
+            "heap_peak": heap and {"mark": heap.get("check") or heap["stage"],
+                                   "heap_high_water_mb": heap["heap_high_water_mb"]}}
 
 
 def compare_outputs(sides: dict, argv: list) -> dict:
