@@ -103,22 +103,23 @@ def _masked_reciprocal(den: np.ndarray) -> np.ndarray:
 
 class AuxWorkspace:
     """Derivative bundle of one (u, shear state) pair: omega = d_y u, d_y omega
-    and d_y^2 omega, the cleaned x-spectra of u and omega, omega_tot with its
-    first two y-derivatives, and the masked reciprocal inv_om = 1/omega_tot
-    with the quotient a of the cancellation functions (read-only).  Formed
-    on first read, since many readers never need them (the boundary walk and
-    the condition monitor read neither inv_dyom nor b): the cleaned
-    x-spectra of d_y omega and d_y^2 omega and the masked reciprocal
-    inv_dyom = 1/d_y omega_tot with the quotient b (all read-only), and g1
-    with its cleaned spectrum.  Given a cut-off set the bundle also checks
-    the denominators' floors on its support.  q_f and q_h are f_m and h_m
-    before their cut-offs.  npts selects the y-stencils (None: the standard
-    ones of Grid2D).  Each x-derivative of a spectrum is computed once per
-    bundle and served read-only afterwards, until its reader releases it
-    (release): norms.full_raw releases order m once it has read f_m and
-    h_m, so its bundle holds one order at a time, and verify.walk releases
-    each member of a snapshot, memoised derivatives included, once no step
-    still to come reads it (asking which members are formed: formed)."""
+    and d_y^2 omega, the cleaned x-spectra of u and omega, and omega_tot with
+    its first two y-derivatives.  Formed on first read, since many readers
+    never need them (the condition monitor reads no reciprocal or quotient,
+    the boundary walk neither inv_dyom nor b): the masked reciprocals
+    inv_om = 1/omega_tot and inv_dyom = 1/d_y omega_tot with the quotients a
+    and b of the cancellation functions, the cleaned x-spectra of d_y omega
+    and d_y^2 omega (all read-only), and g1 with its cleaned spectrum.
+    Given a cut-off set the bundle also checks the denominators' floors on
+    its support.  q_f and q_h are f_m and h_m before their cut-offs.  npts
+    selects the y-stencils (None: the standard ones of Grid2D).  Each
+    x-derivative of a spectrum is computed once per bundle and served
+    read-only afterwards, until its reader releases it (release):
+    norms.full_raw releases order m once it has read f_m and h_m, so its
+    bundle holds one order at a time, and verify.walk and
+    verify.condition_row release each member of a snapshot, memoised
+    derivatives included, once no read still to come needs it (asking which
+    members are formed: formed)."""
 
     def __init__(self, u: Field, state: ShearState, cut: CutoffSet | None = None, *,
                  npts: int | None = None):
@@ -139,9 +140,14 @@ class AuxWorkspace:
                          "f_m coefficient (omega^s+omega)", g)
             _check_floor(self.dyom_tot, cut.chi2 > 0.0, _FLOOR_H,
                          "h_m coefficient (d_y omega^s + d_y omega)", g)
-        self.inv_om = _masked_reciprocal(self.om_tot)
-        self.a = self.dyom_tot * self.inv_om
-        read_only(self.inv_om, self.a)
+
+    @cached_property
+    def inv_om(self) -> np.ndarray:
+        return read_only(_masked_reciprocal(self.om_tot))[0]
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return read_only(self.dyom_tot * self.inv_om)[0]
 
     @cached_property
     def spec_dyom(self) -> np.ndarray:

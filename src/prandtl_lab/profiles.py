@@ -66,6 +66,8 @@ class ShearProfile:
     u0s_fine: np.ndarray = field(repr=False, default=None)
     # shear.evolve_shear's states by time; lives as long as the profile
     state_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # shear.check_proposition_shear's reports, keyed by what the scan reads
+    scan_reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def omega0s(self) -> np.ndarray:

@@ -15,12 +15,12 @@ coefficients entering the verification identities carry quadrature accuracy.
 Each order is formed only where it is read.  evolve_shear forms u^s and
 omega^s, all that the perturbation equation (the solvers' forcing) reads.
 Orders 2..4 (ShearState.dj_omegas, d_y^j omega^s for j = 1..3) are formed
-once, as one block, on the state's first read of them, and kept; so are
-orders 5..6 (ShearState.dj_omegas_high, j = 4, 5), as a second block.  The
+once, as one block, on the state's first read of them, and kept: the
 derivative bundle (cutoffs.AuxWorkspace, orders 2-3) and the residual
-snapshot (verify.Snapshot, order 4) read the first block; only the
-persistence clauses (proposition_clauses) read both.  At t = 0 they are the
-profile's derivatives.
+snapshot (verify.Snapshot, order 4) read them.  At t = 0 they are the
+profile's derivatives.  The persistence scan (check_proposition_shear)
+forms orders 1..6 at each of its times in one call and builds no state; the
+profile keeps its report alone, keyed by what the scan reads.
 
 The quadrature nodes s_k = h*k (h = dy/r, r = profiles._FINE_REFINE) refine
 the grid, y_i = h*r*i, so both kernel arguments are integer multiples of h:
@@ -57,9 +57,8 @@ __all__ = ["ShearState", "PropositionReport", "evolve_shear", "min_resolved_step
 class ShearState:
     """Shear flow at one time: u^s, omega^s = d_y u^s, and d_y^j omega^s.
 
-    The state keeps its profile so that dj_omegas and dj_omegas_high can be
-    formed when first read; the profile's state cache keeps both alive
-    together."""
+    The state keeps its profile so that dj_omegas can be formed when first
+    read; the profile's state cache keeps both alive together."""
 
     t: float
     us: np.ndarray
@@ -69,17 +68,9 @@ class ShearState:
     @cached_property
     def dj_omegas(self) -> np.ndarray:
         """Shape (3, Ny); row j-1 holds d_y^j omega^s, j = 1..3."""
-        return self._orders(2, 5)
-
-    @cached_property
-    def dj_omegas_high(self) -> np.ndarray:
-        """Shape (2, Ny); row j-4 holds d_y^j omega^s, j = 4, 5."""
-        return self._orders(5, 7)
-
-    def _orders(self, j0: int, j1: int) -> np.ndarray:
         if self.t == 0.0:
-            return self.profile.derivs[j0 - 1:j1 - 1].copy()
-        return _quadrature_rows(self.profile, self.t, j0, j1)
+            return self.profile.derivs[1:4].copy()
+        return _quadrature_rows(self.profile, self.t, 2, 5)
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -196,11 +187,21 @@ def min_resolved_step(grid) -> float:
     return (grid.dy / _FINE_REFINE) ** 2 / 4.0
 
 
+def _warn_width(p: ShearProfile, t: float) -> None:
+    """Warns when the heat kernel at time t is too wide for the y-domain;
+    the stack level names the caller of evolve_shear or of
+    check_proposition_shear."""
+    if 4.0 * np.sqrt(t) > p.grid.Ymax / 4.0:
+        warnings.warn(
+            f"heat kernel width 4*sqrt(t)={4 * np.sqrt(t):.2f} exceeds Ymax/4; "
+            "y-truncation unsafe at this time", stacklevel=3)
+
+
 def evolve_shear(p: ShearProfile, t: float) -> ShearState:
     """Shear state at time t >= 0; t=0 returns the profile samples exactly.
 
-    Only u^s and omega^s are formed here; d_y^j omega^s follows on first read
-    of the state's dj_omegas (j = 1..3) or dj_omegas_high (j = 4, 5)."""
+    Only u^s and omega^s are formed here; d_y^j omega^s (j = 1..3) follows on
+    first read of the state's dj_omegas."""
     if t < 0:
         raise ValueError("t must be non-negative")
     cache = p.state_cache
@@ -210,10 +211,7 @@ def evolve_shear(p: ShearProfile, t: float) -> ShearState:
         state = ShearState(t=0.0, us=p.u0s.copy(), omegas=p.derivs[0].copy(), profile=p)
         cache[t] = state
         return state
-    if 4.0 * np.sqrt(t) > p.grid.Ymax / 4.0:
-        warnings.warn(
-            f"heat kernel width 4*sqrt(t)={4 * np.sqrt(t):.2f} exceeds Ymax/4; "
-            "y-truncation unsafe at this time", stacklevel=2)
+    _warn_width(p, t)
     us, omegas = _quadrature_rows(p, t, 0, 2)
     state = ShearState(t=t, us=us, omegas=omegas, profile=p)
     cache[t] = state
@@ -235,12 +233,12 @@ class PropositionReport:
         return {**asdict(self), "pass": self.ok}
 
 
-def proposition_clauses(state: ShearState, rep: AssumptionReport,
+def proposition_clauses(rows: np.ndarray, rep: AssumptionReport,
                         y: np.ndarray) -> dict[str, bool]:
-    """Clause-by-clause persistence check: the hypotheses on omega^s with
+    """Clause-by-clause persistence check on rows = d_y^j u^s, j = 1..6 (at
+    t = 0 the profile's derivs): the hypotheses on omega^s with
     halved/doubled constants, clause (iii) on d_y^j omega^s, j = 1..5."""
-    return rep.clauses(state.omegas, state.dj_omegas[0],
-                       (*state.dj_omegas, *state.dj_omegas_high), y, 2.0)
+    return rep.clauses(rows[0], rows[1], rows[1:], y, 2.0)
 
 
 _T_SCAN = 0.5       # horizon of the persistence scan
@@ -249,21 +247,29 @@ _SCAN_STEP = 1e-2   # time step of the persistence scan
 
 
 def check_proposition_shear(p: ShearProfile, rep: AssumptionReport) -> PropositionReport:
-    """Largest T_s <= _T_SCAN up to which all persistence clauses hold."""
+    """Largest T_s <= _T_SCAN up to which all persistence clauses hold.
+
+    Each scan time t > 0 forms orders 1..6 in one quadrature call, read
+    once and dropped; no state is kept.  The profile keeps the report, keyed
+    by all that the scan reads: rep's constants and the scan grid."""
     if not rep.all_pass:
         raise ValueError("assumption report must pass before persistence is scanned")
+    key = (rep.y0, rep.alpha, rep.c0, rep.c1, rep.delta, _T_SCAN, _SCAN_STEP)
+    if key in p.scan_reports:
+        return p.scan_reports[key]
     y = p.grid.y_nodes
-    ts = np.arange(0.0, _T_SCAN + 0.5 * _SCAN_STEP, _SCAN_STEP)
-    T_s = 0.0
-    checked = []
-    for t in ts:
-        state = evolve_shear(p, float(t))
-        clauses = proposition_clauses(state, rep, y)
-        checked.append(float(t))
+    T_s, checked, failure = 0.0, [], None
+    for t in np.arange(0.0, _T_SCAN + 0.5 * _SCAN_STEP, _SCAN_STEP):
+        t = float(t)
+        _warn_width(p, t)
+        clauses = proposition_clauses(_quadrature_rows(p, t, 1, 7) if t > 0.0 else p.derivs,
+                                      rep, y)
+        checked.append(t)
         if not all(clauses.values()):
-            return PropositionReport(T_s=T_s, t_checked=checked,
-                                     clauses_at_failure=clauses,
-                                     inconsistent_at_zero=(t == 0.0))
-        T_s = float(t)
-    return PropositionReport(T_s=T_s, t_checked=checked,
-                             clauses_at_failure=None, inconsistent_at_zero=False)
+            failure = clauses
+            break
+        T_s = t
+    report = p.scan_reports[key] = PropositionReport(
+        T_s=T_s, t_checked=checked, clauses_at_failure=failure,
+        inconsistent_at_zero=failure is not None and t == 0.0)
+    return report

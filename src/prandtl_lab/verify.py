@@ -216,14 +216,19 @@ def _material_derivative(snap: Snapshot, dq: np.ndarray, q: np.ndarray, dyq: np.
 
     The caller supplies d_y q and d_y^2 q (analytic for the quotient fields,
     so no stencil crosses their unsafe regions); both x-derivatives come from
-    one cleaned spectrum of q."""
+    one cleaned spectrum of q.  The sum is formed in place, in its order,
+    in dq's storage: dq is spent."""
     g = snap.grid
     spec = x_spectrum(q)
-    return (dq / dt2
-            + (snap.state.us[None, :] + snap.u.values) * dx_m_spec(g, spec, 1).values
-            + snap.v.values * dyq
-            - d2yq
-            - eps * dx_m_spec(g, spec, 2).values)
+    out = np.divide(dq, dt2, out=dq)
+    term = dx_m_spec(g, spec, 1).values
+    term *= snap.state.us[None, :] + snap.u.values
+    out += term
+    out += np.multiply(snap.v.values, dyq, out=term)
+    out -= d2yq
+    del term
+    out -= eps * dx_m_spec(g, spec, 2).values
+    return out
 
 
 # Residual norms are taken over interior rows: the evolution identities are
@@ -370,19 +375,22 @@ def residual_jobs(grid: Grid2D, rep: AssumptionReport, cut: CutoffSet, kinds) ->
             if kind in kinds]
 
 
-def _time_differences(traj: Trajectory, jobs, i: int) -> list:
+def _time_differences(traj: Trajectory, jobs, i: int, walls: bool = False) -> list:
     """Each job's q(i + 1) - q(i - 1), the difference the centered d_t
-    reads.  The neighbour i - 1 is reduced to its q of every job and dropped
-    before i + 1 is built, and each job's q there is folded with the i - 1
-    value at once; with no job no neighbour is built."""
+    reads, then, with walls, that of omega, which the trace formulas read
+    (_wall_traces).  The neighbour i - 1 is reduced to its values and
+    dropped before i + 1 is built, and each value there is folded with the
+    i - 1 value at once; with no job no neighbour is built."""
     if not jobs:
         return []
     s = Snapshot(traj, i - 1)
-    dq = [_KINDS[kind][0](s, m) for kind, m, _ in jobs]
+    dq = [_KINDS[kind][0](s, m) for kind, m, _ in jobs] + [s.omega.values] * walls
     del s
     s = Snapshot(traj, i + 1)
     for k, (kind, m, _) in enumerate(jobs):
         dq[k] = _KINDS[kind][0](s, m) - dq[k]
+    if walls:
+        dq[-1] = s.omega.values - dq[-1]
     return dq
 
 
@@ -415,23 +423,26 @@ def _residual(traj: Trajectory, jobs, k: int, i: int, s0: Snapshot, dq: list) ->
 # memoised x-derivatives as (spectrum, order) keys (a job at order m: of
 # u, omega, d_y omega, d_y^2 omega and v, the orders from 1 up to its
 # tops).  A spectrum counts as read where one of its derivatives still to
-# be formed is, and so does the member that a product (a spectrum, or
-# d_y^3 omega_tot) is formed from (_SOURCES) where the product still to be
-# formed is.
+# be formed is, and so does the member that a product (a spectrum, the f
+# quotient pack, or d_y^3 omega_tot) is formed from (_SOURCES) where the
+# product still to be formed is, transitively: the pack is formed from
+# d_y^3 omega_tot, and that from omega.
 _U, _OM, _DY, _D2, _V, _G = "spec_u", "spec_om", "spec_dyom", "spec_d2yom", "spec_v", "spec_g1"
 _READS = {
     **{(kind, m): names | {(spec, j) for spec, top in zip((_U, _OM, _DY, _D2, _V), tops)
                            for j in range(1, top + 1)}
        for m in _ORDERS
        for kind, names, tops in (
-           ("f", {"a", "inv_om", "quotient_pack_f", "d3yom_tot"}, (m + 1, m, m, m, m - 1)),
+           ("f", {"a", "inv_om", "quotient_pack_f"}, (m + 1, m, m, m, m - 1)),
            ("g", {(_G, j) for j in range(m)}, (m + 1, m + 1, m, m - 1, m - 1)),
            ("h", {"b", "inv_dyom", "quotient_pack_h", "g1", (_G, m)}, (m, m + 1, m, m, m - 1)))},
     **{("dy_f", m): {"a", (_U, m), (_OM, m)} for m in _ORDERS},
     **{("dy_g", m): {(_G, m - 1), (_U, 1), (_OM, 1)} for m in _ORDERS},
     ("traces", 0): {"omega", (_U, 1), (_OM, 1), (_OM, 2), (_D2, 1)},
 }
-_SOURCES = {_DY: "dyom", _D2: "d2yom", _G: "g1", "d3yom_tot": "omega"}
+# a product comes before any product formed from its source
+_SOURCES = {_DY: "dyom", _D2: "d2yom", _G: "g1", "quotient_pack_f": "d3yom_tot",
+            "d3yom_tot": "omega"}
 _RELEASED = set().union(*_READS.values(), _SOURCES, _SOURCES.values(), (_U, _OM, _V))
 
 
@@ -453,11 +464,12 @@ def _spent(s0: Snapshot, later) -> list:
     """The members of s0 that the walk releases (_READS) and that s0 holds
     but no step in later reads: neither the member itself nor, for a
     spectrum, a derivative still to be formed nor, for a source
-    (_SOURCES), a product still to be formed."""
+    (_SOURCES), a product still to be formed (or one formed from it)."""
     reads = set().union(*(_READS[step] for step in later))
     reads |= {key[0] for key in reads if isinstance(key, tuple) and not s0.formed(key)}
-    reads |= {src for product, src in _SOURCES.items()
-              if product in reads and not s0.formed(product)}
+    for product, src in _SOURCES.items():
+        if product in reads and not s0.formed(product):
+            reads.add(src)
     return [member for member in _RELEASED - reads if s0.formed(member)]
 
 
@@ -477,27 +489,29 @@ def _walk_node(streams, jobs, acc: list, chi1) -> dict:
     is taken from its stream (_windows), evaluated and dropped before the
     next level's is asked for, so that window and snapshot are the level's
     alone.  A level reads its neighbours' nodes only for the time
-    differences (the wall level also for its trace formulas) and then
-    releases them.  It evaluates its jobs kind by kind, f, g, then h, each
-    in order m, the wall slopes of f and g after their kind's jobs
-    (_steps), and before each step its centre snapshot releases every
-    member that no step still to come reads (_spent): the quotient a with
-    its reciprocal, pack and d_y^3 omega_tot after f_3, d_y omega and
-    d_y^2 omega once their spectra are formed, g_1 after the job g_1 (h
-    reads g_2 to g_4), g1 and its spectrum after h_3, and each spectrum
-    once every derivative still to be read of it is formed.  Appends each
-    job's residual norm, scale and, from the second level on, the interior
-    L2 norm of its residual field's change from the previous level to
-    acc[k][level]; with chi1, returns the first level's wall traces (else
-    an empty dict).  What it forms dies on return."""
+    differences (on the wall level omega's too, which its trace formulas
+    read; with no job, for the trace formulas alone) and then releases
+    them.  It evaluates its jobs kind by kind, f, g, then h, each in order
+    m, the wall slopes of f and g after their kind's jobs (_steps), and
+    before each step its centre snapshot releases every member that no
+    step still to come reads (_spent): d_y^3 omega_tot once the f pack is
+    formed from it, the quotient a with its reciprocal and pack after f_3,
+    omega, d_y omega and d_y^2 omega once no product still to be formed
+    needs them, g_1 after the job g_1 (h reads g_2 to g_4), g1 and its
+    spectrum after h_3, and each spectrum once every derivative still to
+    be read of it is formed.  Appends each job's residual norm, scale and,
+    from the second level on, the interior L2 norm of its residual field's
+    change from the previous level to acc[k][level]; with chi1, returns the
+    first level's wall traces (else an empty dict).  What it forms dies on
+    return."""
     coarser = [None] * len(jobs)        # each job's residual field on the previous level
     traces = {}
     for level, stream in enumerate(streams):
         walls = level == 0 and chi1 is not None
         steps = _steps(jobs, walls)
         win = next(stream)
-        dq = _time_differences(win, jobs, 1)
-        if not walls:
+        dq = _time_differences(win, jobs, 1, walls)
+        if jobs or not walls:
             win.u[0] = win.u[2] = None      # nodes i -/+ 1, read for the last time
         s0 = Snapshot(win, 1)
         for n, ((name, m), k) in enumerate(steps):
@@ -511,7 +525,7 @@ def _walk_node(streams, jobs, acc: list, chi1) -> dict:
                     gaps.append(_interior_l2(win.grid, coarser[k] - diff))
                 coarser[k] = diff
             elif name == "traces":
-                traces.update(_wall_traces(win, 1, s0))
+                traces.update(_wall_traces(win, 1, s0, dq.pop() if jobs else None))
             else:
                 for key, value in _wall_slope(s0, name[-1], m, chi1).items():
                     traces[key] = max(traces.get(key, 0.0), value)
@@ -600,18 +614,21 @@ def _wall_slope(s0: Snapshot, kind: str, m: int, chi1: np.ndarray) -> dict:
     return {f"dy_{kind}_wall": _peak(dyq[:, 0]), f"dy_{kind}_scale": _peak(dyq)}
 
 
-def _wall_traces(traj: Trajectory, i: int, s0: Snapshot) -> dict:
+def _wall_traces(traj: Trajectory, i: int, s0: Snapshot, dom=None) -> dict:
     """The trace formulas at node i of traj, from its snapshot s0, reduced
     to floats: per boundary_checks key, the largest magnitude of the defect
     or scale at the wall.  d_y^2 omega is represented through the evolution
-    equation, whose centered d_t reads only omega (Snapshot.omega's
-    stencil) at i - 1 and i + 1; traj's nodes there are released once read.
-    The temporaries die on return."""
+    equation, whose centered d_t reads only dom, omega (Snapshot.omega's
+    stencil) at i + 1 minus omega at i - 1: the time differences' where jobs
+    built the neighbours' snapshots (_time_differences), else formed here
+    from traj's nodes, which are released once read.  The temporaries die
+    on return."""
     g, eps = traj.grid, traj.eps
     om_tot0 = s0.om_tot[:, 0]
     dxom0 = s0.dxom(1).values[:, 0]
-    dom = dy_j(traj.u[i + 1], 1, npts=_WIDE).values - dy_j(traj.u[i - 1], 1, npts=_WIDE).values
-    traj.u[i - 1] = traj.u[i + 1] = None
+    if dom is None:
+        dom = dy_j(traj.u[i + 1], 1, npts=_WIDE).values - dy_j(traj.u[i - 1], 1, npts=_WIDE).values
+        traj.u[i - 1] = traj.u[i + 1] = None
     dt2 = traj.times[i + 1] - traj.times[i - 1]
     eqrhs = Field(g, _material_derivative(s0, dom, s0.omega.values, s0.dyom_tot, 0.0,
                                           dt2, eps))
@@ -863,12 +880,15 @@ def inequality_suite() -> CheckReport:
 
 def condition_row(traj: Trajectory, i: int, rep: AssumptionReport, p: GevreyParams) -> tuple:
     """The pointwise persistence conditions at node i of traj: (clauses,
-    clause 4's sum).  Its snapshot dies on return."""
+    clause 4's sum).  Its snapshot releases each member once read (d_x u
+    once v is formed from it, a spectrum once its last derivative is, d_y
+    omega and d_y^2 omega once their spectra are) and dies on return."""
     g = traj.grid
     y = g.y_nodes
     s0 = Snapshot(traj, i)
     # clauses 1-3: the hypotheses on omega_tot with the constants relaxed by 4
     hyp = rep.clauses(s0.om_tot, s0.dyom_tot, (s0.dyom_tot,), y, 4.0)
+    s0.release("omega", "om_tot", "dyom_tot", "d2yom_tot")
     cl = {"1": hyp["i"], "2": hyp["ii"], "3": hyp["iii"]}
     w_lm1 = (1.0 + y) ** (p.ell - 1.0)
     w_l = (1.0 + y) ** p.ell
@@ -878,9 +898,12 @@ def condition_row(traj: Trajectory, i: int, rep: AssumptionReport, p: GevreyPara
         total += linf(Field(g, w_lm1[None, :] * s0.dxu(j).values))
         total += linf(s0.dxv(j - 1))
         total += linf(Field(g, w_l[None, :] * s0.dxom(j).values))
+        s0.release("v", (_U, j), (_V, j - 1), (_OM, j))
+    s0.release(_U, _OM, _V)
     for ii in (1, 2):
         total += linf(Field(g, w_lp1[None, :] * s0.dxdyom(ii).values))
         total += linf(Field(g, w_lp1[None, :] * s0.dxd2yom(ii).values))
+        s0.release("dyom", "d2yom", (_DY, ii), (_D2, ii))
     cl["4"] = bool(total <= 1.0 + _SLACK)
     return cl, total
 

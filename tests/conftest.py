@@ -295,7 +295,8 @@ class Record:
         return next(name for kind, name in self.events[at:] if kind != "release")
 
 
-# the functions a Record counts, by name (and evolve_shear by its state)
+# the functions a Record counts, by name (and evolve_shear and the shear
+# quadrature by their keys, _record)
 _COUNTED = (SO.heat_propagate, SO.mild_solution, G.dx_m_spec, G.dy_j, N.full_raw,
             V.condi_monitor, P.check_compatibility, P.validate_assumption)
 
@@ -303,7 +304,8 @@ _COUNTED = (SO.heat_propagate, SO.mild_solution, G.dx_m_spec, G.dy_j, N.full_raw
 def _record(cfg, subcommand: str, out: Path) -> Record:
     """cli.run(cfg, subcommand) into out, recorded: each solve made (a whole
     solve's node reads too), every Snapshot built, the events, the counted
-    calls (_COUNTED, evolve_shear and AuxWorkspace constructions, each
+    calls (_COUNTED, evolve_shear by its state, the shear quadrature by its
+    state and block of orders, and AuxWorkspace constructions, each
     function at every binding the package holds), what run_verify read and
     returned and what the solves held as it started and as each Snapshot was
     built, and the code objects of the package's files that the run called
@@ -345,6 +347,8 @@ def _record(cfg, subcommand: str, out: Path) -> Record:
         for fn in _COUNTED:
             everywhere(fn, counted(fn))
         everywhere(S.evolve_shear, counted(S.evolve_shear, lambda p, t: ("shear", p.grid.Ny, t)))
+        everywhere(S._quadrature_rows, counted(S._quadrature_rows,
+                                               lambda p, t, j0, j1: ("rows", p.grid.Ny, t, j0, j1)))
         for fn in (SO.imex_solve, SO.picard_solve):
             everywhere(fn, solving(fn))
         mp.setattr(CU.AuxWorkspace, "__init__",        # a Snapshot's too

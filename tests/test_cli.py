@@ -152,13 +152,15 @@ def test_norms_and_energy_share_seminorms(full_run):
 
 
 def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
-    """Labs on one profile share its shear states, orders 2-6 included: after
-    a first member has read them (the seminorm table orders 2-4, the shear
-    check orders 2-6), a second member with another amp forms no quadrature
-    row in its shear check or its seminorm table."""
+    """Labs on one profile share its shear states and its persistence
+    scan's report: after a first member has read them (the seminorm table
+    orders 2-4, the shear check orders 1-6 at each scan time), a second
+    member with another amp forms no quadrature row in its shear check or
+    its seminorm table."""
     cfg = dataclasses.replace(REF, nt=8)
     first = Lab(cfg)
     monkeypatch.setattr(first.profile, "state_cache", {})
+    monkeypatch.setattr(first.profile, "scan_reports", {})
     calls = []
     real = S._quadrature_rows
     monkeypatch.setattr(S, "_quadrature_rows",
@@ -166,7 +168,7 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
     C.run_shear_check(first, tmp_path / "first")
     assert len(first.table.raws) == cfg.nt + 1
     assert (first.traj.times[-1], 2, 5) in calls
-    assert any(j0 == 5 for _, j0, _ in calls)
+    assert any((j0, j1) == (1, 7) for _, j0, j1 in calls)
     calls.clear()
     cfg.amp = 2e-3
     second = Lab(cfg)
@@ -174,6 +176,41 @@ def test_sweep_member_reads_cached_shear_orders(tmp_path, monkeypatch):
     C.run_shear_check(second, tmp_path / "second")
     assert len(second.table.raws) == cfg.nt + 1
     assert calls == []
+
+
+def test_second_lab_is_handed_the_kept_scan_report(tmp_path, monkeypatch):
+    """The profile keeps the persistence scan's report, not its states: a
+    second Lab on the cached profile (another amp) is handed the first
+    Lab's report by its shear check, with no quadrature row formed, though
+    the profile keeps no shear state."""
+    cfg = dataclasses.replace(REF, nt=8)
+    first = Lab(cfg)
+    monkeypatch.setattr(first.profile, "state_cache", {})
+    monkeypatch.setattr(first.profile, "scan_reports", {})
+    reports, calls = [], []
+    real_prop, real_rows = C.check_proposition_shear, S._quadrature_rows
+    monkeypatch.setattr(C, "check_proposition_shear",
+                        lambda p, rep: reports.append(real_prop(p, rep)) or reports[-1])
+    monkeypatch.setattr(S, "_quadrature_rows",
+                        lambda p, t, j0, j1: calls.append((t, j0, j1)) or real_rows(p, t, j0, j1))
+    C.run_shear_check(first, tmp_path / "first")
+    assert first.profile.state_cache == {} and len(calls) == len(reports[0].t_checked) - 1
+    calls.clear()
+    second = Lab(dataclasses.replace(cfg, amp=2e-3))
+    assert second.profile is first.profile
+    C.run_shear_check(second, tmp_path / "second")
+    assert calls == [] and len(reports) == 2 and reports[1] is reports[0]
+
+
+def test_full_shear_check_keeps_no_state(full_run):
+    """A full's shear check builds no shear state, so it adds no key to the
+    profile's state cache: it forms orders 1-6 in one quadrature call at
+    each scan time t > 0, and nothing else."""
+    rec = full_run
+    during = [key for key, at in rec.calls if rec.during(at) == "shear-check"]
+    ts = np.arange(0.0, S._T_SCAN + 0.5 * S._SCAN_STEP, S._SCAN_STEP)[1:]
+    assert [key for key in during if key[0] in ("shear", "rows")] == [
+        ("rows", 257, float(t), 1, 7) for t in ts]
 
 
 def test_residual_ladder_needs_eighths(tmp_path):
@@ -802,13 +839,15 @@ def test_residual_block_matches_standalone_reports(picard_verify):
 def test_residual_ladder_holds_one_snapshot(snapshots):
     """walk keeps one snapshot and one residual field per job alive: no
     Snapshot is built while another is alive, and its memory peak on the
-    three streamed levels, their marching included, stays under 60 fields
+    three streamed levels, their marching included, stays under 58 fields
     of Nx Ny doubles, with the first level's wall traces (rep), whose reads
     come before the releases that wait for them, and without.  Measured
-    57.4 either way on cold shear states (57.1 warm); the bound leaves
-    about 3 fields (5%).  While each level evaluated its jobs in report
-    order and its centre snapshot kept every member to the node's end, the
-    walk peaked at 67.3 (71.2 on an earlier host); before the levels walked
+    55.4 with them and 54.2 without on cold shear states (54.8 and 54.2
+    warm); the bound leaves about 2.6 fields (5%).  It read 57.4 while
+    d_y^3 omega_tot lived through the f jobs and the material derivative
+    formed its sum out of place.  While each level evaluated its jobs in
+    report order and its centre snapshot kept every member to the node's
+    end, the walk peaked at 67.3 (71.2 on an earlier host); before the levels walked
     in lockstep, at 80.1 with the levels solved beforehand (their marching
     not counted: three live snapshots and two levels of fields had reached
     169, one snapshot and one level 94.8)."""
@@ -823,7 +862,7 @@ def test_residual_ladder_holds_one_snapshot(snapshots):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60.0 * lab.grid.Nx * lab.grid.Ny * 8, rep
+        assert peak < 58.0 * lab.grid.Nx * lab.grid.Ny * 8, rep
     assert len(snapshots) == 2 * 3 * 3 * len(V.ladder_nts(cfg.nt))
     assert max(b.others for b in snapshots) == 0    # snapshots alive as each one is built
 
@@ -899,26 +938,30 @@ def test_full_work_counts(full_run):
     Ny, Snapshot and AuxWorkspace constructions (a Snapshot is also a
     bundle), dx_m_spec and dy_j calls, one pass over the configured solve
     (a full_raw per node), one condition-monitor reduction, one assumption
-    scan (the Lab's; the companion's report is never read) and one
+    scan (the Lab's; the companion's report is never read), one
     compatibility check of the datum (the Lab's, which the solve's warning
-    and the solve and compatibility reports read), each function counted
-    at every binding the package holds.  An extra solve, step, sweep, shear state,
-    bundle or derivative fails here without any timing; a release of
-    memoised x-derivatives that had them formed again would raise the
-    dx_m_spec count."""
+    and the solve and compatibility reports read) and one quadrature of
+    shear orders 1-6 per persistence-scan time t > 0 (the scan keeps no
+    state), each function counted at every binding the package holds.  An
+    extra solve, step, sweep, shear state, bundle or derivative fails here
+    without any timing; a release of memoised x-derivatives that had them
+    formed again would raise the dx_m_spec count."""
     rec = full_run
     assert rec.code == 0
     counts = collections.Counter(key for key, _ in rec.calls)
     states = collections.Counter(k[1] for k in counts if k[0] == "shear")
-    work = {k: v for k, v in counts.items() if k[0] != "shear"}
+    scan = collections.Counter(k[2] for k, _ in rec.calls if k[0] == "rows" and k[3:] == (1, 7))
+    work = {k: v for k, v in counts.items() if k[0] not in ("shear", "rows")}
     assert collections.Counter((s.scheme, s.ny, s.nt) for s in rec.solves) == {
         ("picard", 257, 8): 1, ("imex", 257, 8): 1, ("imex", 257, 16): 1, ("imex", 257, 32): 1,
         ("imex", 513, 8): 1}
     assert work == {"mild_solution": 5, "heat_propagate": 64, "AuxWorkspace": 49,
-                    "dx_m_spec": 1178, "dy_j": 703, "full_raw": 9, "condi_monitor": 1,
+                    "dx_m_spec": 1178, "dy_j": 697, "full_raw": 9, "condi_monitor": 1,
                     "check_compatibility": 1, "validate_assumption": 1}
     assert len(rec.snapshots) == 39
-    assert states == {257: 82, 513: 9}
+    assert states == {257: 33, 513: 9}
+    ts = np.arange(0.0, S._T_SCAN + 0.5 * S._SCAN_STEP, S._SCAN_STEP)[1:]
+    assert scan == {float(t): 1 for t in ts}
 
 
 # the functions of src/ that no cli.run calls, and why
@@ -1056,9 +1099,11 @@ def test_verify_alone_keeps_no_check_solve(recorded, checks):
 def test_verify_peak_after_solve_and_norms(tmp_path):
     """The tracemalloc peak of run_verify with the sweep's checks (every
     check but boundary), run after solve and norms as full runs them, stays
-    under 66 fields of Nx Ny doubles at nt = 8: 62.4 measured on cold shear
-    states (57.3 warm), so the bound leaves about 3.5 fields (5%).  It read
-    72.5 (67.3) while the residual ladder evaluated its jobs in report order
+    under 59.5 fields of Nx Ny doubles at nt = 8: 56.6 measured on cold
+    shear states (55.1 warm), so the bound leaves about 2.9 fields (5%).
+    It read 62.4 (57.3) while the persistence scan kept its 51 shear states
+    and the residual ladder's f jobs held d_y^3 omega_tot, and 72.5 (67.3)
+    while the residual ladder evaluated its jobs in report order
     and its centre snapshot kept every member to the node's end (74.3 and
     71.1 on an earlier host), 92.3 (89.1) while the residual ladder's levels were solved one after the
     other and folded through a per-node store of residual fields, and 108.4
@@ -1077,4 +1122,4 @@ def test_verify_peak_after_solve_and_norms(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 66.0 * lab.grid.Nx * lab.grid.Ny * 8
+    assert peak < 59.5 * lab.grid.Nx * lab.grid.Ny * 8

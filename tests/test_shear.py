@@ -45,23 +45,17 @@ def _dense_quadrature(p, t):
                      for j, d in enumerate(diffs)])
 
 
-def _rows(s):
-    return np.vstack([s.us, s.omegas, s.dj_omegas, s.dj_omegas_high])
-
-
 def test_t0_returns_profile_exactly(profile):
     s = evolve_shear(profile, 0.0)
     assert np.array_equal(s.us, profile.u0s)
     assert np.array_equal(s.omegas, profile.derivs[0])
     assert np.array_equal(s.dj_omegas, profile.derivs[1:4])
-    assert np.array_equal(s.dj_omegas_high, profile.derivs[4:6])
     assert profile.state_cache[0.0] is s
 
 
 def test_orders_above_one_formed_once_on_first_read(profile, monkeypatch):
     """evolve_shear forms rows 0-1 only; the first dj_omegas read forms rows
-    2-4 as one block and the first dj_omegas_high read rows 5-6 as another,
-    and the state keeps both.  Reading the first block forms no row 5-6."""
+    2-4 as one block, which the state keeps, and no row 5-6."""
     fresh = dataclasses.replace(profile)          # an empty state cache
     calls = []
     real = S._quadrature_rows
@@ -77,15 +71,11 @@ def test_orders_above_one_formed_once_on_first_read(profile, monkeypatch):
     d = s.dj_omegas
     assert calls == [(t, 0, 2), (t, 2, 5)]
     assert d.shape == (3, profile.grid.Ny)
-    high = s.dj_omegas_high
-    assert calls == [(t, 0, 2), (t, 2, 5), (t, 5, 7)]
-    assert high.shape == (2, profile.grid.Ny)
-    assert s.dj_omegas is d and s.dj_omegas_high is high
+    assert s.dj_omegas is d
     assert evolve_shear(fresh, t).dj_omegas is d
     zero = evolve_shear(fresh, 0.0)
-    assert (zero.dj_omegas.shape, zero.dj_omegas_high.shape) == ((3, profile.grid.Ny),
-                                                                 (2, profile.grid.Ny))
-    assert len(calls) == 3
+    assert zero.dj_omegas.shape == (3, profile.grid.Ny)
+    assert len(calls) == 2
 
 
 def test_kernel_table_equals_dense_sum(profile):
@@ -93,13 +83,24 @@ def test_kernel_table_equals_dense_sum(profile):
     the 1-D table is bitwise the dense double sum, orders 0..6."""
     T = REF.t_final
     for t in (T / 128, T / 32, T, 0.5):
-        s = evolve_shear(profile, t)
+        rows = _quadrature_rows(profile, t, 0, 7)
         w0w, views = S._kernel_operands(profile, t, 0, 7)
         diffs, dense_w0w = _dense_differences(profile, t)
         assert np.array_equal(w0w, dense_w0w)
         assert all(np.array_equal(direct - image, d) for (direct, image), d in zip(views, diffs))
-        assert np.array_equal(_rows(s), _dense_quadrature(profile, t))
-        assert s.us[0] == 0.0
+        assert np.array_equal(rows, _dense_quadrature(profile, t))
+        assert rows[0][0] == 0.0
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.23, 0.5])
+def test_scan_block_is_the_state_blocks(profile, t):
+    """The persistence scan's one block of orders 1..6 is bitwise the rows
+    that the blocks 0-1 (evolve_shear), 2-4 (dj_omegas) and 5-6 form: a
+    row is the same whichever block of orders it is formed in."""
+    fresh = dataclasses.replace(profile)          # an empty state cache
+    s = evolve_shear(fresh, t)
+    blocks = np.vstack([s.us, s.omegas, s.dj_omegas, _quadrature_rows(fresh, t, 5, 7)])
+    assert np.array_equal(_quadrature_rows(fresh, t, 1, 7), blocks[1:])
 
 
 # Ny = 65, 66, 67 leave tails of 1, 2, 3 rows after the 32-row spans, 96 none
@@ -166,7 +167,7 @@ def test_kernel_table_off_binary_grid():
     p = build_shear_profile(Grid2D(REF.nx, 200, REF.lx, REF.ymax),
                             REF.y0, REF.alpha)
     for t in (0.01, 0.05, 0.5):
-        got, ref = _rows(evolve_shear(p, t)), _dense_quadrature(p, t)
+        got, ref = _quadrature_rows(p, t, 0, 7), _dense_quadrature(p, t)
         for j in range(7):
             assert np.max(np.abs(got[j] - ref[j])) <= 1e-12 * np.max(np.abs(ref[j]))
 
@@ -259,9 +260,10 @@ def test_kernel_width_warning(profile):
 
 def test_min_resolved_step_state_is_finite(profile):
     """At the least step the quadrature resolves, every shear order is finite."""
-    st = evolve_shear(profile, S.min_resolved_step(profile.grid))
-    assert all(np.isfinite(a).all()
-               for a in (st.us, st.omegas, st.dj_omegas, st.dj_omegas_high))
+    t = S.min_resolved_step(profile.grid)
+    st = evolve_shear(profile, t)
+    assert all(np.isfinite(a).all() for a in (st.us, st.omegas, st.dj_omegas,
+                                               _quadrature_rows(profile, t, 0, 7)))
 
 
 def test_maximum_principle(profile):
@@ -288,8 +290,7 @@ def test_heat_residual_refines_in_dt(profile):
 
 
 def test_proposition_clauses_at_zero(profile, assumption):
-    s0 = evolve_shear(profile, 0.0)
-    clauses = proposition_clauses(s0, assumption, profile.grid.y_nodes)
+    clauses = proposition_clauses(profile.derivs, assumption, profile.grid.y_nodes)
     assert all(clauses.values())
 
 
@@ -300,8 +301,37 @@ def test_proposition_scan(profile, assumption):
     assert not rep.inconsistent_at_zero
 
 
+def test_scan_keeps_its_report_not_states(profile, assumption, monkeypatch):
+    """The scan forms orders 1-6 in one quadrature call per time t > 0 and
+    builds no state; the profile keeps its report, keyed by all the scan
+    reads, so the same report scans for free, and one with another c0
+    (dataclasses.replace) scans again."""
+    fresh = dataclasses.replace(profile)          # empty caches
+    calls = []
+    real = S._quadrature_rows
+    monkeypatch.setattr(S, "_quadrature_rows",
+                        lambda p, t, j0, j1: calls.append((t, j0, j1)) or real(p, t, j0, j1))
+    rep = check_proposition_shear(fresh, assumption)
+    scan = [(t, 1, 7) for t in rep.t_checked[1:]]
+    assert calls == scan and len(scan) == 50 and fresh.state_cache == {}
+    assert check_proposition_shear(fresh, assumption) is rep and calls == scan
+    again = check_proposition_shear(fresh, dataclasses.replace(assumption, c0=0.5 * assumption.c0))
+    assert calls == 2 * scan and again is not rep and again.to_dict() == rep.to_dict()
+
+
+def test_scan_warns_of_a_wide_kernel(profile, assumption, monkeypatch):
+    """The kernel-width warning of evolve_shear covers the scan's times,
+    which build no state: a scan out to t = 4 (4 sqrt(t) = 8 > Ymax/4)
+    warns of the truncation."""
+    monkeypatch.setattr(S, "_T_SCAN", 4.0)
+    monkeypatch.setattr(S, "_SCAN_STEP", 1.0)
+    monkeypatch.setattr(S, "proposition_clauses", lambda rows, rep, y: {"i": True})
+    assert 4.0 * np.sqrt(4.0) > profile.grid.Ymax / 4.0
+    with pytest.warns(UserWarning, match="truncation"):
+        assert check_proposition_shear(dataclasses.replace(profile), assumption).T_s == 4.0
+
+
 def test_proposition_detects_inflated_c0(profile, assumption):
     inflated = dataclasses.replace(assumption, c0=10.0 * assumption.c0)
-    s0 = evolve_shear(profile, 0.0)
-    clauses = proposition_clauses(s0, inflated, profile.grid.y_nodes)
+    clauses = proposition_clauses(profile.derivs, inflated, profile.grid.y_nodes)
     assert not clauses["i"]

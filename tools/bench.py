@@ -37,8 +37,8 @@ or CSV file whether both sides parse to the same structure and the largest
 relative deviation of a number, and keeps each side's run_log.json (stage
 and check marks: where the time and the peak went) and names the mark with
 the largest ru_maxrss_mb, with malloc's heap in use and the heap's
-high-water mark there, and the mark with the largest heap high-water mark
-(peak_mark).  The same
+high-water mark there, and the marks with the largest and the second
+largest heap high-water mark (peak_mark).  The same
 comparison is made of the seed-0 perturbation sweep's warm-up member and
 first member, run in one process per side from that side's perfbench plan
 (`perfbench/workloads.py`) and configs (`perfbench/worker.make_config`);
@@ -251,15 +251,25 @@ def peak_mark(log: dict) -> dict:
     `heap_peak` names the mark with the largest heap_high_water_mb, the
     first in run order on a tie, with that figure (None where the log has
     none): each span's heap high water is its own transient, so this names
-    the span whose work sets the heap's peak."""
-    marks = [m for stage in log["stages"] for m in (*stage.get("checks", ()), stage)]
-    peak = max(marks, key=lambda m: m["ru_maxrss_mb"])
-    heap = max((m for m in marks if m.get("heap_high_water_mb") is not None),
-               key=lambda m: m["heap_high_water_mb"], default=None)
+    the span whose work sets the heap's peak.  `heap_runner_up` names the
+    next mark in that order whose span neither holds the peak's nor lies in
+    it (a stage's figure includes its checks'), or None: the site that a
+    change lowering the peak's span meets next."""
+    marks = [(stage, m) for stage in log["stages"] for m in (*stage.get("checks", ()), stage)]
+    peak = max((m for _, m in marks), key=lambda m: m["ru_maxrss_mb"])
+    heap = sorted(((stage, m) for stage, m in marks if m.get("heap_high_water_mb") is not None),
+                  key=lambda sm: -sm[1]["heap_high_water_mb"])
+    top = runner_up = None
+    if heap:
+        top_stage, top = heap[0]
+        runner_up = next((m for stage, m in heap[1:]
+                          if stage is not top_stage or (m is not stage and top is not stage)),
+                         None)
+    span = lambda m: m and {"mark": m.get("check") or m["stage"],
+                            "heap_high_water_mb": m["heap_high_water_mb"]}
     return {"mark": peak.get("check") or peak["stage"], "ru_maxrss_mb": peak["ru_maxrss_mb"],
             **{k: peak.get(k) for k in ("heap_in_use_mb", "heap_high_water_mb")},
-            "heap_peak": heap and {"mark": heap.get("check") or heap["stage"],
-                                   "heap_high_water_mb": heap["heap_high_water_mb"]}}
+            "heap_peak": span(top), "heap_runner_up": span(runner_up)}
 
 
 def compare_outputs(sides: dict, argv: list) -> dict:
